@@ -164,30 +164,18 @@ use gpstream_core::metrics::Comparison;
 use gpstream_core::{chrome_trace, StreamGraph, TraceRun, World};
 use gpstream_machine::{MachineConfig, PhaseCycles, WaitPolicy};
 use gpstream_microbench::simspeed::SimSpeedRow;
+use gpstream_tune::workloads::CATALOG;
+use gpstream_util::args::{usage_exit, write_or_exit, Args};
 use gpstream_util::Json;
 
-struct Cli {
-    which: String,
-    in_order: bool,
-    list: bool,
-    json: Option<String>,
-    trace: Option<String>,
+/// A subcommand's usage text: its synopsis (the doc header above is
+/// the long form) plus the names its positional accepts.
+fn usage(synopsis: &str, label: &str, names: &[&str]) -> String {
+    format!("usage: figures {synopsis}\n{label}: {}", names.join(" "))
 }
 
-fn parse_args() -> Cli {
-    let mut cli =
-        Cli { which: "all".to_string(), in_order: false, list: false, json: None, trace: None };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--in-order" => cli.in_order = true,
-            "--list" => cli.list = true,
-            "--json" => cli.json = Some(args.next().expect("--json needs a path")),
-            "--trace" => cli.trace = Some(args.next().expect("--trace needs a path")),
-            other => cli.which = other.to_string(),
-        }
-    }
-    cli
+fn unknown_workload(name: &str, usage: &str) -> ! {
+    usage_exit(&format!("unknown workload `{name}`"), usage)
 }
 
 fn print_comparisons(title: &str, rows: &[Comparison]) {
@@ -280,7 +268,7 @@ fn write_trace(path: &str, cfg: &MachineConfig, copts: &CompilerOptions) -> u64 
         traced_sim_run(&format!("{} (sim)", app.name), &app.graph, &app.stream_world, cfg, copts),
     ];
     let dropped: u64 = runs.iter().map(|r| r.dropped).sum();
-    std::fs::write(path, chrome_trace(&runs)).expect("write trace file");
+    write_or_exit(path, chrome_trace(&runs));
     println!("wrote Chrome trace to {path} (open in chrome://tracing or ui.perfetto.dev)");
     if dropped > 0 {
         eprintln!(
@@ -322,69 +310,27 @@ fn tuned_json(o: &gpstream_tune::TuneOutcome) -> Json {
 
 /// `figures profile` subcommand. Exits the process: 0 on success, 1 on
 /// baseline violations, 2 on usage errors.
-fn profile_main(args: &[String]) -> ! {
-    let mut workload: Option<String> = None;
-    let mut out_dir: Option<String> = None;
-    let mut interval: Option<u64> = None;
-    let mut check = false;
-    let mut in_order = false;
-    let mut fast_sim = false;
-    let mut update_baseline = false;
-    let mut baselines = "profiles/baselines".to_string();
-    let mut native: Option<usize> = None;
-    let mut i = 0;
-    let usage = |msg: &str| -> ! {
-        eprintln!("{msg}");
-        eprintln!(
-            "usage: figures profile WORKLOAD [--out DIR] [--interval N] [--in-order] \
-             [--fast-sim] [--check] [--update-baseline] [--baselines DIR] [--native [REPEATS]]"
-        );
-        eprintln!("workloads: {}", gpstream_tune::workloads::CATALOG.join(" "));
-        std::process::exit(2);
-    };
-    let value = |args: &[String], i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage(&format!("{flag} needs a value")))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--list" => {
-                for w in gpstream_tune::workloads::CATALOG {
-                    println!("{w}");
-                }
-                std::process::exit(0);
-            }
-            "--out" => out_dir = Some(value(args, &mut i, "--out")),
-            "--interval" => {
-                let v = value(args, &mut i, "--interval");
-                interval = Some(v.parse().unwrap_or_else(|_| usage("--interval needs a number")));
-            }
-            "--check" => check = true,
-            "--in-order" => in_order = true,
-            "--fast-sim" => fast_sim = true,
-            "--update-baseline" => update_baseline = true,
-            "--baselines" => baselines = value(args, &mut i, "--baselines"),
-            "--native" => {
-                // Optional repeat count: `--native 7` or bare `--native`.
-                native = Some(match args.get(i + 1).and_then(|v| v.parse().ok()) {
-                    Some(n) => {
-                        i += 1;
-                        n
-                    }
-                    None => 5,
-                });
-            }
-            other if workload.is_none() && !other.starts_with('-') => {
-                workload = Some(other.to_string());
-            }
-            other => usage(&format!("unknown argument `{other}`")),
-        }
-        i += 1;
-    }
-    let Some(workload) = workload else { usage("missing WORKLOAD") };
+fn profile_main(argv: &[String]) -> ! {
+    let usage = usage(
+        "profile WORKLOAD [--out DIR] [--interval N] [--in-order] [--fast-sim] [--check] \
+         [--update-baseline] [--baselines DIR] [--native [REPEATS]]",
+        "workloads",
+        &CATALOG,
+    );
+    let mut args = Args::new(argv, &usage);
+    args.list(&CATALOG);
+    let out_dir = args.value("--out");
+    let interval = args.parsed("--interval", "a positive cycle count", |&n: &u64| n > 0);
+    let check = args.flag("--check");
+    let in_order = args.flag("--in-order");
+    let fast_sim = args.flag("--fast-sim");
+    let update_baseline = args.flag("--update-baseline");
+    let baselines = args.value("--baselines").unwrap_or_else(|| "profiles/baselines".to_string());
+    let native = args.optional("--native", "a positive repeat count", |&n: &usize| n > 0, 5);
+    let Some(workload) = args.finish(1).pop() else { usage_exit("missing WORKLOAD", &usage) };
     let Some(out) = fig::profiling::profile_workload(&workload, interval, in_order, fast_sim)
     else {
-        usage(&format!("unknown workload `{workload}`"))
+        unknown_workload(&workload, &usage)
     };
 
     print!("{}", out.perf_stat);
@@ -393,22 +339,23 @@ fn profile_main(args: &[String]) -> ! {
 
     if let Some(dir) = &out_dir {
         let dir = std::path::Path::new(dir);
-        std::fs::create_dir_all(dir).expect("create --out directory");
-        std::fs::write(dir.join("perfstat.txt"), &out.perf_stat).expect("write perfstat.txt");
-        std::fs::write(dir.join("topdown.txt"), &out.topdown).expect("write topdown.txt");
-        std::fs::write(dir.join("profile.json"), &out.json).expect("write profile.json");
-        std::fs::write(dir.join(format!("{workload}.folded")), &out.folded)
-            .expect("write folded stacks");
-        std::fs::write(dir.join("samples.csv"), &out.samples_csv).expect("write samples.csv");
-        std::fs::write(dir.join("telemetry.csv"), &out.telemetry_csv).expect("write telemetry.csv");
+        for (name, text) in [
+            ("perfstat.txt", &out.perf_stat),
+            ("topdown.txt", &out.topdown),
+            ("profile.json", &out.json),
+            (format!("{workload}.folded").as_str(), &out.folded),
+            ("samples.csv", &out.samples_csv),
+            ("telemetry.csv", &out.telemetry_csv),
+        ] {
+            write_or_exit(dir.join(name), text);
+        }
         println!("\nwrote profile artifacts to {}", dir.display());
     }
 
     let baseline_path = std::path::Path::new(&baselines).join(format!("{workload}.json"));
     if update_baseline {
         let base = gpstream_profile::Baseline::capture(&workload, &out.counters);
-        std::fs::create_dir_all(&baselines).expect("create baselines directory");
-        std::fs::write(&baseline_path, base.to_json().to_doc_string()).expect("write baseline");
+        write_or_exit(&baseline_path, base.to_json().to_doc_string());
         println!("updated baseline {}", baseline_path.display());
     }
     if check {
@@ -459,46 +406,19 @@ fn profile_main(args: &[String]) -> ! {
 
 /// `figures analyze` subcommand. Exits the process: 0 on success, 2 on
 /// usage errors.
-fn analyze_main(args: &[String]) -> ! {
-    let mut workload: Option<String> = None;
-    let mut out_file: Option<String> = None;
-    let mut fast_sim = false;
-    let usage = |msg: &str| -> ! {
-        eprintln!("{msg}");
-        eprintln!("usage: figures analyze WORKLOAD [--out FILE] [--fast-sim]");
-        eprintln!("workloads: {}", gpstream_tune::workloads::CATALOG.join(" "));
-        std::process::exit(2);
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--list" => {
-                for w in gpstream_tune::workloads::CATALOG {
-                    println!("{w}");
-                }
-                std::process::exit(0);
-            }
-            "--out" => {
-                i += 1;
-                out_file =
-                    Some(args.get(i).cloned().unwrap_or_else(|| usage("--out needs a file path")));
-            }
-            "--fast-sim" => fast_sim = true,
-            other if workload.is_none() && !other.starts_with('-') => {
-                workload = Some(other.to_string());
-            }
-            other => usage(&format!("unknown argument `{other}`")),
-        }
-        i += 1;
-    }
-    let Some(workload) = workload else { usage("missing WORKLOAD") };
+fn analyze_main(argv: &[String]) -> ! {
+    let usage = usage("analyze WORKLOAD [--out FILE] [--fast-sim]", "workloads", &CATALOG);
+    let mut args = Args::new(argv, &usage);
+    args.list(&CATALOG);
+    let out_file = args.value("--out");
+    let fast_sim = args.flag("--fast-sim");
+    let Some(workload) = args.finish(1).pop() else { usage_exit("missing WORKLOAD", &usage) };
     let Some(analysis) = gpstream_analyze::analyze_workload_with(&workload, fast_sim) else {
-        usage(&format!("unknown workload `{workload}`"))
+        unknown_workload(&workload, &usage)
     };
     print!("{}", gpstream_analyze::render::text(&analysis));
     if let Some(path) = out_file {
-        std::fs::write(&path, gpstream_analyze::render::to_json(&analysis).to_doc_string())
-            .expect("write analysis JSON");
+        write_or_exit(&path, gpstream_analyze::render::to_json(&analysis).to_doc_string());
         println!("\nwrote analysis artifact to {path}");
     }
     std::process::exit(0);
@@ -506,66 +426,33 @@ fn analyze_main(args: &[String]) -> ! {
 
 /// `figures scale` subcommand. Exits the process: 0 on success, 2 on
 /// usage errors.
-fn scale_main(args: &[String]) -> ! {
-    let mut workload: Option<String> = None;
-    let mut max: usize = 8;
-    let mut out_file: Option<String> = None;
-    let mut fast_sim = false;
-    let usage = |msg: &str| -> ! {
-        eprintln!("{msg}");
-        eprintln!("usage: figures scale [WORKLOAD] [--max N] [--out FILE] [--fast-sim]");
-        eprintln!("workloads: {}", gpstream_tune::workloads::CATALOG.join(" "));
-        std::process::exit(2);
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--list" => {
-                for w in gpstream_tune::workloads::CATALOG {
-                    println!("{w}");
-                }
-                std::process::exit(0);
-            }
-            "--max" => {
-                i += 1;
-                max = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--max needs a positive number"));
-                if max == 0 {
-                    usage("--max needs a positive number");
-                }
-            }
-            "--out" => {
-                i += 1;
-                out_file =
-                    Some(args.get(i).cloned().unwrap_or_else(|| usage("--out needs a file path")));
-            }
-            "--fast-sim" => fast_sim = true,
-            other if workload.is_none() && !other.starts_with('-') => {
-                workload = Some(other.to_string());
-            }
-            other => usage(&format!("unknown argument `{other}`")),
-        }
-        i += 1;
-    }
+fn scale_main(argv: &[String]) -> ! {
+    let usage =
+        usage("scale [WORKLOAD] [--max N] [--out FILE] [--fast-sim]", "workloads", &CATALOG);
+    let mut args = Args::new(argv, &usage);
+    args.list(&CATALOG);
+    let in_engine = |n: &usize| (1..=64).contains(n);
+    let max = args.parsed("--max", "a context count in 1..=64", in_engine).unwrap_or(8);
+    let out_file = args.value("--out");
+    let fast_sim = args.flag("--fast-sim");
+    let workload = args.finish(1).pop();
     // Context counts double from 1 and always include the cap itself.
     let counts: Vec<usize> =
         std::iter::successors(Some(1usize), |&n| (n < max).then(|| (n * 2).min(max))).collect();
     let names: Vec<String> = match &workload {
         Some(w) => vec![w.clone()],
-        None => gpstream_tune::workloads::CATALOG.iter().map(ToString::to_string).collect(),
+        None => CATALOG.iter().map(ToString::to_string).collect(),
     };
     let mut rows = Vec::with_capacity(names.len());
     for name in &names {
         let Some(row) = fig::scale::scale_workload(name, &counts, fast_sim) else {
-            usage(&format!("unknown workload `{name}`"))
+            unknown_workload(name, &usage)
         };
         rows.push(row);
     }
     print!("{}", fig::scale::render(&rows));
     if let Some(path) = &out_file {
-        std::fs::write(path, fig::scale::to_json(&rows).to_doc_string()).expect("write scale JSON");
+        write_or_exit(path, fig::scale::to_json(&rows).to_doc_string());
         println!("wrote scaling curves to {path}");
     }
     std::process::exit(0);
@@ -575,23 +462,13 @@ fn scale_main(args: &[String]) -> ! {
 /// with out-of-band deltas, unless `--strict`), 1 on unreadable or
 /// unparseable artifacts or strict out-of-band deltas, 2 on usage
 /// errors.
-fn diff_main(args: &[String]) -> ! {
-    let mut paths: Vec<String> = Vec::new();
-    let mut strict = false;
-    for a in args {
-        match a.as_str() {
-            "--strict" => strict = true,
-            other if !other.starts_with('-') => paths.push(other.to_string()),
-            other => {
-                eprintln!("unknown argument `{other}`");
-                eprintln!("usage: figures diff A.json B.json [--strict]");
-                std::process::exit(2);
-            }
-        }
-    }
+fn diff_main(argv: &[String]) -> ! {
+    let usage = "usage: figures diff A.json B.json [--strict]";
+    let mut args = Args::new(argv, usage);
+    let strict = args.flag("--strict");
+    let paths = args.finish(2);
     if paths.len() != 2 {
-        eprintln!("usage: figures diff A.json B.json [--strict]");
-        std::process::exit(2);
+        usage_exit("diff compares two artifacts", usage);
     }
     let load = |path: &str| -> gpstream_profile::Artifact {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -635,167 +512,65 @@ fn diff_main(args: &[String]) -> ! {
 /// `figures serve` subcommand. Exits the process: 0 on success, 1 when
 /// `--ablation` finds bounded admission not beating unbounded on p99
 /// total latency, 2 on usage errors.
-fn serve_main(args: &[String]) -> ! {
+fn serve_main(argv: &[String]) -> ! {
+    let usage = usage(
+        "serve [WORKLOAD] [--jobs N] [--rate R] [--tenants T] [--workers W] [--ctx C] [--seed S] \
+         [--unbounded] [--ablation] [--out FILE] [--slo] [--slo-latency CYC[,CYC..]] \
+         [--slo-objective F] [--window CYC] [--trace FILE] [--timeseries FILE] [--sketch] \
+         [--sketch-gamma G] [--span-cap N] [--quiet]",
+        "workloads",
+        &gpstream_serve::WORKLOADS,
+    );
+    let mut args = Args::new(argv, &usage);
+    args.list(&gpstream_serve::WORKLOADS);
     let mut cfg = gpstream_serve::ServeConfig::new("mix");
-    let mut workload_set = false;
-    let mut out_file: Option<String> = None;
-    let mut ablation = false;
-    let mut slo = false;
-    let mut quiet = false;
-    let mut trace_file: Option<String> = None;
-    let mut timeseries_file: Option<String> = None;
-    let usage = |msg: &str| -> ! {
-        eprintln!("{msg}");
-        eprintln!(
-            "usage: figures serve [WORKLOAD] [--jobs N] [--rate R] [--tenants T] \
-             [--workers W] [--ctx C] [--seed S] [--unbounded] [--ablation] [--out FILE] \
-             [--slo] [--slo-latency CYC[,CYC..]] [--slo-objective F] [--window CYC] \
-             [--trace FILE] [--timeseries FILE] [--sketch] [--sketch-gamma G] \
-             [--span-cap N] [--quiet]"
-        );
-        eprintln!("workloads: {}", gpstream_serve::WORKLOADS.join(" "));
-        std::process::exit(2);
-    };
-    let value = |i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage(&format!("{flag} needs a value")))
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--list" => {
-                for w in gpstream_serve::WORKLOADS {
-                    println!("{w}");
-                }
-                std::process::exit(0);
-            }
-            "--jobs" => {
-                cfg.jobs = value(&mut i, "--jobs")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--jobs needs a number"));
-            }
-            "--rate" => {
-                cfg.rate = value(&mut i, "--rate")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--rate needs a number"));
-                if cfg.rate <= 0.0 {
-                    usage("--rate needs a positive number");
-                }
-            }
-            "--tenants" => {
-                cfg.tenants = value(&mut i, "--tenants")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--tenants needs a number"));
-                if cfg.tenants == 0 {
-                    usage("--tenants needs a positive number");
-                }
-            }
-            "--workers" => {
-                cfg.workers = value(&mut i, "--workers")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--workers needs a number"));
-                if cfg.workers == 0 {
-                    usage("--workers needs a positive number");
-                }
-            }
-            "--ctx" => {
-                cfg.ctx = value(&mut i, "--ctx")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--ctx needs a number"));
-                if cfg.ctx == 0 {
-                    usage("--ctx needs a positive number");
-                }
-            }
-            "--seed" => {
-                cfg.seed = value(&mut i, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--seed needs a number"));
-            }
-            "--unbounded" => cfg.bounded = false,
-            "--ablation" => ablation = true,
-            "--slo" => slo = true,
-            "--slo-latency" => {
-                cfg.slo_latency = value(&mut i, "--slo-latency")
-                    .split(',')
-                    .map(|v| {
-                        let cyc: u64 = v
-                            .trim()
-                            .parse()
-                            .unwrap_or_else(|_| usage("--slo-latency needs cycle counts"));
-                        if cyc == 0 {
-                            usage("--slo-latency thresholds must be positive");
-                        }
-                        cyc
-                    })
-                    .collect();
-            }
-            "--slo-objective" => {
-                cfg.slo_objective = value(&mut i, "--slo-objective")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--slo-objective needs a number"));
-                if !(cfg.slo_objective > 0.0 && cfg.slo_objective < 1.0) {
-                    usage("--slo-objective needs a fraction strictly between 0 and 1");
-                }
-            }
-            "--window" => {
-                cfg.window_cycles = value(&mut i, "--window")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--window needs a cycle count"));
-                if cfg.window_cycles == 0 {
-                    usage("--window needs a positive cycle count");
-                }
-            }
-            "--sketch" => cfg.sketch = true,
-            "--sketch-gamma" => {
-                cfg.sketch_gamma = value(&mut i, "--sketch-gamma")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--sketch-gamma needs a number"));
-                if !(cfg.sketch_gamma > 0.0 && cfg.sketch_gamma < 1.0) {
-                    usage("--sketch-gamma needs a fraction strictly between 0 and 1");
-                }
-            }
-            "--span-cap" => {
-                cfg.span_capacity = value(&mut i, "--span-cap")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--span-cap needs an event count"));
-                if cfg.span_capacity == 0 {
-                    usage("--span-cap needs a positive event count");
-                }
-            }
-            "--quiet" => quiet = true,
-            "--trace" => trace_file = Some(value(&mut i, "--trace")),
-            "--timeseries" => timeseries_file = Some(value(&mut i, "--timeseries")),
-            "--out" => out_file = Some(value(&mut i, "--out")),
-            other if !workload_set && !other.starts_with('-') => {
-                cfg.workload = other.to_string();
-                workload_set = true;
-            }
-            other => usage(&format!("unknown argument `{other}`")),
-        }
-        i += 1;
+    cfg.jobs = args.number("--jobs").unwrap_or(cfg.jobs);
+    cfg.rate = args.number("--rate").unwrap_or(cfg.rate);
+    cfg.tenants = args.number("--tenants").unwrap_or(cfg.tenants);
+    cfg.workers = args.number("--workers").unwrap_or(cfg.workers);
+    cfg.ctx = args.number("--ctx").unwrap_or(cfg.ctx);
+    cfg.seed = args.number("--seed").unwrap_or(cfg.seed);
+    cfg.bounded = !args.flag("--unbounded");
+    cfg.sketch = args.flag("--sketch");
+    // Zero means "derive the default" in `ServeConfig`, so an explicit
+    // zero is refused here; `validate` below checks everything else.
+    let cycles: fn(&u64) -> bool = |&n| n > 0;
+    let fraction: fn(&f64) -> bool = |&f| f > 0.0 && f < 1.0;
+    let slo_latency = args.value("--slo-latency");
+    cfg.slo_objective = args
+        .parsed("--slo-objective", "a fraction strictly between 0 and 1", fraction)
+        .unwrap_or(0.0);
+    cfg.window_cycles = args.parsed("--window", "a positive cycle count", cycles).unwrap_or(0);
+    cfg.sketch_gamma = args
+        .parsed("--sketch-gamma", "a fraction strictly between 0 and 1", fraction)
+        .unwrap_or(0.0);
+    cfg.span_capacity =
+        args.parsed("--span-cap", "a positive event count", |&n: &usize| n > 0).unwrap_or(0);
+    let ablation = args.flag("--ablation");
+    let slo = args.flag("--slo");
+    let quiet = args.flag("--quiet");
+    let trace_file = args.value("--trace");
+    let timeseries_file = args.value("--timeseries");
+    let out_file = args.value("--out");
+    if let Some(workload) = args.finish(1).pop() {
+        cfg.workload = workload;
     }
-    if cfg.slo_latency.len() > 1 && cfg.slo_latency.len() != cfg.tenants {
-        usage(&format!(
-            "--slo-latency needs one threshold, or one per tenant ({} given, {} tenants)",
-            cfg.slo_latency.len(),
-            cfg.tenants
-        ));
+    if let Some(list) = slo_latency {
+        let thresholds: Option<Vec<u64>> =
+            list.split(',').map(|v| v.trim().parse().ok().filter(cycles)).collect();
+        cfg.slo_latency = thresholds.unwrap_or_else(|| {
+            usage_exit("--slo-latency needs positive cycle counts, comma-separated", &usage)
+        });
     }
-    if !cfg.sketch && cfg.jobs > gpstream_serve::EXACT_MODE_MAX_JOBS {
-        usage(&format!(
-            "--jobs {} exceeds the exact-mode limit of {} (exact quantiles keep every \
-             distinct latency and every record in memory); rerun with --sketch for \
-             bounded-memory estimators",
-            cfg.jobs,
-            gpstream_serve::EXACT_MODE_MAX_JOBS
-        ));
+    if let Err(why) = cfg.validate() {
+        usage_exit(&why, &usage);
     }
     // Progress heartbeat: stderr-only, so it can never perturb an
     // artifact; auto-off when stderr is not a terminal (CI logs).
     cfg.progress = !quiet && std::io::IsTerminal::is_terminal(&std::io::stderr());
     if ablation {
         let Some((bounded, unbounded)) = gpstream_serve::ablation(&cfg) else {
-            usage(&format!("unknown workload `{}`", cfg.workload))
+            unknown_workload(&cfg.workload, &usage)
         };
         print!("{}", bounded.text);
         print!("{}", unbounded.text);
@@ -812,7 +587,7 @@ fn serve_main(args: &[String]) -> ! {
             let stem = path.strip_suffix(".json").unwrap_or(path);
             for (side, outcome) in [("bounded", &bounded), ("unbounded", &unbounded)] {
                 let p = format!("{stem}-{side}.json");
-                std::fs::write(&p, &outcome.artifact).expect("write latency artifact");
+                write_or_exit(&p, &outcome.artifact);
                 println!("wrote {side} latency artifact to {p}");
             }
         }
@@ -823,7 +598,7 @@ fn serve_main(args: &[String]) -> ! {
         std::process::exit(0);
     }
     let Some(outcome) = gpstream_serve::run_service(&cfg) else {
-        usage(&format!("unknown workload `{}`", cfg.workload))
+        unknown_workload(&cfg.workload, &usage)
     };
     print!("{}", outcome.text);
     if outcome.telemetry.spans_dropped > 0 {
@@ -836,70 +611,51 @@ fn serve_main(args: &[String]) -> ! {
         // `--slo` switches the `--out` artifact from the latency summary
         // to the windowed SLO burn-rate document (`figures diff` reads
         // both by their `kind` tag).
-        if slo {
-            std::fs::write(path, &outcome.telemetry.slo_artifact).expect("write SLO artifact");
-            println!("wrote slo artifact to {path}");
+        let (kind, doc) = if slo {
+            ("slo", &outcome.telemetry.slo_artifact)
         } else {
-            std::fs::write(path, &outcome.artifact).expect("write latency artifact");
-            println!("wrote latency artifact to {path}");
-        }
+            ("latency", &outcome.artifact)
+        };
+        write_or_exit(path, doc);
+        println!("wrote {kind} artifact to {path}");
     }
     if let Some(path) = &trace_file {
-        std::fs::write(path, outcome.telemetry.chrome_trace()).expect("write span trace");
+        write_or_exit(path, outcome.telemetry.chrome_trace());
         println!(
             "wrote span trace to {path} (open in chrome://tracing or ui.perfetto.dev; \
              one lane per tenant, one per worker)"
         );
     }
     if let Some(path) = &timeseries_file {
-        std::fs::write(path, outcome.telemetry.timeseries_csv()).expect("write time series");
+        write_or_exit(path, &outcome.telemetry.series.csv);
         println!(
             "wrote telemetry time series to {path} ({} cycles per window)",
-            outcome.telemetry.window_cycles
+            outcome.telemetry.series.window_cycles
         );
     }
     std::process::exit(0);
 }
 
+/// The flags `simspeed` and `servespeed` share: `(reps, --out, --check)`.
+fn speed_args(argv: &[String], name: &str) -> (u32, Option<String>, bool) {
+    let usage = format!("usage: figures {name} [--reps N] [--out FILE] [--check]");
+    let mut args = Args::new(argv, &usage);
+    let reps = args.parsed("--reps", "a positive number", |&n: &u32| n > 0).unwrap_or(3);
+    let out_file = args.value("--out");
+    let check = args.flag("--check");
+    args.finish(0);
+    (reps, out_file, check)
+}
+
 /// `figures simspeed` subcommand. Exits the process: 0 on success, 1
 /// when `--check` finds no ≥ 10x workload, 2 on usage errors.
-fn simspeed_main(args: &[String]) -> ! {
-    let mut reps: u32 = 3;
-    let mut out_file: Option<String> = None;
-    let mut check = false;
-    let usage = |msg: &str| -> ! {
-        eprintln!("{msg}");
-        eprintln!("usage: figures simspeed [--reps N] [--out FILE] [--check]");
-        std::process::exit(2);
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--reps" => {
-                i += 1;
-                reps = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--reps needs a positive number"));
-                if reps == 0 {
-                    usage("--reps needs a positive number");
-                }
-            }
-            "--out" => {
-                i += 1;
-                out_file =
-                    Some(args.get(i).cloned().unwrap_or_else(|| usage("--out needs a file path")));
-            }
-            "--check" => check = true,
-            other => usage(&format!("unknown argument `{other}`")),
-        }
-        i += 1;
-    }
+fn simspeed_main(argv: &[String]) -> ! {
+    let (reps, out_file, check) = speed_args(argv, "simspeed");
     let rows = gpstream_microbench::simspeed::default_rows(reps);
     print!("{}", gpstream_microbench::simspeed::render(&rows));
     if let Some(path) = &out_file {
         let doc = gpstream_microbench::simspeed::to_json(&rows).to_doc_string();
-        std::fs::write(path, doc).expect("write simspeed JSON");
+        write_or_exit(path, doc);
         println!("wrote speedup table to {path}");
     }
     if check {
@@ -922,43 +678,13 @@ const SERVESPEED_FLOOR_JOBS_PER_SEC: f64 = 50_000.0;
 /// `figures servespeed` subcommand. Exits the process: 0 on success, 1
 /// when `--check` finds a workload under the jobs/s floor, 2 on usage
 /// errors.
-fn servespeed_main(args: &[String]) -> ! {
-    let mut reps: u32 = 3;
-    let mut out_file: Option<String> = None;
-    let mut check = false;
-    let usage = |msg: &str| -> ! {
-        eprintln!("{msg}");
-        eprintln!("usage: figures servespeed [--reps N] [--out FILE] [--check]");
-        std::process::exit(2);
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--reps" => {
-                i += 1;
-                reps = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--reps needs a positive number"));
-                if reps == 0 {
-                    usage("--reps needs a positive number");
-                }
-            }
-            "--out" => {
-                i += 1;
-                out_file =
-                    Some(args.get(i).cloned().unwrap_or_else(|| usage("--out needs a file path")));
-            }
-            "--check" => check = true,
-            other => usage(&format!("unknown argument `{other}`")),
-        }
-        i += 1;
-    }
+fn servespeed_main(argv: &[String]) -> ! {
+    let (reps, out_file, check) = speed_args(argv, "servespeed");
     let rows = fig::servespeed::default_rows(reps);
     print!("{}", fig::servespeed::render(&rows));
     if let Some(path) = &out_file {
         let doc = fig::servespeed::to_json(&rows).to_doc_string();
-        std::fs::write(path, doc).expect("write servespeed JSON");
+        write_or_exit(path, doc);
         println!("wrote throughput table to {path}");
     }
     if check {
@@ -993,20 +719,20 @@ fn main() {
         Some("serve") => serve_main(&raw[1..]),
         _ => {}
     }
-    let cli = parse_args();
+    let usage =
+        usage("[SELECTOR] [--in-order] [--json PATH] [--trace PATH]", "selectors", &SELECTORS);
+    let mut args = Args::new(&raw, &usage);
+    args.list(&SELECTORS);
+    let in_order = args.flag("--in-order");
+    let json_file = args.value("--json");
+    let trace_file = args.value("--trace");
+    let which = args.finish(1).pop().unwrap_or_else(|| "all".to_string());
+    let which = which.as_str();
+    if !SELECTORS.contains(&which) {
+        usage_exit(&format!("unknown selector `{which}`"), &usage);
+    }
     let cfg = MachineConfig::prescott();
     let copts = CompilerOptions::paper();
-    let which = cli.which.as_str();
-    if cli.list {
-        for s in SELECTORS {
-            println!("{s}");
-        }
-        return;
-    }
-    if !SELECTORS.contains(&which) {
-        eprintln!("unknown selector `{which}`; expected one of: {}", SELECTORS.join("|"));
-        std::process::exit(2);
-    }
     let all = which == "all";
     // (figure id, comparison rows) pairs accumulated for --json.
     let mut json_figures: Vec<(String, Vec<Comparison>)> = Vec::new();
@@ -1061,7 +787,7 @@ fn main() {
         }
         println!();
     }
-    let mode = if cli.in_order { " [in-order queues]" } else { "" };
+    let mode = if in_order { " [in-order queues]" } else { "" };
     for (id, title, f) in [
         (
             "fig11a",
@@ -1073,7 +799,7 @@ fn main() {
         ("fig11d", "Figure 11(d): streamSPAS (nnz/row ~ 46)", fig::figure11d),
     ] {
         if all || which == id {
-            let rows = f(&cfg, &copts, cli.in_order);
+            let rows = f(&cfg, &copts, in_order);
             print_comparisons(&format!("{title}{mode}"), &rows);
             json_figures.push((id.to_string(), rows));
         }
@@ -1136,8 +862,8 @@ fn main() {
 
     // Trace before JSON: the JSON document surfaces the dropped-event
     // count from the traced runs at its top level.
-    let trace_dropped = cli.trace.as_ref().map_or(0, |path| write_trace(path, &cfg, &copts));
-    if let Some(path) = &cli.json {
+    let trace_dropped = trace_file.as_ref().map_or(0, |path| write_trace(path, &cfg, &copts));
+    if let Some(path) = &json_file {
         let mut pairs = vec![(
             "figures".to_string(),
             Json::arr(json_figures.iter().map(|(id, rows)| {
@@ -1152,7 +878,7 @@ fn main() {
         }
         pairs.push(("trace_dropped".to_string(), Json::U64(trace_dropped)));
         let doc = Json::Obj(pairs);
-        std::fs::write(path, doc.to_string()).expect("write json file");
+        write_or_exit(path, doc.to_string());
         println!("wrote figure JSON to {path}");
     }
 }

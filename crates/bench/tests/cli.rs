@@ -1,0 +1,102 @@
+//! The `figures` command-line contract: exit codes and the one line a
+//! user reads, driven through the real binary from one table per
+//! concern. 0 is success, 1 a failed check or an I/O error, 2 a usage
+//! error (message + usage line) — never a panic (101) or an abort.
+
+use std::path::PathBuf;
+use std::process::Command;
+use std::time::{Duration, Instant};
+
+/// `(argv, exit code, substring of stdout+stderr)`.
+type Row = (&'static [&'static str], i32, &'static str);
+
+const BASELINE: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/../../profiles/baselines/ldstcomp.json");
+const SLO: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../profiles/serve/slo-mix.json");
+const NOT_AN_ARTIFACT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+
+fn figures(argv: &[&str]) -> (i32, String, Duration) {
+    let started = Instant::now();
+    let out = Command::new(env!("CARGO_BIN_EXE_figures")).args(argv).output().expect("spawn");
+    let text = [out.stdout, out.stderr].concat();
+    let code = out.status.code().unwrap_or(-1); // killed by a signal (abort)
+    (code, String::from_utf8_lossy(&text).into_owned(), started.elapsed())
+}
+
+fn check(rows: &[Row]) {
+    for &(argv, want, needle) in rows {
+        let (code, text, took) = figures(argv);
+        let cmd = argv.join(" ");
+        assert_eq!(code, want, "`figures {cmd}` exited {code}, want {want}:\n{text}");
+        assert!(text.contains(needle), "`figures {cmd}` never said {needle:?}:\n{text}");
+        assert!(!text.contains("panicked"), "`figures {cmd}` panicked:\n{text}");
+        // Refusals come before any simulation; the bound is loose only
+        // because this runs an unoptimized binary on a loaded machine.
+        assert!(took < Duration::from_secs(60), "`figures {cmd}` took {took:?}");
+    }
+}
+
+/// What the verify recipe and CI rely on.
+#[test]
+fn documented_behaviours_hold() {
+    check(&[
+        (&["nosuch"], 2, "fig11a"),
+        (&["--list"], 0, "fig11a"),
+        (&["serve", "--list"], 0, "mix"),
+        (&["profile", "--list"], 0, "spas-32000"),
+        (&["profile", "nope"], 2, "unknown workload `nope`"),
+        (&["analyze", "nope"], 2, "unknown workload `nope`"),
+        (&["scale", "nope"], 2, "unknown workload `nope`"),
+        (&["serve", "nope", "--jobs", "10"], 2, "unknown workload `nope`"),
+        (&["profile"], 2, "usage: figures profile WORKLOAD"),
+        (&["diff", BASELINE], 2, "usage: figures diff A.json B.json"),
+        (&["diff", NOT_AN_ARTIFACT, NOT_AN_ARTIFACT], 1, "cannot parse"),
+        (&["diff", "/no/such/a.json", BASELINE], 1, "cannot read /no/such/a.json"),
+        (&["diff", BASELINE, SLO, "--strict"], 1, "artifact kinds differ (baseline vs slo)"),
+        (&["diff", BASELINE, SLO], 0, "artifact kinds differ (baseline vs slo)"),
+        (&["simspeed", "--reps"], 2, "--reps needs"),
+        (&["servespeed", "--reps", "0"], 2, "--reps needs"),
+        (&["serve", "--jobs", "200001"], 2, "--sketch"),
+        (&["serve", "--bogus"], 2, "unknown argument `--bogus`"),
+    ]);
+}
+
+/// Argv that used to end in a panic, an abort or a minutes-long hang.
+#[test]
+fn hostile_argv_is_a_usage_error() {
+    check(&[
+        (&["--json"], 2, "--json needs a value"),
+        (&["fig11b", "--trace"], 2, "--trace needs a value"),
+        (&["serve", "--tenants", "300"], 2, "trace lanes"),
+        (&["serve", "--workers", "300"], 2, "trace lanes"),
+        (&["serve", "--ctx", "300"], 2, "--ctx"),
+        (&["serve", "--rate", "nan"], 2, "--rate"),
+        (&["serve", "--rate", "inf"], 2, "--rate"),
+        (&["serve", "ldstcomp", "--jobs", "100", "--rate", "1e-30"], 2, "cycle clock"),
+        (&["serve", "--jobs", "100", "--window", "1"], 2, "--window"),
+        (&["serve", "--sketch", "--sketch-gamma", "0.9"], 2, "--sketch-gamma"),
+        (&["serve", "--sketch", "--sketch-gamma", "1e-12"], 2, "--sketch-gamma"),
+        (&["serve", "--slo-latency", "5,6", "--tenants", "3"], 2, "--slo-latency"),
+        (&["profile", "ldstcomp", "--interval", "0"], 2, "--interval needs"),
+        (&["profile", "ldstcomp", "--native", "0"], 2, "--native needs"),
+        (&["scale", "ldstcomp", "--max", "300"], 2, "--max needs"),
+        // No process can create a file under /proc/nope.
+        (&["profile", "ldstcomp", "--out", "/proc/nope/x"], 1, "cannot write /proc/nope/x"),
+        (&["analyze", "ldstcomp", "--out", "/proc/nope/x"], 1, "cannot write /proc/nope/x"),
+        (&["serve", "--jobs", "100", "--out", "/proc/nope/x"], 1, "cannot write /proc/nope/x"),
+    ]);
+}
+
+#[test]
+fn serve_artifact_is_byte_identical_across_runs() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let paths = [dir.join("cli-serve-a.json"), dir.join("cli-serve-b.json")];
+    for p in &paths {
+        let path = p.to_str().expect("utf-8 temp path");
+        let (code, text, _) = figures(&["serve", "ldstcomp", "--jobs", "300", "--out", path]);
+        assert_eq!(code, 0, "{text}");
+        assert!(text.contains("wrote latency artifact"), "{text}");
+    }
+    let [a, b] = paths.map(|p| std::fs::read(p).expect("artifact written"));
+    assert!(!a.is_empty() && a == b, "same config must write the same bytes");
+}

@@ -129,13 +129,13 @@ fn table_tenants(records: &[JobRecord]) -> usize {
 mod tests {
     use super::*;
     use crate::job::build_table;
-    use crate::load::{generate, LoadConfig};
-    use crate::sched::{schedule, SchedConfig};
+    use crate::load::{Arrivals, LoadConfig};
+    use crate::sched::{schedule_stream, RecordKeeper, SchedConfig};
 
     #[test]
     fn executes_a_small_schedule_exactly_once_on_any_pool_size() {
         let table = Arc::new(build_table("ldstcomp", 1).expect("known workload"));
-        let offered = generate(&LoadConfig {
+        let offered = Arrivals::new(&LoadConfig {
             jobs: 120,
             mean_interarrival: 50_000,
             tenants: 3,
@@ -154,7 +154,9 @@ mod tests {
             weights: vec![1, 1, 1],
             check_invariants: true,
         };
-        let (records, stats) = schedule(&offered, &table.service_cycles(), &cfg);
+        let mut keeper = RecordKeeper::new(1);
+        let stats = schedule_stream(offered, &table.service_cycles(), &cfg, &mut keeper);
+        let records = keeper.into_records();
         for pool_threads in [1, 3] {
             let exec = execute(&table, &records, pool_threads);
             assert_eq!(exec.executed, stats.completed);

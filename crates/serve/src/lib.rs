@@ -46,17 +46,14 @@ pub mod telemetry;
 pub use exec::ExecSummary;
 pub use job::{build_table, VariantTable, WORKLOADS};
 pub use load::{Arrivals, LoadConfig, OfferedJob};
-pub use report::{
-    artifact_json, render, summarize, LatencyObserver, LatencySummary, TenantLatency,
-};
+pub use report::{artifact_json, render, LatencySummary, TenantLatency};
 pub use sched::{
-    schedule, schedule_stream, schedule_with, JobRecord, Outcome, SchedConfig, SchedObserver,
-    SchedStats,
+    schedule_stream, JobRecord, Outcome, RecordKeeper, SchedConfig, SchedObserver, SchedStats,
 };
-pub use telemetry::{SeriesExport, ServeTelemetry, TelemetryOutcome, DEFAULT_SPAN_CAPACITY};
+pub use telemetry::{ServeTelemetry, TelemetryOutcome, DEFAULT_SPAN_CAPACITY};
 
 use gpstream_telemetry::SloTarget;
-use gpstream_util::Estimator;
+use gpstream_util::Sketch;
 
 use gpstream_machine::WaitPolicy;
 use gpstream_microbench::spinwait;
@@ -66,11 +63,21 @@ use std::sync::Arc;
 pub const DEFAULT_SEED: u64 = 0x6a79_2005;
 
 /// Most offered jobs exact mode will accept. Exact estimators keep
-/// per-distinct-value state and exact mode materializes every record
-/// for the functional replay, so memory grows with the job count; past
-/// this point a run must opt into bounded memory with sketch mode
+/// per-distinct-value state and exact mode keeps every record for the
+/// functional replay, so memory grows with the job count; past this
+/// point a run must opt into bounded memory with sketch mode
 /// ([`ServeConfig::sketch`], `figures serve --sketch`).
 pub const EXACT_MODE_MAX_JOBS: usize = 200_000;
+
+/// Most windows an explicit [`ServeConfig::window_cycles`] may cut the
+/// offered trace into (each is a CSV row and a JSON object): a window
+/// far shorter than the trace is a typo, not a resolution.
+const MAX_SERIES_WINDOWS: u64 = 1 << 20;
+
+/// Arrival-clock headroom: an exponential gap drawn from a 53-bit
+/// uniform never exceeds ~37 means, so `jobs` arrivals and the service
+/// that follows them end before `jobs * 64 * mean`.
+const CLOCK_HEADROOM: u64 = 64;
 
 /// Full configuration of one serving run. Zero/empty means "derive the
 /// default" for the fields documented as such.
@@ -116,8 +123,8 @@ pub struct ServeConfig {
     /// Telemetry/SLO tumbling-window length in cycles; 0 derives
     /// roughly 48 windows across the offered trace.
     pub window_cycles: u64,
-    /// Bounded-memory mode: sketch quantile estimators, streaming
-    /// (evict-as-you-go) registry windows, sampled record keeping.
+    /// Bounded-memory mode: sketch quantile estimators and sampled
+    /// record keeping (registry windows stream in both modes).
     /// Required above [`EXACT_MODE_MAX_JOBS`] offered jobs.
     pub sketch: bool,
     /// Sketch relative-error bound γ; 0 derives
@@ -163,6 +170,76 @@ impl ServeConfig {
             span_capacity: 0,
             progress: false,
         }
+    }
+
+    /// Check everything a caller can get wrong, before any work is
+    /// done: the CLI reports the message as a usage error,
+    /// [`schedule_service`] refuses a config that fails. The asserts
+    /// further down the pipeline stay as internal invariants.
+    ///
+    /// # Errors
+    ///
+    /// One line naming the offending field (by its `figures serve`
+    /// flag where it has one) and what it accepts.
+    pub fn validate(&self) -> Result<(), String> {
+        let &Self { jobs, rate, tenants, workers, ctx, window_cycles, .. } = self;
+        let (objective, gamma) = (self.slo_objective, self.sketch_gamma);
+        let ensure = |ok: bool, why: String| if ok { Ok(()) } else { Err(why) };
+        let per_tenant = |given: usize| given == 0 || given == tenants;
+        ensure(
+            tenants > 0 && workers > 0 && self.batch_max > 0,
+            "--tenants, --workers and batch_max need positive numbers".to_string(),
+        )?;
+        ensure((1..=64).contains(&ctx), format!("--ctx needs 1..=64 contexts, got {ctx}"))?;
+        ensure(
+            tenants + workers <= 256,
+            format!("--tenants {tenants} + --workers {workers} exceed the 256 trace lanes"),
+        )?;
+        let clock_hz = self.freq_ghz() * 1e9;
+        ensure(
+            rate > 0.0 && rate <= clock_hz,
+            format!("--rate needs 0 < jobs/s <= the {clock_hz:.1e} Hz simulated clock, got {rate}"),
+        )?;
+        let gap = self.mean_interarrival_cycles();
+        let trace_cycles = (jobs as u64).checked_mul(gap);
+        ensure(
+            trace_cycles.is_some_and(|t| t.checked_mul(CLOCK_HEADROOM).is_some()),
+            format!("--jobs {jobs} arriving {gap} cycles apart do not fit the 64-bit cycle clock"),
+        )?;
+        ensure(
+            window_cycles == 0 || trace_cycles.unwrap_or(0) / window_cycles <= MAX_SERIES_WINDOWS,
+            format!(
+                "--window {window_cycles} cuts the trace into over {MAX_SERIES_WINDOWS} windows"
+            ),
+        )?;
+        ensure(
+            per_tenant(self.weights.len()) && !self.weights.contains(&0),
+            format!("weights needs one positive weight per tenant ({tenants})"),
+        )?;
+        ensure(
+            per_tenant(self.arrival_shares.len())
+                && (self.arrival_shares.is_empty() || self.arrival_shares.iter().any(|&s| s > 0)),
+            format!("arrival_shares needs one share per tenant ({tenants}), not all zero"),
+        )?;
+        ensure(
+            self.slo_latency.len() == 1 || per_tenant(self.slo_latency.len()),
+            format!("--slo-latency needs one threshold, or one per tenant ({tenants})"),
+        )?;
+        ensure(
+            objective == 0.0 || (objective > 0.0 && objective < 1.0),
+            "--slo-objective needs a fraction strictly between 0 and 1".to_string(),
+        )?;
+        ensure(
+            gamma == 0.0 || Sketch::accepts_gamma(gamma),
+            format!("--sketch-gamma needs a relative error in [2^-32, 0.5), got {gamma}"),
+        )?;
+        ensure(
+            self.sketch || jobs <= EXACT_MODE_MAX_JOBS,
+            format!(
+                "--jobs {jobs} exceeds the exact-mode limit of {EXACT_MODE_MAX_JOBS} (every record \
+                 and distinct latency is kept); larger runs must use sketch mode (--sketch)"
+            ),
+        )
     }
 
     /// The simulated clock, in GHz (the paper's 3.4 GHz Prescott).
@@ -287,17 +364,6 @@ impl ServeConfig {
         }
     }
 
-    /// The latency-estimator template this config aggregates with: an
-    /// exact histogram, or a sketch with the configured error bound.
-    #[must_use]
-    pub fn estimator_template(&self) -> Estimator {
-        if self.sketch {
-            Estimator::new_sketch(self.effective_sketch_gamma())
-        } else {
-            Estimator::new_exact()
-        }
-    }
-
     /// Record-keeping stride: exact mode keeps every record; sketch
     /// mode keeps a deterministic 1-in-stride sample by job id (~1024
     /// records) for the functional replay and spot checks.
@@ -354,43 +420,6 @@ impl SchedObserver for FanObserver<'_> {
         for o in &mut self.obs {
             o.on_rejected(rec);
         }
-    }
-}
-
-/// Keeps a deterministic 1-in-`stride` sample of resolved records by
-/// job id (stride 1 keeps everything). Records retire in completion
-/// order; the sample is re-sorted by id at the end because downstream
-/// consumers (the functional replay's exactly-once bookkeeping) expect
-/// id order.
-struct RecordKeeper {
-    stride: usize,
-    records: Vec<JobRecord>,
-}
-
-impl RecordKeeper {
-    fn new(stride: usize) -> Self {
-        assert!(stride > 0, "record stride must be positive");
-        Self { stride, records: Vec::new() }
-    }
-
-    fn keep(&mut self, rec: &JobRecord) {
-        if rec.id.is_multiple_of(self.stride) {
-            self.records.push(*rec);
-        }
-    }
-
-    fn into_records(mut self) -> Vec<JobRecord> {
-        self.records.sort_unstable_by_key(|r| r.id);
-        self.records
-    }
-}
-
-impl SchedObserver for RecordKeeper {
-    fn on_complete(&mut self, rec: &JobRecord) {
-        self.keep(rec);
-    }
-    fn on_rejected(&mut self, rec: &JobRecord) {
-        self.keep(rec);
     }
 }
 
@@ -457,17 +486,15 @@ pub struct ScheduledService {
 ///
 /// # Panics
 ///
-/// Panics if `cfg.jobs` exceeds [`EXACT_MODE_MAX_JOBS`] without
-/// `cfg.sketch` — exact mode materializes per-value and per-record
-/// state, which is exactly what sketch mode exists to avoid.
+/// Panics if `cfg` fails [`ServeConfig::validate`] — for one, if
+/// `cfg.jobs` exceeds [`EXACT_MODE_MAX_JOBS`] without `cfg.sketch`:
+/// exact mode keeps per-value and per-record state, which is exactly
+/// what sketch mode exists to avoid.
 #[must_use]
 pub fn schedule_service(cfg: &ServeConfig, table: &VariantTable) -> ScheduledService {
-    assert!(
-        cfg.sketch || cfg.jobs <= EXACT_MODE_MAX_JOBS,
-        "exact mode keeps every record and every distinct latency for {} jobs; \
-         runs above {EXACT_MODE_MAX_JOBS} must use sketch mode (--sketch)",
-        cfg.jobs,
-    );
+    if let Err(why) = cfg.validate() {
+        panic!("invalid serve config: {why}");
+    }
     let arrivals = Arrivals::new(&LoadConfig {
         jobs: cfg.jobs,
         mean_interarrival: cfg.mean_interarrival_cycles(),
@@ -510,7 +537,8 @@ pub fn schedule_service(cfg: &ServeConfig, table: &VariantTable) -> ScheduledSer
         sketch_gamma,
         cfg.effective_span_capacity(),
     );
-    let mut latency = LatencyObserver::new(cfg.tenants, &cfg.estimator_template());
+    let template = sketch_gamma.map_or_else(Sketch::exact, Sketch::new);
+    let mut latency = LatencySummary::with_estimator(cfg.tenants, &template);
     let mut keeper = RecordKeeper::new(cfg.record_stride());
     let mut heartbeat = Heartbeat::new(cfg.progress, cfg.jobs as u64);
     let stats = {
@@ -522,7 +550,7 @@ pub fn schedule_service(cfg: &ServeConfig, table: &VariantTable) -> ScheduledSer
         dispatch_cycles,
         records: keeper.into_records(),
         stats,
-        summary: latency.into_summary(),
+        summary: latency,
         telemetry: watcher.finish(cfg),
     }
 }
@@ -635,6 +663,43 @@ mod tests {
     }
 
     #[test]
+    fn validate_names_the_field_it_refuses() {
+        let refused = |edit: fn(&mut ServeConfig)| {
+            let mut cfg = ServeConfig::new("mix");
+            edit(&mut cfg);
+            cfg.validate().expect_err("must be refused")
+        };
+        assert_eq!(ServeConfig::new("mix").validate(), Ok(()));
+        assert!(refused(|c| c.tenants = 0).contains("--tenants"));
+        assert!(refused(|c| c.ctx = 300).contains("--ctx"));
+        assert!(refused(|c| c.tenants = 300).contains("256 trace lanes"));
+        assert!(refused(|c| c.workers = 300).contains("256 trace lanes"));
+        assert!(refused(|c| c.batch_max = 0).contains("batch_max"));
+        for rate in [f64::NAN, f64::INFINITY, 0.0, -1.0, 1e10] {
+            let mut cfg = ServeConfig::new("mix");
+            cfg.rate = rate;
+            assert!(cfg.validate().expect_err("bad rate").contains("--rate"), "rate {rate}");
+        }
+        // 100 arrivals a saturated-u64 gap apart: the clock would wrap.
+        let overflow = refused(|c| (c.jobs, c.rate) = (100, 1e-30));
+        assert!(overflow.contains("do not fit the 64-bit cycle clock"), "{overflow}");
+        assert!(refused(|c| (c.jobs, c.window_cycles) = (100, 1)).contains("--window"));
+        assert!(refused(|c| c.weights = vec![1, 1]).contains("weights"));
+        assert!(refused(|c| c.weights = vec![1, 0, 1, 1]).contains("weights"));
+        assert!(refused(|c| c.arrival_shares = vec![0; 4]).contains("arrival_shares"));
+        assert!(refused(|c| c.slo_latency = vec![5, 6]).contains("--slo-latency"));
+        assert!(refused(|c| c.slo_objective = 1.0).contains("--slo-objective"));
+        assert!(refused(|c| c.sketch_gamma = 0.9).contains("--sketch-gamma"));
+        assert!(refused(|c| c.sketch_gamma = 1e-12).contains("--sketch-gamma"));
+        assert!(refused(|c| c.jobs = EXACT_MODE_MAX_JOBS + 1).contains("--sketch"));
+        // The same configs in range pass.
+        let mut ok = ServeConfig::new("mix");
+        (ok.jobs, ok.sketch, ok.sketch_gamma) = (EXACT_MODE_MAX_JOBS + 1, true, 0.25);
+        (ok.slo_latency, ok.weights, ok.rate) = (vec![5], vec![2, 1, 1, 1], 3.4e9);
+        assert_eq!(ok.validate(), Ok(()));
+    }
+
+    #[test]
     fn unknown_workload_is_none() {
         assert!(run_service(&ServeConfig::new("nope")).is_none());
     }
@@ -736,11 +801,10 @@ mod tests {
         let b = run_service(&cfg).expect("known workload");
         assert_eq!(a.artifact, b.artifact, "pool threads must not leak into the artifact");
         assert_eq!(
-            a.telemetry.timeseries_json(),
-            b.telemetry.timeseries_json(),
+            a.telemetry.series.json, b.telemetry.series.json,
             "pool threads must not leak into the time series"
         );
         assert_eq!(a.telemetry.slo_artifact, b.telemetry.slo_artifact);
-        assert_eq!(a.telemetry.timeseries_csv(), b.telemetry.timeseries_csv());
+        assert_eq!(a.telemetry.series.csv, b.telemetry.series.csv);
     }
 }

@@ -98,11 +98,9 @@ fn pick_tenant(rng: &mut Rng64, shares: &[u64], total: u64) -> usize {
     unreachable!("shares sum to total")
 }
 
-/// A lazy arrival stream: each `next()` draws one job, so a 10⁷-job
-/// trace costs O(1) memory instead of a materialized `Vec<OfferedJob>`.
-/// The draw sequence is identical to [`generate`] (which is now just
-/// `Arrivals::new(cfg).collect()`), so streaming and materialized runs
-/// see byte-identical traces.
+/// The offered-arrival trace as a lazy stream, strictly increasing in
+/// arrival time: each `next()` draws one job, so a 10⁷-job trace costs
+/// O(1) memory.
 #[derive(Debug, Clone)]
 pub struct Arrivals {
     rng: Rng64,
@@ -151,7 +149,14 @@ impl Iterator for Arrivals {
         if self.next_id == self.jobs {
             return None;
         }
-        self.now += exp_gap(&mut self.rng, self.mean_interarrival);
+        let gap = exp_gap(&mut self.rng, self.mean_interarrival);
+        self.now = self.now.checked_add(gap).unwrap_or_else(|| {
+            panic!(
+                "arrival clock overflowed u64 at job {} of {}: {} cycles between arrivals is too \
+                 low an offered rate for this many jobs",
+                self.next_id, self.jobs, self.mean_interarrival
+            )
+        });
         let job = OfferedJob {
             id: self.next_id,
             tenant: pick_tenant(&mut self.rng, &self.arrival_shares, self.share_total),
@@ -169,17 +174,6 @@ impl Iterator for Arrivals {
 }
 
 impl ExactSizeIterator for Arrivals {}
-
-/// Generate the full offered-arrival trace, sorted by arrival time.
-///
-/// # Panics
-///
-/// Panics on a structurally invalid config (zero tenants/variants/mean,
-/// share list of the wrong length or summing to zero).
-#[must_use]
-pub fn generate(cfg: &LoadConfig) -> Vec<OfferedJob> {
-    Arrivals::new(cfg).collect()
-}
 
 #[cfg(test)]
 mod tests {
@@ -220,12 +214,16 @@ mod tests {
         }
     }
 
+    fn trace(seed: u64) -> Vec<OfferedJob> {
+        Arrivals::new(&unit_config(seed)).collect()
+    }
+
     #[test]
     fn trace_is_deterministic_sorted_and_in_range() {
-        let a = generate(&unit_config(7));
-        let b = generate(&unit_config(7));
+        let a = trace(7);
+        let b = trace(7);
         assert_eq!(a, b, "same seed, same trace");
-        let c = generate(&unit_config(8));
+        let c = trace(8);
         assert_ne!(a, c, "different seed, different trace");
         let mut last = 0;
         for (i, j) in a.iter().enumerate() {
@@ -238,19 +236,27 @@ mod tests {
     }
 
     #[test]
-    fn lazy_arrivals_equal_the_materialized_trace() {
+    fn arrivals_know_how_many_are_left() {
         let cfg = unit_config(7);
-        let lazy: Vec<OfferedJob> = Arrivals::new(&cfg).collect();
-        assert_eq!(lazy, generate(&cfg));
         let mut it = Arrivals::new(&cfg);
         assert_eq!(it.len(), cfg.jobs);
         let _ = it.next();
         assert_eq!(it.len(), cfg.jobs - 1);
+        assert_eq!(it.count(), cfg.jobs - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival clock overflowed")]
+    fn a_trace_that_cannot_fit_the_cycle_clock_panics_instead_of_wrapping() {
+        // What `--rate 1e-30` resolves to; release builds used to wrap
+        // the clock and die later on the scheduler's ordering assert.
+        let cfg = LoadConfig { mean_interarrival: u64::MAX, ..unit_config(7) };
+        let _ = Arrivals::new(&cfg).count();
     }
 
     #[test]
     fn mean_gap_and_shares_are_roughly_honored() {
-        let trace = generate(&unit_config(42));
+        let trace = trace(42);
         let span = trace.last().unwrap().arrival - trace[0].arrival;
         let mean = span as f64 / (trace.len() - 1) as f64;
         assert!(

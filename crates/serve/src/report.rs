@@ -13,7 +13,7 @@
 
 use crate::sched::{JobRecord, Outcome, SchedObserver, SchedStats};
 use crate::ServeConfig;
-use gpstream_util::{Estimator, Json};
+use gpstream_util::{Json, Sketch};
 use std::fmt::Write as _;
 
 /// Version stamp of the latency artifact schema. v3 records which
@@ -27,18 +27,18 @@ pub const LATENCY_ARTIFACT_VERSION: u64 = 3;
 
 /// One tenant's latency distributions, same split as the run-wide
 /// [`LatencySummary`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TenantLatency {
     /// Admission to service start.
-    pub queue: Estimator,
+    pub queue: Sketch,
     /// Service start to finish.
-    pub service: Estimator,
+    pub service: Sketch,
     /// First arrival attempt to finish.
-    pub total: Estimator,
+    pub total: Sketch,
 }
 
 impl TenantLatency {
-    fn fresh(template: &Estimator) -> Self {
+    fn fresh(template: &Sketch) -> Self {
         Self {
             queue: template.fresh_like(),
             service: template.fresh_like(),
@@ -48,16 +48,16 @@ impl TenantLatency {
 }
 
 /// The three latency distributions of a serving run, in cycles.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LatencySummary {
     /// Admission to service start (includes dispatch overhead and any
     /// time spent behind other tenants).
-    pub queue: Estimator,
+    pub queue: Sketch,
     /// Service start to finish.
-    pub service: Estimator,
+    pub service: Sketch,
     /// First arrival attempt to finish — what a client experiences,
     /// retry delays included.
-    pub total: Estimator,
+    pub total: Sketch,
     /// The same three distributions split per tenant; merging a
     /// distribution across tenants reproduces the run-wide one exactly
     /// (the same `record` calls feed both).
@@ -66,9 +66,9 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// An empty summary whose distributions are all fresh copies of
-    /// `template` — exact histograms or bounded-memory sketches.
+    /// `template` — exact-form or bounded-memory sketches.
     #[must_use]
-    pub fn with_estimator(tenants: usize, template: &Estimator) -> Self {
+    pub fn with_estimator(tenants: usize, template: &Sketch) -> Self {
         Self {
             queue: template.fresh_like(),
             service: template.fresh_like(),
@@ -97,52 +97,16 @@ impl LatencySummary {
     }
 }
 
-/// A [`SchedObserver`] that folds retiring jobs straight into a
-/// [`LatencySummary`] — the streaming replacement for materializing a
-/// record vector and calling [`summarize`] afterwards. Feeding it the
-/// same records produces the identical summary (the distributions are
-/// order-independent multisets).
-#[derive(Debug, Clone)]
-pub struct LatencyObserver {
-    summary: LatencySummary,
-}
-
-impl LatencyObserver {
-    /// An observer aggregating with fresh copies of `template`.
-    #[must_use]
-    pub fn new(tenants: usize, template: &Estimator) -> Self {
-        Self { summary: LatencySummary::with_estimator(tenants, template) }
-    }
-
-    /// The finished summary.
-    #[must_use]
-    pub fn into_summary(self) -> LatencySummary {
-        self.summary
-    }
-}
-
-impl SchedObserver for LatencyObserver {
+/// Riding the scheduler as an observer folds retiring jobs straight
+/// into the summary (the distributions are order-independent
+/// multisets, so retirement order does not matter).
+impl SchedObserver for LatencySummary {
     fn on_complete(&mut self, rec: &JobRecord) {
-        self.summary.record(rec);
+        self.record(rec);
     }
 }
 
-/// Fold every completed job's latencies into the three exact
-/// histograms, run-wide and per tenant.
-///
-/// # Panics
-///
-/// Panics if a record names a tenant at or beyond `tenants`.
-#[must_use]
-pub fn summarize(records: &[JobRecord], tenants: usize) -> LatencySummary {
-    let mut s = LatencySummary::with_estimator(tenants, &Estimator::new_exact());
-    for r in records {
-        s.record(r);
-    }
-    s
-}
-
-fn hist_counters(out: &mut Vec<(String, Json)>, prefix: &str, h: &Estimator) {
+fn hist_counters(out: &mut Vec<(String, Json)>, prefix: &str, h: &Sketch) {
     let (p50, p99, p999) = h.p50_p99_p999();
     out.push((format!("{prefix}_p50_cycles"), Json::U64(p50)));
     out.push((format!("{prefix}_p99_cycles"), Json::U64(p99)));
@@ -253,7 +217,7 @@ pub fn artifact_json(
     ])
 }
 
-fn fmt_hist_line(out: &mut String, name: &str, h: &Estimator, freq_ghz: f64) {
+fn fmt_hist_line(out: &mut String, name: &str, h: &Sketch, freq_ghz: f64) {
     let (p50, p99, p999) = h.p50_p99_p999();
     let us = |cycles: u64| cycles as f64 / (freq_ghz * 1e3);
     let _ = writeln!(
@@ -334,8 +298,14 @@ mod tests {
         }
     }
 
+    fn summarize(records: &[JobRecord], tenants: usize) -> LatencySummary {
+        let mut s = LatencySummary::with_estimator(tenants, &Sketch::exact());
+        records.iter().for_each(|r| s.record(r));
+        s
+    }
+
     #[test]
-    fn summarize_splits_queue_service_total() {
+    fn summary_splits_queue_service_total() {
         let records = vec![
             rec(0, 100, 100, 150, 250),
             rec(1, 200, 210, 300, 360),

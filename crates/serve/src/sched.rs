@@ -187,17 +187,62 @@ pub trait SchedObserver {
     }
     /// The offer was finally rejected (always `Outcome::Rejected` here).
     /// Together with [`SchedObserver::on_complete`] this hands the
-    /// observer exactly one resolved [`JobRecord`] per offered job —
-    /// the streaming replacement for the materialized record vector.
+    /// observer exactly one resolved [`JobRecord`] per offered job
+    /// ([`RecordKeeper`] is the observer that collects them).
     fn on_rejected(&mut self, rec: &JobRecord) {
         let _ = rec;
     }
 }
 
-/// The observer `schedule` runs with: watches nothing.
+/// The observer that watches nothing.
 pub struct NoopObserver;
 
 impl SchedObserver for NoopObserver {}
+
+/// The collecting observer: keeps a deterministic 1-in-`stride` sample
+/// of resolved records by job id (stride 1 keeps every one). Records
+/// retire in completion order; [`RecordKeeper::into_records`] returns
+/// them sorted by id, which is what downstream consumers (the
+/// functional replay's exactly-once bookkeeping) expect.
+pub struct RecordKeeper {
+    stride: usize,
+    records: Vec<JobRecord>,
+}
+
+impl RecordKeeper {
+    /// A keeper of every `stride`-th job id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride` is zero.
+    #[must_use]
+    pub fn new(stride: usize) -> Self {
+        assert!(stride > 0, "record stride must be positive");
+        Self { stride, records: Vec::new() }
+    }
+
+    fn keep(&mut self, rec: &JobRecord) {
+        if rec.id.is_multiple_of(self.stride) {
+            self.records.push(*rec);
+        }
+    }
+
+    /// The kept records, sorted by job id.
+    #[must_use]
+    pub fn into_records(mut self) -> Vec<JobRecord> {
+        self.records.sort_unstable_by_key(|r| r.id);
+        self.records
+    }
+}
+
+impl SchedObserver for RecordKeeper {
+    fn on_complete(&mut self, rec: &JobRecord) {
+        self.keep(rec);
+    }
+    fn on_rejected(&mut self, rec: &JobRecord) {
+        self.keep(rec);
+    }
+}
 
 /// A job sitting in its tenant queue.
 #[derive(Debug, Clone, Copy)]
@@ -243,111 +288,21 @@ struct Tenant {
     vtime: u128,
 }
 
-/// Run the schedule: resolve every offered job to a [`JobRecord`] and
-/// tally the run. Pure virtual time; deterministic for fixed inputs.
-///
-/// # Panics
-///
-/// Panics on structurally invalid input: empty worker set or weights, a
-/// zero weight, a job naming a tenant or variant out of range, or (with
-/// `check_invariants`) a violation of work conservation.
-#[must_use]
-pub fn schedule(
-    offered: &[OfferedJob],
-    service_cycles: &[u64],
-    cfg: &SchedConfig,
-) -> (Vec<JobRecord>, SchedStats) {
-    schedule_with(offered, service_cycles, cfg, &mut NoopObserver)
-}
-
-/// [`schedule`] with a [`SchedObserver`] riding along. The observer
-/// cannot change a single decision — hooks fire after each one is made
-/// — so `schedule_with(.., &mut NoopObserver)` and any instrumented run
-/// produce identical records and stats.
-///
-/// This is now a thin wrapper over [`schedule_stream`] that feeds the
-/// slice in time order and collects the retired records back into a
-/// vector; the event timeline (and therefore every record, stat and
-/// observer call) is byte-identical to the pre-streaming scheduler.
-///
-/// # Panics
-///
-/// Same conditions as [`schedule`].
-#[must_use]
-pub fn schedule_with(
-    offered: &[OfferedJob],
-    service_cycles: &[u64],
-    cfg: &SchedConfig,
-    obs: &mut dyn SchedObserver,
-) -> (Vec<JobRecord>, SchedStats) {
-    // The legacy scheduler seeded its heap with every arrival at seq =
-    // slice index, so events popped in (arrival, slice index) order; a
-    // stable sort by arrival reproduces that order for any input.
-    let mut order: Vec<usize> = (0..offered.len()).collect();
-    order.sort_by_key(|&i| offered[i].arrival);
-
-    struct Collect<'a> {
-        inner: &'a mut dyn SchedObserver,
-        records: Vec<Option<JobRecord>>,
-    }
-    impl SchedObserver for Collect<'_> {
-        fn on_arrival(&mut self, now: u64, job: &OfferedJob, attempt: u32) {
-            self.inner.on_arrival(now, job, attempt);
-        }
-        fn on_reject(&mut self, now: u64, job: &OfferedJob, attempt: u32, final_reject: bool) {
-            self.inner.on_reject(now, job, attempt, final_reject);
-        }
-        fn on_admit(&mut self, now: u64, job: &OfferedJob, attempt: u32, pending: usize) {
-            self.inner.on_admit(now, job, attempt, pending);
-        }
-        fn on_dispatch(
-            &mut self,
-            now: u64,
-            worker: usize,
-            tenant: usize,
-            batch: usize,
-            dispatch_cycles: u64,
-            pending: usize,
-        ) {
-            self.inner.on_dispatch(now, worker, tenant, batch, dispatch_cycles, pending);
-        }
-        fn on_complete(&mut self, rec: &JobRecord) {
-            self.inner.on_complete(rec);
-            self.records[rec.id] = Some(*rec);
-        }
-        fn on_rejected(&mut self, rec: &JobRecord) {
-            self.inner.on_rejected(rec);
-            self.records[rec.id] = Some(*rec);
-        }
-    }
-
-    let mut collect = Collect { inner: obs, records: vec![None; offered.len()] };
-    let mut stats =
-        schedule_stream(order.iter().map(|&i| offered[i]), service_cycles, cfg, &mut collect);
-    // Legacy semantics: "first" means first in the slice, not earliest.
-    stats.first_arrival = offered.first().map_or(0, |j| j.arrival);
-    let records: Vec<JobRecord> = collect
-        .records
-        .into_iter()
-        .enumerate()
-        .map(|(id, r)| r.unwrap_or_else(|| panic!("job {id} never resolved")))
-        .collect();
-    (records, stats)
-}
-
-/// The streaming scheduler core: pull arrivals lazily from an iterator
-/// (nondecreasing in time) and retire every resolved [`JobRecord`]
-/// through the observer ([`SchedObserver::on_complete`] /
-/// [`SchedObserver::on_rejected`]) instead of materializing a record
-/// vector. Live state is the pending queues, the in-flight retry/free
+/// Run the schedule: pull arrivals lazily from an iterator
+/// (nondecreasing in time), resolve every offered job to a
+/// [`JobRecord`] retired through the observer
+/// ([`SchedObserver::on_complete`] / [`SchedObserver::on_rejected`]),
+/// and tally the run. Pure virtual time; deterministic for fixed
+/// inputs. Live state is the pending queues, the in-flight retry/free
 /// events and one look-ahead arrival — O(pending), independent of how
 /// many jobs the iterator will offer.
 ///
-/// Event ordering is exactly the legacy scheduler's `(time, seq)`: the
-/// i-th pulled arrival carries seq `i`, and dynamically scheduled
-/// events (retries, worker frees) number from the iterator's total
-/// length upward, so a streamed run's timeline is byte-identical to the
-/// materialized one.
+/// The observer cannot change a single decision — hooks fire after
+/// each one is made — so any two observers see the same schedule.
+///
+/// Events order by `(time, seq)`: the i-th pulled arrival carries seq
+/// `i`, and dynamically scheduled events (retries, worker frees)
+/// number from the iterator's total length upward.
 ///
 /// # Panics
 ///
@@ -376,8 +331,7 @@ where
     let mut arrivals = offered.into_iter();
     let total = arrivals.len();
     let mut heap: BinaryHeap<Reverse<Ev>> = BinaryHeap::with_capacity(cfg.workers + 64);
-    // Dynamic events continue the sequence after the offered arrivals,
-    // exactly where the legacy all-at-once seeding left it.
+    // Dynamic events continue the sequence after the offered arrivals.
     let mut seq = total as u64;
     let mut push = |heap: &mut BinaryHeap<Reverse<Ev>>, time: u64, kind: EvKind| {
         heap.push(Reverse(Ev { time, seq, kind }));
@@ -584,6 +538,17 @@ mod tests {
             .collect()
     }
 
+    /// Schedule `jobs` keeping every record, sorted by id.
+    fn run(
+        jobs: &[OfferedJob],
+        service: &[u64],
+        cfg: &SchedConfig,
+    ) -> (Vec<JobRecord>, SchedStats) {
+        let mut keeper = RecordKeeper::new(1);
+        let stats = schedule_stream(jobs.iter().copied(), service, cfg, &mut keeper);
+        (keeper.into_records(), stats)
+    }
+
     fn base_cfg(workers: usize, tenants: usize) -> SchedConfig {
         SchedConfig {
             workers,
@@ -601,7 +566,7 @@ mod tests {
     #[test]
     fn single_job_timeline() {
         let jobs = offered(&[(5, 0, 0)]);
-        let (recs, stats) = schedule(&jobs, &[1000], &base_cfg(1, 1));
+        let (recs, stats) = run(&jobs, &[1000], &base_cfg(1, 1));
         assert_eq!(
             recs[0].outcome,
             Outcome::Completed { admit: 5, start: 15, finish: 1015, worker: 0 }
@@ -616,7 +581,7 @@ mod tests {
         // Three same-tenant jobs queued behind a busy worker come out as
         // one batch: one dispatch fee, back-to-back service.
         let jobs = offered(&[(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)]);
-        let (recs, stats) = schedule(&jobs, &[100], &base_cfg(1, 1));
+        let (recs, stats) = run(&jobs, &[100], &base_cfg(1, 1));
         // Job 0 dispatches alone at t=0 (queue had one entry).
         assert_eq!(
             recs[0].outcome,
@@ -646,7 +611,7 @@ mod tests {
         // One huge job occupies the worker; the second fills the queue;
         // the third bounces twice and is finally rejected.
         let jobs = offered(&[(0, 0, 0), (1, 0, 0), (2, 0, 0)]);
-        let (recs, stats) = schedule(&jobs, &[1_000_000], &cfg);
+        let (recs, stats) = run(&jobs, &[1_000_000], &cfg);
         assert!(matches!(recs[2].outcome, Outcome::Rejected { last_attempt: 7 }));
         assert_eq!(recs[2].attempts, 2);
         assert_eq!(stats.rejected, 1);
@@ -668,7 +633,7 @@ mod tests {
             jobs.push((0u64, i % 2, 0usize));
         }
         let jobs = offered(&jobs);
-        let (_, stats) = schedule(&jobs, &[1_000], &cfg);
+        let (recs, stats) = run(&jobs, &[1_000], &cfg);
         let (a, b) = (stats.served_cycles[0] as f64, stats.served_cycles[1] as f64);
         // Everything completes eventually, so compare in-progress shares
         // via completion *order* instead: tenant 0 should finish its
@@ -676,7 +641,6 @@ mod tests {
         // check the ratio among the first half of completions.
         assert_eq!(a, b, "equal totals once both backlogs drain fully");
         let mut finishes: Vec<(u64, usize)> = Vec::new();
-        let (recs, _) = schedule(&jobs, &[1_000], &cfg);
         for r in &recs {
             if let Outcome::Completed { finish, .. } = r.outcome {
                 finishes.push((finish, r.tenant));
@@ -696,6 +660,7 @@ mod tests {
     fn observer_sees_every_decision_and_changes_nothing() {
         #[derive(Default)]
         struct Counting {
+            records: Vec<JobRecord>,
             arrivals: u64,
             rejects: u64,
             final_rejects: u64,
@@ -730,6 +695,11 @@ mod tests {
             fn on_complete(&mut self, rec: &JobRecord) {
                 assert!(matches!(rec.outcome, Outcome::Completed { .. }));
                 self.completes += 1;
+                self.records.push(*rec);
+            }
+            fn on_rejected(&mut self, rec: &JobRecord) {
+                assert!(matches!(rec.outcome, Outcome::Rejected { .. }));
+                self.records.push(*rec);
             }
         }
 
@@ -746,10 +716,11 @@ mod tests {
         for (id, j) in jobs.iter_mut().enumerate() {
             j.id = id;
         }
-        let (plain, plain_stats) = schedule(&jobs, &[2_000], &cfg);
+        let (plain, plain_stats) = run(&jobs, &[2_000], &cfg);
         let mut obs = Counting::default();
-        let (watched, watched_stats) = schedule_with(&jobs, &[2_000], &cfg, &mut obs);
-        assert_eq!(plain, watched, "observer must not perturb the schedule");
+        let watched_stats = schedule_stream(jobs.iter().copied(), &[2_000], &cfg, &mut obs);
+        obs.records.sort_unstable_by_key(|r| r.id);
+        assert_eq!(plain, obs.records, "observer must not perturb the schedule");
         assert_eq!(plain_stats, watched_stats);
         assert_eq!(obs.arrivals, watched_stats.offered + watched_stats.retries);
         assert_eq!(obs.rejects, watched_stats.reject_events);
@@ -758,67 +729,6 @@ mod tests {
         assert_eq!(obs.dispatches, watched_stats.batches);
         assert_eq!(obs.completes, watched_stats.completed);
         assert_eq!(obs.batched_jobs, watched_stats.completed);
-    }
-
-    #[test]
-    fn streaming_core_matches_materialized_wrapper() {
-        // schedule_stream fed the time-ordered jobs one at a time must
-        // retire the exact records and stats the slice wrapper returns —
-        // the byte-identity the 10⁶-job streaming mode rests on.
-        #[derive(Default)]
-        struct Retired {
-            records: Vec<JobRecord>,
-        }
-        impl SchedObserver for Retired {
-            fn on_complete(&mut self, rec: &JobRecord) {
-                self.records.push(*rec);
-            }
-            fn on_rejected(&mut self, rec: &JobRecord) {
-                self.records.push(*rec);
-            }
-        }
-        let mut cfg = base_cfg(2, 3);
-        cfg.bounded = true;
-        cfg.queue_cap = 3;
-        cfg.max_retries = 1;
-        let mut jobs = Vec::new();
-        for i in 0..300u64 {
-            jobs.push((i * 13 % 511, (i % 3) as usize, (i % 2) as usize));
-        }
-        let mut jobs = offered(&jobs);
-        jobs.sort_by_key(|j| j.arrival);
-        for (id, j) in jobs.iter_mut().enumerate() {
-            j.id = id;
-        }
-        let (want_recs, want_stats) = schedule(&jobs, &[2_000, 700], &cfg);
-        let mut retired = Retired::default();
-        let stream_stats = schedule_stream(jobs.iter().copied(), &[2_000, 700], &cfg, &mut retired);
-        assert_eq!(stream_stats, want_stats);
-        retired.records.sort_unstable_by_key(|r| r.id);
-        assert_eq!(retired.records, want_recs, "retired records must match the record vector");
-    }
-
-    #[test]
-    fn unsorted_input_schedules_as_its_time_ordering() {
-        // The wrapper stable-sorts by arrival, reproducing the legacy
-        // heap's (arrival, slice index) pop order for any input order.
-        let mut jobs = Vec::new();
-        for i in 0..120u64 {
-            jobs.push((i * 41 % 257, (i % 2) as usize, 0usize));
-        }
-        let jobs = offered(&jobs); // ids in slice order, arrivals scrambled
-        let cfg = base_cfg(1, 2);
-        let (a, sa) = schedule(&jobs, &[900], &cfg);
-        let mut sorted = jobs.clone();
-        sorted.sort_by_key(|j| j.arrival);
-        let (b, sb) = schedule(&sorted, &[900], &cfg);
-        let mut a_by_id = a;
-        a_by_id.sort_unstable_by_key(|r| r.id);
-        let mut b_by_id = b;
-        b_by_id.sort_unstable_by_key(|r| r.id);
-        assert_eq!(a_by_id, b_by_id);
-        assert_eq!(sa.completed, sb.completed);
-        assert_eq!(sa.last_finish, sb.last_finish);
     }
 
     #[test]
@@ -833,8 +743,8 @@ mod tests {
             j.id = id;
         }
         let cfg = base_cfg(2, 3);
-        let (a, sa) = schedule(&jobs, &[500, 900], &cfg);
-        let (b, sb) = schedule(&jobs, &[500, 900], &cfg);
+        let (a, sa) = run(&jobs, &[500, 900], &cfg);
+        let (b, sb) = run(&jobs, &[500, 900], &cfg);
         assert_eq!(a, b);
         assert_eq!(sa, sb);
         assert_eq!(sa.completed, 200);

@@ -11,18 +11,17 @@
 //!
 //! Two properties make the plane safe at 10⁶–10⁷ jobs:
 //!
-//! * **Streaming registry.** In sketch mode the metrics registry is
-//!   wrapped in a [`StreamingTelemetry`]: the scheduler's event-loop
-//!   clock is a watermark, windows strictly behind it are finalized,
-//!   flushed through the incremental CSV/JSON appenders (and an
-//!   optional per-window sink) and evicted, so registry memory is
-//!   O(open windows) regardless of run length. The exports are
-//!   byte-identical to the materialized
-//!   [`gpstream_telemetry::TimeSeries`] ones. Latency
-//!   stamps land at a job's *finish* cycle, which is ahead of the
-//!   event-loop clock (a dispatched batch finishes in the future) —
-//!   that is exactly the watermark-safe direction, so the wrapper only
-//!   ever advances past windows nothing can stamp into anymore.
+//! * **Streaming registry.** The metrics registry is always wrapped in
+//!   a [`StreamingTelemetry`]: the scheduler's event-loop clock is a
+//!   watermark, windows strictly behind it are finalized, flushed
+//!   through the incremental CSV/JSON appenders (and an optional
+//!   per-window sink) and evicted, so registry memory is O(open
+//!   windows) regardless of run length, in exact and sketch mode
+//!   alike. Latency stamps land at a job's *finish* cycle, which is
+//!   ahead of the event-loop clock (a dispatched batch finishes in the
+//!   future) — that is exactly the watermark-safe direction, so the
+//!   wrapper only ever advances past windows nothing can stamp into
+//!   anymore.
 //! * **Bounded span buffer.** The span trace keeps at most a
 //!   configurable number of events; once full, new spans are dropped
 //!   and counted (`spans_dropped`), mirroring the machine-level
@@ -49,57 +48,16 @@ use crate::ServeConfig;
 use gpstream_core::trace::{chrome_trace, ExecEvent, ExecEventKind, TraceRun};
 use gpstream_core::TaskId;
 use gpstream_telemetry::{
-    CounterId, GaugeId, HistId, SloReport, SloTarget, SloTracker, StreamingTelemetry, Telemetry,
-    WindowSink,
+    CounterId, GaugeId, HistId, SloReport, SloTarget, SloTracker, StreamedSeries,
+    StreamingTelemetry, Telemetry, WindowSink,
 };
-use gpstream_util::{Estimator, Json};
+use gpstream_util::Json;
 use std::collections::BTreeMap;
 
 /// Default span-trace capacity in events (not jobs): enough to hold a
 /// full default 10⁴-job run (~6 events per completed job) with room to
 /// spare, small enough that a 10⁷-job run stays bounded.
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 18;
-
-/// The registry, in one of its two lifetimes: materialized (windows
-/// kept until `series()` reads them all) or streaming (windows evicted
-/// behind the scheduler-clock watermark).
-enum Reg {
-    Plain(Telemetry),
-    Stream(Box<StreamingTelemetry>),
-}
-
-impl Reg {
-    fn add(&mut self, id: CounterId, cycle: u64, delta: u64) {
-        match self {
-            Reg::Plain(t) => t.add(id, cycle, delta),
-            Reg::Stream(t) => t.add(id, cycle, delta),
-        }
-    }
-
-    fn set(&mut self, id: GaugeId, cycle: u64, value: u64) {
-        match self {
-            Reg::Plain(t) => t.set(id, cycle, value),
-            Reg::Stream(t) => t.set(id, cycle, value),
-        }
-    }
-
-    fn observe(&mut self, id: HistId, cycle: u64, value: u64) {
-        match self {
-            Reg::Plain(t) => t.observe(id, cycle, value),
-            Reg::Stream(t) => t.observe(id, cycle, value),
-        }
-    }
-
-    /// Advance the watermark to the scheduler's event-loop clock,
-    /// flushing every window that ended before it. Only safe with the
-    /// *event-loop* time — never a completion stamp, which lies in the
-    /// future of the loop.
-    fn advance(&mut self, now: u64) {
-        if let Reg::Stream(t) = self {
-            t.advance(now);
-        }
-    }
-}
 
 /// A capacity-bounded span-event buffer with compact task-id
 /// assignment. Once the buffer is full new events are dropped and
@@ -157,7 +115,7 @@ impl SpanBuffer {
 
 /// The scheduler observer that builds the telemetry plane.
 pub struct ServeTelemetry {
-    reg: Reg,
+    reg: StreamingTelemetry,
     slo: SloTracker,
     c_arrivals: CounterId,
     c_admits: CounterId,
@@ -180,10 +138,10 @@ impl ServeTelemetry {
     /// An observer for a run with the given window, tenants and
     /// per-tenant SLO targets (`targets.len() == tenants`).
     ///
-    /// `sketch_gamma: Some(γ)` switches the plane to bounded memory:
-    /// latency run totals become sketches with relative error ≤ γ and
-    /// the registry runs in streaming mode (windows evicted behind the
-    /// scheduler clock). `span_capacity` bounds the span buffer in
+    /// `sketch_gamma: Some(γ)` makes the latency run totals
+    /// bounded-memory sketches with relative error ≤ γ instead of exact
+    /// ones; the registry streams (windows evicted behind the scheduler
+    /// clock) either way. `span_capacity` bounds the span buffer in
     /// events.
     ///
     /// # Panics
@@ -225,13 +183,8 @@ impl ServeTelemetry {
         let h_queue = hist(&mut tel, "queue_cycles");
         let h_service = hist(&mut tel, "service_cycles");
         let h_total = hist(&mut tel, "total_cycles");
-        let reg = if sketch_gamma.is_some() {
-            Reg::Stream(Box::new(StreamingTelemetry::new(tel)))
-        } else {
-            Reg::Plain(tel)
-        };
         Self {
-            reg,
+            reg: StreamingTelemetry::new(tel),
             slo,
             c_arrivals,
             c_admits,
@@ -253,22 +206,8 @@ impl ServeTelemetry {
 
     /// Attach a per-window sink, called once per finalized window in
     /// ascending order as the run streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics in materialized (non-sketch) mode, where windows are not
-    /// finalized until the run ends.
     pub fn set_window_sink(&mut self, sink: WindowSink) {
-        match &mut self.reg {
-            Reg::Stream(t) => t.set_sink(sink),
-            Reg::Plain(_) => panic!("window sinks need the streaming registry (sketch mode)"),
-        }
-    }
-
-    /// Span events dropped so far by the bounded buffer.
-    #[must_use]
-    pub fn spans_dropped(&self) -> u64 {
-        self.spans.dropped
+        self.reg.set_sink(sink);
     }
 
     fn tenant_lane(&self, tenant: usize) -> u8 {
@@ -288,44 +227,11 @@ impl ServeTelemetry {
     ///
     /// # Panics
     ///
-    /// In streaming mode, panics if the flushed window deltas fail to
-    /// re-merge into the run totals (the sum-to-total invariant).
+    /// Panics if the flushed window deltas fail to re-merge into the
+    /// run totals (the sum-to-total invariant).
     #[must_use]
     pub fn finish(self, cfg: &ServeConfig) -> TelemetryOutcome {
-        let series = match self.reg {
-            Reg::Plain(tel) => {
-                let s = tel.series();
-                let windows = s.windows.len() as u64;
-                let csv = s.to_csv();
-                let json = s.to_json().to_doc_string();
-                SeriesExport {
-                    window_cycles: s.window_cycles,
-                    counter_names: s.counter_names,
-                    gauge_names: s.gauge_names,
-                    hist_names: s.hist_names,
-                    counter_totals: s.counter_totals,
-                    hist_totals: s.hist_totals,
-                    windows,
-                    csv,
-                    json,
-                }
-            }
-            Reg::Stream(streaming) => {
-                let s = streaming.finish();
-                SeriesExport {
-                    window_cycles: s.window_cycles,
-                    counter_names: s.counter_names,
-                    gauge_names: s.gauge_names,
-                    hist_names: s.hist_names,
-                    counter_totals: s.counter_totals,
-                    hist_totals: s.hist_totals,
-                    windows: s.windows_flushed,
-                    csv: s.csv,
-                    json: s.json,
-                }
-            }
-        };
-        let window_cycles = series.window_cycles;
+        let series = self.reg.finish();
         let slo = self.slo.report();
         let slo_artifact = slo
             .artifact_json(
@@ -354,7 +260,7 @@ impl ServeTelemetry {
             events: self.spans.events,
             dropped: spans_dropped,
         };
-        TelemetryOutcome { window_cycles, series, slo, slo_artifact, trace, spans_dropped }
+        TelemetryOutcome { series, slo, slo_artifact, trace, spans_dropped }
     }
 }
 
@@ -457,43 +363,14 @@ impl SchedObserver for ServeTelemetry {
     }
 }
 
-/// One run's exported metric series: names, run totals and the
-/// rendered CSV/JSON documents. In streaming mode the documents were
-/// appended window by window as the run progressed (byte-identical to
-/// the materialized exports); either way the per-window data lives in
-/// the documents, not in memory.
-#[derive(Debug, Clone)]
-pub struct SeriesExport {
-    /// Window length in cycles.
-    pub window_cycles: u64,
-    /// Counter names, in registration order.
-    pub counter_names: Vec<String>,
-    /// Gauge names, in registration order.
-    pub gauge_names: Vec<String>,
-    /// Histogram names, in registration order.
-    pub hist_names: Vec<String>,
-    /// Run totals per counter (window deltas sum to these —
-    /// property-checked by the registry).
-    pub counter_totals: Vec<u64>,
-    /// Run-total latency estimators — exact histograms, or sketches in
-    /// bounded-memory mode.
-    pub hist_totals: Vec<Estimator>,
-    /// Number of windows the series covers.
-    pub windows: u64,
-    /// The CSV document (one row per window).
-    pub csv: String,
-    /// The canonical one-line JSON document (trailing newline).
-    pub json: String,
-}
-
 /// The telemetry plane's exported view of one serving run.
 #[derive(Debug, Clone)]
 pub struct TelemetryOutcome {
-    /// Tumbling-window length in cycles.
-    pub window_cycles: u64,
-    /// The windowed metric series (delta-sum invariants already
-    /// asserted by construction).
-    pub series: SeriesExport,
+    /// The windowed metric series: names, run totals and the CSV/JSON
+    /// documents appended window by window as the run progressed (the
+    /// delta-sum invariants already asserted). The per-window data
+    /// lives in the documents, not in memory.
+    pub series: StreamedSeries,
     /// Per-tenant SLO accounting.
     pub slo: SloReport,
     /// The `slo` artifact document (single line + newline).
@@ -506,21 +383,84 @@ pub struct TelemetryOutcome {
 }
 
 impl TelemetryOutcome {
-    /// The time series as CSV.
-    #[must_use]
-    pub fn timeseries_csv(&self) -> String {
-        self.series.csv.clone()
-    }
-
-    /// The time series as a canonical one-line JSON document.
-    #[must_use]
-    pub fn timeseries_json(&self) -> String {
-        self.series.json.clone()
-    }
-
     /// The span trace as Chrome `trace_event` JSON.
     #[must_use]
     pub fn chrome_trace(&self) -> String {
         chrome_trace(std::slice::from_ref(&self.trace))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::load::{Arrivals, LoadConfig};
+    use crate::sched::{schedule_stream, SchedConfig};
+    use gpstream_telemetry::WindowSnapshot;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    #[test]
+    fn exact_mode_streams_windows_to_a_sink_and_out_of_the_registry() {
+        // A 20 000-job overloaded run through an *exact-mode* plane with
+        // a window sink installed — a panic while exact mode kept a
+        // materialized registry.
+        let (tenants, workers, window) = (3, 2, 250_000);
+        let targets = vec![SloTarget::new(1_000_000, 0.99); tenants];
+        let mut plane = ServeTelemetry::new(window, tenants, workers, &targets, None, 64);
+        let seen: Rc<RefCell<Vec<WindowSnapshot>>> = Rc::default();
+        let sink_seen = Rc::clone(&seen);
+        plane.set_window_sink(Box::new(move |w| sink_seen.borrow_mut().push(w.clone())));
+        let arrivals = Arrivals::new(&LoadConfig {
+            jobs: 20_000,
+            mean_interarrival: 9_000,
+            tenants,
+            arrival_shares: vec![3, 1, 1],
+            variants: 2,
+            seed: 7,
+        });
+        let sched = SchedConfig {
+            workers,
+            bounded: true,
+            queue_cap: 16,
+            batch_max: 4,
+            dispatch_cycles: 400,
+            retry_after: 9_000,
+            max_retries: 2,
+            weights: vec![1; tenants],
+            check_invariants: true,
+        };
+        let stats = schedule_stream(arrivals, &[15_000, 30_000], &sched, &mut plane);
+        assert!(stats.rejected > 0 && stats.retries > 0, "the run must exercise every counter");
+
+        // Residency is O(open windows): when the last event has been
+        // handled every window behind the clock has already left the
+        // registry, and only the tail the last batch finishes in remains.
+        let evicted_during_run = plane.reg.windows_flushed();
+        let mut cfg = ServeConfig::new("synthetic");
+        (cfg.tenants, cfg.workers) = (tenants, workers);
+        let series = plane.finish(&cfg).series;
+        assert!(evicted_during_run > 500, "a long run: {evicted_during_run} windows");
+        assert!(series.windows_flushed - evicted_during_run <= 2, "closed windows stayed resident");
+        assert_eq!(series.hist_totals[0].kind(), "exact");
+
+        // The sink saw every window once, in order, dense from 0 ...
+        let windows = seen.borrow();
+        assert_eq!(windows.len() as u64, series.windows_flushed);
+        assert!(windows.iter().enumerate().all(|(i, w)| w.index == i as u64));
+        // ... and its summed counter deltas are the scheduler's tallies.
+        let summed = |name: &str| {
+            let i = series.counter_names.iter().position(|n| n == name).expect("registered");
+            windows.iter().map(|w| w.counters[i]).sum::<u64>()
+        };
+        assert_eq!(summed("arrivals"), stats.offered + stats.retries);
+        assert_eq!(summed("admits"), stats.admitted);
+        assert_eq!(summed("reject_events"), stats.reject_events);
+        assert_eq!(summed("final_rejects"), stats.rejected);
+        assert_eq!(summed("batches"), stats.batches);
+        assert_eq!(summed("dispatch_cycles"), stats.dispatch_cycles_total);
+        assert_eq!(summed("completions"), stats.completed);
+        assert_eq!(summed("served_cycles"), stats.served_cycles.iter().sum::<u64>());
+        let observed: u64 = windows.iter().map(|w| w.hists[2].count()).sum();
+        assert_eq!(observed, stats.completed);
     }
 }

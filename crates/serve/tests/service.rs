@@ -12,7 +12,7 @@
 //! * **Backpressure** — under 2x overload, bounded admission beats
 //!   unbounded queueing on p99 total latency (the committed ablation).
 //! * **Fair sharing** — the weighted fair scheduler is work-conserving
-//!   (asserted inside `schedule` on every dispatch round) and delivers
+//!   (asserted inside `schedule_stream` on every dispatch round) and delivers
 //!   service in proportion to tenant weights while everyone is
 //!   backlogged, over long deterministic traces.
 //!
@@ -20,11 +20,22 @@
 //! latency-vs-profile comparison as a kind mismatch.
 
 use gpstream_serve::{
-    ablation, build_table, run_service, schedule, schedule_service, OfferedJob, Outcome,
-    SchedConfig, ServeConfig, EXACT_MODE_MAX_JOBS,
+    ablation, build_table, run_service, schedule_service, schedule_stream, JobRecord, OfferedJob,
+    Outcome, RecordKeeper, SchedConfig, SchedStats, ServeConfig, EXACT_MODE_MAX_JOBS,
 };
 use gpstream_util::check::run_cases;
-use gpstream_util::{Estimator, Rng64};
+use gpstream_util::{Rng64, Sketch};
+
+/// Schedule a time-ordered trace keeping every record, sorted by id.
+fn schedule(
+    offered: &[OfferedJob],
+    service_cycles: &[u64],
+    cfg: &SchedConfig,
+) -> (Vec<JobRecord>, SchedStats) {
+    let mut keeper = RecordKeeper::new(1);
+    let stats = schedule_stream(offered.iter().copied(), service_cycles, cfg, &mut keeper);
+    (keeper.into_records(), stats)
+}
 
 #[test]
 fn ten_thousand_jobs_same_seed_byte_identical_artifact() {
@@ -54,13 +65,11 @@ fn ten_thousand_jobs_same_seed_byte_identical_artifact() {
     // series, SLO burn-rate artifact, and the span trace all in virtual
     // time, so pool threads must not move a byte of any of them.
     assert_eq!(
-        a.telemetry.timeseries_csv(),
-        b.telemetry.timeseries_csv(),
+        a.telemetry.series.csv, b.telemetry.series.csv,
         "windowed time series must be byte-identical across runs and pools"
     );
     assert_eq!(
-        a.telemetry.timeseries_json(),
-        b.telemetry.timeseries_json(),
+        a.telemetry.series.json, b.telemetry.series.json,
         "time-series JSON must be byte-identical across runs and pools"
     );
     assert_eq!(
@@ -331,8 +340,8 @@ fn sketch_mode_is_byte_identical_and_bounded() {
     cfg.exec_pool_threads = 4;
     let b = run_service(&cfg).expect("known workload");
     assert_eq!(a.artifact, b.artifact, "sketch artifact must not depend on runs or pools");
-    assert_eq!(a.telemetry.timeseries_csv(), b.telemetry.timeseries_csv());
-    assert_eq!(a.telemetry.timeseries_json(), b.telemetry.timeseries_json());
+    assert_eq!(a.telemetry.series.csv, b.telemetry.series.csv);
+    assert_eq!(a.telemetry.series.json, b.telemetry.series.json);
     assert_eq!(a.telemetry.slo_artifact, b.telemetry.slo_artifact);
     assert_eq!(a.telemetry.chrome_trace(), b.telemetry.chrome_trace());
 
@@ -348,16 +357,15 @@ fn sketch_mode_is_byte_identical_and_bounded() {
     );
 
     // The streamed registry flushed every window and the CSV matches
-    // the exact-mode (materialized) export byte for byte: windows are
-    // exact in both modes, only run totals are sketched.
-    assert!(a.telemetry.series.windows > 0);
+    // the exact-mode export byte for byte: windows are exact in both
+    // modes, only run totals are sketched.
+    assert!(a.telemetry.series.windows_flushed > 0);
     let mut exact_cfg = cfg.clone();
     exact_cfg.sketch = false;
     let e = run_service(&exact_cfg).expect("known workload");
     assert_eq!(
-        a.telemetry.timeseries_csv(),
-        e.telemetry.timeseries_csv(),
-        "streamed window CSV must equal the materialized exact-mode export"
+        a.telemetry.series.csv, e.telemetry.series.csv,
+        "sketch-mode window CSV must equal the exact-mode export"
     );
 }
 
@@ -375,12 +383,12 @@ fn sketch_quantiles_stay_within_their_declared_bound_of_exact() {
     let sketch = schedule_service(&cfg, &table);
     assert_eq!(exact.stats, sketch.stats, "estimator choice must not move the schedule");
 
-    let dists: [(&str, &Estimator, &Estimator); 3] = [
+    let dists: [(&str, &Sketch, &Sketch); 3] = [
         ("queue", &exact.summary.queue, &sketch.summary.queue),
         ("service", &exact.summary.service, &sketch.summary.service),
         ("total", &exact.summary.total, &sketch.summary.total),
     ];
-    let mut pairs: Vec<(String, Estimator, Estimator)> =
+    let mut pairs: Vec<(String, Sketch, Sketch)> =
         dists.iter().map(|(n, e, s)| ((*n).to_string(), (*e).clone(), (*s).clone())).collect();
     for (t, (te, ts)) in exact.summary.per_tenant.iter().zip(&sketch.summary.per_tenant).enumerate()
     {

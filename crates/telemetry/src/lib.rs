@@ -12,13 +12,14 @@
 //!   summing a counter's windows reproduces its run total exactly, and
 //!   merging a histogram's windows reproduces the run-total histogram
 //!   byte-identically (property-tested, not assumed). Run totals are
-//!   [`gpstream_util::Estimator`]s — exact by default, bounded-memory
-//!   sketches on request. Time series export as CSV and canonical JSON.
+//!   [`gpstream_util::Sketch`]es — the exact form by default, log
+//!   buckets on request. Time series export as CSV and canonical JSON.
 //! * [`stream`] — the registry's streaming mode: tumbling windows are
 //!   finalized and evicted as a virtual-time watermark advances past
 //!   them, flushed through incremental CSV/JSON appenders (and an
-//!   optional sink) that are byte-identical to the materialized
-//!   exports, so registry memory is O(open windows) at any run length.
+//!   optional sink), so registry memory is O(open windows) at any run
+//!   length. `Telemetry::series()` is the same window walk run to the
+//!   end over a copy, so the two exports cannot disagree.
 //! * [`slo`] — per-tenant service-level objectives (latency threshold +
 //!   objective fraction) with error-budget and burn-rate accounting per
 //!   window, rendered as text and as the workspace's `slo` artifact

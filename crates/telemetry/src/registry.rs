@@ -13,15 +13,15 @@
 //!
 //! * **Counters** store per-window *deltas* plus a separately-maintained
 //!   run total; summing the deltas over all windows must reproduce the
-//!   total exactly (asserted by [`TimeSeries`] construction and by the
-//!   crate's tests, not assumed).
+//!   total exactly (asserted at the end of the one window walk every
+//!   export goes through, and by the crate's tests, not assumed).
 //! * **Histograms** store a per-window exact `Histogram` plus a
-//!   run-total [`Estimator`] fed by the same `record` calls — exact by
-//!   default ([`Telemetry::hist`]), a bounded-memory sketch on request
-//!   ([`Telemetry::hist_sketch`]). Folding the windows back into a
-//!   fresh estimator of the same kind must equal the total
-//!   byte-for-byte (both kinds are value-determined, and a sketch is a
-//!   pure function of its sample multiset).
+//!   run-total [`Sketch`] fed by the same `record` calls — its exact
+//!   form by default ([`Telemetry::hist`]), bounded-memory log buckets
+//!   on request ([`Telemetry::hist_sketch`]). Folding the windows back
+//!   into a fresh sketch of the same form must equal the total
+//!   byte-for-byte (a sketch is a pure function of its sample
+//!   multiset).
 //! * **Gauges** are last-writer-wins per window (greatest stamp wins,
 //!   later write breaking ties) and carry forward across empty windows
 //!   in the dense series — a gauge is a level, not a flow.
@@ -31,7 +31,7 @@
 //! byte-identical CSV/JSON series across runs and exec-pool thread
 //! counts.
 
-use gpstream_util::{Estimator, Histogram, Json};
+use gpstream_util::{Histogram, Json, Sketch};
 use std::collections::BTreeMap;
 
 /// Handle to a registered counter.
@@ -46,25 +46,31 @@ pub struct GaugeId(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistId(usize);
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Counter {
     name: String,
     total: u64,
     windows: BTreeMap<u64, u64>,
+    /// Sum of the window deltas already evicted.
+    evicted: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Gauge {
     name: String,
     /// Per window: the `(cycle, value)` pair with the greatest stamp.
     windows: BTreeMap<u64, (u64, u64)>,
+    /// Level as of the last evicted window (carried across empty ones).
+    level: u64,
 }
 
 #[derive(Debug, Clone)]
 struct Hist {
     name: String,
-    total: Estimator,
+    total: Sketch,
     windows: BTreeMap<u64, Histogram>,
+    /// Merge of the windows already evicted.
+    evicted: Histogram,
 }
 
 /// A windowed metrics registry stamped in virtual cycles.
@@ -74,6 +80,8 @@ pub struct Telemetry {
     counters: Vec<Counter>,
     gauges: Vec<Gauge>,
     hists: Vec<Hist>,
+    /// First window not yet evicted; every window below it is gone.
+    evicted: u64,
 }
 
 impl Telemetry {
@@ -85,7 +93,13 @@ impl Telemetry {
     #[must_use]
     pub fn new(window_cycles: u64) -> Self {
         assert!(window_cycles > 0, "telemetry window must be at least one cycle");
-        Self { window_cycles, counters: Vec::new(), gauges: Vec::new(), hists: Vec::new() }
+        Self {
+            window_cycles,
+            counters: Vec::new(),
+            gauges: Vec::new(),
+            hists: Vec::new(),
+            evicted: 0,
+        }
     }
 
     /// Window length in cycles.
@@ -108,39 +122,38 @@ impl Telemetry {
     /// Register a monotonically accumulating counter.
     pub fn counter(&mut self, name: &str) -> CounterId {
         self.assert_fresh(name);
-        self.counters.push(Counter { name: name.to_string(), total: 0, windows: BTreeMap::new() });
+        self.counters.push(Counter { name: name.to_string(), ..Counter::default() });
         CounterId(self.counters.len() - 1)
     }
 
     /// Register a last-writer-wins level gauge.
     pub fn gauge(&mut self, name: &str) -> GaugeId {
         self.assert_fresh(name);
-        self.gauges.push(Gauge { name: name.to_string(), windows: BTreeMap::new() });
+        self.gauges.push(Gauge { name: name.to_string(), ..Gauge::default() });
         GaugeId(self.gauges.len() - 1)
     }
 
-    /// Register a histogram whose run total is an exact [`Histogram`].
+    /// Register a histogram whose run total is exact.
     pub fn hist(&mut self, name: &str) -> HistId {
-        self.assert_fresh(name);
-        self.hists.push(Hist {
-            name: name.to_string(),
-            total: Estimator::new_exact(),
-            windows: BTreeMap::new(),
-        });
-        HistId(self.hists.len() - 1)
+        self.hist_with(name, Sketch::exact())
     }
 
     /// Register a histogram whose run total is a bounded-memory
-    /// [`Sketch`](gpstream_util::Sketch) with relative-error bound
-    /// `gamma`. Per-window histograms stay exact either way — a window
-    /// holds few distinct values and is evicted in streaming mode, so
-    /// the run total is the only O(run-length) state worth bounding.
+    /// [`Sketch`] with relative-error bound `gamma`. Per-window
+    /// histograms stay exact either way — a window holds few distinct
+    /// values and is evicted as it closes, so the run total is the only
+    /// O(run-length) state worth bounding.
     pub fn hist_sketch(&mut self, name: &str, gamma: f64) -> HistId {
+        self.hist_with(name, Sketch::new(gamma))
+    }
+
+    fn hist_with(&mut self, name: &str, total: Sketch) -> HistId {
         self.assert_fresh(name);
         self.hists.push(Hist {
             name: name.to_string(),
-            total: Estimator::new_sketch(gamma),
+            total,
             windows: BTreeMap::new(),
+            evicted: Histogram::new(),
         });
         HistId(self.hists.len() - 1)
     }
@@ -176,31 +189,11 @@ impl Telemetry {
         h.windows.entry(w).or_default().record(value);
     }
 
-    /// Run total of a counter.
-    #[must_use]
-    pub fn counter_total(&self, id: CounterId) -> u64 {
-        self.counters[id.0].total
-    }
-
-    /// Run-total estimator (every `observe` recorded).
-    #[must_use]
-    pub fn hist_total(&self, id: HistId) -> &Estimator {
-        &self.hists[id.0].total
-    }
-
-    /// Merge every per-window histogram of `id` back together — the
-    /// delta-sum invariant says this equals [`Self::hist_total`].
-    #[must_use]
-    pub fn hist_remerged(&self, id: HistId) -> Histogram {
-        let mut all = Histogram::new();
-        for h in self.hists[id.0].windows.values() {
-            all.merge(h);
-        }
-        all
-    }
-
     /// Materialize the dense time series: one snapshot per window from 0
-    /// through the last window any instrument touched.
+    /// through the last window any instrument touched. This is the
+    /// evicting walk streaming mode runs ([`Self::evict_next`]), run
+    /// start to finish over a copy with the snapshots kept, so a
+    /// materialized series and a streamed one cannot disagree.
     ///
     /// # Panics
     ///
@@ -210,58 +203,17 @@ impl Telemetry {
     /// corrupt series must never be exported silently.
     #[must_use]
     pub fn series(&self) -> TimeSeries {
-        let last = self
-            .counters
-            .iter()
-            .filter_map(|c| c.windows.keys().next_back())
-            .chain(self.gauges.iter().filter_map(|g| g.windows.keys().next_back()))
-            .chain(self.hists.iter().filter_map(|h| h.windows.keys().next_back()))
-            .copied()
-            .max();
-        let n_windows = last.map_or(0, |l| l + 1);
-
-        let mut windows = Vec::with_capacity(usize::try_from(n_windows).unwrap_or(0));
-        // Gauges carry their last-set value forward across empty windows.
-        let mut gauge_level: Vec<u64> = vec![0; self.gauges.len()];
-        for w in 0..n_windows {
-            let counters: Vec<u64> =
-                self.counters.iter().map(|c| c.windows.get(&w).copied().unwrap_or(0)).collect();
-            for (level, g) in gauge_level.iter_mut().zip(&self.gauges) {
-                if let Some(&(_, v)) = g.windows.get(&w) {
-                    *level = v;
-                }
-            }
-            let hists: Vec<Histogram> =
-                self.hists.iter().map(|h| h.windows.get(&w).cloned().unwrap_or_default()).collect();
-            windows.push(WindowSnapshot {
-                index: w,
-                start_cycle: w * self.window_cycles,
-                end_cycle: (w + 1) * self.window_cycles,
-                counters,
-                gauges: gauge_level.clone(),
-                hists,
-            });
-        }
-
-        for (i, c) in self.counters.iter().enumerate() {
-            let sum: u64 = windows.iter().map(|s| s.counters[i]).sum();
-            assert_eq!(sum, c.total, "counter {} window deltas must sum to run total", c.name);
-        }
-        for (i, h) in self.hists.iter().enumerate() {
-            let mut all = h.total.fresh_like();
-            for s in &windows {
-                all.merge_hist(&s.hists[i]);
-            }
-            assert_eq!(all, h.total, "hist {} windows must re-merge to run total", h.name);
-        }
-
+        let mut tel = self.clone();
+        let windows = (0..tel.resident_windows()).map(|_| tel.evict_next()).collect();
+        tel.assert_conserved();
+        let (counter_names, gauge_names, hist_names) = tel.instrument_names();
         TimeSeries {
-            window_cycles: self.window_cycles,
-            counter_names: self.counters.iter().map(|c| c.name.clone()).collect(),
-            gauge_names: self.gauges.iter().map(|g| g.name.clone()).collect(),
-            hist_names: self.hists.iter().map(|h| h.name.clone()).collect(),
-            counter_totals: self.counters.iter().map(|c| c.total).collect(),
-            hist_totals: self.hists.iter().map(|h| h.total.clone()).collect(),
+            window_cycles: tel.window_cycles,
+            counter_names,
+            gauge_names,
+            hist_names,
+            counter_totals: tel.all_counter_totals(),
+            hist_totals: tel.all_hist_totals(),
             windows,
         }
     }
@@ -276,7 +228,7 @@ impl Telemetry {
         )
     }
 
-    /// Last window index any instrument has touched.
+    /// Last window index any instrument still holds.
     pub(crate) fn last_active_window(&self) -> Option<u64> {
         self.counters
             .iter()
@@ -287,29 +239,71 @@ impl Telemetry {
             .max()
     }
 
-    /// Remove window `w` from every instrument and return its snapshot.
-    /// `gauge_levels` holds the carried-forward gauge levels from the
-    /// previous window and is updated in place — windows must therefore
-    /// be evicted densely, in ascending order, exactly as
-    /// [`Self::series`] walks them.
-    pub(crate) fn evict_window(&mut self, w: u64, gauge_levels: &mut [u64]) -> WindowSnapshot {
-        assert_eq!(gauge_levels.len(), self.gauges.len(), "one carried level per gauge");
-        let counters: Vec<u64> =
-            self.counters.iter_mut().map(|c| c.windows.remove(&w).unwrap_or(0)).collect();
-        for (level, g) in gauge_levels.iter_mut().zip(&mut self.gauges) {
+    /// Windows evicted so far: the walk is dense from window 0, so this
+    /// is also the first window still resident.
+    pub(crate) fn evicted(&self) -> u64 {
+        self.evicted
+    }
+
+    /// The one window walk: remove the next window from every
+    /// instrument and return its snapshot — counter deltas, gauge
+    /// levels carried forward across empty windows, the window's
+    /// histograms — folding what leaves into the per-instrument sums
+    /// [`Self::assert_conserved`] checks against the run totals.
+    pub(crate) fn evict_next(&mut self) -> WindowSnapshot {
+        let w = self.evicted;
+        self.evicted += 1;
+        let evict_counter = |c: &mut Counter| {
+            let delta = c.windows.remove(&w).unwrap_or(0);
+            c.evicted += delta;
+            delta
+        };
+        let evict_gauge = |g: &mut Gauge| {
             if let Some((_, v)) = g.windows.remove(&w) {
-                *level = v;
+                g.level = v;
             }
-        }
-        let hists: Vec<Histogram> =
-            self.hists.iter_mut().map(|h| h.windows.remove(&w).unwrap_or_default()).collect();
+            g.level
+        };
+        let evict_hist = |h: &mut Hist| {
+            let window = h.windows.remove(&w).unwrap_or_default();
+            h.evicted.merge(&window);
+            window
+        };
         WindowSnapshot {
             index: w,
             start_cycle: w * self.window_cycles,
             end_cycle: (w + 1) * self.window_cycles,
-            counters,
-            gauges: gauge_levels.to_vec(),
-            hists,
+            counters: self.counters.iter_mut().map(evict_counter).collect(),
+            gauges: self.gauges.iter_mut().map(evict_gauge).collect(),
+            hists: self.hists.iter_mut().map(evict_hist).collect(),
+        }
+    }
+
+    /// How many more [`Self::evict_next`] calls drain the registry:
+    /// dense through the last window any instrument still holds.
+    pub(crate) fn resident_windows(&self) -> u64 {
+        self.last_active_window().map_or(0, |last| (last + 1).saturating_sub(self.evicted))
+    }
+
+    /// The conservation checks over a drained registry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a counter's evicted deltas fail to sum to its run
+    /// total or a histogram's evicted windows fail to re-merge to its
+    /// run-total sketch.
+    pub(crate) fn assert_conserved(&self) {
+        for c in &self.counters {
+            assert_eq!(
+                c.evicted, c.total,
+                "counter {} window deltas must sum to run total",
+                c.name
+            );
+        }
+        for h in &self.hists {
+            let mut re = h.total.fresh_like();
+            re.merge_hist(&h.evicted);
+            assert_eq!(re, h.total, "hist {} windows must re-merge to run total", h.name);
         }
     }
 
@@ -318,8 +312,8 @@ impl Telemetry {
         self.counters.iter().map(|c| c.total).collect()
     }
 
-    /// Run-total estimators of every histogram, in registration order.
-    pub(crate) fn all_hist_totals(&self) -> Vec<Estimator> {
+    /// Run-total sketches of every histogram, in registration order.
+    pub(crate) fn all_hist_totals(&self) -> Vec<Sketch> {
         self.hists.iter().map(|h| h.total.clone()).collect()
     }
 }
@@ -400,10 +394,10 @@ pub(crate) fn series_header_json(
 }
 
 /// The run-totals JSON object (shared with the streaming appender).
-pub(crate) fn totals_json(counter_totals: &[u64], hist_totals: &[Estimator]) -> Json {
+pub(crate) fn totals_json(counter_totals: &[u64], hist_totals: &[Sketch]) -> Json {
     Json::obj([
         ("counters", Json::arr(counter_totals.iter().map(|&v| Json::U64(v)))),
-        ("hists", Json::arr(hist_totals.iter().map(Estimator::summary_json))),
+        ("hists", Json::arr(hist_totals.iter().map(Sketch::summary_json))),
     ])
 }
 
@@ -439,8 +433,8 @@ pub struct TimeSeries {
     pub hist_names: Vec<String>,
     /// Run totals per counter (equal to the window-delta sums).
     pub counter_totals: Vec<u64>,
-    /// Run-total estimators (equal to folding the window merges).
-    pub hist_totals: Vec<Estimator>,
+    /// Run-total sketches (equal to folding the window merges).
+    pub hist_totals: Vec<Sketch>,
     /// Every window from index 0 through the last active one.
     pub windows: Vec<WindowSnapshot>,
 }
@@ -482,6 +476,15 @@ impl TimeSeries {
 mod tests {
     use super::*;
     use gpstream_util::check::run_cases;
+
+    /// Every window histogram of instrument `i`, merged back together.
+    fn remerged(s: &TimeSeries, i: usize) -> Histogram {
+        let mut all = Histogram::new();
+        for w in &s.windows {
+            all.merge(&w.hists[i]);
+        }
+        all
+    }
 
     #[test]
     fn counter_deltas_sum_to_total() {
@@ -528,7 +531,9 @@ mod tests {
         let per_window: Vec<u64> = s.windows.iter().map(|w| w.counters[0]).collect();
         assert_eq!(per_window, [2, 1, 0, 1]);
         assert_eq!(s.windows[0].hists[0].max(), Some(40));
-        assert_eq!(Estimator::Exact(t.hist_remerged(h)), *t.hist_total(h));
+        let mut re = Sketch::exact();
+        re.merge_hist(&remerged(&s, 0));
+        assert_eq!(re, s.hist_totals[0]);
     }
 
     #[test]
@@ -599,9 +604,11 @@ mod tests {
                 t.add(c, cycle, 1);
                 expect.record(v);
             }
-            assert_eq!(t.hist_remerged(h), expect);
-            assert_eq!(*t.hist_total(h), Estimator::Exact(expect.clone()));
             let s = t.series(); // internally asserts delta-sum invariants
+            assert_eq!(remerged(&s, 0), expect);
+            let mut total = Sketch::exact();
+            total.merge_hist(&expect);
+            assert_eq!(s.hist_totals[0], total);
             assert_eq!(s.counter_totals[0], expect.count());
             assert_eq!(s.to_json().to_doc_string(), t.series().to_json().to_doc_string());
         });
@@ -620,10 +627,10 @@ mod tests {
                 let cycle = rng.below(1 << 20);
                 t.observe(h, cycle, rng.below(1 << 24));
             }
-            let mut re = t.hist_total(h).fresh_like();
-            re.merge_hist(&t.hist_remerged(h));
-            assert_eq!(re, *t.hist_total(h));
             let s = t.series(); // asserts the same invariant internally
+            let mut re = s.hist_totals[0].fresh_like();
+            re.merge_hist(&remerged(&s, 0));
+            assert_eq!(re, s.hist_totals[0]);
             assert_eq!(s.hist_totals[0].kind(), "sketch");
             let doc = s.to_json().to_doc_string();
             assert!(doc.contains("\"estimator\":\"sketch\""));

@@ -12,21 +12,21 @@
 //! the CSV/JSON exports, and handed to an optional on-finalize sink.
 //!
 //! The exports are built with the exact same helpers as
-//! [`TimeSeries::to_csv`]/[`TimeSeries::to_json`], and
-//! [`StreamingTelemetry::finish`] re-asserts the registry's two
-//! invariants over the *flushed stream* rather than over materialized
-//! state: per-counter flushed deltas must sum to the run totals, and
-//! the flushed per-window histograms folded into a fresh estimator must
-//! reproduce each run-total estimator byte-for-byte. The crate's tests
-//! go one step further and assert the streamed exports are
-//! byte-identical to the non-streaming [`Telemetry::series`] output on
-//! the same observations.
+//! [`TimeSeries::to_csv`]/[`TimeSeries::to_json`], and the window walk
+//! itself — dense order, gauge carry-forward, the two conservation
+//! checks at the end — is the registry's own `evict_next`, the same
+//! code [`Telemetry::series`] runs over a copy. The crate's tests
+//! still assert the streamed exports are byte-identical to the
+//! `series()` output on the same observations.
+//!
+//! [`TimeSeries::to_csv`]: crate::TimeSeries::to_csv
+//! [`TimeSeries::to_json`]: crate::TimeSeries::to_json
 
 use crate::registry::{
     csv_header, csv_row, series_header_json, totals_json, window_json, CounterId, GaugeId, HistId,
     Telemetry, WindowSnapshot,
 };
-use gpstream_util::{Estimator, Histogram};
+use gpstream_util::Sketch;
 
 /// A sink invoked once per finalized window, in window order.
 pub type WindowSink = Box<dyn FnMut(&WindowSnapshot)>;
@@ -35,18 +35,6 @@ pub type WindowSink = Box<dyn FnMut(&WindowSnapshot)>;
 /// behind a virtual-time watermark.
 pub struct StreamingTelemetry {
     tel: Telemetry,
-    counter_names: Vec<String>,
-    gauge_names: Vec<String>,
-    hist_names: Vec<String>,
-    /// First window index not yet flushed.
-    next_flush: u64,
-    /// Gauge levels carried forward across flushed windows.
-    gauge_levels: Vec<u64>,
-    /// Flushed per-counter delta sums (checked against run totals).
-    flushed_counter_sums: Vec<u64>,
-    /// Flushed per-hist window merges (checked against run totals).
-    flushed_hist_merges: Vec<Histogram>,
-    windows_flushed: u64,
     csv: String,
     /// Comma-joined window JSON fragments (the inside of the array).
     json_windows: String,
@@ -56,8 +44,7 @@ pub struct StreamingTelemetry {
 impl std::fmt::Debug for StreamingTelemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamingTelemetry")
-            .field("next_flush", &self.next_flush)
-            .field("windows_flushed", &self.windows_flushed)
+            .field("windows_flushed", &self.tel.evicted())
             .finish_non_exhaustive()
     }
 }
@@ -68,29 +55,13 @@ impl StreamingTelemetry {
     /// headers are emitted now, from the final instrument set.
     #[must_use]
     pub fn new(tel: Telemetry) -> Self {
-        let (counter_names, gauge_names, hist_names) = tel.instrument_names();
         assert!(
             tel.last_active_window().is_none(),
             "wrap the registry before stamping: already-filed windows cannot be streamed"
         );
+        let (counter_names, gauge_names, hist_names) = tel.instrument_names();
         let csv = csv_header(&counter_names, &gauge_names, &hist_names);
-        let gauge_levels = vec![0; gauge_names.len()];
-        let flushed_counter_sums = vec![0; counter_names.len()];
-        let flushed_hist_merges = vec![Histogram::new(); hist_names.len()];
-        Self {
-            tel,
-            counter_names,
-            gauge_names,
-            hist_names,
-            next_flush: 0,
-            gauge_levels,
-            flushed_counter_sums,
-            flushed_hist_merges,
-            windows_flushed: 0,
-            csv,
-            json_windows: String::new(),
-            sink: None,
-        }
+        Self { tel, csv, json_windows: String::new(), sink: None }
     }
 
     /// Install a sink called once per finalized window, in order.
@@ -98,24 +69,18 @@ impl StreamingTelemetry {
         self.sink = Some(sink);
     }
 
-    /// Window length in cycles.
-    #[must_use]
-    pub fn window_cycles(&self) -> u64 {
-        self.tel.window_cycles()
-    }
-
-    /// Windows finalized so far.
+    /// Windows finalized so far (dense from index 0).
     #[must_use]
     pub fn windows_flushed(&self) -> u64 {
-        self.windows_flushed
+        self.tel.evicted()
     }
 
     fn assert_open(&self, cycle: u64) {
         let w = cycle / self.tel.window_cycles();
         assert!(
-            w >= self.next_flush,
+            w >= self.tel.evicted(),
             "stamp at cycle {cycle} lands in flushed window {w} (watermark {})",
-            self.next_flush
+            self.tel.evicted()
         );
     }
 
@@ -149,25 +114,16 @@ impl StreamingTelemetry {
         self.tel.observe(id, cycle, value);
     }
 
-    fn flush_one(&mut self) {
-        let w = self.next_flush;
-        let snap = self.tel.evict_window(w, &mut self.gauge_levels);
-        for (sum, v) in self.flushed_counter_sums.iter_mut().zip(&snap.counters) {
-            *sum += v;
-        }
-        for (merge, h) in self.flushed_hist_merges.iter_mut().zip(&snap.hists) {
-            merge.merge(h);
-        }
-        self.csv.push_str(&csv_row(&snap));
-        if self.windows_flushed > 0 {
+    /// Append one finalized window to the exports and the sink.
+    fn export(&mut self, snap: &WindowSnapshot) {
+        self.csv.push_str(&csv_row(snap));
+        if snap.index > 0 {
             self.json_windows.push(',');
         }
-        self.json_windows.push_str(&window_json(&snap).to_string());
+        self.json_windows.push_str(&window_json(snap).to_string());
         if let Some(sink) = &mut self.sink {
-            sink(&snap);
+            sink(snap);
         }
-        self.windows_flushed += 1;
-        self.next_flush += 1;
     }
 
     /// Advance the watermark to the producer's event-loop clock `now`,
@@ -176,50 +132,36 @@ impl StreamingTelemetry {
     /// producer processing events in time order gets for free.
     pub fn advance(&mut self, now: u64) {
         let open = now / self.tel.window_cycles();
-        while self.next_flush < open {
-            self.flush_one();
+        while self.tel.evicted() < open {
+            let snap = self.tel.evict_next();
+            self.export(&snap);
         }
     }
 
     /// Finalize every remaining window (dense through the last one any
-    /// instrument touched), re-assert the sum-to-total and re-merge
-    /// invariants over the flushed stream, and return the completed
-    /// exports.
+    /// instrument touched), check the sum-to-total and re-merge
+    /// invariants over the whole flushed stream, and return the
+    /// completed exports.
     ///
     /// # Panics
     ///
     /// Panics if a flushed counter stream fails to sum to its run total
     /// or a flushed histogram stream fails to re-merge to its run-total
-    /// estimator — a corrupt export must never be returned silently.
+    /// sketch — a corrupt export must never be returned silently.
     #[must_use]
     pub fn finish(mut self) -> StreamedSeries {
-        if let Some(last) = self.tel.last_active_window() {
-            while self.next_flush <= last {
-                self.flush_one();
-            }
+        for _ in 0..self.tel.resident_windows() {
+            let snap = self.tel.evict_next();
+            self.export(&snap);
         }
+        self.tel.assert_conserved();
         let counter_totals = self.tel.all_counter_totals();
         let hist_totals = self.tel.all_hist_totals();
-        for ((name, sum), total) in
-            self.counter_names.iter().zip(&self.flushed_counter_sums).zip(&counter_totals)
-        {
-            assert_eq!(sum, total, "counter {name} flushed deltas must sum to run total");
-        }
-        for ((name, merged), total) in
-            self.hist_names.iter().zip(&self.flushed_hist_merges).zip(&hist_totals)
-        {
-            let mut re = total.fresh_like();
-            re.merge_hist(merged);
-            assert_eq!(&re, total, "hist {name} flushed windows must re-merge to run total");
-        }
+        let (counter_names, gauge_names, hist_names) = self.tel.instrument_names();
 
-        let mut json = series_header_json(
-            self.tel.window_cycles(),
-            &self.counter_names,
-            &self.gauge_names,
-            &self.hist_names,
-        )
-        .to_string();
+        let window_cycles = self.tel.window_cycles();
+        let mut json = series_header_json(window_cycles, &counter_names, &gauge_names, &hist_names)
+            .to_string();
         assert_eq!(json.pop(), Some('}'), "header object must close with a brace");
         json.push_str(",\"windows\":[");
         json.push_str(&self.json_windows);
@@ -228,13 +170,13 @@ impl StreamingTelemetry {
         json.push_str("}\n");
 
         StreamedSeries {
-            window_cycles: self.tel.window_cycles(),
-            counter_names: self.counter_names,
-            gauge_names: self.gauge_names,
-            hist_names: self.hist_names,
+            window_cycles,
+            counter_names,
+            gauge_names,
+            hist_names,
             counter_totals,
             hist_totals,
-            windows_flushed: self.windows_flushed,
+            windows_flushed: self.tel.evicted(),
             csv: self.csv,
             json,
         }
@@ -257,9 +199,9 @@ pub struct StreamedSeries {
     pub hist_names: Vec<String>,
     /// Run totals per counter (asserted equal to the flushed deltas).
     pub counter_totals: Vec<u64>,
-    /// Run-total estimators (asserted equal to re-merging the flushed
+    /// Run-total sketches (asserted equal to re-merging the flushed
     /// windows).
-    pub hist_totals: Vec<Estimator>,
+    pub hist_totals: Vec<Sketch>,
     /// Number of windows finalized (dense from index 0).
     pub windows_flushed: u64,
     /// CSV document, byte-identical to [`TimeSeries::to_csv`] on the

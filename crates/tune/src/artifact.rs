@@ -44,15 +44,6 @@ pub fn artifact_string(outcome: &TuneOutcome) -> String {
     s
 }
 
-/// Write the artifact to `path`.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_artifact(path: &Path, outcome: &TuneOutcome) -> std::io::Result<()> {
-    fs::write(path, artifact_string(outcome))
-}
-
 /// Load the winning [`TunedConfig`] back from an artifact file, ready to
 /// feed to `CompilerOptions::apply_tuned` / `SimExecutor::with_tuned`.
 ///
@@ -109,7 +100,7 @@ mod tests {
             std::env::temp_dir().join(format!("gpstream-tune-artifact-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("unit.json");
-        write_artifact(&path, &out).unwrap();
+        fs::write(&path, text).unwrap();
         let tuned = load_tuned(&path).unwrap();
         assert_eq!(tuned, out.best);
         let _ = fs::remove_dir_all(&dir);

@@ -12,94 +12,34 @@
 //! `TunedConfig` artifact as JSON.
 
 use gpstream_tune::{artifact, workloads, EvalCache, Tuner};
+use gpstream_util::args::{usage_exit, write_or_exit, Args};
 use std::path::PathBuf;
 
-struct Cli {
-    workload: Option<String>,
-    budget: usize,
-    seed: u64,
-    threads: usize,
-    cache_dir: Option<PathBuf>,
-    out: Option<PathBuf>,
-    list: bool,
-}
-
-fn usage_exit(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!(
-        "usage: tune --workload NAME [--budget N] [--seed N] [--threads N] \
-         [--cache-dir DIR] [--out FILE] | tune --list"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Cli {
-    let default_threads =
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(8);
-    let mut cli = Cli {
-        workload: None,
-        budget: 64,
-        seed: workloads::SEED,
-        threads: default_threads,
-        cache_dir: None,
-        out: None,
-        list: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| usage_exit(&format!("{flag} needs a value")))
-        };
-        match a.as_str() {
-            "--list" => cli.list = true,
-            "--workload" => cli.workload = Some(value("--workload")),
-            "--budget" => {
-                cli.budget = value("--budget")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("--budget needs an integer"));
-            }
-            "--seed" => {
-                cli.seed = value("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("--seed needs an integer"));
-            }
-            "--threads" => {
-                cli.threads = value("--threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("--threads needs an integer"));
-            }
-            "--cache-dir" => cli.cache_dir = Some(PathBuf::from(value("--cache-dir"))),
-            "--out" => cli.out = Some(PathBuf::from(value("--out"))),
-            other => usage_exit(&format!("unknown argument `{other}`")),
-        }
-    }
-    cli
-}
-
 fn main() {
-    let cli = parse_args();
-    if cli.list {
-        for name in workloads::CATALOG {
-            println!("{name}");
-        }
-        return;
-    }
-    let Some(name) = cli.workload.as_deref() else {
-        usage_exit("missing --workload (or --list)");
-    };
-    let Some(wl) = workloads::named(name) else {
-        eprintln!("unknown workload `{name}`; expected one of: {}", workloads::CATALOG.join("|"));
-        std::process::exit(2);
+    let usage = format!(
+        "usage: tune --workload NAME [--budget N] [--seed N] [--threads N] [--cache-dir DIR] \
+         [--out FILE] | tune --list\nworkloads: {}",
+        workloads::CATALOG.join(" ")
+    );
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::new(&argv, &usage);
+    args.list(&workloads::CATALOG);
+    let workload = args.value("--workload");
+    let budget = args.number("--budget").unwrap_or(64);
+    let seed = args.number("--seed").unwrap_or(workloads::SEED);
+    let threads = args.number("--threads").unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(8)
+    });
+    let cache_dir = args.value("--cache-dir").map(PathBuf::from);
+    let out_file = args.value("--out").map(PathBuf::from);
+    args.finish(0);
+    let Some(name) = workload else { usage_exit("missing --workload (or --list)", &usage) };
+    let Some(wl) = workloads::named(&name) else {
+        usage_exit(&format!("unknown workload `{name}`"), &usage)
     };
 
-    let cache = cli.cache_dir.as_ref().map_or_else(EvalCache::disabled, EvalCache::at);
-    let tuner = Tuner {
-        budget: cli.budget,
-        seed: cli.seed,
-        threads: cli.threads.max(1),
-        cache,
-        ..Tuner::default()
-    };
+    let cache = cache_dir.as_ref().map_or_else(EvalCache::disabled, EvalCache::at);
+    let tuner = Tuner { budget, seed, threads: usize::max(threads, 1), cache, ..Tuner::default() };
     let out = tuner.tune(&wl);
 
     println!(
@@ -117,9 +57,8 @@ fn main() {
         out.rejected
     );
 
-    if let Some(path) = &cli.out {
-        artifact::write_artifact(path, &out)
-            .unwrap_or_else(|e| usage_exit(&format!("failed to write {}: {e}", path.display())));
+    if let Some(path) = &out_file {
+        write_or_exit(path, artifact::artifact_string(&out));
         println!("wrote TunedConfig artifact to {}", path.display());
     }
 }

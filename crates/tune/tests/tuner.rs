@@ -73,7 +73,7 @@ fn winner_is_valid_beats_or_ties_baseline_and_round_trips() {
 
     // And the artifact round-trips into a TunedConfig usable downstream.
     let path = dir.join("winner.json");
-    gpstream_tune::artifact::write_artifact(&path, &out).unwrap();
+    fs::write(&path, gpstream_tune::artifact::artifact_string(&out)).unwrap();
     assert_eq!(load_tuned(&path).unwrap(), out.best);
     let _ = fs::remove_dir_all(&dir);
 }

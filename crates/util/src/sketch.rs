@@ -24,9 +24,11 @@
 //!   windows back into a run total and still assert the re-merge
 //!   invariant byte for byte.
 //!
-//! [`Estimator`] wraps "exact or sketch" behind the `Histogram` method
-//! surface, so the serving report can switch estimators per run while
-//! artifact code stays identical.
+//! A sketch that has not promoted *is* an exact histogram (raw-value
+//! keys, the same nearest-rank walk), so "exact estimator" is not a
+//! second type: [`Sketch::exact`] builds the form whose promotion
+//! threshold is unreachable. The serving report switches estimators per
+//! run by picking a constructor; every line of artifact code is shared.
 
 use crate::{Histogram, Json};
 use std::collections::BTreeMap;
@@ -46,6 +48,10 @@ pub struct Sketch {
     /// Sub-bucket (mantissa) bits per octave; the error bound is
     /// 2^−(sub_bits+1).
     sub_bits: u32,
+    /// Distinct raw values held before promoting to log buckets:
+    /// [`EXACT_DISTINCT_CAP`], or `usize::MAX` for the exact form,
+    /// which therefore never promotes.
+    promote_after: usize,
     /// `false`: `counts` keys are raw values (exact). `true`: keys are
     /// bucket indices.
     promoted: bool,
@@ -66,27 +72,77 @@ impl Sketch {
     ///
     /// # Panics
     ///
-    /// Panics unless `2^-32 <= gamma < 0.5`.
+    /// Panics unless [`Sketch::accepts_gamma`].
     #[must_use]
     pub fn new(gamma: f64) -> Self {
-        assert!(
-            gamma < 0.5 && gamma >= 1.0 / (1u64 << 32) as f64,
-            "sketch gamma {gamma} outside [2^-32, 0.5)"
-        );
+        assert!(Self::accepts_gamma(gamma), "sketch gamma {gamma} outside [2^-32, 0.5)");
         // Smallest s with 2^-(s+1) <= gamma; pure integer search so the
         // same gamma always lands on the same geometry.
         let mut sub_bits = 0u32;
         while 1.0 / (1u64 << (sub_bits + 1)) as f64 > gamma {
             sub_bits += 1;
         }
+        Self::empty(sub_bits, EXACT_DISTINCT_CAP)
+    }
+
+    /// Whether `gamma` is a bound [`Sketch::new`] can realize:
+    /// `2^-32 <= gamma < 0.5`.
+    #[must_use]
+    pub fn accepts_gamma(gamma: f64) -> bool {
+        gamma < 0.5 && gamma >= 1.0 / (1u64 << 32) as f64
+    }
+
+    /// The exact form: never promotes, so every answer is the exact
+    /// histogram's and the declared error bound is 0.
+    #[must_use]
+    pub fn exact() -> Self {
+        Self::empty(0, usize::MAX)
+    }
+
+    fn empty(sub_bits: u32, promote_after: usize) -> Self {
         Self {
             sub_bits,
+            promote_after,
             promoted: false,
             counts: BTreeMap::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
             max: 0,
+        }
+    }
+
+    /// An empty sketch of the same form and geometry as this one.
+    #[must_use]
+    pub fn fresh_like(&self) -> Self {
+        Self::empty(self.sub_bits, self.promote_after)
+    }
+
+    /// `"exact"` or `"sketch"` — recorded in artifacts so a reader
+    /// knows what the quantiles are.
+    #[must_use]
+    pub fn kind(&self) -> &'static str {
+        if self.never_promotes() {
+            "exact"
+        } else {
+            "sketch"
+        }
+    }
+
+    fn never_promotes(&self) -> bool {
+        self.promote_after == usize::MAX
+    }
+
+    /// Declared relative-error bound of quantile answers: `0.0` for
+    /// the exact form, [`Sketch::gamma`] otherwise (even while the
+    /// low-count path is still exact — the declaration is what the
+    /// artifact promises).
+    #[must_use]
+    pub fn rel_error_bound(&self) -> f64 {
+        if self.never_promotes() {
+            0.0
+        } else {
+            self.gamma()
         }
     }
 
@@ -186,7 +242,7 @@ impl Sketch {
         self.max = self.max.max(value);
         let key = if self.promoted { self.bucket_of(value) } else { value };
         *self.counts.entry(key).or_insert(0) += n;
-        if !self.promoted && self.counts.len() > EXACT_DISTINCT_CAP {
+        if !self.promoted && self.counts.len() > self.promote_after {
             self.promote();
         }
     }
@@ -203,9 +259,14 @@ impl Sketch {
     /// # Panics
     ///
     /// Panics if the two sketches were built with different error
-    /// bounds (their buckets would not line up).
+    /// bounds (their buckets would not line up) or one is the exact
+    /// form and the other is not.
     pub fn merge(&mut self, other: &Sketch) {
-        assert_eq!(self.sub_bits, other.sub_bits, "cannot merge sketches of different gamma");
+        assert_eq!(
+            (self.sub_bits, self.promote_after),
+            (other.sub_bits, other.promote_after),
+            "cannot merge sketches of different gamma or kind"
+        );
         if other.count == 0 {
             return;
         }
@@ -220,7 +281,7 @@ impl Sketch {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        if !self.promoted && self.counts.len() > EXACT_DISTINCT_CAP {
+        if !self.promoted && self.counts.len() > self.promote_after {
             self.promote();
         }
     }
@@ -278,176 +339,6 @@ impl Sketch {
             self.quantile(0.999).unwrap_or(0),
         )
     }
-}
-
-/// "Exact histogram or sketch", behind one method surface, so report
-/// and registry code can switch estimators per run without forking.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Estimator {
-    /// The exact [`Histogram`] (O(distinct values) memory).
-    Exact(Histogram),
-    /// The log-bucketed [`Sketch`] (bounded memory).
-    Sketch(Sketch),
-}
-
-impl Default for Estimator {
-    fn default() -> Self {
-        Estimator::Exact(Histogram::new())
-    }
-}
-
-impl Estimator {
-    /// An empty exact estimator.
-    #[must_use]
-    pub fn new_exact() -> Self {
-        Estimator::Exact(Histogram::new())
-    }
-
-    /// An empty sketch estimator with error bound `gamma` (see
-    /// [`Sketch::new`]).
-    #[must_use]
-    pub fn new_sketch(gamma: f64) -> Self {
-        Estimator::Sketch(Sketch::new(gamma))
-    }
-
-    /// An empty estimator of the same kind (and, for sketches, the same
-    /// geometry) as this one.
-    #[must_use]
-    pub fn fresh_like(&self) -> Self {
-        match self {
-            Estimator::Exact(_) => Estimator::new_exact(),
-            Estimator::Sketch(s) => Estimator::new_sketch(s.gamma()),
-        }
-    }
-
-    /// `"exact"` or `"sketch"` — recorded in artifacts so a reader
-    /// knows what the quantiles are.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Estimator::Exact(_) => "exact",
-            Estimator::Sketch(_) => "sketch",
-        }
-    }
-
-    /// Declared relative-error bound of quantile answers: `0.0` exact,
-    /// [`Sketch::gamma`] for a sketch (even while its low-count path is
-    /// still exact — the declaration is what the artifact promises).
-    #[must_use]
-    pub fn rel_error_bound(&self) -> f64 {
-        match self {
-            Estimator::Exact(_) => 0.0,
-            Estimator::Sketch(s) => s.gamma(),
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, value: u64) {
-        match self {
-            Estimator::Exact(h) => h.record(value),
-            Estimator::Sketch(s) => s.record(value),
-        }
-    }
-
-    /// Fold another estimator of the same kind into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a kind mismatch (or sketch-gamma mismatch).
-    pub fn merge(&mut self, other: &Estimator) {
-        match (self, other) {
-            (Estimator::Exact(a), Estimator::Exact(b)) => a.merge(b),
-            (Estimator::Sketch(a), Estimator::Sketch(b)) => a.merge(b),
-            _ => panic!("cannot merge estimators of different kinds"),
-        }
-    }
-
-    /// Fold an exact histogram's multiset into this estimator.
-    pub fn merge_hist(&mut self, h: &Histogram) {
-        match self {
-            Estimator::Exact(a) => a.merge(h),
-            Estimator::Sketch(s) => s.merge_hist(h),
-        }
-    }
-
-    /// Number of recorded samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        match self {
-            Estimator::Exact(h) => h.count(),
-            Estimator::Sketch(s) => s.count(),
-        }
-    }
-
-    /// Whether no samples have been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count() == 0
-    }
-
-    /// Smallest recorded sample (exact in both kinds).
-    #[must_use]
-    pub fn min(&self) -> Option<u64> {
-        match self {
-            Estimator::Exact(h) => h.min(),
-            Estimator::Sketch(s) => s.min(),
-        }
-    }
-
-    /// Largest recorded sample (exact in both kinds).
-    #[must_use]
-    pub fn max(&self) -> Option<u64> {
-        match self {
-            Estimator::Exact(h) => h.max(),
-            Estimator::Sketch(s) => s.max(),
-        }
-    }
-
-    /// Arithmetic mean (exact in both kinds).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        match self {
-            Estimator::Exact(h) => h.mean(),
-            Estimator::Sketch(s) => s.mean(),
-        }
-    }
-
-    /// Nearest-rank quantile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        match self {
-            Estimator::Exact(h) => h.quantile(q),
-            Estimator::Sketch(s) => s.quantile(q),
-        }
-    }
-
-    /// Quantile answer plus the relative-error bound it actually
-    /// carries (`0.0` on every exact path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    #[must_use]
-    pub fn quantile_with_bound(&self, q: f64) -> Option<(u64, f64)> {
-        match self {
-            Estimator::Exact(h) => h.quantile(q).map(|v| (v, 0.0)),
-            Estimator::Sketch(s) => s.quantile_with_bound(q),
-        }
-    }
-
-    /// The standard latency triple (p50, p99, p999), zeros when empty.
-    #[must_use]
-    pub fn p50_p99_p999(&self) -> (u64, u64, u64) {
-        (
-            self.quantile(0.50).unwrap_or(0),
-            self.quantile(0.99).unwrap_or(0),
-            self.quantile(0.999).unwrap_or(0),
-        )
-    }
 
     /// Summary as a JSON object — the [`Histogram::summary_json`] keys
     /// plus `estimator` and `rel_error_bound`, so a reader of any
@@ -457,7 +348,7 @@ impl Estimator {
     pub fn summary_json(&self) -> Json {
         let (p50, p99, p999) = self.p50_p99_p999();
         Json::obj([
-            ("count", Json::U64(self.count())),
+            ("count", Json::U64(self.count)),
             ("min", Json::U64(self.min().unwrap_or(0))),
             ("max", Json::U64(self.max().unwrap_or(0))),
             ("mean", Json::F64(self.mean())),
@@ -503,22 +394,6 @@ mod tests {
         assert_eq!(Sketch::new(0.5 - 1e-9).gamma(), 0.25);
         assert_eq!(Sketch::new(1.0 / 128.0).gamma(), 1.0 / 128.0);
         assert!(Sketch::new(0.001).gamma() <= 0.001);
-    }
-
-    #[test]
-    fn exact_low_count_path_matches_histogram_exactly() {
-        run_cases("sketch-exact-path", 0x6a79_2005, 32, |rng: &mut Rng64| {
-            // Few enough distinct values that no promotion happens.
-            let n = rng.range_usize_inclusive(1, 500);
-            let values: Vec<u64> = (0..n).map(|_| rng.below(1 << 40)).collect();
-            let (s, h) = filled(&values, DEFAULT_GAMMA);
-            assert!(!s.is_promoted());
-            for q in [0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
-                let (v, bound) = s.quantile_with_bound(q).unwrap();
-                assert_eq!(bound, 0.0, "exact path carries a zero bound");
-                assert_eq!(Some(v), h.quantile(q), "q={q}");
-            }
-        });
     }
 
     #[test]
@@ -627,10 +502,7 @@ mod tests {
             }
             assert_eq!(left, right, "merge grouping must not change the state");
             assert_eq!(left, pooled, "merged shards must equal pooled recording");
-            assert_eq!(
-                Estimator::Sketch(left).summary_json().to_string(),
-                Estimator::Sketch(pooled).summary_json().to_string()
-            );
+            assert_eq!(left.summary_json().to_string(), pooled.summary_json().to_string());
         });
     }
 
@@ -662,31 +534,55 @@ mod tests {
     }
 
     #[test]
-    fn estimator_surface_matches_kinds() {
-        let mut e = Estimator::new_exact();
-        let mut s = Estimator::new_sketch(DEFAULT_GAMMA);
-        for v in [5u64, 900, 42, 42, 7] {
-            e.record(v);
-            s.record(v);
+    fn unpromoted_sketches_equal_the_histogram_on_every_answer() {
+        // The distributions of the histogram suite (heavy duplication
+        // through to near-distinct). The bucketed form stays on its
+        // exact path below the cap; the exact form at any size — it
+        // must never promote, however far past EXACT_DISTINCT_CAP.
+        run_cases("sketch-unpromoted", 0x6a79_2005, 96, |rng: &mut Rng64| {
+            let exact = rng.bool();
+            let most = if exact && rng.bool() { 6_000 } else { 400 };
+            let n = rng.range_usize_inclusive(1, most);
+            let bound = *[3u64, 17, 1000, u64::from(u32::MAX)].get(rng.below_usize(4)).unwrap();
+            let mut s = if exact { Sketch::exact() } else { Sketch::new(DEFAULT_GAMMA) };
+            let mut h = Histogram::new();
+            for _ in 0..n {
+                let v = rng.below(bound);
+                s.record(v);
+                h.record(v);
+            }
+            assert!(!s.is_promoted());
+            assert_eq!((s.count(), s.min(), s.max()), (h.count(), h.min(), h.max()));
+            assert_eq!(s.mean().to_bits(), h.mean().to_bits());
+            assert_eq!(s.p50_p99_p999(), h.p50_p99_p999());
+            for q in [0.0, rng.f64(), rng.f64(), 0.5, 0.99, 0.999, 1.0] {
+                assert_eq!(s.quantile_with_bound(q), h.quantile(q).map(|v| (v, 0.0)), "q={q}");
+            }
+            let mut via_merge = s.fresh_like();
+            via_merge.merge_hist(&h);
+            assert_eq!(via_merge, s, "folding the histogram in equals recording");
+            if exact {
+                assert_eq!((s.kind(), s.rel_error_bound()), ("exact", 0.0));
+                let json = s.summary_json().to_string();
+                let shared_keys =
+                    json.replace(",\"estimator\":\"exact\",\"rel_error_bound\":0}", "}");
+                assert_eq!(shared_keys, h.summary_json().to_string());
+            }
+        });
+    }
+
+    #[test]
+    fn the_two_forms_declare_themselves_and_refuse_to_merge() {
+        let mut s = Sketch::new(DEFAULT_GAMMA);
+        s.record(42);
+        assert_eq!((s.kind(), s.rel_error_bound()), ("sketch", 1.0 / 128.0));
+        assert_eq!(s.quantile_with_bound(0.99), Some((42, 0.0)), "still on its exact path");
+        assert!(s.summary_json().to_string().contains("\"estimator\":\"sketch\""));
+        assert_eq!(s.fresh_like(), Sketch::new(DEFAULT_GAMMA));
+        assert_eq!(Sketch::exact().fresh_like(), Sketch::exact());
+        for (mut into, from) in [(Sketch::exact(), s.clone()), (s, Sketch::exact())] {
+            let refused = std::panic::catch_unwind(move || into.merge(&from));
+            assert!(refused.is_err(), "exact and bucketed forms must not merge");
         }
-        assert_eq!(e.kind(), "exact");
-        assert_eq!(s.kind(), "sketch");
-        assert_eq!(e.rel_error_bound(), 0.0);
-        assert_eq!(s.rel_error_bound(), 1.0 / 128.0);
-        assert_eq!(e.quantile(0.5), s.quantile(0.5), "low counts are exact in both kinds");
-        assert_eq!(e.quantile_with_bound(0.99).unwrap().1, 0.0);
-        assert_eq!(s.quantile_with_bound(0.99).unwrap().1, 0.0, "sketch still on its exact path");
-        let j = s.summary_json().to_string();
-        assert!(j.contains("\"estimator\":\"sketch\""));
-        assert!(j.contains("\"count\":5"));
-        let mut h = Histogram::new();
-        h.record(1);
-        h.record(1);
-        h.record(3);
-        s.merge_hist(&h);
-        e.merge_hist(&h);
-        assert_eq!(s.count(), 8);
-        assert_eq!(e.count(), 8);
-        assert_eq!(s.fresh_like().count(), 0);
     }
 }

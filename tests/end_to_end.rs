@@ -212,3 +212,47 @@ fn neo_hookean_streaming_wins() {
     );
     assert!(cmp.speedup() > 1.05, "producer-consumer locality must pay: {:.2}", cmp.speedup());
 }
+
+#[test]
+fn serving_plane_conserves_jobs_and_streams_identical_windows_in_both_modes() {
+    use gpstream_serve::{run_service, Outcome, ServeConfig};
+    let mut cfg = ServeConfig::new("ldstcomp");
+    (cfg.jobs, cfg.rate, cfg.queue_cap) = (2_000, 40_000.0, 16); // ~1.3x capacity
+    let exact = run_service(&cfg).expect("known workload");
+    cfg.sketch = true;
+    let sketch = run_service(&cfg).expect("known workload");
+
+    let finishes = |records: &[gpstream_serve::JobRecord]| -> Vec<u64> {
+        let finish = |r: &gpstream_serve::JobRecord| match r.outcome {
+            Outcome::Completed { finish, .. } => Some(finish),
+            Outcome::Rejected { .. } => None,
+        };
+        records.iter().filter_map(finish).collect()
+    };
+    for out in [&exact, &sketch] {
+        let s = &out.stats;
+        assert_eq!(s.offered, 2_000);
+        assert_eq!(s.offered, s.admitted + s.rejected, "every offer is admitted or rejected");
+        assert_eq!(s.completed, s.admitted, "every admitted job completes");
+        assert!(s.rejected > 0, "a 16-deep queue at this rate must shed load");
+        assert_eq!(out.exec.executed, finishes(&out.records).len() as u64);
+    }
+    assert_eq!(exact.records.len(), 2_000, "exact mode keeps every record");
+    assert_eq!(sketch.records.len(), 2_000usize.div_ceil(cfg.record_stride()));
+    assert_eq!(exact.stats, sketch.stats, "the estimator must not move the schedule");
+    assert_eq!(exact.telemetry.series.csv, sketch.telemetry.series.csv);
+
+    // The streamed plane against the materialized registry: refiling
+    // the kept completions reproduces the `completions` column.
+    let mut lines = exact.telemetry.series.csv.lines();
+    let header = lines.next().expect("header row");
+    let col = header.split(',').position(|c| c == "completions").expect("completions column");
+    let streamed: Vec<u64> =
+        lines.map(|l| l.split(',').nth(col).expect("dense row").parse().expect("count")).collect();
+    let mut tel = gpstream_telemetry::Telemetry::new(exact.telemetry.series.window_cycles);
+    let completions = tel.counter("completions");
+    finishes(&exact.records).into_iter().for_each(|cycle| tel.add(completions, cycle, 1));
+    let refiled: Vec<u64> = tel.series().windows.iter().map(|w| w.counters[0]).collect();
+    assert_eq!(streamed, refiled);
+    assert_eq!(refiled.iter().sum::<u64>(), exact.stats.completed);
+}

@@ -289,14 +289,6 @@ pub fn cdp_bench(cfg: CdpConfig, seed: u64) -> AppBench {
     }
 }
 
-/// Maximum residual, the quantity FindMaxAndUpdate tracks (host-side
-/// reduction over the residual-magnitude array; identical for both code
-/// versions by construction).
-#[must_use]
-pub fn max_residual(world: &World, resmag: gpstream_core::ArrayId) -> f32 {
-    world.slice::<f32>(resmag).iter().fold(0.0f32, |a, &b| a.max(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,13 +4,11 @@
 //!
 //! ```text
 //! figures [SELECTOR] [--in-order] [--json PATH] [--trace PATH]
-//! figures profile WORKLOAD [--out DIR] [--interval N] [--in-order] [--fast-sim]
-//!                 [--check] [--update-baseline] [--baselines DIR] [--native [REPEATS]]
-//! figures analyze WORKLOAD [--out FILE] [--fast-sim]
-//! figures scale [WORKLOAD] [--max N] [--out FILE] [--fast-sim]
+//! figures profile WORKLOAD [--out DIR] [--interval N] [--in-order] [--check]
+//!                 [--update-baseline] [--baselines DIR] [--native [REPEATS]]
+//! figures analyze WORKLOAD [--out FILE]
+//! figures scale [WORKLOAD] [--max N] [--out FILE]
 //! figures diff A.json B.json [--strict]
-//! figures simspeed [--reps N] [--out FILE] [--check]
-//! figures servespeed [--reps N] [--out FILE] [--check]
 //! figures serve [WORKLOAD] [--jobs N] [--rate R] [--tenants T] [--workers W]
 //!               [--ctx C] [--seed S] [--unbounded] [--ablation] [--out FILE]
 //!               [--slo] [--slo-latency CYC[,CYC..]] [--slo-objective F]
@@ -63,10 +61,9 @@
 //! is still inspectable; `--update-baseline` regenerates the snapshot.
 //! `--native [REPEATS]` appends the native executor's wall-clock
 //! parity report (not deterministic, never written to `--out`).
-//! `--fast-sim` runs the timing pass in the event-driven step mode —
-//! every artifact is byte-identical to the cycle-stepped default (the
-//! differential suite asserts it), the run is just faster, so baseline
-//! checks are valid in either mode.
+//! `profile`, `analyze` and `scale` run the timing pass in the
+//! event-driven step mode: every artifact is byte-identical to the
+//! cycle-stepped reference (the differential suite asserts it).
 //!
 //! `analyze WORKLOAD` runs one catalog workload with task logging on
 //! and prints the critical-path report: per-segment cycle attribution
@@ -80,8 +77,7 @@
 //! reports total cycles plus the speedup over one context per point.
 //! `--max N` caps the context count (the sweep doubles from 1 up to
 //! `N`, default 8); `--out FILE` also writes the curves as a
-//! deterministic JSON artifact; `--fast-sim` uses the event-driven
-//! step mode (identical numbers, faster runs).
+//! deterministic JSON artifact.
 //!
 //! `diff A.json B.json` compares two artifacts — committed baselines,
 //! `profile --out` documents, `analyze --out` reports, in any
@@ -137,24 +133,6 @@
 //! `spans_dropped`, and warns on stderr. Long runs print a stderr
 //! heartbeat every ~10% of jobs when stderr is a TTY; `--quiet`
 //! silences it. None of this changes artifact bytes.
-//!
-//! `servespeed` measures the serving harness itself: offered jobs
-//! scheduled and aggregated per wall-clock second through the full
-//! virtual pipeline (lazy arrivals, admission, fair-share batching,
-//! sketch estimators, streaming registry, SLO accounting, bounded
-//! spans) — the functional replay excluded. `--reps N` takes the best
-//! of N timed runs per workload (default 3), `--out FILE` writes the
-//! table as a canonical JSON artifact, and `--check` exits non-zero
-//! below a conservative jobs/s floor (the CI regression gate).
-//!
-//! `simspeed` measures the simulator itself: simulated cycles per
-//! wall-clock second for the cycle-stepped vs event-driven engines on
-//! the probe workloads (see `gpstream_microbench::simspeed`), as a
-//! speedup table. `--reps N` takes the best of N timed iterations
-//! (default 3), `--out FILE` writes the table as a canonical JSON
-//! artifact, and `--check` exits non-zero unless the event-driven mode
-//! reaches a ≥ 10x speedup on at least one workload (the PR's
-//! acceptance gate, enforced in CI).
 
 use gpstream_apps::fem;
 use gpstream_bench as fig;
@@ -163,7 +141,6 @@ use gpstream_core::exec::sim::SimExecutor;
 use gpstream_core::metrics::Comparison;
 use gpstream_core::{chrome_trace, StreamGraph, TraceRun, World};
 use gpstream_machine::{MachineConfig, PhaseCycles, WaitPolicy};
-use gpstream_microbench::simspeed::SimSpeedRow;
 use gpstream_tune::workloads::CATALOG;
 use gpstream_util::args::{usage_exit, write_or_exit, Args};
 use gpstream_util::Json;
@@ -312,8 +289,8 @@ fn tuned_json(o: &gpstream_tune::TuneOutcome) -> Json {
 /// baseline violations, 2 on usage errors.
 fn profile_main(argv: &[String]) -> ! {
     let usage = usage(
-        "profile WORKLOAD [--out DIR] [--interval N] [--in-order] [--fast-sim] [--check] \
-         [--update-baseline] [--baselines DIR] [--native [REPEATS]]",
+        "profile WORKLOAD [--out DIR] [--interval N] [--in-order] [--check] [--update-baseline] \
+         [--baselines DIR] [--native [REPEATS]]",
         "workloads",
         &CATALOG,
     );
@@ -323,13 +300,11 @@ fn profile_main(argv: &[String]) -> ! {
     let interval = args.parsed("--interval", "a positive cycle count", |&n: &u64| n > 0);
     let check = args.flag("--check");
     let in_order = args.flag("--in-order");
-    let fast_sim = args.flag("--fast-sim");
     let update_baseline = args.flag("--update-baseline");
     let baselines = args.value("--baselines").unwrap_or_else(|| "profiles/baselines".to_string());
     let native = args.optional("--native", "a positive repeat count", |&n: &usize| n > 0, 5);
     let Some(workload) = args.finish(1).pop() else { usage_exit("missing WORKLOAD", &usage) };
-    let Some(out) = fig::profiling::profile_workload(&workload, interval, in_order, fast_sim)
-    else {
+    let Some(out) = fig::profiling::profile_workload(&workload, interval, in_order, true) else {
         unknown_workload(&workload, &usage)
     };
 
@@ -407,13 +382,12 @@ fn profile_main(argv: &[String]) -> ! {
 /// `figures analyze` subcommand. Exits the process: 0 on success, 2 on
 /// usage errors.
 fn analyze_main(argv: &[String]) -> ! {
-    let usage = usage("analyze WORKLOAD [--out FILE] [--fast-sim]", "workloads", &CATALOG);
+    let usage = usage("analyze WORKLOAD [--out FILE]", "workloads", &CATALOG);
     let mut args = Args::new(argv, &usage);
     args.list(&CATALOG);
     let out_file = args.value("--out");
-    let fast_sim = args.flag("--fast-sim");
     let Some(workload) = args.finish(1).pop() else { usage_exit("missing WORKLOAD", &usage) };
-    let Some(analysis) = gpstream_analyze::analyze_workload_with(&workload, fast_sim) else {
+    let Some(analysis) = gpstream_analyze::analyze_workload_with(&workload, true) else {
         unknown_workload(&workload, &usage)
     };
     print!("{}", gpstream_analyze::render::text(&analysis));
@@ -427,14 +401,12 @@ fn analyze_main(argv: &[String]) -> ! {
 /// `figures scale` subcommand. Exits the process: 0 on success, 2 on
 /// usage errors.
 fn scale_main(argv: &[String]) -> ! {
-    let usage =
-        usage("scale [WORKLOAD] [--max N] [--out FILE] [--fast-sim]", "workloads", &CATALOG);
+    let usage = usage("scale [WORKLOAD] [--max N] [--out FILE]", "workloads", &CATALOG);
     let mut args = Args::new(argv, &usage);
     args.list(&CATALOG);
     let in_engine = |n: &usize| (1..=64).contains(n);
     let max = args.parsed("--max", "a context count in 1..=64", in_engine).unwrap_or(8);
     let out_file = args.value("--out");
-    let fast_sim = args.flag("--fast-sim");
     let workload = args.finish(1).pop();
     // Context counts double from 1 and always include the cap itself.
     let counts: Vec<usize> =
@@ -445,7 +417,7 @@ fn scale_main(argv: &[String]) -> ! {
     };
     let mut rows = Vec::with_capacity(names.len());
     for name in &names {
-        let Some(row) = fig::scale::scale_workload(name, &counts, fast_sim) else {
+        let Some(row) = fig::scale::scale_workload(name, &counts, true) else {
             unknown_workload(name, &usage)
         };
         rows.push(row);
@@ -636,77 +608,6 @@ fn serve_main(argv: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// The flags `simspeed` and `servespeed` share: `(reps, --out, --check)`.
-fn speed_args(argv: &[String], name: &str) -> (u32, Option<String>, bool) {
-    let usage = format!("usage: figures {name} [--reps N] [--out FILE] [--check]");
-    let mut args = Args::new(argv, &usage);
-    let reps = args.parsed("--reps", "a positive number", |&n: &u32| n > 0).unwrap_or(3);
-    let out_file = args.value("--out");
-    let check = args.flag("--check");
-    args.finish(0);
-    (reps, out_file, check)
-}
-
-/// `figures simspeed` subcommand. Exits the process: 0 on success, 1
-/// when `--check` finds no ≥ 10x workload, 2 on usage errors.
-fn simspeed_main(argv: &[String]) -> ! {
-    let (reps, out_file, check) = speed_args(argv, "simspeed");
-    let rows = gpstream_microbench::simspeed::default_rows(reps);
-    print!("{}", gpstream_microbench::simspeed::render(&rows));
-    if let Some(path) = &out_file {
-        let doc = gpstream_microbench::simspeed::to_json(&rows).to_doc_string();
-        write_or_exit(path, doc);
-        println!("wrote speedup table to {path}");
-    }
-    if check {
-        let best = rows.iter().map(SimSpeedRow::speedup).fold(0.0f64, f64::max);
-        if best < 10.0 {
-            eprintln!("simspeed check FAILED: best event-driven speedup {best:.2}x < 10x");
-            std::process::exit(1);
-        }
-        println!("simspeed check passed: best event-driven speedup {best:.2}x >= 10x");
-    }
-    std::process::exit(0);
-}
-
-/// Conservative `figures servespeed --check` floor in offered jobs per
-/// wall-clock second. The release build schedules+aggregates well over
-/// 10^6 jobs/s per workload on commodity hardware; 50k/s catches an
-/// order-of-magnitude regression without flaking on slow CI runners.
-const SERVESPEED_FLOOR_JOBS_PER_SEC: f64 = 50_000.0;
-
-/// `figures servespeed` subcommand. Exits the process: 0 on success, 1
-/// when `--check` finds a workload under the jobs/s floor, 2 on usage
-/// errors.
-fn servespeed_main(argv: &[String]) -> ! {
-    let (reps, out_file, check) = speed_args(argv, "servespeed");
-    let rows = fig::servespeed::default_rows(reps);
-    print!("{}", fig::servespeed::render(&rows));
-    if let Some(path) = &out_file {
-        let doc = fig::servespeed::to_json(&rows).to_doc_string();
-        write_or_exit(path, doc);
-        println!("wrote throughput table to {path}");
-    }
-    if check {
-        let worst = rows
-            .iter()
-            .map(fig::servespeed::ServeSpeedRow::jobs_per_sec)
-            .fold(f64::INFINITY, f64::min);
-        if worst < SERVESPEED_FLOOR_JOBS_PER_SEC {
-            eprintln!(
-                "servespeed check FAILED: worst throughput {worst:.0} jobs/s \
-                 < {SERVESPEED_FLOOR_JOBS_PER_SEC:.0} jobs/s floor"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "servespeed check passed: worst throughput {worst:.0} jobs/s \
-             >= {SERVESPEED_FLOOR_JOBS_PER_SEC:.0} jobs/s floor"
-        );
-    }
-    std::process::exit(0);
-}
-
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     match raw.first().map(String::as_str) {
@@ -714,8 +615,6 @@ fn main() {
         Some("analyze") => analyze_main(&raw[1..]),
         Some("scale") => scale_main(&raw[1..]),
         Some("diff") => diff_main(&raw[1..]),
-        Some("simspeed") => simspeed_main(&raw[1..]),
-        Some("servespeed") => servespeed_main(&raw[1..]),
         Some("serve") => serve_main(&raw[1..]),
         _ => {}
     }

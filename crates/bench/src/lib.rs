@@ -3,8 +3,8 @@
 //! The benchmark harness that regenerates every table and figure of the
 //! paper's evaluation. The library exposes one function per figure
 //! returning structured data; the `figures` binary prints them in the
-//! form the paper reports (and as JSON / Chrome traces on request); the
-//! harness-free benches under `benches/` track the same workloads.
+//! form the paper reports (and as JSON / Chrome traces on request). Host
+//! time is measured only by the benchmark of record under `benchmark/`.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -22,7 +22,6 @@ use gpstream_tune::{workloads as tune_workloads, EvalCache, TuneOutcome, Tuner};
 
 pub mod profiling;
 pub mod scale;
-pub mod servespeed;
 
 /// Default seed for every figure (results are fully deterministic).
 pub const SEED: u64 = 0x6a79_2005;

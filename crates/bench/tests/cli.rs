@@ -54,8 +54,10 @@ fn documented_behaviours_hold() {
         (&["diff", "/no/such/a.json", BASELINE], 1, "cannot read /no/such/a.json"),
         (&["diff", BASELINE, SLO, "--strict"], 1, "artifact kinds differ (baseline vs slo)"),
         (&["diff", BASELINE, SLO], 0, "artifact kinds differ (baseline vs slo)"),
-        (&["simspeed", "--reps"], 2, "--reps needs"),
-        (&["servespeed", "--reps", "0"], 2, "--reps needs"),
+        // Retired with the benchmark of record: no such subcommands or flag.
+        (&["simspeed"], 2, "unknown selector `simspeed`"),
+        (&["servespeed", "--check"], 2, "unknown argument `--check`"),
+        (&["profile", "ldstcomp", "--fast-sim"], 2, "unknown argument `--fast-sim`"),
         (&["serve", "--jobs", "200001"], 2, "--sketch"),
         (&["serve", "--bogus"], 2, "unknown argument `--bogus`"),
     ]);
@@ -85,6 +87,16 @@ fn hostile_argv_is_a_usage_error() {
         (&["analyze", "ldstcomp", "--out", "/proc/nope/x"], 1, "cannot write /proc/nope/x"),
         (&["serve", "--jobs", "100", "--out", "/proc/nope/x"], 1, "cannot write /proc/nope/x"),
     ]);
+}
+
+/// 50 000 open brackets used to overflow the parser's stack (SIGABRT).
+#[test]
+fn deeply_nested_artifact_is_a_parse_error() {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-deep.json");
+    std::fs::write(&path, "[".repeat(50_000)).expect("temp file");
+    let (code, text, _) = figures(&["diff", BASELINE, path.to_str().expect("utf-8 temp path")]);
+    assert_eq!(code, 1, "{text}");
+    assert!(text.contains("cannot parse") && text.contains("nested"), "{text}");
 }
 
 #[test]

@@ -183,12 +183,6 @@ impl<'a> KernelArgs<'a> {
         self.items.clone()
     }
 
-    /// Number of input ports.
-    #[must_use]
-    pub fn num_inputs(&self) -> usize {
-        self.inputs.len()
-    }
-
     /// Number of output ports.
     #[must_use]
     pub fn num_outputs(&self) -> usize {

@@ -75,12 +75,6 @@ impl Bus {
         Transfer { start, bus_free: self.next_free, data_ready: start + self.lead_lat }
     }
 
-    /// Earliest cycle a new request issued at `at` would be granted.
-    #[must_use]
-    pub fn earliest_grant(&self, at: u64) -> u64 {
-        self.next_free.max(at)
-    }
-
     /// Cycle at which the last scheduled transfer releases the bus.
     #[must_use]
     pub fn next_free(&self) -> u64 {

@@ -347,20 +347,6 @@ impl Machine {
         self.mode = mode;
     }
 
-    /// The current time-advance strategy.
-    #[must_use]
-    pub fn step_mode(&self) -> StepMode {
-        self.mode
-    }
-
-    /// Clone the machine's complete state (caches, TLBs, prefetcher, bus
-    /// schedule, clocks, counters and instrumentation sinks) so a warmed
-    /// prefix can be resumed later without re-simulating it.
-    #[must_use]
-    pub fn snapshot(&self) -> Machine {
-        self.clone()
-    }
-
     /// Start recording [`MachineEvent`]s. Events accumulate across runs
     /// until [`Machine::take_trace`] drains them.
     pub fn enable_trace(&mut self) {
@@ -1242,7 +1228,6 @@ impl Machine {
     }
 
     /// One [`BulkOp::Copy`] chunk with same-line runs batched.
-    #[allow(clippy::too_many_arguments)]
     #[allow(clippy::too_many_arguments)]
     fn copy_chunk_fast(
         &mut self,

@@ -199,14 +199,6 @@ pub enum BulkOp {
     },
 }
 
-impl BulkOp {
-    /// A sequential read pattern helper.
-    #[must_use]
-    pub fn seq_read(base: u64, elem: u64, count: u64) -> AccessPattern {
-        AccessPattern::Seq { base, elem, count }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,9 +11,7 @@
 //!   latencies (Figure 8);
 //! * [`kernels`] — LD-ST-COMP, GAT-SCAT-COMP and PROD-CON with the COMP
 //!   sweep (Figure 9), each as a stream program plus its regular twin
-//!   with verified-identical results;
-//! * [`simspeed`] — wall-clock throughput of the timing engine itself,
-//!   cycle-stepped vs event-driven.
+//!   with verified-identical results.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -21,5 +19,4 @@
 pub mod bwprobe;
 pub mod kernels;
 pub mod overlap;
-pub mod simspeed;
 pub mod spinwait;

@@ -136,10 +136,12 @@ impl Artifact {
         // Checked before the structural profile match: latency documents
         // also carry `counters` + `derived`.
         if doc.get("kind").and_then(Json::as_str) == Some("latency") {
-            return Self::from_latency(&doc);
+            return Self::from_doc(ArtifactKind::Latency, "latency artifact", &doc, Vec::new());
         }
+        // The per-window burn-rate rows are advisory context the differ
+        // does not compare.
         if doc.get("kind").and_then(Json::as_str) == Some("slo") {
-            return Self::from_slo(&doc);
+            return Self::from_doc(ArtifactKind::Slo, "slo artifact", &doc, Vec::new());
         }
         if doc.get("entries").is_some() {
             return Self::from_baseline(text);
@@ -170,12 +172,41 @@ impl Artifact {
         })
     }
 
-    fn from_profile(doc: &Json) -> Result<Artifact, JsonParseError> {
+    /// The `workload` + `counters` + `derived` body every non-baseline
+    /// kind shares, appended to `metrics` (a profile's cycle and phase
+    /// counters come first). `what` names the kind in error messages;
+    /// only analysis reports may omit `derived`.
+    fn from_doc(
+        kind: ArtifactKind,
+        what: &str,
+        doc: &Json,
+        mut metrics: Vec<Metric>,
+    ) -> Result<Artifact, JsonParseError> {
+        let missing = |field: &str| bad(&format!("{what} missing `{field}`"));
         let workload = doc
             .get("workload")
             .and_then(Json::as_str)
-            .ok_or_else(|| bad("profile missing `workload`"))?
+            .ok_or_else(|| missing("workload"))?
             .to_string();
+        let mut section = |field: &str, is_counter: bool, optional: bool| {
+            match doc.get(field).and_then(Json::as_obj) {
+                Some(values) => metrics.extend(values.iter().map(|(name, v)| Metric {
+                    name: name.clone(),
+                    value: v.as_f64().unwrap_or(0.0),
+                    band: None,
+                    is_counter,
+                })),
+                None if optional => {}
+                None => return Err(missing(field)),
+            }
+            Ok(())
+        };
+        section("counters", true, false)?;
+        section("derived", false, kind == ArtifactKind::Analysis)?;
+        Ok(Artifact { kind, workload, metrics, critical_path: None })
+    }
+
+    fn from_profile(doc: &Json) -> Result<Artifact, JsonParseError> {
         let mut metrics = Vec::new();
         let mut counter = |name: String, value: f64| {
             metrics.push(Metric { name, value, band: None, is_counter: true });
@@ -200,57 +231,11 @@ impl Artifact {
                 }
             }
         }
-        let counters = doc
-            .get("counters")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| bad("profile missing `counters`"))?;
-        for (name, v) in counters {
-            counter(name.clone(), v.as_f64().unwrap_or(0.0));
-        }
-        let derived = doc
-            .get("derived")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| bad("profile missing `derived`"))?;
-        for (name, v) in derived {
-            metrics.push(Metric {
-                name: name.clone(),
-                value: v.as_f64().unwrap_or(0.0),
-                band: None,
-                is_counter: false,
-            });
-        }
-        Ok(Artifact { kind: ArtifactKind::Profile, workload, metrics, critical_path: None })
+        Self::from_doc(ArtifactKind::Profile, "profile", doc, metrics)
     }
 
     fn from_analysis(doc: &Json) -> Result<Artifact, JsonParseError> {
-        let workload = doc
-            .get("workload")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("analysis missing `workload`"))?
-            .to_string();
-        let mut metrics = Vec::new();
-        let counters = doc
-            .get("counters")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| bad("analysis missing `counters`"))?;
-        for (name, v) in counters {
-            metrics.push(Metric {
-                name: name.clone(),
-                value: v.as_f64().unwrap_or(0.0),
-                band: None,
-                is_counter: true,
-            });
-        }
-        if let Some(derived) = doc.get("derived").and_then(Json::as_obj) {
-            for (name, v) in derived {
-                metrics.push(Metric {
-                    name: name.clone(),
-                    value: v.as_f64().unwrap_or(0.0),
-                    band: None,
-                    is_counter: false,
-                });
-            }
-        }
+        let mut art = Self::from_doc(ArtifactKind::Analysis, "analysis", doc, Vec::new())?;
         let path = doc
             .get("critical_path")
             .and_then(Json::as_arr)
@@ -268,83 +253,8 @@ impl Artifact {
                 cycles: seg.get("cycles").and_then(Json::as_u64).unwrap_or(0),
             });
         }
-        Ok(Artifact {
-            kind: ArtifactKind::Analysis,
-            workload,
-            metrics,
-            critical_path: Some(critical_path),
-        })
-    }
-
-    fn from_latency(doc: &Json) -> Result<Artifact, JsonParseError> {
-        let workload = doc
-            .get("workload")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("latency artifact missing `workload`"))?
-            .to_string();
-        let mut metrics = Vec::new();
-        let counters = doc
-            .get("counters")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| bad("latency artifact missing `counters`"))?;
-        for (name, v) in counters {
-            metrics.push(Metric {
-                name: name.clone(),
-                value: v.as_f64().unwrap_or(0.0),
-                band: None,
-                is_counter: true,
-            });
-        }
-        let derived = doc
-            .get("derived")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| bad("latency artifact missing `derived`"))?;
-        for (name, v) in derived {
-            metrics.push(Metric {
-                name: name.clone(),
-                value: v.as_f64().unwrap_or(0.0),
-                band: None,
-                is_counter: false,
-            });
-        }
-        Ok(Artifact { kind: ArtifactKind::Latency, workload, metrics, critical_path: None })
-    }
-
-    fn from_slo(doc: &Json) -> Result<Artifact, JsonParseError> {
-        // Structurally the same counters + derived split as a latency
-        // artifact; the per-window burn-rate rows are advisory context
-        // the differ does not compare.
-        let workload = doc
-            .get("workload")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("slo artifact missing `workload`"))?
-            .to_string();
-        let mut metrics = Vec::new();
-        let counters = doc
-            .get("counters")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| bad("slo artifact missing `counters`"))?;
-        for (name, v) in counters {
-            metrics.push(Metric {
-                name: name.clone(),
-                value: v.as_f64().unwrap_or(0.0),
-                band: None,
-                is_counter: true,
-            });
-        }
-        let derived = doc
-            .get("derived")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| bad("slo artifact missing `derived`"))?;
-        for (name, v) in derived {
-            metrics.push(Metric {
-                name: name.clone(),
-                value: v.as_f64().unwrap_or(0.0),
-                band: None,
-                is_counter: false,
-            });
-        }
-        Ok(Artifact { kind: ArtifactKind::Slo, workload, metrics, critical_path: None })
+        art.critical_path = Some(critical_path);
+        Ok(art)
     }
 
     /// Look up one metric by name.
@@ -367,6 +277,19 @@ mod tests {
             mem: MemStats { l1_accesses: 100, l1_hits: 90, l1_misses: 10, ..MemStats::default() },
             phases: vec![PhaseCycles::default(); 2],
         }
+    }
+
+    /// A `figures profile --out` document for [`sample_set`].
+    fn sample_profile_doc() -> String {
+        let tree = crate::TopNode {
+            name: "unit".into(),
+            self_cycles: 0,
+            total_cycles: 0,
+            children: vec![],
+        };
+        let prof =
+            gpstream_core::exec::sim::SimProfile { interval: 0, tasks: vec![], samples: vec![] };
+        crate::report::profile_json("unit", &sample_set(), &tree, &prof).to_doc_string()
     }
 
     #[test]
@@ -393,16 +316,7 @@ mod tests {
     #[test]
     fn profile_json_parses_with_all_values_names() {
         let cs = sample_set();
-        let tree = crate::TopNode {
-            name: "unit".into(),
-            self_cycles: 0,
-            total_cycles: 0,
-            children: vec![],
-        };
-        let prof =
-            gpstream_core::exec::sim::SimProfile { interval: 0, tasks: vec![], samples: vec![] };
-        let text = crate::report::profile_json("unit", &cs, &tree, &prof).to_doc_string();
-        let art = Artifact::parse(&text).unwrap();
+        let art = Artifact::parse(&sample_profile_doc()).unwrap();
         assert_eq!(art.kind, ArtifactKind::Profile);
         // Every name the regression gate tracks is present, same values.
         for (name, value) in cs.all_values() {
@@ -454,6 +368,47 @@ mod tests {
         let burn = art.metric("tenant0_burn_rate").unwrap();
         assert!(!burn.is_counter);
         assert!(art.critical_path.is_none());
+    }
+
+    /// Damaged input files are `Ok` or `Err`, never a panic: every
+    /// committed artifact (plus one profile and one analysis document,
+    /// which `profiles/` does not hold) cut short, with one byte
+    /// replaced, and with a span removed.
+    #[test]
+    fn damaged_artifacts_never_panic() {
+        let mut docs = vec![
+            sample_profile_doc().into_bytes(),
+            concat!(
+                "{\"kind\":\"analysis\",\"workload\":\"unit\",\"counters\":{\"cycles\":10},",
+                "\"critical_path\":[{\"task\":0,\"class\":\"gather\",\"label\":\"g\",",
+                "\"cause\":\"bus\",\"cycles\":5}]}"
+            )
+            .into(),
+        ];
+        let profiles = concat!(env!("CARGO_MANIFEST_DIR"), "/../../profiles");
+        for dir in std::fs::read_dir(profiles).expect("profiles/ exists") {
+            for file in std::fs::read_dir(dir.expect("entry").path()).expect("subdirectory") {
+                docs.push(std::fs::read(file.expect("entry").path()).expect("readable"));
+            }
+        }
+        assert!(docs.len() >= 13, "found only {} documents", docs.len());
+        for doc in &docs {
+            let text = std::str::from_utf8(doc).expect("committed artifacts are UTF-8");
+            Artifact::parse(text).expect("undamaged documents parse");
+        }
+        gpstream_util::check::run_cases("damaged-artifacts", 0x4c, 64, |rng| {
+            for doc in &docs {
+                let at = rng.below_usize(doc.len());
+                let end = rng.range_usize_inclusive(at, doc.len());
+                let mut flipped = doc.clone();
+                flipped[at] = rng.next_u32() as u8;
+                for damaged in [&doc[..at], &flipped[..], &[&doc[..at], &doc[end..]].concat()] {
+                    let text = String::from_utf8_lossy(damaged);
+                    let _ = Artifact::parse(&text);
+                    let _ = crate::Baseline::from_json(&text);
+                }
+            }
+        });
     }
 
     #[test]

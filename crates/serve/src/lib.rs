@@ -481,8 +481,9 @@ pub struct ScheduledService {
 /// kept records) — in sketch mode that is independent of the job
 /// count.
 ///
-/// This is also the entry point `figures servespeed` times: the whole
-/// virtual pipeline without the functional replay.
+/// This is also what the benchmark's `serve-stream` and
+/// `serve-overload` workloads time: the whole virtual pipeline without
+/// the functional replay.
 ///
 /// # Panics
 ///

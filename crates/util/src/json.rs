@@ -123,14 +123,14 @@ impl Json {
     /// Parse a JSON document. Integers that fit `u64`/`i64` stay exact
     /// ([`Json::U64`]/[`Json::I64`]); everything else numeric becomes
     /// [`Json::F64`]. Trailing whitespace is allowed, trailing content is
-    /// an error.
+    /// an error, and so is nesting deeper than [`MAX_DEPTH`].
     ///
     /// # Errors
     ///
     /// Returns a [`JsonParseError`] with the failing byte offset on
     /// malformed input.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -207,9 +207,17 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an input file made of open brackets
+/// would otherwise overflow the stack; the writers in this workspace
+/// nest fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -251,8 +259,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")))
+            }
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -529,6 +544,22 @@ mod tests {
             let e = Json::parse(bad).expect_err(bad);
             assert!(!e.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_offending_byte() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(e.offset, MAX_DEPTH, "{e}");
+        assert!(e.message.contains("nested deeper"), "{e}");
+        // Objects count too, and closed siblings do not accumulate.
+        let mixed = "{\"k\":[".repeat(MAX_DEPTH / 2 + 1);
+        assert!(Json::parse(&mixed).expect_err("too deep").message.contains("nested deeper"));
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 4].join(","));
+        assert!(Json::parse(&wide).is_ok());
+        // Used to overflow the stack instead of returning.
+        assert!(Json::parse(&"[".repeat(50_000)).is_err());
     }
 
     #[test]

@@ -17,7 +17,6 @@
 #![warn(clippy::all)]
 
 pub mod args;
-pub mod bench;
 pub mod check;
 pub mod hash;
 pub mod hist;

@@ -130,9 +130,11 @@
 //! `--jobs`. Exact mode refuses more than 200 000 jobs and points
 //! here. The span buffer is always bounded (`--span-cap`, default
 //! 262144 events); overflow drops spans, counts them in the artifact's
-//! `spans_dropped`, and warns on stderr. Long runs print a stderr
-//! heartbeat every ~10% of jobs when stderr is a TTY; `--quiet`
-//! silences it. None of this changes artifact bytes.
+//! `spans_dropped`, and warns on stderr. Every run ends with one stderr
+//! line on the harness's own speed (`host: N jobs in X s (Y jobs/s), W
+//! windows flushed, S span events dropped`), and long runs print a
+//! stderr heartbeat every ~10% of jobs when stderr is a TTY; `--quiet`
+//! silences both. None of this changes artifact bytes or stdout.
 
 use gpstream_apps::fem;
 use gpstream_bench as fig;
@@ -569,9 +571,22 @@ fn serve_main(argv: &[String]) -> ! {
         }
         std::process::exit(0);
     }
+    // The harness's own speed, timed here because no library crate reads
+    // a clock, and said on stderr because no artifact may carry it.
+    let started = std::time::Instant::now();
     let Some(outcome) = gpstream_serve::run_service(&cfg) else {
         unknown_workload(&cfg.workload, &usage)
     };
+    if !quiet {
+        let secs = started.elapsed().as_secs_f64();
+        eprintln!(
+            "host: {} jobs in {secs:.3} s ({:.0} jobs/s), {} windows flushed, {} span events dropped",
+            cfg.jobs,
+            cfg.jobs as f64 / secs,
+            outcome.telemetry.series.windows_flushed,
+            outcome.telemetry.spans_dropped
+        );
+    }
     print!("{}", outcome.text);
     if outcome.telemetry.spans_dropped > 0 {
         eprintln!(

@@ -112,3 +112,31 @@ fn serve_artifact_is_byte_identical_across_runs() {
     let [a, b] = paths.map(|p| std::fs::read(p).expect("artifact written"));
     assert!(!a.is_empty() && a == b, "same config must write the same bytes");
 }
+
+/// The `host:` line explains the run's speed on stderr and nowhere else:
+/// stdout and every written artifact are the same bytes with `--quiet`.
+#[test]
+fn serve_host_line_is_stderr_only_and_quiet_silences_it() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let files = ["cli-host.json", "cli-host-trace.json", "cli-host.csv"].map(|f| dir.join(f));
+    let [out, trace, csv] = files.each_ref().map(|p| p.to_str().expect("utf-8 temp path"));
+    let run = |quiet: &[&str]| {
+        let argv = ["serve", "ldstcomp", "--jobs", "300", "--sketch"];
+        let outputs = ["--out", out, "--trace", trace, "--timeseries", csv];
+        let ran = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(argv)
+            .args(outputs)
+            .args(quiet)
+            .output()
+            .expect("spawn");
+        assert!(ran.status.success(), "{}", String::from_utf8_lossy(&ran.stderr));
+        let written = files.each_ref().map(|p| std::fs::read(p).expect("artifact written"));
+        (ran.stdout, written, String::from_utf8_lossy(&ran.stderr).into_owned())
+    };
+    let (stdout, written, stderr) = run(&[]);
+    let (quiet_stdout, quiet_written, quiet_stderr) = run(&["--quiet"]);
+    assert!(stderr.contains("host: 300 jobs in ") && stderr.contains(" windows flushed, 0 span"));
+    assert!(!quiet_stderr.contains("host:"), "{quiet_stderr}");
+    assert!(stdout == quiet_stdout && written == quiet_written, "--quiet moved output bytes");
+    assert!(written.iter().all(|w| !String::from_utf8_lossy(w).contains("host:")));
+}

@@ -477,9 +477,13 @@ pub struct ScheduledService {
 /// table, streaming every job through the aggregation plane: arrivals
 /// are drawn lazily, records retire into latency estimators, windowed
 /// metrics, SLO accounting and the bounded span buffer as they
-/// resolve. Memory is O(pending + open windows + span capacity +
-/// kept records) — in sketch mode that is independent of the job
-/// count.
+/// resolve. Memory is O(pending + latencies stamped into the open
+/// windows + span capacity + kept records): in sketch mode nothing
+/// else outlives a window — the run-wide state is a fixed set of
+/// sketches — so for a given window length it is independent of the
+/// job count. (The derived default cuts the trace into ~48 windows, so
+/// there an open window buffers about 1/48 of the run's completions,
+/// 24 bytes each: ~5 MB at 10⁷ jobs.)
 ///
 /// This is also what the benchmark's `serve-stream` and
 /// `serve-overload` workloads time: the whole virtual pipeline without

@@ -326,6 +326,31 @@ fn committed_latency_artifact_reproduces_byte_for_byte() {
 }
 
 #[test]
+fn committed_loaded_sketch_artifacts_reproduce_byte_for_byte() {
+    // The byte gate on the path the other baselines never reach: 2x
+    // capacity, so rejects, retries, full batches and promoted sketches
+    // in every distribution, over ~49 windows. Written by
+    //   figures serve mix --jobs 200000 --rate 37000 --sketch --slo \
+    //     --out profiles/serve/slo-mix-200k-2x-sketch.json \
+    //     --timeseries profiles/serve/timeseries-mix-200k-2x-sketch.csv
+    // and the same without `--slo` for the latency artifact.
+    let mut cfg = ServeConfig::new("mix");
+    (cfg.jobs, cfg.rate, cfg.sketch) = (200_000, 37_000.0, true);
+    let outcome = run_service(&cfg).expect("known workload");
+    assert!(outcome.stats.rejected > 0 && outcome.stats.retries > 0, "the run must shed load");
+    assert!(outcome.summary.queue.is_promoted() && outcome.summary.total.is_promoted());
+    for (file, regenerated) in [
+        ("latency-mix-200k-2x-sketch.json", &outcome.artifact),
+        ("slo-mix-200k-2x-sketch.json", &outcome.telemetry.slo_artifact),
+        ("timeseries-mix-200k-2x-sketch.csv", &outcome.telemetry.series.csv),
+    ] {
+        let path = format!("{}/../../profiles/serve/{file}", env!("CARGO_MANIFEST_DIR"));
+        let committed = std::fs::read_to_string(&path).expect("committed loaded-sketch baseline");
+        assert_eq!(*regenerated, committed, "{file} drifted from the committed baseline");
+    }
+}
+
+#[test]
 fn sketch_mode_is_byte_identical_and_bounded() {
     // The bounded-memory pipeline (sketch estimators, streaming
     // registry, sampled records) is held to the same determinism bar as

@@ -8,7 +8,9 @@
 //!
 //! * [`registry`] — a deterministic metrics registry: named counters,
 //!   gauges and exact [`gpstream_util::Histogram`]s, aggregated into
-//!   cycle-stamped tumbling windows. Per-window snapshots are *deltas*:
+//!   cycle-stamped tumbling windows — one dense ring of resident
+//!   windows, so a stamp is an index and an add (or a push onto the
+//!   window's raw sample buffer). Per-window snapshots are *deltas*:
 //!   summing a counter's windows reproduces its run total exactly, and
 //!   merging a histogram's windows reproduces the run-total histogram
 //!   byte-identically (property-tested, not assumed). Run totals are

@@ -4,10 +4,15 @@
 //! an exact [`Histogram`]) and then stamp every update with the virtual
 //! cycle it happened at. The registry buckets updates into tumbling
 //! windows of `window_cycles` each — window `k` covers cycles
-//! `[k * window_cycles, (k+1) * window_cycles)` — keyed by
-//! `cycle / window_cycles` in a `BTreeMap`, so out-of-order stamps (a
-//! batch whose completions land before an earlier batch's) file into the
-//! right window without any notion of "closing" windows in arrival order.
+//! `[k * window_cycles, (k+1) * window_cycles)`. Resident windows live in
+//! one dense ring that starts at the first window not yet evicted:
+//! a stamp indexes slot `cycle / window_cycles − evicted`, growing the
+//! ring on demand, so out-of-order stamps (a batch whose completions land
+//! before an earlier batch's) file into the right window in constant
+//! time, without any notion of "closing" windows in arrival order, and
+//! evicting the oldest window is a `pop_front`. A stamp behind the ring
+//! (a window already evicted) or more than [`MAX_RESIDENT_WINDOWS`] ahead
+//! of its start is a producer bug and panics.
 //!
 //! The contract that makes the time series trustworthy:
 //!
@@ -15,10 +20,12 @@
 //!   run total; summing the deltas over all windows must reproduce the
 //!   total exactly (asserted at the end of the one window walk every
 //!   export goes through, and by the crate's tests, not assumed).
-//! * **Histograms** store a per-window exact `Histogram` plus a
-//!   run-total [`Sketch`] fed by the same `record` calls — its exact
-//!   form by default ([`Telemetry::hist`]), bounded-memory log buckets
-//!   on request ([`Telemetry::hist_sketch`]). Folding the windows back
+//! * **Histograms** buffer each window's raw samples — a stamp is one
+//!   `Vec::push` — and build the window's exact [`Histogram`] once, from
+//!   the sorted buffer, when the window is evicted. The run total is a
+//!   [`Sketch`] fed by the same `observe` calls — its exact form by
+//!   default ([`Telemetry::hist`]), bounded-memory log buckets on
+//!   request ([`Telemetry::hist_sketch`]). Folding the evicted windows
 //!   into a fresh sketch of the same form must equal the total
 //!   byte-for-byte (a sketch is a pure function of its sample
 //!   multiset).
@@ -32,7 +39,12 @@
 //! counts.
 
 use gpstream_util::{Histogram, Json, Sketch};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
+
+/// Farthest a stamp may land ahead of the first resident window. The
+/// ring is dense, so this bounds what one wild stamp can allocate; it is
+/// the most windows the serving harness lets a whole run have.
+pub const MAX_RESIDENT_WINDOWS: u64 = 1 << 20;
 
 /// Handle to a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +62,6 @@ pub struct HistId(usize);
 struct Counter {
     name: String,
     total: u64,
-    windows: BTreeMap<u64, u64>,
     /// Sum of the window deltas already evicted.
     evicted: u64,
 }
@@ -58,8 +69,6 @@ struct Counter {
 #[derive(Debug, Clone, Default)]
 struct Gauge {
     name: String,
-    /// Per window: the `(cycle, value)` pair with the greatest stamp.
-    windows: BTreeMap<u64, (u64, u64)>,
     /// Level as of the last evicted window (carried across empty ones).
     level: u64,
 }
@@ -68,9 +77,30 @@ struct Gauge {
 struct Hist {
     name: String,
     total: Sketch,
-    windows: BTreeMap<u64, Histogram>,
-    /// Merge of the windows already evicted.
-    evicted: Histogram,
+    /// Merge of the windows already evicted, in `total`'s form — so in
+    /// sketch form it is as bounded as the total it is checked against.
+    evicted: Sketch,
+}
+
+/// One resident window: a slot per instrument, indexed like the
+/// registry's instrument lists. Slots appear when first stamped, so an
+/// untouched window (a gap the ring spans) owns no heap memory.
+#[derive(Debug, Clone, Default)]
+struct Window {
+    /// Counter deltas.
+    counters: Vec<u64>,
+    /// Per gauge, the `(cycle, value)` pair with the greatest stamp.
+    gauges: Vec<Option<(u64, u64)>>,
+    /// Per histogram, the raw samples in arrival order.
+    hists: Vec<Vec<u64>>,
+}
+
+/// Slot `i` of a window's per-instrument list, created on first touch.
+fn slot<T: Default>(slots: &mut Vec<T>, i: usize) -> &mut T {
+    if slots.len() <= i {
+        slots.resize_with(i + 1, T::default);
+    }
+    &mut slots[i]
 }
 
 /// A windowed metrics registry stamped in virtual cycles.
@@ -82,6 +112,9 @@ pub struct Telemetry {
     hists: Vec<Hist>,
     /// First window not yet evicted; every window below it is gone.
     evicted: u64,
+    /// Resident windows, dense: `ring[i]` is window `evicted + i`, and
+    /// the last one is the farthest any stamp has reached.
+    ring: VecDeque<Window>,
 }
 
 impl Telemetry {
@@ -99,6 +132,7 @@ impl Telemetry {
             gauges: Vec::new(),
             hists: Vec::new(),
             evicted: 0,
+            ring: VecDeque::new(),
         }
     }
 
@@ -140,53 +174,77 @@ impl Telemetry {
 
     /// Register a histogram whose run total is a bounded-memory
     /// [`Sketch`] with relative-error bound `gamma`. Per-window
-    /// histograms stay exact either way — a window holds few distinct
-    /// values and is evicted as it closes, so the run total is the only
-    /// O(run-length) state worth bounding.
+    /// histograms stay exact either way — a window's samples are
+    /// dropped as it is evicted — so what persists across the run is
+    /// two sketches per instrument (the total and the merge of the
+    /// evicted windows it is checked against), independent of run
+    /// length.
     pub fn hist_sketch(&mut self, name: &str, gamma: f64) -> HistId {
         self.hist_with(name, Sketch::new(gamma))
     }
 
     fn hist_with(&mut self, name: &str, total: Sketch) -> HistId {
         self.assert_fresh(name);
-        self.hists.push(Hist {
-            name: name.to_string(),
-            total,
-            windows: BTreeMap::new(),
-            evicted: Histogram::new(),
-        });
+        let evicted = total.fresh_like();
+        self.hists.push(Hist { name: name.to_string(), total, evicted });
         HistId(self.hists.len() - 1)
     }
 
-    fn window_of(&self, cycle: u64) -> u64 {
-        cycle / self.window_cycles
+    /// The resident window `cycle` falls in, growing the ring to reach it.
+    fn window_at(&mut self, cycle: u64) -> &mut Window {
+        let w = cycle / self.window_cycles;
+        let Some(ahead) = w.checked_sub(self.evicted) else {
+            panic!(
+                "stamp at cycle {cycle} lands in flushed window {w} (watermark {})",
+                self.evicted
+            );
+        };
+        assert!(
+            ahead <= MAX_RESIDENT_WINDOWS,
+            "stamp at cycle {cycle} lands {ahead} windows ahead of the first resident one \
+             (at most {MAX_RESIDENT_WINDOWS})"
+        );
+        #[allow(clippy::cast_possible_truncation)] // <= 2^20
+        let ahead = ahead as usize;
+        if ahead >= self.ring.len() {
+            self.ring.resize_with(ahead + 1, Window::default);
+        }
+        &mut self.ring[ahead]
     }
 
     /// Add `delta` to a counter at virtual cycle `cycle`.
+    ///
+    /// # Panics
+    ///
+    /// Like every stamp: panics if `cycle` falls in an already-evicted
+    /// window or more than [`MAX_RESIDENT_WINDOWS`] ahead of the first
+    /// resident one.
     pub fn add(&mut self, id: CounterId, cycle: u64, delta: u64) {
-        let w = self.window_of(cycle);
-        let c = &mut self.counters[id.0];
-        c.total += delta;
-        *c.windows.entry(w).or_insert(0) += delta;
+        self.counters[id.0].total += delta;
+        *slot(&mut self.window_at(cycle).counters, id.0) += delta;
     }
 
     /// Set a gauge to `value` at virtual cycle `cycle`. Within a window
     /// the greatest stamp wins; an equal stamp lets the later write win.
+    ///
+    /// # Panics
+    ///
+    /// On a stamp outside the resident range, as [`Self::add`].
     pub fn set(&mut self, id: GaugeId, cycle: u64, value: u64) {
-        let w = self.window_of(cycle);
-        let g = &mut self.gauges[id.0];
-        let slot = g.windows.entry(w).or_insert((cycle, value));
-        if cycle >= slot.0 {
-            *slot = (cycle, value);
+        let held = slot(&mut self.window_at(cycle).gauges, id.0);
+        if held.is_none_or(|(stamp, _)| cycle >= stamp) {
+            *held = Some((cycle, value));
         }
     }
 
     /// Record `value` into a histogram at virtual cycle `cycle`.
+    ///
+    /// # Panics
+    ///
+    /// On a stamp outside the resident range, as [`Self::add`].
     pub fn observe(&mut self, id: HistId, cycle: u64, value: u64) {
-        let w = self.window_of(cycle);
-        let h = &mut self.hists[id.0];
-        h.total.record(value);
-        h.windows.entry(w).or_default().record(value);
+        self.hists[id.0].total.record(value);
+        slot(&mut self.window_at(cycle).hists, id.0).push(value);
     }
 
     /// Materialize the dense time series: one snapshot per window from 0
@@ -228,45 +286,39 @@ impl Telemetry {
         )
     }
 
-    /// Last window index any instrument still holds.
-    pub(crate) fn last_active_window(&self) -> Option<u64> {
-        self.counters
-            .iter()
-            .filter_map(|c| c.windows.keys().next_back())
-            .chain(self.gauges.iter().filter_map(|g| g.windows.keys().next_back()))
-            .chain(self.hists.iter().filter_map(|h| h.windows.keys().next_back()))
-            .copied()
-            .max()
-    }
-
     /// Windows evicted so far: the walk is dense from window 0, so this
     /// is also the first window still resident.
     pub(crate) fn evicted(&self) -> u64 {
         self.evicted
     }
 
-    /// The one window walk: remove the next window from every
-    /// instrument and return its snapshot — counter deltas, gauge
-    /// levels carried forward across empty windows, the window's
-    /// histograms — folding what leaves into the per-instrument sums
+    /// The one window walk: pop the next window off the ring and return
+    /// its snapshot — counter deltas, gauge levels carried forward
+    /// across empty windows, the window's histograms built from their
+    /// sample buffers — folding what leaves into the per-instrument sums
     /// [`Self::assert_conserved`] checks against the run totals.
     pub(crate) fn evict_next(&mut self) -> WindowSnapshot {
         let w = self.evicted;
         self.evicted += 1;
+        let Window { counters, gauges, hists } = self.ring.pop_front().unwrap_or_default();
+        // A window lists only the instruments stamped in it.
+        let mut deltas = counters.into_iter();
+        let mut levels = gauges.into_iter();
+        let mut samples = hists.into_iter();
         let evict_counter = |c: &mut Counter| {
-            let delta = c.windows.remove(&w).unwrap_or(0);
+            let delta = deltas.next().unwrap_or(0);
             c.evicted += delta;
             delta
         };
         let evict_gauge = |g: &mut Gauge| {
-            if let Some((_, v)) = g.windows.remove(&w) {
+            if let Some((_, v)) = levels.next().flatten() {
                 g.level = v;
             }
             g.level
         };
         let evict_hist = |h: &mut Hist| {
-            let window = h.windows.remove(&w).unwrap_or_default();
-            h.evicted.merge(&window);
+            let window = Histogram::from_samples(samples.next().unwrap_or_default());
+            h.evicted.merge_hist(&window);
             window
         };
         WindowSnapshot {
@@ -279,10 +331,17 @@ impl Telemetry {
         }
     }
 
+    /// [`Self::evict_next`] if the next window ends at or before cycle
+    /// `now` — the streaming watermark test, one multiplication.
+    pub(crate) fn evict_closed(&mut self, now: u64) -> Option<WindowSnapshot> {
+        let end = (self.evicted + 1).checked_mul(self.window_cycles)?;
+        (end <= now).then(|| self.evict_next())
+    }
+
     /// How many more [`Self::evict_next`] calls drain the registry:
-    /// dense through the last window any instrument still holds.
+    /// dense through the last window any stamp reached.
     pub(crate) fn resident_windows(&self) -> u64 {
-        self.last_active_window().map_or(0, |last| (last + 1).saturating_sub(self.evicted))
+        self.ring.len() as u64
     }
 
     /// The conservation checks over a drained registry.
@@ -301,9 +360,7 @@ impl Telemetry {
             );
         }
         for h in &self.hists {
-            let mut re = h.total.fresh_like();
-            re.merge_hist(&h.evicted);
-            assert_eq!(re, h.total, "hist {} windows must re-merge to run total", h.name);
+            assert_eq!(h.evicted, h.total, "hist {} windows must re-merge to run total", h.name);
         }
     }
 
@@ -612,6 +669,27 @@ mod tests {
             assert_eq!(s.counter_totals[0], expect.count());
             assert_eq!(s.to_json().to_doc_string(), t.series().to_json().to_doc_string());
         });
+    }
+
+    #[test]
+    fn evicted_accumulator_takes_the_form_of_the_total() {
+        // What a streamed run keeps per histogram once its windows are
+        // gone: in sketch form that must be buckets, not one entry per
+        // distinct latency ever flushed (an exact accumulator grew to
+        // 154 MB over 10^7 loaded jobs).
+        for sketch in [true, false] {
+            let mut t = Telemetry::new(100);
+            let h = if sketch { t.hist_sketch("lat", 0.01) } else { t.hist("lat") };
+            for i in 0..3 * gpstream_util::sketch::EXACT_DISTINCT_CAP as u64 {
+                t.observe(h, i, 1_000 + 17 * i); // every value distinct, 100 to a window
+            }
+            (0..t.resident_windows()).for_each(|_| drop(t.evict_next()));
+            t.assert_conserved();
+            let Hist { evicted, total, .. } = &t.hists[0];
+            assert_eq!(evicted, total);
+            assert_eq!(evicted.is_promoted(), sketch);
+            assert_eq!(evicted.kind(), if sketch { "sketch" } else { "exact" });
+        }
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! re-exposes its stamping surface. The producer additionally calls
 //! [`StreamingTelemetry::advance`] with its event-loop clock; any
 //! window that ends at or before that watermark can never be stamped
-//! again (the producer promises all future stamps are `>= now`, which
-//! the wrapper enforces by panicking on a stamp into a flushed window),
-//! so it is finalized: evicted from the registry's maps, appended to
-//! the CSV/JSON exports, and handed to an optional on-finalize sink.
+//! again (the producer promises all future stamps are `>= now`; a stamp
+//! into a flushed window falls off the front of the registry's window
+//! ring and panics there), so it is finalized: popped off the ring — its
+//! buffered samples sorted into the window's histograms on the way out —
+//! appended to the CSV/JSON exports, and handed to an optional
+//! on-finalize sink.
 //!
 //! The exports are built with the exact same helpers as
 //! [`TimeSeries::to_csv`]/[`TimeSeries::to_json`], and the window walk
@@ -56,7 +58,7 @@ impl StreamingTelemetry {
     #[must_use]
     pub fn new(tel: Telemetry) -> Self {
         assert!(
-            tel.last_active_window().is_none(),
+            tel.resident_windows() == 0,
             "wrap the registry before stamping: already-filed windows cannot be streamed"
         );
         let (counter_names, gauge_names, hist_names) = tel.instrument_names();
@@ -75,22 +77,12 @@ impl StreamingTelemetry {
         self.tel.evicted()
     }
 
-    fn assert_open(&self, cycle: u64) {
-        let w = cycle / self.tel.window_cycles();
-        assert!(
-            w >= self.tel.evicted(),
-            "stamp at cycle {cycle} lands in flushed window {w} (watermark {})",
-            self.tel.evicted()
-        );
-    }
-
     /// Add `delta` to a counter at virtual cycle `cycle`.
     ///
     /// # Panics
     ///
     /// Panics if `cycle` falls in an already-flushed window.
     pub fn add(&mut self, id: CounterId, cycle: u64, delta: u64) {
-        self.assert_open(cycle);
         self.tel.add(id, cycle, delta);
     }
 
@@ -100,7 +92,6 @@ impl StreamingTelemetry {
     ///
     /// Panics if `cycle` falls in an already-flushed window.
     pub fn set(&mut self, id: GaugeId, cycle: u64, value: u64) {
-        self.assert_open(cycle);
         self.tel.set(id, cycle, value);
     }
 
@@ -110,7 +101,6 @@ impl StreamingTelemetry {
     ///
     /// Panics if `cycle` falls in an already-flushed window.
     pub fn observe(&mut self, id: HistId, cycle: u64, value: u64) {
-        self.assert_open(cycle);
         self.tel.observe(id, cycle, value);
     }
 
@@ -131,9 +121,7 @@ impl StreamingTelemetry {
     /// when every future stamp is `>= now` — which an event-driven
     /// producer processing events in time order gets for free.
     pub fn advance(&mut self, now: u64) {
-        let open = now / self.tel.window_cycles();
-        while self.tel.evicted() < open {
-            let snap = self.tel.evict_next();
+        while let Some(snap) = self.tel.evict_closed(now) {
             self.export(&snap);
         }
     }
@@ -220,6 +208,7 @@ pub struct StreamedSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::MAX_RESIDENT_WINDOWS;
     use gpstream_util::check::run_cases;
     use gpstream_util::Rng64;
     use std::cell::RefCell;
@@ -236,8 +225,10 @@ mod tests {
 
     /// Random stamp stream delivered in event-time order, as a
     /// discrete-event producer would: the watermark advances between
-    /// stamps, and some stamps land *ahead* of the watermark (a
-    /// completion filed at its future finish cycle).
+    /// some stamps (not all — several windows can close at once), and
+    /// stamps land at or *ahead* of it, out of order among themselves (a
+    /// completion filed at its future finish cycle), now and then
+    /// hundreds of windows ahead, so the ring spans long untouched gaps.
     fn random_run(rng: &mut Rng64, sketch: bool) -> (StreamedSeries, crate::TimeSeries) {
         let window = 1 + rng.below(500);
         let n = rng.range_usize_inclusive(0, 600);
@@ -250,8 +241,11 @@ mod tests {
         let mut mirror = mirror;
 
         for &now in &nows {
-            stream.advance(now);
-            let ahead = now + rng.below(4 * window + 1); // stamp at or after `now`
+            if rng.bool() {
+                stream.advance(now);
+            }
+            let reach = if rng.below(64) == 0 { window << 10 } else { 4 * window };
+            let ahead = now + rng.below(reach + 1); // stamp at or after `now`
             let v = rng.below(10_000);
             match rng.below(4) {
                 0 => {
@@ -315,7 +309,7 @@ mod tests {
         // open window is 99, so 0..=98 are gone from the registry and
         // only the open window remains resident.
         assert_eq!(stream.windows_flushed(), 99);
-        assert_eq!(stream.tel.last_active_window(), Some(99));
+        assert_eq!(stream.tel.resident_windows(), 1);
         let streamed = stream.finish();
         assert_eq!(streamed.windows_flushed, 100);
         assert_eq!(seen.borrow().as_slice(), (0..100).collect::<Vec<u64>>().as_slice());
@@ -330,6 +324,30 @@ mod tests {
         stream.add(c, 5, 1);
         stream.advance(50);
         stream.add(c, 15, 1); // window 1 was flushed at watermark 50
+    }
+
+    /// A watermark at window 5, so the residency limit is seen to count
+    /// from the first resident window, not from window 0.
+    fn advanced_to_window_5() -> (StreamingTelemetry, CounterId) {
+        let (tel, c, ..) = registered(10, false);
+        let mut stream = StreamingTelemetry::new(tel);
+        stream.advance(50);
+        assert_eq!(stream.windows_flushed(), 5);
+        (stream, c)
+    }
+
+    #[test]
+    fn a_stamp_at_the_residency_limit_is_filed() {
+        let (mut stream, c) = advanced_to_window_5();
+        stream.add(c, (5 + MAX_RESIDENT_WINDOWS) * 10, 1);
+        assert_eq!(stream.tel.resident_windows(), MAX_RESIDENT_WINDOWS + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "windows ahead of the first resident one")]
+    fn a_stamp_past_the_residency_limit_panics_instead_of_allocating() {
+        let (mut stream, c) = advanced_to_window_5();
+        stream.add(c, (5 + MAX_RESIDENT_WINDOWS + 1) * 10, 1);
     }
 
     #[test]

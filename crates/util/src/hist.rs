@@ -28,6 +28,19 @@ impl Histogram {
         Self::default()
     }
 
+    /// The histogram of `samples`: one sort and one bulk build from the
+    /// sorted runs, for a producer that buffered raw samples (a
+    /// telemetry window) and needs the order statistics once.
+    #[must_use]
+    pub fn from_samples(mut samples: Vec<u64>) -> Self {
+        samples.sort_unstable();
+        Self {
+            counts: samples.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u64)).collect(),
+            count: samples.len() as u64,
+            sum: samples.iter().map(|&v| u128::from(v)).sum(),
+        }
+    }
+
     /// Record one sample.
     pub fn record(&mut self, value: u64) {
         *self.counts.entry(value).or_insert(0) += 1;
@@ -221,6 +234,18 @@ mod tests {
             let sum: u128 = raw.iter().map(|&v| u128::from(v)).sum();
             let mean = sum as f64 / n as f64;
             assert!((h.mean() - mean).abs() <= mean.abs() * 1e-12 + 1e-9);
+        });
+    }
+
+    #[test]
+    fn from_samples_equals_recording_one_by_one() {
+        run_cases("hist-from-samples", 0x6a79_2005, 64, |rng| {
+            let bound = *[3u64, 1000, u64::MAX].get(rng.below_usize(3)).unwrap();
+            let samples: Vec<u64> =
+                (0..rng.range_usize_inclusive(0, 300)).map(|_| rng.below(bound)).collect();
+            let mut recorded = Histogram::new();
+            samples.iter().for_each(|&v| recorded.record(v));
+            assert_eq!(Histogram::from_samples(samples), recorded);
         });
     }
 

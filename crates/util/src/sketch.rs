@@ -29,6 +29,16 @@
 //! second type: [`Sketch::exact`] builds the form whose promotion
 //! threshold is unreachable. The serving report switches estimators per
 //! run by picking a constructor; every line of artifact code is shared.
+//!
+//! Recording is the serving plane's hottest operation (nine per job), so
+//! the key → count store is flat where keys are small: keys below
+//! [`FLAT_KEYS`] index a lazily grown `Vec<u64>`, which covers every
+//! bucket index of the default γ = 0.01 geometry for any `u64` (at most
+//! 58 octaves × 64 sub-buckets + 63 = 3 775), so a promoted sketch
+//! records with one shift, one bounds check and one add. Larger keys —
+//! raw values before promotion, bucket indices of tiny-γ geometries —
+//! stay in a `BTreeMap`, so memory is bounded by the distinct keys seen,
+//! never by their magnitude.
 
 use crate::{Histogram, Json};
 use std::collections::BTreeMap;
@@ -36,6 +46,49 @@ use std::collections::BTreeMap;
 /// Distinct-value cap of the exact low-count path; one more distinct
 /// value promotes the sketch to log buckets.
 pub const EXACT_DISTINCT_CAP: usize = 2048;
+
+/// Keys below this are counted in the store's flat array; 2^13 covers
+/// every bucket index at [`DEFAULT_GAMMA`] for any `u64` sample.
+const FLAT_KEYS: u64 = 1 << 13;
+
+/// The key → occurrences store of a [`Sketch`], iterated in ascending
+/// key order: flat below [`FLAT_KEYS`], a map above.
+///
+/// Counts only ever grow and `flat` is grown to exactly the largest
+/// small key seen, so `flat` never ends in a zero and no map entry is
+/// zero: the representation is a pure function of the counted multiset,
+/// which is what lets `Eq` be derived.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Counts {
+    flat: Vec<u64>,
+    sparse: BTreeMap<u64, u64>,
+    /// Keys with a nonzero count (the promotion test reads it per record).
+    distinct: usize,
+}
+
+impl Counts {
+    /// Count `n > 0` more occurrences of `key`.
+    fn add(&mut self, key: u64, n: u64) {
+        let slot = if key < FLAT_KEYS {
+            #[allow(clippy::cast_possible_truncation)] // < 2^13
+            let k = key as usize;
+            if k >= self.flat.len() {
+                self.flat.resize(k + 1, 0);
+            }
+            &mut self.flat[k]
+        } else {
+            self.sparse.entry(key).or_insert(0)
+        };
+        self.distinct += usize::from(*slot == 0);
+        *slot += n;
+    }
+
+    /// `(key, occurrences)` pairs in ascending key order.
+    fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let flat = self.flat.iter().enumerate().filter(|&(_, &n)| n > 0);
+        flat.map(|(k, &n)| (k as u64, n)).chain(self.sparse.iter().map(|(&k, &n)| (k, n)))
+    }
+}
 
 /// Default relative-error target for sketch quantiles (the serving
 /// harness's `--sketch` mode). The realized bound is the next power of
@@ -55,7 +108,7 @@ pub struct Sketch {
     /// `false`: `counts` keys are raw values (exact). `true`: keys are
     /// bucket indices.
     promoted: bool,
-    counts: BTreeMap<u64, u64>,
+    counts: Counts,
     count: u64,
     sum: u128,
     /// Exact extremes (valid when `count > 0`); quantile answers are
@@ -104,7 +157,7 @@ impl Sketch {
             sub_bits,
             promote_after,
             promoted: false,
-            counts: BTreeMap::new(),
+            counts: Counts::default(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -223,11 +276,9 @@ impl Sketch {
 
     fn promote(&mut self) {
         debug_assert!(!self.promoted);
-        let mut buckets = BTreeMap::new();
-        for (&v, &n) in &self.counts {
-            *buckets.entry(self.bucket_of(v)).or_insert(0) += n;
+        for (v, n) in std::mem::take(&mut self.counts).iter() {
+            self.counts.add(self.bucket_of(v), n);
         }
-        self.counts = buckets;
         self.promoted = true;
     }
 
@@ -241,8 +292,8 @@ impl Sketch {
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         let key = if self.promoted { self.bucket_of(value) } else { value };
-        *self.counts.entry(key).or_insert(0) += n;
-        if !self.promoted && self.counts.len() > self.promote_after {
+        self.counts.add(key, n);
+        if !self.promoted && self.counts.distinct > self.promote_after {
             self.promote();
         }
     }
@@ -273,15 +324,15 @@ impl Sketch {
         if other.promoted && !self.promoted {
             self.promote();
         }
-        for (&k, &n) in &other.counts {
+        for (k, n) in other.counts.iter() {
             let key = if self.promoted && !other.promoted { self.bucket_of(k) } else { k };
-            *self.counts.entry(key).or_insert(0) += n;
+            self.counts.add(key, n);
         }
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        if !self.promoted && self.counts.len() > self.promote_after {
+        if !self.promoted && self.counts.distinct > self.promote_after {
             self.promote();
         }
     }
@@ -309,7 +360,7 @@ impl Sketch {
         #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (&key, &n) in &self.counts {
+        for (key, n) in self.counts.iter() {
             seen += n;
             if seen >= rank {
                 let v = if self.promoted { self.representative(key) } else { key };
@@ -503,6 +554,61 @@ mod tests {
             assert_eq!(left, right, "merge grouping must not change the state");
             assert_eq!(left, pooled, "merged shards must equal pooled recording");
             assert_eq!(left.summary_json().to_string(), pooled.summary_json().to_string());
+        });
+    }
+
+    #[test]
+    fn state_is_a_pure_function_of_the_multiset_in_every_geometry() {
+        // The same multiset, recorded whole and recorded shuffled across
+        // 1..=8 shards merged in a random grouping — so shards promote at
+        // different points, or never — with keys on both sides of the
+        // flat/map boundary, in geometries whose bucket indices fit the
+        // flat array (0.25, 0.01) and ones whose do not.
+        const GAMMAS: [f64; 5] =
+            [0.25, 0.01, 0.001, 1.0 / (1u64 << 20) as f64, 1.0 / (1u64 << 32) as f64];
+        run_cases("sketch-multiset-purity", 0x6a79_2005, 60, |rng: &mut Rng64| {
+            let gamma = GAMMAS[rng.below_usize(GAMMAS.len())];
+            let n = *[300usize, EXACT_DISTINCT_CAP, 4 * EXACT_DISTINCT_CAP]
+                .get(rng.below_usize(3))
+                .unwrap();
+            let mut values: Vec<u64> = (0..rng.range_usize_inclusive(1, n))
+                .map(|_| match rng.below(4) {
+                    0 => rng.below(2 * FLAT_KEYS),
+                    1 => FLAT_KEYS - 4 + rng.below(8),
+                    2 => (1 << 40) + rng.below(1 << 20),
+                    _ => rng.next_u64(),
+                })
+                .collect();
+            let mut pooled = Sketch::new(gamma);
+            values.iter().for_each(|&v| pooled.record(v));
+
+            rng.shuffle(&mut values);
+            let mut shards = vec![Sketch::new(gamma); rng.range_usize_inclusive(1, 8)];
+            for &v in &values {
+                let shard = rng.below_usize(shards.len());
+                shards[shard].record(v);
+            }
+            while shards.len() > 1 {
+                let from = shards.swap_remove(rng.below_usize(shards.len()));
+                let into = rng.below_usize(shards.len());
+                shards[into].merge(&from);
+            }
+            let merged = &shards[0];
+
+            assert_eq!(*merged, pooled, "gamma {gamma}: grouping or order changed the state");
+            assert_eq!(merged.summary_json().to_string(), pooled.summary_json().to_string());
+            for q in [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+                assert_eq!(merged.quantile_with_bound(q), pooled.quantile_with_bound(q), "q={q}");
+            }
+            // The store's own invariants: small keys only in the flat
+            // array (a 2^-32 sketch of values near 2^40 has bucket indices
+            // near 2^36 — sized by value it would be a 512 GB array),
+            // never a trailing zero, and a true distinct count.
+            let store = &merged.counts;
+            assert!(store.flat.len() as u64 <= FLAT_KEYS);
+            assert_ne!(store.flat.last(), Some(&0));
+            assert!(store.sparse.iter().all(|(&k, &n)| k >= FLAT_KEYS && n > 0));
+            assert_eq!(store.distinct, store.iter().count());
         });
     }
 

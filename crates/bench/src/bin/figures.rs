@@ -64,6 +64,11 @@
 //! `profile`, `analyze` and `scale` run the timing pass in the
 //! event-driven step mode: every artifact is byte-identical to the
 //! cycle-stepped reference (the differential suite asserts it).
+//! `profile` also says how the event engine retired the run's bulk
+//! work in one stderr line (`engine: copy N elems … [replayed a%/b%
+//! in-order c%/d% exact e%/f%]; loop …; exact by reason: …` — share of
+//! items / share of cycles per route); it is never in stdout or an
+//! artifact.
 //!
 //! `analyze WORKLOAD` runs one catalog workload with task logging on
 //! and prints the critical-path report: per-segment cycle attribution
@@ -313,6 +318,7 @@ fn profile_main(argv: &[String]) -> ! {
     print!("{}", out.perf_stat);
     println!();
     print!("{}", out.topdown);
+    eprintln!("engine: {}", out.engine);
 
     if let Some(dir) = &out_dir {
         let dir = std::path::Path::new(dir);

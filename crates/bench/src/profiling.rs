@@ -6,11 +6,12 @@
 use gpstream_compiler::{compile, CompilerOptions};
 use gpstream_core::exec::native::NativeExecutor;
 use gpstream_core::exec::sim::{SimExecutor, DEFAULT_SAMPLE_INTERVAL};
-use gpstream_machine::MachineConfig;
+use gpstream_machine::{EngineStats, MachineConfig};
 use gpstream_profile::{report, topdown, CounterSet};
 use gpstream_tune::workloads;
 
-/// Every deterministic artifact of one profiled run.
+/// Every deterministic artifact of one profiled run, plus the engine's
+/// account of how it simulated it.
 pub struct ProfileOutputs {
     /// Workload name (catalog id).
     pub workload: String,
@@ -32,6 +33,9 @@ pub struct ProfileOutputs {
     pub telemetry_csv: String,
     /// The whole profile as one JSON document.
     pub json: String,
+    /// How the engine retired the run's bulk work: host-side, depends
+    /// on the step mode, part of no artifact.
+    pub engine: EngineStats,
 }
 
 /// Profile one catalog workload (see
@@ -69,6 +73,7 @@ pub fn profile_workload(
         .with_sample_interval(interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL))
         .run(&compiled.schedule, &compiled.graph, &mut world);
     assert!(wl.matches_oracle(&world), "profiled run must reproduce the oracle");
+    let engine = sim_report.engine_stats();
     let prof = sim_report.profile.expect("profiling was enabled");
     let counters = CounterSet::from(&sim_report.timing);
     let tree = topdown::topdown(
@@ -94,6 +99,7 @@ pub fn profile_workload(
         telemetry_csv,
         json: report::profile_json(name, &counters, &tree, &prof).to_doc_string(),
         counters,
+        engine,
     })
 }
 

@@ -140,3 +140,18 @@ fn serve_host_line_is_stderr_only_and_quiet_silences_it() {
     assert!(stdout == quiet_stdout && written == quiet_written, "--quiet moved output bytes");
     assert!(written.iter().all(|w| !String::from_utf8_lossy(w).contains("host:")));
 }
+
+/// `profile` accounts for the engine's routes on stderr and nowhere
+/// else: stdout carries the reports only.
+#[test]
+fn profile_engine_line_is_stderr_only() {
+    let ran = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["profile", "ldstcomp"])
+        .output()
+        .expect("spawn");
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&ran.stdout), String::from_utf8_lossy(&ran.stderr));
+    assert!(ran.status.success(), "{stderr}");
+    assert!(stderr.contains("engine: copy ") && stderr.contains("exact by reason:"), "{stderr}");
+    assert!(stdout.contains("ldstcomp") && !stdout.contains("engine:"), "{stdout}");
+}

@@ -26,8 +26,8 @@ use crate::trace::{ExecEvent, ExecEventKind};
 use crate::world::World;
 use gpstream_machine::ops::{AccessPattern, BulkOp, CopyDir, OpClass, Rw, WaitPolicy};
 use gpstream_machine::{
-    ContextProgram, CounterSample, Machine, MachineConfig, MachineEventKind, MemStats, RunResult,
-    StepMode, TaskNode,
+    ContextProgram, CounterSample, EngineStats, Machine, MachineConfig, MachineEventKind, MemStats,
+    RunResult, StepMode, TaskNode,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -40,7 +40,7 @@ pub const COMPUTE_CTX: usize = 0;
 pub const MEMORY_CTX: usize = 1;
 
 /// Report from a simulated run.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SimReport {
     /// Timing result from the machine model.
     pub timing: RunResult,
@@ -65,6 +65,33 @@ pub struct SimReport {
     /// overflowed). A nonzero count means `trace` is truncated —
     /// consumers must surface it, not silently render a partial trace.
     pub trace_dropped: u64,
+    /// See [`SimReport::engine_stats`].
+    engine: EngineStats,
+}
+
+impl SimReport {
+    /// How the engine retired the measured iteration's bulk work (fast
+    /// routes versus the exact path, and why). Host-side: it describes
+    /// the simulator, differs between step modes by design, and is
+    /// therefore left out of the report's `Debug` text — the text the
+    /// step-mode identity tests compare.
+    #[must_use]
+    pub fn engine_stats(&self) -> EngineStats {
+        self.engine
+    }
+}
+
+impl std::fmt::Debug for SimReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SimReport")
+            .field("timing", &self.timing)
+            .field("tasks", &self.tasks)
+            .field("trace", &self.trace)
+            .field("profile", &self.profile)
+            .field("task_runs", &self.task_runs)
+            .field("trace_dropped", &self.trace_dropped)
+            .finish()
+    }
 }
 
 /// Start/end cycles and induced-edge record of one executed task,
@@ -494,7 +521,15 @@ impl SimExecutor {
                 })
                 .collect()
         });
-        SimReport { timing, tasks: snap.task_ids.len(), trace, profile, task_runs, trace_dropped }
+        SimReport {
+            timing,
+            tasks: snap.task_ids.len(),
+            trace,
+            profile,
+            task_runs,
+            trace_dropped,
+            engine: machine.engine_stats(),
+        }
     }
 
     /// Lower the whole schedule onto one context in task order (the

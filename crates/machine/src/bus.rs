@@ -24,6 +24,10 @@ pub struct Bus {
     bytes_per_cycle: f64,
     lead_lat: u64,
     turnaround: u64,
+    /// `(bytes, occupancy)` of the last transfer: nearly every request
+    /// moves one cache line, so the `f64` division runs once per size
+    /// change, not once per transfer.
+    last_size: (u64, u64),
     next_free: u64,
     last_requester: Option<u8>,
     busy_cycles: u64,
@@ -48,6 +52,7 @@ impl Bus {
             bytes_per_cycle,
             lead_lat,
             turnaround,
+            last_size: (0, 0),
             next_free: 0,
             last_requester: None,
             busy_cycles: 0,
@@ -62,7 +67,10 @@ impl Bus {
     /// per-transaction interleaving is modeled by charging the turnaround
     /// on every contended transfer rather than only on observed switches.
     pub fn request(&mut self, at: u64, bytes: u64, who: u8, contended: bool) -> Transfer {
-        let mut occupancy = (bytes as f64 / self.bytes_per_cycle).ceil() as u64;
+        if self.last_size.0 != bytes {
+            self.last_size = (bytes, (bytes as f64 / self.bytes_per_cycle).ceil() as u64);
+        }
+        let mut occupancy = self.last_size.1;
         if contended || self.last_requester.is_some_and(|w| w != who) {
             occupancy += self.turnaround;
         }

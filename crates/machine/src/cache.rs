@@ -10,6 +10,14 @@
 //! fills use ordinary LRU over all ways and therefore *can* evict the SRF —
 //! which is exactly the behaviour the paper's non-temporal hints exist to
 //! prevent.
+//!
+//! Line size and set count are powers of two ([`CacheGeometry::sets`]
+//! asserts it), so a reference is indexed by shift and mask — no
+//! division on any path. Besides the per-reference [`Cache::access`],
+//! the event engine uses two hit-only entry points that leave the cache
+//! in exactly the state the same `access` calls would: the arithmetic
+//! [`Cache::touch_cycle`] for cyclic same-line replays, and
+//! [`Cache::slot_of`] + [`Cache::hit`] for in-order runs of proven hits.
 
 use crate::config::CacheGeometry;
 use std::ops::Range;
@@ -50,7 +58,12 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     geom: CacheGeometry,
-    sets: u64,
+    /// `log2(line)`.
+    line_shift: u32,
+    /// `sets - 1`.
+    set_mask: u64,
+    /// `log2(sets)`.
+    sets_shift: u32,
     nt_ways: u64,
     lines: Vec<Line>,
     clock: u64,
@@ -73,7 +86,9 @@ impl Cache {
         assert!(nt_ways < geom.ways, "must leave at least one normal way");
         Cache {
             geom,
-            sets,
+            line_shift: geom.line.trailing_zeros(),
+            set_mask: sets - 1,
+            sets_shift: sets.trailing_zeros(),
             nt_ways,
             lines: vec![Line::default(); (sets * geom.ways) as usize],
             clock: 0,
@@ -102,15 +117,14 @@ impl Cache {
         self.geom
     }
 
+    #[inline]
     fn index_of(&self, addr: u64) -> (u64, u64) {
-        let line_addr = addr / self.geom.line;
-        let set = line_addr % self.sets;
-        let tag = line_addr / self.sets;
-        (set, tag)
+        let line_addr = addr >> self.line_shift;
+        (line_addr & self.set_mask, line_addr >> self.sets_shift)
     }
 
     fn line_base(&self, set: u64, tag: u64) -> u64 {
-        (tag * self.sets + set) * self.geom.line
+        ((tag << self.sets_shift) | set) << self.line_shift
     }
 
     fn in_srf(&self, addr: u64) -> bool {
@@ -120,20 +134,16 @@ impl Cache {
     /// Reference the line containing `addr`. `write` marks the line dirty on
     /// hit or after fill. `policy` governs allocation on a miss.
     pub fn access(&mut self, addr: u64, write: bool, policy: FillPolicy) -> AccessOutcome {
-        self.clock += 1;
-        let (set, tag) = self.index_of(addr);
-        let base = (set * self.geom.ways) as usize;
-        let ways = self.geom.ways as usize;
-        let set_lines = &mut self.lines[base..base + ways];
-
-        if let Some(line) = set_lines.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.stamp = self.clock;
-            line.dirty |= write;
-            self.hits += 1;
+        if let Some(slot) = self.slot_of(addr) {
+            self.hit(slot, write);
             return AccessOutcome { hit: true, writeback: None, evicted_srf: false };
         }
 
+        self.clock += 1;
         self.misses += 1;
+        let (set, tag) = self.index_of(addr);
+        let base = (set * self.geom.ways) as usize;
+        let ways = self.geom.ways as usize;
         if policy == FillPolicy::NoAllocate {
             return AccessOutcome { hit: false, writeback: None, evicted_srf: false };
         }
@@ -215,15 +225,9 @@ impl Cache {
         self.clock += len * reps;
         self.hits += len * reps;
         for (j, &(addr, write)) in items.iter().enumerate() {
-            let stamp = clock0 + (reps - 1) * len + j as u64 + 1;
-            let (set, tag) = self.index_of(addr);
-            let base = (set * self.geom.ways) as usize;
-            let ways = self.geom.ways as usize;
-            let line = self.lines[base..base + ways]
-                .iter_mut()
-                .find(|l| l.valid && l.tag == tag)
-                .expect("touch_cycle requires resident lines");
-            line.stamp = stamp;
+            let slot = self.slot_of(addr).expect("touch_cycle requires resident lines");
+            let line = &mut self.lines[slot];
+            line.stamp = clock0 + (reps - 1) * len + j as u64 + 1;
             line.dirty |= write;
         }
     }
@@ -231,9 +235,33 @@ impl Cache {
     /// Probe without updating state: is the line containing `addr` present?
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
+        self.slot_of(addr).is_some()
+    }
+
+    /// Probe without updating state: the slot holding the line that
+    /// contains `addr`, if resident. A slot stays valid for that line
+    /// until the next miss fill or [`Cache::flush`] — hits never move
+    /// lines.
+    #[inline]
+    #[must_use]
+    pub fn slot_of(&self, addr: u64) -> Option<usize> {
         let (set, tag) = self.index_of(addr);
         let base = (set * self.geom.ways) as usize;
-        self.lines[base..base + self.geom.ways as usize].iter().any(|l| l.valid && l.tag == tag)
+        self.lines[base..base + self.geom.ways as usize]
+            .iter()
+            .position(|l| l.valid && l.tag == tag)
+            .map(|w| base + w)
+    }
+
+    /// Reference the resident line in `slot` (from [`Cache::slot_of`]):
+    /// exactly the hit arm of [`Cache::access`].
+    #[inline]
+    pub fn hit(&mut self, slot: usize, write: bool) {
+        self.clock += 1;
+        self.hits += 1;
+        let line = &mut self.lines[slot];
+        line.stamp = self.clock;
+        line.dirty |= write;
     }
 
     /// Invalidate everything (e.g. between experiments).
@@ -246,7 +274,7 @@ impl Cache {
     /// Pre-load an address range (e.g. warm the SRF into the cache),
     /// marking lines clean.
     pub fn warm(&mut self, range: Range<u64>) {
-        let mut addr = range.start - range.start % self.geom.line;
+        let mut addr = range.start & !(self.geom.line - 1);
         while addr < range.end {
             let _ = self.access(addr, false, FillPolicy::Normal);
             addr += self.geom.line;
@@ -386,5 +414,145 @@ mod tests {
         c.warm(0..512);
         assert_eq!(c.stats(), (0, 0, 0));
         assert!(c.contains(0) && c.contains(448));
+    }
+
+    /// Division/modulo reference model of [`Cache`]: the indexing the
+    /// shift-and-mask implementation replaced, with the same fill
+    /// policies, as plainly as it can be written.
+    struct DivModCache {
+        geom: CacheGeometry,
+        sets: u64,
+        nt_ways: u64,
+        /// (tag, valid, dirty, stamp) per way, set-major.
+        lines: Vec<(u64, bool, bool, u64)>,
+        clock: u64,
+        srf: Option<Range<u64>>,
+    }
+
+    impl DivModCache {
+        fn new(geom: CacheGeometry, nt_ways: u64, srf: Option<Range<u64>>) -> Self {
+            let sets = geom.capacity / (geom.line * geom.ways);
+            let lines = vec![(0, false, false, 0); (sets * geom.ways) as usize];
+            DivModCache { geom, sets, nt_ways, lines, clock: 0, srf }
+        }
+
+        fn way_of(&self, addr: u64) -> (usize, u64, Option<usize>) {
+            let line_addr = addr / self.geom.line;
+            let (set, tag) = (line_addr % self.sets, line_addr / self.sets);
+            let base = (set * self.geom.ways) as usize;
+            let way = (0..self.geom.ways as usize).find(|&w| {
+                let (t, valid, ..) = self.lines[base + w];
+                valid && t == tag
+            });
+            (base, tag, way)
+        }
+
+        fn access(&mut self, addr: u64, write: bool, policy: FillPolicy) -> AccessOutcome {
+            self.clock += 1;
+            let (base, tag, way) = self.way_of(addr);
+            if let Some(w) = way {
+                let l = &mut self.lines[base + w];
+                (l.2, l.3) = (l.2 | write, self.clock);
+                return AccessOutcome { hit: true, writeback: None, evicted_srf: false };
+            }
+            let miss = AccessOutcome { hit: false, writeback: None, evicted_srf: false };
+            if policy == FillPolicy::NoAllocate {
+                return miss;
+            }
+            let ways = self.geom.ways as usize;
+            let nt_start = ways - self.nt_ways as usize;
+            let in_srf = |a: u64| self.srf.as_ref().is_some_and(|r| r.contains(&a));
+            let candidates = match policy {
+                FillPolicy::NonTemporal if self.nt_ways > 0 => nt_start..ways,
+                _ if in_srf(addr) && self.nt_ways > 0 => 0..nt_start,
+                _ => 0..ways,
+            };
+            // First invalid way, else the first way with the least stamp.
+            let victim = candidates
+                .clone()
+                .find(|&w| !self.lines[base + w].1)
+                .or_else(|| candidates.min_by_key(|&w| self.lines[base + w].3))
+                .expect("at least one candidate way");
+            let (vtag, valid, dirty, _) = self.lines[base + victim];
+            let set = (base as u64) / self.geom.ways;
+            let victim_addr = (vtag * self.sets + set) * self.geom.line;
+            self.lines[base + victim] = (tag, true, write, self.clock);
+            AccessOutcome {
+                writeback: (valid && dirty).then_some(victim_addr),
+                evicted_srf: valid && in_srf(victim_addr),
+                ..miss
+            }
+        }
+    }
+
+    /// Shift/mask [`Cache`] against the div/mod model over random
+    /// power-of-two geometries: every `access` outcome, `contains`,
+    /// `slot_of` + `hit`, `touch_cycle`, `flush`, and the final tag,
+    /// valid, dirty and stamp of every way.
+    #[test]
+    fn shift_mask_cache_matches_div_mod_model() {
+        use gpstream_util::check::run_cases;
+        run_cases("cache-vs-div-mod", 0xcac4e, 64, |rng| {
+            let line = 16u64 << rng.below(4); // 16..128
+            let ways = rng.range_u64(1, 9);
+            let sets = 1u64 << rng.below(6); // 1..32
+            let geom = CacheGeometry { capacity: line * ways * sets, line, ways };
+            let nt_ways = rng.below(ways);
+            let span = geom.capacity * 4;
+            let srf = rng.bool().then(|| {
+                let start = rng.below(span);
+                start..start + rng.range_u64(1, geom.capacity)
+            });
+            let mut cache = Cache::new(geom, nt_ways);
+            cache.set_srf_range(srf.clone());
+            let mut model = DivModCache::new(geom, nt_ways, srf);
+            for _ in 0..600 {
+                let addr = rng.below(span);
+                match rng.below(16) {
+                    0 => {
+                        cache.flush();
+                        model.lines.fill((0, false, false, 0));
+                    }
+                    1..=3 => {
+                        // A hit through the slot interface, when resident.
+                        let resident = model.way_of(addr).2.is_some();
+                        assert_eq!(cache.contains(addr), resident);
+                        if let Some(slot) = cache.slot_of(addr) {
+                            let write = rng.bool();
+                            cache.hit(slot, write);
+                            assert!(model.access(addr, write, FillPolicy::Normal).hit);
+                        }
+                    }
+                    4 | 5 => {
+                        // A cyclic replay over up to three resident lines.
+                        let items: Vec<(u64, bool)> = (0..3)
+                            .map(|_| (rng.below(span), rng.bool()))
+                            .filter(|&(a, _)| cache.contains(a))
+                            .collect();
+                        let reps = rng.range_u64(1, 5);
+                        cache.touch_cycle(&items, reps);
+                        for _ in 0..reps {
+                            for &(a, w) in &items {
+                                assert!(model.access(a, w, FillPolicy::Normal).hit);
+                            }
+                        }
+                    }
+                    _ => {
+                        let policy = match rng.below(4) {
+                            0 => FillPolicy::NonTemporal,
+                            1 => FillPolicy::NoAllocate,
+                            _ => FillPolicy::Normal,
+                        };
+                        let write = rng.bool();
+                        let got = cache.access(addr, write, policy);
+                        assert_eq!(got, model.access(addr, write, policy), "addr {addr:#x}");
+                    }
+                }
+            }
+            let state: Vec<_> =
+                cache.lines.iter().map(|l| (l.tag, l.valid, l.dirty, l.stamp)).collect();
+            assert_eq!(state, model.lines);
+            assert_eq!(cache.clock, model.clock);
+        });
     }
 }

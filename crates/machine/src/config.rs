@@ -22,15 +22,21 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero line size or ways, or a
-    /// capacity that is not a multiple of `line * ways`).
+    /// Panics if the geometry is degenerate (zero ways, or a capacity that
+    /// is not a multiple of `line * ways`), or if `line` or the set count
+    /// is not a power of two — the cache indexes by shift and mask.
     #[must_use]
     pub fn sets(&self) -> u64 {
-        assert!(self.line > 0 && self.ways > 0, "degenerate cache geometry");
+        assert!(self.ways > 0, "degenerate cache geometry");
+        assert!(self.line.is_power_of_two(), "`line` must be a power of two, got {}", self.line);
         let sets = self.capacity / (self.line * self.ways);
         assert!(
             sets > 0 && sets * self.line * self.ways == self.capacity,
             "capacity must be a multiple of line * ways"
+        );
+        assert!(
+            sets.is_power_of_two(),
+            "the set count (`capacity / (line * ways)`) must be a power of two, got {sets}"
         );
         sets
     }
@@ -341,6 +347,18 @@ mod tests {
     #[should_panic(expected = "multiple")]
     fn bad_geometry_panics() {
         let _ = CacheGeometry { capacity: 1000, line: 128, ways: 8 }.sets();
+    }
+
+    #[test]
+    #[should_panic(expected = "`line` must be a power of two")]
+    fn non_power_of_two_line_panics() {
+        let _ = CacheGeometry { capacity: 96 * 4 * 8, line: 96, ways: 4 }.sets();
+    }
+
+    #[test]
+    #[should_panic(expected = "set count")]
+    fn non_power_of_two_set_count_panics() {
+        let _ = CacheGeometry { capacity: 3 * 64 * 4, line: 64, ways: 4 }.sets();
     }
 
     #[test]

@@ -20,13 +20,31 @@
 //! With `contexts = 2` (the default) the engine reproduces the paper's
 //! two-hyper-thread machine bit for bit: one sibling exists, so the
 //! factor product degenerates to the pairwise lookup.
+//!
+//! # Host cost
+//!
+//! A simulated hit is four stamp updates, and the engine is built so
+//! that it costs about that much. Geometry is power-of-two by
+//! construction, so no per-access path divides (`line_shift`,
+//! `page_shift`, `line_cycles` are fields). In [`StepMode::Event`] a
+//! bulk copy's hits never reach `mem_access` at all: `Seq`/`Strided`
+//! patterns replay same-line runs arithmetically (O(1) per line,
+//! `copy_fast_run`), `Indexed` patterns retire proven hits one by one
+//! in program order (`copy_hit_run`), and only the element neither can
+//! take — a miss, a walk, a line-straddling record — is stepped exactly.
+//! Both routes leave every cache, TLB and counter in the state stepping
+//! would, so results are byte-identical in either mode; which route
+//! took what, and why the rest was stepped, is tallied host-side in
+//! [`EngineStats`].
 
 use crate::bus::Bus;
 use crate::cache::{Cache, FillPolicy};
 use crate::config::MachineConfig;
 use crate::ops::{AccessPattern, BulkOp, CopyDir, OpClass, Rw, WaitPolicy};
 use crate::prefetch::Prefetcher;
-use crate::stats::{CounterSample, MemStats, OpProfile, RunResult, TaskIssue};
+use crate::stats::{
+    CounterSample, EngineStats, ExactReason, MemStats, OpProfile, RunResult, TaskIssue,
+};
 use crate::tlb::Tlb;
 use crate::trace::{MachineEvent, MachineEventKind, PhaseCycles};
 use std::collections::{BTreeMap, VecDeque};
@@ -248,11 +266,20 @@ pub struct Machine {
     task_log: Option<Vec<TaskIssue>>,
     /// Time-advance strategy; see [`StepMode`].
     mode: StepMode,
-    /// `(line_shift, page_shift)` when the geometry admits the batched
-    /// fast path (power-of-two line and page sizes, L1 and L2 lines
-    /// equal, line no larger than a page); `None` falls back to stepped
-    /// inner loops even in [`StepMode::Event`].
-    fast_shifts: Option<(u32, u32)>,
+    /// `log2` of the L2 line size (the granularity `mem_access` splits
+    /// elements at) and of the page size, and the bus occupancy of one
+    /// line: runtime constants of `cfg`, kept so no per-access path
+    /// divides.
+    line_shift: u32,
+    page_shift: u32,
+    line_cycles: u64,
+    /// L1 and L2 lines are the same size, so one line index serves both
+    /// levels — the one geometry condition batching needs beyond those
+    /// construction asserts. `false` falls back to stepped inner loops
+    /// even in [`StepMode::Event`].
+    lines_equal: bool,
+    /// Host-side tally of how work was retired; never part of a result.
+    engine: EngineStats,
 }
 
 /// Interval-sampler state: cumulative counter snapshots every `interval`
@@ -289,27 +316,58 @@ pub const MACHINE_TRACE_CAPACITY: usize = 4 << 20;
 /// allocation-free); loops with more patterns fall back to exact stepping.
 const LOOP_FAST_MAX_PATTERNS: usize = 8;
 
+/// Resolve `key`'s slot through a one-entry `(key, slot)` memo, calling
+/// `find` only when the key changed. `false` when `find` comes up empty.
+#[inline(always)]
+fn memo(m: &mut (u64, usize), key: u64, find: impl FnOnce(u64) -> Option<usize>) -> bool {
+    if m.0 != key {
+        match find(key) {
+            Some(slot) => *m = (key, slot),
+            None => return false,
+        }
+    }
+    true
+}
+
+/// [`ExactReason`] for a load whose L1 line is absent.
+fn l1_miss_reason(l2: &Cache, addr: u64) -> ExactReason {
+    if l2.contains(addr) {
+        ExactReason::L1MissL2Hit
+    } else {
+        ExactReason::L2Miss
+    }
+}
+
 impl Machine {
     /// Build a machine from a configuration.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.contexts` is outside `1..=64`.
+    /// Panics if `cfg.contexts` is outside `1..=64`, if a cache geometry
+    /// or the page size is rejected by [`Cache::new`] / [`Tlb::new`]
+    /// (line, set count and page must be powers of two), or if an L2
+    /// line is larger than a page (a line is translated once).
     #[must_use]
     pub fn new(cfg: MachineConfig) -> Self {
         let n = cfg.contexts;
         assert!((1..=64).contains(&n), "contexts must be in 1..=64, got {n}");
+        assert!(
+            cfg.l2.line <= cfg.page_bytes,
+            "`l2.line` ({}) must not exceed `page_bytes` ({})",
+            cfg.l2.line,
+            cfg.page_bytes
+        );
         let l1: Vec<Cache> = (0..n).map(|_| Cache::new(cfg.l1, 0)).collect();
         let l2 = Cache::new(cfg.l2, cfg.nt_ways);
         let tlb: Vec<Tlb> = (0..n).map(|_| Tlb::new(cfg.dtlb_entries, cfg.page_bytes)).collect();
         let pf = Prefetcher::new(cfg.l2.line, cfg.hw_pf_streams);
         let bus = Bus::new(cfg.bus_bytes_per_cycle, cfg.mem_lat, cfg.bus_turnaround);
-        let fast_shifts = (cfg.l2.line.is_power_of_two()
-            && cfg.page_bytes.is_power_of_two()
-            && cfg.l1.line == cfg.l2.line
-            && cfg.l2.line <= cfg.page_bytes)
-            .then(|| (cfg.l2.line.trailing_zeros(), cfg.page_bytes.trailing_zeros()));
         Machine {
+            line_shift: cfg.l2.line.trailing_zeros(),
+            page_shift: cfg.page_bytes.trailing_zeros(),
+            line_cycles: cfg.bus_cycles(cfg.l2.line),
+            lines_equal: cfg.l1.line == cfg.l2.line,
+            engine: EngineStats::default(),
             cfg,
             l1,
             l2,
@@ -332,7 +390,6 @@ impl Machine {
             sampler: None,
             task_log: None,
             mode: StepMode::default(),
-            fast_shifts,
         }
     }
 
@@ -463,6 +520,15 @@ impl Machine {
         s
     }
 
+    /// How the engine retired the work since the last
+    /// [`Machine::reset_time`]: which route each copy element and loop
+    /// iteration took and why the exact ones did. Host-side only — it
+    /// differs between step modes by design and is part of no result.
+    #[must_use]
+    pub fn engine_stats(&self) -> EngineStats {
+        self.engine
+    }
+
     /// Record one event; compiles to a single branch when disabled.
     /// Bounded: at capacity the event is dropped and counted instead.
     #[inline]
@@ -510,6 +576,7 @@ impl Machine {
         self.wc = vec![WriteCombiner::default(); n];
         self.fills = vec![VecDeque::new(); n];
         self.stats = MemStats::default();
+        self.engine = EngineStats::default();
         self.phases = vec![PhaseCycles::default(); n];
         if let Some(buf) = self.trace.as_mut() {
             buf.clear();
@@ -557,6 +624,7 @@ impl Machine {
         let mut acts: Vec<Activity> = Vec::with_capacity(n);
 
         loop {
+            self.engine.sched_iters += 1;
             // Resolve waits that can now complete.
             for (ci, c) in cur.iter_mut().enumerate() {
                 if let Some((id, policy)) = c.waiting {
@@ -667,21 +735,27 @@ impl Machine {
         // Index into `task_log` of each context's open (issued, not yet
         // completed) record, when logging is enabled.
         let mut log_open: Vec<Option<usize>> = vec![None; n];
-        // Per-iteration activity snapshot, reused to keep the hot loop
-        // allocation-free.
+        // Per-iteration activity snapshot and issue candidates, reused to
+        // keep the hot loop allocation-free.
         let mut acts: Vec<Activity> = Vec::with_capacity(n);
+        let mut cand: Vec<Option<(usize, u64, u32)>> = Vec::with_capacity(n);
 
         loop {
+            self.engine.sched_iters += 1;
             // Earliest time each context could act: step its active task,
             // or issue its best ready queue entry. The event-driven mode
             // skips the queue scan for contexts mid-task: `avail` ignores
             // their candidate and `pick` is a pure function of (signals,
             // issued), so laziness cannot change the schedule.
             let lazy = self.mode == StepMode::Event;
-            let cand: Vec<Option<(usize, u64, u32)>> = st
-                .iter()
-                .map(|s| if lazy && s.active.is_some() { None } else { s.pick(&signals, window) })
-                .collect();
+            cand.clear();
+            cand.extend(st.iter().map(|s| {
+                if lazy && s.active.is_some() {
+                    None
+                } else {
+                    s.pick(&signals, window)
+                }
+            }));
             let avail = |c: usize| -> Option<u64> {
                 if st[c].active.is_some() {
                     Some(cur[c].t)
@@ -885,6 +959,7 @@ impl Machine {
         smt: Smt,
         signals: &mut BTreeMap<u32, u64>,
     ) {
+        self.engine.spans += 1;
         let op0 = cur[c].idx;
         let t0 = cur[c].t;
         let before = self.profile.is_some().then(|| self.stats_now());
@@ -1014,6 +1089,40 @@ impl Machine {
         ((uops as f64) / (self.cfg.base_ipc * factor)).ceil() as u64
     }
 
+    /// Issue cycles every element of a bulk copy pays before its two
+    /// accesses: the copy loop's micro-ops, plus the software prefetch a
+    /// non-temporal gather issues per element.
+    fn copy_issue_cycles(&self, dir: CopyDir, nt: bool, f: f64) -> u64 {
+        let prefetch = if nt && dir == CopyDir::GatherToSrf {
+            self.uop_cycles(self.cfg.sw_prefetch_uops, f)
+        } else {
+            0
+        };
+        self.uop_cycles(self.cfg.copy_uops_per_elem, f) + prefetch
+    }
+
+    /// Uncovered misses a bulk copy keeps in flight: sequential copies
+    /// overlap them up to the miss buffers; random (indexed) copies are
+    /// dependent chains (index load -> address -> data load, TLB walk in
+    /// the middle) and keep one.
+    fn copy_mlp(&self, mem: &AccessPattern) -> usize {
+        if mem.is_sequential() {
+            self.cfg.mshrs.max(1) as usize
+        } else {
+            1
+        }
+    }
+
+    /// Why [`Machine::step`] is stepping a copy or loop chunk: stepped
+    /// mode steps everything; event mode only delegates here when the
+    /// geometry gate is closed.
+    fn stepped_reason(&self) -> ExactReason {
+        match self.mode {
+            StepMode::Stepped => ExactReason::Stepped,
+            StepMode::Event => ExactReason::Geometry,
+        }
+    }
+
     #[allow(clippy::too_many_lines)]
     fn step(&mut self, cur: &mut [Cursor], c: usize, smt: Smt, signals: &mut BTreeMap<u32, u64>) {
         // Take the op out to appease the borrow checker; ops are cheap to
@@ -1056,20 +1165,13 @@ impl Machine {
                 let start = cur[c].progress;
                 let mut t = cur[c].t;
                 let mut srf_off = cur[c].progress_bytes;
+                let issue = self.copy_issue_cycles(dir, nt, f);
+                let mlp = self.copy_mlp(&mem);
                 for i in start..start + take {
                     let (addr, bytes) = mem.element(i);
-                    let issue = self.uop_cycles(self.cfg.copy_uops_per_elem, f);
                     t += issue;
-                    // Sequential bulk copies overlap misses up to the miss
-                    // buffers; random (indexed) copies are dependent chains
-                    // (index load -> address -> data load, TLB walk in the
-                    // middle) and keep one uncovered miss in flight.
-                    let mlp = if mem.is_sequential() { self.cfg.mshrs.max(1) as usize } else { 1 };
                     match dir {
                         CopyDir::GatherToSrf => {
-                            if nt {
-                                t += self.uop_cycles(self.cfg.sw_prefetch_uops, f);
-                            }
                             t = self.mem_access(c, t, addr, bytes, Rw::Read, nt, nt, mlp);
                             t = self.mem_access(
                                 c,
@@ -1098,6 +1200,7 @@ impl Machine {
                     }
                     srf_off += bytes;
                 }
+                self.engine.exact_copy(self.stepped_reason(), take, t - cur[c].t);
                 cur[c].t = t;
                 cur[c].progress += take;
                 cur[c].progress_bytes = srf_off;
@@ -1126,10 +1229,11 @@ impl Machine {
                 // not extend across iterations beyond that.
                 let reads = patterns.iter().filter(|(_, rw)| *rw == Rw::Read).count();
                 let mlp = reads.clamp(1, self.cfg.mshrs.max(1) as usize);
+                let issue = self.uop_cycles(self.cfg.copy_uops_per_elem, fm);
+                let iter_cycles = self.uop_cycles(uops_per_iter, fc);
                 for i in cur[c].progress..cur[c].progress + take {
                     for (p, rw) in &patterns {
                         let (addr, bytes) = p.element(i);
-                        let issue = self.uop_cycles(self.cfg.copy_uops_per_elem, fm);
                         t += issue;
                         // Misses inside an interleaved loop are limited by
                         // the reorder window: it holds the loop's
@@ -1141,9 +1245,10 @@ impl Machine {
                     }
                     self.loop_window = false;
                     self.dependent = false;
-                    t += self.uop_cycles(uops_per_iter, fc);
+                    t += iter_cycles;
                 }
                 let _ = class;
+                self.engine.exact_loop(self.stepped_reason(), take, t - cur[c].t);
                 cur[c].t = t;
                 cur[c].progress += take;
                 if cur[c].progress >= total {
@@ -1188,7 +1293,7 @@ impl Machine {
         signals: &mut BTreeMap<u32, u64>,
         greedy: bool,
     ) {
-        if self.fast_shifts.is_none() {
+        if !self.lines_equal {
             self.step(cur, c, smt, signals);
             return;
         }
@@ -1227,7 +1332,11 @@ impl Machine {
         }
     }
 
-    /// One [`BulkOp::Copy`] chunk with same-line runs batched.
+    /// One [`BulkOp::Copy`] chunk with its hits batched: one fast route
+    /// per pattern kind — the arithmetic same-line replay
+    /// ([`Machine::copy_fast_run`]) for `Seq`/`Strided`, the in-order hit
+    /// run ([`Machine::copy_hit_run`]) for `Indexed` — and the exact
+    /// stepped element both hand over to.
     #[allow(clippy::too_many_arguments)]
     fn copy_chunk_fast(
         &mut self,
@@ -1240,20 +1349,18 @@ impl Machine {
         nt: bool,
         greedy: bool,
     ) {
-        let (line_shift, page_shift) = self.fast_shifts.expect("checked by step_chunk_fast");
+        let (line_shift, page_shift) = (self.line_shift, self.page_shift);
         let f = smt.mem;
         self.bus_contended = smt.contended;
         let total = mem.count();
         let remaining = total - cur[c].progress;
         let take = if greedy { remaining } else { remaining.min(CHUNK_ELEMS) };
-        let issue = self.uop_cycles(self.cfg.copy_uops_per_elem, f);
-        // Per-element cycles of a fully hitting NT gather: prefetch uops
-        // plus the one-cycle L1-bypass tax `line_access` charges NT loads.
-        let nt_gather_extra = if nt && dir == CopyDir::GatherToSrf {
-            self.uop_cycles(self.cfg.sw_prefetch_uops, f) + 1
-        } else {
-            0
-        };
+        let issue = self.copy_issue_cycles(dir, nt, f);
+        // Cycles of a fully hitting element: its issue, plus the
+        // one-cycle L1-bypass tax `line_access` charges NT loads.
+        let hit_cycles = issue + u64::from(nt && dir == CopyDir::GatherToSrf);
+        let mlp = self.copy_mlp(mem);
+        // (stride, element bytes) of an affine pattern.
         let affine = match mem {
             AccessPattern::Seq { elem, .. } => Some((*elem, *elem)),
             AccessPattern::Strided { record, field_bytes, .. } => Some((*record, *field_bytes)),
@@ -1293,9 +1400,37 @@ impl Machine {
                     pend.map(|(p, _)| p),
                     known,
                 ),
-                _ => 0,
+                Some(_) => Err(ExactReason::SpansLines),
+                None => {
+                    // Retired in place, in program order; what comes
+                    // back is the element that stopped the run.
+                    let srf_addr = srf_base + srf_off;
+                    let (_, bytes) = mem.element(i);
+                    let (n, stop) = match (dir, nt) {
+                        (CopyDir::GatherToSrf, false) => {
+                            self.copy_hit_run::<true, false>(c, mem, i, end, srf_addr)
+                        }
+                        (CopyDir::GatherToSrf, true) => {
+                            self.copy_hit_run::<true, true>(c, mem, i, end, srf_addr)
+                        }
+                        (CopyDir::ScatterFromSrf, false) => {
+                            self.copy_hit_run::<false, false>(c, mem, i, end, srf_addr)
+                        }
+                        (CopyDir::ScatterFromSrf, true) => {
+                            self.copy_hit_run::<false, true>(c, mem, i, end, srf_addr)
+                        }
+                    };
+                    self.engine.copy_in_order.add(n, n * hit_cycles);
+                    t += n * hit_cycles;
+                    srf_off += n * bytes;
+                    i += n;
+                    match stop {
+                        Some(why) => Err(why),
+                        None => break,
+                    }
+                }
             };
-            if run >= 2 {
+            if let Ok(run @ 2..) = run {
                 let (addr, bytes) = mem.element(i);
                 let srf_addr = srf_base + srf_off;
                 let mem_page = addr >> page_shift;
@@ -1324,14 +1459,12 @@ impl Machine {
                         self.stats.l2_accesses += run;
                         self.stats.l2_hits += run;
                         self.last_page[c] = srf_page;
-                        t += run * issue;
                     }
                     (CopyDir::GatherToSrf, true) => {
                         self.l2.touch_cycle(&[(addr, false), (srf_addr, true)], run);
                         self.stats.l2_accesses += 2 * run;
                         self.stats.l2_hits += 2 * run;
                         self.last_page[c] = srf_page;
-                        t += run * (issue + nt_gather_extra);
                     }
                     (CopyDir::ScatterFromSrf, false) => {
                         self.l1[c].touch_cycle(&[(srf_addr, false)], run);
@@ -1341,7 +1474,6 @@ impl Machine {
                         self.stats.l2_accesses += run;
                         self.stats.l2_hits += run;
                         self.last_page[c] = mem_page;
-                        t += run * issue;
                     }
                     (CopyDir::ScatterFromSrf, true) => {
                         // Write-combining stores that stay in the open line
@@ -1352,9 +1484,10 @@ impl Machine {
                         self.stats.l1_hits += run;
                         self.wc[c].len += run * bytes;
                         self.last_page[c] = mem_page;
-                        t += run * issue;
                     }
                 }
+                self.engine.copy_replayed.add(run, run * hit_cycles);
+                t += run * hit_cycles;
                 srf_off += run * bytes;
                 i += run;
             } else {
@@ -1367,13 +1500,10 @@ impl Machine {
                 // Exact stepped element.
                 let (addr, bytes) = mem.element(i);
                 let srf_addr = srf_base + srf_off;
-                let mlp = if mem.is_sequential() { self.cfg.mshrs.max(1) as usize } else { 1 };
+                let t0 = t;
                 t += issue;
                 match dir {
                     CopyDir::GatherToSrf => {
-                        if nt {
-                            t += self.uop_cycles(self.cfg.sw_prefetch_uops, f);
-                        }
                         t = self.mem_access(c, t, addr, bytes, Rw::Read, nt, nt, mlp);
                         t = self.mem_access(c, t, srf_addr, bytes, Rw::Write, false, false, mlp);
                     }
@@ -1382,6 +1512,9 @@ impl Machine {
                         t = self.mem_access(c, t, addr, bytes, Rw::Write, nt, nt, mlp);
                     }
                 }
+                // A replay of one is an element alone before a line or
+                // chunk boundary.
+                self.engine.exact_copy(run.err().unwrap_or(ExactReason::ShortRun), 1, t - t0);
                 known =
                     Some(((addr + bytes - 1) >> line_shift, (srf_addr + bytes - 1) >> line_shift));
                 srf_off += bytes;
@@ -1403,8 +1536,8 @@ impl Machine {
 
     /// Longest run of copy elements starting at `i` that provably hit
     /// everywhere (TLB, caches, open write-combining line) and stay in
-    /// one cache line per side. Returns 0 when element `i` must take the
-    /// exact stepped path.
+    /// one cache line per side, or why element `i` must take the exact
+    /// stepped path.
     #[allow(clippy::too_many_arguments)]
     fn copy_fast_run(
         &self,
@@ -1419,19 +1552,19 @@ impl Machine {
         nt: bool,
         pend_pages: Option<[u64; 2]>,
         known: Option<(u64, u64)>,
-    ) -> u64 {
-        let (line_shift, page_shift) = self.fast_shifts.expect("checked by caller");
+    ) -> Result<u64, ExactReason> {
+        let (line_shift, page_shift) = (self.line_shift, self.page_shift);
         let line = self.cfg.l2.line;
         let (addr, _) = mem.element(i);
         let mem_off = addr & (line - 1);
         let srf_line_off = srf_addr & (line - 1);
         if mem_off + b > line || srf_line_off + b > line {
-            return 0;
+            return Err(ExactReason::SpansLines);
         }
         let mem_page = addr >> page_shift;
         let srf_page = srf_addr >> page_shift;
         if mem_page == srf_page {
-            return 0;
+            return Err(ExactReason::PageCarry);
         }
         // Lines the most recent exact element just accessed need no
         // probes: that element installed both lines (and translated both
@@ -1449,10 +1582,10 @@ impl Machine {
             // `last_page == pages[1] != pages[0]`, and the pages stay
             // resident, so both checks are settled.)
             if self.last_page[c] == pages[0] {
-                return 0;
+                return Err(ExactReason::PageCarry);
             }
             if !self.tlb[c].contains_page(mem_page) || !self.tlb[c].contains_page(srf_page) {
-                return 0;
+                return Err(ExactReason::TlbMiss);
             }
         }
         let mut cap = end - i;
@@ -1460,36 +1593,168 @@ impl Machine {
             cap = cap.min(q + 1);
         }
         cap = cap.min((line - srf_line_off - b) / b + 1);
-        match (dir, nt) {
-            (CopyDir::GatherToSrf, false) => {
-                if !lines_known && (!self.l1[c].contains(addr) || !self.l2.contains(srf_addr)) {
-                    return 0;
-                }
+        if !lines_known {
+            // The load side probes the L1, the store side the L2.
+            let (load, store) = match dir {
+                CopyDir::GatherToSrf => (addr, srf_addr),
+                CopyDir::ScatterFromSrf => (srf_addr, addr),
+            };
+            let nt_load = nt && dir == CopyDir::GatherToSrf;
+            if nt_load && !self.l2.contains(load) {
+                return Err(ExactReason::L2Miss);
             }
-            (CopyDir::GatherToSrf, true) => {
-                if !lines_known && (!self.l2.contains(addr) || !self.l2.contains(srf_addr)) {
-                    return 0;
-                }
+            if !nt_load && !self.l1[c].contains(load) {
+                return Err(l1_miss_reason(&self.l2, load));
             }
-            (CopyDir::ScatterFromSrf, false) => {
-                if !lines_known && (!self.l1[c].contains(srf_addr) || !self.l2.contains(addr)) {
-                    return 0;
-                }
-            }
-            (CopyDir::ScatterFromSrf, true) => {
-                if !lines_known && !self.l1[c].contains(srf_addr) {
-                    return 0;
-                }
-                let wc = &self.wc[c];
-                if wc.len == 0 || wc.start != addr >> line_shift || wc.len + b >= line {
-                    return 0;
-                }
-                // Stop before the element whose store fills the buffer
-                // (that one flushes and must take the stepped path).
-                cap = cap.min((line - 1 - wc.len) / b);
+            let nt_store = nt && dir == CopyDir::ScatterFromSrf;
+            if !nt_store && !self.l2.contains(store) {
+                return Err(ExactReason::L2Miss);
             }
         }
-        cap
+        if nt && dir == CopyDir::ScatterFromSrf {
+            let wc = &self.wc[c];
+            if wc.len == 0 || wc.start != addr >> line_shift || wc.len + b >= line {
+                return Err(ExactReason::WcClosed);
+            }
+            // Stop before the element whose store fills the buffer
+            // (that one flushes and must take the stepped path).
+            cap = cap.min((line - 1 - wc.len) / b);
+        }
+        Ok(cap)
+    }
+
+    /// The in-order hit run of an `Indexed` copy: walk elements from `i`
+    /// in program order and retire each one that is a *pure hit* —
+    /// single-line on both sides, every page it translates in the TLB,
+    /// its memory line in the level it reads or writes (or the open
+    /// write-combining line, with room), its SRF line resident — by
+    /// applying exactly the stepped updates in the stepped order. Stops
+    /// at `end` or at the first element that is anything else, which is
+    /// left untouched for the exact path. Returns the number retired and
+    /// why the run stopped short of `end`.
+    ///
+    /// Nothing is predicted: every probe reads the state the previous
+    /// elements of the run left behind, so duplicate indices, aliasing
+    /// pages and the same-page shortcut need no argument — this *is* the
+    /// stepped semantics with the miss paths cut off. Slots are
+    /// memoised per side for the length of the run (hits move nothing),
+    /// so a same-page or same-line neighbour skips its probe.
+    ///
+    /// Kept out of line: folded into `step_chunk_fast` the loop spills.
+    #[inline(never)]
+    fn copy_hit_run<const GATHER: bool, const NT: bool>(
+        &mut self,
+        c: usize,
+        mem: &AccessPattern,
+        i: u64,
+        end: u64,
+        srf_addr: u64,
+    ) -> (u64, Option<ExactReason>) {
+        let AccessPattern::Indexed { base, record, field_offset, field_bytes, indices } = mem
+        else {
+            unreachable!("the in-order run serves indexed patterns only")
+        };
+        let (base, record, b) = (base + field_offset, *record, *field_bytes);
+        if b == 0 {
+            return (0, Some(ExactReason::SpansLines));
+        }
+        let (line_shift, page_shift) = (self.line_shift, self.page_shift);
+        let line = self.cfg.l2.line;
+        let (tlb, l1, l2, wc) = (&mut self.tlb[c], &mut self.l1[c], &mut self.l2, &mut self.wc[c]);
+        let mut last_page = self.last_page[c];
+        // (key, slot) memos: TLB slot per page, cache slot per line.
+        const NONE: (u64, usize) = (u64::MAX, 0);
+        let (mut mem_tlb, mut srf_tlb, mut mem_line, mut srf_line) = (NONE, NONE, NONE, NONE);
+        let mut srf = srf_addr;
+        let mut n = 0u64;
+        let stop = loop {
+            if i + n == end {
+                break None;
+            }
+            let addr = base + u64::from(indices[(i + n) as usize]) * record;
+            if (addr & (line - 1)) + b > line || (srf & (line - 1)) + b > line {
+                break Some(ExactReason::SpansLines);
+            }
+            // Translations in stepped order: the loaded side first. A
+            // page equal to the one translated just before takes the
+            // stepped shortcut and never consults the TLB.
+            let (mem_page, srf_page) = (addr >> page_shift, srf >> page_shift);
+            let ((p0, m0), (p1, m1)) = if GATHER {
+                ((mem_page, &mut mem_tlb), (srf_page, &mut srf_tlb))
+            } else {
+                ((srf_page, &mut srf_tlb), (mem_page, &mut mem_tlb))
+            };
+            if (p0 != last_page && !memo(m0, p0, |p| tlb.slot_of(p)))
+                || (p1 != p0 && !memo(m1, p1, |p| tlb.slot_of(p)))
+            {
+                break Some(ExactReason::TlbMiss);
+            }
+            // Residency: loads read the L1 (NT loads the L2), stores
+            // write the L2 (NT stores the open write-combining line).
+            let (mem_key, srf_key) = (addr >> line_shift, srf >> line_shift);
+            if GATHER {
+                if NT {
+                    if !memo(&mut mem_line, mem_key, |_| l2.slot_of(addr)) {
+                        break Some(ExactReason::L2Miss);
+                    }
+                } else if !memo(&mut mem_line, mem_key, |_| l1.slot_of(addr)) {
+                    break Some(l1_miss_reason(l2, addr));
+                }
+                if !memo(&mut srf_line, srf_key, |_| l2.slot_of(srf)) {
+                    break Some(ExactReason::L2Miss);
+                }
+            } else {
+                if !memo(&mut srf_line, srf_key, |_| l1.slot_of(srf)) {
+                    break Some(l1_miss_reason(l2, srf));
+                }
+                if NT {
+                    if wc.len == 0 || wc.start != mem_key || wc.len + b >= line {
+                        break Some(ExactReason::WcClosed);
+                    }
+                } else if !memo(&mut mem_line, mem_key, |_| l2.slot_of(addr)) {
+                    break Some(ExactReason::L2Miss);
+                }
+            }
+            // A pure hit: apply it.
+            if p0 != last_page {
+                tlb.hit(m0.1);
+            }
+            if p1 != p0 {
+                tlb.hit(m1.1);
+            }
+            last_page = p1;
+            if GATHER {
+                if NT {
+                    l2.hit(mem_line.1, false);
+                } else {
+                    l1.hit(mem_line.1, false);
+                }
+                l2.hit(srf_line.1, true);
+            } else {
+                l1.hit(srf_line.1, false);
+                if NT {
+                    wc.len += b;
+                } else {
+                    l2.hit(mem_line.1, true);
+                }
+            }
+            srf += b;
+            n += 1;
+        };
+        self.last_page[c] = last_page;
+        self.stats.tlb_hits += 2 * n;
+        // Loads reference the L1 (NT loads the L2), stores the L2 (NT
+        // stores neither).
+        let (l1_refs, l2_refs) = match (GATHER, NT) {
+            (true, true) => (0, 2 * n),
+            (false, true) => (n, 0),
+            (_, false) => (n, n),
+        };
+        self.stats.l1_accesses += l1_refs;
+        self.stats.l1_hits += l1_refs;
+        self.stats.l2_accesses += l2_refs;
+        self.stats.l2_hits += l2_refs;
+        (n, stop)
     }
 
     /// One [`BulkOp::Loop`] chunk with fully-hitting iterations batched.
@@ -1517,7 +1782,8 @@ impl Machine {
         let mlp = reads.clamp(1, self.cfg.mshrs.max(1) as usize);
         let issue = self.uop_cycles(self.cfg.copy_uops_per_elem, fm);
         let iter_cycles = self.uop_cycles(uops_per_iter, fc);
-        let line_shift = self.fast_shifts.map(|(ls, _)| ls);
+        let hit_cycles = patterns.len() as u64 * issue + iter_cycles;
+        let line_shift = self.line_shift;
         let mut t = cur[c].t;
         let mut i = cur[c].progress;
         let end = cur[c].progress + take;
@@ -1526,12 +1792,14 @@ impl Machine {
         let mut known: Option<[u64; LOOP_FAST_MAX_PATTERNS]> = None;
         while i < end {
             let run = self.loop_fast_run(c, patterns, i, end, known.as_ref());
-            if run >= 2 {
-                t += run * (patterns.len() as u64 * issue + iter_cycles);
+            if let Ok(run @ 2..) = run {
+                self.engine.loop_replayed.add(run, run * hit_cycles);
+                t += run * hit_cycles;
                 self.loop_fast_flush(c, patterns, i, run);
                 i += run;
             } else {
                 // Exact stepped iteration.
+                let t0 = t;
                 let mut lines = [u64::MAX; LOOP_FAST_MAX_PATTERNS];
                 for (k, (p, rw)) in patterns.iter().enumerate() {
                     let (addr, bytes) = p.element(i);
@@ -1539,13 +1807,16 @@ impl Machine {
                     self.loop_window = true;
                     self.dependent = !p.is_sequential();
                     t = self.mem_access(c, t, addr, bytes, *rw, false, false, mlp);
-                    if let (Some(ls), true) = (line_shift, k < LOOP_FAST_MAX_PATTERNS) {
-                        lines[k] = (addr + bytes - 1) >> ls;
+                    if k < LOOP_FAST_MAX_PATTERNS {
+                        lines[k] = (addr + bytes - 1) >> line_shift;
                     }
                 }
                 self.loop_window = false;
                 self.dependent = false;
                 t += iter_cycles;
+                // A replay of one is an iteration alone before a line
+                // or chunk boundary.
+                self.engine.exact_loop(run.err().unwrap_or(ExactReason::ShortRun), 1, t - t0);
                 i += 1;
                 known = Some(lines);
             }
@@ -1559,8 +1830,8 @@ impl Machine {
 
     /// Longest run of loop iterations starting at `i` in which every
     /// pattern provably hits (lines and pages resident, single-line
-    /// elements) and the TLB's same-page-shortcut pattern is stationary.
-    /// Returns 0 when iteration `i` must take the exact stepped path.
+    /// elements) and the TLB's same-page-shortcut pattern is stationary,
+    /// or why iteration `i` must take the exact stepped path.
     fn loop_fast_run(
         &self,
         c: usize,
@@ -1568,10 +1839,10 @@ impl Machine {
         i: u64,
         end: u64,
         known: Option<&[u64; LOOP_FAST_MAX_PATTERNS]>,
-    ) -> u64 {
-        let Some((line_shift, page_shift)) = self.fast_shifts else { return 0 };
-        if patterns.is_empty() || patterns.len() > LOOP_FAST_MAX_PATTERNS {
-            return 0;
+    ) -> Result<u64, ExactReason> {
+        let (line_shift, page_shift) = (self.line_shift, self.page_shift);
+        if patterns.len() > LOOP_FAST_MAX_PATTERNS {
+            return Err(ExactReason::TooManyPatterns);
         }
         let line = self.cfg.l2.line;
         let mut cap = end - i;
@@ -1580,15 +1851,12 @@ impl Machine {
             let (stride, b) = match p {
                 AccessPattern::Seq { elem, .. } => (*elem, *elem),
                 AccessPattern::Strided { record, field_bytes, .. } => (*record, *field_bytes),
-                AccessPattern::Indexed { .. } => return 0,
+                AccessPattern::Indexed { .. } => return Err(ExactReason::IndexedInLoop),
             };
-            if b == 0 {
-                return 0;
-            }
             let (addr, _) = p.element(i);
             let off = addr & (line - 1);
-            if off + b > line {
-                return 0;
+            if b == 0 || off + b > line {
+                return Err(ExactReason::SpansLines);
             }
             if let Some(q) = (line - off - b).checked_div(stride) {
                 cap = cap.min(q + 1);
@@ -1602,16 +1870,16 @@ impl Machine {
             // shortcut and never consult the TLB; only the rest must be
             // resident.
             if q != prev_page && !line_known && !self.tlb[c].contains_page(q) {
-                return 0;
+                return Err(ExactReason::TlbMiss);
             }
             prev_page = q;
             if !line_known {
-                let resident = match rw {
-                    Rw::Read => self.l1[c].contains(addr),
-                    Rw::Write => self.l2.contains(addr),
-                };
-                if !resident {
-                    return 0;
+                match rw {
+                    Rw::Read if !self.l1[c].contains(addr) => {
+                        return Err(l1_miss_reason(&self.l2, addr));
+                    }
+                    Rw::Write if !self.l2.contains(addr) => return Err(ExactReason::L2Miss),
+                    _ => {}
                 }
             }
         }
@@ -1620,14 +1888,14 @@ impl Machine {
         // shortcut/translate pattern. A single stepped iteration
         // establishes this, after which runs extend.
         if self.last_page[c] != prev_page {
-            return 0;
+            return Err(ExactReason::PageCarry);
         }
-        cap
+        Ok(cap)
     }
 
     /// Apply the state updates of `run` fully-hitting loop iterations.
     fn loop_fast_flush(&mut self, c: usize, patterns: &[(AccessPattern, Rw)], i: u64, run: u64) {
-        let (_, page_shift) = self.fast_shifts.expect("checked by loop_fast_run");
+        let page_shift = self.page_shift;
         let mut tlb_pages = [0u64; LOOP_FAST_MAX_PATTERNS];
         let mut n_tlb = 0usize;
         let mut l1_items = [(0u64, false); LOOP_FAST_MAX_PATTERNS];
@@ -1696,7 +1964,7 @@ impl Machine {
         sw_prefetched: bool,
         mlp: usize,
     ) -> u64 {
-        let line = self.cfg.l2.line;
+        let line_shift = self.line_shift;
         let bytes = bytes.max(1);
 
         // Non-temporal stores bypass the caches through write-combining
@@ -1707,9 +1975,8 @@ impl Machine {
         // flushes.
         if rw == Rw::Write && nt {
             let avail = self.translate(ctx, t, addr);
-            let line_cycles = self.cfg.bus_cycles(line);
-            t = t.max(avail.saturating_sub(WC_WINDOW_LINES * line_cycles));
-            let line_addr = addr / line;
+            t = t.max(avail.saturating_sub(WC_WINDOW_LINES * self.line_cycles));
+            let line_addr = addr >> line_shift;
             let wc = &mut self.wc[ctx];
             if wc.len > 0 && wc.start == line_addr {
                 wc.len += bytes;
@@ -1717,16 +1984,16 @@ impl Machine {
                 t = self.flush_wc_inner(ctx, t);
                 self.wc[ctx] = WriteCombiner { start: line_addr, len: bytes };
             }
-            if self.wc[ctx].len >= line {
+            if self.wc[ctx].len >= self.cfg.l2.line {
                 t = self.flush_wc_inner(ctx, t);
             }
             return t;
         }
 
-        let first_line = addr / line;
-        let last_line = (addr + bytes - 1) / line;
+        let first_line = addr >> line_shift;
+        let last_line = (addr + bytes - 1) >> line_shift;
         for l in first_line..=last_line {
-            let a = if l == first_line { addr } else { l * line };
+            let a = if l == first_line { addr } else { l << line_shift };
             t = self.line_access(ctx, t, a, rw, nt, sw_prefetched, mlp);
         }
         t
@@ -1739,7 +2006,7 @@ impl Machine {
     /// is actually consumed, so an out-of-order core hides walk latency
     /// behind independent work.
     fn translate(&mut self, ctx: usize, t: u64, addr: u64) -> u64 {
-        let page = addr / self.cfg.page_bytes;
+        let page = addr >> self.page_shift;
         if page != self.last_page[ctx] {
             self.last_page[ctx] = page;
             if self.tlb[ctx].access(addr) {
@@ -1772,7 +2039,7 @@ impl Machine {
         mlp: usize,
     ) -> u64 {
         let line = self.cfg.l2.line;
-        let line_cycles = self.cfg.bus_cycles(line);
+        let line_cycles = self.line_cycles;
         let avail = self.translate(ctx, t, addr);
 
         // NT loads bypass the L1 and pay extra micro-ops at L2; plain loads
@@ -1901,7 +2168,7 @@ impl Machine {
         }
         self.wc[ctx] = WriteCombiner::default();
         let line = self.cfg.l2.line;
-        let line_cycles = self.cfg.bus_cycles(line);
+        let line_cycles = self.line_cycles;
         // A write-combining flush occupies the bus for a full line slot
         // whether or not the buffer was full (partial flushes are chunked
         // on the front-side bus).
@@ -2154,6 +2421,58 @@ mod tests {
         assert_eq!(last.stats, r.mem, "final sample must equal run totals");
     }
 
+    /// One indexed gather over a small, reused table, in both step
+    /// modes with the sampler attached (so event mode keeps chunk
+    /// boundaries): identical results and samples, and the engine's own
+    /// account adds up — every element on exactly one route, every
+    /// exact element with a reason.
+    #[test]
+    fn engine_stats_account_for_every_indexed_copy_element() {
+        let n = 4096u32;
+        let indices: Vec<u32> = (0..n).map(|i| i * 7919 % 1024).collect();
+        let copy = |nt| BulkOp::Copy {
+            mem: AccessPattern::Indexed {
+                base: 0x1000_0000,
+                record: 8,
+                field_offset: 0,
+                field_bytes: 8,
+                indices: indices.clone().into(),
+            },
+            srf_base: 0x8000_0000,
+            dir: CopyDir::GatherToSrf,
+            nt,
+        };
+        let run = |mode| {
+            let mut m = machine();
+            m.set_step_mode(mode);
+            m.enable_sampling(512);
+            let r = m.run_single(vec![copy(false), copy(true)]);
+            (r, m.take_samples(), m.engine_stats())
+        };
+        let (stepped, stepped_samples, by_step) = run(StepMode::Stepped);
+        let (event, event_samples, by_event) = run(StepMode::Event);
+        assert_eq!(event, stepped);
+        assert_eq!(event_samples, stepped_samples);
+
+        let total = 2 * u64::from(n);
+        assert_eq!(by_step.copy_exact.items, total, "stepped mode steps everything");
+        assert_eq!(by_step.exact_reasons[ExactReason::Stepped as usize], total);
+        assert_eq!(by_event.copy_items(), total, "{by_event}");
+        assert_eq!(by_event.copy_replayed.items, 0, "indexed patterns never replay");
+        assert!(by_event.copy_in_order.items > total / 2, "a reused 8 KB table hits: {by_event}");
+        assert_eq!(by_event.exact_reasons.iter().sum::<u64>(), by_event.copy_exact.items);
+        assert_eq!(by_event.exact_reasons[ExactReason::Stepped as usize], 0);
+        let covered =
+            |e: &EngineStats| e.copy_replayed.cycles + e.copy_in_order.cycles + e.copy_exact.cycles;
+        assert_eq!(covered(&by_event), event.ctx_cycles[0], "routes cover the context's cycles");
+        assert_eq!(covered(&by_step), covered(&by_event));
+
+        let mut m = machine();
+        let _ = m.run_single(vec![copy(false)]);
+        m.reset_time();
+        assert_eq!(m.engine_stats(), EngineStats::default(), "reset_time clears the tally");
+    }
+
     #[test]
     fn run_ends_only_when_bus_drains() {
         // A pure NT-store stream leaves posted writes on the bus after the
@@ -2366,6 +2685,14 @@ mod tests {
             })
             .collect();
         let _ = m.run_tasks(progs, WaitPolicy::SpinPause, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "must not exceed `page_bytes`")]
+    fn line_larger_than_page_rejected() {
+        let mut cfg = MachineConfig::prescott();
+        cfg.page_bytes = 64;
+        let _ = Machine::new(cfg);
     }
 
     #[test]

@@ -58,5 +58,7 @@ pub use engine::{
     ContextProgram, Machine, StepMode, TaskNode, DEQUEUE_CYCLES, MACHINE_TRACE_CAPACITY,
 };
 pub use ops::{AccessPattern, BulkOp, CopyDir, OpClass, Rw, WaitPolicy};
-pub use stats::{CounterSample, MemStats, OpProfile, RunResult, TaskIssue};
+pub use stats::{
+    CounterSample, EngineStats, ExactReason, MemStats, OpProfile, Retired, RunResult, TaskIssue,
+};
 pub use trace::{MachineEvent, MachineEventKind, PhaseCycles};

@@ -32,7 +32,7 @@ struct StreamSlot {
 /// Hardware stream detector.
 #[derive(Debug, Clone)]
 pub struct Prefetcher {
-    line: u64,
+    line_shift: u32,
     slots: Vec<StreamSlot>,
     max_streams: usize,
     clock: u64,
@@ -46,7 +46,7 @@ impl Prefetcher {
     pub fn new(line: u64, max_streams: usize) -> Self {
         assert!(line.is_power_of_two(), "line size must be a power of two");
         Prefetcher {
-            line,
+            line_shift: line.trailing_zeros(),
             slots: Vec::with_capacity(max_streams),
             max_streams,
             clock: 0,
@@ -60,7 +60,7 @@ impl Prefetcher {
     /// prefetched ahead of the demand access).
     pub fn observe_miss(&mut self, addr: u64) -> bool {
         self.clock += 1;
-        let line = addr / self.line;
+        let line = addr >> self.line_shift;
         // Match against an existing stream (next line in either direction,
         // or a re-reference of the same line).
         for slot in &mut self.slots {

@@ -176,6 +176,187 @@ pub struct TaskIssue {
     pub end_t: u64,
 }
 
+/// Why the engine sent a copy element or loop iteration down the exact
+/// per-access path instead of a batched route: the first condition that
+/// disqualified it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExactReason {
+    /// `StepMode::Stepped`: every access is stepped.
+    Stepped,
+    /// L1 and L2 line sizes differ, so event mode batches nothing.
+    Geometry,
+    /// A page it translates is not in the TLB.
+    TlbMiss,
+    /// Its load misses the L1 and will hit the L2.
+    L1MissL2Hit,
+    /// A line it touches is not in the L2.
+    L2Miss,
+    /// It straddles a cache line on one side (or has no bytes).
+    SpansLines,
+    /// The write-combining line is closed, elsewhere, or about to fill.
+    WcClosed,
+    /// The same-page translation shortcut would change mid-replay
+    /// (affine replay only; the in-order run follows it).
+    PageCarry,
+    /// It stands alone before a line or chunk boundary: a replay of one.
+    ShortRun,
+    /// Its loop has more patterns than the replay's scratch space.
+    TooManyPatterns,
+    /// Its loop has an indexed pattern.
+    IndexedInLoop,
+}
+
+impl ExactReason {
+    /// Every reason, in discriminant order.
+    pub const ALL: [ExactReason; 11] = [
+        ExactReason::Stepped,
+        ExactReason::Geometry,
+        ExactReason::TlbMiss,
+        ExactReason::L1MissL2Hit,
+        ExactReason::L2Miss,
+        ExactReason::SpansLines,
+        ExactReason::WcClosed,
+        ExactReason::PageCarry,
+        ExactReason::ShortRun,
+        ExactReason::TooManyPatterns,
+        ExactReason::IndexedInLoop,
+    ];
+
+    /// Stable snake-case name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            ExactReason::Stepped => "stepped",
+            ExactReason::Geometry => "geometry",
+            ExactReason::TlbMiss => "tlb_miss",
+            ExactReason::L1MissL2Hit => "l1_miss_l2_hit",
+            ExactReason::L2Miss => "l2_miss",
+            ExactReason::SpansLines => "spans_lines",
+            ExactReason::WcClosed => "wc_closed",
+            ExactReason::PageCarry => "page_carry",
+            ExactReason::ShortRun => "short_run",
+            ExactReason::TooManyPatterns => "too_many_patterns",
+            ExactReason::IndexedInLoop => "indexed_in_loop",
+        }
+    }
+}
+
+/// Work retired over one route: items (copy elements or loop
+/// iterations) and the simulated cycles they covered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Retired {
+    /// Copy elements or loop iterations.
+    pub items: u64,
+    /// Simulated cycles those items advanced their context by.
+    pub cycles: u64,
+}
+
+impl Retired {
+    pub(crate) fn add(&mut self, items: u64, cycles: u64) {
+        self.items += items;
+        self.cycles += cycles;
+    }
+}
+
+/// How the engine retired a run's bulk work — the harness observing
+/// itself, not the simulated machine. Host-side only: stepped and event
+/// mode differ here by design, so this is never a field of
+/// [`RunResult`], [`MemStats`] or any artifact. Read it through
+/// `Machine::engine_stats`; cleared by `Machine::reset_time`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Copy elements retired by the arithmetic same-line replay
+    /// (`Seq`/`Strided` patterns).
+    pub copy_replayed: Retired,
+    /// Copy elements retired by the in-order hit run (`Indexed`).
+    pub copy_in_order: Retired,
+    /// Copy elements stepped through the exact per-access path.
+    pub copy_exact: Retired,
+    /// Loop iterations retired by the arithmetic replay.
+    pub loop_replayed: Retired,
+    /// Loop iterations stepped through the exact per-access path.
+    pub loop_exact: Retired,
+    /// Exact copy elements and loop iterations by [`ExactReason`]
+    /// (indexed by discriminant); sums to the two `*_exact.items`.
+    pub exact_reasons: [u64; ExactReason::ALL.len()],
+    /// Blocked-partner spans taken (`step_op_span`).
+    pub spans: u64,
+    /// Iterations of the `run` / `run_tasks` scheduling loop.
+    pub sched_iters: u64,
+}
+
+impl EngineStats {
+    pub(crate) fn exact_copy(&mut self, why: ExactReason, items: u64, cycles: u64) {
+        self.copy_exact.add(items, cycles);
+        self.exact_reasons[why as usize] += items;
+    }
+
+    pub(crate) fn exact_loop(&mut self, why: ExactReason, items: u64, cycles: u64) {
+        self.loop_exact.add(items, cycles);
+        self.exact_reasons[why as usize] += items;
+    }
+
+    /// Copy elements retired over all three routes.
+    #[must_use]
+    pub fn copy_items(&self) -> u64 {
+        self.copy_replayed.items + self.copy_in_order.items + self.copy_exact.items
+    }
+
+    /// Loop iterations retired over both routes.
+    #[must_use]
+    pub fn loop_items(&self) -> u64 {
+        self.loop_replayed.items + self.loop_exact.items
+    }
+}
+
+/// One line: per route its share of items / share of cycles, then the
+/// exact path's reasons, most frequent first.
+impl std::fmt::Display for EngineStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let group = |f: &mut std::fmt::Formatter<'_>,
+                     what: &str,
+                     unit: &str,
+                     routes: &[(&str, Retired)]| {
+            let items: u64 = routes.iter().map(|(_, r)| r.items).sum();
+            let cycles: u64 = routes.iter().map(|(_, r)| r.cycles).sum();
+            write!(f, "{what} {items} {unit} {cycles} cyc [")?;
+            let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
+            for (k, (name, r)) in routes.iter().enumerate() {
+                let sep = if k == 0 { "" } else { " " };
+                let (pi, pc) = (pct(r.items, items), pct(r.cycles, cycles));
+                write!(f, "{sep}{name} {pi:.1}%/{pc:.1}%")?;
+            }
+            write!(f, "]")
+        };
+        group(
+            f,
+            "copy",
+            "elems",
+            &[
+                ("replayed", self.copy_replayed),
+                ("in-order", self.copy_in_order),
+                ("exact", self.copy_exact),
+            ],
+        )?;
+        write!(f, "; ")?;
+        group(f, "loop", "iters", &[("replayed", self.loop_replayed), ("exact", self.loop_exact)])?;
+        let mut reasons: Vec<(ExactReason, u64)> = ExactReason::ALL
+            .into_iter()
+            .map(|r| (r, self.exact_reasons[r as usize]))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        reasons.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+        write!(f, "; exact by reason:")?;
+        if reasons.is_empty() {
+            write!(f, " none")?;
+        }
+        for (k, (r, n)) in reasons.iter().enumerate() {
+            write!(f, "{} {} {n}", if k == 0 { "" } else { "," }, r.name())?;
+        }
+        write!(f, "; spans {}, scheduling iterations {}", self.spans, self.sched_iters)
+    }
+}
+
 /// Result of running N op streams to completion (one per hardware
 /// context; the machine's `contexts` knob sets the length of the
 /// per-context vectors).

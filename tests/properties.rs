@@ -876,6 +876,109 @@ fn event_mode_equals_stepped_on_random_machines() {
     });
 }
 
+/// The same identity under indexed traffic built to break the in-order
+/// hit run everywhere it can break: an indexed gather with duplicate
+/// and clustered indices *and* an indexed scatter, non-temporal hints on
+/// and off on both sides, 12-byte records that straddle cache lines on
+/// the memory and the SRF side, an 8-entry TLB so runs stop mid-strip on
+/// a page walk, and (half the time) the SRF laid over the gathered
+/// array so a memory page equals the SRF page.
+#[test]
+fn event_mode_equals_stepped_on_indexed_traffic() {
+    type Rec = [f32; 3];
+    run_cases("event_mode_indexed_traffic", 0x1d7a, 24, |rng| {
+        let n = rng.range_usize_inclusive(64, 512);
+        let data: Vec<Rec> = (0..n).map(|_| [0; 3].map(|_| rng.f32_range(-8.0, 8.0))).collect();
+        // Gather: a few clusters of neighbours, drawn with replacement.
+        let spread = rng.range_usize_inclusive(1, 24);
+        let centers: Vec<usize> =
+            (0..rng.range_usize_inclusive(1, 8)).map(|_| rng.below_usize(n)).collect();
+        let gather_idx: Vec<u32> = (0..n)
+            .map(|_| {
+                ((centers[rng.below_usize(centers.len())] + rng.below_usize(spread)) % n) as u32
+            })
+            .collect();
+        // Scatter: a permutation (last-writer order must not matter)
+        // shuffled only within small blocks, so neighbours share lines.
+        let mut scatter_idx: Vec<u32> = (0..n as u32).collect();
+        for block in scatter_idx.chunks_mut(rng.range_usize_inclusive(2, 32)) {
+            rng.shuffle(block);
+        }
+
+        let mut b = GraphBuilder::new();
+        let a = b.array("a", &data);
+        let y = b.array_zeroed::<Rec>("y", n);
+        let gs = b.gather_indexed("gs", a, Arc::new(gather_idx));
+        let out = b.stream::<Rec>("out", n);
+        b.kernel("inc", &[gs.id()], &[out.id()], 2, |args| {
+            let x: Vec<Rec> = args.input::<Rec>(0).to_vec();
+            for (o, v) in args.output::<Rec>(0).iter_mut().zip(x) {
+                *o = v.map(|f| f + 1.0);
+            }
+        });
+        b.scatter_indexed(out, y, Arc::new(scatter_idx));
+        let (graph, world) = b.build().unwrap();
+
+        let copts = CompilerOptions {
+            strip_items: Some(rng.range_usize_inclusive(16, 256)),
+            double_buffer: rng.bool(),
+            nt_gather: rng.bool(),
+            nt_scatter: rng.bool(),
+            ..CompilerOptions::paper()
+        };
+        let compiled = compile(&graph, &copts).unwrap();
+        let srf = if rng.bool() {
+            // `a` is the first array: the SRF's pages are its pages.
+            SrfConfig { base: world.array(a.id()).base, ..copts.srf }
+        } else {
+            copts.srf
+        };
+
+        let mut mcfg = random_machine(rng);
+        if rng.bool() {
+            mcfg.dtlb_entries = 8;
+        }
+        let warmup = rng.bool();
+        let in_order = rng.bool();
+        let single = rng.bool_with(0.2);
+        // With the sampler attached the engine keeps chunk boundaries;
+        // without it, whole ops run greedily inside spans. Cover both.
+        let profile = rng.bool();
+        let interval = rng.range_u64(128, 8192);
+
+        let run = |fast: bool| {
+            let mut w = world.clone();
+            let mut exec = SimExecutor::new()
+                .with_machine(mcfg.clone())
+                .with_srf(srf)
+                .with_warmup(warmup)
+                .in_order(in_order)
+                .single_context(single)
+                .with_trace(true)
+                .with_task_log(true)
+                .fast_sim(fast);
+            if profile {
+                exec = exec.with_profile(true).with_sample_interval(interval);
+            }
+            let r = exec.run(&compiled.schedule, &compiled.graph, &mut w);
+            let bits: Vec<[u32; 3]> =
+                w.slice::<Rec>(y.id()).iter().map(|v| v.map(f32::to_bits)).collect();
+            (format!("{r:?}"), bits, r.engine_stats())
+        };
+        let (stepped, stepped_bits, _) = run(false);
+        let (event, event_bits, engine) = run(true);
+        assert_eq!(event_bits, stepped_bits, "output bits diverged (n={n} mcfg={mcfg:?})");
+        assert_eq!(
+            event, stepped,
+            "event-driven report diverged from stepped (n={n} warmup={warmup} \
+             in_order={in_order} single={single} profile={profile} srf={srf:?} mcfg={mcfg:?})"
+        );
+        // Two indexed copies of `n` records each, every element on
+        // exactly one route.
+        assert_eq!(engine.copy_items(), 2 * n as u64, "{engine}");
+    });
+}
+
 /// `run()` is exactly `snapshot()` followed by `resume_from()`, and a
 /// snapshot is immutable: resuming from it twice gives the same report
 /// both times and matches a straight run — the property the tuner's

@@ -37,7 +37,5 @@ pub mod whatif;
 
 pub use model::{ModelTask, Replay, RunModel};
 pub use path::{critical_members, critical_path, slack, Binding, PathReport, PathSegment};
-pub use runner::{
-    analyze, analyze_run, analyze_with, analyze_workload, analyze_workload_with, Analysis,
-};
+pub use runner::{analyze, analyze_run, analyze_with, analyze_workload, Analysis};
 pub use whatif::{predict, table, Scenario, WhatIfRow};

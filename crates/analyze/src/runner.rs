@@ -57,13 +57,13 @@ pub fn analyze_run(
 /// Panics if the workload fails to compile or breaks its oracle.
 #[must_use]
 pub fn analyze(wl: &Workload) -> Analysis {
-    analyze_with(wl, false)
+    analyze_with(wl, true)
 }
 
-/// [`analyze`] with an explicit step-mode choice: `fast` runs the
-/// timing pass event-driven. The analysis artifact is byte-identical
-/// either way (the differential suite asserts it on the whole catalog);
-/// `fast` only changes how long the run takes.
+/// [`analyze`] with the engine named: `fast == false` runs the timing
+/// pass on the cycle-stepped reference. The analysis artifact is
+/// byte-identical either way (the differential suite asserts it on the
+/// whole catalog); `fast` only changes how long the run takes.
 ///
 /// # Panics
 ///
@@ -90,12 +90,5 @@ pub fn analyze_with(wl: &Workload, fast: bool) -> Analysis {
 /// name.
 #[must_use]
 pub fn analyze_workload(name: &str) -> Option<Analysis> {
-    analyze_workload_with(name, false)
-}
-
-/// [`analyze_workload`] with an explicit step-mode choice (see
-/// [`analyze_with`]).
-#[must_use]
-pub fn analyze_workload_with(name: &str, fast: bool) -> Option<Analysis> {
-    workloads::named(name).map(|wl| analyze_with(&wl, fast))
+    workloads::named(name).map(|wl| analyze(&wl))
 }

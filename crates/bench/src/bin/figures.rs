@@ -59,11 +59,12 @@
 //! on any out-of-band counter — or, when the baseline is missing or
 //! unparseable, after listing every current counter value so the run
 //! is still inspectable; `--update-baseline` regenerates the snapshot.
-//! `--native [REPEATS]` appends the native executor's wall-clock
-//! parity report (not deterministic, never written to `--out`).
-//! `profile`, `analyze` and `scale` run the timing pass in the
-//! event-driven step mode: every artifact is byte-identical to the
-//! cycle-stepped reference (the differential suite asserts it).
+//! Baselines are out-of-order runs, so `--in-order` with either is a
+//! usage error. `--native [REPEATS]` appends the native executor's
+//! wall-clock parity report (not deterministic, never written to
+//! `--out`). Every selector and subcommand runs the timing pass on the
+//! event engine; no flag selects the cycle-stepped reference, which the
+//! differential suite and the `figures all` golden check it against.
 //! `profile` also says how the event engine retired the run's bulk
 //! work in one stderr line (`engine: copy N elems … [replayed a%/b%
 //! in-order c%/d% exact e%/f%]; loop …; exact by reason: …` — share of
@@ -311,6 +312,13 @@ fn profile_main(argv: &[String]) -> ! {
     let baselines = args.value("--baselines").unwrap_or_else(|| "profiles/baselines".to_string());
     let native = args.optional("--native", "a positive repeat count", |&n: &usize| n > 0, 5);
     let Some(workload) = args.finish(1).pop() else { usage_exit("missing WORKLOAD", &usage) };
+    // The baseline path carries no issue order: every committed baseline
+    // is an out-of-order run, so an in-order run may neither be checked
+    // against one nor overwrite it.
+    if in_order && (check || update_baseline) {
+        let with = if check { "--check" } else { "--update-baseline" };
+        usage_exit(&format!("--in-order cannot be combined with {with}"), &usage);
+    }
     let Some(out) = fig::profiling::profile_workload(&workload, interval, in_order, true) else {
         unknown_workload(&workload, &usage)
     };
@@ -395,7 +403,7 @@ fn analyze_main(argv: &[String]) -> ! {
     args.list(&CATALOG);
     let out_file = args.value("--out");
     let Some(workload) = args.finish(1).pop() else { usage_exit("missing WORKLOAD", &usage) };
-    let Some(analysis) = gpstream_analyze::analyze_workload_with(&workload, true) else {
+    let Some(analysis) = gpstream_analyze::analyze_workload(&workload) else {
         unknown_workload(&workload, &usage)
     };
     print!("{}", gpstream_analyze::render::text(&analysis));
@@ -425,7 +433,7 @@ fn scale_main(argv: &[String]) -> ! {
     };
     let mut rows = Vec::with_capacity(names.len());
     for name in &names {
-        let Some(row) = fig::scale::scale_workload(name, &counts, true) else {
+        let Some(row) = fig::scale::scale_workload(name, &counts) else {
             unknown_workload(name, &usage)
         };
         rows.push(row);

@@ -39,9 +39,8 @@ pub const DEFAULT_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// once with the paper's options, then run the simulated machine with
 /// `contexts = n` and the [`Topology::scaled`] layout (`n == 1` is the
 /// single general-purpose context, `n == 2` the paper's compute/memory
-/// pair, larger `n` farms each class round-robin). `fast` uses the
-/// event-driven step mode — cycle counts are identical either way.
-/// Returns `None` for an unknown workload name.
+/// pair, larger `n` farms each class round-robin). Returns `None` for
+/// an unknown workload name.
 ///
 /// # Panics
 ///
@@ -49,7 +48,7 @@ pub const DEFAULT_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// options, a run does not reproduce the functional oracle, or
 /// `counts` is empty or contains zero.
 #[must_use]
-pub fn scale_workload(name: &str, counts: &[usize], fast: bool) -> Option<ScaleRow> {
+pub fn scale_workload(name: &str, counts: &[usize]) -> Option<ScaleRow> {
     assert!(!counts.is_empty(), "need at least one context count");
     let wl = workloads::named(name)?;
     let copts = CompilerOptions::paper();
@@ -64,7 +63,6 @@ pub fn scale_workload(name: &str, counts: &[usize], fast: bool) -> Option<ScaleR
             .with_srf(copts.srf)
             .with_warmup(wl.warmup)
             .with_topology(Topology::scaled(n))
-            .fast_sim(fast)
             .run(&compiled.schedule, &compiled.graph, &mut world);
         assert!(wl.matches_oracle(&world), "scaled run must reproduce the oracle");
         points.push((n, report.timing.cycles));
@@ -142,7 +140,7 @@ mod tests {
 
     #[test]
     fn unknown_workload_is_none() {
-        assert!(scale_workload("not-a-workload", &[1, 2], true).is_none());
+        assert!(scale_workload("not-a-workload", &[1, 2]).is_none());
     }
 
     #[test]
@@ -150,25 +148,27 @@ mod tests {
         // The n == 2 point of the curve must equal the default
         // executor configuration — the scaling command measures the
         // same machine the rest of the harness reports on.
-        let row = scale_workload("ldstcomp", &[2], true).unwrap();
+        let row = scale_workload("ldstcomp", &[2]).unwrap();
         let wl = workloads::named("ldstcomp").unwrap();
         let copts = CompilerOptions::paper();
         let compiled = compile(&wl.graph, &copts).expect("compiles");
         let mut world = wl.world.clone();
-        let report = SimExecutor::new()
-            .with_srf(copts.srf)
-            .with_warmup(wl.warmup)
-            .fast_sim(true)
-            .run(&compiled.schedule, &compiled.graph, &mut world);
+        let report = SimExecutor::new().with_srf(copts.srf).with_warmup(wl.warmup).run(
+            &compiled.schedule,
+            &compiled.graph,
+            &mut world,
+        );
         assert_eq!(row.points, vec![(2, report.timing.cycles)]);
     }
 
     #[test]
-    fn curve_is_deterministic_and_mode_independent() {
+    fn curve_is_deterministic_and_renders() {
+        // Stepped ≡ event on these lowerings is the differential suite's
+        // `Topology::scaled` axis; here only the curve itself is checked.
         let counts = [1, 2, 4];
-        let a = scale_workload("ldstcomp", &counts, false).unwrap();
-        let b = scale_workload("ldstcomp", &counts, true).unwrap();
-        assert_eq!(a, b, "event-driven and cycle-stepped runs must agree");
+        let a = scale_workload("ldstcomp", &counts).unwrap();
+        let b = scale_workload("ldstcomp", &counts).unwrap();
+        assert_eq!(a, b, "reruns must agree");
         assert!(a.points.iter().all(|&(_, c)| c > 0));
         let text = render(std::slice::from_ref(&a));
         assert!(text.contains("ldstcomp"));

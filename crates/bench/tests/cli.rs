@@ -82,6 +82,18 @@ fn hostile_argv_is_a_usage_error() {
         (&["profile", "ldstcomp", "--interval", "0"], 2, "--interval needs"),
         (&["profile", "ldstcomp", "--native", "0"], 2, "--native needs"),
         (&["scale", "ldstcomp", "--max", "300"], 2, "--max needs"),
+        // Baselines are out-of-order runs: an in-order run used to fail
+        // the check (exit 1) or silently overwrite the baseline.
+        (
+            &["profile", "gatscat", "--in-order", "--check"],
+            2,
+            "--in-order cannot be combined with --check",
+        ),
+        (
+            &["profile", "gatscat", "--in-order", "--update-baseline"],
+            2,
+            "--in-order cannot be combined with --update-baseline",
+        ),
         // No process can create a file under /proc/nope.
         (&["profile", "ldstcomp", "--out", "/proc/nope/x"], 1, "cannot write /proc/nope/x"),
         (&["analyze", "ldstcomp", "--out", "/proc/nope/x"], 1, "cannot write /proc/nope/x"),
@@ -154,4 +166,30 @@ fn profile_engine_line_is_stderr_only() {
     assert!(ran.status.success(), "{stderr}");
     assert!(stderr.contains("engine: copy ") && stderr.contains("exact by reason:"), "{stderr}");
     assert!(stdout.contains("ldstcomp") && !stdout.contains("engine:"), "{stdout}");
+}
+
+/// The figures of record, byte for byte: stdout of `figures all`. It is
+/// the only stepped ≡ event oracle for the Figure 5/6/8 machine probes,
+/// the regular-code lowering and the `enhanced` machine, whose golden
+/// was written by the cycle-stepped engine. Ignored because a debug run
+/// takes about a minute; CI runs it in release. Refresh after a
+/// deliberate model change with
+/// `UPDATE_GOLDEN=1 cargo test --release -p gpstream-bench --test cli -- --ignored figures_all`.
+#[test]
+#[ignore = "a minute unoptimized; run with --release -- --ignored (CI does)"]
+fn figures_all_matches_golden() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/figures-all.txt");
+    let ran = Command::new(env!("CARGO_BIN_EXE_figures")).arg("all").output().expect("spawn");
+    assert!(ran.status.success(), "{}", String::from_utf8_lossy(&ran.stderr));
+    let current = String::from_utf8(ran.stdout).expect("utf-8 stdout");
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&path, &current).expect("golden written");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).expect("golden snapshot present");
+    let first = want.lines().zip(current.lines()).position(|(w, c)| w != c).map(|i| i + 1);
+    assert!(
+        want == current,
+        "`figures all` left the golden (first differing line {first:?}):\n{current}"
+    );
 }

@@ -7,6 +7,7 @@ use gpstream_core::exec::sim::SimExecutor;
 use gpstream_core::task::{PortBinding, ScheduledProgram, TaskDesc, TaskId, TaskKind};
 use gpstream_core::{GraphBuilder, KernelId};
 use gpstream_machine::ops::WaitPolicy;
+use gpstream_machine::{ExactReason, StepMode};
 
 /// Hand-build a two-strip schedule exercising double buffering and
 /// cross-queue dependencies.
@@ -95,6 +96,23 @@ fn hand_built_schedule_runs_on_all_executors() {
     let mut w3 = world.clone();
     NativeExecutor::new().with_wait_policy(NativeWaitPolicy::Spin).run(&program, &graph, &mut w3);
     assert_eq!(w3.slice::<f32>(y), expected.as_slice());
+}
+
+/// The event engine is the default at both layers; the cycle-stepped
+/// reference runs only when named (`fast_sim(false)`), where the
+/// engine's own tally files every copy element under `stepped`.
+#[test]
+fn event_engine_is_the_default() {
+    assert_eq!(StepMode::default(), StepMode::Event);
+    let (graph, world, y, program, expected) = two_strip_setup();
+    let stepped_elems = |exec: SimExecutor| {
+        let mut w = world.clone();
+        let rep = exec.run(&program, &graph, &mut w);
+        assert_eq!(w.slice::<f32>(y), expected.as_slice());
+        rep.engine_stats().exact_reasons[ExactReason::Stepped as usize]
+    };
+    assert_eq!(stepped_elems(SimExecutor::new()), 0, "the default must be the event engine");
+    assert!(stepped_elems(SimExecutor::new().fast_sim(false)) > 0, "false is the reference");
 }
 
 #[test]

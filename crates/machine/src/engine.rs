@@ -206,15 +206,17 @@ impl IssueState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepMode {
     /// Reference mode: advance in fixed element/cycle chunks, re-picking
-    /// the context and re-resolving waits between every chunk.
-    #[default]
+    /// the context and re-resolving waits between every chunk. Kept as
+    /// the oracle the event engine is checked against; only tests, the
+    /// differential suite and the benchmark's identity check select it.
     Stepped,
-    /// Event-driven fast path: while the partner context is blocked, run
+    /// The engine (default): while the partner context is blocked, run
     /// the picked context's current op to completion in one span, and
     /// replay provably-hitting cache/TLB reference runs arithmetically.
     /// Produces bit-identical results, counters, traces, profiles and
     /// samples to [`StepMode::Stepped`] (asserted by the differential
     /// equivalence suite).
+    #[default]
     Event,
 }
 

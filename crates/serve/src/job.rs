@@ -115,15 +115,12 @@ pub fn build_table(workload: &str, ctx: usize) -> Option<VariantTable> {
             FunctionalExecutor::new().run(&compiled.schedule, &compiled.graph, &mut oracle_world);
             let oracle = oracle_world.array(mb.stream_output).data.as_bytes().to_vec();
             // Price the variant: simulated cycles on one ctx-context
-            // worker. The event-driven fast path is byte-identical to
-            // cycle stepping (differential suite), so pricing is exact
-            // and cheap.
+            // worker.
             let mut sim_world = mb.stream_world.clone();
             let report = SimExecutor::new()
                 .with_machine(machine.clone())
                 .with_srf(copts.srf)
                 .with_topology(topology.clone())
-                .fast_sim(true)
                 .run(&compiled.schedule, &compiled.graph, &mut sim_world);
             assert_eq!(
                 sim_world.array(mb.stream_output).data.as_bytes(),

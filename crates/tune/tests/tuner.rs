@@ -56,7 +56,7 @@ fn winner_is_valid_beats_or_ties_baseline_and_round_trips() {
     let dir = scratch("winner");
     fs::create_dir_all(&dir).unwrap();
     let wl = micro("prodcon", 1024, 1);
-    let tuner = small_tuner(4, EvalCache::disabled());
+    let tuner = Tuner { fast_sim: true, ..small_tuner(4, EvalCache::disabled()) };
     let out = tuner.tune(&wl);
 
     assert!(out.best_cycles <= out.baseline_cycles);
@@ -64,8 +64,8 @@ fn winner_is_valid_beats_or_ties_baseline_and_round_trips() {
     assert_eq!(out.rejected, 0, "validate() pruning must keep rejects out of the search");
 
     // The winner reproduces the functional oracle bit-for-bit when
-    // re-evaluated from scratch — in the cycle-stepped mode, so the
-    // fast-sim search is cross-checked against the reference engine.
+    // re-evaluated from scratch — on the cycle-stepped reference, so the
+    // event-engine search is cross-checked against it.
     match evaluate(&wl, &tuner.base_copts, &tuner.base_mcfg, &out.best, false) {
         Evaluated::Cycles(c) => assert_eq!(c, out.best_cycles, "re-evaluation must agree"),
         Evaluated::Rejected(why) => panic!("winner rejected on re-evaluation: {why}"),

@@ -8,12 +8,13 @@
 //! the native executor re-orders work across real threads (where any
 //! dependency bug shows up as a divergent byte).
 //!
-//! The second half is the **sim-equivalence suite**: the event-driven
-//! fast path ([`SimExecutor::fast_sim`]) must be *byte-identical* to
-//! cycle-stepping — same `RunResult`, trace, task log, profile counters,
-//! interval samples, and analyze artifacts — across the workload catalog
-//! × {in-order, out-of-order} × two strip sizes. Per-commit runs use
-//! micro-sized versions of all seven catalog shapes; the full
+//! The second half is the **sim-equivalence suite**: the event engine
+//! every tool runs must be *byte-identical* to the cycle-stepped
+//! reference ([`SimExecutor::fast_sim`] names each side explicitly) —
+//! same `RunResult`, trace, task log, profile counters, interval
+//! samples, and analyze artifacts — across the workload catalog × every
+//! lowering a figure of record uses × two strip sizes. Per-commit runs
+//! use micro-sized versions of all seven catalog shapes; the full
 //! paper-scale catalog runs under `--ignored` in release CI.
 
 use gpstream::apps::{cdp, fem, neo, spas};
@@ -21,8 +22,8 @@ use gpstream::compiler::{compile, CompilerOptions};
 use gpstream::core::exec::functional::FunctionalExecutor;
 use gpstream::core::exec::native::{NativeExecutor, NativeWaitPolicy};
 use gpstream::core::exec::sim::{SimExecutor, SimReport};
-use gpstream::core::{ScheduledProgram, StreamGraph, World};
-use gpstream::machine::WaitPolicy;
+use gpstream::core::{ScheduledProgram, StreamGraph, Topology, World};
+use gpstream::machine::{MachineConfig, WaitPolicy};
 use gpstream_analyze::{render as analyze_render, runner::analyze_run};
 use gpstream_profile::counters::CounterSet;
 use gpstream_profile::report::{profile_json, samples_csv};
@@ -127,22 +128,41 @@ fn analyze_doc(
     analyze_render::to_json(&analysis).to_doc_string()
 }
 
-/// Run `wl` under both step modes across {in-order, out-of-order} × two
-/// strip sizes and assert every observable is byte-identical: the final
-/// world, `RunResult`, the trace event stream, the task log, the profile
-/// artifact, the interval-sample CSV, and (for task-logged runs) the
-/// analyzer artifact.
+/// Every lowering a figure of record runs, as a fresh executor: the
+/// paper's out-of-order queues, head-blocking queues (`--in-order`, the
+/// Figure 7 ablation), the single-context software pipeline (Section
+/// III-B-2), and the scaled topologies `figures scale` and serve pricing
+/// run, at 1 and 4 contexts on a machine of exactly that many contexts.
+fn lowerings() -> [(&'static str, SimExecutor); 5] {
+    let scaled = |n: usize| {
+        let mut cfg = MachineConfig::prescott();
+        cfg.contexts = n;
+        SimExecutor::new().with_machine(cfg).with_topology(Topology::scaled(n))
+    };
+    [
+        ("out-of-order", SimExecutor::new()),
+        ("in-order", SimExecutor::new().in_order(true)),
+        ("single-context", SimExecutor::new().single_context(true)),
+        ("scaled-1", scaled(1)),
+        ("scaled-4", scaled(4)),
+    ]
+}
+
+/// Run `wl` on both engines across every lowering × two strip sizes and
+/// assert every observable is byte-identical: the final world,
+/// `RunResult`, the trace event stream, the task log, the profile
+/// artifact, the interval-sample CSV, and (for the paper's two-context
+/// run) the analyzer artifact.
 fn sim_equivalence(wl: &Workload) {
     for strip in [Some(64usize), None] {
         let copts = CompilerOptions { strip_items: strip, ..CompilerOptions::paper() };
         let compiled = compile(&wl.graph, &copts).expect("workload compiles");
-        for in_order in [false, true] {
-            let ctx = format!("{} strip={strip:?} in_order={in_order}", wl.name);
+        for (lowering, base) in lowerings() {
+            let ctx = format!("{} strip={strip:?} {lowering}", wl.name);
             let exec = |fast: bool| {
-                SimExecutor::new()
+                base.clone()
                     .with_srf(copts.srf)
                     .with_warmup(wl.warmup)
-                    .in_order(in_order)
                     .with_trace(true)
                     .with_profile(true)
                     .with_task_log(true)
@@ -182,7 +202,9 @@ fn sim_equivalence(wl: &Workload) {
                 csv(&event),
                 "{ctx}: interval samples differ between step modes"
             );
-            if stepped.task_runs.is_some() {
+            // The analyzer models the paper's two-context run, the one
+            // `figures analyze` makes.
+            if lowering == "out-of-order" {
                 assert_eq!(
                     analyze_doc(&wl.name, &compiled.schedule, &compiled.graph, &stepped),
                     analyze_doc(&wl.name, &compiled.schedule, &compiled.graph, &event),
@@ -194,13 +216,8 @@ fn sim_equivalence(wl: &Workload) {
             // mode may run whole ops greedily inside spans — a different
             // internal path than the sampled runs above, so it gets its
             // own byte-identity check.
-            let bare = |fast: bool| {
-                SimExecutor::new()
-                    .with_srf(copts.srf)
-                    .with_warmup(wl.warmup)
-                    .in_order(in_order)
-                    .fast_sim(fast)
-            };
+            let bare =
+                |fast: bool| base.clone().with_srf(copts.srf).with_warmup(wl.warmup).fast_sim(fast);
             let mut wb_stepped = wl.world.clone();
             let b_stepped = bare(false).run(&compiled.schedule, &compiled.graph, &mut wb_stepped);
             let mut wb_event = wl.world.clone();

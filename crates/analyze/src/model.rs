@@ -120,8 +120,8 @@ impl RunModel {
     ///
     /// # Panics
     ///
-    /// Panics if the report has no task log (the run was in-order or
-    /// single-context, or logging was off).
+    /// Panics if the report has no task log (the run was in-order, or
+    /// logging was off).
     #[must_use]
     pub fn build(
         program: &ScheduledProgram,

@@ -168,6 +168,7 @@ pub fn ooo_ablation(cfg: &MachineConfig, copts: &CompilerOptions) -> Vec<Compari
 #[must_use]
 pub fn single_vs_dual_context(cfg: &MachineConfig, copts: &CompilerOptions) -> Vec<(String, f64)> {
     use gpstream_core::exec::sim::SimExecutor;
+    use gpstream_core::Topology;
     let mut out = Vec::new();
     for (name, mb) in [
         ("LD-ST-COMP", gpstream_microbench::kernels::ld_st_comp(8192, 4)),
@@ -175,17 +176,16 @@ pub fn single_vs_dual_context(cfg: &MachineConfig, copts: &CompilerOptions) -> V
         ("PROD-CON", gpstream_microbench::kernels::prod_con(8192, 4)),
     ] {
         let compiled = gpstream_compiler::compile(&mb.graph, copts).expect("compiles");
-        let run = |single: bool| {
+        let run = |exec: SimExecutor| {
             let mut w = mb.stream_world.clone();
-            SimExecutor::new()
-                .with_machine(cfg.clone())
+            exec.with_machine(cfg.clone())
                 .with_srf(copts.srf)
-                .single_context(single)
                 .run(&compiled.schedule, &compiled.graph, &mut w)
                 .timing
                 .cycles
         };
-        let (dual, single) = (run(false), run(true));
+        let dual = run(SimExecutor::new());
+        let single = run(SimExecutor::new().with_topology(Topology::single()).in_order(true));
         out.push((name.to_string(), single as f64 / dual as f64));
     }
     out

@@ -32,6 +32,7 @@
 
 use crate::exec::execute_task;
 use crate::graph::StreamGraph;
+use crate::pool::{notify_all, DeathNotice};
 use crate::spsc::SpscRing;
 use crate::srf::{SrfBuffer, SrfConfig};
 use crate::task::{ScheduledProgram, TaskId};
@@ -59,12 +60,6 @@ pub const NATIVE_ISSUE_WINDOW: usize = 16;
 /// Trace lane of the control thread. The worker for context `c` stamps
 /// lane `c + 1`.
 pub const LANE_CONTROL: u8 = 0;
-/// Trace lane of the compute worker under the default two-context
-/// topology (context 0).
-pub const LANE_COMPUTE: u8 = 1;
-/// Trace lane of the memory worker under the default two-context
-/// topology (context 1).
-pub const LANE_MEMORY: u8 = 2;
 
 /// How a worker thread waits for its dependencies to clear.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -103,7 +98,7 @@ pub struct TaskTime {
     /// The task.
     pub task: TaskId,
     /// Trace lane of the worker that ran it (topology context + 1; under
-    /// the default topology [`LANE_COMPUTE`] or [`LANE_MEMORY`]).
+    /// the default topology 1 computes and 2 moves memory).
     pub lane: u8,
     /// Task-body wall time in nanoseconds.
     pub ns: u64,
@@ -131,24 +126,6 @@ impl Shared<'_> {
     /// for shutdown).
     fn lock_window(&self) -> MutexGuard<'_, DependencyWindow> {
         self.window.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// On-drop guard a worker holds for its whole loop: if the worker
-/// unwinds, mark the run dead and wake everyone parked on the window
-/// condvar — otherwise the control thread can sleep forever waiting for
-/// a window slot the dead worker will never free.
-struct DeathNotice<'a, 'b>(&'a Shared<'b>);
-
-impl Drop for DeathNotice<'_, '_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.dead.store(true, Ordering::Release);
-            // Acquire the window lock so the flag store cannot race a
-            // parked thread between its check and its wait.
-            drop(self.0.lock_window());
-            self.0.window_cv.notify_all();
-        }
     }
 }
 
@@ -305,19 +282,15 @@ impl NativeExecutor {
                     item = back;
                     std::hint::spin_loop();
                 }
-                // Wake any worker parked on an empty ring. Taking the
-                // window lock first (and dropping it) orders the push
-                // before a parked worker's empty-ring re-check, so the
-                // notification cannot be lost.
-                drop(shared.lock_window());
-                shared.window_cv.notify_all();
+                // Wake any worker parked on an empty ring; notifying
+                // under the window lock orders the push before its re-check.
+                notify_all(&shared.window, &shared.window_cv);
                 if let Some(buf) = &shared.trace {
                     buf.push(LANE_CONTROL, Some(task.id), ExecEventKind::Enqueue);
                 }
             }
             shared.done.store(true, Ordering::Release);
-            drop(shared.lock_window());
-            shared.window_cv.notify_all();
+            notify_all(&shared.window, &shared.window_cv);
             let mut counts = Vec::with_capacity(workers.len());
             let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
             for w in workers {
@@ -379,7 +352,9 @@ fn worker_loop(
     policy: NativeWaitPolicy,
     issue_window: usize,
 ) -> WorkerCount {
-    let _notice = DeathNotice(shared);
+    // A dying worker wakes the control thread, which could otherwise
+    // sleep forever waiting for a window slot the worker will never free.
+    let _notice = DeathNotice { dead: &shared.dead, lock: &shared.window, cv: &shared.window_cv };
     let mut count = WorkerCount::default();
     // In-flight entries, oldest first (queue order == task-id order).
     let mut local: Vec<QueuedTask> = Vec::with_capacity(issue_window);

@@ -15,7 +15,10 @@
 //! latency measured in the paper (175 / 680 cycles). The
 //! [`SimExecutor::in_order`] toggle restores head-blocking queues
 //! (same-queue dependencies free by order, cross-queue dependencies as
-//! signal/wait pairs) for ablation.
+//! signal/wait pairs) for ablation; under [`Topology::single`] it is the
+//! paper's fallback for processors without SMT (Section III-B-2): the
+//! gather, kernel and scatter stages software-pipelined on one context,
+//! so no cross-context dispatch is paid but nothing overlaps either.
 
 use crate::exec::execute_task;
 use crate::graph::{AccessKind, ArrayBinding, StreamGraph};
@@ -31,13 +34,6 @@ use gpstream_machine::{
 };
 use std::collections::HashSet;
 use std::sync::Arc;
-
-/// Context index running computation kernels under the default
-/// [`Topology::two_context`] layout.
-pub const COMPUTE_CTX: usize = 0;
-/// Context index running bulk memory operations under the default
-/// [`Topology::two_context`] layout.
-pub const MEMORY_CTX: usize = 1;
 
 /// Report from a simulated run.
 #[derive(Clone)]
@@ -57,8 +53,8 @@ pub struct SimReport {
     /// The executed task DAG of the timing run: one record per issued
     /// work-queue entry with its start/end cycles and induced edges
     /// (present when [`SimExecutor::with_task_log`] enabled logging on
-    /// the default out-of-order two-context mapping; the in-order and
-    /// single-context lowerings have no work queues to log).
+    /// an out-of-order mapping; the in-order view has no work queues to
+    /// log).
     pub task_runs: Option<Vec<TaskRun>>,
     /// Events the machine's bounded trace sink dropped at capacity
     /// during the measured iteration (0 when tracing was off or nothing
@@ -127,8 +123,8 @@ pub struct TaskRun {
 pub struct TaskProfile {
     /// The task.
     pub task: TaskId,
-    /// Hardware context it ran on (0 = compute, 1 = memory; the
-    /// single-context mapping puts everything on 0).
+    /// Hardware context it ran on (0 = compute, 1 = memory; under
+    /// [`Topology::single`] everything runs on 0).
     pub ctx: u8,
     /// Cycles the context spent executing the task's ops (synchronization
     /// ops included; queue dispatch and idle waiting are not attributable
@@ -159,6 +155,28 @@ pub struct SimProfile {
 struct Lowered {
     ops: Vec<Vec<BulkOp>>,
     owners: Vec<Vec<TaskId>>,
+    /// The work-queue entries partitioning `ops`; `None` for the
+    /// in-order view, whose streams carry their `Wait`/`Signal` ops
+    /// inline.
+    queues: Option<Vec<Vec<TaskNode>>>,
+}
+
+impl Lowered {
+    /// One timing iteration of the lowered schedule on `machine`.
+    fn run(&self, machine: &mut Machine, policy: WaitPolicy) -> RunResult {
+        match &self.queues {
+            Some(queues) => {
+                let progs: Vec<ContextProgram> = self
+                    .ops
+                    .iter()
+                    .zip(queues)
+                    .map(|(ops, tasks)| ContextProgram { ops: ops.clone(), tasks: tasks.clone() })
+                    .collect();
+                machine.run_tasks(progs, policy, crate::workqueue::WINDOW)
+            }
+            None => machine.run(self.ops.clone()),
+        }
+    }
 }
 
 /// Executor that runs the program functionally and on the timing model.
@@ -169,7 +187,6 @@ pub struct SimExecutor {
     topology: Topology,
     wait_policy: WaitPolicy,
     warmup: bool,
-    single_context: bool,
     in_order: bool,
     trace: bool,
     profile: bool,
@@ -182,14 +199,13 @@ pub struct SimExecutor {
 /// (if configured) the warm-up timing iteration. Cloning the contained
 /// machine and running only the measured iteration via
 /// [`SimExecutor::resume_from`] yields a report byte-identical to
-/// [`SimExecutor::run`] on the same executor — successive tuner rungs
-/// and what-if replays share the warmed prefix instead of re-simulating
-/// it.
+/// [`SimExecutor::run`] on the same executor. No caller shares one
+/// snapshot between variants: each resumes its own, with the executor
+/// that took it (the what-if replays do not simulate at all).
 #[derive(Debug, Clone)]
 pub struct SimSnapshot {
     machine: Machine,
     lowered: Arc<Lowered>,
-    progs: Option<Vec<ContextProgram>>,
     task_ids: Arc<[TaskId]>,
     wait_policy: WaitPolicy,
     trace: bool,
@@ -210,7 +226,6 @@ impl Default for SimExecutor {
             topology: Topology::two_context(),
             wait_policy: WaitPolicy::Mwait,
             warmup: false,
-            single_context: false,
             in_order: false,
             trace: false,
             profile: false,
@@ -286,21 +301,12 @@ impl SimExecutor {
         self
     }
 
-    /// Map everything onto a single hardware context — the paper's
-    /// fallback for processors without SMT (Section III-B-2): the gather,
-    /// kernel and scatter stages are software pipelined on one thread, so
-    /// no cross-context dispatch is paid but nothing overlaps either.
-    #[must_use]
-    pub fn single_context(mut self, single: bool) -> Self {
-        self.single_context = single;
-        self
-    }
-
     /// Force head-blocking work queues: each context executes its queue
     /// strictly in order, waiting at the head (the pre-`tail_depend`
     /// behaviour, kept as an ablation baseline). Default is `false`:
     /// out-of-order issue within a [`crate::workqueue::WINDOW`]-entry
-    /// window, per the paper's Figure 7.
+    /// window, per the paper's Figure 7. With [`Topology::single`] this
+    /// is the paper's single-context mapping (Section III-B-2).
     #[must_use]
     pub fn in_order(mut self, in_order: bool) -> Self {
         self.in_order = in_order;
@@ -330,9 +336,9 @@ impl SimExecutor {
 
     /// Record the executed task DAG during the timing run: one
     /// [`TaskRun`] per issued work-queue entry, in issue order, in the
-    /// report's `task_runs` field. Only the default out-of-order
-    /// two-context mapping has work queues to log — the in-order and
-    /// single-context lowerings leave `task_runs` as `None`. When a
+    /// report's `task_runs` field. Only out-of-order issue has work
+    /// queues to log — the in-order view leaves `task_runs` as `None`.
+    /// When a
     /// warm-up run is configured, only the measured iteration is logged.
     /// Logging reads issue-time state without touching the model, so
     /// timing is identical with it on or off.
@@ -404,13 +410,9 @@ impl SimExecutor {
         graph: &StreamGraph,
         world: &mut World,
     ) -> SimSnapshot {
-        if self.single_context {
-            program.check(graph).expect("scheduled program must be consistent");
-        } else {
-            program
-                .check_with_topology(graph, &self.topology)
-                .expect("scheduled program must be consistent and covered by the topology");
-        }
+        program
+            .check_with_topology(graph, &self.topology)
+            .expect("scheduled program must be consistent and covered by the topology");
         assert!(
             program.srf_bytes <= self.srf_cfg.capacity,
             "program needs {} SRF bytes but only {} are configured",
@@ -428,9 +430,7 @@ impl SimExecutor {
         // queue; with the default two-context topology this leaves the
         // configured machine untouched.
         let mut machine_cfg = self.machine_cfg.clone();
-        if !self.single_context {
-            machine_cfg.contexts = machine_cfg.contexts.max(self.topology.contexts());
-        }
+        machine_cfg.contexts = machine_cfg.contexts.max(self.topology.contexts());
         let mut machine = Machine::new(machine_cfg);
         machine.install_srf(self.srf_cfg.range());
         machine.set_step_mode(if self.fast_sim { StepMode::Event } else { StepMode::Stepped });
@@ -441,37 +441,18 @@ impl SimExecutor {
             machine.enable_profile();
             machine.enable_sampling(self.sample_interval);
         }
-        let task_log = self.task_log && !self.single_context && !self.in_order;
+        let task_log = self.task_log && !self.in_order;
         if task_log {
             machine.enable_task_log();
         }
-        let (lowered, progs) = if self.single_context {
-            (self.lower_single(program, graph, world), None)
-        } else if self.in_order {
-            (self.lower(program, graph, world), None)
-        } else {
-            let (lowered, progs) = self.lower_tasks(program, graph, world);
-            (lowered, Some(progs))
-        };
+        let lowered = self.lower(program, graph, world);
         if self.warmup {
-            match &progs {
-                Some(progs) => {
-                    let _ = machine.run_tasks(
-                        progs.clone(),
-                        self.wait_policy,
-                        crate::workqueue::WINDOW,
-                    );
-                }
-                None => {
-                    let _ = machine.run(lowered.ops.clone());
-                }
-            }
+            let _ = lowered.run(&mut machine, self.wait_policy);
             machine.reset_time(); // also drops the warm-up's trace events
         }
         SimSnapshot {
             machine,
             lowered: Arc::new(lowered),
-            progs,
             task_ids: program.tasks.iter().map(|t| t.id).collect(),
             wait_policy: self.wait_policy,
             trace: self.trace,
@@ -482,20 +463,15 @@ impl SimExecutor {
     }
 
     /// Run the measured timing iteration from a warmed snapshot. The
-    /// snapshot is not consumed — its machine state is cloned — so many
-    /// variants (tuner rungs, what-if replays) can resume from one
-    /// snapshot. `self.run(..)` and `self.resume_from(&self.snapshot(..))`
-    /// produce byte-identical reports.
+    /// snapshot is not consumed — its machine state is cloned — so
+    /// resuming it again replays the same iteration. `self.run(..)` and
+    /// `self.resume_from(&self.snapshot(..))` produce byte-identical
+    /// reports.
     #[must_use]
     pub fn resume_from(&self, snap: &SimSnapshot) -> SimReport {
         let mut machine = snap.machine.clone();
-        let timing = match &snap.progs {
-            Some(progs) => {
-                machine.run_tasks(progs.clone(), snap.wait_policy, crate::workqueue::WINDOW)
-            }
-            None => machine.run(snap.lowered.ops.clone()),
-        };
         let lowered = &*snap.lowered;
+        let timing = lowered.run(&mut machine, snap.wait_policy);
         let trace =
             snap.trace.then(|| attribute_events(machine.take_trace(), lowered, &snap.task_ids));
         let trace_dropped = machine.trace_dropped();
@@ -533,78 +509,18 @@ impl SimExecutor {
         }
     }
 
-    /// Lower the whole schedule onto one context in task order (the
-    /// single-hardware-context mapping). In-order execution subsumes all
-    /// dependencies, so no signal/wait pairs are needed.
-    fn lower_single(
-        &self,
-        program: &ScheduledProgram,
-        graph: &StreamGraph,
-        world: &World,
-    ) -> Lowered {
-        let mut ops = Vec::with_capacity(program.tasks.len());
-        let mut owners = Vec::with_capacity(program.tasks.len());
-        for t in &program.tasks {
-            ops.push(self.task_op(&t.kind, graph, world));
-            owners.push(t.id);
-        }
-        Lowered { ops: vec![ops, Vec::new()], owners: vec![owners, Vec::new()] }
-    }
-
-    /// Lower the schedule into per-context bulk-op streams, tracking
-    /// which task produced each op. Tasks land on the context the
-    /// topology assigns them; with the default two-context topology this
-    /// is the paper's kind split (kernels on 0, gathers/scatters on 1).
-    fn lower(&self, program: &ScheduledProgram, graph: &StreamGraph, world: &World) -> Lowered {
-        let assignment = self.topology.assign(&program.tasks);
-        // Which tasks need a completion signal (some cross-queue task
-        // depends on them)?
-        let mut signaled: HashSet<u32> = HashSet::new();
-        for t in &program.tasks {
-            for d in &t.deps {
-                if assignment[d.0 as usize] != assignment[t.id.0 as usize] {
-                    signaled.insert(d.0);
-                }
-            }
-        }
-
-        let n = self.topology.contexts();
-        let mut ops: Vec<Vec<BulkOp>> = vec![Vec::new(); n];
-        let mut owners: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        for t in &program.tasks {
-            let c = assignment[t.id.0 as usize];
-            let (ops, owners) = (&mut ops[c], &mut owners[c]);
-            let ops_before = ops.len();
-            // Wait for cross-queue dependencies (same-queue order is free).
-            for d in &t.deps {
-                if assignment[d.0 as usize] != c {
-                    ops.push(BulkOp::Wait { id: d.0, policy: self.wait_policy });
-                }
-            }
-            ops.push(self.task_op(&t.kind, graph, world));
-            if signaled.contains(&t.id.0) {
-                ops.push(BulkOp::Signal { id: t.id.0 });
-            }
-            owners.extend(std::iter::repeat_n(t.id, ops.len() - ops_before));
-        }
-        Lowered { ops, owners }
-    }
-
     /// The single machine-level bulk op a task lowers to.
     fn task_op(&self, kind: &TaskKind, graph: &StreamGraph, world: &World) -> BulkOp {
         match kind {
-            TaskKind::Gather { binding, nt } => BulkOp::Copy {
-                mem: self.mem_pattern(binding, graph, world, true),
-                srf_base: self.srf_cfg.base + binding.srf_offset as u64,
-                dir: CopyDir::GatherToSrf,
-                nt: *nt,
-            },
-            TaskKind::Scatter { binding, nt } => BulkOp::Copy {
-                mem: self.mem_pattern(binding, graph, world, false),
-                srf_base: self.srf_cfg.base + binding.srf_offset as u64,
-                dir: CopyDir::ScatterFromSrf,
-                nt: *nt,
-            },
+            TaskKind::Gather { binding, nt } | TaskKind::Scatter { binding, nt } => {
+                let gather = matches!(kind, TaskKind::Gather { .. });
+                BulkOp::Copy {
+                    mem: self.mem_pattern(binding, graph, world, gather),
+                    srf_base: self.srf_cfg.base + binding.srf_offset as u64,
+                    dir: if gather { CopyDir::GatherToSrf } else { CopyDir::ScatterFromSrf },
+                    nt: *nt,
+                }
+            }
             TaskKind::Kernel { kernel, items, inputs, outputs } => {
                 let decl = graph.kernel(*kernel);
                 let n_items = (items.end - items.start).max(1);
@@ -634,19 +550,20 @@ impl SimExecutor {
         }
     }
 
-    /// Lower the schedule into task-form per-context programs for
-    /// [`Machine::run_tasks`]: each task becomes one work-queue entry
-    /// carrying *all* of its dependencies (the out-of-order issuer gets
-    /// nothing for free from queue order), a completion signal if
-    /// anything depends on it, and a `feeds_partner` hint when a
-    /// cross-context task does. Also returns the flat op/owner view used
-    /// for trace attribution.
-    fn lower_tasks(
-        &self,
-        program: &ScheduledProgram,
-        graph: &StreamGraph,
-        world: &World,
-    ) -> (Lowered, Vec<ContextProgram>) {
+    /// Lower the schedule — the one walk over it. Each task lands on the
+    /// context the topology assigns it (under the default two-context
+    /// topology, the paper's kind split: kernels on 0, gathers/scatters
+    /// on 1) as one work-queue entry carrying *all* of its dependencies
+    /// (the out-of-order issuer gets nothing for free from queue order),
+    /// a completion signal if anything depends on it, and a
+    /// `feeds_partner` hint when a cross-context task does.
+    ///
+    /// The in-order mapping is a view of those queues: each entry, in
+    /// queue order, becomes one `Wait` per dependency on another context
+    /// (same-queue order is free), its op, and a `Signal` exactly when it
+    /// feeds another context. Under [`Topology::single`] nothing crosses
+    /// contexts, so the view is the schedule's ops in task order.
+    fn lower(&self, program: &ScheduledProgram, graph: &StreamGraph, world: &World) -> Lowered {
         let assignment = self.topology.assign(&program.tasks);
         let n = program.tasks.len();
         let mut has_dependent = vec![false; n];
@@ -661,24 +578,46 @@ impl SimExecutor {
         }
 
         let nctx = self.topology.contexts();
-        let mut progs = vec![ContextProgram::default(); nctx];
+        let mut ops: Vec<Vec<BulkOp>> = vec![Vec::new(); nctx];
+        let mut queues: Vec<Vec<TaskNode>> = vec![Vec::new(); nctx];
         let mut owners: Vec<Vec<TaskId>> = vec![Vec::new(); nctx];
         for t in &program.tasks {
-            let ctx = assignment[t.id.0 as usize];
-            let prog = &mut progs[ctx];
-            let start = prog.ops.len();
-            prog.ops.push(self.task_op(&t.kind, graph, world));
-            owners[ctx].push(t.id);
-            let i = t.id.0 as usize;
-            prog.tasks.push(TaskNode {
-                ops: start..prog.ops.len(),
+            let (c, i) = (assignment[t.id.0 as usize], t.id.0 as usize);
+            let start = ops[c].len();
+            ops[c].push(self.task_op(&t.kind, graph, world));
+            owners[c].push(t.id);
+            queues[c].push(TaskNode {
+                ops: start..ops[c].len(),
                 deps: t.deps.iter().map(|d| d.0).collect(),
                 signal: has_dependent[i].then_some(t.id.0),
                 feeds_partner: feeds_partner[i],
             });
         }
-        let ops = progs.iter().map(|p| p.ops.clone()).collect();
-        (Lowered { ops, owners }, progs)
+        if !self.in_order {
+            return Lowered { ops, owners, queues: Some(queues) };
+        }
+
+        let mut flat: Vec<Vec<BulkOp>> = vec![Vec::new(); nctx];
+        let mut flat_owners: Vec<Vec<TaskId>> = vec![Vec::new(); nctx];
+        for (c, ((ops, queue), owners)) in ops.into_iter().zip(&queues).zip(&owners).enumerate() {
+            let (flat, flat_owners) = (&mut flat[c], &mut flat_owners[c]);
+            let mut ops = ops.into_iter();
+            for (node, &task) in queue.iter().zip(owners) {
+                let before = flat.len();
+                flat.extend(
+                    node.deps
+                        .iter()
+                        .filter(|&&d| assignment[d as usize] != c)
+                        .map(|&d| BulkOp::Wait { id: d, policy: self.wait_policy }),
+                );
+                flat.extend(ops.by_ref().take(node.ops.len()));
+                if node.feeds_partner {
+                    flat.push(BulkOp::Signal { id: task.0 });
+                }
+                flat_owners.extend(std::iter::repeat_n(task, flat.len() - before));
+            }
+        }
+        Lowered { ops: flat, owners: flat_owners, queues: None }
     }
 
     /// Build the machine-level access pattern for a gather (`is_src`) or
@@ -734,7 +673,7 @@ impl SimExecutor {
 
 /// Fold the machine's per-(ctx, op) profile into per-task attribution
 /// via the lowering's op → owner map. A task may own several ops (its
-/// bulk op plus synchronization ops on the in-order paths); their cycles
+/// bulk op plus synchronization ops in the in-order view); their cycles
 /// and counter deltas merge. Output is sorted by task id.
 fn attribute_profile(ops: Vec<gpstream_machine::OpProfile>, lowered: &Lowered) -> Vec<TaskProfile> {
     let mut by_task: std::collections::BTreeMap<(u32, u8), (u64, MemStats)> =

@@ -57,7 +57,7 @@ pub fn array_access(kind: &TaskKind, graph: &StreamGraph) -> Option<ArrayAccess>
     })
 }
 
-fn ranges_overlap(a: &Range<usize>, b: &Range<usize>) -> bool {
+pub(crate) fn ranges_overlap(a: &Range<usize>, b: &Range<usize>) -> bool {
     a.start < b.end && b.start < a.end
 }
 

@@ -46,15 +46,34 @@ struct Control {
     lock: Mutex<()>,
     cv: Condvar,
     draining: AtomicBool,
+    /// Set by a worker's [`DeathNotice`] when its handler panics.
+    dead: AtomicBool,
 }
 
-impl Control {
-    /// Notify under the lock so a flag/ring update cannot race a parked
-    /// worker between its re-check and its wait (same protocol as the
-    /// native executor's window condvar).
-    fn notify(&self) {
-        drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
-        self.cv.notify_all();
+/// Wake everyone parked on `cv`, taking `lock` first so the flag or ring
+/// update that preceded cannot race a waiter between its re-check and
+/// its wait. The pool and the native executor both notify this way.
+pub(crate) fn notify_all<T>(lock: &Mutex<T>, cv: &Condvar) {
+    drop(lock.lock().unwrap_or_else(PoisonError::into_inner));
+    cv.notify_all();
+}
+
+/// On-drop guard a worker thread holds for its whole loop: if the worker
+/// unwinds, raise `dead` and wake everyone parked on `cv` — otherwise a
+/// thread can wait forever on work only the dead worker would have done.
+/// The pool's workers and the native executor's workers both hold one.
+pub(crate) struct DeathNotice<'a, T> {
+    pub(crate) dead: &'a AtomicBool,
+    pub(crate) lock: &'a Mutex<T>,
+    pub(crate) cv: &'a Condvar,
+}
+
+impl<T> Drop for DeathNotice<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.dead.store(true, Ordering::Release);
+            notify_all(self.lock, self.cv);
+        }
     }
 }
 
@@ -88,6 +107,7 @@ impl<J: Send + 'static> WorkerPool<J> {
             lock: Mutex::new(()),
             cv: Condvar::new(),
             draining: AtomicBool::new(false),
+            dead: AtomicBool::new(false),
         });
         let rings: Vec<Arc<SpscRing<J>>> =
             (0..workers).map(|_| Arc::new(SpscRing::new(capacity))).collect();
@@ -122,16 +142,24 @@ impl<J: Send + 'static> WorkerPool<J> {
     ///
     /// # Panics
     ///
-    /// Panics if `worker` is out of range.
+    /// Panics if `worker` is out of range. Once a worker has panicked —
+    /// its ring would never drain — joins the pool and re-raises the
+    /// first worker panic with its original payload, as
+    /// [`WorkerPool::drain`] does.
     pub fn submit(&mut self, worker: usize, job: J) -> Result<(), (SubmitError, J)> {
         assert!(worker < self.rings.len(), "worker {worker} out of range");
+        if self.control.dead.load(Ordering::Acquire) {
+            if let (_, Some(p)) = self.stop() {
+                std::panic::resume_unwind(p);
+            }
+        }
         if self.control.draining.load(Ordering::Acquire) {
             return Err((SubmitError::Draining, job));
         }
         match self.rings[worker].push(job) {
             Ok(()) => {
                 self.accepted[worker] += 1;
-                self.control.notify();
+                notify_all(&self.control.lock, &self.control.cv);
                 Ok(())
             }
             Err(job) => Err((SubmitError::Full, job)),
@@ -149,20 +177,28 @@ impl<J: Send + 'static> WorkerPool<J> {
     /// re-raised.
     #[must_use]
     pub fn drain(mut self) -> PoolStats {
+        let (executed, panic) = self.stop();
+        if let Some(p) = panic {
+            std::panic::resume_unwind(p);
+        }
+        PoolStats { accepted: std::mem::take(&mut self.accepted), executed }
+    }
+
+    /// Close the intake and join every worker (each finishes its ring
+    /// first). Returns what each worker executed and the first worker
+    /// panic, if any.
+    fn stop(&mut self) -> (Vec<u64>, Option<Box<dyn std::any::Any + Send>>) {
         self.control.draining.store(true, Ordering::Release);
-        self.control.notify();
+        notify_all(&self.control.lock, &self.control.cv);
         let mut executed = Vec::with_capacity(self.threads.len());
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
+        let mut panic = None;
         for t in self.threads.drain(..) {
             match t.join() {
                 Ok(n) => executed.push(n),
                 Err(p) => panic = panic.or(Some(p)),
             }
         }
-        if let Some(p) = panic {
-            std::panic::resume_unwind(p);
-        }
-        PoolStats { accepted: std::mem::take(&mut self.accepted), executed }
+        (executed, panic)
     }
 }
 
@@ -171,16 +207,9 @@ impl<J: Send + 'static> Drop for WorkerPool<J> {
     /// jobs are part of the pool's contract whether or not the caller
     /// asked for the stats.
     fn drop(&mut self) {
-        if self.threads.is_empty() {
-            return;
-        }
-        self.control.draining.store(true, Ordering::Release);
-        self.control.notify();
-        for t in self.threads.drain(..) {
-            // Swallow the panic here (drop must not double-panic); an
-            // explicit drain() surfaces it.
-            let _result = t.join();
-        }
+        // Swallow a worker panic here (drop must not double-panic); an
+        // explicit drain() surfaces it.
+        let _ = self.stop();
     }
 }
 
@@ -193,6 +222,7 @@ fn worker_loop<J: Send>(
     control: &Control,
     handler: &(impl Fn(usize, J) + ?Sized),
 ) -> u64 {
+    let _notice = DeathNotice { dead: &control.dead, lock: &control.lock, cv: &control.cv };
     let mut executed = 0u64;
     loop {
         if let Some(job) = ring.pop() {
@@ -346,6 +376,39 @@ mod tests {
             }
         }
         assert_eq!(hits.load(Ordering::SeqCst), 10);
+    }
+
+    #[test]
+    fn submit_reraises_a_dead_workers_panic() {
+        // serve's retry-on-`Full` loop against a worker that dies on its
+        // first job: the dead worker's ring never drains, so without the
+        // death notice the submitter spins forever.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                let mut pool =
+                    WorkerPool::new(1, 4, |_, id: u32| assert!(id != 0, "job {id} died"));
+                for id in 0..64u32 {
+                    let mut job = id;
+                    loop {
+                        match pool.submit(0, job) {
+                            Ok(()) => break,
+                            Err((SubmitError::Full, back)) => {
+                                job = back;
+                                std::thread::yield_now();
+                            }
+                            Err((SubmitError::Draining, _)) => unreachable!("nobody is draining"),
+                        }
+                    }
+                }
+                pool.drain()
+            });
+            let _ = tx.send(outcome.err().and_then(|p| p.downcast_ref::<String>().cloned()));
+        });
+        let msg = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the submitter hung on the dead worker's full ring");
+        assert_eq!(msg.as_deref(), Some("job 0 died"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! distributed work queue.
 
 use crate::graph::{KernelId, StreamGraph, StreamId};
-use crate::hazard::{self, ArrayAccess, DupFree};
+use crate::hazard::{self, ranges_overlap, ArrayAccess, DupFree};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -161,10 +161,6 @@ struct SrfRegion {
     range: Range<usize>,
     writer: usize,
     readers: Vec<usize>,
-}
-
-fn ranges_overlap(a: &Range<usize>, b: &Range<usize>) -> bool {
-    a.start < b.end && b.start < a.end
 }
 
 impl ScheduledProgram {

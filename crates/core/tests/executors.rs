@@ -5,7 +5,7 @@ use gpstream_core::exec::functional::FunctionalExecutor;
 use gpstream_core::exec::native::{NativeExecutor, NativeWaitPolicy};
 use gpstream_core::exec::sim::SimExecutor;
 use gpstream_core::task::{PortBinding, ScheduledProgram, TaskDesc, TaskId, TaskKind};
-use gpstream_core::{GraphBuilder, KernelId};
+use gpstream_core::{GraphBuilder, KernelId, Topology};
 use gpstream_machine::ops::WaitPolicy;
 use gpstream_machine::{ExactReason, StepMode};
 
@@ -115,17 +115,19 @@ fn event_engine_is_the_default() {
     assert!(stepped_elems(SimExecutor::new().fast_sim(false)) > 0, "false is the reference");
 }
 
+/// Section III-B-2's single-context mapping is the in-order view of the
+/// one-context topology.
 #[test]
-fn single_context_mapping_is_correct_and_slower_or_equal() {
+fn one_context_mapping_is_correct_and_slower_or_equal() {
     let (graph, world, y, program, expected) = two_strip_setup();
-    let run = |single: bool| {
+    let run = |exec: SimExecutor| {
         let mut w = world.clone();
-        let rep = SimExecutor::new().single_context(single).run(&program, &graph, &mut w);
+        let rep = exec.run(&program, &graph, &mut w);
         assert_eq!(w.slice::<f32>(y), expected.as_slice());
         rep.timing.cycles
     };
-    let dual = run(false);
-    let single = run(true);
+    let dual = run(SimExecutor::new());
+    let single = run(SimExecutor::new().with_topology(Topology::single()).in_order(true));
     // With only 8 elements the difference is dominated by dispatch costs,
     // but single-context must never be faster than the overlapped mapping
     // by more than the dispatch overhead it saves.

@@ -65,6 +65,16 @@ enum Activity {
     Halted,
 }
 
+impl Activity {
+    /// What a context blocked under `policy` presents.
+    fn parked(policy: WaitPolicy) -> Self {
+        match policy {
+            WaitPolicy::SpinPause => Activity::PauseSpin,
+            WaitPolicy::Mwait | WaitPolicy::OsBlock => Activity::Halted,
+        }
+    }
+}
+
 /// The interference a stepped context experiences from every other
 /// context this chunk: same-core issue-rate factors (see
 /// [`Machine::smt_mix`]) and whether the bus is contended.
@@ -100,6 +110,10 @@ struct Cursor {
 }
 
 impl Cursor {
+    fn new(ops: Vec<BulkOp>) -> Self {
+        Cursor { ops, idx: 0, progress: 0, progress_bytes: 0, t: 0, waiting: None }
+    }
+
     fn done(&self) -> bool {
         self.idx >= self.ops.len()
     }
@@ -615,10 +629,7 @@ impl Machine {
         let mut progs: Vec<Vec<BulkOp>> = progs.into();
         assert!(progs.len() <= n, "{} op streams for {n} contexts", progs.len());
         progs.resize_with(n, Vec::new);
-        let mut cur: Vec<Cursor> = progs
-            .into_iter()
-            .map(|ops| Cursor { ops, idx: 0, progress: 0, progress_bytes: 0, t: 0, waiting: None })
-            .collect();
+        let mut cur: Vec<Cursor> = progs.into_iter().map(Cursor::new).collect();
         let mut signals: BTreeMap<u32, u64> = BTreeMap::new();
         self.phases = vec![PhaseCycles::default(); n];
         // Per-iteration activity snapshot, reused to keep the hot loop
@@ -631,21 +642,8 @@ impl Machine {
             for (ci, c) in cur.iter_mut().enumerate() {
                 if let Some((id, policy)) = c.waiting {
                     if let Some(&sig_t) = signals.get(&id) {
-                        let dispatch = self.dispatch_cost(policy);
-                        let (resumed, paid) = if c.t >= sig_t {
-                            (c.t + DEQUEUE_CYCLES, DEQUEUE_CYCLES)
-                        } else {
-                            self.phases[ci].idle_wait += sig_t - c.t;
-                            (sig_t + dispatch, dispatch)
-                        };
-                        self.phases[ci].dispatch += paid;
-                        c.t = resumed;
+                        (c.t, _) = self.resume(ci, c.t, sig_t, id, policy);
                         c.waiting = None;
-                        self.emit(resumed, ci, || MachineEventKind::Wakeup {
-                            id,
-                            policy,
-                            dispatch: paid,
-                        });
                     }
                 }
             }
@@ -721,14 +719,7 @@ impl Machine {
         let mut cur: Vec<Cursor> = Vec::with_capacity(n);
         let mut st: Vec<IssueState> = Vec::with_capacity(n);
         for p in progs {
-            cur.push(Cursor {
-                ops: p.ops,
-                idx: 0,
-                progress: 0,
-                progress_bytes: 0,
-                t: 0,
-                waiting: None,
-            });
+            cur.push(Cursor::new(p.ops));
             st.push(IssueState::new(p.tasks));
         }
         let mut signals: BTreeMap<u32, u64> = BTreeMap::new();
@@ -792,31 +783,15 @@ impl Machine {
                 // cost exactly as `run` does for a resolved `Wait`.
                 let (i, ready_t, wake) = cand[c].expect("picked context has a candidate");
                 let issue_t = cur[c].t;
-                let mut overhead = 0u64;
-                let mut dispatch_paid = false;
                 st[c].issued[i] = true;
                 while st[c].head < st[c].issued.len() && st[c].issued[st[c].head] {
                     st[c].head += 1;
                 }
-                if !st[c].tasks[i].deps.is_empty() {
-                    let dispatch = self.dispatch_cost(policy);
-                    let paid = if cur[c].t >= ready_t {
-                        cur[c].t += DEQUEUE_CYCLES;
-                        DEQUEUE_CYCLES
-                    } else {
-                        self.phases[c].idle_wait += ready_t - cur[c].t;
-                        cur[c].t = ready_t + dispatch;
-                        dispatch_paid = true;
-                        dispatch
-                    };
-                    self.phases[c].dispatch += paid;
-                    overhead = paid;
-                    let t = cur[c].t;
-                    self.emit(t, c, || MachineEventKind::Wakeup {
-                        id: wake,
-                        policy,
-                        dispatch: paid,
-                    });
+                let has_deps = !st[c].tasks[i].deps.is_empty();
+                let dispatch_paid = has_deps && issue_t < ready_t;
+                let mut overhead = 0;
+                if has_deps {
+                    (cur[c].t, overhead) = self.resume(c, issue_t, ready_t, wake, policy);
                 }
                 cur[c].idx = st[c].tasks[i].ops.start;
                 cur[c].progress = 0;
@@ -829,7 +804,7 @@ impl Machine {
                         queue_index: i as u32,
                         issue_t,
                         ready_t,
-                        wake: (!st[c].tasks[i].deps.is_empty()).then_some(wake),
+                        wake: has_deps.then_some(wake),
                         overhead,
                         dispatch_paid,
                         start_t: cur[c].t,
@@ -903,45 +878,44 @@ impl Machine {
         smt: Smt,
         signals: &mut BTreeMap<u32, u64>,
     ) {
+        // Not greedy: outside a span the other contexts interleave at
+        // chunk granularity, and shared-structure (bus, L2) access order
+        // across contexts must match the stepped loop exactly.
         if self.profile.is_none() && self.sampler.is_none() {
-            self.step_dispatch(cur, c, smt, signals);
+            self.step(cur, c, smt, signals, false);
             return;
         }
-        let op = cur[c].idx as u32;
-        let t0 = cur[c].t;
+        let (op, t0) = (cur[c].idx as u32, cur[c].t);
         let before = self.stats_now();
-        self.step_dispatch(cur, c, smt, signals);
-        let now = cur[c].t;
-        if self.profile.is_some() || self.sampler.as_ref().is_some_and(|s| s.next_t <= now) {
-            let after = self.stats_now();
-            if let Some(map) = self.profile.as_mut() {
-                let slot = map.entry((c as u8, op)).or_insert((0, MemStats::default()));
-                slot.0 += now.saturating_sub(t0);
-                slot.1.accumulate(&after.delta(&before));
-            }
+        self.step(cur, c, smt, signals, false);
+        self.sample_tick(cur[c].t);
+        self.profile_op(c, op, t0, cur[c].t, &before);
+    }
+
+    /// Record the interval samples due by `now`, each with the counters
+    /// as they stand.
+    fn sample_tick(&mut self, now: u64) {
+        if self.sampler.as_ref().is_some_and(|s| s.next_t <= now) {
+            let stats = self.stats_now();
             if let Some(s) = self.sampler.as_mut() {
                 while s.next_t <= now {
-                    s.samples.push(CounterSample { t: s.next_t, stats: after });
+                    s.samples.push(CounterSample { t: s.next_t, stats });
                     s.next_t += s.interval;
                 }
             }
         }
     }
 
-    /// One chunk step under the active [`StepMode`].
-    fn step_dispatch(
-        &mut self,
-        cur: &mut [Cursor],
-        c: usize,
-        smt: Smt,
-        signals: &mut BTreeMap<u32, u64>,
-    ) {
-        match self.mode {
-            StepMode::Stepped => self.step(cur, c, smt, signals),
-            // Not greedy: outside a span the other contexts interleave at
-            // chunk granularity, and shared-structure (bus, L2) access
-            // order across contexts must match the stepped loop exactly.
-            StepMode::Event => self.step_chunk_fast(cur, c, smt, signals, false),
+    /// Attribute the cycles `t0..now` and the counter delta since
+    /// `before` to op `op` of context `c`, when profiling.
+    fn profile_op(&mut self, c: usize, op: u32, t0: u64, now: u64, before: &MemStats) {
+        if self.profile.is_some() {
+            let delta = self.stats_now().delta(before);
+            if let Some(map) = self.profile.as_mut() {
+                let slot = map.entry((c as u8, op)).or_insert((0, MemStats::default()));
+                slot.0 += now.saturating_sub(t0);
+                slot.1.accumulate(&delta);
+            }
         }
     }
 
@@ -962,34 +936,19 @@ impl Machine {
         signals: &mut BTreeMap<u32, u64>,
     ) {
         self.engine.spans += 1;
-        let op0 = cur[c].idx;
-        let t0 = cur[c].t;
+        let (op0, t0) = (cur[c].idx, cur[c].t);
         let before = self.profile.is_some().then(|| self.stats_now());
         // With no sampler attached, chunk boundaries inside the span are
         // unobservable (profile deltas telescope over the whole op, hits
-        // emit no trace events), so ops may be processed whole.
-        let greedy = self.sampler.is_none();
+        // emit no trace events), so the batched routes may take ops
+        // whole; the exact body keeps its chunks.
+        let greedy = self.sampler.is_none() && self.lines_equal;
         while cur[c].idx == op0 {
-            self.step_chunk_fast(cur, c, smt, signals, greedy);
-            let now = cur[c].t;
-            if self.sampler.as_ref().is_some_and(|s| s.next_t <= now) {
-                let after = self.stats_now();
-                if let Some(s) = self.sampler.as_mut() {
-                    while s.next_t <= now {
-                        s.samples.push(CounterSample { t: s.next_t, stats: after });
-                        s.next_t += s.interval;
-                    }
-                }
-            }
+            self.step(cur, c, smt, signals, greedy);
+            self.sample_tick(cur[c].t);
         }
         if let Some(before) = before {
-            let after = self.stats_now();
-            let now = cur[c].t;
-            if let Some(map) = self.profile.as_mut() {
-                let slot = map.entry((c as u8, op0 as u32)).or_insert((0, MemStats::default()));
-                slot.0 += now.saturating_sub(t0);
-                slot.1.accumulate(&after.delta(&before));
-            }
+            self.profile_op(c, op0 as u32, t0, cur[c].t, &before);
         }
     }
 
@@ -998,14 +957,11 @@ impl Machine {
     /// wait policy; a finished context is idle.
     fn task_activity(&self, c: &Cursor, st: &IssueState, policy: WaitPolicy) -> Activity {
         if st.active.is_some() {
-            return Self::activity_of_op(&c.ops[c.idx]);
-        }
-        if st.all_done() {
-            return Activity::Idle;
-        }
-        match policy {
-            WaitPolicy::SpinPause => Activity::PauseSpin,
-            WaitPolicy::Mwait | WaitPolicy::OsBlock => Activity::Halted,
+            Self::activity_of_op(&c.ops[c.idx])
+        } else if st.all_done() {
+            Activity::Idle
+        } else {
+            Activity::parked(policy)
         }
     }
 
@@ -1022,16 +978,11 @@ impl Machine {
     }
 
     fn activity_of(&self, c: &Cursor) -> Activity {
-        if let Some((_, policy)) = c.waiting {
-            return match policy {
-                WaitPolicy::SpinPause => Activity::PauseSpin,
-                WaitPolicy::Mwait | WaitPolicy::OsBlock => Activity::Halted,
-            };
+        match c.waiting {
+            Some((_, policy)) => Activity::parked(policy),
+            None if c.done() => Activity::Idle,
+            None => Self::activity_of_op(&c.ops[c.idx]),
         }
-        if c.done() {
-            return Activity::Idle;
-        }
-        Self::activity_of_op(&c.ops[c.idx])
     }
 
     fn dispatch_cost(&self, policy: WaitPolicy) -> u64 {
@@ -1040,6 +991,26 @@ impl Machine {
             WaitPolicy::Mwait => self.cfg.wait.mwait_dispatch,
             WaitPolicy::OsBlock => self.cfg.wait.os_dispatch,
         }
+    }
+
+    /// Resume context `c`, at local time `t`, past event `id` signaled at
+    /// `ready`: a dequeue when the signal came first, otherwise an idle
+    /// wait and then `policy`'s wake-up dispatch. Charges both to the
+    /// context's phases, emits the `Wakeup`, and returns the resumed time
+    /// and the cycles paid — the arithmetic `gpstream-analyze` replays.
+    /// `run` resumes a signaled `Wait` here, `run_tasks` an issued entry
+    /// with dependencies.
+    fn resume(&mut self, c: usize, t: u64, ready: u64, id: u32, policy: WaitPolicy) -> (u64, u64) {
+        let (resumed, paid) = if t >= ready {
+            (t + DEQUEUE_CYCLES, DEQUEUE_CYCLES)
+        } else {
+            let dispatch = self.dispatch_cost(policy);
+            self.phases[c].idle_wait += ready - t;
+            (ready + dispatch, dispatch)
+        };
+        self.phases[c].dispatch += paid;
+        self.emit(resumed, c, || MachineEventKind::Wakeup { id, policy, dispatch: paid });
+        (resumed, paid)
     }
 
     /// Rate factor for my compute-side issue given one sibling's activity.
@@ -1115,9 +1086,9 @@ impl Machine {
         }
     }
 
-    /// Why [`Machine::step`] is stepping a copy or loop chunk: stepped
-    /// mode steps everything; event mode only delegates here when the
-    /// geometry gate is closed.
+    /// Why [`Machine::step`] runs a copy or loop chunk's exact body:
+    /// stepped mode always does; event mode only when the geometry gate
+    /// is closed.
     fn stepped_reason(&self) -> ExactReason {
         match self.mode {
             StepMode::Stepped => ExactReason::Stepped,
@@ -1125,8 +1096,22 @@ impl Machine {
         }
     }
 
+    /// One chunk step of context `c`'s current op — the only chunk
+    /// function, in both step modes. A `Copy` or `Loop` chunk is sized
+    /// here once (the rest of the op when `greedy`, else one chunk) and
+    /// then retired by its batched route (`copy_chunk_fast`,
+    /// `loop_chunk_fast`) in [`StepMode::Event`] when one line index
+    /// serves both cache levels, or by the exact body otherwise. The
+    /// stepped oracle never takes a batched route, so it checks them all.
     #[allow(clippy::too_many_lines)]
-    fn step(&mut self, cur: &mut [Cursor], c: usize, smt: Smt, signals: &mut BTreeMap<u32, u64>) {
+    fn step(
+        &mut self,
+        cur: &mut [Cursor],
+        c: usize,
+        smt: Smt,
+        signals: &mut BTreeMap<u32, u64>,
+        greedy: bool,
+    ) {
         // Take the op out to appease the borrow checker; ops are cheap to
         // clone except for Indexed patterns which are Arc-backed.
         let op = cur[c].ops[cur[c].idx].clone();
@@ -1146,6 +1131,7 @@ impl Machine {
             BulkOp::Signal { .. } | BulkOp::Wait { .. } => 3,
         };
         let t_before = cur[c].t;
+        let batched = self.mode == StepMode::Event && self.lines_equal;
         match op {
             BulkOp::Compute { uops } => {
                 let f = smt.comp;
@@ -1159,59 +1145,35 @@ impl Machine {
                 }
             }
             BulkOp::Copy { mem, srf_base, dir, nt } => {
-                let f = smt.mem;
                 self.bus_contended = smt.contended;
                 let total = mem.count();
                 let remaining = total - cur[c].progress;
-                let take = remaining.min(CHUNK_ELEMS);
-                let start = cur[c].progress;
-                let mut t = cur[c].t;
-                let mut srf_off = cur[c].progress_bytes;
-                let issue = self.copy_issue_cycles(dir, nt, f);
+                let take = if greedy { remaining } else { remaining.min(CHUNK_ELEMS) };
+                let issue = self.copy_issue_cycles(dir, nt, smt.mem);
                 let mlp = self.copy_mlp(&mem);
-                for i in start..start + take {
-                    let (addr, bytes) = mem.element(i);
-                    t += issue;
-                    match dir {
-                        CopyDir::GatherToSrf => {
-                            t = self.mem_access(c, t, addr, bytes, Rw::Read, nt, nt, mlp);
-                            t = self.mem_access(
-                                c,
-                                t,
-                                srf_base + srf_off,
-                                bytes,
-                                Rw::Write,
-                                false,
-                                false,
-                                mlp,
-                            );
-                        }
-                        CopyDir::ScatterFromSrf => {
-                            t = self.mem_access(
-                                c,
-                                t,
-                                srf_base + srf_off,
-                                bytes,
-                                Rw::Read,
-                                false,
-                                false,
-                                mlp,
-                            );
-                            t = self.mem_access(c, t, addr, bytes, Rw::Write, nt, nt, mlp);
-                        }
+                if batched {
+                    self.copy_chunk_fast(c, &mut cur[c], &mem, srf_base, dir, nt, take, issue, mlp);
+                } else {
+                    let (t0, start) = (cur[c].t, cur[c].progress);
+                    let (mut t, mut srf_off) = (t0, cur[c].progress_bytes);
+                    for i in start..start + take {
+                        let (addr, bytes) = mem.element(i);
+                        let srf_addr = srf_base + srf_off;
+                        t = self.copy_element(c, t, addr, srf_addr, bytes, dir, nt, issue, mlp);
+                        srf_off += bytes;
                     }
-                    srf_off += bytes;
+                    self.engine.exact_copy(self.stepped_reason(), take, t - t0);
+                    cur[c].t = t;
+                    cur[c].progress_bytes = srf_off;
                 }
-                self.engine.exact_copy(self.stepped_reason(), take, t - cur[c].t);
-                cur[c].t = t;
                 cur[c].progress += take;
-                cur[c].progress_bytes = srf_off;
                 if cur[c].progress >= total {
-                    self.flush_wc(c, cur[c].t);
+                    // The op's last flush is posted; nothing waits on it.
+                    let _ = self.flush_wc(c, cur[c].t);
                     self.advance(c, &mut cur[c]);
                 }
             }
-            BulkOp::Loop { patterns, uops_per_iter, class } => {
+            BulkOp::Loop { patterns, uops_per_iter, .. } => {
                 let total = patterns.first().map_or(0, |(p, _)| p.count());
                 debug_assert!(
                     patterns.iter().all(|(p, _)| p.count() == total),
@@ -1219,39 +1181,28 @@ impl Machine {
                 );
                 let remaining = total - cur[c].progress;
                 // Take enough iterations to fill the chunk budget.
-                let per_iter = uops_per_iter.max(1);
-                let iters_budget = (CHUNK_CYCLES / per_iter).clamp(1, CHUNK_ELEMS);
-                let take = remaining.min(iters_budget);
-                let (fc, fm) = (smt.comp, smt.mem);
+                let iters_budget = (CHUNK_CYCLES / uops_per_iter.max(1)).clamp(1, CHUNK_ELEMS);
+                let take = if greedy { remaining } else { remaining.min(iters_budget) };
                 self.bus_contended = smt.contended;
-                let mut t = cur[c].t;
                 // Adjacent loads within one iteration are independent and
                 // overlap up to the miss buffers; the computation between
                 // iterations occupies the reorder window, so overlap does
                 // not extend across iterations beyond that.
                 let reads = patterns.iter().filter(|(_, rw)| *rw == Rw::Read).count();
                 let mlp = reads.clamp(1, self.cfg.mshrs.max(1) as usize);
-                let issue = self.uop_cycles(self.cfg.copy_uops_per_elem, fm);
-                let iter_cycles = self.uop_cycles(uops_per_iter, fc);
-                for i in cur[c].progress..cur[c].progress + take {
-                    for (p, rw) in &patterns {
-                        let (addr, bytes) = p.element(i);
-                        t += issue;
-                        // Misses inside an interleaved loop are limited by
-                        // the reorder window: it holds the loop's
-                        // computation, not enough future loads to pipeline
-                        // the fills the way a bulk copy does.
-                        self.loop_window = true;
-                        self.dependent = !p.is_sequential();
-                        t = self.mem_access(c, t, addr, bytes, *rw, false, false, mlp);
+                let issue = self.uop_cycles(self.cfg.copy_uops_per_elem, smt.mem);
+                let iter_cycles = self.uop_cycles(uops_per_iter, smt.comp);
+                if batched {
+                    self.loop_chunk_fast(c, &mut cur[c], &patterns, take, issue, iter_cycles, mlp);
+                } else {
+                    let (t0, start) = (cur[c].t, cur[c].progress);
+                    let mut t = t0;
+                    for i in start..start + take {
+                        (t, _) = self.loop_iteration(c, t, &patterns, i, issue, iter_cycles, mlp);
                     }
-                    self.loop_window = false;
-                    self.dependent = false;
-                    t += iter_cycles;
+                    self.engine.exact_loop(self.stepped_reason(), take, t - t0);
+                    cur[c].t = t;
                 }
-                let _ = class;
-                self.engine.exact_loop(self.stepped_reason(), take, t - cur[c].t);
-                cur[c].t = t;
                 cur[c].progress += take;
                 if cur[c].progress >= total {
                     self.advance(c, &mut cur[c]);
@@ -1281,98 +1232,105 @@ impl Machine {
         }
     }
 
-    /// One chunk step with batched inner loops. Byte-identical to
-    /// [`Machine::step`] over the same chunk: it advances the same number
-    /// of elements/iterations, and replaces only *provably hitting*
-    /// reference runs (single-line elements whose lines and pages are
-    /// resident right now) with arithmetic replays; everything else goes
-    /// through the exact stepped code path.
-    fn step_chunk_fast(
+    /// One exact copy element: its issue cycles, then its two accesses
+    /// in stepped order, the loaded side first. The exact body and the
+    /// batched routes' hand-over both run it.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn copy_element(
         &mut self,
-        cur: &mut [Cursor],
         c: usize,
-        smt: Smt,
-        signals: &mut BTreeMap<u32, u64>,
-        greedy: bool,
-    ) {
-        if !self.lines_equal {
-            self.step(cur, c, smt, signals);
-            return;
-        }
-        match &cur[c].ops[cur[c].idx] {
-            BulkOp::Copy { .. } | BulkOp::Loop { .. } => {}
-            _ => {
-                // Compute / Signal / Wait / Delay steps are already O(1)
-                // per chunk; the stepped body is the fast path.
-                self.step(cur, c, smt, signals);
-                return;
+        t: u64,
+        addr: u64,
+        srf_addr: u64,
+        bytes: u64,
+        dir: CopyDir,
+        nt: bool,
+        issue: u64,
+        mlp: usize,
+    ) -> u64 {
+        let t = t + issue;
+        match dir {
+            CopyDir::GatherToSrf => {
+                let t = self.mem_access(c, t, addr, bytes, Rw::Read, nt, nt, mlp);
+                self.mem_access(c, t, srf_addr, bytes, Rw::Write, false, false, mlp)
             }
-        }
-        let op = cur[c].ops[cur[c].idx].clone();
-        if cur[c].progress == 0 && cur[c].progress_bytes == 0 {
-            let (t0, op_idx) = (cur[c].t, cur[c].idx as u32);
-            self.emit(t0, c, || MachineEventKind::OpStart { op: op_idx });
-        }
-        let bucket = match &op {
-            BulkOp::Loop { class: OpClass::Compute, .. } => 0u8,
-            _ => 1,
-        };
-        let t_before = cur[c].t;
-        match op {
-            BulkOp::Copy { mem, srf_base, dir, nt } => {
-                self.copy_chunk_fast(cur, c, smt, &mem, srf_base, dir, nt, greedy);
+            CopyDir::ScatterFromSrf => {
+                let t = self.mem_access(c, t, srf_addr, bytes, Rw::Read, false, false, mlp);
+                self.mem_access(c, t, addr, bytes, Rw::Write, nt, nt, mlp)
             }
-            BulkOp::Loop { patterns, uops_per_iter, .. } => {
-                self.loop_chunk_fast(cur, c, smt, &patterns, uops_per_iter, greedy);
-            }
-            _ => unreachable!("matched above"),
-        }
-        let dt = cur[c].t - t_before;
-        match bucket {
-            0 => self.phases[c].compute += dt,
-            _ => self.phases[c].memory += dt,
         }
     }
 
-    /// One [`BulkOp::Copy`] chunk with its hits batched: one fast route
-    /// per pattern kind — the arithmetic same-line replay
-    /// ([`Machine::copy_fast_run`]) for `Seq`/`Strided`, the in-order hit
-    /// run ([`Machine::copy_hit_run`]) for `Indexed` — and the exact
-    /// stepped element both hand over to.
+    /// One exact loop iteration: per pattern its issue cycles and its
+    /// access, then the iteration's computation. Returns the new time and
+    /// the last line each of the first patterns touched. The exact body
+    /// and the batched route's hand-over both run it.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn loop_iteration(
+        &mut self,
+        c: usize,
+        mut t: u64,
+        patterns: &[(AccessPattern, Rw)],
+        i: u64,
+        issue: u64,
+        iter_cycles: u64,
+        mlp: usize,
+    ) -> (u64, [u64; LOOP_FAST_MAX_PATTERNS]) {
+        let mut lines = [u64::MAX; LOOP_FAST_MAX_PATTERNS];
+        for (k, (p, rw)) in patterns.iter().enumerate() {
+            let (addr, bytes) = p.element(i);
+            t += issue;
+            // Misses inside an interleaved loop are limited by the
+            // reorder window: it holds the loop's computation, not enough
+            // future loads to pipeline the fills the way a bulk copy does.
+            self.loop_window = true;
+            self.dependent = !p.is_sequential();
+            t = self.mem_access(c, t, addr, bytes, *rw, false, false, mlp);
+            if let Some(line) = lines.get_mut(k) {
+                *line = (addr + bytes.max(1) - 1) >> self.line_shift;
+            }
+        }
+        self.loop_window = false;
+        self.dependent = false;
+        (t + iter_cycles, lines)
+    }
+
+    /// The batched route of a [`BulkOp::Copy`] chunk of `take` elements,
+    /// sized by [`Machine::step`]: one fast route per pattern kind — the
+    /// arithmetic same-line replay ([`Machine::copy_fast_run`]) for
+    /// `Seq`/`Strided`, the in-order hit run ([`Machine::copy_hit_run`])
+    /// for `Indexed` — and the exact element ([`Machine::copy_element`])
+    /// both hand over to. Kept out of line, like `copy_hit_run`.
+    #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn copy_chunk_fast(
         &mut self,
-        cur: &mut [Cursor],
         c: usize,
-        smt: Smt,
+        cur: &mut Cursor,
         mem: &AccessPattern,
         srf_base: u64,
         dir: CopyDir,
         nt: bool,
-        greedy: bool,
+        take: u64,
+        issue: u64,
+        mlp: usize,
     ) {
         let (line_shift, page_shift) = (self.line_shift, self.page_shift);
-        let f = smt.mem;
-        self.bus_contended = smt.contended;
-        let total = mem.count();
-        let remaining = total - cur[c].progress;
-        let take = if greedy { remaining } else { remaining.min(CHUNK_ELEMS) };
-        let issue = self.copy_issue_cycles(dir, nt, f);
         // Cycles of a fully hitting element: its issue, plus the
         // one-cycle L1-bypass tax `line_access` charges NT loads.
         let hit_cycles = issue + u64::from(nt && dir == CopyDir::GatherToSrf);
-        let mlp = self.copy_mlp(mem);
         // (stride, element bytes) of an affine pattern.
         let affine = match mem {
             AccessPattern::Seq { elem, .. } => Some((*elem, *elem)),
             AccessPattern::Strided { record, field_bytes, .. } => Some((*record, *field_bytes)),
             AccessPattern::Indexed { .. } => None,
         };
-        let start = cur[c].progress;
-        let end = start + take;
-        let mut i = start;
-        let mut srf_off = cur[c].progress_bytes;
-        let mut t = cur[c].t;
+        let end = cur.progress + take;
+        let mut i = cur.progress;
+        let mut srf_off = cur.progress_bytes;
+        let mut t = cur.t;
         // Consecutive batches over the same page pair merge their TLB
         // accounting: `touch_cycle` stamps depend only on the final clock,
         // so touching (pair, r1) then (pair, r2) leaves the TLB in the
@@ -1499,21 +1457,10 @@ impl Machine {
                     self.tlb[c].touch_cycle(&p, reps);
                     self.stats.tlb_hits += 2 * reps;
                 }
-                // Exact stepped element.
                 let (addr, bytes) = mem.element(i);
                 let srf_addr = srf_base + srf_off;
                 let t0 = t;
-                t += issue;
-                match dir {
-                    CopyDir::GatherToSrf => {
-                        t = self.mem_access(c, t, addr, bytes, Rw::Read, nt, nt, mlp);
-                        t = self.mem_access(c, t, srf_addr, bytes, Rw::Write, false, false, mlp);
-                    }
-                    CopyDir::ScatterFromSrf => {
-                        t = self.mem_access(c, t, srf_addr, bytes, Rw::Read, false, false, mlp);
-                        t = self.mem_access(c, t, addr, bytes, Rw::Write, nt, nt, mlp);
-                    }
-                }
+                t = self.copy_element(c, t, addr, srf_addr, bytes, dir, nt, issue, mlp);
                 // A replay of one is an element alone before a line or
                 // chunk boundary.
                 self.engine.exact_copy(run.err().unwrap_or(ExactReason::ShortRun), 1, t - t0);
@@ -1527,13 +1474,8 @@ impl Machine {
             self.tlb[c].touch_cycle(&p, reps);
             self.stats.tlb_hits += 2 * reps;
         }
-        cur[c].t = t;
-        cur[c].progress += take;
-        cur[c].progress_bytes = srf_off;
-        if cur[c].progress >= total {
-            self.flush_wc(c, cur[c].t);
-            self.advance(c, &mut cur[c]);
-        }
+        cur.t = t;
+        cur.progress_bytes = srf_off;
     }
 
     /// Longest run of copy elements starting at `i` that provably hit
@@ -1642,7 +1584,7 @@ impl Machine {
     /// memoised per side for the length of the run (hits move nothing),
     /// so a same-page or same-line neighbour skips its probe.
     ///
-    /// Kept out of line: folded into `step_chunk_fast` the loop spills.
+    /// Kept out of line: folded into its caller the loop spills.
     #[inline(never)]
     fn copy_hit_run<const GATHER: bool, const NT: bool>(
         &mut self,
@@ -1759,36 +1701,27 @@ impl Machine {
         (n, stop)
     }
 
-    /// One [`BulkOp::Loop`] chunk with fully-hitting iterations batched.
+    /// The batched route of a [`BulkOp::Loop`] chunk of `take`
+    /// iterations, sized by [`Machine::step`]: fully-hitting runs replay
+    /// arithmetically, and the rest hand over to the exact iteration
+    /// ([`Machine::loop_iteration`]). Kept out of line, like
+    /// `copy_hit_run`.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
     fn loop_chunk_fast(
         &mut self,
-        cur: &mut [Cursor],
         c: usize,
-        smt: Smt,
+        cur: &mut Cursor,
         patterns: &[(AccessPattern, Rw)],
-        uops_per_iter: u64,
-        greedy: bool,
+        take: u64,
+        issue: u64,
+        iter_cycles: u64,
+        mlp: usize,
     ) {
-        let total = patterns.first().map_or(0, |(p, _)| p.count());
-        debug_assert!(
-            patterns.iter().all(|(p, _)| p.count() == total),
-            "all loop patterns must have the same element count"
-        );
-        let remaining = total - cur[c].progress;
-        let per_iter = uops_per_iter.max(1);
-        let iters_budget = (CHUNK_CYCLES / per_iter).clamp(1, CHUNK_ELEMS);
-        let take = if greedy { remaining } else { remaining.min(iters_budget) };
-        let (fc, fm) = (smt.comp, smt.mem);
-        self.bus_contended = smt.contended;
-        let reads = patterns.iter().filter(|(_, rw)| *rw == Rw::Read).count();
-        let mlp = reads.clamp(1, self.cfg.mshrs.max(1) as usize);
-        let issue = self.uop_cycles(self.cfg.copy_uops_per_elem, fm);
-        let iter_cycles = self.uop_cycles(uops_per_iter, fc);
         let hit_cycles = patterns.len() as u64 * issue + iter_cycles;
-        let line_shift = self.line_shift;
-        let mut t = cur[c].t;
-        let mut i = cur[c].progress;
-        let end = cur[c].progress + take;
+        let mut t = cur.t;
+        let mut i = cur.progress;
+        let end = cur.progress + take;
         // Per-pattern lines proven resident by the most recent exact
         // iteration (see the matching comment in `copy_chunk_fast`).
         let mut known: Option<[u64; LOOP_FAST_MAX_PATTERNS]> = None;
@@ -1800,34 +1733,16 @@ impl Machine {
                 self.loop_fast_flush(c, patterns, i, run);
                 i += run;
             } else {
-                // Exact stepped iteration.
-                let t0 = t;
-                let mut lines = [u64::MAX; LOOP_FAST_MAX_PATTERNS];
-                for (k, (p, rw)) in patterns.iter().enumerate() {
-                    let (addr, bytes) = p.element(i);
-                    t += issue;
-                    self.loop_window = true;
-                    self.dependent = !p.is_sequential();
-                    t = self.mem_access(c, t, addr, bytes, *rw, false, false, mlp);
-                    if k < LOOP_FAST_MAX_PATTERNS {
-                        lines[k] = (addr + bytes - 1) >> line_shift;
-                    }
-                }
-                self.loop_window = false;
-                self.dependent = false;
-                t += iter_cycles;
+                let (t1, lines) = self.loop_iteration(c, t, patterns, i, issue, iter_cycles, mlp);
                 // A replay of one is an iteration alone before a line
                 // or chunk boundary.
-                self.engine.exact_loop(run.err().unwrap_or(ExactReason::ShortRun), 1, t - t0);
+                self.engine.exact_loop(run.err().unwrap_or(ExactReason::ShortRun), 1, t1 - t);
+                t = t1;
                 i += 1;
                 known = Some(lines);
             }
         }
-        cur[c].t = t;
-        cur[c].progress += take;
-        if cur[c].progress >= total {
-            self.advance(c, &mut cur[c]);
-        }
+        cur.t = t;
     }
 
     /// Longest run of loop iterations starting at `i` in which every
@@ -1983,11 +1898,11 @@ impl Machine {
             if wc.len > 0 && wc.start == line_addr {
                 wc.len += bytes;
             } else {
-                t = self.flush_wc_inner(ctx, t);
+                t = self.flush_wc(ctx, t);
                 self.wc[ctx] = WriteCombiner { start: line_addr, len: bytes };
             }
             if self.wc[ctx].len >= self.cfg.l2.line {
-                t = self.flush_wc_inner(ctx, t);
+                t = self.flush_wc(ctx, t);
             }
             return t;
         }
@@ -2159,12 +2074,9 @@ impl Machine {
         t
     }
 
-    /// Flush the context's write-combining buffer (if any) at time `t`.
-    fn flush_wc(&mut self, ctx: usize, t: u64) {
-        let _ = self.flush_wc_inner(ctx, t);
-    }
-
-    fn flush_wc_inner(&mut self, ctx: usize, mut t: u64) -> u64 {
+    /// Flush the context's write-combining buffer (if any) at time `t`;
+    /// returns when the context may go on.
+    fn flush_wc(&mut self, ctx: usize, t: u64) -> u64 {
         if self.wc[ctx].len == 0 {
             return t;
         }
@@ -2183,8 +2095,7 @@ impl Machine {
         self.emit(transfer.start, ctx, || MachineEventKind::WcFlush);
         // Posted writes: the context only stalls if it runs too far ahead
         // of the store queue.
-        t = t.max(transfer.bus_free.saturating_sub(WC_WINDOW_LINES * line_cycles));
-        t
+        t.max(transfer.bus_free.saturating_sub(WC_WINDOW_LINES * line_cycles))
     }
 }
 

@@ -301,12 +301,6 @@ impl EngineStats {
     pub fn copy_items(&self) -> u64 {
         self.copy_replayed.items + self.copy_in_order.items + self.copy_exact.items
     }
-
-    /// Loop iterations retired over both routes.
-    #[must_use]
-    pub fn loop_items(&self) -> u64 {
-        self.loop_replayed.items + self.loop_exact.items
-    }
 }
 
 /// One line: per route its share of items / share of cycles, then the

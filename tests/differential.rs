@@ -142,7 +142,7 @@ fn lowerings() -> [(&'static str, SimExecutor); 5] {
     [
         ("out-of-order", SimExecutor::new()),
         ("in-order", SimExecutor::new().in_order(true)),
-        ("single-context", SimExecutor::new().single_context(true)),
+        ("single-context", SimExecutor::new().with_topology(Topology::single()).in_order(true)),
         ("scaled-1", scaled(1)),
         ("scaled-4", scaled(4)),
     ]

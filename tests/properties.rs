@@ -852,8 +852,8 @@ fn event_mode_equals_stepped_on_random_machines() {
                 .with_srf(copts.srf)
                 .with_wait_policy(policy)
                 .with_warmup(warmup)
-                .in_order(in_order)
-                .single_context(single)
+                .with_topology(if single { Topology::single() } else { Topology::two_context() })
+                .in_order(in_order || single)
                 .with_trace(true)
                 .with_task_log(true)
                 .fast_sim(fast);
@@ -952,8 +952,8 @@ fn event_mode_equals_stepped_on_indexed_traffic() {
                 .with_machine(mcfg.clone())
                 .with_srf(srf)
                 .with_warmup(warmup)
-                .in_order(in_order)
-                .single_context(single)
+                .with_topology(if single { Topology::single() } else { Topology::two_context() })
+                .in_order(in_order || single)
                 .with_trace(true)
                 .with_task_log(true)
                 .fast_sim(fast);
@@ -981,8 +981,7 @@ fn event_mode_equals_stepped_on_indexed_traffic() {
 
 /// `run()` is exactly `snapshot()` followed by `resume_from()`, and a
 /// snapshot is immutable: resuming from it twice gives the same report
-/// both times and matches a straight run — the property the tuner's
-/// shared warmed prefix and the analyzer's what-if replays rely on.
+/// both times and matches a straight run.
 #[test]
 fn snapshot_resume_replays_equal_straight_runs() {
     run_cases("snapshot_resume_replays", 0x54a9, 12, |rng| {

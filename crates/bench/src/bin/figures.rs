@@ -109,7 +109,9 @@
 //! the same 2x-overload trace with bounded vs unbounded admission —
 //! and writes `serve-bounded.json` / `serve-unbounded.json` next to
 //! `--out FILE` (or prints only, without `--out`), exiting non-zero if
-//! bounded admission fails to beat unbounded on p99 total latency.
+//! bounded admission fails to beat unbounded on p99 total latency. It
+//! writes no SLO artifact, span trace or time series, so `--slo`,
+//! `--trace` and `--timeseries` with it are usage errors.
 //!
 //! Every serve run carries the `gpstream-telemetry` plane: windowed
 //! counters, per-tenant SLO burn rates (the report is appended to the
@@ -522,13 +524,13 @@ fn serve_main(argv: &[String]) -> ! {
     cfg.sketch = args.flag("--sketch");
     // Zero means "derive the default" in `ServeConfig`, so an explicit
     // zero is refused here; `validate` below checks everything else.
-    let cycles: fn(&u64) -> bool = |&n| n > 0;
     let fraction: fn(&f64) -> bool = |&f| f > 0.0 && f < 1.0;
     let slo_latency = args.value("--slo-latency");
     cfg.slo_objective = args
         .parsed("--slo-objective", "a fraction strictly between 0 and 1", fraction)
         .unwrap_or(0.0);
-    cfg.window_cycles = args.parsed("--window", "a positive cycle count", cycles).unwrap_or(0);
+    cfg.window_cycles =
+        args.parsed("--window", "a positive cycle count", |&n: &u64| n > 0).unwrap_or(0);
     cfg.sketch_gamma = args
         .parsed("--sketch-gamma", "a fraction strictly between 0 and 1", fraction)
         .unwrap_or(0.0);
@@ -544,10 +546,9 @@ fn serve_main(argv: &[String]) -> ! {
         cfg.workload = workload;
     }
     if let Some(list) = slo_latency {
-        let thresholds: Option<Vec<u64>> =
-            list.split(',').map(|v| v.trim().parse().ok().filter(cycles)).collect();
-        cfg.slo_latency = thresholds.unwrap_or_else(|| {
-            usage_exit("--slo-latency needs positive cycle counts, comma-separated", &usage)
+        let thresholds: Result<Vec<u64>, _> = list.split(',').map(|v| v.trim().parse()).collect();
+        cfg.slo_latency = thresholds.unwrap_or_else(|_| {
+            usage_exit("--slo-latency needs cycle counts, comma-separated", &usage)
         });
     }
     if let Err(why) = cfg.validate() {
@@ -557,6 +558,16 @@ fn serve_main(argv: &[String]) -> ! {
     // artifact; auto-off when stderr is not a terminal (CI logs).
     cfg.progress = !quiet && std::io::IsTerminal::is_terminal(&std::io::stderr());
     if ablation {
+        // The ablation writes only its two latency artifacts: refuse an
+        // output it would silently skip.
+        let outputs = [
+            ("--slo", slo),
+            ("--trace", trace_file.is_some()),
+            ("--timeseries", timeseries_file.is_some()),
+        ];
+        if let Some((flag, _)) = outputs.iter().find(|&&(_, given)| given) {
+            usage_exit(&format!("--ablation cannot be combined with {flag}"), &usage);
+        }
         let Some((bounded, unbounded)) = gpstream_serve::ablation(&cfg) else {
             unknown_workload(&cfg.workload, &usage)
         };

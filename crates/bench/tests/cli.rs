@@ -79,6 +79,10 @@ fn hostile_argv_is_a_usage_error() {
         (&["serve", "--sketch", "--sketch-gamma", "0.9"], 2, "--sketch-gamma"),
         (&["serve", "--sketch", "--sketch-gamma", "1e-12"], 2, "--sketch-gamma"),
         (&["serve", "--slo-latency", "5,6", "--tenants", "3"], 2, "--slo-latency"),
+        // A zero threshold used to reach `SloTarget::new` when the CLI
+        // stopped filtering; `validate` refuses it.
+        (&["serve", "--slo-latency", "0"], 2, "--slo-latency"),
+        (&["serve", "--slo-latency", "x"], 2, "--slo-latency needs cycle counts"),
         (&["profile", "ldstcomp", "--interval", "0"], 2, "--interval needs"),
         (&["profile", "ldstcomp", "--native", "0"], 2, "--native needs"),
         (&["scale", "ldstcomp", "--max", "300"], 2, "--max needs"),
@@ -93,6 +97,19 @@ fn hostile_argv_is_a_usage_error() {
             &["profile", "gatscat", "--in-order", "--update-baseline"],
             2,
             "--in-order cannot be combined with --update-baseline",
+        ),
+        // The ablation writes only its latency artifacts; these outputs
+        // used to be skipped without a word (exit 0).
+        (&["serve", "--ablation", "--slo"], 2, "--ablation cannot be combined with --slo"),
+        (
+            &["serve", "--ablation", "--trace", "t.json"],
+            2,
+            "--ablation cannot be combined with --trace",
+        ),
+        (
+            &["serve", "--ablation", "--timeseries", "s.csv"],
+            2,
+            "--ablation cannot be combined with --timeseries",
         ),
         // No process can create a file under /proc/nope.
         (&["profile", "ldstcomp", "--out", "/proc/nope/x"], 1, "cannot write /proc/nope/x"),

@@ -23,12 +23,14 @@
 //!    [`gpstream_core::WorkerPool`] (SPSC rings, condvar parking,
 //!    draining shutdown), oracle-checks each output, and retires ids to
 //!    per-tenant completion queues — exactly once.
-//! 5. [`report`] folds the schedule into exact latency histograms and
-//!    the `latency` artifact.
-//! 6. [`telemetry`] rides the scheduler's event loop as an observer
-//!    ([`sched::SchedObserver`]) and exports the run as it happened:
-//!    windowed metric time series, per-tenant SLO burn rates and a
-//!    job-lifecycle span trace with per-tenant lanes.
+//! 5. [`telemetry`] is the run's one observer
+//!    ([`sched::SchedObserver`]): riding the scheduler's event loop, it
+//!    folds each resolved job once into windowed metric time series,
+//!    per-tenant SLO burn rates, the latency distributions (exact, or
+//!    bounded-memory sketches in sketch mode), a job-lifecycle span
+//!    trace with per-tenant lanes and the kept records.
+//! 6. [`report`] renders those distributions and the schedule's
+//!    counters as the `latency` artifact and the terminal summary.
 //!
 //! The split between 3 and 4 is the determinism story: every *timing*
 //! decision is virtual and seeded, so the artifact is byte-identical
@@ -114,9 +116,9 @@ pub struct ServeConfig {
     /// OS threads for the functional execution pool. Never affects the
     /// artifact.
     pub exec_pool_threads: usize,
-    /// Per-tenant SLO latency thresholds in cycles (total latency);
-    /// empty derives `4 x (max service + dispatch)` for every tenant, a
-    /// single value broadcasts to all tenants.
+    /// Per-tenant SLO latency thresholds in cycles (total latency, each
+    /// positive); empty derives `4 x (max service + dispatch)` for
+    /// every tenant, a single value broadcasts to all tenants.
     pub slo_latency: Vec<u64>,
     /// SLO objective fraction shared by every tenant; 0 derives 0.99.
     pub slo_objective: f64,
@@ -222,8 +224,9 @@ impl ServeConfig {
             format!("arrival_shares needs one share per tenant ({tenants}), not all zero"),
         )?;
         ensure(
-            self.slo_latency.len() == 1 || per_tenant(self.slo_latency.len()),
-            format!("--slo-latency needs one threshold, or one per tenant ({tenants})"),
+            (self.slo_latency.len() == 1 || per_tenant(self.slo_latency.len()))
+                && !self.slo_latency.contains(&0),
+            format!("--slo-latency needs one positive threshold, or one per tenant ({tenants})"),
         )?;
         ensure(
             objective == 0.0 || (objective > 0.0 && objective < 1.0),
@@ -377,86 +380,6 @@ impl ServeConfig {
     }
 }
 
-/// Fans scheduler callbacks out to several observers, in order.
-struct FanObserver<'a> {
-    obs: Vec<&'a mut dyn SchedObserver>,
-}
-
-impl SchedObserver for FanObserver<'_> {
-    fn on_arrival(&mut self, now: u64, job: &OfferedJob, attempt: u32) {
-        for o in &mut self.obs {
-            o.on_arrival(now, job, attempt);
-        }
-    }
-    fn on_reject(&mut self, now: u64, job: &OfferedJob, attempt: u32, final_reject: bool) {
-        for o in &mut self.obs {
-            o.on_reject(now, job, attempt, final_reject);
-        }
-    }
-    fn on_admit(&mut self, now: u64, job: &OfferedJob, attempt: u32, pending: usize) {
-        for o in &mut self.obs {
-            o.on_admit(now, job, attempt, pending);
-        }
-    }
-    fn on_dispatch(
-        &mut self,
-        now: u64,
-        worker: usize,
-        tenant: usize,
-        batch: usize,
-        dispatch_cycles: u64,
-        pending: usize,
-    ) {
-        for o in &mut self.obs {
-            o.on_dispatch(now, worker, tenant, batch, dispatch_cycles, pending);
-        }
-    }
-    fn on_complete(&mut self, rec: &JobRecord) {
-        for o in &mut self.obs {
-            o.on_complete(rec);
-        }
-    }
-    fn on_rejected(&mut self, rec: &JobRecord) {
-        for o in &mut self.obs {
-            o.on_rejected(rec);
-        }
-    }
-}
-
-/// A stderr progress heartbeat: one line roughly every 10% of offered
-/// jobs. Writes only to stderr, so it can never perturb an artifact.
-struct Heartbeat {
-    enabled: bool,
-    total: u64,
-    resolved: u64,
-    step: u64,
-    next_mark: u64,
-}
-
-impl Heartbeat {
-    fn new(enabled: bool, total: u64) -> Self {
-        let step = (total / 10).max(1);
-        Self { enabled, total, resolved: 0, step, next_mark: step }
-    }
-
-    fn tick(&mut self) {
-        self.resolved += 1;
-        if self.enabled && self.resolved >= self.next_mark {
-            eprintln!("serve: {}/{} jobs resolved", self.resolved, self.total);
-            self.next_mark += self.step;
-        }
-    }
-}
-
-impl SchedObserver for Heartbeat {
-    fn on_complete(&mut self, _rec: &JobRecord) {
-        self.tick();
-    }
-    fn on_rejected(&mut self, _rec: &JobRecord) {
-        self.tick();
-    }
-}
-
 /// The virtual half of one serving run: the schedule and every
 /// aggregate derived from it, but no functional replay yet.
 pub struct ScheduledService {
@@ -533,31 +456,10 @@ pub fn schedule_service(cfg: &ServeConfig, table: &VariantTable) -> ScheduledSer
         .into_iter()
         .map(|cycles| SloTarget::new(cycles, objective))
         .collect();
-    let sketch_gamma = cfg.sketch.then(|| cfg.effective_sketch_gamma());
-    let mut watcher = ServeTelemetry::new(
-        cfg.effective_window_cycles(),
-        cfg.tenants,
-        cfg.workers,
-        &targets,
-        sketch_gamma,
-        cfg.effective_span_capacity(),
-    );
-    let template = sketch_gamma.map_or_else(Sketch::exact, Sketch::new);
-    let mut latency = LatencySummary::with_estimator(cfg.tenants, &template);
-    let mut keeper = RecordKeeper::new(cfg.record_stride());
-    let mut heartbeat = Heartbeat::new(cfg.progress, cfg.jobs as u64);
-    let stats = {
-        let mut fan =
-            FanObserver { obs: vec![&mut watcher, &mut latency, &mut keeper, &mut heartbeat] };
-        sched::schedule_stream(arrivals, &table.service_cycles(), &sched_cfg, &mut fan)
-    };
-    ScheduledService {
-        dispatch_cycles,
-        records: keeper.into_records(),
-        stats,
-        summary: latency,
-        telemetry: watcher.finish(cfg),
-    }
+    let mut plane = ServeTelemetry::new(cfg, &targets);
+    let stats = sched::schedule_stream(arrivals, &table.service_cycles(), &sched_cfg, &mut plane);
+    let (telemetry, summary, records) = plane.finish(cfg);
+    ScheduledService { dispatch_cycles, records, stats, summary, telemetry }
 }
 
 /// Everything one serving run produced.
@@ -693,6 +595,8 @@ mod tests {
         assert!(refused(|c| c.weights = vec![1, 0, 1, 1]).contains("weights"));
         assert!(refused(|c| c.arrival_shares = vec![0; 4]).contains("arrival_shares"));
         assert!(refused(|c| c.slo_latency = vec![5, 6]).contains("--slo-latency"));
+        assert!(refused(|c| c.slo_latency = vec![0]).contains("--slo-latency"));
+        assert!(refused(|c| c.slo_latency = vec![5, 0, 5, 5]).contains("--slo-latency"));
         assert!(refused(|c| c.slo_objective = 1.0).contains("--slo-objective"));
         assert!(refused(|c| c.sketch_gamma = 0.9).contains("--sketch-gamma"));
         assert!(refused(|c| c.sketch_gamma = 1e-12).contains("--sketch-gamma"));
@@ -728,43 +632,58 @@ mod tests {
 
     #[test]
     fn telemetry_totals_match_scheduler_stats() {
-        let mut cfg = ServeConfig::new("ldstcomp");
-        cfg.jobs = 400;
-        cfg.rate = 5_000.0;
-        cfg.tenants = 3;
-        cfg.queue_cap = 8;
-        let out = run_service(&cfg).expect("known workload");
-        let s = &out.telemetry.series;
-        let total = |name: &str| {
-            let i = s.counter_names.iter().position(|n| n == name).expect("registered counter");
-            s.counter_totals[i]
-        };
-        // The observer counts every decision the scheduler tallies —
-        // and the registry asserts window deltas sum to these totals.
-        assert_eq!(total("arrivals"), out.stats.offered + out.stats.retries);
-        assert_eq!(total("admits"), out.stats.admitted);
-        assert_eq!(total("reject_events"), out.stats.reject_events);
-        assert_eq!(total("final_rejects"), out.stats.rejected);
-        assert_eq!(total("batches"), out.stats.batches);
-        assert_eq!(total("dispatch_cycles"), out.stats.dispatch_cycles_total);
-        assert_eq!(total("completions"), out.stats.completed);
-        assert_eq!(total("served_cycles"), out.stats.served_cycles.iter().sum::<u64>());
-        for t in 0..cfg.tenants {
-            assert_eq!(total(&format!("tenant{t}_completed")), out.stats.completed_per_tenant[t]);
+        let mut exact = ServeConfig::new("ldstcomp");
+        (exact.jobs, exact.rate, exact.tenants, exact.queue_cap) = (400, 5_000.0, 3, 8);
+        // Long and loaded enough that the run-wide sketches leave their
+        // exact low-count path.
+        let mut sketch = exact.clone();
+        (sketch.jobs, sketch.rate, sketch.sketch) = (6_000, 20_000.0, true);
+        for cfg in [exact, sketch] {
+            let out = run_service(&cfg).expect("known workload");
+            let s = &out.telemetry.series;
+            let total = |name: &str| {
+                let i = s.counter_names.iter().position(|n| n == name).expect("registered");
+                s.counter_totals[i]
+            };
+            // The observer counts every decision the scheduler tallies —
+            // and the registry asserts window deltas sum to these totals.
+            assert_eq!(total("arrivals"), out.stats.offered + out.stats.retries);
+            assert_eq!(total("admits"), out.stats.admitted);
+            assert_eq!(total("reject_events"), out.stats.reject_events);
+            assert_eq!(total("final_rejects"), out.stats.rejected);
+            assert_eq!(total("batches"), out.stats.batches);
+            assert_eq!(total("dispatch_cycles"), out.stats.dispatch_cycles_total);
+            assert_eq!(total("completions"), out.stats.completed);
+            assert_eq!(total("served_cycles"), out.stats.served_cycles.iter().sum::<u64>());
+            for t in 0..cfg.tenants {
+                let done = out.stats.completed_per_tenant[t];
+                assert_eq!(total(&format!("tenant{t}_completed")), done);
+            }
+            // Histogram totals equal the report's run-wide distributions,
+            // and those are the merge of the per-tenant ones.
+            let summary = &out.summary;
+            assert_eq!(summary.total.is_promoted(), cfg.sketch, "sketch {}", cfg.sketch);
+            let hi = |name: &str| {
+                let i = s.hist_names.iter().position(|n| n == name).expect("registered hist");
+                &s.hist_totals[i]
+            };
+            assert_eq!(*hi("queue_cycles"), summary.queue);
+            assert_eq!(*hi("service_cycles"), summary.service);
+            assert_eq!(*hi("total_cycles"), summary.total);
+            let mut merged = [(); 3].map(|()| summary.total.fresh_like());
+            for t in &summary.per_tenant {
+                merged[0].merge(&t.queue);
+                merged[1].merge(&t.service);
+                merged[2].merge(&t.total);
+            }
+            let run_wide = [&summary.queue, &summary.service, &summary.total];
+            assert_eq!(merged.each_ref(), run_wide, "sketch {}", cfg.sketch);
+            // SLO events cover every completion.
+            let events: u64 = out.telemetry.slo.tenants.iter().map(|t| t.events).sum();
+            assert_eq!(events, out.stats.completed);
+            assert!(out.telemetry.slo_artifact.contains("\"kind\":\"slo\""));
+            assert!(out.text.contains("SLO report"));
         }
-        // Histogram totals equal the report's run-wide histograms.
-        let hi = |name: &str| {
-            let i = s.hist_names.iter().position(|n| n == name).expect("registered hist");
-            &s.hist_totals[i]
-        };
-        assert_eq!(*hi("queue_cycles"), out.summary.queue);
-        assert_eq!(*hi("service_cycles"), out.summary.service);
-        assert_eq!(*hi("total_cycles"), out.summary.total);
-        // SLO events cover every completion.
-        let events: u64 = out.telemetry.slo.tenants.iter().map(|t| t.events).sum();
-        assert_eq!(events, out.stats.completed);
-        assert!(out.telemetry.slo_artifact.contains("\"kind\":\"slo\""));
-        assert!(out.text.contains("SLO report"));
     }
 
     #[test]

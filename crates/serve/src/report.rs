@@ -11,7 +11,7 @@
 //! [`Json::to_doc_string`], so committed artifacts diff cleanly and the
 //! determinism gate can compare raw bytes.
 
-use crate::sched::{JobRecord, Outcome, SchedObserver, SchedStats};
+use crate::sched::SchedStats;
 use crate::ServeConfig;
 use gpstream_util::{Json, Sketch};
 use std::fmt::Write as _;
@@ -38,16 +38,26 @@ pub struct TenantLatency {
 }
 
 impl TenantLatency {
-    fn fresh(template: &Sketch) -> Self {
+    pub(crate) fn fresh(template: &Sketch) -> Self {
         Self {
             queue: template.fresh_like(),
             service: template.fresh_like(),
             total: template.fresh_like(),
         }
     }
+
+    pub(crate) fn record(&mut self, queue: u64, service: u64, total: u64) {
+        self.queue.record(queue);
+        self.service.record(service);
+        self.total.record(total);
+    }
 }
 
-/// The three latency distributions of a serving run, in cycles.
+/// The three latency distributions of a serving run, in cycles: what
+/// [`ServeTelemetry::finish`](crate::ServeTelemetry::finish) hands back.
+/// The run-wide three are the telemetry registry's run totals; the
+/// per-tenant ones are recorded beside them, from the same
+/// decomposition of each completed job.
 #[derive(Debug, Clone)]
 pub struct LatencySummary {
     /// Admission to service start (includes dispatch overhead and any
@@ -59,51 +69,8 @@ pub struct LatencySummary {
     /// retry delays included.
     pub total: Sketch,
     /// The same three distributions split per tenant; merging a
-    /// distribution across tenants reproduces the run-wide one exactly
-    /// (the same `record` calls feed both).
+    /// distribution across tenants reproduces the run-wide one exactly.
     pub per_tenant: Vec<TenantLatency>,
-}
-
-impl LatencySummary {
-    /// An empty summary whose distributions are all fresh copies of
-    /// `template` — exact-form or bounded-memory sketches.
-    #[must_use]
-    pub fn with_estimator(tenants: usize, template: &Sketch) -> Self {
-        Self {
-            queue: template.fresh_like(),
-            service: template.fresh_like(),
-            total: template.fresh_like(),
-            per_tenant: (0..tenants).map(|_| TenantLatency::fresh(template)).collect(),
-        }
-    }
-
-    /// Fold one resolved record in. Rejected jobs carry no latency and
-    /// are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a completed record names a tenant out of range.
-    pub fn record(&mut self, rec: &JobRecord) {
-        if let Outcome::Completed { admit, start, finish, .. } = rec.outcome {
-            let (queue, service, total) = (start - admit, finish - start, finish - rec.arrival);
-            self.queue.record(queue);
-            self.service.record(service);
-            self.total.record(total);
-            let t = &mut self.per_tenant[rec.tenant];
-            t.queue.record(queue);
-            t.service.record(service);
-            t.total.record(total);
-        }
-    }
-}
-
-/// Riding the scheduler as an observer folds retiring jobs straight
-/// into the summary (the distributions are order-independent
-/// multisets, so retirement order does not matter).
-impl SchedObserver for LatencySummary {
-    fn on_complete(&mut self, rec: &JobRecord) {
-        self.record(rec);
-    }
 }
 
 fn hist_counters(out: &mut Vec<(String, Json)>, prefix: &str, h: &Sketch) {
@@ -285,7 +252,9 @@ pub fn render(cfg: &ServeConfig, stats: &SchedStats, summary: &LatencySummary) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::Outcome;
+    use crate::sched::{JobRecord, Outcome, SchedObserver};
+    use crate::ServeTelemetry;
+    use gpstream_telemetry::SloTarget;
 
     fn rec(id: usize, arrival: u64, admit: u64, start: u64, finish: u64) -> JobRecord {
         JobRecord {
@@ -298,10 +267,18 @@ mod tests {
         }
     }
 
+    /// Resolve `records` through the one observer a run has.
     fn summarize(records: &[JobRecord], tenants: usize) -> LatencySummary {
-        let mut s = LatencySummary::with_estimator(tenants, &Sketch::exact());
-        records.iter().for_each(|r| s.record(r));
-        s
+        let mut cfg = ServeConfig::new("ldstcomp");
+        cfg.tenants = tenants;
+        let mut plane = ServeTelemetry::new(&cfg, &vec![SloTarget::new(1_000, 0.99); tenants]);
+        for r in records {
+            match r.outcome {
+                Outcome::Completed { .. } => plane.on_complete(r),
+                Outcome::Rejected { .. } => plane.on_rejected(r),
+            }
+        }
+        plane.finish(&cfg).1
     }
 
     #[test]

@@ -154,15 +154,21 @@ impl SchedStats {
 /// is how the telemetry plane watches a run without the scheduler
 /// knowing what a metric is.
 ///
-/// Every hook has a no-op default; implement only what you watch.
+/// One hook per decision: every offer fires `on_arrival` and then
+/// exactly one of `on_reject` (bounced, will retry), `on_rejected`
+/// (refused for good) or `on_admit`; a dispatch fires `on_complete`
+/// once per job of its batch, then `on_dispatch`. Every hook has a
+/// no-op default; implement only what you watch.
 pub trait SchedObserver {
     /// An offer hit admission at cycle `now` (first try or retry).
     fn on_arrival(&mut self, now: u64, job: &OfferedJob, attempt: u32) {
         let _ = (now, job, attempt);
     }
-    /// The offer was refused; `final_reject` when the producer gave up.
-    fn on_reject(&mut self, now: u64, job: &OfferedJob, attempt: u32, final_reject: bool) {
-        let _ = (now, job, attempt, final_reject);
+    /// The offer was refused and the producer will re-offer it after
+    /// the retry-after signal. A refusal the producer gives up on fires
+    /// only [`SchedObserver::on_rejected`].
+    fn on_reject(&mut self, now: u64, job: &OfferedJob, attempt: u32) {
+        let _ = (now, job, attempt);
     }
     /// The offer passed admission; `pending` counts it.
     fn on_admit(&mut self, now: u64, job: &OfferedJob, attempt: u32, pending: usize) {
@@ -185,10 +191,12 @@ pub trait SchedObserver {
     fn on_complete(&mut self, rec: &JobRecord) {
         let _ = rec;
     }
-    /// The offer was finally rejected (always `Outcome::Rejected` here).
-    /// Together with [`SchedObserver::on_complete`] this hands the
-    /// observer exactly one resolved [`JobRecord`] per offered job
-    /// ([`RecordKeeper`] is the observer that collects them).
+    /// The offer was refused for the last time: the producer gave up
+    /// (always `Outcome::Rejected` here, `last_attempt` the refusal's
+    /// cycle and `attempts` its attempt number). Together with
+    /// [`SchedObserver::on_complete`] this hands the observer exactly
+    /// one resolved [`JobRecord`] per offered job ([`RecordKeeper`] is
+    /// the observer that collects them).
     fn on_rejected(&mut self, rec: &JobRecord) {
         let _ = rec;
     }
@@ -221,7 +229,7 @@ impl RecordKeeper {
         Self { stride, records: Vec::new() }
     }
 
-    fn keep(&mut self, rec: &JobRecord) {
+    pub(crate) fn keep(&mut self, rec: &JobRecord) {
         if rec.id.is_multiple_of(self.stride) {
             self.records.push(*rec);
         }
@@ -290,8 +298,8 @@ struct Tenant {
 
 /// Run the schedule: pull arrivals lazily from an iterator
 /// (nondecreasing in time), resolve every offered job to a
-/// [`JobRecord`] retired through the observer
-/// ([`SchedObserver::on_complete`] / [`SchedObserver::on_rejected`]),
+/// [`JobRecord`] retired through the observer — exactly once, by
+/// [`SchedObserver::on_complete`] or [`SchedObserver::on_rejected`] —
 /// and tally the run. Pure virtual time; deterministic for fixed
 /// inputs. Live state is the pending queues, the in-flight retry/free
 /// events and one look-ahead arrival — O(pending), independent of how
@@ -425,8 +433,8 @@ where
                     // Refuse with retry-after; the producer re-offers
                     // until it runs out of patience.
                     stats.reject_events += 1;
-                    obs.on_reject(now, &job, attempt, attempt > cfg.max_retries);
                     if attempt <= cfg.max_retries {
+                        obs.on_reject(now, &job, attempt);
                         stats.retries += 1;
                         push(
                             &mut heap,
@@ -662,7 +670,7 @@ mod tests {
         struct Counting {
             records: Vec<JobRecord>,
             arrivals: u64,
-            rejects: u64,
+            bounces: u64,
             final_rejects: u64,
             admits: u64,
             dispatches: u64,
@@ -673,9 +681,8 @@ mod tests {
             fn on_arrival(&mut self, _now: u64, _job: &OfferedJob, _attempt: u32) {
                 self.arrivals += 1;
             }
-            fn on_reject(&mut self, _now: u64, _job: &OfferedJob, _attempt: u32, fin: bool) {
-                self.rejects += 1;
-                self.final_rejects += u64::from(fin);
+            fn on_reject(&mut self, _now: u64, _job: &OfferedJob, _attempt: u32) {
+                self.bounces += 1;
             }
             fn on_admit(&mut self, _now: u64, _job: &OfferedJob, _attempt: u32, _pending: usize) {
                 self.admits += 1;
@@ -699,6 +706,7 @@ mod tests {
             }
             fn on_rejected(&mut self, rec: &JobRecord) {
                 assert!(matches!(rec.outcome, Outcome::Rejected { .. }));
+                self.final_rejects += 1;
                 self.records.push(*rec);
             }
         }
@@ -723,7 +731,10 @@ mod tests {
         assert_eq!(plain, obs.records, "observer must not perturb the schedule");
         assert_eq!(plain_stats, watched_stats);
         assert_eq!(obs.arrivals, watched_stats.offered + watched_stats.retries);
-        assert_eq!(obs.rejects, watched_stats.reject_events);
+        // One hook per refusal: a bounce or a final rejection, never both.
+        assert_eq!(obs.bounces, watched_stats.retries);
+        assert_eq!(obs.bounces + obs.final_rejects, watched_stats.reject_events);
+        assert!(obs.bounces > 0 && obs.final_rejects > 0, "the trace must exercise both");
         assert_eq!(obs.final_rejects, watched_stats.rejected);
         assert_eq!(obs.admits, watched_stats.admitted);
         assert_eq!(obs.dispatches, watched_stats.batches);

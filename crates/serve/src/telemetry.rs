@@ -1,23 +1,26 @@
-//! The serving harness's telemetry plane: a [`SchedObserver`] that
-//! feeds windowed metrics, per-tenant SLO accounting and job-lifecycle
-//! spans from the scheduler's own event loop.
+//! The serving harness's telemetry plane: the one [`SchedObserver`] of
+//! a serving run. From the scheduler's own event loop it feeds windowed
+//! metrics, per-tenant SLO accounting, the per-tenant latency
+//! distributions and job-lifecycle spans, keeps the sampled records and
+//! ticks the stderr heartbeat — each completed job decomposed into
+//! queue/service/total latency once.
 //!
 //! Everything is stamped in the scheduler's virtual time, so the whole
 //! plane inherits the byte-identical determinism guarantee: time
-//! series, SLO artifact and span trace depend only on the schedule,
-//! never on pool thread counts or wall clocks. The observer is
-//! write-only during the run (the scheduler cannot see it), and
-//! [`ServeTelemetry::finish`] folds it into a [`TelemetryOutcome`].
+//! series, SLO artifact, latency summary and span trace depend only on
+//! the schedule, never on pool thread counts or wall clocks. The
+//! observer is write-only during the run (the scheduler cannot see it),
+//! and [`ServeTelemetry::finish`] folds it into a [`TelemetryOutcome`],
+//! a [`LatencySummary`] and the kept records.
 //!
 //! Two properties make the plane safe at 10⁶–10⁷ jobs:
 //!
 //! * **Streaming registry.** The metrics registry is always wrapped in
 //!   a [`StreamingTelemetry`]: the scheduler's event-loop clock is a
 //!   watermark, windows strictly behind it are finalized, flushed
-//!   through the incremental CSV/JSON appenders (and an optional
-//!   per-window sink) and evicted, so registry memory is O(open
-//!   windows) regardless of run length, in exact and sketch mode
-//!   alike. Latency stamps land at a job's *finish* cycle, which is
+//!   through the incremental CSV/JSON appenders and evicted, so
+//!   registry memory is O(open windows) regardless of run length, in
+//!   exact and sketch mode alike. Latency stamps land at a job's *finish* cycle, which is
 //!   ahead of the event-loop clock (a dispatched batch finishes in the
 //!   future) — that is exactly the watermark-safe direction, so the
 //!   wrapper only ever advances past windows nothing can stamp into
@@ -43,15 +46,16 @@
 //!   worker lane carrying the dispatch fee it paid.
 
 use crate::load::OfferedJob;
-use crate::sched::{JobRecord, Outcome, SchedObserver};
+use crate::report::{LatencySummary, TenantLatency};
+use crate::sched::{JobRecord, Outcome, RecordKeeper, SchedObserver};
 use crate::ServeConfig;
 use gpstream_core::trace::{chrome_trace, ExecEvent, ExecEventKind, TraceRun};
 use gpstream_core::TaskId;
 use gpstream_telemetry::{
     CounterId, GaugeId, HistId, SloReport, SloTarget, SloTracker, StreamedSeries,
-    StreamingTelemetry, Telemetry, WindowSink,
+    StreamingTelemetry, Telemetry,
 };
-use gpstream_util::Json;
+use gpstream_util::{Json, Sketch};
 use std::collections::BTreeMap;
 
 /// Default span-trace capacity in events (not jobs): enough to hold a
@@ -113,7 +117,32 @@ impl SpanBuffer {
     }
 }
 
-/// The scheduler observer that builds the telemetry plane.
+/// A stderr progress heartbeat: one line roughly every 10% of offered
+/// jobs. Writes only to stderr, so it can never perturb an artifact.
+struct Heartbeat {
+    enabled: bool,
+    total: u64,
+    resolved: u64,
+    step: u64,
+    next_mark: u64,
+}
+
+impl Heartbeat {
+    fn new(enabled: bool, total: u64) -> Self {
+        let step = (total / 10).max(1);
+        Self { enabled, total, resolved: 0, step, next_mark: step }
+    }
+
+    fn tick(&mut self) {
+        self.resolved += 1;
+        if self.enabled && self.resolved >= self.next_mark {
+            eprintln!("serve: {}/{} jobs resolved", self.resolved, self.total);
+            self.next_mark += self.step;
+        }
+    }
+}
+
+/// The scheduler observer of a serving run.
 pub struct ServeTelemetry {
     reg: StreamingTelemetry,
     slo: SloTracker,
@@ -130,36 +159,31 @@ pub struct ServeTelemetry {
     h_queue: HistId,
     h_service: HistId,
     h_total: HistId,
+    per_tenant: Vec<TenantLatency>,
+    keeper: RecordKeeper,
+    heartbeat: Heartbeat,
     spans: SpanBuffer,
     tenants: usize,
 }
 
 impl ServeTelemetry {
-    /// An observer for a run with the given window, tenants and
-    /// per-tenant SLO targets (`targets.len() == tenants`).
-    ///
-    /// `sketch_gamma: Some(γ)` makes the latency run totals
-    /// bounded-memory sketches with relative error ≤ γ instead of exact
-    /// ones; the registry streams (windows evicted behind the scheduler
-    /// clock) either way. `span_capacity` bounds the span buffer in
-    /// events.
+    /// The observer for one run of `cfg`, with one SLO target per
+    /// tenant. Everything else comes from `cfg`: the window, tenant and
+    /// worker lanes, exact or sketched latency distributions
+    /// ([`ServeConfig::sketch`]), the span capacity, the record stride
+    /// and the heartbeat.
     ///
     /// # Panics
     ///
     /// Panics if the target count disagrees with the tenant count, if
     /// `tenants + workers` exceeds the 256 trace lanes an event's
-    /// `who: u8` can name, or if `span_capacity` is zero.
+    /// `who: u8` can name, or if the span capacity is zero.
     #[must_use]
-    pub fn new(
-        window_cycles: u64,
-        tenants: usize,
-        workers: usize,
-        targets: &[SloTarget],
-        sketch_gamma: Option<f64>,
-        span_capacity: usize,
-    ) -> Self {
+    pub fn new(cfg: &ServeConfig, targets: &[SloTarget]) -> Self {
+        let &ServeConfig { tenants, workers, .. } = cfg;
         assert_eq!(targets.len(), tenants, "one SLO target per tenant");
         assert!(tenants + workers <= 256, "trace lanes are indexed by a u8");
+        let window_cycles = cfg.effective_window_cycles();
         let mut tel = Telemetry::new(window_cycles);
         let mut slo = SloTracker::new(window_cycles);
         for (t, target) in targets.iter().enumerate() {
@@ -176,6 +200,7 @@ impl ServeTelemetry {
         let c_tenant_completed =
             (0..tenants).map(|t| tel.counter(&format!("tenant{t}_completed"))).collect();
         let g_pending = tel.gauge("pending");
+        let sketch_gamma = cfg.sketch.then(|| cfg.effective_sketch_gamma());
         let hist = |tel: &mut Telemetry, name: &str| match sketch_gamma {
             Some(gamma) => tel.hist_sketch(name, gamma),
             None => tel.hist(name),
@@ -183,6 +208,7 @@ impl ServeTelemetry {
         let h_queue = hist(&mut tel, "queue_cycles");
         let h_service = hist(&mut tel, "service_cycles");
         let h_total = hist(&mut tel, "total_cycles");
+        let template = sketch_gamma.map_or_else(Sketch::exact, Sketch::new);
         Self {
             reg: StreamingTelemetry::new(tel),
             slo,
@@ -199,15 +225,12 @@ impl ServeTelemetry {
             h_queue,
             h_service,
             h_total,
-            spans: SpanBuffer::new(span_capacity),
+            per_tenant: (0..tenants).map(|_| TenantLatency::fresh(&template)).collect(),
+            keeper: RecordKeeper::new(cfg.record_stride()),
+            heartbeat: Heartbeat::new(cfg.progress, cfg.jobs as u64),
+            spans: SpanBuffer::new(cfg.effective_span_capacity()),
             tenants,
         }
-    }
-
-    /// Attach a per-window sink, called once per finalized window in
-    /// ascending order as the run streams.
-    pub fn set_window_sink(&mut self, sink: WindowSink) {
-        self.reg.set_sink(sink);
     }
 
     fn tenant_lane(&self, tenant: usize) -> u8 {
@@ -222,16 +245,38 @@ impl ServeTelemetry {
         self.spans.task(id, false, || format!("job {id} queue (t{tenant})"))
     }
 
-    /// Fold the observed run into its exported outcome. `cfg` labels
-    /// the trace and the SLO artifact.
+    /// A refused offer: one `reject_events` count and a `DepWait`
+    /// instant on the tenant's lane, its mask the attempt number.
+    fn refuse(&mut self, now: u64, id: usize, tenant: usize, attempt: u32) {
+        self.reg.advance(now);
+        self.reg.add(self.c_rejects, now, 1);
+        if self.spans.reserve(1) {
+            let who = self.tenant_lane(tenant);
+            let task = Some(self.queue_task(id, tenant));
+            self.spans.events.push(ExecEvent {
+                ts: now,
+                who,
+                task,
+                kind: ExecEventKind::DepWait { mask: u64::from(attempt) },
+            });
+        }
+    }
+
+    /// Fold the observed run into what it produced: the exported
+    /// telemetry, the latency summary — its run-wide distributions are
+    /// the registry's run totals — and the kept records, sorted by id.
+    /// `cfg` labels the trace and the SLO artifact.
     ///
     /// # Panics
     ///
     /// Panics if the flushed window deltas fail to re-merge into the
     /// run totals (the sum-to-total invariant).
     #[must_use]
-    pub fn finish(self, cfg: &ServeConfig) -> TelemetryOutcome {
+    pub fn finish(self, cfg: &ServeConfig) -> (TelemetryOutcome, LatencySummary, Vec<JobRecord>) {
         let series = self.reg.finish();
+        let [queue, service, total] = <[Sketch; 3]>::try_from(series.hist_totals.clone())
+            .expect("the registry's histograms are queue, service and total");
+        let summary = LatencySummary { queue, service, total, per_tenant: self.per_tenant };
         let slo = self.slo.report();
         let slo_artifact = slo
             .artifact_json(
@@ -260,7 +305,8 @@ impl ServeTelemetry {
             events: self.spans.events,
             dropped: spans_dropped,
         };
-        TelemetryOutcome { series, slo, slo_artifact, trace, spans_dropped }
+        let telemetry = TelemetryOutcome { series, slo, slo_artifact, trace, spans_dropped };
+        (telemetry, summary, self.keeper.into_records())
     }
 }
 
@@ -270,22 +316,18 @@ impl SchedObserver for ServeTelemetry {
         self.reg.add(self.c_arrivals, now, 1);
     }
 
-    fn on_reject(&mut self, now: u64, job: &OfferedJob, attempt: u32, final_reject: bool) {
-        self.reg.advance(now);
-        self.reg.add(self.c_rejects, now, 1);
-        if final_reject {
-            self.reg.add(self.c_final_rejects, now, 1);
-        }
-        if self.spans.reserve(1) {
-            let who = self.tenant_lane(job.tenant);
-            let task = Some(self.queue_task(job.id, job.tenant));
-            self.spans.events.push(ExecEvent {
-                ts: now,
-                who,
-                task,
-                kind: ExecEventKind::DepWait { mask: u64::from(attempt) },
-            });
-        }
+    fn on_reject(&mut self, now: u64, job: &OfferedJob, attempt: u32) {
+        self.refuse(now, job.id, job.tenant, attempt);
+    }
+
+    fn on_rejected(&mut self, rec: &JobRecord) {
+        let Outcome::Rejected { last_attempt } = rec.outcome else {
+            unreachable!("on_rejected only fires for rejected jobs");
+        };
+        self.refuse(last_attempt, rec.id, rec.tenant, rec.attempts);
+        self.reg.add(self.c_final_rejects, last_attempt, 1);
+        self.keeper.keep(rec);
+        self.heartbeat.tick();
     }
 
     fn on_admit(&mut self, now: u64, job: &OfferedJob, _attempt: u32, pending: usize) {
@@ -338,7 +380,10 @@ impl SchedObserver for ServeTelemetry {
         self.reg.observe(self.h_queue, finish, queue);
         self.reg.observe(self.h_service, finish, service);
         self.reg.observe(self.h_total, finish, total);
+        self.per_tenant[rec.tenant].record(queue, service, total);
         self.slo.record(rec.tenant, finish, total);
+        self.keeper.keep(rec);
+        self.heartbeat.tick();
 
         let tenant = self.tenant_lane(rec.tenant);
         let worker = self.worker_lane(worker);
@@ -395,21 +440,16 @@ mod tests {
     use super::*;
     use crate::load::{Arrivals, LoadConfig};
     use crate::sched::{schedule_stream, SchedConfig};
-    use gpstream_telemetry::WindowSnapshot;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     #[test]
-    fn exact_mode_streams_windows_to_a_sink_and_out_of_the_registry() {
-        // A 20 000-job overloaded run through an *exact-mode* plane with
-        // a window sink installed — a panic while exact mode kept a
-        // materialized registry.
-        let (tenants, workers, window) = (3, 2, 250_000);
+    fn exact_mode_streams_windows_out_of_the_registry_in_order() {
+        // A 20 000-job overloaded run through an *exact-mode* plane — a
+        // panic while exact mode kept a materialized registry.
+        let mut cfg = ServeConfig::new("synthetic");
+        (cfg.tenants, cfg.workers, cfg.window_cycles, cfg.span_capacity) = (3, 2, 250_000, 64);
+        let tenants = cfg.tenants;
         let targets = vec![SloTarget::new(1_000_000, 0.99); tenants];
-        let mut plane = ServeTelemetry::new(window, tenants, workers, &targets, None, 64);
-        let seen: Rc<RefCell<Vec<WindowSnapshot>>> = Rc::default();
-        let sink_seen = Rc::clone(&seen);
-        plane.set_window_sink(Box::new(move |w| sink_seen.borrow_mut().push(w.clone())));
+        let mut plane = ServeTelemetry::new(&cfg, &targets);
         let arrivals = Arrivals::new(&LoadConfig {
             jobs: 20_000,
             mean_interarrival: 9_000,
@@ -419,7 +459,7 @@ mod tests {
             seed: 7,
         });
         let sched = SchedConfig {
-            workers,
+            workers: cfg.workers,
             bounded: true,
             queue_cap: 16,
             batch_max: 4,
@@ -436,21 +476,24 @@ mod tests {
         // handled every window behind the clock has already left the
         // registry, and only the tail the last batch finishes in remains.
         let evicted_during_run = plane.reg.windows_flushed();
-        let mut cfg = ServeConfig::new("synthetic");
-        (cfg.tenants, cfg.workers) = (tenants, workers);
-        let series = plane.finish(&cfg).series;
+        let series = plane.finish(&cfg).0.series;
         assert!(evicted_during_run > 500, "a long run: {evicted_during_run} windows");
         assert!(series.windows_flushed - evicted_during_run <= 2, "closed windows stayed resident");
         assert_eq!(series.hist_totals[0].kind(), "exact");
 
-        // The sink saw every window once, in order, dense from 0 ...
-        let windows = seen.borrow();
-        assert_eq!(windows.len() as u64, series.windows_flushed);
-        assert!(windows.iter().enumerate().all(|(i, w)| w.index == i as u64));
+        // The streamed CSV holds every window once, in order, dense
+        // from 0 ...
+        let mut lines = series.csv.lines();
+        let header: Vec<&str> = lines.next().expect("CSV header").split(',').collect();
+        let rows: Vec<Vec<u64>> = lines
+            .map(|row| row.split(',').map(|cell| cell.parse().expect("integer cell")).collect())
+            .collect();
+        assert_eq!(rows.len() as u64, series.windows_flushed);
+        assert!(rows.iter().enumerate().all(|(i, row)| row[0] == i as u64));
         // ... and its summed counter deltas are the scheduler's tallies.
         let summed = |name: &str| {
-            let i = series.counter_names.iter().position(|n| n == name).expect("registered");
-            windows.iter().map(|w| w.counters[i]).sum::<u64>()
+            let i = header.iter().position(|&n| n == name).expect("exported column");
+            rows.iter().map(|row| row[i]).sum::<u64>()
         };
         assert_eq!(summed("arrivals"), stats.offered + stats.retries);
         assert_eq!(summed("admits"), stats.admitted);
@@ -460,7 +503,6 @@ mod tests {
         assert_eq!(summed("dispatch_cycles"), stats.dispatch_cycles_total);
         assert_eq!(summed("completions"), stats.completed);
         assert_eq!(summed("served_cycles"), stats.served_cycles.iter().sum::<u64>());
-        let observed: u64 = windows.iter().map(|w| w.hists[2].count()).sum();
-        assert_eq!(observed, stats.completed);
+        assert_eq!(summed("total_cycles_count"), stats.completed);
     }
 }

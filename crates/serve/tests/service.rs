@@ -10,7 +10,9 @@
 //! * **Committed SLO baseline** — re-running the catalog-mix SLO
 //!   experiment reproduces `profiles/serve/slo-mix.json` byte for byte.
 //! * **Backpressure** — under 2x overload, bounded admission beats
-//!   unbounded queueing on p99 total latency (the committed ablation).
+//!   unbounded queueing on p99 total latency, and both sides reproduce
+//!   the committed `profiles/serve/ablation-{bounded,unbounded}.json`
+//!   byte for byte.
 //! * **Fair sharing** — the weighted fair scheduler is work-conserving
 //!   (asserted inside `schedule_stream` on every dispatch round) and delivers
 //!   service in proportion to tenant weights while everyone is
@@ -118,9 +120,17 @@ fn committed_slo_artifact_reproduces_byte_for_byte() {
 
 #[test]
 fn bounded_admission_beats_unbounded_on_p99_total_under_overload() {
+    // The committed ablation, written by
+    //   figures serve ldstcomp --jobs 5000 --ablation --out profiles/serve/ablation.json
     let mut cfg = ServeConfig::new("ldstcomp");
-    cfg.jobs = 3_000;
+    cfg.jobs = 5_000;
     let (bounded, unbounded) = ablation(&cfg).expect("known workload");
+    for (side, outcome) in [("bounded", &bounded), ("unbounded", &unbounded)] {
+        let path =
+            format!("{}/../../profiles/serve/ablation-{side}.json", env!("CARGO_MANIFEST_DIR"));
+        let committed = std::fs::read_to_string(&path).expect("committed ablation artifact");
+        assert_eq!(outcome.artifact, committed, "ablation-{side}.json drifted");
+    }
     assert!(bounded.cfg.bounded && !unbounded.cfg.bounded);
     assert_eq!(bounded.cfg.rate, unbounded.cfg.rate, "same overload on both sides");
     let pb = bounded.summary.total.quantile(0.99).expect("bounded completions");

@@ -18,9 +18,8 @@
 //!   buckets on request. Time series export as CSV and canonical JSON.
 //! * [`stream`] — the registry's streaming mode: tumbling windows are
 //!   finalized and evicted as a virtual-time watermark advances past
-//!   them, flushed through incremental CSV/JSON appenders (and an
-//!   optional sink), so registry memory is O(open windows) at any run
-//!   length. `Telemetry::series()` is the same window walk run to the
+//!   them, flushed through incremental CSV/JSON appenders, so registry
+//!   memory is O(open windows) at any run length. `Telemetry::series()` is the same window walk run to the
 //!   end over a copy, so the two exports cannot disagree.
 //! * [`slo`] — per-tenant service-level objectives (latency threshold +
 //!   objective fraction) with error-budget and burn-rate accounting per
@@ -45,4 +44,4 @@ pub mod stream;
 
 pub use registry::{CounterId, GaugeId, HistId, Telemetry, TimeSeries, WindowSnapshot};
 pub use slo::{SloReport, SloTarget, SloTracker, TenantSlo};
-pub use stream::{StreamedSeries, StreamingTelemetry, WindowSink};
+pub use stream::{StreamedSeries, StreamingTelemetry};

@@ -10,8 +10,7 @@
 //! into a flushed window falls off the front of the registry's window
 //! ring and panics there), so it is finalized: popped off the ring — its
 //! buffered samples sorted into the window's histograms on the way out —
-//! appended to the CSV/JSON exports, and handed to an optional
-//! on-finalize sink.
+//! and appended to the CSV/JSON exports.
 //!
 //! The exports are built with the exact same helpers as
 //! [`TimeSeries::to_csv`]/[`TimeSeries::to_json`], and the window walk
@@ -30,9 +29,6 @@ use crate::registry::{
 };
 use gpstream_util::Sketch;
 
-/// A sink invoked once per finalized window, in window order.
-pub type WindowSink = Box<dyn FnMut(&WindowSnapshot)>;
-
 /// A [`Telemetry`] registry that finalizes and evicts tumbling windows
 /// behind a virtual-time watermark.
 pub struct StreamingTelemetry {
@@ -40,7 +36,6 @@ pub struct StreamingTelemetry {
     csv: String,
     /// Comma-joined window JSON fragments (the inside of the array).
     json_windows: String,
-    sink: Option<WindowSink>,
 }
 
 impl std::fmt::Debug for StreamingTelemetry {
@@ -63,12 +58,7 @@ impl StreamingTelemetry {
         );
         let (counter_names, gauge_names, hist_names) = tel.instrument_names();
         let csv = csv_header(&counter_names, &gauge_names, &hist_names);
-        Self { tel, csv, json_windows: String::new(), sink: None }
-    }
-
-    /// Install a sink called once per finalized window, in order.
-    pub fn set_sink(&mut self, sink: WindowSink) {
-        self.sink = Some(sink);
+        Self { tel, csv, json_windows: String::new() }
     }
 
     /// Windows finalized so far (dense from index 0).
@@ -104,16 +94,13 @@ impl StreamingTelemetry {
         self.tel.observe(id, cycle, value);
     }
 
-    /// Append one finalized window to the exports and the sink.
+    /// Append one finalized window to the exports.
     fn export(&mut self, snap: &WindowSnapshot) {
         self.csv.push_str(&csv_row(snap));
         if snap.index > 0 {
             self.json_windows.push(',');
         }
         self.json_windows.push_str(&window_json(snap).to_string());
-        if let Some(sink) = &mut self.sink {
-            sink(snap);
-        }
     }
 
     /// Advance the watermark to the producer's event-loop clock `now`,
@@ -211,8 +198,6 @@ mod tests {
     use crate::registry::MAX_RESIDENT_WINDOWS;
     use gpstream_util::check::run_cases;
     use gpstream_util::Rng64;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn registered(window: u64, sketch: bool) -> (Telemetry, CounterId, GaugeId, HistId, HistId) {
         let mut t = Telemetry::new(window);
@@ -294,12 +279,9 @@ mod tests {
     }
 
     #[test]
-    fn sink_sees_every_window_in_order_and_registry_stays_bounded() {
+    fn csv_streams_every_window_in_order_and_registry_stays_bounded() {
         let (tel, c, _, h, _) = registered(10, true);
         let mut stream = StreamingTelemetry::new(tel);
-        let seen: Rc<RefCell<Vec<u64>>> = Rc::default();
-        let sink_seen = Rc::clone(&seen);
-        stream.set_sink(Box::new(move |w| sink_seen.borrow_mut().push(w.index)));
         for now in 0..1000 {
             stream.advance(now);
             stream.add(c, now, 1);
@@ -312,7 +294,13 @@ mod tests {
         assert_eq!(stream.tel.resident_windows(), 1);
         let streamed = stream.finish();
         assert_eq!(streamed.windows_flushed, 100);
-        assert_eq!(seen.borrow().as_slice(), (0..100).collect::<Vec<u64>>().as_slice());
+        let indices: Vec<u64> = streamed
+            .csv
+            .lines()
+            .skip(1)
+            .map(|row| row.split(',').next().and_then(|i| i.parse().ok()).expect("window index"))
+            .collect();
+        assert_eq!(indices, (0..100).collect::<Vec<u64>>());
         assert_eq!(streamed.counter_totals, [1000]);
     }
 

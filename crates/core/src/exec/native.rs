@@ -9,9 +9,16 @@
 //! FastFlow-style. Tasks flow to workers through per-worker
 //! single-producer/single-consumer rings ([`crate::spsc`], the
 //! in-process analogue of the paper's memory-mapped queues); dependencies
-//! use the bit-vector window of [`crate::workqueue`]; workers wait for
-//! readiness either by spinning with the PAUSE hint or by parking, the two
-//! policies whose trade-off Figure 8 measures.
+//! use the lock-free bit-vector window of [`crate::workqueue`]; workers
+//! wait for readiness either by spinning with the PAUSE hint or by
+//! parking, the two policies whose trade-off Figure 8 measures.
+//!
+//! Dispatch takes no lock, and a thread is woken only when it can
+//! proceed (FastFlow's rule, see PAPERS.md). Every thread has one parking
+//! spot: a push wakes only the worker whose ring received the task, a
+//! completion wakes parked peers, and the control thread, once the
+//! window is full, sleeps until the workers have drained it to half
+//! (`LOW_WATER`) and then refills it in one batch.
 //!
 //! By default each worker issues *out of order* within a small in-flight
 //! window (Figure 7's `tail_depend`): it pops up to
@@ -20,9 +27,18 @@
 //! ready — a blocked scatter no longer stalls the gathers queued behind
 //! it. [`NativeExecutor::in_order`] restores head-blocking queues.
 //!
-//! Functional effects (array contents) are identical to the reference
-//! executor; a single data mutex serializes task *bodies* (the simulator,
-//! not this runtime, is the timing vehicle — see DESIGN.md).
+//! The world and the SRF each sit behind a lock, and both locks cover
+//! copies only. A gather walks its source array under the world lock
+//! into a staging buffer, then copies that into the SRF under the SRF
+//! lock; a scatter is the mirror image; a kernel holds the SRF lock for
+//! its copy-in and its copy-out and computes with no lock held. So a
+//! kernel on a compute worker overlaps the gathers and scatters on a
+//! memory worker — the paper's claim 2, on real threads — and each waits
+//! for the other at most one strip copy. [`ScheduledProgram::check`]
+//! proves that tasks with no dependency path between them touch disjoint
+//! SRF bytes and array elements, so no interleaving changes a byte:
+//! functional effects are identical to the reference executor (the
+//! simulator, not this runtime, is the timing vehicle — see DESIGN.md).
 //!
 //! With [`NativeExecutor::with_trace`], the control thread and every
 //! worker stamp nanosecond-resolution [`ExecEventKind`] events
@@ -30,32 +46,43 @@
 //! dependency waits) into a shared [`TraceBuffer`] for the Chrome
 //! exporter in [`crate::trace`].
 
-use crate::exec::execute_task;
+use crate::exec::{gather_strip, scatter_strip, strip_bytes, KernelStrip};
 use crate::graph::StreamGraph;
-use crate::pool::{notify_all, DeathNotice};
+use crate::park::{DeathNotice, ParkingSpot};
 use crate::spsc::SpscRing;
 use crate::srf::{SrfBuffer, SrfConfig};
-use crate::task::{ScheduledProgram, TaskId};
+use crate::task::{ScheduledProgram, TaskDesc, TaskId, TaskKind};
 use crate::topology::Topology;
 use crate::trace::{ExecEventKind, TraceBuffer};
-use crate::workqueue::{DependencyWindow, QueuedTask};
+use crate::workqueue::{DependencyWindow, WINDOW};
 use crate::world::World;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
 // NOTE on readiness: the bit-vector window (DependencyWindow) bounds the
 // number of in-flight tasks to 64 and is what the control thread uses for
 // admission, mirroring the paper. Worker *readiness* checks use per-task
-// completion flags rather than the mask snapshot: a mask snapshot can go
-// stale when a completed dependency's slot is recycled for a later task
-// (an ABA hazard that would deadlock a queue on itself).
+// completion flags rather than a mask snapshot: a snapshot can go stale
+// when a completed dependency's slot is recycled for a later task (an ABA
+// hazard that would deadlock a queue on itself).
 
 /// How many ring entries a worker keeps in flight for out-of-order
 /// issue. Any value >= 1 is deadlock-free: queues are filled in task-id
 /// order, so the globally smallest incomplete task is always the oldest
 /// unexecuted entry of its queue — inside every window.
 pub const NATIVE_ISSUE_WINDOW: usize = 16;
+
+/// In-flight tasks at which a control thread waiting on a full window is
+/// woken: half the window, so it refills in batches rather than once per
+/// completion, and the workers still hold half a window of work while it
+/// does.
+const LOW_WATER: u32 = WINDOW as u32 / 2;
+
+/// `try_lock` attempts a thread makes on a held data lock before it
+/// blocks on it. A lock is held for one strip copy, which is usually
+/// shorter than a futex sleep and wake-up.
+const LOCK_SPINS: u32 = 1 << 12;
 
 /// Trace lane of the control thread. The worker for context `c` stamps
 /// lane `c + 1`.
@@ -67,7 +94,8 @@ pub enum NativeWaitPolicy {
     /// Busy-wait with the PAUSE hint (`std::hint::spin_loop`): lowest
     /// dispatch latency, burns a hardware context while idle.
     Spin,
-    /// Park on a condition variable: frees the core, pays a wake-up.
+    /// Park the thread until a waker unparks it: frees the core, pays a
+    /// wake-up.
     #[default]
     Park,
 }
@@ -90,9 +118,10 @@ pub struct NativeReport {
 }
 
 /// Wall-clock self time of one task body measured by the native
-/// executor: the `execute_task` call only, excluding queueing, dependency
-/// waits and data-lock acquisition. Unlike everything the simulator
-/// reports, these are real nanoseconds and vary run to run.
+/// executor: the gather or scatter, or the kernel's copy-in, compute and
+/// copy-out, excluding queueing, dependency waits and data-lock waits.
+/// Unlike everything the simulator reports, these are real nanoseconds
+/// and vary run to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskTime {
     /// The task.
@@ -106,13 +135,16 @@ pub struct TaskTime {
 
 struct Shared<'a> {
     graph: &'a StreamGraph,
-    data: Mutex<(World, SrfBuffer)>,
-    window: Mutex<DependencyWindow>,
+    world: Mutex<World>,
+    srf: Mutex<SrfBuffer>,
+    window: DependencyWindow,
     completed: Vec<AtomicBool>,
-    window_cv: Condvar,
+    /// One parking spot per thread, indexed by trace lane: the control
+    /// thread's at [`LANE_CONTROL`], context `c`'s worker at `c + 1`.
+    spots: Vec<ParkingSpot>,
     done: AtomicBool,
     /// Set when a worker dies (panics) so the control thread and the
-    /// surviving worker stop waiting on completions that will never come.
+    /// surviving workers stop waiting on completions that will never come.
     dead: AtomicBool,
     program: &'a ScheduledProgram,
     trace: Option<TraceBuffer>,
@@ -121,11 +153,12 @@ struct Shared<'a> {
 }
 
 impl Shared<'_> {
-    /// Lock the window even if a panicking peer poisoned it (the window
-    /// holds no invariants a panic can break mid-update that we rely on
-    /// for shutdown).
-    fn lock_window(&self) -> MutexGuard<'_, DependencyWindow> {
-        self.window.lock().unwrap_or_else(PoisonError::into_inner)
+    fn is_complete(&self, task: TaskId) -> bool {
+        self.completed[task.0 as usize].load(Ordering::Acquire)
+    }
+
+    fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::Acquire)
     }
 }
 
@@ -226,12 +259,14 @@ impl NativeExecutor {
         if let Some(buf) = &self.trace {
             window.set_trace(buf.clone(), LANE_CONTROL);
         }
+        let contexts = self.topology.contexts();
         let shared = Shared {
             graph,
-            data: Mutex::new((std::mem::take(world), SrfBuffer::new(self.srf_cfg))),
-            window: Mutex::new(window),
+            world: Mutex::new(std::mem::take(world)),
+            srf: Mutex::new(SrfBuffer::new(self.srf_cfg)),
+            window,
             completed: (0..program.tasks.len()).map(|_| AtomicBool::new(false)).collect(),
-            window_cv: Condvar::new(),
+            spots: (0..=contexts).map(|_| ParkingSpot::new()).collect(),
             done: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             program,
@@ -239,9 +274,9 @@ impl NativeExecutor {
             times: self.time_tasks.then(|| Mutex::new(Vec::with_capacity(program.tasks.len()))),
         };
         let assignment = self.topology.assign(&program.tasks);
-        let queues: Vec<SpscRing<QueuedTask>> = (0..self.topology.contexts())
-            .map(|_| SpscRing::<QueuedTask>::new(crate::workqueue::WINDOW))
-            .collect();
+        // A ring only ever holds admitted, incomplete tasks, and the
+        // window admits at most WINDOW of them: a push cannot fail.
+        let queues: Vec<SpscRing<TaskId>> = (0..contexts).map(|_| SpscRing::new(WINDOW)).collect();
         let policy = self.policy;
         let issue_window = if self.in_order { 1 } else { NATIVE_ISSUE_WINDOW };
 
@@ -259,38 +294,30 @@ impl NativeExecutor {
             // Control thread: admit tasks into the window in order and
             // push them to their assigned queue. Each queue has a single
             // producer (this thread) and a single consumer (its worker).
+            let control = &shared.spots[LANE_CONTROL as usize];
             'enqueue: for task in &program.tasks {
-                let queued = loop {
-                    if shared.dead.load(Ordering::Acquire) {
+                while shared.window.admit(task.id).is_err() {
+                    // Window full: sleep until the workers have drained
+                    // it to the low-water mark (or one died — a dead
+                    // worker frees no slots, so its notice wakes us).
+                    control.wait_until(|| {
+                        shared.window.pending_mask().count_ones() <= LOW_WATER || shared.is_dead()
+                    });
+                    if shared.is_dead() {
                         break 'enqueue;
                     }
-                    let mut w = shared.lock_window();
-                    if let Ok(slot) = w.admit(task.id) {
-                        let dep_mask = w.mask_for(&task.deps) & !(1u64 << slot);
-                        break QueuedTask { task: task.id, slot, dep_mask };
-                    }
-                    // Window full: wait for a completion (or a death
-                    // notice — a dead worker frees no slots).
-                    let _unused = shared.window_cv.wait(w).unwrap_or_else(PoisonError::into_inner);
-                };
-                let queue = &queues[assignment[task.id.0 as usize]];
-                let mut item = queued;
-                while let Err(back) = queue.push(item) {
-                    if shared.dead.load(Ordering::Acquire) {
-                        break 'enqueue;
-                    }
-                    item = back;
-                    std::hint::spin_loop();
                 }
-                // Wake any worker parked on an empty ring; notifying
-                // under the window lock orders the push before its re-check.
-                notify_all(&shared.window, &shared.window_cv);
+                let c = assignment[task.id.0 as usize];
+                assert!(queues[c].push(task.id).is_ok(), "a ring outgrew the window");
+                shared.spots[c + 1].wake();
                 if let Some(buf) = &shared.trace {
                     buf.push(LANE_CONTROL, Some(task.id), ExecEventKind::Enqueue);
                 }
             }
             shared.done.store(true, Ordering::Release);
-            notify_all(&shared.window, &shared.window_cv);
+            for spot in &shared.spots[1..] {
+                spot.wake();
+            }
             let mut counts = Vec::with_capacity(workers.len());
             let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
             for w in workers {
@@ -298,9 +325,9 @@ impl NativeExecutor {
                     Ok(c) => counts.push(c),
                     // Remember the first worker panic and re-raise it with
                     // its original payload rather than a generic "worker
-                    // panicked" (the panic poisons the data mutex, so
-                    // masking it would surface as an unrelated poison
-                    // error below).
+                    // panicked" (a panic inside a copy poisons a data
+                    // lock, so masking it would surface as an unrelated
+                    // poison error below).
                     Err(p) => panic = panic.or(Some(p)),
                 }
             }
@@ -315,8 +342,7 @@ impl NativeExecutor {
             v.sort_by_key(|t| (t.task.0, t.lane));
             v
         });
-        let (w, _srf) = shared.data.into_inner().expect("data mutex poisoned");
-        *world = w;
+        *world = shared.world.into_inner().expect("world lock poisoned");
         NativeReport {
             tasks: program.tasks.len(),
             memory_tasks: counts.iter().map(|c| c.memory).sum(),
@@ -336,6 +362,85 @@ struct WorkerCount {
     memory: usize,
 }
 
+/// Wait per `policy` for `ready`: one PAUSE-and-yield round (the caller
+/// loops), or park on `spot` until it holds.
+fn idle(policy: NativeWaitPolicy, spot: &ParkingSpot, ready: impl FnMut() -> bool) {
+    match policy {
+        NativeWaitPolicy::Spin => {
+            // Yield so single-core hosts make progress.
+            std::hint::spin_loop();
+            std::thread::yield_now();
+        }
+        NativeWaitPolicy::Park => spot.wait_until(ready),
+    }
+}
+
+/// Run `f`, adding its wall time to `ns` when `on`.
+fn timed<R>(on: bool, ns: &mut u64, f: impl FnOnce() -> R) -> R {
+    if !on {
+        return f();
+    }
+    let t0 = Instant::now();
+    let r = f();
+    *ns += t0.elapsed().as_nanos() as u64;
+    r
+}
+
+/// Lock `m`, spinning on `try_lock` for up to [`LOCK_SPINS`] attempts
+/// before blocking. `None` if a peer panicked while holding it.
+fn lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    for _ in 0..LOCK_SPINS {
+        match m.try_lock() {
+            Ok(guard) => return Some(guard),
+            Err(TryLockError::Poisoned(_)) => return None,
+            Err(TryLockError::WouldBlock) => std::hint::spin_loop(),
+        }
+    }
+    m.lock().ok()
+}
+
+/// Run one task body, holding a data lock around each copy only: a
+/// gather or scatter stages its strip in `staging` between the world and
+/// the SRF, and a kernel computes between its copy-in and copy-out.
+/// Returns the body's self time (zero unless task timing is on), or
+/// `None` if a peer died mid-copy and poisoned a lock.
+fn run_body(shared: &Shared<'_>, task: &TaskDesc, staging: &mut Vec<u8>) -> Option<u64> {
+    let graph = shared.graph;
+    let on = shared.times.is_some();
+    let mut ns = 0;
+    match &task.kind {
+        TaskKind::Gather { binding, .. } => {
+            staging.resize(strip_bytes(binding, graph), 0);
+            let world = lock(&shared.world)?;
+            timed(on, &mut ns, || gather_strip(binding, graph, &world, staging));
+            drop(world);
+            let mut srf = lock(&shared.srf)?;
+            let dst = srf.bytes_mut(binding.srf_offset, staging.len());
+            timed(on, &mut ns, || dst.copy_from_slice(staging));
+        }
+        TaskKind::Scatter { binding, .. } => {
+            staging.clear();
+            let srf = lock(&shared.srf)?;
+            let src = srf.bytes(binding.srf_offset, strip_bytes(binding, graph));
+            timed(on, &mut ns, || staging.extend_from_slice(src));
+            drop(srf);
+            let mut world = lock(&shared.world)?;
+            timed(on, &mut ns, || scatter_strip(binding, graph, &mut world, staging));
+        }
+        TaskKind::Kernel { kernel, items, inputs, outputs } => {
+            let srf = lock(&shared.srf)?;
+            let mut strip = timed(on, &mut ns, || {
+                KernelStrip::copy_in(*kernel, items, inputs, outputs, graph, &srf)
+            });
+            drop(srf);
+            timed(on, &mut ns, || strip.compute());
+            let mut srf = lock(&shared.srf)?;
+            timed(on, &mut ns, || strip.copy_out(&mut srf));
+        }
+    }
+    Some(ns)
+}
+
 /// Worker loop with out-of-order issue: keep up to `issue_window` popped
 /// entries in flight, run the oldest one whose dependencies have all
 /// completed, and wait (per `policy`) only when none of them is ready —
@@ -347,31 +452,30 @@ struct WorkerCount {
 /// can never complete.
 fn worker_loop(
     shared: &Shared<'_>,
-    queue: &SpscRing<QueuedTask>,
+    queue: &SpscRing<TaskId>,
     lane: u8,
     policy: NativeWaitPolicy,
     issue_window: usize,
 ) -> WorkerCount {
-    // A dying worker wakes the control thread, which could otherwise
-    // sleep forever waiting for a window slot the worker will never free.
-    let _notice = DeathNotice { dead: &shared.dead, lock: &shared.window, cv: &shared.window_cv };
+    // A dying worker wakes every thread, which could otherwise sleep
+    // forever waiting for a slot or a completion it will never post.
+    let _notice = DeathNotice { dead: &shared.dead, spots: &shared.spots };
+    let spot = &shared.spots[lane as usize];
     let mut count = WorkerCount::default();
+    let mut staging = Vec::new();
     // In-flight entries, oldest first (queue order == task-id order).
-    let mut local: Vec<QueuedTask> = Vec::with_capacity(issue_window);
-    let ready = |item: &QueuedTask| {
-        shared.program.tasks[item.task.0 as usize]
-            .deps
-            .iter()
-            .all(|d| shared.completed[d.0 as usize].load(Ordering::Acquire))
+    let mut local: Vec<TaskId> = Vec::with_capacity(issue_window);
+    let ready = |task: &TaskId| {
+        shared.program.tasks[task.0 as usize].deps.iter().all(|&d| shared.is_complete(d))
     };
     let mut waited = false;
     loop {
-        if shared.dead.load(Ordering::Acquire) {
+        if shared.is_dead() {
             return count;
         }
         while local.len() < issue_window {
             match queue.pop() {
-                Some(item) => local.push(item),
+                Some(task) => local.push(task),
                 None => break,
             }
         }
@@ -379,99 +483,70 @@ fn worker_loop(
             if shared.done.load(Ordering::Acquire) && queue.is_empty() {
                 return count;
             }
-            match policy {
-                NativeWaitPolicy::Spin => {
-                    // PAUSE-style spin; yield so single-core hosts make
-                    // progress.
-                    std::hint::spin_loop();
-                    std::thread::yield_now();
-                }
-                NativeWaitPolicy::Park => {
-                    // Park until the control thread enqueues something
-                    // (it notifies after every push), declares the run
-                    // done, or a peer dies. The ring re-check under the
-                    // window lock pairs with the notifier taking that
-                    // lock, so the wake-up cannot be lost.
-                    let mut w = shared.lock_window();
-                    while queue.is_empty()
-                        && !shared.done.load(Ordering::Acquire)
-                        && !shared.dead.load(Ordering::Acquire)
-                    {
-                        w = shared.window_cv.wait(w).unwrap_or_else(PoisonError::into_inner);
-                    }
-                }
-            }
+            // Until the control thread pushes here, finishes, or a peer
+            // dies.
+            idle(policy, spot, || {
+                !queue.is_empty() || shared.done.load(Ordering::Acquire) || shared.is_dead()
+            });
             continue;
         }
         let Some(pos) = local.iter().position(ready) else {
             // Nothing in the window is ready: this is the only place a
             // worker blocks on dependencies. The oldest entry records the
-            // wait with its *live* unmet-dependency mask, recomputed from
-            // the window — the admit-time `dep_mask` snapshot can name a
-            // recycled slot once a completed dependency's slot has been
-            // reused by a later task (an ABA on slot recycling that made
-            // traces blame the wrong tasks).
+            // wait with its *live* unmet-dependency mask — the window
+            // slots of the dependencies whose completion flags are still
+            // clear, the same flags `ready` reads.
             if !waited {
                 waited = true;
                 if let Some(buf) = &shared.trace {
-                    let deps = &shared.program.tasks[local[0].task.0 as usize].deps;
-                    let live = shared.lock_window().mask_for(deps);
-                    buf.push(lane, Some(local[0].task), ExecEventKind::DepWait { mask: live });
+                    let deps = &shared.program.tasks[local[0].0 as usize].deps;
+                    let unmet: Vec<TaskId> =
+                        deps.iter().copied().filter(|&d| !shared.is_complete(d)).collect();
+                    let mask = shared.window.mask_for(&unmet);
+                    buf.push(lane, Some(local[0]), ExecEventKind::DepWait { mask });
                 }
             }
-            match policy {
-                NativeWaitPolicy::Spin => {
-                    std::hint::spin_loop();
-                    std::thread::yield_now();
-                }
-                NativeWaitPolicy::Park => {
-                    let any_ready =
-                        || local.iter().any(&ready) || shared.dead.load(Ordering::Acquire);
-                    let mut w = shared.lock_window();
-                    while !any_ready() {
-                        w = shared.window_cv.wait(w).unwrap_or_else(PoisonError::into_inner);
-                    }
-                    drop(w);
-                }
-            }
+            // Until a peer's completion readies an entry, a push lands
+            // while the window has room, or a peer dies.
+            idle(policy, spot, || {
+                local.iter().any(ready)
+                    || (local.len() < issue_window && !queue.is_empty())
+                    || shared.is_dead()
+            });
             continue;
         };
-        let item = local.remove(pos);
+        let id = local.remove(pos);
         waited = false;
         if let Some(buf) = &shared.trace {
-            buf.push(lane, Some(item.task), ExecEventKind::Ready);
-            buf.push(lane, Some(item.task), ExecEventKind::Start);
+            buf.push(lane, Some(id), ExecEventKind::Ready);
+            buf.push(lane, Some(id), ExecEventKind::Start);
         }
-        {
-            let task = &shared.program.tasks[item.task.0 as usize];
-            // A poisoned data mutex means a peer died mid-task; exit
-            // cleanly and let the control thread re-raise its panic.
-            let Ok(mut data) = shared.data.lock() else {
-                return count;
-            };
-            let (world, srf) = &mut *data;
-            let t0 = shared.times.is_some().then(Instant::now);
-            execute_task(task, shared.graph, world, srf);
-            if let (Some(t0), Some(times)) = (t0, &shared.times) {
-                let ns = t0.elapsed().as_nanos() as u64;
-                times.lock().expect("times mutex poisoned").push(TaskTime {
-                    task: item.task,
-                    lane,
-                    ns,
-                });
+        let task = &shared.program.tasks[id.0 as usize];
+        // A poisoned data lock means a peer died mid-copy; exit cleanly
+        // and let the control thread re-raise its panic.
+        let Some(ns) = run_body(shared, task, &mut staging) else {
+            return count;
+        };
+        if let Some(times) = &shared.times {
+            times.lock().expect("times mutex poisoned").push(TaskTime { task: id, lane, ns });
+        }
+        shared.completed[id.0 as usize].store(true, Ordering::Release);
+        shared.window.complete(id);
+        // Wake whoever this completion can unblock: parked peers, and the
+        // control thread once the window has drained to the low-water
+        // mark.
+        for (i, peer) in shared.spots.iter().enumerate() {
+            if i == usize::from(LANE_CONTROL) {
+                peer.wake_if(|| shared.window.pending_mask().count_ones() <= LOW_WATER);
+            } else if i != usize::from(lane) {
+                peer.wake();
             }
         }
-        {
-            let mut w = shared.lock_window();
-            w.complete(item.task);
-            shared.completed[item.task.0 as usize].store(true, Ordering::Release);
-            shared.window_cv.notify_all();
-        }
         if let Some(buf) = &shared.trace {
-            buf.push(lane, Some(item.task), ExecEventKind::Finish);
+            buf.push(lane, Some(id), ExecEventKind::Finish);
         }
         count.executed += 1;
-        if shared.program.tasks[item.task.0 as usize].kind.is_memory() {
+        if task.kind.is_memory() {
             count.memory += 1;
         }
     }

@@ -40,6 +40,7 @@ pub mod exec;
 pub mod graph;
 pub mod hazard;
 pub mod metrics;
+pub(crate) mod park;
 pub mod pod;
 pub mod pool;
 pub mod regular;

@@ -5,9 +5,10 @@
 //! needs workers that outlive any single job and can be stopped without
 //! losing work. [`WorkerPool`] keeps the same architecture — one OS
 //! thread per worker, each fed by its own bounded SPSC ring (the paper's
-//! memory-mapped work queue stand-in), workers parking on a condvar when
-//! idle — but decouples worker lifetime from job lifetime and adds the
-//! one operation a service layer needs that a batch executor does not:
+//! memory-mapped work queue stand-in), each worker parking on its own
+//! spot when idle and woken only by a push to its ring — but decouples
+//! worker lifetime from job lifetime and adds the one operation a
+//! service layer needs that a batch executor does not:
 //! [`WorkerPool::drain`], a stop that closes the intake, lets every
 //! already-accepted job run to completion, and only then joins the
 //! threads. The shutdown contract is exact: every job for which
@@ -20,9 +21,10 @@
 //! single-threaded: one producer owns all rings. This is enforced by
 //! requiring `&mut self` on [`WorkerPool::submit`].
 
+use crate::park::{DeathNotice, ParkingSpot};
 use crate::spsc::SpscRing;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// Why [`WorkerPool::submit`] handed a job back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,38 +45,11 @@ pub struct PoolStats {
 }
 
 struct Control {
-    lock: Mutex<()>,
-    cv: Condvar,
     draining: AtomicBool,
     /// Set by a worker's [`DeathNotice`] when its handler panics.
     dead: AtomicBool,
-}
-
-/// Wake everyone parked on `cv`, taking `lock` first so the flag or ring
-/// update that preceded cannot race a waiter between its re-check and
-/// its wait. The pool and the native executor both notify this way.
-pub(crate) fn notify_all<T>(lock: &Mutex<T>, cv: &Condvar) {
-    drop(lock.lock().unwrap_or_else(PoisonError::into_inner));
-    cv.notify_all();
-}
-
-/// On-drop guard a worker thread holds for its whole loop: if the worker
-/// unwinds, raise `dead` and wake everyone parked on `cv` — otherwise a
-/// thread can wait forever on work only the dead worker would have done.
-/// The pool's workers and the native executor's workers both hold one.
-pub(crate) struct DeathNotice<'a, T> {
-    pub(crate) dead: &'a AtomicBool,
-    pub(crate) lock: &'a Mutex<T>,
-    pub(crate) cv: &'a Condvar,
-}
-
-impl<T> Drop for DeathNotice<'_, T> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.dead.store(true, Ordering::Release);
-            notify_all(self.lock, self.cv);
-        }
-    }
+    /// One parking spot per worker, indexed like the rings.
+    spots: Vec<ParkingSpot>,
 }
 
 /// A fixed-size pool of worker threads consuming per-worker SPSC rings.
@@ -104,10 +79,9 @@ impl<J: Send + 'static> WorkerPool<J> {
         assert!(capacity > 0, "rings need positive capacity");
         let handler = Arc::new(handler);
         let control = Arc::new(Control {
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
             draining: AtomicBool::new(false),
             dead: AtomicBool::new(false),
+            spots: (0..workers).map(|_| ParkingSpot::new()).collect(),
         });
         let rings: Vec<Arc<SpscRing<J>>> =
             (0..workers).map(|_| Arc::new(SpscRing::new(capacity))).collect();
@@ -159,7 +133,7 @@ impl<J: Send + 'static> WorkerPool<J> {
         match self.rings[worker].push(job) {
             Ok(()) => {
                 self.accepted[worker] += 1;
-                notify_all(&self.control.lock, &self.control.cv);
+                self.control.spots[worker].wake();
                 Ok(())
             }
             Err(job) => Err((SubmitError::Full, job)),
@@ -189,7 +163,9 @@ impl<J: Send + 'static> WorkerPool<J> {
     /// panic, if any.
     fn stop(&mut self) -> (Vec<u64>, Option<Box<dyn std::any::Any + Send>>) {
         self.control.draining.store(true, Ordering::Release);
-        notify_all(&self.control.lock, &self.control.cv);
+        for spot in &self.control.spots {
+            spot.wake();
+        }
         let mut executed = Vec::with_capacity(self.threads.len());
         let mut panic = None;
         for t in self.threads.drain(..) {
@@ -222,7 +198,7 @@ fn worker_loop<J: Send>(
     control: &Control,
     handler: &(impl Fn(usize, J) + ?Sized),
 ) -> u64 {
-    let _notice = DeathNotice { dead: &control.dead, lock: &control.lock, cv: &control.cv };
+    let _notice = DeathNotice { dead: &control.dead, spots: &control.spots };
     let mut executed = 0u64;
     loop {
         if let Some(job) = ring.pop() {
@@ -233,13 +209,9 @@ fn worker_loop<J: Send>(
         if control.draining.load(Ordering::Acquire) && ring.is_empty() {
             return executed;
         }
-        // Park until a submit or the drain notifies. Re-checking the
-        // ring under the lock pairs with the notifier taking the same
-        // lock, so a push cannot slip between the check and the wait.
-        let mut guard = control.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        while ring.is_empty() && !control.draining.load(Ordering::Acquire) {
-            guard = control.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
-        }
+        // Park until a submit or the drain wakes this worker's spot.
+        control.spots[w]
+            .wait_until(|| !ring.is_empty() || control.draining.load(Ordering::Acquire));
     }
 }
 
@@ -247,6 +219,7 @@ fn worker_loop<J: Send>(
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, AtomicU64};
+    use std::sync::Mutex;
 
     #[test]
     fn runs_every_accepted_job_once() {

@@ -117,9 +117,9 @@ pub struct ScheduledProgram {
 
 /// Hazard checking builds per-task ancestor bitsets, which is
 /// `O(n²/64)` time and space in the number of tasks. Programs larger
-/// than this only get the structural and SRF/array checks skipped at
-/// *run* time — the compiler still checks every schedule it emits once
-/// at compile time via [`ScheduledProgram::check`].
+/// than this get only the structural checks: their SRF and array hazards
+/// go unchecked — at compile time as well as at run time, since the
+/// compiler's scheduler calls the same [`ScheduledProgram::check`].
 const MAX_HAZARD_TASKS: usize = 8192;
 
 /// Transitive dependency reachability as one bitset row per task.

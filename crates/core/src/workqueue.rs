@@ -8,18 +8,20 @@
 //! its slot bit everywhere ("setting and clearing dependence information
 //! could be performed rapidly using simple or/and instructions").
 //!
-//! [`DependencyWindow`] is the single-threaded core of that scheme; the
-//! native executor wraps it in a lock and pairs it with per-task atomic
-//! completion flags so worker threads can test readiness of the tasks in
-//! their local issue window without taking the lock (a queue-time mask
-//! snapshot would go stale when a completed dependency's slot is reused
-//! — see the slot-reuse ABA property test in the workspace-level
+//! [`DependencyWindow`] is that shared bit-vector: one atomic pending
+//! mask plus the task occupying each slot. The control thread is the only
+//! thread that sets bits ([`DependencyWindow::admit`]); the worker that
+//! finishes a task clears its slot ([`DependencyWindow::complete`]); both
+//! take `&self`, so the native executor shares one window with no lock.
+//! Workers test readiness on per-task completion flags, not on mask
+//! snapshots: a snapshot goes stale when a completed dependency's slot is
+//! reused (see the slot-reuse ABA property test in the workspace-level
 //! `tests/properties.rs`).
 
 use crate::task::TaskId;
 use crate::trace::{ExecEventKind, TraceBuffer};
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Error returned when the 64-entry window has no free slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,15 +41,26 @@ impl std::error::Error for WindowFull {}
 pub const WINDOW: usize = 64;
 
 /// Slot-allocation and dependency-mask bookkeeping for the in-flight
-/// window.
-#[derive(Debug, Default)]
+/// window, safe to share between one admitting thread and any number of
+/// completing threads.
+#[derive(Debug)]
 pub struct DependencyWindow {
     /// Bit `s` set: slot `s` holds a task that has not completed.
-    pending: u64,
-    /// Which task occupies each pending slot.
-    slot_of: HashMap<TaskId, u8>,
+    pending: AtomicU64,
+    /// Id of the task in each slot; meaningful only while its bit is set.
+    occupant: [AtomicU32; WINDOW],
     /// Optional event sink recording slot admissions and clears.
     trace: Option<(TraceBuffer, u8)>,
+}
+
+impl Default for DependencyWindow {
+    fn default() -> Self {
+        DependencyWindow {
+            pending: AtomicU64::new(0),
+            occupant: std::array::from_fn(|_| AtomicU32::new(0)),
+            trace: None,
+        }
+    }
 }
 
 impl DependencyWindow {
@@ -66,16 +79,30 @@ impl DependencyWindow {
     /// Bitmask of in-flight (incomplete) slots.
     #[must_use]
     pub fn pending_mask(&self) -> u64 {
-        self.pending
+        self.pending.load(Ordering::Acquire)
     }
 
     /// Whether a new task can be admitted.
     #[must_use]
     pub fn has_room(&self) -> bool {
-        self.pending != u64::MAX
+        self.pending_mask() != u64::MAX
     }
 
-    /// Admit `task` into the window, returning its slot.
+    /// The slot `task` holds among the `live` slots, if any.
+    fn find(&self, live: u64, task: TaskId) -> Option<u8> {
+        let mut rest = live;
+        while rest != 0 {
+            let slot = rest.trailing_zeros() as usize;
+            if self.occupant[slot].load(Ordering::Relaxed) == task.0 {
+                return Some(slot as u8);
+            }
+            rest &= rest - 1;
+        }
+        None
+    }
+
+    /// Admit `task` into the window, returning its slot. Only one thread
+    /// may admit (the control thread); any thread may complete.
     ///
     /// # Errors
     ///
@@ -84,22 +111,27 @@ impl DependencyWindow {
     ///
     /// # Panics
     ///
-    /// Panics if `task` is already in flight: re-admitting would overwrite
-    /// its `slot_of` entry and leak the old slot's pending bit, so enough
-    /// duplicates would wedge the window permanently full (every admission
-    /// is a scheduling bug, exactly like completing an unknown task).
-    pub fn admit(&mut self, task: TaskId) -> Result<u8, WindowFull> {
+    /// Panics if `task` is already in flight: re-admitting would leave it
+    /// holding two slots, and the one `complete` does not find would stay
+    /// pending forever, so enough duplicates would wedge the window
+    /// permanently full (every admission is a scheduling bug, exactly
+    /// like completing an unknown task).
+    pub fn admit(&self, task: TaskId) -> Result<u8, WindowFull> {
+        let live = self.pending_mask();
         assert!(
-            !self.slot_of.contains_key(&task),
+            self.find(live, task).is_none(),
             "task {task:?} admitted twice (already holds a window slot)"
         );
-        let free = (!self.pending).trailing_zeros();
+        let free = (!live).trailing_zeros();
         if free >= WINDOW as u32 {
             return Err(WindowFull);
         }
         let slot = free as u8;
-        self.pending |= 1u64 << slot;
-        self.slot_of.insert(task, slot);
+        // Publish the occupant before the bit: a thread that sees the bit
+        // (Acquire) sees who holds the slot.
+        self.occupant[free as usize].store(task.0, Ordering::Relaxed);
+        let before = self.pending.fetch_or(1u64 << slot, Ordering::Release);
+        debug_assert_eq!(before & (1u64 << slot), 0, "two threads admitted at once");
         if let Some((buf, who)) = &self.trace {
             buf.push(*who, Some(task), ExecEventKind::SlotAdmit { slot });
         }
@@ -111,23 +143,18 @@ impl DependencyWindow {
     /// left the window) contribute nothing.
     #[must_use]
     pub fn mask_for(&self, deps: &[TaskId]) -> u64 {
-        let mut mask = 0u64;
-        for d in deps {
-            if let Some(&slot) = self.slot_of.get(d) {
-                mask |= 1u64 << slot;
-            }
-        }
-        mask
+        let live = self.pending_mask();
+        deps.iter().filter_map(|&d| self.find(live, d)).fold(0, |m, s| m | 1u64 << s)
     }
 
     /// Mark `task` complete, freeing its slot. Returns the freed slot.
     ///
     /// # Panics
     ///
-    /// Panics if the task was never admitted (a scheduling bug).
-    pub fn complete(&mut self, task: TaskId) -> u8 {
-        let slot = self.slot_of.remove(&task).expect("completing unknown task");
-        self.pending &= !(1u64 << slot);
+    /// Panics if the task is not in flight (a scheduling bug).
+    pub fn complete(&self, task: TaskId) -> u8 {
+        let slot = self.find(self.pending_mask(), task).expect("completing unknown task");
+        self.pending.fetch_and(!(1u64 << slot), Ordering::AcqRel);
         if let Some((buf, who)) = &self.trace {
             buf.push(*who, Some(task), ExecEventKind::SlotClear { slot });
         }
@@ -138,19 +165,8 @@ impl DependencyWindow {
     /// pending set?
     #[must_use]
     pub fn is_ready(&self, mask: u64) -> bool {
-        self.pending & mask == 0
+        self.pending_mask() & mask == 0
     }
-}
-
-/// A task queued for one worker, with its resolved dependency mask.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueuedTask {
-    /// Which task to run.
-    pub task: TaskId,
-    /// Window slot the task occupies.
-    pub slot: u8,
-    /// Window slots that must clear before the task may run.
-    pub dep_mask: u64,
 }
 
 #[cfg(test)]
@@ -159,7 +175,7 @@ mod tests {
 
     #[test]
     fn admit_complete_cycle() {
-        let mut w = DependencyWindow::new();
+        let w = DependencyWindow::new();
         let s0 = w.admit(TaskId(0)).unwrap();
         let s1 = w.admit(TaskId(1)).unwrap();
         assert_ne!(s0, s1);
@@ -171,7 +187,7 @@ mod tests {
 
     #[test]
     fn mask_ignores_completed_deps() {
-        let mut w = DependencyWindow::new();
+        let w = DependencyWindow::new();
         w.admit(TaskId(0)).unwrap();
         w.admit(TaskId(1)).unwrap();
         w.complete(TaskId(0));
@@ -185,7 +201,7 @@ mod tests {
 
     #[test]
     fn window_fills_at_64() {
-        let mut w = DependencyWindow::new();
+        let w = DependencyWindow::new();
         for i in 0..WINDOW as u32 {
             w.admit(TaskId(i)).unwrap();
         }
@@ -200,14 +216,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown task")]
     fn completing_unknown_task_panics() {
-        let mut w = DependencyWindow::new();
+        let w = DependencyWindow::new();
         w.complete(TaskId(3));
     }
 
     #[test]
     #[should_panic(expected = "admitted twice")]
     fn duplicate_admission_panics() {
-        let mut w = DependencyWindow::new();
+        let w = DependencyWindow::new();
         w.admit(TaskId(0)).unwrap();
         w.admit(TaskId(1)).unwrap();
         // Re-admitting an in-flight task would move it to a fresh slot and
@@ -217,7 +233,7 @@ mod tests {
 
     #[test]
     fn readmission_after_completion_is_fine() {
-        let mut w = DependencyWindow::new();
+        let w = DependencyWindow::new();
         w.admit(TaskId(0)).unwrap();
         w.complete(TaskId(0));
         // A completed task has left the window; running it again (e.g. a
@@ -228,11 +244,45 @@ mod tests {
 
     #[test]
     fn readiness_tracks_pending() {
-        let mut w = DependencyWindow::new();
+        let w = DependencyWindow::new();
         w.admit(TaskId(0)).unwrap();
         let mask = w.mask_for(&[TaskId(0)]);
         assert!(!w.is_ready(mask));
         w.complete(TaskId(0));
         assert!(w.is_ready(mask));
+    }
+
+    /// The executor's sharing pattern without a lock: this thread admits
+    /// task after task, each into a slot no live task holds, and hands it
+    /// to one of two completer threads over a channel. Sized to run under
+    /// Miri as well as natively.
+    #[test]
+    fn one_admitter_many_completers_share_the_window() {
+        const TASKS: u32 = 300;
+        let w = DependencyWindow::new();
+        std::thread::scope(|s| {
+            let completers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (tx, rx) = std::sync::mpsc::channel::<(TaskId, u8)>();
+                    let w = &w;
+                    s.spawn(move || {
+                        for (task, slot) in rx {
+                            assert_eq!(w.complete(task), slot, "complete found another slot");
+                        }
+                    });
+                    tx
+                })
+                .collect();
+            for i in 0..TASKS {
+                let slot = loop {
+                    match w.admit(TaskId(i)) {
+                        Ok(slot) => break slot,
+                        Err(WindowFull) => std::thread::yield_now(),
+                    }
+                };
+                completers[i as usize % 2].send((TaskId(i), slot)).unwrap();
+            }
+        });
+        assert_eq!(w.pending_mask(), 0, "every admitted task was completed");
     }
 }

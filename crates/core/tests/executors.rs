@@ -8,6 +8,9 @@ use gpstream_core::task::{PortBinding, ScheduledProgram, TaskDesc, TaskId, TaskK
 use gpstream_core::{GraphBuilder, KernelId, Topology};
 use gpstream_machine::ops::WaitPolicy;
 use gpstream_machine::{ExactReason, StepMode};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 /// Hand-build a two-strip schedule exercising double buffering and
 /// cross-queue dependencies.
@@ -191,21 +194,170 @@ fn worker_panic_propagates_original_payload() {
     b.scatter_seq(ys, y);
     let (graph, world) = b.build().unwrap();
     let compiled = gpstream_compiler_shim::compile_tiny_strips(&graph);
+    for topology in [Topology::two_context(), Topology::single(), Topology::scaled(4)] {
+        for policy in [NativeWaitPolicy::Spin, NativeWaitPolicy::Park] {
+            let mut w = world.clone();
+            let exec =
+                NativeExecutor::new().with_topology(topology.clone()).with_wait_policy(policy);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                exec.run(&compiled, &graph, &mut w)
+            }));
+            let payload = result.expect_err("run must propagate the worker panic");
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(
+                msg.contains("kernel exploded deliberately"),
+                "original panic payload must survive propagation ({topology:?}, {policy:?}), \
+                 got: {msg}"
+            );
+        }
+    }
+}
+
+/// Kernels compute outside the data locks, so two independent kernels on
+/// the two compute workers of `Topology::scaled(4)` run at the same
+/// time: each body announces itself and then waits (at most 10 s) for
+/// the other to start. A runtime that serializes task bodies lets only
+/// one in at a time, so the first one gives up alone.
+#[test]
+fn independent_kernels_overlap_on_two_compute_workers() {
+    const WAIT: Duration = Duration::from_secs(10);
+    let n = 8usize;
+    let started = Arc::new(AtomicUsize::new(0));
+    let met = Arc::new(AtomicUsize::new(0));
+    let mut b = GraphBuilder::new();
+    let mut ports = Vec::new();
+    for side in ["left", "right"] {
+        let data: Vec<f32> = (0..n).map(|i| i as f32).collect();
+        let a = b.array(&format!("{side}_in"), &data);
+        let y = b.array_zeroed::<f32>(&format!("{side}_out"), n);
+        let xs = b.gather_seq(&format!("{side}_xs"), a);
+        let ys = b.stream::<f32>(&format!("{side}_ys"), n);
+        let (started, met) = (Arc::clone(&started), Arc::clone(&met));
+        b.kernel(side, &[xs.id()], &[ys.id()], 1, move |args| {
+            started.fetch_add(1, Ordering::SeqCst);
+            let t0 = Instant::now();
+            while started.load(Ordering::SeqCst) < 2 && t0.elapsed() < WAIT {
+                std::thread::yield_now();
+            }
+            if started.load(Ordering::SeqCst) >= 2 {
+                met.fetch_add(1, Ordering::SeqCst);
+            }
+            let x: Vec<f32> = args.input::<f32>(0).to_vec();
+            args.output::<f32>(0).copy_from_slice(&x);
+        });
+        b.scatter_seq(ys, y);
+        ports.push((xs.id(), ys.id(), y.id()));
+    }
+    let (graph, world) = b.build().unwrap();
+    let binding = |stream, slot: usize| PortBinding {
+        stream,
+        srf_offset: 64 * slot,
+        elems: 0..n,
+        elem_bytes: 4,
+    };
+    let task = |id: u32, kind, deps: Vec<u32>| TaskDesc {
+        id: TaskId(id),
+        kind,
+        deps: deps.into_iter().map(TaskId).collect(),
+        strip: 0,
+    };
+    // Gathers 0 and 1, kernels 2 and 3, scatters 4 and 5: the farm deals
+    // the kernels to contexts 0 and 2, the memory tasks to 1 and 3.
+    let mut tasks = Vec::new();
+    for (k, &(xs, _, _)) in ports.iter().enumerate() {
+        tasks.push(task(k as u32, TaskKind::Gather { binding: binding(xs, k), nt: false }, vec![]));
+    }
+    for (k, &(xs, ys, _)) in ports.iter().enumerate() {
+        let kind = TaskKind::Kernel {
+            kernel: KernelId(k as u32),
+            items: 0..n,
+            inputs: vec![binding(xs, k)],
+            outputs: vec![binding(ys, 2 + k)],
+        };
+        tasks.push(task(2 + k as u32, kind, vec![k as u32]));
+    }
+    for (k, &(_, ys, _)) in ports.iter().enumerate() {
+        let kind = TaskKind::Scatter { binding: binding(ys, 2 + k), nt: false };
+        tasks.push(task(4 + k as u32, kind, vec![2 + k as u32]));
+    }
+    let program = ScheduledProgram { tasks, srf_bytes: 256, n_strips: 1, strip_items: n };
+    assert_eq!(Topology::scaled(4).assign(&program.tasks), vec![1, 3, 0, 2, 1, 3]);
+
+    let mut w = world;
+    NativeExecutor::new().with_topology(Topology::scaled(4)).run(&program, &graph, &mut w);
+    assert_eq!(met.load(Ordering::SeqCst), 2, "each kernel body must see the other one running");
+    for (_, _, y) in ports {
+        let want: Vec<f32> = (0..n).map(|i| i as f32).collect();
+        assert_eq!(w.slice::<f32>(y), want.as_slice());
+    }
+}
+
+/// Many short runs over tiny strips (hundreds of tasks, the window filling
+/// and draining again and again) under every wait policy, topology shape
+/// and issue order. Each run happens on its own thread and must report
+/// back within 10 s, so a lost wake-up fails here in seconds instead of
+/// hanging the suite.
+#[test]
+fn tiny_strip_runs_never_lose_a_wake_up() {
+    const RUNS: usize = 100;
+    let n = 1024usize;
+    let data: Vec<f32> = (0..n).map(|i| (i % 5) as f32).collect();
+    let mut b = GraphBuilder::new();
+    let a = b.array("a", &data);
+    let y = b.array_zeroed::<f32>("y", n);
+    let xs = b.gather_seq("xs", a);
+    let ys = b.stream::<f32>("ys", n);
+    b.kernel("neg", &[xs.id()], &[ys.id()], 1, |args| {
+        let x: Vec<f32> = args.input::<f32>(0).to_vec();
+        for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
+            *o = -v;
+        }
+    });
+    b.scatter_seq(ys, y);
+    let (graph, world) = b.build().unwrap();
+    let program = gpstream_compiler_shim::compile_tiny_strips(&graph);
+    assert!(program.tasks.len() > 2 * 64, "the window must fill and drain repeatedly");
+    let want: Vec<f32> = data.iter().map(|v| -v).collect();
+    let setup = Arc::new((graph, world, program, want));
+
+    let topologies = [
+        ("single", Topology::single()),
+        ("two_context", Topology::two_context()),
+        ("scaled(4)", Topology::scaled(4)),
+    ];
     for policy in [NativeWaitPolicy::Spin, NativeWaitPolicy::Park] {
-        let mut w = world.clone();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            NativeExecutor::new().with_wait_policy(policy).run(&compiled, &graph, &mut w)
-        }));
-        let payload = result.expect_err("run must propagate the worker panic");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(
-            msg.contains("kernel exploded deliberately"),
-            "original panic payload must survive propagation ({policy:?}), got: {msg}"
-        );
+        for (name, topology) in &topologies {
+            for in_order in [true, false] {
+                let exec = NativeExecutor::new()
+                    .with_wait_policy(policy)
+                    .with_topology(topology.clone())
+                    .in_order(in_order);
+                let (tx, rx) = mpsc::channel();
+                let setup = Arc::clone(&setup);
+                std::thread::spawn(move || {
+                    let (graph, world, program, want) = &*setup;
+                    for _ in 0..RUNS {
+                        let mut w = world.clone();
+                        exec.run(program, graph, &mut w);
+                        let ok = w.slice::<f32>(y.id()) == want.as_slice();
+                        if tx.send(ok).is_err() {
+                            return;
+                        }
+                    }
+                });
+                for run in 0..RUNS {
+                    let label = format!("{policy:?} {name} in_order={in_order} run {run}");
+                    let ok = rx
+                        .recv_timeout(Duration::from_secs(10))
+                        .unwrap_or_else(|_| panic!("{label}: no result in 10 s (lost wake-up?)"));
+                    assert!(ok, "{label}: wrong result");
+                }
+            }
+        }
     }
 }
 

@@ -20,7 +20,7 @@
 //!    batching of small jobs under backpressure, work-conserving
 //!    dispatch to the least-loaded free worker.
 //! 4. [`exec`] replays every admitted job *functionally* on a real
-//!    [`gpstream_core::WorkerPool`] (SPSC rings, condvar parking,
+//!    [`gpstream_core::WorkerPool`] (SPSC rings, per-worker parking,
 //!    draining shutdown), oracle-checks each output, and retires ids to
 //!    per-tenant completion queues — exactly once.
 //! 5. [`telemetry`] is the run's one observer

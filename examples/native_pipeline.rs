@@ -1,7 +1,8 @@
 //! The native two-thread runtime: a real memory thread and compute thread
 //! coordinated through the distributed work queue (bounded 64-entry
 //! window with bit-vector dependency masks), with both of the paper's
-//! wait policies.
+//! wait policies. Kernels compute outside the data locks, so the compute
+//! thread's kernels overlap the memory thread's gathers and scatters.
 //!
 //! Run with: `cargo run --release --example native_pipeline`
 
@@ -44,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for (name, policy) in
-        [("spin (PAUSE)", NativeWaitPolicy::Spin), ("park (condvar)", NativeWaitPolicy::Park)]
+        [("spin (PAUSE)", NativeWaitPolicy::Spin), ("park (unpark)", NativeWaitPolicy::Park)]
     {
         let mut w = world.clone();
         let start = Instant::now();

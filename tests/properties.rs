@@ -125,7 +125,7 @@ fn tlb_capacity_bound() {
 fn window_invariants() {
     run_cases("window_invariants", 0x817d0, DEFAULT_CASES, |rng| {
         let ops = vec_of(rng, 1, 399, Rng64::bool);
-        let mut w = DependencyWindow::new();
+        let w = DependencyWindow::new();
         let mut inflight: Vec<TaskId> = Vec::new();
         let mut next = 0u32;
         for admit in ops {
@@ -154,7 +154,7 @@ fn window_invariants() {
 #[test]
 fn window_never_aliases_live_slots() {
     run_cases("window_never_aliases_live_slots", 0xa11a5, DEFAULT_CASES, |rng| {
-        let mut w = DependencyWindow::new();
+        let w = DependencyWindow::new();
         let mut live: HashMap<u8, TaskId> = HashMap::new();
         let mut next = 0u32;
         for _ in 0..rng.range_usize_inclusive(1, 300) {
@@ -187,7 +187,7 @@ fn window_never_aliases_live_slots() {
 #[test]
 fn window_mask_matches_naive_model() {
     run_cases("window_mask_matches_naive_model", 0xdeb5, DEFAULT_CASES, |rng| {
-        let mut w = DependencyWindow::new();
+        let w = DependencyWindow::new();
         let mut slot_of: HashMap<TaskId, u8> = HashMap::new(); // naive mirror of live tasks
         let mut everyone: Vec<TaskId> = Vec::new();
         let mut next = 0u32;
@@ -221,8 +221,8 @@ fn window_mask_matches_naive_model() {
     });
 }
 
-/// A queue-time snapshot of the dependency mask (as the control thread
-/// takes when it enqueues a task) goes stale once a completed
+/// A queue-time snapshot of the dependency mask (what a control thread
+/// would record if it kept one per enqueued task) goes stale once a completed
 /// dependency's window slot is recycled for a later task: the recycled
 /// bit reads as "still pending" and the dependent would wait forever on
 /// a task that already finished. This is the ABA hazard that forces the
@@ -231,19 +231,18 @@ fn window_mask_matches_naive_model() {
 #[test]
 fn stale_mask_snapshot_suffers_slot_reuse_aba() {
     run_cases("stale_mask_slot_reuse_aba", 0xaba0, DEFAULT_CASES, |rng| {
-        let mut w = DependencyWindow::new();
+        let w = DependencyWindow::new();
         let mut next = 0u32;
-        let mut admit = |w: &mut DependencyWindow| {
+        let mut admit = |w: &DependencyWindow| {
             let id = TaskId(next);
             next += 1;
             (id, w.admit(id).unwrap())
         };
         // Some filler tasks so the dependency lands in a random slot.
-        let fillers: Vec<TaskId> =
-            (0..rng.below_usize(WINDOW - 2)).map(|_| admit(&mut w).0).collect();
-        let (dep, dep_slot) = admit(&mut w);
-        // The control thread snapshots the mask when it enqueues the
-        // dependent task (this is what QueuedTask::dep_mask holds).
+        let fillers: Vec<TaskId> = (0..rng.below_usize(WINDOW - 2)).map(|_| admit(&w).0).collect();
+        let (dep, dep_slot) = admit(&w);
+        // Snapshot the mask as a control thread would if it recorded one
+        // when it enqueued the dependent task.
         let snapshot = w.mask_for(&[dep]);
         assert!(!w.is_ready(snapshot), "dependency is live, mask must block");
         // Free a random subset of fillers, then the dependency itself.
@@ -255,7 +254,7 @@ fn stale_mask_snapshot_suffers_slot_reuse_aba() {
         w.complete(dep);
         assert!(w.is_ready(snapshot), "dependency completed, mask must clear");
         // A later admission may recycle the freed slot...
-        let (_later, later_slot) = admit(&mut w);
+        let (_later, later_slot) = admit(&w);
         if later_slot == dep_slot {
             // ...and the stale snapshot now aliases the unrelated task:
             // it reports "not ready" although the real dependency is long

@@ -32,6 +32,8 @@ pub struct AppBench {
 impl AppBench {
     /// Run both versions on the simulated machine, assert the outputs
     /// agree to floating-point tolerance, and return the cycle comparison.
+    /// The runs use the bench's own worlds, so comparing one bench twice
+    /// takes two benches.
     ///
     /// # Panics
     ///
@@ -39,7 +41,7 @@ impl AppBench {
     /// correctness bug).
     #[must_use]
     pub fn compare(
-        &self,
+        self,
         copts: &CompilerOptions,
         mcfg: &MachineConfig,
         wait: WaitPolicy,
@@ -57,14 +59,14 @@ impl AppBench {
     /// correctness bug).
     #[must_use]
     pub fn compare_mode(
-        &self,
+        self,
         copts: &CompilerOptions,
         mcfg: &MachineConfig,
         wait: WaitPolicy,
         in_order: bool,
     ) -> Comparison {
         let compiled = compile(&self.graph, copts).expect("application compiles");
-        let mut sw = self.stream_world.clone();
+        let mut sw = self.stream_world;
         // Applications measure a warm steady-state step, as in the paper
         // ("we also ran each experiment for several hundred time steps").
         let report = SimExecutor::new()
@@ -75,7 +77,7 @@ impl AppBench {
             .in_order(in_order)
             .run(&compiled.schedule, &compiled.graph, &mut sw);
 
-        let mut rw = self.regular_world.clone();
+        let mut rw = self.regular_world;
         let regular_timing = self.regular.simulate_warm(&mut rw, mcfg);
 
         assert_eq!(self.stream_outputs.len(), self.regular_outputs.len());
@@ -93,7 +95,7 @@ impl AppBench {
         }
 
         Comparison {
-            name: self.name.clone(),
+            name: self.name,
             regular_cycles: regular_timing.cycles,
             stream_cycles: report.timing.cycles,
             phases: Some(report.timing.phases),

@@ -769,8 +769,6 @@ fn main() {
         println!();
     }
     if which == "tuned" {
-        let threads =
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(8);
         println!(
             "== Tuned vs default heuristics (autotuner, budget {} per workload) ==",
             fig::TUNED_BUDGET
@@ -779,7 +777,11 @@ fn main() {
             "{:<16} {:>14} {:>14} {:>8}  winning knobs",
             "workload", "default (cyc)", "tuned (cyc)", "speedup"
         );
-        tuned_rows = fig::tuned(fig::TUNED_BUDGET, threads, &gpstream_tune::EvalCache::disabled());
+        tuned_rows = fig::tuned(
+            fig::TUNED_BUDGET,
+            gpstream_util::fanout::threads(),
+            &gpstream_tune::EvalCache::disabled(),
+        );
         for o in &tuned_rows {
             println!(
                 "{:<16} {:>14} {:>14} {:>7.3}x  {}",

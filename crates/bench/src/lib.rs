@@ -9,16 +9,21 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-use gpstream_apps::cdp::{cdp_bench, CONFIGS as CDP_CONFIGS};
-use gpstream_apps::fem::{fem_bench, CONFIGS as FEM_CONFIGS, PAPER_CELLS};
+use gpstream_apps::cdp::{cdp_bench, CdpConfig, CONFIGS as CDP_CONFIGS};
+use gpstream_apps::common::AppBench;
+use gpstream_apps::fem::{fem_bench, FemConfig, CONFIGS as FEM_CONFIGS, PAPER_CELLS};
 use gpstream_apps::neo::neo_bench;
 use gpstream_apps::spas::{spas_bench, PAPER_NNZ_PER_ROW};
 use gpstream_compiler::CompilerOptions;
+use gpstream_core::exec::sim::SimExecutor;
 use gpstream_core::metrics::{BandwidthSeries, Comparison, NormalizedBar};
+use gpstream_core::{Topology, World};
 use gpstream_machine::ops::WaitPolicy;
 use gpstream_machine::MachineConfig;
+use gpstream_microbench::kernels::Microbench;
 use gpstream_microbench::{bwprobe, kernels, overlap, spinwait};
 use gpstream_tune::{workloads as tune_workloads, EvalCache, TuneOutcome, Tuner};
+use gpstream_util::fanout;
 
 pub mod profiling;
 pub mod scale;
@@ -84,26 +89,52 @@ pub fn figure9(cfg: &MachineConfig, copts: &CompilerOptions) -> Vec<Fig9Series> 
         .collect()
 }
 
+/// One point of Figure 11: the application bench a comparison row is
+/// built from.
+#[derive(Debug, Clone, Copy)]
+enum AppPoint {
+    Fem(FemConfig),
+    Cdp(CdpConfig),
+    Neo(usize),
+    Spas(usize),
+}
+
+impl AppPoint {
+    fn bench(self) -> AppBench {
+        match self {
+            AppPoint::Fem(c) => fem_bench(c, PAPER_CELLS, SEED),
+            AppPoint::Cdp(c) => cdp_bench(c, SEED),
+            AppPoint::Neo(n) => neo_bench(n, SEED),
+            AppPoint::Spas(rows) => spas_bench(rows, PAPER_NNZ_PER_ROW, SEED),
+        }
+    }
+}
+
+/// Build and compare every point, one fan-out job each; rows come back
+/// in point order.
+fn compare_apps(
+    points: &[AppPoint],
+    cfg: &MachineConfig,
+    copts: &CompilerOptions,
+    in_order: bool,
+) -> Vec<Comparison> {
+    fanout::map(points, fanout::threads(), |p| {
+        p.bench().compare_mode(copts, cfg, WaitPolicy::Mwait, in_order)
+    })
+}
+
 /// Figure 11(a): streamFEM speedups for the four configurations.
 /// `in_order` forces head-blocking work queues (the Figure 7 ablation
 /// baseline); `false` is the paper's out-of-order `tail_depend` issue.
 #[must_use]
 pub fn figure11a(cfg: &MachineConfig, copts: &CompilerOptions, in_order: bool) -> Vec<Comparison> {
-    FEM_CONFIGS
-        .iter()
-        .map(|&c| {
-            fem_bench(c, PAPER_CELLS, SEED).compare_mode(copts, cfg, WaitPolicy::Mwait, in_order)
-        })
-        .collect()
+    compare_apps(&FEM_CONFIGS.map(AppPoint::Fem), cfg, copts, in_order)
 }
 
 /// Figure 11(b): streamCDP speedups for 4n/6n x 4096/8192.
 #[must_use]
 pub fn figure11b(cfg: &MachineConfig, copts: &CompilerOptions, in_order: bool) -> Vec<Comparison> {
-    CDP_CONFIGS
-        .iter()
-        .map(|&c| cdp_bench(c, SEED).compare_mode(copts, cfg, WaitPolicy::Mwait, in_order))
-        .collect()
+    compare_apps(&CDP_CONFIGS.map(AppPoint::Cdp), cfg, copts, in_order)
 }
 
 /// Element counts swept in Figure 11(c).
@@ -112,10 +143,7 @@ pub const FIG11C_ELEMS: [usize; 3] = [4096, 16384, 65536];
 /// Figure 11(c): neo-hookean speedups over element counts.
 #[must_use]
 pub fn figure11c(cfg: &MachineConfig, copts: &CompilerOptions, in_order: bool) -> Vec<Comparison> {
-    FIG11C_ELEMS
-        .iter()
-        .map(|&n| neo_bench(n, SEED).compare_mode(copts, cfg, WaitPolicy::Mwait, in_order))
-        .collect()
+    compare_apps(&FIG11C_ELEMS.map(AppPoint::Neo), cfg, copts, in_order)
 }
 
 /// Matrix sizes (rows) swept in Figure 11(d).
@@ -125,17 +153,7 @@ pub const FIG11D_ROWS: [usize; 4] = [2_000, 8_000, 32_000, 131_072];
 /// small, cache-friendly meshes; crossover as the mesh grows).
 #[must_use]
 pub fn figure11d(cfg: &MachineConfig, copts: &CompilerOptions, in_order: bool) -> Vec<Comparison> {
-    FIG11D_ROWS
-        .iter()
-        .map(|&rows| {
-            spas_bench(rows, PAPER_NNZ_PER_ROW, SEED).compare_mode(
-                copts,
-                cfg,
-                WaitPolicy::Mwait,
-                in_order,
-            )
-        })
-        .collect()
+    compare_apps(&FIG11D_ROWS.map(AppPoint::Spas), cfg, copts, in_order)
 }
 
 /// Figure 7 ablation: in-order (head-blocking) vs out-of-order
@@ -143,52 +161,55 @@ pub fn figure11d(cfg: &MachineConfig, copts: &CompilerOptions, in_order: bool) -
 /// micro-benchmark and on streamFEM. Returns one comparison row per
 /// (workload, mode), in-order rows first; the interesting delta is the
 /// per-context `idle_wait` phase, which out-of-order issue shrinks by
-/// letting gathers run past blocked scatters.
+/// letting gathers run past blocked scatters. Each row builds its own
+/// bench.
 #[must_use]
 pub fn ooo_ablation(cfg: &MachineConfig, copts: &CompilerOptions) -> Vec<Comparison> {
-    let mb = kernels::gat_scat_comp(8192, 4);
-    let fem = fem_bench(FEM_CONFIGS[0], 600, SEED);
-    let mut rows = Vec::new();
-    for in_order in [true, false] {
+    // (in_order, streamFEM) per row.
+    let rows = [(true, false), (true, true), (false, false), (false, true)];
+    let wait = WaitPolicy::Mwait;
+    fanout::map(&rows, fanout::threads(), |&(in_order, fem)| {
+        let mut c = if fem {
+            fem_bench(FEM_CONFIGS[0], 600, SEED).compare_mode(copts, cfg, wait, in_order)
+        } else {
+            kernels::gat_scat_comp(8192, 4).compare_mode(copts, cfg, wait, in_order)
+        };
         let tag = if in_order { "in-order" } else { "ooo" };
-        for mut c in [
-            mb.compare_mode(copts, cfg, WaitPolicy::Mwait, in_order),
-            fem.compare_mode(copts, cfg, WaitPolicy::Mwait, in_order),
-        ] {
-            c.name = format!("{} [{tag}]", c.name);
-            rows.push(c);
-        }
-    }
-    rows
+        c.name = format!("{} [{tag}]", c.name);
+        c
+    })
 }
+
+/// A micro-benchmark builder, `(n, comp) -> bench`.
+type MicroBuilder = fn(usize, usize) -> Microbench;
 
 /// Section III-B-2: one hardware context (software-pipelined
 /// gather/kernel/scatter on a single thread) vs. the two-context
 /// mapping, per micro-benchmark at a middling COMP.
 #[must_use]
 pub fn single_vs_dual_context(cfg: &MachineConfig, copts: &CompilerOptions) -> Vec<(String, f64)> {
-    use gpstream_core::exec::sim::SimExecutor;
-    use gpstream_core::Topology;
-    let mut out = Vec::new();
-    for (name, mb) in [
-        ("LD-ST-COMP", gpstream_microbench::kernels::ld_st_comp(8192, 4)),
-        ("GAT-SCAT-COMP", gpstream_microbench::kernels::gat_scat_comp(8192, 4)),
-        ("PROD-CON", gpstream_microbench::kernels::prod_con(8192, 4)),
-    ] {
+    let benches: [(&str, MicroBuilder); 3] = [
+        ("LD-ST-COMP", kernels::ld_st_comp),
+        ("GAT-SCAT-COMP", kernels::gat_scat_comp),
+        ("PROD-CON", kernels::prod_con),
+    ];
+    fanout::map(&benches, fanout::threads(), |&(name, build)| {
+        let mb = build(8192, 4);
         let compiled = gpstream_compiler::compile(&mb.graph, copts).expect("compiles");
-        let run = |exec: SimExecutor| {
-            let mut w = mb.stream_world.clone();
+        let run = |exec: SimExecutor, mut w: World| {
             exec.with_machine(cfg.clone())
                 .with_srf(copts.srf)
                 .run(&compiled.schedule, &compiled.graph, &mut w)
                 .timing
                 .cycles
         };
-        let dual = run(SimExecutor::new());
-        let single = run(SimExecutor::new().with_topology(Topology::single()).in_order(true));
-        out.push((name.to_string(), single as f64 / dual as f64));
-    }
-    out
+        let dual = run(SimExecutor::new(), mb.stream_world.clone());
+        let single = run(
+            SimExecutor::new().with_topology(Topology::single()).in_order(true),
+            mb.stream_world,
+        );
+        (name.to_string(), single as f64 / dual as f64)
+    })
 }
 
 /// Section V-A / VI: the paper's proposed architectural enhancements
@@ -197,18 +218,14 @@ pub fn single_vs_dual_context(cfg: &MachineConfig, copts: &CompilerOptions) -> V
 /// enhanced machine.
 #[must_use]
 pub fn enhanced_machine(copts: &CompilerOptions) -> Vec<(String, u64, u64)> {
-    let base = MachineConfig::prescott();
-    let enh = MachineConfig::enhanced();
-    let mut out = Vec::new();
-    for (name, mb) in [
-        ("GAT-SCAT-COMP c4", gpstream_microbench::kernels::gat_scat_comp(8192, 4)),
-        ("PROD-CON c4", gpstream_microbench::kernels::prod_con(8192, 4)),
-    ] {
-        let b = mb.compare(copts, &base, WaitPolicy::Mwait).stream_cycles;
-        let e = mb.compare(copts, &enh, WaitPolicy::Mwait).stream_cycles;
-        out.push((name.to_string(), b, e));
-    }
-    out
+    let (base, enh) = (MachineConfig::prescott(), MachineConfig::enhanced());
+    let benches: [(&str, MicroBuilder); 2] =
+        [("GAT-SCAT-COMP c4", kernels::gat_scat_comp), ("PROD-CON c4", kernels::prod_con)];
+    fanout::map(&benches, fanout::threads(), |&(name, build)| {
+        // A comparison consumes its bench: one per machine.
+        let cycles = |mcfg| build(8192, 4).compare(copts, mcfg, WaitPolicy::Mwait).stream_cycles;
+        (name.to_string(), cycles(&base), cycles(&enh))
+    })
 }
 
 /// Headline summary (paper Section I): best/worst micro-benchmark and

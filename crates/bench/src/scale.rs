@@ -11,7 +11,7 @@ use gpstream_core::Topology;
 use gpstream_machine::MachineConfig;
 use gpstream_tune::workloads;
 use gpstream_util::render::thousands;
-use gpstream_util::Json;
+use gpstream_util::{fanout, Json};
 use std::fmt::Write as _;
 
 /// One workload's scaling curve: `(contexts, total cycles)` points.
@@ -39,8 +39,8 @@ pub const DEFAULT_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// once with the paper's options, then run the simulated machine with
 /// `contexts = n` and the [`Topology::scaled`] layout (`n == 1` is the
 /// single general-purpose context, `n == 2` the paper's compute/memory
-/// pair, larger `n` farms each class round-robin). Returns `None` for
-/// an unknown workload name.
+/// pair, larger `n` farms each class round-robin), one fan-out job per
+/// count. Returns `None` for an unknown workload name.
 ///
 /// # Panics
 ///
@@ -53,8 +53,7 @@ pub fn scale_workload(name: &str, counts: &[usize]) -> Option<ScaleRow> {
     let wl = workloads::named(name)?;
     let copts = CompilerOptions::paper();
     let compiled = compile(&wl.graph, &copts).expect("catalog workload compiles");
-    let mut points = Vec::with_capacity(counts.len());
-    for &n in counts {
+    let points = fanout::map(counts, fanout::threads(), |&n| {
         let mut cfg = MachineConfig::prescott();
         cfg.contexts = n;
         let mut world = wl.world.clone();
@@ -65,8 +64,8 @@ pub fn scale_workload(name: &str, counts: &[usize]) -> Option<ScaleRow> {
             .with_topology(Topology::scaled(n))
             .run(&compiled.schedule, &compiled.graph, &mut world);
         assert!(wl.matches_oracle(&world), "scaled run must reproduce the oracle");
-        points.push((n, report.timing.cycles));
-    }
+        (n, report.timing.cycles)
+    });
     Some(ScaleRow { workload: name.to_string(), points })
 }
 

@@ -151,6 +151,26 @@ pub struct ContextProgram {
     pub tasks: Vec<TaskNode>,
 }
 
+/// Signal times indexed by signal id, sized once from the largest id the
+/// programs name (task-form ids are task ids, so the table is dense).
+/// `pick` probes it for every dependency of every candidate on every
+/// scheduling iteration.
+struct Signals(Vec<Option<u64>>);
+
+impl Signals {
+    fn sized_for(ids: impl Iterator<Item = u32>) -> Self {
+        Signals(vec![None; ids.max().map_or(0, |m| m as usize + 1)])
+    }
+
+    fn get(&self, id: u32) -> Option<u64> {
+        self.0[id as usize]
+    }
+
+    fn insert(&mut self, id: u32, t: u64) {
+        self.0[id as usize] = Some(t);
+    }
+}
+
 /// Issue bookkeeping for one context of [`Machine::run_tasks`].
 #[derive(Debug)]
 struct IssueState {
@@ -176,7 +196,7 @@ impl IssueState {
     /// Best issueable entry among the first `window` unissued ones:
     /// minimal `(ready_t, !feeds_partner, queue position)`. Returns
     /// `(index, ready_t, waking dep id)`.
-    fn pick(&self, signals: &BTreeMap<u32, u64>, window: usize) -> Option<(usize, u64, u32)> {
+    fn pick(&self, signals: &Signals, window: usize) -> Option<(usize, u64, u32)> {
         let mut best: Option<(u64, bool, usize, u32)> = None;
         let mut seen = 0usize;
         for (i, node) in self.tasks.iter().enumerate().skip(self.head) {
@@ -191,8 +211,8 @@ impl IssueState {
             let mut wake = u32::MAX;
             let mut ok = true;
             for &d in &node.deps {
-                match signals.get(&d) {
-                    Some(&t) => {
+                match signals.get(d) {
+                    Some(t) => {
                         if t >= ready_t {
                             ready_t = t;
                             wake = d;
@@ -629,8 +649,11 @@ impl Machine {
         let mut progs: Vec<Vec<BulkOp>> = progs.into();
         assert!(progs.len() <= n, "{} op streams for {n} contexts", progs.len());
         progs.resize_with(n, Vec::new);
+        let mut signals = Signals::sized_for(progs.iter().flatten().filter_map(|op| match op {
+            BulkOp::Signal { id } | BulkOp::Wait { id, .. } => Some(*id),
+            _ => None,
+        }));
         let mut cur: Vec<Cursor> = progs.into_iter().map(Cursor::new).collect();
-        let mut signals: BTreeMap<u32, u64> = BTreeMap::new();
         self.phases = vec![PhaseCycles::default(); n];
         // Per-iteration activity snapshot, reused to keep the hot loop
         // allocation-free.
@@ -641,7 +664,7 @@ impl Machine {
             // Resolve waits that can now complete.
             for (ci, c) in cur.iter_mut().enumerate() {
                 if let Some((id, policy)) = c.waiting {
-                    if let Some(&sig_t) = signals.get(&id) {
+                    if let Some(sig_t) = signals.get(id) {
                         (c.t, _) = self.resume(ci, c.t, sig_t, id, policy);
                         c.waiting = None;
                     }
@@ -716,13 +739,19 @@ impl Machine {
         let mut progs: Vec<ContextProgram> = progs.into();
         assert!(progs.len() <= n, "{} task programs for {n} contexts", progs.len());
         progs.resize_with(n, ContextProgram::default);
+        let mut signals = Signals::sized_for(
+            progs
+                .iter()
+                .flat_map(|p| &p.tasks)
+                .flat_map(|t| t.signal.iter().chain(&t.deps))
+                .copied(),
+        );
         let mut cur: Vec<Cursor> = Vec::with_capacity(n);
         let mut st: Vec<IssueState> = Vec::with_capacity(n);
         for p in progs {
             cur.push(Cursor::new(p.ops));
             st.push(IssueState::new(p.tasks));
         }
-        let mut signals: BTreeMap<u32, u64> = BTreeMap::new();
         self.phases = vec![PhaseCycles::default(); n];
         let window = window.max(1);
         // Index into `task_log` of each context's open (issued, not yet
@@ -871,13 +900,7 @@ impl Machine {
     /// Step the chosen context, wrapped in profiling / sampling counter
     /// snapshots when either is enabled. The snapshots only *read*
     /// counters, so timing is bit-identical with and without them.
-    fn step_instrumented(
-        &mut self,
-        cur: &mut [Cursor],
-        c: usize,
-        smt: Smt,
-        signals: &mut BTreeMap<u32, u64>,
-    ) {
+    fn step_instrumented(&mut self, cur: &mut [Cursor], c: usize, smt: Smt, signals: &mut Signals) {
         // Not greedy: outside a span the other contexts interleave at
         // chunk granularity, and shared-structure (bus, L2) access order
         // across contexts must match the stepped loop exactly.
@@ -928,13 +951,7 @@ impl Machine {
     /// is frozen until this op retires. Chunk boundaries are preserved
     /// inside the span so interval samples land on the same ticks with
     /// the same counter snapshots as the stepped loop.
-    fn step_op_span(
-        &mut self,
-        cur: &mut [Cursor],
-        c: usize,
-        smt: Smt,
-        signals: &mut BTreeMap<u32, u64>,
-    ) {
+    fn step_op_span(&mut self, cur: &mut [Cursor], c: usize, smt: Smt, signals: &mut Signals) {
         self.engine.spans += 1;
         let (op0, t0) = (cur[c].idx, cur[c].t);
         let before = self.profile.is_some().then(|| self.stats_now());
@@ -1109,7 +1126,7 @@ impl Machine {
         cur: &mut [Cursor],
         c: usize,
         smt: Smt,
-        signals: &mut BTreeMap<u32, u64>,
+        signals: &mut Signals,
         greedy: bool,
     ) {
         // Take the op out to appease the borrow checker; ops are cheap to

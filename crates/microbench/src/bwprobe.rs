@@ -9,7 +9,7 @@ use gpstream_core::metrics::{BandwidthPoint, BandwidthSeries};
 use gpstream_core::srf::SrfConfig;
 use gpstream_machine::ops::{AccessPattern, BulkOp, CopyDir};
 use gpstream_machine::{Machine, MachineConfig};
-use gpstream_util::Rng64;
+use gpstream_util::{fanout, Rng64};
 use std::sync::Arc;
 
 /// Access pattern flavour of a probe.
@@ -114,28 +114,46 @@ pub fn bandwidth(kind: ProbeKind, record: u64, nt: bool, cfg: &MachineConfig) ->
     result.bandwidth_gbps(count as u64 * FIELD_BYTES, cfg.freq_ghz)
 }
 
+/// Every probe of Figure 5 as `(kind, nt, record)`, in figure order:
+/// per probe kind a baseline then a non-temporal series, each over
+/// [`RECORD_SIZES`].
+fn probes() -> Vec<(ProbeKind, bool, u64)> {
+    ProbeKind::ALL
+        .into_iter()
+        .flat_map(|kind| [(kind, false), (kind, true)])
+        .flat_map(|(kind, nt)| RECORD_SIZES.map(|record| (kind, nt, record)))
+        .collect()
+}
+
 /// Produce the full Figure 5 dataset: for each probe kind, a baseline
-/// series and a non-temporal series over [`RECORD_SIZES`].
+/// series and a non-temporal series over [`RECORD_SIZES`]. The 48
+/// independent probes fan out across the host's cores.
 #[must_use]
 pub fn figure5(cfg: &MachineConfig) -> Vec<BandwidthSeries> {
-    let mut out = Vec::new();
-    for kind in ProbeKind::ALL {
-        for nt in [false, true] {
-            let points = RECORD_SIZES
-                .iter()
-                .map(|&r| BandwidthPoint { record_bytes: r, gbps: bandwidth(kind, r, nt, cfg) })
-                .collect();
-            out.push(BandwidthSeries {
+    let probes = probes();
+    let gbps = fanout::map(&probes, fanout::threads(), |&(kind, nt, record)| {
+        bandwidth(kind, record, nt, cfg)
+    });
+    let n = RECORD_SIZES.len();
+    probes
+        .chunks(n)
+        .zip(gbps.chunks(n))
+        .map(|(series, gbps)| {
+            let (kind, nt, _) = series[0];
+            BandwidthSeries {
                 name: format!(
                     "{}{}",
                     kind.label(),
                     if nt { " (non-temporal)" } else { " (baseline)" }
                 ),
-                points,
-            });
-        }
-    }
-    out
+                points: series
+                    .iter()
+                    .zip(gbps)
+                    .map(|(&(_, _, record_bytes), &gbps)| BandwidthPoint { record_bytes, gbps })
+                    .collect(),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -198,15 +216,18 @@ mod tests {
     }
 
     #[test]
-    fn figure5_has_eight_series_of_six_points() {
-        // Use a smaller sweep through the public API to keep test time low:
-        // just validate the structure on two record sizes via bandwidth().
+    fn figure5_probes_are_positive_and_bit_equal_at_any_thread_count() {
         let c = cfg();
-        for kind in ProbeKind::ALL {
-            for nt in [false, true] {
-                let bw = bandwidth(kind, 64, nt, &c);
-                assert!(bw.is_finite() && bw > 0.0, "{kind:?} nt={nt}");
-            }
+        let probes = probes();
+        assert_eq!(probes.len(), 8 * RECORD_SIZES.len(), "eight series of six points");
+        let run = |threads| {
+            fanout::map(&probes, threads, |&(kind, nt, record)| bandwidth(kind, record, nt, &c))
+        };
+        let (one, four) = (run(1), run(4));
+        for (p, bw) in probes.iter().zip(&one) {
+            assert!(bw.is_finite() && *bw > 0.0, "{p:?}: {bw}");
         }
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(one), bits(four));
     }
 }

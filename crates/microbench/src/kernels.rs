@@ -20,7 +20,7 @@ use gpstream_core::regular::{RegularAccess, RegularProgram};
 use gpstream_core::{ArrayId, GraphBuilder, StreamGraph, World};
 use gpstream_machine::ops::{Rw, WaitPolicy};
 use gpstream_machine::MachineConfig;
-use gpstream_util::Rng64;
+use gpstream_util::{fanout, Rng64};
 use std::sync::Arc;
 
 /// Cycles of computation per unit of `COMP`, per the paper ("COMP = 1
@@ -112,7 +112,8 @@ pub struct Microbench {
 
 impl Microbench {
     /// Run both versions on the simulated machine, check they compute the
-    /// same results, and return the cycle comparison.
+    /// same results, and return the cycle comparison. The runs use the
+    /// bench's own worlds, so comparing one bench twice takes two benches.
     ///
     /// # Panics
     ///
@@ -120,7 +121,7 @@ impl Microbench {
     /// output (a correctness bug).
     #[must_use]
     pub fn compare(
-        &self,
+        self,
         copts: &CompilerOptions,
         mcfg: &MachineConfig,
         wait: WaitPolicy,
@@ -138,14 +139,14 @@ impl Microbench {
     /// output (a correctness bug).
     #[must_use]
     pub fn compare_mode(
-        &self,
+        self,
         copts: &CompilerOptions,
         mcfg: &MachineConfig,
         wait: WaitPolicy,
         in_order: bool,
     ) -> Comparison {
         let compiled = compile(&self.graph, copts).expect("microbench compiles");
-        let mut sw = self.stream_world.clone();
+        let mut sw = self.stream_world;
         let report = SimExecutor::new()
             .with_machine(mcfg.clone())
             .with_srf(copts.srf)
@@ -153,7 +154,7 @@ impl Microbench {
             .in_order(in_order)
             .run(&compiled.schedule, &compiled.graph, &mut sw);
 
-        let mut rw = self.regular_world.clone();
+        let mut rw = self.regular_world;
         let regular_timing = self.regular.simulate(&mut rw, mcfg);
 
         let got: &[f32] = sw.slice::<f32>(self.stream_output);
@@ -168,7 +169,7 @@ impl Microbench {
         }
 
         Comparison {
-            name: self.name.clone(),
+            name: self.name,
             regular_cycles: regular_timing.cycles,
             stream_cycles: report.timing.cycles,
             phases: Some(report.timing.phases),
@@ -479,7 +480,12 @@ pub const FIG9_N: usize = 16 * 1024;
 /// COMP values swept in Figure 9.
 pub const FIG9_COMPS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
-/// One Figure 9 series: speedups over the COMP sweep.
+/// One Figure 9 series: speedups over the COMP sweep, one independent
+/// point per COMP value, fanned out across the host's cores.
+///
+/// # Panics
+///
+/// Panics if `which` is not one of the three micro-benchmark names.
 #[must_use]
 pub fn figure9_series(
     which: &str,
@@ -488,18 +494,15 @@ pub fn figure9_series(
     copts: &CompilerOptions,
     mcfg: &MachineConfig,
 ) -> Vec<(usize, f64)> {
-    comps
-        .iter()
-        .map(|&c| {
-            let mb = match which {
-                "LD-ST-COMP" => ld_st_comp(n, c),
-                "GAT-SCAT-COMP" => gat_scat_comp(n, c),
-                "PROD-CON" => prod_con(n, c),
-                other => panic!("unknown micro-benchmark {other}"),
-            };
-            (c, mb.compare(copts, mcfg, WaitPolicy::Mwait).speedup())
-        })
-        .collect()
+    let build: fn(usize, usize) -> Microbench = match which {
+        "LD-ST-COMP" => ld_st_comp,
+        "GAT-SCAT-COMP" => gat_scat_comp,
+        "PROD-CON" => prod_con,
+        other => panic!("unknown micro-benchmark {other}"),
+    };
+    fanout::map(comps, fanout::threads(), |&c| {
+        (c, build(n, c).compare(copts, mcfg, WaitPolicy::Mwait).speedup())
+    })
 }
 
 #[cfg(test)]

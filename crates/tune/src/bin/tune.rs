@@ -13,6 +13,7 @@
 
 use gpstream_tune::{artifact, workloads, EvalCache, Tuner};
 use gpstream_util::args::{usage_exit, write_or_exit, Args};
+use gpstream_util::fanout;
 use std::path::PathBuf;
 
 fn main() {
@@ -27,9 +28,7 @@ fn main() {
     let workload = args.value("--workload");
     let budget = args.number("--budget").unwrap_or(64);
     let seed = args.number("--seed").unwrap_or(workloads::SEED);
-    let threads = args.number("--threads").unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(8)
-    });
+    let threads = args.number("--threads").unwrap_or_else(fanout::threads);
     let cache_dir = args.value("--cache-dir").map(PathBuf::from);
     let out_file = args.value("--out").map(PathBuf::from);
     args.finish(0);
@@ -39,7 +38,7 @@ fn main() {
     };
 
     let cache = cache_dir.as_ref().map_or_else(EvalCache::disabled, EvalCache::at);
-    let tuner = Tuner { budget, seed, threads: usize::max(threads, 1), cache, ..Tuner::default() };
+    let tuner = Tuner { budget, seed, threads, cache, ..Tuner::default() };
     let out = tuner.tune(&wl);
 
     println!(

@@ -12,12 +12,12 @@
 //!   adopting strict improvements — until the budget runs out.
 //!
 //! Determinism: all randomness comes from the in-tree seeded
-//! [`Rng64`]; batched evaluations fan across native threads into
-//! index-addressed slots, so neither the thread count nor OS scheduling
-//! can change which points are visited or which winner is picked (ties
-//! break by evaluation order). Degenerate points are pruned up front via
-//! [`CompilerOptions::validate`] — they never reach the simulator and
-//! never count against the budget.
+//! [`Rng64`]; batched evaluations fan out through [`fanout::map`], which
+//! returns results in input order, so neither the thread count nor OS
+//! scheduling can change which points are visited or which winner is
+//! picked (ties break by evaluation order). Degenerate points are pruned
+//! up front via [`CompilerOptions::validate`] — they never reach the
+//! simulator and never count against the budget.
 
 use crate::cache::{CachedEval, EvalCache};
 use crate::eval::{cache_key, evaluate};
@@ -26,7 +26,7 @@ use gpstream_compiler::CompilerOptions;
 use gpstream_core::TunedConfig;
 use gpstream_machine::ops::WaitPolicy;
 use gpstream_machine::MachineConfig;
-use gpstream_util::{Fingerprint, Rng64};
+use gpstream_util::{fanout, Fingerprint, Rng64};
 use std::collections::HashMap;
 
 /// Strip sizes (items) offered to the search alongside `None`, the
@@ -56,8 +56,8 @@ pub struct Tuner {
     pub budget: usize,
     /// Seed for the sampling stage of the halving strategy.
     pub seed: u64,
-    /// Native threads evaluations fan across (results are
-    /// index-addressed, so this cannot affect the outcome).
+    /// Threads evaluations fan out on (results come back in input
+    /// order, so this cannot affect the outcome).
     pub threads: usize,
     /// Run candidate simulations in the event-driven fast step mode
     /// (default). The two modes are byte-identical — the differential
@@ -186,7 +186,7 @@ impl<'a> Run<'a> {
 
     /// Evaluate a batch of points: drop duplicates, truncate to the
     /// remaining budget, answer from the cache where possible, and fan
-    /// the misses across threads into index-addressed slots.
+    /// the misses out on up to `threads` threads, results in batch order.
     fn eval_batch(&mut self, points: Vec<TunedConfig>) {
         let mut fresh: Vec<TunedConfig> = Vec::new();
         for p in points {
@@ -212,36 +212,15 @@ impl<'a> Run<'a> {
             }
         }
 
-        if !misses.is_empty() {
-            let n_threads = self.tuner.threads.clamp(1, misses.len());
-            let wl = self.wl;
-            let copts = &self.tuner.base_copts;
-            let mcfg = &self.tuner.base_mcfg;
-            let fast = self.tuner.fast_sim;
-            let pts = &fresh;
-            let evaluated: Vec<(usize, Option<u64>)> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..n_threads)
-                    .map(|t| {
-                        let idxs: Vec<usize> =
-                            misses.iter().copied().skip(t).step_by(n_threads).collect();
-                        s.spawn(move || {
-                            idxs.into_iter()
-                                .map(|i| (i, evaluate(wl, copts, mcfg, &pts[i], fast).cycles()))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("evaluation thread panicked"))
-                    .collect()
-            });
-            self.sim_runs += evaluated.len();
-            for (i, cycles) in evaluated {
-                let key = cache_key(self.wl, self.graph_fp, self.machine_fp, &fresh[i]);
-                self.tuner.cache.put(&key, CachedEval { cycles });
-                slots[i] = Some(cycles);
-            }
+        let (wl, t) = (self.wl, self.tuner);
+        let evaluated = fanout::map(&misses, t.threads, |&i| {
+            evaluate(wl, &t.base_copts, &t.base_mcfg, &fresh[i], t.fast_sim).cycles()
+        });
+        self.sim_runs += evaluated.len();
+        for (i, cycles) in misses.into_iter().zip(evaluated) {
+            let key = cache_key(self.wl, self.graph_fp, self.machine_fp, &fresh[i]);
+            self.tuner.cache.put(&key, CachedEval { cycles });
+            slots[i] = Some(cycles);
         }
 
         for (p, slot) in fresh.into_iter().zip(slots) {

@@ -6,10 +6,11 @@
 //! fingerprint ([`hash::Fingerprint`]), an exact latency histogram
 //! ([`hist::Histogram`]), its bounded-memory sketch counterpart
 //! ([`sketch::Sketch`]), a property-test harness
-//! ([`check::run_cases`]) and the argv reader every binary shares
-//! ([`args::Args`]). The build environment has no network access to a
-//! crate registry, so these stand in for `rand`, `serde`, `proptest`
-//! and `clap` respectively; everything here is deliberately tiny
+//! ([`check::run_cases`]), the argv reader every binary shares
+//! ([`args::Args`]) and an ordered, thread-count-independent fan-out
+//! ([`fanout::map`]). The build environment has no network access to a
+//! crate registry, so these stand in for `rand`, `serde`, `proptest`,
+//! `clap` and `rayon` respectively; everything here is deliberately tiny
 //! and deterministic (fixed seeds produce identical data on every run,
 //! which the golden timing tests depend on).
 
@@ -18,6 +19,7 @@
 
 pub mod args;
 pub mod check;
+pub mod fanout;
 pub mod hash;
 pub mod hist;
 pub mod json;

@@ -29,6 +29,7 @@ use gpstream_profile::counters::CounterSet;
 use gpstream_profile::report::{profile_json, samples_csv};
 use gpstream_profile::topdown::topdown;
 use gpstream_tune::workloads::{self, Workload};
+use gpstream_util::fanout;
 
 const SEED: u64 = 0xd1ff;
 
@@ -296,15 +297,15 @@ fn spas_sim_modes_agree() {
 }
 
 /// The acceptance-criterion oracle: the full paper-scale catalog, both
-/// step modes, byte-identical artifacts. Expensive — run in release CI
-/// via `cargo test --release --test differential -- --ignored`.
+/// step modes, byte-identical artifacts, one fan-out job per member.
+/// Expensive — run in release CI via `cargo test --release --test
+/// differential -- --ignored`.
 #[test]
 #[ignore = "paper-scale catalog; run with --release -- --ignored (CI does)"]
 fn full_catalog_sim_modes_agree() {
-    for name in workloads::CATALOG {
-        let wl = workloads::named(name).expect("catalog name resolves");
-        sim_equivalence(&wl);
-    }
+    fanout::map(&workloads::CATALOG, fanout::threads(), |name| {
+        sim_equivalence(&workloads::named(name).expect("catalog name resolves"));
+    });
 }
 
 #[test]

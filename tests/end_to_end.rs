@@ -173,9 +173,9 @@ fn ooo_issue_reduces_idle_wait() {
     let copts = CompilerOptions::paper();
     let mcfg = MachineConfig::prescott();
 
-    let mb = gat_scat_comp(8192, 4);
-    let inord = mb.compare_mode(&copts, &mcfg, WaitPolicy::Mwait, true);
-    let ooo = mb.compare_mode(&copts, &mcfg, WaitPolicy::Mwait, false);
+    // A comparison consumes its bench: each mode gets a fresh one.
+    let inord = gat_scat_comp(8192, 4).compare_mode(&copts, &mcfg, WaitPolicy::Mwait, true);
+    let ooo = gat_scat_comp(8192, 4).compare_mode(&copts, &mcfg, WaitPolicy::Mwait, false);
     assert!(
         ooo.stream_cycles < inord.stream_cycles,
         "GAT-SCAT-COMP: ooo must be faster ({} vs {})",
@@ -191,9 +191,9 @@ fn ooo_issue_reduces_idle_wait() {
         mem_idle(&inord)
     );
 
-    let fem = fem::fem_bench(fem::CONFIGS[0], 600, 7);
-    let fem_inord = fem.compare_mode(&copts, &mcfg, WaitPolicy::Mwait, true);
-    let fem_ooo = fem.compare_mode(&copts, &mcfg, WaitPolicy::Mwait, false);
+    let fem = || fem::fem_bench(fem::CONFIGS[0], 600, 7);
+    let fem_inord = fem().compare_mode(&copts, &mcfg, WaitPolicy::Mwait, true);
+    let fem_ooo = fem().compare_mode(&copts, &mcfg, WaitPolicy::Mwait, false);
     assert!(
         fem_ooo.stream_cycles <= fem_inord.stream_cycles,
         "streamFEM: ooo must not regress ({} vs {})",

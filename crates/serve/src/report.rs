@@ -37,27 +37,11 @@ pub struct TenantLatency {
     pub total: Sketch,
 }
 
-impl TenantLatency {
-    pub(crate) fn fresh(template: &Sketch) -> Self {
-        Self {
-            queue: template.fresh_like(),
-            service: template.fresh_like(),
-            total: template.fresh_like(),
-        }
-    }
-
-    pub(crate) fn record(&mut self, queue: u64, service: u64, total: u64) {
-        self.queue.record(queue);
-        self.service.record(service);
-        self.total.record(total);
-    }
-}
-
 /// The three latency distributions of a serving run, in cycles: what
 /// [`ServeTelemetry::finish`](crate::ServeTelemetry::finish) hands back.
-/// The run-wide three are the telemetry registry's run totals; the
-/// per-tenant ones are recorded beside them, from the same
-/// decomposition of each completed job.
+/// The per-tenant ones are the telemetry registry's label totals — each
+/// completed job recorded once, into its tenant's three — and the
+/// run-wide three are the registry's run totals, their merge.
 #[derive(Debug, Clone)]
 pub struct LatencySummary {
     /// Admission to service start (includes dispatch overhead and any

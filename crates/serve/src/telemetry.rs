@@ -13,18 +13,36 @@
 //! and [`ServeTelemetry::finish`] folds it into a [`TelemetryOutcome`],
 //! a [`LatencySummary`] and the kept records.
 //!
+//! The hooks buffer; the registry is fed a window at a time — the
+//! paper's strip-at-a-time rule applied to the observer itself:
+//!
+//! * **Clock window.** The six decisions stamped at the event-loop
+//!   clock (arrivals, admits, reject events, final rejects, batches and
+//!   their dispatch cycles) add into a fixed array for the clock's
+//!   current window, and the `pending` gauge keeps its last level there.
+//!   A hook's only test is one compare against the window's end.
+//! * **Finish log.** A completed job is known at its *finish* cycle,
+//!   which lies ahead of the clock (a dispatched batch finishes in the
+//!   future), so `on_complete` appends one fixed-size record — tenant,
+//!   queue, service, total — to the buffer of its finish window, in a
+//!   small ring of such buffers that starts at the first window not
+//!   yet folded.
+//! * **One fold per closed window.** When the clock crosses a window's
+//!   end, every window behind it is folded in one pass — one `add` per
+//!   counter, one bulk filing per latency histogram (labeled by
+//!   tenant), one SLO tally per tenant — and only then does the
+//!   registry's watermark advance past it. A completed job so costs no
+//!   registry stamp and no SLO map lookup, and three sketch records:
+//!   its tenant's queue, service and total run totals. The run-wide
+//!   distributions are the merge of the per-tenant ones.
+//!
 //! Two properties make the plane safe at 10⁶–10⁷ jobs:
 //!
 //! * **Streaming registry.** The metrics registry is always wrapped in
-//!   a [`StreamingTelemetry`]: the scheduler's event-loop clock is a
-//!   watermark, windows strictly behind it are finalized, flushed
-//!   through the incremental CSV/JSON appenders and evicted, so
-//!   registry memory is O(open windows) regardless of run length, in
-//!   exact and sketch mode alike. Latency stamps land at a job's *finish* cycle, which is
-//!   ahead of the event-loop clock (a dispatched batch finishes in the
-//!   future) — that is exactly the watermark-safe direction, so the
-//!   wrapper only ever advances past windows nothing can stamp into
-//!   anymore.
+//!   a [`StreamingTelemetry`]: windows strictly behind the clock are
+//!   finalized, flushed through the incremental CSV/JSON appenders and
+//!   evicted, so registry and finish-log memory is O(open windows)
+//!   regardless of run length, in exact and sketch mode alike.
 //! * **Bounded span buffer.** The span trace keeps at most a
 //!   configurable number of events; once full, new spans are dropped
 //!   and counted (`spans_dropped`), mirroring the machine-level
@@ -56,7 +74,7 @@ use gpstream_telemetry::{
     StreamingTelemetry, Telemetry,
 };
 use gpstream_util::{Json, Sketch};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Default span-trace capacity in events (not jobs): enough to hold a
 /// full default 10⁴-job run (~6 events per completed job) with room to
@@ -71,9 +89,11 @@ struct SpanBuffer {
     events: Vec<ExecEvent>,
     capacity: usize,
     dropped: u64,
-    /// `(job id, is_service)` → compact task id, assigned in the order
-    /// tasks first appear in a *kept* event.
-    task_ids: BTreeMap<(usize, bool), u32>,
+    /// Job id → compact id of its queue task, for the jobs not yet
+    /// resolved: a queue slice is named by its job's first *kept* event
+    /// and retired with the job, so the map holds only live jobs. Task
+    /// ids are assigned in the order tasks first appear.
+    live: BTreeMap<usize, u32>,
     task_names: Vec<String>,
     task_cats: Vec<&'static str>,
 }
@@ -85,24 +105,34 @@ impl SpanBuffer {
             events: Vec::new(),
             capacity,
             dropped: 0,
-            task_ids: BTreeMap::new(),
+            live: BTreeMap::new(),
             task_names: Vec::new(),
             task_cats: Vec::new(),
         }
     }
 
-    /// The compact task id for a job's queue or service slice, naming
-    /// it on first use. Only called on the kept path, so the name table
+    /// A new task, named on the kept path only, so the name table
     /// scales with the buffer.
-    fn task(&mut self, job: usize, is_service: bool, name: impl FnOnce() -> String) -> TaskId {
-        if let Some(&id) = self.task_ids.get(&(job, is_service)) {
+    fn task(&mut self, name: String, cat: &'static str) -> TaskId {
+        let id = u32::try_from(self.task_names.len()).expect("span task table fits u32");
+        self.task_names.push(name);
+        self.task_cats.push(cat);
+        TaskId(id)
+    }
+
+    /// The queue task of live job `job`, naming it on first use.
+    fn queue_task(&mut self, job: usize, name: impl FnOnce() -> String) -> TaskId {
+        if let Some(&id) = self.live.get(&job) {
             return TaskId(id);
         }
-        let id = u32::try_from(self.task_names.len()).expect("span task table fits u32");
-        self.task_ids.insert((job, is_service), id);
-        self.task_names.push(name());
-        self.task_cats.push(if is_service { "service" } else { "queue" });
-        TaskId(id)
+        let task = self.task(name(), "queue");
+        self.live.insert(job, task.0);
+        task
+    }
+
+    /// Job `job` resolved: no later event names its queue task.
+    fn retire(&mut self, job: usize) {
+        self.live.remove(&job);
     }
 
     /// Room for `n` more events? Counts the whole group as dropped when
@@ -142,24 +172,122 @@ impl Heartbeat {
     }
 }
 
+/// The counters stamped at the event-loop clock, in registration order.
+const CLOCK_COUNTERS: [&str; 6] =
+    ["arrivals", "admits", "reject_events", "final_rejects", "batches", "dispatch_cycles"];
+const ARRIVALS: usize = 0;
+const ADMITS: usize = 1;
+const REJECT_EVENTS: usize = 2;
+const FINAL_REJECTS: usize = 3;
+const BATCHES: usize = 4;
+const DISPATCH_CYCLES: usize = 5;
+
+/// What the event-loop clock's current window has seen: the clock
+/// counters' deltas and the last `pending` level, filed into the
+/// registry in one go when the clock leaves the window.
+struct ClockWindow {
+    index: u64,
+    /// First cycle past the window — the one compare a hook makes.
+    end: u64,
+    counts: [u64; CLOCK_COUNTERS.len()],
+    pending: Option<u64>,
+}
+
+impl ClockWindow {
+    fn at(index: u64, window_cycles: u64) -> Self {
+        let end = (index + 1).saturating_mul(window_cycles);
+        Self { index, end, counts: [0; CLOCK_COUNTERS.len()], pending: None }
+    }
+}
+
+/// One completed job, as the finish log holds it until its window folds.
+#[derive(Debug, Clone, Copy)]
+struct Done {
+    tenant: usize,
+    queue: u64,
+    service: u64,
+    total: u64,
+}
+
+/// Completed jobs buffered by finish window: `ring[i]` holds window
+/// `first + i`, and `first` is the first window not yet folded. Folded
+/// buffers are kept for reuse, so a steady run stops allocating.
+#[derive(Default)]
+struct FinishLog {
+    first: u64,
+    ring: VecDeque<Vec<Done>>,
+    spare: Vec<Vec<Done>>,
+    buffered: usize,
+    stats: FoldStats,
+}
+
+impl FinishLog {
+    fn push(&mut self, window: u64, done: Done) {
+        let ahead = usize::try_from(window - self.first).expect("finish window offset fits usize");
+        if ahead >= self.ring.len() {
+            let spare = &mut self.spare;
+            self.ring.resize_with(ahead + 1, || spare.pop().unwrap_or_default());
+        }
+        self.ring[ahead].push(done);
+        self.buffered += 1;
+        self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffered);
+    }
+
+    /// The oldest unfolded window's index and buffer, or `None` once
+    /// the ring is empty.
+    fn pop(&mut self) -> Option<(u64, Vec<Done>)> {
+        let jobs = self.ring.pop_front()?;
+        let index = self.first;
+        self.first += 1;
+        self.buffered -= jobs.len();
+        if !jobs.is_empty() {
+            self.stats.windows += 1;
+            self.stats.completions += jobs.len() as u64;
+        }
+        Some((index, jobs))
+    }
+
+    fn recycle(&mut self, mut jobs: Vec<Done>) {
+        jobs.clear();
+        self.spare.push(jobs);
+    }
+}
+
+/// What the finish log did over a run — the harness explaining its own
+/// work on stderr, never in an artifact.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FoldStats {
+    /// Completion records folded into the registry (every completion).
+    pub completions: u64,
+    /// Finish windows folded that held at least one completion.
+    pub windows: u64,
+    /// Most completion records buffered at once.
+    pub peak_buffered: usize,
+}
+
+/// The registry instruments a serving run feeds, by handle.
+struct Instruments {
+    clock: [CounterId; CLOCK_COUNTERS.len()],
+    completions: CounterId,
+    served_cycles: CounterId,
+    tenant_completed: Vec<CounterId>,
+    pending: GaugeId,
+    queue: HistId,
+    service: HistId,
+    total: HistId,
+}
+
 /// The scheduler observer of a serving run.
 pub struct ServeTelemetry {
     reg: StreamingTelemetry,
     slo: SloTracker,
-    c_arrivals: CounterId,
-    c_admits: CounterId,
-    c_rejects: CounterId,
-    c_final_rejects: CounterId,
-    c_batches: CounterId,
-    c_dispatch_cycles: CounterId,
-    c_completions: CounterId,
-    c_served_cycles: CounterId,
-    c_tenant_completed: Vec<CounterId>,
-    g_pending: GaugeId,
-    h_queue: HistId,
-    h_service: HistId,
-    h_total: HistId,
-    per_tenant: Vec<TenantLatency>,
+    targets: Vec<SloTarget>,
+    window_cycles: u64,
+    ids: Instruments,
+    clock: ClockWindow,
+    log: FinishLog,
+    /// Per tenant `(completions, violations)` of the window being folded.
+    tallies: Vec<(u64, u64)>,
     keeper: RecordKeeper,
     heartbeat: Heartbeat,
     spans: SpanBuffer,
@@ -189,43 +317,34 @@ impl ServeTelemetry {
         for (t, target) in targets.iter().enumerate() {
             let _ = slo.tenant(&format!("tenant{t}"), *target);
         }
-        let c_arrivals = tel.counter("arrivals");
-        let c_admits = tel.counter("admits");
-        let c_rejects = tel.counter("reject_events");
-        let c_final_rejects = tel.counter("final_rejects");
-        let c_batches = tel.counter("batches");
-        let c_dispatch_cycles = tel.counter("dispatch_cycles");
-        let c_completions = tel.counter("completions");
-        let c_served_cycles = tel.counter("served_cycles");
-        let c_tenant_completed =
+        let clock = CLOCK_COUNTERS.map(|name| tel.counter(name));
+        let completions = tel.counter("completions");
+        let served_cycles = tel.counter("served_cycles");
+        let tenant_completed =
             (0..tenants).map(|t| tel.counter(&format!("tenant{t}_completed"))).collect();
-        let g_pending = tel.gauge("pending");
-        let sketch_gamma = cfg.sketch.then(|| cfg.effective_sketch_gamma());
-        let hist = |tel: &mut Telemetry, name: &str| match sketch_gamma {
-            Some(gamma) => tel.hist_sketch(name, gamma),
-            None => tel.hist(name),
-        };
-        let h_queue = hist(&mut tel, "queue_cycles");
-        let h_service = hist(&mut tel, "service_cycles");
-        let h_total = hist(&mut tel, "total_cycles");
-        let template = sketch_gamma.map_or_else(Sketch::exact, Sketch::new);
+        let pending = tel.gauge("pending");
+        let gamma = cfg.sketch.then(|| cfg.effective_sketch_gamma());
+        let queue = tel.hist_labeled("queue_cycles", tenants, gamma);
+        let service = tel.hist_labeled("service_cycles", tenants, gamma);
+        let total = tel.hist_labeled("total_cycles", tenants, gamma);
         Self {
             reg: StreamingTelemetry::new(tel),
             slo,
-            c_arrivals,
-            c_admits,
-            c_rejects,
-            c_final_rejects,
-            c_batches,
-            c_dispatch_cycles,
-            c_completions,
-            c_served_cycles,
-            c_tenant_completed,
-            g_pending,
-            h_queue,
-            h_service,
-            h_total,
-            per_tenant: (0..tenants).map(|_| TenantLatency::fresh(&template)).collect(),
+            targets: targets.to_vec(),
+            window_cycles,
+            ids: Instruments {
+                clock,
+                completions,
+                served_cycles,
+                tenant_completed,
+                pending,
+                queue,
+                service,
+                total,
+            },
+            clock: ClockWindow::at(0, window_cycles),
+            log: FinishLog::default(),
+            tallies: vec![(0, 0); tenants],
             keeper: RecordKeeper::new(cfg.record_stride()),
             heartbeat: Heartbeat::new(cfg.progress, cfg.jobs as u64),
             spans: SpanBuffer::new(cfg.effective_span_capacity()),
@@ -242,14 +361,78 @@ impl ServeTelemetry {
     }
 
     fn queue_task(&mut self, id: usize, tenant: usize) -> TaskId {
-        self.spans.task(id, false, || format!("job {id} queue (t{tenant})"))
+        self.spans.queue_task(id, || format!("job {id} queue (t{tenant})"))
+    }
+
+    /// Move the clock to `now`. Crossing the clock window's end files
+    /// the window, folds every finish window behind `now`'s, and only
+    /// then advances the registry's watermark past them.
+    fn tick(&mut self, now: u64) {
+        if now < self.clock.end {
+            return;
+        }
+        let index = now / self.window_cycles;
+        self.file_clock();
+        self.fold_before(index);
+        self.reg.advance(now);
+        self.clock = ClockWindow::at(index, self.window_cycles);
+    }
+
+    /// File the clock window's deltas and last gauge level, if it saw
+    /// any hook.
+    fn file_clock(&mut self) {
+        let ClockWindow { index, counts, pending, .. } = self.clock;
+        if counts == [0; CLOCK_COUNTERS.len()] {
+            return;
+        }
+        let cycle = index * self.window_cycles;
+        for (&id, delta) in self.ids.clock.iter().zip(counts) {
+            self.reg.add(id, cycle, delta);
+        }
+        if let Some(level) = pending {
+            self.reg.set(self.ids.pending, cycle, level);
+        }
+    }
+
+    /// Fold every buffered finish window below `index`.
+    fn fold_before(&mut self, index: u64) {
+        while self.log.first < index {
+            let Some((window, jobs)) = self.log.pop() else { break };
+            if !jobs.is_empty() {
+                self.fold(window, &jobs);
+            }
+            self.log.recycle(jobs);
+        }
+    }
+
+    /// One finish window's completions, in one pass per instrument.
+    fn fold(&mut self, window: u64, jobs: &[Done]) {
+        let cycle = window * self.window_cycles;
+        self.tallies.fill((0, 0));
+        let mut served = 0;
+        for d in jobs {
+            let (done, violated) = &mut self.tallies[d.tenant];
+            *done += 1;
+            *violated += u64::from(self.targets[d.tenant].violated_by(d.total));
+            served += d.service;
+        }
+        let ids = &self.ids;
+        self.reg.add(ids.completions, cycle, jobs.len() as u64);
+        self.reg.add(ids.served_cycles, cycle, served);
+        for (t, &(done, violated)) in self.tallies.iter().enumerate() {
+            self.reg.add(ids.tenant_completed[t], cycle, done);
+            self.slo.tally(t, cycle, done, violated);
+        }
+        self.reg.file(ids.queue, cycle, jobs.iter().map(|d| (d.tenant, d.queue)));
+        self.reg.file(ids.service, cycle, jobs.iter().map(|d| (d.tenant, d.service)));
+        self.reg.file(ids.total, cycle, jobs.iter().map(|d| (d.tenant, d.total)));
     }
 
     /// A refused offer: one `reject_events` count and a `DepWait`
     /// instant on the tenant's lane, its mask the attempt number.
     fn refuse(&mut self, now: u64, id: usize, tenant: usize, attempt: u32) {
-        self.reg.advance(now);
-        self.reg.add(self.c_rejects, now, 1);
+        self.tick(now);
+        self.clock.counts[REJECT_EVENTS] += 1;
         if self.spans.reserve(1) {
             let who = self.tenant_lane(tenant);
             let task = Some(self.queue_task(id, tenant));
@@ -263,35 +446,27 @@ impl ServeTelemetry {
     }
 
     /// Fold the observed run into what it produced: the exported
-    /// telemetry, the latency summary — its run-wide distributions are
-    /// the registry's run totals — and the kept records, sorted by id.
-    /// `cfg` labels the trace and the SLO artifact.
+    /// telemetry, the latency summary — its distributions are the
+    /// registry's run totals, per tenant and merged — and the kept
+    /// records, sorted by id. `cfg` labels the trace and the SLO
+    /// artifact.
     ///
     /// # Panics
     ///
     /// Panics if the flushed window deltas fail to re-merge into the
     /// run totals (the sum-to-total invariant).
     #[must_use]
-    pub fn finish(self, cfg: &ServeConfig) -> (TelemetryOutcome, LatencySummary, Vec<JobRecord>) {
+    pub fn finish(
+        mut self,
+        cfg: &ServeConfig,
+    ) -> (TelemetryOutcome, LatencySummary, Vec<JobRecord>) {
+        self.file_clock();
+        self.fold_before(u64::MAX);
+        let folds = self.log.stats;
         let series = self.reg.finish();
-        let [queue, service, total] = <[Sketch; 3]>::try_from(series.hist_totals.clone())
-            .expect("the registry's histograms are queue, service and total");
-        let summary = LatencySummary { queue, service, total, per_tenant: self.per_tenant };
+        let summary = latency_summary(&series);
         let slo = self.slo.report();
-        let slo_artifact = slo
-            .artifact_json(
-                &cfg.workload,
-                &[
-                    ("jobs", Json::from(cfg.jobs)),
-                    ("rate_jobs_per_sec", Json::F64(cfg.rate)),
-                    ("tenants", Json::from(cfg.tenants)),
-                    ("workers", Json::from(cfg.workers)),
-                    ("bounded", Json::from(cfg.bounded)),
-                    ("seed", Json::U64(cfg.seed)),
-                    ("freq_ghz", Json::F64(cfg.freq_ghz())),
-                ],
-            )
-            .to_doc_string();
+        let slo_artifact = slo_artifact(&slo, cfg);
 
         let mut lanes: Vec<String> = (0..cfg.tenants).map(|t| format!("tenant {t}")).collect();
         lanes.extend((0..cfg.workers).map(|w| format!("worker {w}")));
@@ -305,15 +480,50 @@ impl ServeTelemetry {
             events: self.spans.events,
             dropped: spans_dropped,
         };
-        let telemetry = TelemetryOutcome { series, slo, slo_artifact, trace, spans_dropped };
+        let telemetry = TelemetryOutcome { series, slo, slo_artifact, trace, spans_dropped, folds };
         (telemetry, summary, self.keeper.into_records())
     }
 }
 
+/// The latency summary a streamed run's queue/service/total histograms
+/// carry: their run totals and, per tenant, their label totals.
+fn latency_summary(series: &StreamedSeries) -> LatencySummary {
+    let [queue, service, total] = <[Sketch; 3]>::try_from(series.hist_totals.clone())
+        .expect("the registry's histograms are queue, service and total");
+    let [q, s, t] = [0, 1, 2].map(|h| series.hist_labels[h].iter());
+    let per_tenant = q
+        .zip(s)
+        .zip(t)
+        .map(|((queue, service), total)| TenantLatency {
+            queue: queue.clone(),
+            service: service.clone(),
+            total: total.clone(),
+        })
+        .collect();
+    LatencySummary { queue, service, total, per_tenant }
+}
+
+/// The `slo` artifact document of a run of `cfg`.
+fn slo_artifact(slo: &SloReport, cfg: &ServeConfig) -> String {
+    slo.artifact_json(
+        &cfg.workload,
+        &[
+            ("jobs", Json::from(cfg.jobs)),
+            ("rate_jobs_per_sec", Json::F64(cfg.rate)),
+            ("tenants", Json::from(cfg.tenants)),
+            ("workers", Json::from(cfg.workers)),
+            ("bounded", Json::from(cfg.bounded)),
+            ("seed", Json::U64(cfg.seed)),
+            ("freq_ghz", Json::F64(cfg.freq_ghz())),
+        ],
+    )
+    .to_doc_string()
+}
+
 impl SchedObserver for ServeTelemetry {
     fn on_arrival(&mut self, now: u64, _job: &OfferedJob, _attempt: u32) {
-        self.reg.advance(now);
-        self.reg.add(self.c_arrivals, now, 1);
+        self.tick(now);
+        self.clock.counts[ARRIVALS] += 1;
     }
 
     fn on_reject(&mut self, now: u64, job: &OfferedJob, attempt: u32) {
@@ -325,15 +535,16 @@ impl SchedObserver for ServeTelemetry {
             unreachable!("on_rejected only fires for rejected jobs");
         };
         self.refuse(last_attempt, rec.id, rec.tenant, rec.attempts);
-        self.reg.add(self.c_final_rejects, last_attempt, 1);
+        self.spans.retire(rec.id);
+        self.clock.counts[FINAL_REJECTS] += 1;
         self.keeper.keep(rec);
         self.heartbeat.tick();
     }
 
     fn on_admit(&mut self, now: u64, job: &OfferedJob, _attempt: u32, pending: usize) {
-        self.reg.advance(now);
-        self.reg.add(self.c_admits, now, 1);
-        self.reg.set(self.g_pending, now, pending as u64);
+        self.tick(now);
+        self.clock.counts[ADMITS] += 1;
+        self.clock.pending = Some(pending as u64);
         if self.spans.reserve(1) {
             let who = self.tenant_lane(job.tenant);
             let task = Some(self.queue_task(job.id, job.tenant));
@@ -350,10 +561,10 @@ impl SchedObserver for ServeTelemetry {
         dispatch_cycles: u64,
         pending: usize,
     ) {
-        self.reg.advance(now);
-        self.reg.add(self.c_batches, now, 1);
-        self.reg.add(self.c_dispatch_cycles, now, dispatch_cycles);
-        self.reg.set(self.g_pending, now, pending as u64);
+        self.tick(now);
+        self.clock.counts[BATCHES] += 1;
+        self.clock.counts[DISPATCH_CYCLES] += dispatch_cycles;
+        self.clock.pending = Some(pending as u64);
         if self.spans.reserve(1) {
             self.spans.events.push(ExecEvent {
                 ts: now,
@@ -369,19 +580,12 @@ impl SchedObserver for ServeTelemetry {
             unreachable!("on_complete only fires for completed jobs");
         };
         let (queue, service, total) = (start - admit, finish - start, finish - rec.arrival);
-        // Windowed metrics are stamped at the *finish* cycle: a latency
-        // is only known once the job completes, and filing it where it
-        // completed is what makes window deltas sum to run totals. The
-        // finish lies ahead of the event-loop clock, so these stamps
-        // never land behind the streaming watermark.
-        self.reg.add(self.c_completions, finish, 1);
-        self.reg.add(self.c_served_cycles, finish, service);
-        self.reg.add(self.c_tenant_completed[rec.tenant], finish, 1);
-        self.reg.observe(self.h_queue, finish, queue);
-        self.reg.observe(self.h_service, finish, service);
-        self.reg.observe(self.h_total, finish, total);
-        self.per_tenant[rec.tenant].record(queue, service, total);
-        self.slo.record(rec.tenant, finish, total);
+        // Filed under the *finish* window: a latency is only known once
+        // the job completes, and filing it where it completed is what
+        // makes window deltas sum to run totals. The finish lies ahead
+        // of the clock, so the window is never one already folded.
+        let done = Done { tenant: rec.tenant, queue, service, total };
+        self.log.push(finish / self.window_cycles, done);
         self.keeper.keep(rec);
         self.heartbeat.tick();
 
@@ -397,9 +601,10 @@ impl SchedObserver for ServeTelemetry {
                 ExecEvent { ts: start, who: tenant, task: qt, kind: ExecEventKind::Finish },
             ]);
         }
+        self.spans.retire(rec.id);
         if self.spans.reserve(2) {
             let (id, variant) = (rec.id, rec.variant);
-            let st = Some(self.spans.task(id, true, || format!("job {id} service (v{variant})")));
+            let st = Some(self.spans.task(format!("job {id} service (v{variant})"), "service"));
             self.spans.events.extend([
                 ExecEvent { ts: start, who: worker, task: st, kind: ExecEventKind::Start },
                 ExecEvent { ts: finish, who: worker, task: st, kind: ExecEventKind::Finish },
@@ -425,6 +630,8 @@ pub struct TelemetryOutcome {
     pub trace: TraceRun,
     /// Span events the bounded buffer dropped at capacity.
     pub spans_dropped: u64,
+    /// What the finish log folded (for the stderr `host:` line only).
+    pub folds: FoldStats,
 }
 
 impl TelemetryOutcome {
@@ -440,6 +647,209 @@ mod tests {
     use super::*;
     use crate::load::{Arrivals, LoadConfig};
     use crate::sched::{schedule_stream, SchedConfig};
+    use gpstream_util::check::run_cases;
+    use std::cell::Cell;
+
+    /// The per-event observer [`ServeTelemetry`] replaced, kept as its
+    /// oracle: every hook advances the registry and stamps it at its own
+    /// cycle, and every completion is recorded one by one — into
+    /// one-label run-wide histograms, separately kept per-tenant
+    /// sketches and the SLO tracker.
+    struct Reference {
+        reg: StreamingTelemetry,
+        slo: SloTracker,
+        clock: [CounterId; CLOCK_COUNTERS.len()],
+        completions: CounterId,
+        served_cycles: CounterId,
+        tenant_completed: Vec<CounterId>,
+        pending: GaugeId,
+        hists: [HistId; 3],
+        per_tenant: Vec<[Sketch; 3]>,
+    }
+
+    impl Reference {
+        fn new(cfg: &ServeConfig, targets: &[SloTarget]) -> Self {
+            let window_cycles = cfg.effective_window_cycles();
+            let mut tel = Telemetry::new(window_cycles);
+            let mut slo = SloTracker::new(window_cycles);
+            for (t, target) in targets.iter().enumerate() {
+                let _ = slo.tenant(&format!("tenant{t}"), *target);
+            }
+            let clock = CLOCK_COUNTERS.map(|name| tel.counter(name));
+            let completions = tel.counter("completions");
+            let served_cycles = tel.counter("served_cycles");
+            let tenant_completed =
+                (0..cfg.tenants).map(|t| tel.counter(&format!("tenant{t}_completed"))).collect();
+            let pending = tel.gauge("pending");
+            let gamma = cfg.sketch.then(|| cfg.effective_sketch_gamma());
+            let hists =
+                ["queue_cycles", "service_cycles", "total_cycles"].map(|name| match gamma {
+                    Some(gamma) => tel.hist_sketch(name, gamma),
+                    None => tel.hist(name),
+                });
+            let fresh = gamma.map_or_else(Sketch::exact, Sketch::new);
+            Self {
+                reg: StreamingTelemetry::new(tel),
+                slo,
+                clock,
+                completions,
+                served_cycles,
+                tenant_completed,
+                pending,
+                hists,
+                per_tenant: vec![[(); 3].map(|()| fresh.clone()); cfg.tenants],
+            }
+        }
+
+        fn stamp(&mut self, now: u64, counter: usize, delta: u64) {
+            self.reg.advance(now);
+            self.reg.add(self.clock[counter], now, delta);
+        }
+
+        fn finish(self, cfg: &ServeConfig) -> (StreamedSeries, String, LatencySummary) {
+            let series = self.reg.finish();
+            let slo = slo_artifact(&self.slo.report(), cfg);
+            let [queue, service, total] = <[Sketch; 3]>::try_from(series.hist_totals.clone())
+                .expect("queue, service and total");
+            let per_tenant = self
+                .per_tenant
+                .into_iter()
+                .map(|[queue, service, total]| TenantLatency { queue, service, total })
+                .collect();
+            (series, slo, LatencySummary { queue, service, total, per_tenant })
+        }
+    }
+
+    impl SchedObserver for Reference {
+        fn on_arrival(&mut self, now: u64, _job: &OfferedJob, _attempt: u32) {
+            self.stamp(now, ARRIVALS, 1);
+        }
+
+        fn on_reject(&mut self, now: u64, _job: &OfferedJob, _attempt: u32) {
+            self.stamp(now, REJECT_EVENTS, 1);
+        }
+
+        fn on_rejected(&mut self, rec: &JobRecord) {
+            let Outcome::Rejected { last_attempt } = rec.outcome else { unreachable!() };
+            self.stamp(last_attempt, REJECT_EVENTS, 1);
+            self.stamp(last_attempt, FINAL_REJECTS, 1);
+        }
+
+        fn on_admit(&mut self, now: u64, _job: &OfferedJob, _attempt: u32, pending: usize) {
+            self.stamp(now, ADMITS, 1);
+            self.reg.set(self.pending, now, pending as u64);
+        }
+
+        fn on_dispatch(
+            &mut self,
+            now: u64,
+            _: usize,
+            _: usize,
+            _: usize,
+            fee: u64,
+            pending: usize,
+        ) {
+            self.stamp(now, BATCHES, 1);
+            self.stamp(now, DISPATCH_CYCLES, fee);
+            self.reg.set(self.pending, now, pending as u64);
+        }
+
+        fn on_complete(&mut self, rec: &JobRecord) {
+            let Outcome::Completed { admit, start, finish, .. } = rec.outcome else {
+                unreachable!()
+            };
+            let latencies = [start - admit, finish - start, finish - rec.arrival];
+            self.reg.add(self.completions, finish, 1);
+            self.reg.add(self.served_cycles, finish, latencies[1]);
+            self.reg.add(self.tenant_completed[rec.tenant], finish, 1);
+            for ((&h, sketch), v) in
+                self.hists.iter().zip(&mut self.per_tenant[rec.tenant]).zip(latencies)
+            {
+                self.reg.observe(h, finish, v);
+                sketch.record(v);
+            }
+            self.slo.record(rec.tenant, finish, latencies[2]);
+        }
+    }
+
+    /// Every distribution of a summary: run-wide, then per tenant.
+    fn distributions(s: &LatencySummary) -> Vec<&Sketch> {
+        let mut all = vec![&s.queue, &s.service, &s.total];
+        s.per_tenant.iter().for_each(|t| all.extend([&t.queue, &t.service, &t.total]));
+        all
+    }
+
+    #[test]
+    fn window_folds_reproduce_per_event_stamping_byte_for_byte() {
+        // Every combination of bounded and unbounded queues, exact and
+        // sketched distributions, and 0.8x and 2x of the two workers'
+        // capacity, each under a random window from three ranges: below
+        // one service time (a batch's completions land many windows
+        // ahead of the clock, with empty windows between), a few to
+        // thousands of windows per run, and longer than the whole run.
+        const SERVICE: [u64; 2] = [15_000, 30_000];
+        let (case_no, promoted) = (Cell::new(0), Cell::new(0));
+        run_cases("serve-fold-vs-per-event", 0x6a79_2005, 24, |rng| {
+            let i = case_no.replace(case_no.get() + 1);
+            let (bounded, sketch, overload) = (i & 1 == 1, i & 2 == 2, i & 4 == 4);
+            let load = if overload { 2.0 } else { 0.8 };
+            // Sketched runs are long enough for distributions to promote.
+            let jobs = if sketch { rng.range_usize_inclusive(3_000, 6_000) } else { 1_000 };
+            let (tenants, workers) = (3, 2);
+            let run_cycles = jobs as u64 * 15_000;
+            let window_cycles = match i / 8 {
+                0 => rng.range_u64(1_000, SERVICE[0]),
+                1 => rng.range_u64(SERVICE[0], run_cycles / 8),
+                _ => rng.range_u64(run_cycles, 4 * run_cycles),
+            };
+            let mut cfg = ServeConfig::new("synthetic");
+            (cfg.jobs, cfg.tenants, cfg.workers) = (jobs, tenants, workers);
+            (cfg.window_cycles, cfg.sketch, cfg.span_capacity) = (window_cycles, sketch, 64);
+            let mean_service = SERVICE.iter().sum::<u64>() / 2;
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            let mean_interarrival = (mean_service as f64 / (workers as f64 * load)) as u64;
+            let load_cfg = LoadConfig {
+                jobs,
+                mean_interarrival,
+                tenants,
+                arrival_shares: vec![3, 2, 1],
+                variants: SERVICE.len(),
+                seed: rng.next_u64(),
+            };
+            let sched = SchedConfig {
+                workers,
+                bounded,
+                queue_cap: 16,
+                batch_max: 4,
+                dispatch_cycles: 400,
+                retry_after: 9_000,
+                max_retries: 2,
+                weights: vec![2, 1, 1],
+                check_invariants: true,
+            };
+            let targets: Vec<SloTarget> =
+                (0..tenants).map(|t| SloTarget::new(40_000 * (t as u64 + 1), 0.99)).collect();
+
+            let mut plane = ServeTelemetry::new(&cfg, &targets);
+            let stats = schedule_stream(Arrivals::new(&load_cfg), &SERVICE, &sched, &mut plane);
+            let mut oracle = Reference::new(&cfg, &targets);
+            let again = schedule_stream(Arrivals::new(&load_cfg), &SERVICE, &sched, &mut oracle);
+            assert_eq!(stats, again);
+            let (got, got_summary, _) = plane.finish(&cfg);
+            let (want, want_slo, want_summary) = oracle.finish(&cfg);
+
+            let case =
+                format!("window {window_cycles} load {load} bounded {bounded} sketch {sketch}");
+            assert_eq!(got.series.csv, want.csv, "{case}");
+            assert_eq!(got.series.json, want.json, "{case}");
+            assert_eq!(got.slo_artifact, want_slo, "{case}");
+            assert_eq!(distributions(&got_summary), distributions(&want_summary), "{case}");
+            assert_eq!(got.folds.completions, stats.completed, "{case}");
+            assert!(got.folds.peak_buffered as u64 <= stats.completed, "{case}");
+            promoted.set(promoted.get() + u32::from(got_summary.total.is_promoted()));
+        });
+        assert!(promoted.get() >= 3, "only {} runs left the exact low-count path", promoted.get());
+    }
 
     #[test]
     fn exact_mode_streams_windows_out_of_the_registry_in_order() {
@@ -476,9 +886,15 @@ mod tests {
         // handled every window behind the clock has already left the
         // registry, and only the tail the last batch finishes in remains.
         let evicted_during_run = plane.reg.windows_flushed();
-        let series = plane.finish(&cfg).0.series;
+        let (buffered, unfolded) = (plane.log.buffered, plane.log.ring.len());
+        let TelemetryOutcome { series, folds, .. } = plane.finish(&cfg).0;
         assert!(evicted_during_run > 500, "a long run: {evicted_during_run} windows");
         assert!(series.windows_flushed - evicted_during_run <= 2, "closed windows stayed resident");
+        // So is the finish log's: it never held more than a few windows'
+        // completions, and at the end only those of the last windows.
+        assert!(unfolded <= 2 && buffered < 100, "{buffered} completions in {unfolded} windows");
+        assert_eq!(folds.completions, stats.completed);
+        assert!(folds.peak_buffered * 100 < folds.completions as usize, "{folds:?}");
         assert_eq!(series.hist_totals[0].kind(), "exact");
 
         // The streamed CSV holds every window once, in order, dense

@@ -7,15 +7,17 @@
 //! determinism contract as every committed artifact:
 //!
 //! * [`registry`] — a deterministic metrics registry: named counters,
-//!   gauges and exact [`gpstream_util::Histogram`]s, aggregated into
-//!   cycle-stamped tumbling windows — one dense ring of resident
-//!   windows, so a stamp is an index and an add (or a push onto the
-//!   window's raw sample buffer). Per-window snapshots are *deltas*:
-//!   summing a counter's windows reproduces its run total exactly, and
-//!   merging a histogram's windows reproduces the run-total histogram
-//!   byte-identically (property-tested, not assumed). Run totals are
-//!   [`gpstream_util::Sketch`]es — the exact form by default, log
-//!   buckets on request. Time series export as CSV and canonical JSON.
+//!   gauges and histograms, aggregated into cycle-stamped tumbling
+//!   windows — one dense ring of resident windows, so a stamp is an
+//!   index and an add (or a push onto the window's raw sample buffer).
+//!   Per-window snapshots are *deltas*: summing a counter's windows
+//!   reproduces its run total exactly, each window's histogram is an
+//!   exact [`gpstream_util::Summary`] read off its sorted samples, and
+//!   re-merging the windows reproduces the run total byte-identically
+//!   (property-tested, not assumed). Run totals are
+//!   [`gpstream_util::Sketch`]es kept per label (a tenant, say) and
+//!   merged — the exact form by default, log buckets on request. Time
+//!   series export as CSV and canonical JSON.
 //! * [`stream`] — the registry's streaming mode: tumbling windows are
 //!   finalized and evicted as a virtual-time watermark advances past
 //!   them, flushed through incremental CSV/JSON appenders, so registry

@@ -1,8 +1,8 @@
 //! A deterministic metrics registry with tumbling windows in virtual time.
 //!
 //! Producers register named instruments up front (a counter, a gauge, or
-//! an exact [`Histogram`]) and then stamp every update with the virtual
-//! cycle it happened at. The registry buckets updates into tumbling
+//! a histogram) and then stamp every update with the virtual cycle it
+//! happened at. The registry buckets updates into tumbling
 //! windows of `window_cycles` each — window `k` covers cycles
 //! `[k * window_cycles, (k+1) * window_cycles)`. Resident windows live in
 //! one dense ring that starts at the first window not yet evicted:
@@ -20,15 +20,18 @@
 //!   run total; summing the deltas over all windows must reproduce the
 //!   total exactly (asserted at the end of the one window walk every
 //!   export goes through, and by the crate's tests, not assumed).
-//! * **Histograms** buffer each window's raw samples — a stamp is one
-//!   `Vec::push` — and build the window's exact [`Histogram`] once, from
-//!   the sorted buffer, when the window is evicted. The run total is a
-//!   [`Sketch`] fed by the same `observe` calls — its exact form by
-//!   default ([`Telemetry::hist`]), bounded-memory log buckets on
-//!   request ([`Telemetry::hist_sketch`]). Folding the evicted windows
-//!   into a fresh sketch of the same form must equal the total
-//!   byte-for-byte (a sketch is a pure function of its sample
-//!   multiset).
+//! * **Histograms** buffer each window's raw samples — a filed sample
+//!   is one `Vec::push` — and read the window's exact [`Summary`] once,
+//!   off the sorted buffer, when the window is evicted. The run total is
+//!   kept per *label* (a tenant, say) as a [`Sketch`] fed by the same
+//!   filings — its exact form by default ([`Telemetry::hist`]),
+//!   bounded-memory log buckets on request ([`Telemetry::hist_sketch`])
+//!   — and the instrument's total is the merge of its label totals.
+//!   [`Telemetry::file`] takes a bulk of labeled samples; `observe` is
+//!   its one-sample, one-label case. Folding the evicted windows' sorted
+//!   runs into a fresh sketch of the same form must equal the total
+//!   byte-for-byte (a sketch is a pure function of its sample multiset,
+//!   however it was grouped).
 //! * **Gauges** are last-writer-wins per window (greatest stamp wins,
 //!   later write breaking ties) and carry forward across empty windows
 //!   in the dense series — a gauge is a level, not a flow.
@@ -38,7 +41,7 @@
 //! byte-identical CSV/JSON series across runs and exec-pool thread
 //! counts.
 
-use gpstream_util::{Histogram, Json, Sketch};
+use gpstream_util::{Json, Sketch, Summary};
 use std::collections::VecDeque;
 
 /// Farthest a stamp may land ahead of the first resident window. The
@@ -76,10 +79,20 @@ struct Gauge {
 #[derive(Debug, Clone)]
 struct Hist {
     name: String,
-    total: Sketch,
-    /// Merge of the windows already evicted, in `total`'s form — so in
+    /// Run total per label; the instrument's run total is their merge.
+    labels: Vec<Sketch>,
+    /// Merge of the windows already evicted, in the totals' form — so in
     /// sketch form it is as bounded as the total it is checked against.
     evicted: Sketch,
+}
+
+impl Hist {
+    /// The run total: the merge of the label totals.
+    fn total(&self) -> Sketch {
+        let mut total = self.evicted.fresh_like();
+        self.labels.iter().for_each(|label| total.merge(label));
+        total
+    }
 }
 
 /// One resident window: a slot per instrument, indexed like the
@@ -167,31 +180,40 @@ impl Telemetry {
         GaugeId(self.gauges.len() - 1)
     }
 
-    /// Register a histogram whose run total is exact.
+    /// Register a one-label histogram whose run total is exact.
     pub fn hist(&mut self, name: &str) -> HistId {
-        self.hist_with(name, Sketch::exact())
+        self.hist_labeled(name, 1, None)
     }
 
-    /// Register a histogram whose run total is a bounded-memory
-    /// [`Sketch`] with relative-error bound `gamma`. Per-window
-    /// histograms stay exact either way — a window's samples are
-    /// dropped as it is evicted — so what persists across the run is
-    /// two sketches per instrument (the total and the merge of the
-    /// evicted windows it is checked against), independent of run
-    /// length.
+    /// Register a one-label histogram whose run total is a
+    /// bounded-memory [`Sketch`] with relative-error bound `gamma`.
     pub fn hist_sketch(&mut self, name: &str, gamma: f64) -> HistId {
-        self.hist_with(name, Sketch::new(gamma))
+        self.hist_labeled(name, 1, Some(gamma))
     }
 
-    fn hist_with(&mut self, name: &str, total: Sketch) -> HistId {
+    /// Register a histogram whose run total is kept per label, `labels`
+    /// of them: exact sketches, or bounded-memory ones with
+    /// relative-error bound `gamma`. Per-window summaries stay exact
+    /// either way — a window's samples are dropped as it is evicted — so
+    /// what persists across the run is one sketch per label plus the
+    /// merge of the evicted windows the total is checked against,
+    /// independent of run length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `labels` is zero or the name is taken.
+    pub fn hist_labeled(&mut self, name: &str, labels: usize, gamma: Option<f64>) -> HistId {
+        assert!(labels > 0, "histogram {name:?} needs at least one label");
         self.assert_fresh(name);
-        let evicted = total.fresh_like();
-        self.hists.push(Hist { name: name.to_string(), total, evicted });
+        let evicted = gamma.map_or_else(Sketch::exact, Sketch::new);
+        let labels = vec![evicted.clone(); labels];
+        self.hists.push(Hist { name: name.to_string(), labels, evicted });
         HistId(self.hists.len() - 1)
     }
 
-    /// The resident window `cycle` falls in, growing the ring to reach it.
-    fn window_at(&mut self, cycle: u64) -> &mut Window {
+    /// The ring index of the resident window `cycle` falls in, growing
+    /// the ring to reach it.
+    fn window_at(&mut self, cycle: u64) -> usize {
         let w = cycle / self.window_cycles;
         let Some(ahead) = w.checked_sub(self.evicted) else {
             panic!(
@@ -209,7 +231,7 @@ impl Telemetry {
         if ahead >= self.ring.len() {
             self.ring.resize_with(ahead + 1, Window::default);
         }
-        &mut self.ring[ahead]
+        ahead
     }
 
     /// Add `delta` to a counter at virtual cycle `cycle`.
@@ -221,7 +243,8 @@ impl Telemetry {
     /// resident one.
     pub fn add(&mut self, id: CounterId, cycle: u64, delta: u64) {
         self.counters[id.0].total += delta;
-        *slot(&mut self.window_at(cycle).counters, id.0) += delta;
+        let w = self.window_at(cycle);
+        *slot(&mut self.ring[w].counters, id.0) += delta;
     }
 
     /// Set a gauge to `value` at virtual cycle `cycle`. Within a window
@@ -231,20 +254,44 @@ impl Telemetry {
     ///
     /// On a stamp outside the resident range, as [`Self::add`].
     pub fn set(&mut self, id: GaugeId, cycle: u64, value: u64) {
-        let held = slot(&mut self.window_at(cycle).gauges, id.0);
+        let w = self.window_at(cycle);
+        let held = slot(&mut self.ring[w].gauges, id.0);
         if held.is_none_or(|(stamp, _)| cycle >= stamp) {
             *held = Some((cycle, value));
         }
     }
 
-    /// Record `value` into a histogram at virtual cycle `cycle`.
+    /// Record `value` into a histogram's label 0 at virtual cycle
+    /// `cycle`: [`Self::file`] of one sample.
     ///
     /// # Panics
     ///
     /// On a stamp outside the resident range, as [`Self::add`].
     pub fn observe(&mut self, id: HistId, cycle: u64, value: u64) {
-        self.hists[id.0].total.record(value);
-        slot(&mut self.window_at(cycle).hists, id.0).push(value);
+        self.file(id, cycle, [(0, value)]);
+    }
+
+    /// File a bulk of `(label, value)` samples into a histogram at
+    /// virtual cycle `cycle`: each value is recorded into its label's
+    /// run total and pushed onto the window's sample buffer.
+    ///
+    /// # Panics
+    ///
+    /// On a stamp outside the resident range, as [`Self::add`], or on a
+    /// label the histogram was not registered with.
+    pub fn file(
+        &mut self,
+        id: HistId,
+        cycle: u64,
+        samples: impl IntoIterator<Item = (usize, u64)>,
+    ) {
+        let w = self.window_at(cycle);
+        let buffer = slot(&mut self.ring[w].hists, id.0);
+        let labels = &mut self.hists[id.0].labels;
+        for (label, value) in samples {
+            labels[label].record(value);
+            buffer.push(value);
+        }
     }
 
     /// Materialize the dense time series: one snapshot per window from 0
@@ -294,8 +341,9 @@ impl Telemetry {
 
     /// The one window walk: pop the next window off the ring and return
     /// its snapshot — counter deltas, gauge levels carried forward
-    /// across empty windows, the window's histograms built from their
-    /// sample buffers — folding what leaves into the per-instrument sums
+    /// across empty windows, each histogram's summary read off its
+    /// sorted sample buffer — folding what leaves (a sorted buffer's
+    /// runs, for a histogram) into the per-instrument sums
     /// [`Self::assert_conserved`] checks against the run totals.
     pub(crate) fn evict_next(&mut self) -> WindowSnapshot {
         let w = self.evicted;
@@ -317,9 +365,12 @@ impl Telemetry {
             g.level
         };
         let evict_hist = |h: &mut Hist| {
-            let window = Histogram::from_samples(samples.next().unwrap_or_default());
-            h.evicted.merge_hist(&window);
-            window
+            let mut window = samples.next().unwrap_or_default();
+            window.sort_unstable();
+            for run in window.chunk_by(|a, b| a == b) {
+                h.evicted.record_n(run[0], run.len() as u64);
+            }
+            Summary::of_sorted(&window)
         };
         WindowSnapshot {
             index: w,
@@ -350,7 +401,7 @@ impl Telemetry {
     ///
     /// Panics if a counter's evicted deltas fail to sum to its run
     /// total or a histogram's evicted windows fail to re-merge to its
-    /// run-total sketch.
+    /// run total, the merge of its label totals.
     pub(crate) fn assert_conserved(&self) {
         for c in &self.counters {
             assert_eq!(
@@ -360,7 +411,7 @@ impl Telemetry {
             );
         }
         for h in &self.hists {
-            assert_eq!(h.evicted, h.total, "hist {} windows must re-merge to run total", h.name);
+            assert_eq!(h.evicted, h.total(), "hist {} windows must re-merge to run total", h.name);
         }
     }
 
@@ -371,7 +422,12 @@ impl Telemetry {
 
     /// Run-total sketches of every histogram, in registration order.
     pub(crate) fn all_hist_totals(&self) -> Vec<Sketch> {
-        self.hists.iter().map(|h| h.total.clone()).collect()
+        self.hists.iter().map(Hist::total).collect()
+    }
+
+    /// Per-label run totals of every histogram, in registration order.
+    pub(crate) fn all_hist_labels(&self) -> Vec<Vec<Sketch>> {
+        self.hists.iter().map(|h| h.labels.clone()).collect()
     }
 }
 
@@ -413,8 +469,7 @@ pub(crate) fn csv_row(w: &WindowSnapshot) -> String {
         out.push_str(&format!(",{v}"));
     }
     for h in &w.hists {
-        let (p50, p99, p999) = h.p50_p99_p999();
-        out.push_str(&format!(",{},{},{},{},{}", h.count(), p50, p99, p999, h.max().unwrap_or(0)));
+        out.push_str(&format!(",{},{},{},{},{}", h.count, h.p50, h.p99, h.p999, h.max));
     }
     out.push('\n');
     out
@@ -428,7 +483,7 @@ pub(crate) fn window_json(w: &WindowSnapshot) -> Json {
         ("end_cycle", Json::U64(w.end_cycle)),
         ("counters", Json::arr(w.counters.iter().map(|&v| Json::U64(v)))),
         ("gauges", Json::arr(w.gauges.iter().map(|&v| Json::U64(v)))),
-        ("hists", Json::arr(w.hists.iter().map(Histogram::summary_json))),
+        ("hists", Json::arr(w.hists.iter().map(Summary::to_json))),
     ])
 }
 
@@ -472,9 +527,9 @@ pub struct WindowSnapshot {
     /// Gauge levels as of the window's close (carried forward), in
     /// registration order.
     pub gauges: Vec<u64>,
-    /// Histogram of observations within the window, in registration
-    /// order.
-    pub hists: Vec<Histogram>,
+    /// Exact summary of each histogram's observations within the
+    /// window, in registration order.
+    pub hists: Vec<Summary>,
 }
 
 /// The dense, exported form of a [`Telemetry`] registry.
@@ -533,14 +588,39 @@ impl TimeSeries {
 mod tests {
     use super::*;
     use gpstream_util::check::run_cases;
+    use gpstream_util::Rng64;
+    use std::collections::BTreeMap;
 
-    /// Every window histogram of instrument `i`, merged back together.
-    fn remerged(s: &TimeSeries, i: usize) -> Histogram {
-        let mut all = Histogram::new();
+    /// Each window's summary of instrument 0 against a sorted copy of
+    /// the samples stamped into that window (dense: untouched windows
+    /// summarize nothing).
+    fn assert_window_summaries(s: &TimeSeries, stamped: &BTreeMap<u64, Vec<u64>>) {
         for w in &s.windows {
-            all.merge(&w.hists[i]);
+            let mut want = stamped.get(&w.index).cloned().unwrap_or_default();
+            want.sort_unstable();
+            assert_eq!(w.hists[0], Summary::of_sorted(&want), "window {}", w.index);
         }
-        all
+    }
+
+    /// `n` random `(cycle, value)` stamps into a registry of one
+    /// histogram, also kept per window and recorded into `expect`.
+    fn random_stamps(
+        rng: &mut Rng64,
+        t: &mut Telemetry,
+        h: HistId,
+        n: usize,
+        bound: u64,
+        expect: &mut Sketch,
+    ) -> BTreeMap<u64, Vec<u64>> {
+        let mut stamped: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for _ in 0..n {
+            let cycle = rng.below(1 << 20);
+            let v = rng.below(bound);
+            t.observe(h, cycle, v);
+            expect.record(v);
+            stamped.entry(cycle / t.window_cycles()).or_default().push(v);
+        }
+        stamped
     }
 
     #[test]
@@ -587,10 +667,12 @@ mod tests {
         let s = t.series();
         let per_window: Vec<u64> = s.windows.iter().map(|w| w.counters[0]).collect();
         assert_eq!(per_window, [2, 1, 0, 1]);
-        assert_eq!(s.windows[0].hists[0].max(), Some(40));
-        let mut re = Sketch::exact();
-        re.merge_hist(&remerged(&s, 0));
-        assert_eq!(re, s.hist_totals[0]);
+        let stamped = BTreeMap::from([(0, vec![40, 10]), (1, vec![90]), (3, vec![160])]);
+        assert_window_summaries(&s, &stamped);
+        assert_eq!(s.windows[0].hists[0].max, 40);
+        let mut total = Sketch::exact();
+        [160, 40, 90, 10].into_iter().for_each(|v| total.record(v));
+        assert_eq!(s.hist_totals[0], total);
     }
 
     #[test]
@@ -643,29 +725,26 @@ mod tests {
     }
 
     #[test]
-    fn windowed_hists_remerge_to_run_total_randomly() {
-        // The crate-level invariant on random workloads: per-window
-        // histograms merged back together equal the histogram fed by
-        // the same observations, byte-identically (Histogram is Eq and
-        // its summary JSON is value-determined).
-        run_cases("telemetry-remerge", 0x6a79_2005, 64, |rng| {
+    fn window_summaries_read_their_sorted_samples_randomly() {
+        // The crate-level invariant on random workloads: each window's
+        // summary is read off exactly the samples stamped into it, and
+        // the run total is the sketch fed by every one of them — checked
+        // against a sorted copy per window, not against the registry's
+        // own re-merge.
+        run_cases("telemetry-window-summaries", 0x6a79_2005, 64, |rng| {
             let window = 1 + rng.below(1000);
             let mut t = Telemetry::new(window);
             let h = t.hist("lat");
             let c = t.counter("events");
-            let mut expect = Histogram::new();
-            for _ in 0..rng.range_usize_inclusive(0, 500) {
-                let cycle = rng.below(1 << 20);
-                let v = rng.below(5000);
-                t.observe(h, cycle, v);
-                t.add(c, cycle, 1);
-                expect.record(v);
+            let mut expect = Sketch::exact();
+            let n = rng.range_usize_inclusive(0, 500);
+            let stamped = random_stamps(rng, &mut t, h, n, 5000, &mut expect);
+            for (&w, samples) in &stamped {
+                t.add(c, w * window, samples.len() as u64);
             }
-            let s = t.series(); // internally asserts delta-sum invariants
-            assert_eq!(remerged(&s, 0), expect);
-            let mut total = Sketch::exact();
-            total.merge_hist(&expect);
-            assert_eq!(s.hist_totals[0], total);
+            let s = t.series(); // internally asserts the conservation checks
+            assert_window_summaries(&s, &stamped);
+            assert_eq!(s.hist_totals[0], expect);
             assert_eq!(s.counter_totals[0], expect.count());
             assert_eq!(s.to_json().to_doc_string(), t.series().to_json().to_doc_string());
         });
@@ -685,7 +764,7 @@ mod tests {
             }
             (0..t.resident_windows()).for_each(|_| drop(t.evict_next()));
             t.assert_conserved();
-            let Hist { evicted, total, .. } = &t.hists[0];
+            let (evicted, total) = (&t.hists[0].evicted, &t.hists[0].total());
             assert_eq!(evicted, total);
             assert_eq!(evicted.is_promoted(), sketch);
             assert_eq!(evicted.kind(), if sketch { "sketch" } else { "exact" });
@@ -694,24 +773,57 @@ mod tests {
 
     #[test]
     fn sketch_totals_hold_the_remerge_invariant() {
-        // A sketch-backed run total must equal folding the evicted
-        // exact windows into a fresh sketch — the invariant the
-        // streaming mode re-asserts over its flushed stream.
+        // A sketch-backed run total must equal the sketch fed every
+        // sample, and folding the evicted windows' sorted runs into a
+        // fresh sketch must equal it too — the invariant the streaming
+        // mode re-asserts over its flushed stream.
         run_cases("telemetry-sketch-remerge", 0x6a79_2005, 32, |rng| {
             let window = 1 + rng.below(1000);
             let mut t = Telemetry::new(window);
             let h = t.hist_sketch("lat", 0.01);
-            for _ in 0..rng.range_usize_inclusive(0, 4000) {
-                let cycle = rng.below(1 << 20);
-                t.observe(h, cycle, rng.below(1 << 24));
-            }
-            let s = t.series(); // asserts the same invariant internally
-            let mut re = s.hist_totals[0].fresh_like();
-            re.merge_hist(&remerged(&s, 0));
-            assert_eq!(re, s.hist_totals[0]);
+            let mut expect = Sketch::new(0.01);
+            let n = rng.range_usize_inclusive(0, 4000);
+            let stamped = random_stamps(rng, &mut t, h, n, 1 << 24, &mut expect);
+            let s = t.series(); // asserts the re-merge invariant internally
+            assert_window_summaries(&s, &stamped);
+            assert_eq!(s.hist_totals[0], expect);
             assert_eq!(s.hist_totals[0].kind(), "sketch");
             let doc = s.to_json().to_doc_string();
             assert!(doc.contains("\"estimator\":\"sketch\""));
+        });
+    }
+
+    #[test]
+    fn labeled_filings_total_to_the_merge_of_their_labels() {
+        // A labeled histogram filed in bulk against the same samples
+        // observed one at a time into a one-label twin: the windows and
+        // the run total agree byte for byte, and each label total is the
+        // sketch of exactly its own samples.
+        run_cases("telemetry-labels", 0x6a79_2005, 32, |rng| {
+            let window = 1 + rng.below(1000);
+            let labels = rng.range_usize_inclusive(1, 5);
+            let gamma = rng.bool().then_some(0.01);
+            let mut bulk = Telemetry::new(window);
+            let hb = bulk.hist_labeled("lat", labels, gamma);
+            let mut single = Telemetry::new(window);
+            let hs = single.hist_labeled("lat", 1, gamma);
+            let fresh = gamma.map_or_else(Sketch::exact, Sketch::new);
+            let mut per_label = vec![fresh; labels];
+            for _ in 0..rng.range_usize_inclusive(0, 40) {
+                let cycle = rng.below(1 << 16);
+                let batch: Vec<(usize, u64)> = (0..rng.range_usize_inclusive(1, 200))
+                    .map(|_| (rng.below_usize(labels), rng.below(1 << 20)))
+                    .collect();
+                bulk.file(hb, cycle, batch.iter().copied());
+                for &(label, v) in &batch {
+                    single.observe(hs, cycle, v);
+                    per_label[label].record(v);
+                }
+            }
+            assert_eq!(bulk.all_hist_labels(), [per_label]);
+            let (b, s) = (bulk.series(), single.series());
+            assert_eq!(b.hist_totals, s.hist_totals);
+            assert_eq!(b.to_json().to_doc_string(), s.to_json().to_doc_string());
         });
     }
 }

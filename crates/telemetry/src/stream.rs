@@ -9,8 +9,8 @@
 //! again (the producer promises all future stamps are `>= now`; a stamp
 //! into a flushed window falls off the front of the registry's window
 //! ring and panics there), so it is finalized: popped off the ring — its
-//! buffered samples sorted into the window's histograms on the way out —
-//! and appended to the CSV/JSON exports.
+//! buffered samples sorted and summarized on the way out — and appended
+//! to the CSV/JSON exports.
 //!
 //! The exports are built with the exact same helpers as
 //! [`TimeSeries::to_csv`]/[`TimeSeries::to_json`], and the window walk
@@ -94,6 +94,21 @@ impl StreamingTelemetry {
         self.tel.observe(id, cycle, value);
     }
 
+    /// File a bulk of `(label, value)` samples into a histogram at
+    /// virtual cycle `cycle` (see [`Telemetry::file`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle` falls in an already-flushed window.
+    pub fn file(
+        &mut self,
+        id: HistId,
+        cycle: u64,
+        samples: impl IntoIterator<Item = (usize, u64)>,
+    ) {
+        self.tel.file(id, cycle, samples);
+    }
+
     /// Append one finalized window to the exports.
     fn export(&mut self, snap: &WindowSnapshot) {
         self.csv.push_str(&csv_row(snap));
@@ -132,6 +147,7 @@ impl StreamingTelemetry {
         self.tel.assert_conserved();
         let counter_totals = self.tel.all_counter_totals();
         let hist_totals = self.tel.all_hist_totals();
+        let hist_labels = self.tel.all_hist_labels();
         let (counter_names, gauge_names, hist_names) = self.tel.instrument_names();
 
         let window_cycles = self.tel.window_cycles();
@@ -151,6 +167,7 @@ impl StreamingTelemetry {
             hist_names,
             counter_totals,
             hist_totals,
+            hist_labels,
             windows_flushed: self.tel.evicted(),
             csv: self.csv,
             json,
@@ -175,8 +192,11 @@ pub struct StreamedSeries {
     /// Run totals per counter (asserted equal to the flushed deltas).
     pub counter_totals: Vec<u64>,
     /// Run-total sketches (asserted equal to re-merging the flushed
-    /// windows).
+    /// windows): each the merge of its histogram's `hist_labels`.
     pub hist_totals: Vec<Sketch>,
+    /// Per-label run-total sketches of each histogram, in registration
+    /// order.
+    pub hist_labels: Vec<Vec<Sketch>>,
     /// Number of windows finalized (dense from index 0).
     pub windows_flushed: u64,
     /// CSV document, byte-identical to [`TimeSeries::to_csv`] on the

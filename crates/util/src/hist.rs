@@ -8,7 +8,9 @@
 //! cycle counts). Quantiles use the nearest-rank definition — the value
 //! at (1-indexed) rank `max(1, ceil(q * n))` of the sorted multiset — so
 //! `quantile(q)` equals indexing a fully sorted copy of the samples,
-//! which the property tests assert verbatim.
+//! which the property tests assert verbatim. [`Summary`] is the report
+//! every such multiset exports, read either off a histogram or straight
+//! off a sorted sample buffer.
 
 use crate::Json;
 use std::collections::BTreeMap;
@@ -28,33 +30,11 @@ impl Histogram {
         Self::default()
     }
 
-    /// The histogram of `samples`: one sort and one bulk build from the
-    /// sorted runs, for a producer that buffered raw samples (a
-    /// telemetry window) and needs the order statistics once.
-    #[must_use]
-    pub fn from_samples(mut samples: Vec<u64>) -> Self {
-        samples.sort_unstable();
-        Self {
-            counts: samples.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u64)).collect(),
-            count: samples.len() as u64,
-            sum: samples.iter().map(|&v| u128::from(v)).sum(),
-        }
-    }
-
     /// Record one sample.
     pub fn record(&mut self, value: u64) {
         *self.counts.entry(value).or_insert(0) += 1;
         self.count += 1;
         self.sum += u128::from(value);
-    }
-
-    /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (&v, &n) in &other.counts {
-            *self.counts.entry(v).or_insert(0) += n;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
     }
 
     /// Record `n` occurrences of `value`.
@@ -119,8 +99,7 @@ impl Histogram {
         if self.count == 0 {
             return None;
         }
-        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rank = nearest_rank(q, self.count);
         let mut seen = 0u64;
         for (&v, &n) in &self.counts {
             seen += n;
@@ -141,20 +120,104 @@ impl Histogram {
         )
     }
 
-    /// Summary of the histogram as a JSON object (`count`, `min`, `max`,
-    /// `mean` plus the p50/p99/p999 triple). Deterministic for a fixed
-    /// sample multiset.
+    /// The histogram's [`Summary`].
+    fn summary(&self) -> Summary {
+        let (p50, p99, p999) = self.p50_p99_p999();
+        Summary {
+            count: self.count,
+            min: self.min().unwrap_or(0),
+            max: self.max().unwrap_or(0),
+            sum: self.sum,
+            p50,
+            p99,
+            p999,
+        }
+    }
+
+    /// Summary of the histogram as a JSON object ([`Summary::to_json`]).
+    /// Deterministic for a fixed sample multiset.
     #[must_use]
     pub fn summary_json(&self) -> Json {
-        let (p50, p99, p999) = self.p50_p99_p999();
+        self.summary().to_json()
+    }
+}
+
+/// The 1-indexed nearest rank of quantile `q` among `count > 0`
+/// samples: `max(1, ceil(q * count))`, at most `count`.
+#[must_use]
+pub(crate) fn nearest_rank(q: f64, count: u64) -> u64 {
+    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+    let rank = (q * count as f64).ceil() as u64;
+    rank.clamp(1, count)
+}
+
+/// What a report reads off one sample multiset: the count, the exact
+/// extremes and sum, and the nearest-rank p50/p99/p999 — all zero when
+/// empty. [`Summary::of_sorted`] reads it straight off a sorted sample
+/// buffer, which is how a telemetry window is summarized as it closes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Summary {
+    /// Number of samples.
+    pub count: u64,
+    /// Smallest sample.
+    pub min: u64,
+    /// Largest sample.
+    pub max: u64,
+    /// Sum of the samples.
+    pub sum: u128,
+    /// Nearest-rank median.
+    pub p50: u64,
+    /// Nearest-rank 99th percentile.
+    pub p99: u64,
+    /// Nearest-rank 99.9th percentile.
+    pub p999: u64,
+}
+
+impl Summary {
+    /// The summary of an ascending sample slice: every statistic is one
+    /// index into it, plus one pass for the sum.
+    #[must_use]
+    pub fn of_sorted(sorted: &[u64]) -> Self {
+        debug_assert!(sorted.is_sorted(), "summary input must be sorted");
+        let count = sorted.len() as u64;
+        if count == 0 {
+            return Self::default();
+        }
+        #[allow(clippy::cast_possible_truncation)] // a rank within a slice
+        let at = |q: f64| sorted[nearest_rank(q, count) as usize - 1];
+        Self {
+            count,
+            min: sorted[0],
+            max: sorted[sorted.len() - 1],
+            sum: sorted.iter().map(|&v| u128::from(v)).sum(),
+            p50: at(0.50),
+            p99: at(0.99),
+            p999: at(0.999),
+        }
+    }
+
+    /// Arithmetic mean, 0 when empty.
+    #[must_use]
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
+    /// The summary as a JSON object: `count`, `min`, `max`, `mean` and
+    /// the p50/p99/p999 triple.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
         Json::obj([
             ("count", Json::U64(self.count)),
-            ("min", Json::U64(self.min().unwrap_or(0))),
-            ("max", Json::U64(self.max().unwrap_or(0))),
+            ("min", Json::U64(self.min)),
+            ("max", Json::U64(self.max)),
             ("mean", Json::F64(self.mean())),
-            ("p50", Json::U64(p50)),
-            ("p99", Json::U64(p99)),
-            ("p999", Json::U64(p999)),
+            ("p50", Json::U64(self.p50)),
+            ("p99", Json::U64(self.p99)),
+            ("p999", Json::U64(self.p999)),
         ])
     }
 }
@@ -238,76 +301,18 @@ mod tests {
     }
 
     #[test]
-    fn from_samples_equals_recording_one_by_one() {
-        run_cases("hist-from-samples", 0x6a79_2005, 64, |rng| {
+    fn sorted_summary_equals_the_histogram_summary() {
+        run_cases("hist-sorted-summary", 0x6a79_2005, 64, |rng| {
             let bound = *[3u64, 1000, u64::MAX].get(rng.below_usize(3)).unwrap();
-            let samples: Vec<u64> =
+            let mut samples: Vec<u64> =
                 (0..rng.range_usize_inclusive(0, 300)).map(|_| rng.below(bound)).collect();
             let mut recorded = Histogram::new();
             samples.iter().for_each(|&v| recorded.record(v));
-            assert_eq!(Histogram::from_samples(samples), recorded);
-        });
-    }
-
-    #[test]
-    fn merge_equals_recording_everything_into_one() {
-        run_cases("hist-merge", 0x5e44_11aa, 64, |rng| {
-            let mut a = Histogram::new();
-            let mut b = Histogram::new();
-            let mut all = Histogram::new();
-            for _ in 0..rng.range_usize_inclusive(0, 100) {
-                let v = rng.below(50);
-                a.record(v);
-                all.record(v);
-            }
-            for _ in 0..rng.range_usize_inclusive(0, 100) {
-                let v = rng.below(50);
-                b.record(v);
-                all.record(v);
-            }
-            a.merge(&b);
-            assert_eq!(a, all);
-        });
-    }
-
-    #[test]
-    fn merged_shard_quantiles_match_pooled_sorted_reference() {
-        // The windowed telemetry registry keeps one histogram per
-        // tumbling window and re-merges them into the run total; the
-        // merged order statistics must be *exactly* those of pooling
-        // every raw sample and sorting — no drift, any shard count.
-        run_cases("hist-merge-quantiles", 0x6a79_2005, 96, |rng| {
-            let shards = rng.range_usize_inclusive(1, 12);
-            let bound = *[5u64, 60, 4000].get(rng.below_usize(3)).unwrap();
-            let mut merged = Histogram::new();
-            let mut pooled = Vec::new();
-            for _ in 0..shards {
-                let mut shard = Histogram::new();
-                for _ in 0..rng.range_usize_inclusive(0, 80) {
-                    let v = rng.below(bound);
-                    shard.record(v);
-                    pooled.push(v);
-                }
-                merged.merge(&shard);
-            }
-            pooled.sort_unstable();
-            assert_eq!(merged.count(), pooled.len() as u64);
-            if pooled.is_empty() {
-                assert_eq!(merged.quantile(0.5), None);
-                return;
-            }
-            for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
-                assert_eq!(
-                    merged.quantile(q),
-                    Some(sorted_quantile(&pooled, q)),
-                    "q={q} shards={shards} n={}",
-                    pooled.len()
-                );
-            }
-            for _ in 0..8 {
-                let q = rng.f64();
-                assert_eq!(merged.quantile(q), Some(sorted_quantile(&pooled, q)), "q={q}");
-            }
+            samples.sort_unstable();
+            let summary = Summary::of_sorted(&samples);
+            assert_eq!(summary, recorded.summary());
+            assert_eq!(summary.mean().to_bits(), recorded.mean().to_bits());
+            assert_eq!(summary.to_json().to_string(), recorded.summary_json().to_string());
         });
     }
 

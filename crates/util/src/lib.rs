@@ -28,7 +28,7 @@ pub mod rng;
 pub mod sketch;
 
 pub use hash::Fingerprint;
-pub use hist::Histogram;
+pub use hist::{Histogram, Summary};
 pub use json::Json;
 pub use rng::Rng64;
 pub use sketch::Sketch;

@@ -140,8 +140,8 @@
 //! 262144 events); overflow drops spans, counts them in the artifact's
 //! `spans_dropped`, and warns on stderr. Every run ends with one stderr
 //! line on the harness's own speed (`host: N jobs in X s (Y jobs/s), W
-//! windows flushed, S span events dropped, C completions folded in F
-//! windows (peak P buffered)`), and long runs print a
+//! windows flushed, S span events dropped, peak P completions
+//! buffered`), and long runs print a
 //! stderr heartbeat every ~10% of jobs when stderr is a TTY; `--quiet`
 //! silences both. None of this changes artifact bytes or stdout.
 
@@ -605,17 +605,15 @@ fn serve_main(argv: &[String]) -> ! {
     };
     if !quiet {
         let secs = started.elapsed().as_secs_f64();
-        let folds = outcome.telemetry.folds;
+        let series = &outcome.telemetry.series;
         eprintln!(
             "host: {} jobs in {secs:.3} s ({:.0} jobs/s), {} windows flushed, {} span events \
-             dropped, {} completions folded in {} windows (peak {} buffered)",
+             dropped, peak {} completions buffered",
             cfg.jobs,
             cfg.jobs as f64 / secs,
-            outcome.telemetry.series.windows_flushed,
+            series.windows_flushed,
             outcome.telemetry.spans_dropped,
-            folds.completions,
-            folds.windows,
-            folds.peak_buffered
+            series.peak_buffered
         );
     }
     print!("{}", outcome.text);

@@ -52,7 +52,7 @@ pub use report::{artifact_json, render, LatencySummary, TenantLatency};
 pub use sched::{
     schedule_stream, JobRecord, Outcome, RecordKeeper, SchedConfig, SchedObserver, SchedStats,
 };
-pub use telemetry::{FoldStats, ServeTelemetry, TelemetryOutcome, DEFAULT_SPAN_CAPACITY};
+pub use telemetry::{ServeTelemetry, TelemetryOutcome, DEFAULT_SPAN_CAPACITY};
 
 use gpstream_telemetry::SloTarget;
 use gpstream_util::Sketch;
@@ -406,7 +406,7 @@ pub struct ScheduledService {
 /// sketches — so for a given window length it is independent of the
 /// job count. (The derived default cuts the trace into ~48 windows, so
 /// there an open window buffers about 1/48 of the run's completions,
-/// 32 bytes each in the finish log: ~7 MB at 10⁷ jobs.)
+/// one 32-byte latency row each: ~7 MB at 10⁷ jobs.)
 ///
 /// This is also what the benchmark's `serve-stream` and
 /// `serve-overload` workloads time: the whole virtual pipeline without

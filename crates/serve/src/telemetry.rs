@@ -13,36 +13,36 @@
 //! and [`ServeTelemetry::finish`] folds it into a [`TelemetryOutcome`],
 //! a [`LatencySummary`] and the kept records.
 //!
-//! The hooks buffer; the registry is fed a window at a time — the
+//! Each hook pays as little per event as the registry allows — the
 //! paper's strip-at-a-time rule applied to the observer itself:
 //!
 //! * **Clock window.** The six decisions stamped at the event-loop
 //!   clock (arrivals, admits, reject events, final rejects, batches and
 //!   their dispatch cycles) add into a fixed array for the clock's
 //!   current window, and the `pending` gauge keeps its last level there.
-//!   A hook's only test is one compare against the window's end.
-//! * **Finish log.** A completed job is known at its *finish* cycle,
-//!   which lies ahead of the clock (a dispatched batch finishes in the
-//!   future), so `on_complete` appends one fixed-size record — tenant,
-//!   queue, service, total — to the buffer of its finish window, in a
-//!   small ring of such buffers that starts at the first window not
-//!   yet folded.
-//! * **One fold per closed window.** When the clock crosses a window's
-//!   end, every window behind it is folded in one pass — one `add` per
-//!   counter, one bulk filing per latency histogram (labeled by
-//!   tenant), one SLO tally per tenant — and only then does the
-//!   registry's watermark advance past it. A completed job so costs no
-//!   registry stamp and no SLO map lookup, and three sketch records:
-//!   its tenant's queue, service and total run totals. The run-wide
-//!   distributions are the merge of the per-tenant ones.
+//!   A hook's only test is one compare against the window's end; when
+//!   the clock leaves the window, the array is filed in one stamp and
+//!   only then does the registry's watermark advance.
+//! * **One stamp per completion.** A completed job is known at its
+//!   *finish* cycle, which lies ahead of the clock (a dispatched batch
+//!   finishes in the future), so its window is still resident:
+//!   `on_complete` takes one [`Stamp`](gpstream_telemetry::Stamp) of
+//!   it — one window lookup — for its three counters and one latency
+//!   row, `{tenant, queue, service, total}`, appended to the window's
+//!   rows in one push. The registry's window ring is the only buffer of
+//!   completions: when a window is evicted, each latency column is read
+//!   out once — recorded into its tenants' run totals and sorted for the
+//!   window's summary — and the run-wide distributions are the merge of
+//!   the per-tenant ones. A job's SLO verdict is one index into the
+//!   tracker's dense window tallies.
 //!
 //! Two properties make the plane safe at 10⁶–10⁷ jobs:
 //!
 //! * **Streaming registry.** The metrics registry is always wrapped in
 //!   a [`StreamingTelemetry`]: windows strictly behind the clock are
 //!   finalized, flushed through the incremental CSV/JSON appenders and
-//!   evicted, so registry and finish-log memory is O(open windows)
-//!   regardless of run length, in exact and sketch mode alike.
+//!   evicted, so registry memory is O(open windows) regardless of run
+//!   length, in exact and sketch mode alike.
 //! * **Bounded span buffer.** The span trace keeps at most a
 //!   configurable number of events; once full, new spans are dropped
 //!   and counted (`spans_dropped`), mirroring the machine-level
@@ -74,7 +74,7 @@ use gpstream_telemetry::{
     StreamingTelemetry, Telemetry,
 };
 use gpstream_util::{Json, Sketch};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Default span-trace capacity in events (not jobs): enough to hold a
 /// full default 10⁴-job run (~6 events per completed job) with room to
@@ -200,71 +200,6 @@ impl ClockWindow {
     }
 }
 
-/// One completed job, as the finish log holds it until its window folds.
-#[derive(Debug, Clone, Copy)]
-struct Done {
-    tenant: usize,
-    queue: u64,
-    service: u64,
-    total: u64,
-}
-
-/// Completed jobs buffered by finish window: `ring[i]` holds window
-/// `first + i`, and `first` is the first window not yet folded. Folded
-/// buffers are kept for reuse, so a steady run stops allocating.
-#[derive(Default)]
-struct FinishLog {
-    first: u64,
-    ring: VecDeque<Vec<Done>>,
-    spare: Vec<Vec<Done>>,
-    buffered: usize,
-    stats: FoldStats,
-}
-
-impl FinishLog {
-    fn push(&mut self, window: u64, done: Done) {
-        let ahead = usize::try_from(window - self.first).expect("finish window offset fits usize");
-        if ahead >= self.ring.len() {
-            let spare = &mut self.spare;
-            self.ring.resize_with(ahead + 1, || spare.pop().unwrap_or_default());
-        }
-        self.ring[ahead].push(done);
-        self.buffered += 1;
-        self.stats.peak_buffered = self.stats.peak_buffered.max(self.buffered);
-    }
-
-    /// The oldest unfolded window's index and buffer, or `None` once
-    /// the ring is empty.
-    fn pop(&mut self) -> Option<(u64, Vec<Done>)> {
-        let jobs = self.ring.pop_front()?;
-        let index = self.first;
-        self.first += 1;
-        self.buffered -= jobs.len();
-        if !jobs.is_empty() {
-            self.stats.windows += 1;
-            self.stats.completions += jobs.len() as u64;
-        }
-        Some((index, jobs))
-    }
-
-    fn recycle(&mut self, mut jobs: Vec<Done>) {
-        jobs.clear();
-        self.spare.push(jobs);
-    }
-}
-
-/// What the finish log did over a run — the harness explaining its own
-/// work on stderr, never in an artifact.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FoldStats {
-    /// Completion records folded into the registry (every completion).
-    pub completions: u64,
-    /// Finish windows folded that held at least one completion.
-    pub windows: u64,
-    /// Most completion records buffered at once.
-    pub peak_buffered: usize,
-}
-
 /// The registry instruments a serving run feeds, by handle.
 struct Instruments {
     clock: [CounterId; CLOCK_COUNTERS.len()],
@@ -272,22 +207,18 @@ struct Instruments {
     served_cycles: CounterId,
     tenant_completed: Vec<CounterId>,
     pending: GaugeId,
-    queue: HistId,
-    service: HistId,
-    total: HistId,
+    /// Queue, service and total latency, one row per completion,
+    /// labeled by tenant.
+    latency: HistId,
 }
 
 /// The scheduler observer of a serving run.
 pub struct ServeTelemetry {
     reg: StreamingTelemetry,
     slo: SloTracker,
-    targets: Vec<SloTarget>,
     window_cycles: u64,
     ids: Instruments,
     clock: ClockWindow,
-    log: FinishLog,
-    /// Per tenant `(completions, violations)` of the window being folded.
-    tallies: Vec<(u64, u64)>,
     keeper: RecordKeeper,
     heartbeat: Heartbeat,
     spans: SpanBuffer,
@@ -324,13 +255,11 @@ impl ServeTelemetry {
             (0..tenants).map(|t| tel.counter(&format!("tenant{t}_completed"))).collect();
         let pending = tel.gauge("pending");
         let gamma = cfg.sketch.then(|| cfg.effective_sketch_gamma());
-        let queue = tel.hist_labeled("queue_cycles", tenants, gamma);
-        let service = tel.hist_labeled("service_cycles", tenants, gamma);
-        let total = tel.hist_labeled("total_cycles", tenants, gamma);
+        let latency =
+            tel.hist_rows(&["queue_cycles", "service_cycles", "total_cycles"], tenants, gamma);
         Self {
             reg: StreamingTelemetry::new(tel),
             slo,
-            targets: targets.to_vec(),
             window_cycles,
             ids: Instruments {
                 clock,
@@ -338,13 +267,9 @@ impl ServeTelemetry {
                 served_cycles,
                 tenant_completed,
                 pending,
-                queue,
-                service,
-                total,
+                latency,
             },
             clock: ClockWindow::at(0, window_cycles),
-            log: FinishLog::default(),
-            tallies: vec![(0, 0); tenants],
             keeper: RecordKeeper::new(cfg.record_stride()),
             heartbeat: Heartbeat::new(cfg.progress, cfg.jobs as u64),
             spans: SpanBuffer::new(cfg.effective_span_capacity()),
@@ -365,15 +290,14 @@ impl ServeTelemetry {
     }
 
     /// Move the clock to `now`. Crossing the clock window's end files
-    /// the window, folds every finish window behind `now`'s, and only
-    /// then advances the registry's watermark past them.
+    /// the window, and only then advances the registry's watermark past
+    /// it.
     fn tick(&mut self, now: u64) {
         if now < self.clock.end {
             return;
         }
         let index = now / self.window_cycles;
         self.file_clock();
-        self.fold_before(index);
         self.reg.advance(now);
         self.clock = ClockWindow::at(index, self.window_cycles);
     }
@@ -385,47 +309,13 @@ impl ServeTelemetry {
         if counts == [0; CLOCK_COUNTERS.len()] {
             return;
         }
-        let cycle = index * self.window_cycles;
+        let mut stamp = self.reg.at(index * self.window_cycles);
         for (&id, delta) in self.ids.clock.iter().zip(counts) {
-            self.reg.add(id, cycle, delta);
+            stamp.add(id, delta);
         }
         if let Some(level) = pending {
-            self.reg.set(self.ids.pending, cycle, level);
+            stamp.set(self.ids.pending, level);
         }
-    }
-
-    /// Fold every buffered finish window below `index`.
-    fn fold_before(&mut self, index: u64) {
-        while self.log.first < index {
-            let Some((window, jobs)) = self.log.pop() else { break };
-            if !jobs.is_empty() {
-                self.fold(window, &jobs);
-            }
-            self.log.recycle(jobs);
-        }
-    }
-
-    /// One finish window's completions, in one pass per instrument.
-    fn fold(&mut self, window: u64, jobs: &[Done]) {
-        let cycle = window * self.window_cycles;
-        self.tallies.fill((0, 0));
-        let mut served = 0;
-        for d in jobs {
-            let (done, violated) = &mut self.tallies[d.tenant];
-            *done += 1;
-            *violated += u64::from(self.targets[d.tenant].violated_by(d.total));
-            served += d.service;
-        }
-        let ids = &self.ids;
-        self.reg.add(ids.completions, cycle, jobs.len() as u64);
-        self.reg.add(ids.served_cycles, cycle, served);
-        for (t, &(done, violated)) in self.tallies.iter().enumerate() {
-            self.reg.add(ids.tenant_completed[t], cycle, done);
-            self.slo.tally(t, cycle, done, violated);
-        }
-        self.reg.file(ids.queue, cycle, jobs.iter().map(|d| (d.tenant, d.queue)));
-        self.reg.file(ids.service, cycle, jobs.iter().map(|d| (d.tenant, d.service)));
-        self.reg.file(ids.total, cycle, jobs.iter().map(|d| (d.tenant, d.total)));
     }
 
     /// A refused offer: one `reject_events` count and a `DepWait`
@@ -461,8 +351,6 @@ impl ServeTelemetry {
         cfg: &ServeConfig,
     ) -> (TelemetryOutcome, LatencySummary, Vec<JobRecord>) {
         self.file_clock();
-        self.fold_before(u64::MAX);
-        let folds = self.log.stats;
         let series = self.reg.finish();
         let summary = latency_summary(&series);
         let slo = self.slo.report();
@@ -480,7 +368,7 @@ impl ServeTelemetry {
             events: self.spans.events,
             dropped: spans_dropped,
         };
-        let telemetry = TelemetryOutcome { series, slo, slo_artifact, trace, spans_dropped, folds };
+        let telemetry = TelemetryOutcome { series, slo, slo_artifact, trace, spans_dropped };
         (telemetry, summary, self.keeper.into_records())
     }
 }
@@ -583,9 +471,14 @@ impl SchedObserver for ServeTelemetry {
         // Filed under the *finish* window: a latency is only known once
         // the job completes, and filing it where it completed is what
         // makes window deltas sum to run totals. The finish lies ahead
-        // of the clock, so the window is never one already folded.
-        let done = Done { tenant: rec.tenant, queue, service, total };
-        self.log.push(finish / self.window_cycles, done);
+        // of the clock, so the window is never one already flushed.
+        let (ids, t) = (&self.ids, rec.tenant);
+        let mut stamp = self.reg.at(finish);
+        stamp.add(ids.completions, 1);
+        stamp.add(ids.served_cycles, service);
+        stamp.add(ids.tenant_completed[t], 1);
+        stamp.observe(ids.latency, t, &[queue, service, total]);
+        self.slo.record(t, finish, total);
         self.keeper.keep(rec);
         self.heartbeat.tick();
 
@@ -630,8 +523,6 @@ pub struct TelemetryOutcome {
     pub trace: TraceRun,
     /// Span events the bounded buffer dropped at capacity.
     pub spans_dropped: u64,
-    /// What the finish log folded (for the stderr `host:` line only).
-    pub folds: FoldStats,
 }
 
 impl TelemetryOutcome {
@@ -780,7 +671,7 @@ mod tests {
     }
 
     #[test]
-    fn window_folds_reproduce_per_event_stamping_byte_for_byte() {
+    fn batched_stamps_reproduce_per_event_stamping_byte_for_byte() {
         // Every combination of bounded and unbounded queues, exact and
         // sketched distributions, and 0.8x and 2x of the two workers'
         // capacity, each under a random window from three ranges: below
@@ -789,7 +680,7 @@ mod tests {
         // thousands of windows per run, and longer than the whole run.
         const SERVICE: [u64; 2] = [15_000, 30_000];
         let (case_no, promoted) = (Cell::new(0), Cell::new(0));
-        run_cases("serve-fold-vs-per-event", 0x6a79_2005, 24, |rng| {
+        run_cases("serve-batched-vs-per-event", 0x6a79_2005, 24, |rng| {
             let i = case_no.replace(case_no.get() + 1);
             let (bounded, sketch, overload) = (i & 1 == 1, i & 2 == 2, i & 4 == 4);
             let load = if overload { 2.0 } else { 0.8 };
@@ -844,8 +735,8 @@ mod tests {
             assert_eq!(got.series.json, want.json, "{case}");
             assert_eq!(got.slo_artifact, want_slo, "{case}");
             assert_eq!(distributions(&got_summary), distributions(&want_summary), "{case}");
-            assert_eq!(got.folds.completions, stats.completed, "{case}");
-            assert!(got.folds.peak_buffered as u64 <= stats.completed, "{case}");
+            // One latency row per completion, never more resident.
+            assert!(got.series.peak_buffered as u64 <= stats.completed, "{case}");
             promoted.set(promoted.get() + u32::from(got_summary.total.is_promoted()));
         });
         assert!(promoted.get() >= 3, "only {} runs left the exact low-count path", promoted.get());
@@ -886,15 +777,13 @@ mod tests {
         // handled every window behind the clock has already left the
         // registry, and only the tail the last batch finishes in remains.
         let evicted_during_run = plane.reg.windows_flushed();
-        let (buffered, unfolded) = (plane.log.buffered, plane.log.ring.len());
-        let TelemetryOutcome { series, folds, .. } = plane.finish(&cfg).0;
+        let TelemetryOutcome { series, .. } = plane.finish(&cfg).0;
         assert!(evicted_during_run > 500, "a long run: {evicted_during_run} windows");
         assert!(series.windows_flushed - evicted_during_run <= 2, "closed windows stayed resident");
-        // So is the finish log's: it never held more than a few windows'
-        // completions, and at the end only those of the last windows.
-        assert!(unfolded <= 2 && buffered < 100, "{buffered} completions in {unfolded} windows");
-        assert_eq!(folds.completions, stats.completed);
-        assert!(folds.peak_buffered * 100 < folds.completions as usize, "{folds:?}");
+        // So are the latency rows, one per completion: never more than a
+        // few windows' worth at once.
+        let peak = series.peak_buffered;
+        assert!(peak > 0 && peak * 100 < stats.completed as usize, "{peak} rows");
         assert_eq!(series.hist_totals[0].kind(), "exact");
 
         // The streamed CSV holds every window once, in order, dense

@@ -9,10 +9,11 @@
 //! * [`registry`] — a deterministic metrics registry: named counters,
 //!   gauges and histograms, aggregated into cycle-stamped tumbling
 //!   windows — one dense ring of resident windows, so a stamp is an
-//!   index and an add (or a push onto the window's raw sample buffer).
-//!   Per-window snapshots are *deltas*: summing a counter's windows
-//!   reproduces its run total exactly, each window's histogram is an
-//!   exact [`gpstream_util::Summary`] read off its sorted samples, and
+//!   index and an add (or one push of a row of histogram samples onto
+//!   the window's buffer). Per-window snapshots are *deltas*: summing a
+//!   counter's windows reproduces its run total exactly, each window's
+//!   histogram is an exact [`gpstream_util::Summary`] read off its
+//!   sorted samples, and
 //!   re-merging the windows reproduces the run total byte-identically
 //!   (property-tested, not assumed). Run totals are
 //!   [`gpstream_util::Sketch`]es kept per label (a tenant, say) and
@@ -44,6 +45,6 @@ pub mod sim;
 pub mod slo;
 pub mod stream;
 
-pub use registry::{CounterId, GaugeId, HistId, Telemetry, TimeSeries, WindowSnapshot};
+pub use registry::{CounterId, GaugeId, HistId, Stamp, Telemetry, TimeSeries, WindowSnapshot};
 pub use slo::{SloReport, SloTarget, SloTracker, TenantSlo};
 pub use stream::{StreamedSeries, StreamingTelemetry};

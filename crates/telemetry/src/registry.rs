@@ -20,21 +20,29 @@
 //!   run total; summing the deltas over all windows must reproduce the
 //!   total exactly (asserted at the end of the one window walk every
 //!   export goes through, and by the crate's tests, not assumed).
-//! * **Histograms** buffer each window's raw samples — a filed sample
-//!   is one `Vec::push` — and read the window's exact [`Summary`] once,
-//!   off the sorted buffer, when the window is evicted. The run total is
-//!   kept per *label* (a tenant, say) as a [`Sketch`] fed by the same
-//!   filings — its exact form by default ([`Telemetry::hist`]),
-//!   bounded-memory log buckets on request ([`Telemetry::hist_sketch`])
-//!   — and the instrument's total is the merge of its label totals.
-//!   [`Telemetry::file`] takes a bulk of labeled samples; `observe` is
-//!   its one-sample, one-label case. Folding the evicted windows' sorted
-//!   runs into a fresh sketch of the same form must equal the total
+//! * **Histograms** are registered in *rows* ([`Telemetry::hist_rows`]):
+//!   histograms whose samples arrive together — a served job's queue,
+//!   service and total latency — file one row per sample, a label (a
+//!   tenant, say) and one value per histogram, appended to the window's
+//!   buffer in one push. A plain [`Telemetry::hist`] is a row of one,
+//!   label 0. Nothing else happens per sample: when the window is
+//!   evicted, each histogram's column is read out of its rows once —
+//!   recorded into its label's run total, a [`Sketch`] (its exact form
+//!   by default, bounded-memory log buckets on request), and sorted for
+//!   the window's exact [`Summary`]. The instrument's run total is the
+//!   merge of its label totals; folding the evicted windows' sorted
+//!   runs into a fresh sketch of the same form must equal it
 //!   byte-for-byte (a sketch is a pure function of its sample multiset,
-//!   however it was grouped).
+//!   however it was grouped), and both must hold every row filed.
 //! * **Gauges** are last-writer-wins per window (greatest stamp wins,
 //!   later write breaking ties) and carry forward across empty windows
 //!   in the dense series — a gauge is a level, not a flow.
+//!
+//! A producer that updates several instruments at one cycle — the
+//! serving harness files each completed job's counters and latencies at
+//! its finish — takes a [`Stamp`] from [`Telemetry::at`]: one window
+//! lookup for all of them. `add`, `set` and `observe` are one-update
+//! stamps.
 //!
 //! Nothing here reads a clock: determinism is inherited from the
 //! producer's virtual time, which is what lets the serving harness emit
@@ -95,6 +103,17 @@ impl Hist {
     }
 }
 
+/// Histograms filed together ([`Telemetry::hist_rows`]): `hists[first..
+/// first + width]`, one row per sample.
+#[derive(Debug, Clone)]
+struct Rows {
+    first: usize,
+    width: usize,
+    labels: usize,
+    /// Rows filed over the run, counted as they are pushed.
+    filed: u64,
+}
+
 /// One resident window: a slot per instrument, indexed like the
 /// registry's instrument lists. Slots appear when first stamped, so an
 /// untouched window (a gap the ring spans) owns no heap memory.
@@ -104,8 +123,9 @@ struct Window {
     counters: Vec<u64>,
     /// Per gauge, the `(cycle, value)` pair with the greatest stamp.
     gauges: Vec<Option<(u64, u64)>>,
-    /// Per histogram, the raw samples in arrival order.
-    hists: Vec<Vec<u64>>,
+    /// Per row group, its rows in arrival order, flat: the label, then
+    /// one value per histogram.
+    rows: Vec<Vec<u64>>,
 }
 
 /// Slot `i` of a window's per-instrument list, created on first touch.
@@ -122,12 +142,18 @@ pub struct Telemetry {
     window_cycles: u64,
     counters: Vec<Counter>,
     gauges: Vec<Gauge>,
+    /// Every histogram, row groups in registration order.
     hists: Vec<Hist>,
+    /// The row groups, indexed by [`HistId`].
+    rows: Vec<Rows>,
     /// First window not yet evicted; every window below it is gone.
     evicted: u64,
     /// Resident windows, dense: `ring[i]` is window `evicted + i`, and
     /// the last one is the farthest any stamp has reached.
     ring: VecDeque<Window>,
+    /// Most histogram rows resident at once. Rows leave only by
+    /// eviction, so the count just before each eviction is the peak.
+    peak_buffered: usize,
 }
 
 impl Telemetry {
@@ -144,8 +170,10 @@ impl Telemetry {
             counters: Vec::new(),
             gauges: Vec::new(),
             hists: Vec::new(),
+            rows: Vec::new(),
             evicted: 0,
             ring: VecDeque::new(),
+            peak_buffered: 0,
         }
     }
 
@@ -180,35 +208,42 @@ impl Telemetry {
         GaugeId(self.gauges.len() - 1)
     }
 
-    /// Register a one-label histogram whose run total is exact.
+    /// Register a one-label histogram whose run total is exact: a row
+    /// of one.
     pub fn hist(&mut self, name: &str) -> HistId {
-        self.hist_labeled(name, 1, None)
+        self.hist_rows(&[name], 1, None)
     }
 
     /// Register a one-label histogram whose run total is a
     /// bounded-memory [`Sketch`] with relative-error bound `gamma`.
     pub fn hist_sketch(&mut self, name: &str, gamma: f64) -> HistId {
-        self.hist_labeled(name, 1, Some(gamma))
+        self.hist_rows(&[name], 1, Some(gamma))
     }
 
-    /// Register a histogram whose run total is kept per label, `labels`
-    /// of them: exact sketches, or bounded-memory ones with
+    /// Register the histograms `names`, filed together a row at a time
+    /// ([`Stamp::observe`]): each row is one label below `labels` and
+    /// one value per histogram. Each histogram's run total is kept per
+    /// label — exact sketches, or bounded-memory ones with
     /// relative-error bound `gamma`. Per-window summaries stay exact
-    /// either way — a window's samples are dropped as it is evicted — so
+    /// either way — a window's rows are dropped as it is evicted — so
     /// what persists across the run is one sketch per label plus the
     /// merge of the evicted windows the total is checked against,
     /// independent of run length.
     ///
     /// # Panics
     ///
-    /// Panics if `labels` is zero or the name is taken.
-    pub fn hist_labeled(&mut self, name: &str, labels: usize, gamma: Option<f64>) -> HistId {
-        assert!(labels > 0, "histogram {name:?} needs at least one label");
-        self.assert_fresh(name);
-        let evicted = gamma.map_or_else(Sketch::exact, Sketch::new);
-        let labels = vec![evicted.clone(); labels];
-        self.hists.push(Hist { name: name.to_string(), labels, evicted });
-        HistId(self.hists.len() - 1)
+    /// Panics if `names` or `labels` is empty or a name is taken.
+    pub fn hist_rows(&mut self, names: &[&str], labels: usize, gamma: Option<f64>) -> HistId {
+        assert!(!names.is_empty() && labels > 0, "a row group needs a histogram and a label");
+        let first = self.hists.len();
+        for name in names {
+            self.assert_fresh(name);
+            let evicted = gamma.map_or_else(Sketch::exact, Sketch::new);
+            let labels = vec![evicted.clone(); labels];
+            self.hists.push(Hist { name: (*name).to_string(), labels, evicted });
+        }
+        self.rows.push(Rows { first, width: names.len(), labels, filed: 0 });
+        HistId(self.rows.len() - 1)
     }
 
     /// The ring index of the resident window `cycle` falls in, growing
@@ -234,64 +269,53 @@ impl Telemetry {
         ahead
     }
 
-    /// Add `delta` to a counter at virtual cycle `cycle`.
+    /// The resident window `cycle` falls in, for every update a
+    /// producer makes at that cycle: one window lookup however many
+    /// instruments it touches.
     ///
     /// # Panics
     ///
-    /// Like every stamp: panics if `cycle` falls in an already-evicted
-    /// window or more than [`MAX_RESIDENT_WINDOWS`] ahead of the first
-    /// resident one.
+    /// Panics if `cycle` falls in an already-evicted window or more than
+    /// [`MAX_RESIDENT_WINDOWS`] ahead of the first resident one.
+    pub fn at(&mut self, cycle: u64) -> Stamp<'_> {
+        let w = self.window_at(cycle);
+        Stamp {
+            cycle,
+            window: &mut self.ring[w],
+            counters: &mut self.counters,
+            rows: &mut self.rows,
+        }
+    }
+
+    /// Add `delta` to a counter at virtual cycle `cycle`: a one-update
+    /// [`Stamp::add`].
+    ///
+    /// # Panics
+    ///
+    /// On a stamp outside the resident range, as [`Self::at`].
     pub fn add(&mut self, id: CounterId, cycle: u64, delta: u64) {
-        self.counters[id.0].total += delta;
-        let w = self.window_at(cycle);
-        *slot(&mut self.ring[w].counters, id.0) += delta;
+        self.at(cycle).add(id, delta);
     }
 
-    /// Set a gauge to `value` at virtual cycle `cycle`. Within a window
-    /// the greatest stamp wins; an equal stamp lets the later write win.
+    /// Set a gauge to `value` at virtual cycle `cycle`: a one-update
+    /// [`Stamp::set`].
     ///
     /// # Panics
     ///
-    /// On a stamp outside the resident range, as [`Self::add`].
+    /// On a stamp outside the resident range, as [`Self::at`].
     pub fn set(&mut self, id: GaugeId, cycle: u64, value: u64) {
-        let w = self.window_at(cycle);
-        let held = slot(&mut self.ring[w].gauges, id.0);
-        if held.is_none_or(|(stamp, _)| cycle >= stamp) {
-            *held = Some((cycle, value));
-        }
+        self.at(cycle).set(id, value);
     }
 
-    /// Record `value` into a histogram's label 0 at virtual cycle
-    /// `cycle`: [`Self::file`] of one sample.
+    /// Record `value` into a one-histogram row group's label 0 at
+    /// virtual cycle `cycle`: a one-update [`Stamp::observe`].
     ///
     /// # Panics
     ///
-    /// On a stamp outside the resident range, as [`Self::add`].
+    /// On a stamp outside the resident range, as [`Self::at`], or if
+    /// `id` files rows of more than one histogram.
     pub fn observe(&mut self, id: HistId, cycle: u64, value: u64) {
-        self.file(id, cycle, [(0, value)]);
-    }
-
-    /// File a bulk of `(label, value)` samples into a histogram at
-    /// virtual cycle `cycle`: each value is recorded into its label's
-    /// run total and pushed onto the window's sample buffer.
-    ///
-    /// # Panics
-    ///
-    /// On a stamp outside the resident range, as [`Self::add`], or on a
-    /// label the histogram was not registered with.
-    pub fn file(
-        &mut self,
-        id: HistId,
-        cycle: u64,
-        samples: impl IntoIterator<Item = (usize, u64)>,
-    ) {
-        let w = self.window_at(cycle);
-        let buffer = slot(&mut self.ring[w].hists, id.0);
-        let labels = &mut self.hists[id.0].labels;
-        for (label, value) in samples {
-            labels[label].record(value);
-            buffer.push(value);
-        }
+        self.at(cycle).observe(id, 0, &[value]);
     }
 
     /// Materialize the dense time series: one snapshot per window from 0
@@ -346,13 +370,18 @@ impl Telemetry {
     /// runs, for a histogram) into the per-instrument sums
     /// [`Self::assert_conserved`] checks against the run totals.
     pub(crate) fn evict_next(&mut self) -> WindowSnapshot {
+        let rows_in = |w: &Window| -> usize {
+            w.rows.iter().zip(&self.rows).map(|(buf, g)| buf.len() / (g.width + 1)).sum()
+        };
+        let buffered = self.ring.iter().map(rows_in).sum();
+        self.peak_buffered = self.peak_buffered.max(buffered);
         let w = self.evicted;
         self.evicted += 1;
-        let Window { counters, gauges, hists } = self.ring.pop_front().unwrap_or_default();
+        let Window { counters, gauges, rows } = self.ring.pop_front().unwrap_or_default();
         // A window lists only the instruments stamped in it.
         let mut deltas = counters.into_iter();
         let mut levels = gauges.into_iter();
-        let mut samples = hists.into_iter();
+        let mut filed = rows.into_iter();
         let evict_counter = |c: &mut Counter| {
             let delta = deltas.next().unwrap_or(0);
             c.evicted += delta;
@@ -364,21 +393,33 @@ impl Telemetry {
             }
             g.level
         };
-        let evict_hist = |h: &mut Hist| {
-            let mut window = samples.next().unwrap_or_default();
-            window.sort_unstable();
-            for run in window.chunk_by(|a, b| a == b) {
-                h.evicted.record_n(run[0], run.len() as u64);
+        // Each histogram's column of the window's rows, once: into its
+        // label's run total, then sorted for the summary and the evicted
+        // accumulator.
+        let mut hists = Vec::with_capacity(self.hists.len());
+        for g in &self.rows {
+            let rows = filed.next().unwrap_or_default();
+            for (col, h) in self.hists[g.first..g.first + g.width].iter_mut().enumerate() {
+                let mut column = Vec::with_capacity(rows.len() / (g.width + 1));
+                for row in rows.chunks_exact(g.width + 1) {
+                    #[allow(clippy::cast_possible_truncation)] // a label, below `g.labels`
+                    h.labels[row[0] as usize].record(row[1 + col]);
+                    column.push(row[1 + col]);
+                }
+                column.sort_unstable();
+                for run in column.chunk_by(|a, b| a == b) {
+                    h.evicted.record_n(run[0], run.len() as u64);
+                }
+                hists.push(Summary::of_sorted(&column));
             }
-            Summary::of_sorted(&window)
-        };
+        }
         WindowSnapshot {
             index: w,
             start_cycle: w * self.window_cycles,
             end_cycle: (w + 1) * self.window_cycles,
             counters: self.counters.iter_mut().map(evict_counter).collect(),
             gauges: self.gauges.iter_mut().map(evict_gauge).collect(),
-            hists: self.hists.iter_mut().map(evict_hist).collect(),
+            hists,
         }
     }
 
@@ -387,6 +428,12 @@ impl Telemetry {
     pub(crate) fn evict_closed(&mut self, now: u64) -> Option<WindowSnapshot> {
         let end = (self.evicted + 1).checked_mul(self.window_cycles)?;
         (end <= now).then(|| self.evict_next())
+    }
+
+    /// Most histogram rows resident at once, over the windows evicted so
+    /// far.
+    pub(crate) fn peak_buffered(&self) -> usize {
+        self.peak_buffered
     }
 
     /// How many more [`Self::evict_next`] calls drain the registry:
@@ -400,8 +447,9 @@ impl Telemetry {
     /// # Panics
     ///
     /// Panics if a counter's evicted deltas fail to sum to its run
-    /// total or a histogram's evicted windows fail to re-merge to its
-    /// run total, the merge of its label totals.
+    /// total, or a histogram's evicted windows fail to re-merge to its
+    /// run total, the merge of its label totals, or to hold every row
+    /// filed.
     pub(crate) fn assert_conserved(&self) {
         for c in &self.counters {
             assert_eq!(
@@ -410,8 +458,12 @@ impl Telemetry {
                 c.name
             );
         }
-        for h in &self.hists {
-            assert_eq!(h.evicted, h.total(), "hist {} windows must re-merge to run total", h.name);
+        for g in &self.rows {
+            for h in &self.hists[g.first..g.first + g.width] {
+                let name = &h.name;
+                assert_eq!(h.evicted, h.total(), "hist {name} windows must re-merge to run total");
+                assert_eq!(h.evicted.count(), g.filed, "hist {name} windows must hold every row");
+            }
         }
     }
 
@@ -428,6 +480,56 @@ impl Telemetry {
     /// Per-label run totals of every histogram, in registration order.
     pub(crate) fn all_hist_labels(&self) -> Vec<Vec<Sketch>> {
         self.hists.iter().map(|h| h.labels.clone()).collect()
+    }
+}
+
+/// Every update a producer makes at one virtual cycle, filed into the
+/// resident window that cycle falls in ([`Telemetry::at`]).
+#[derive(Debug)]
+pub struct Stamp<'a> {
+    cycle: u64,
+    window: &'a mut Window,
+    counters: &'a mut [Counter],
+    rows: &'a mut [Rows],
+}
+
+impl Stamp<'_> {
+    /// Add `delta` to a counter.
+    pub fn add(&mut self, id: CounterId, delta: u64) {
+        self.counters[id.0].total += delta;
+        *slot(&mut self.window.counters, id.0) += delta;
+    }
+
+    /// Set a gauge to `value`. Within a window the greatest stamp wins;
+    /// an equal stamp lets the later write win.
+    pub fn set(&mut self, id: GaugeId, value: u64) {
+        let held = slot(&mut self.window.gauges, id.0);
+        if held.is_none_or(|(stamp, _)| self.cycle >= stamp) {
+            *held = Some((self.cycle, value));
+        }
+    }
+
+    /// File one row of a histogram group ([`Telemetry::hist_rows`]):
+    /// `label` and one value per histogram, appended to the window's
+    /// rows in one push.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a label the group was not registered with, or on a
+    /// value count other than its width.
+    pub fn observe(&mut self, id: HistId, label: usize, values: &[u64]) {
+        let g = &mut self.rows[id.0];
+        assert!(
+            label < g.labels && values.len() == g.width,
+            "a row of {} labels and {} histograms cannot take label {label} and {} values",
+            g.labels,
+            g.width,
+            values.len()
+        );
+        g.filed += 1;
+        let rows = slot(&mut self.window.rows, id.0);
+        rows.push(label as u64);
+        rows.extend_from_slice(values);
     }
 }
 
@@ -764,6 +866,8 @@ mod tests {
             }
             (0..t.resident_windows()).for_each(|_| drop(t.evict_next()));
             t.assert_conserved();
+            // Nothing was evicted before the drain, so all were resident.
+            assert_eq!(t.peak_buffered(), 3 * gpstream_util::sketch::EXACT_DISTINCT_CAP);
             let (evicted, total) = (&t.hists[0].evicted, &t.hists[0].total());
             assert_eq!(evicted, total);
             assert_eq!(evicted.is_promoted(), sketch);
@@ -794,36 +898,48 @@ mod tests {
     }
 
     #[test]
-    fn labeled_filings_total_to_the_merge_of_their_labels() {
-        // A labeled histogram filed in bulk against the same samples
-        // observed one at a time into a one-label twin: the windows and
-        // the run total agree byte for byte, and each label total is the
-        // sketch of exactly its own samples.
-        run_cases("telemetry-labels", 0x6a79_2005, 32, |rng| {
+    fn rows_file_like_their_histograms_one_sample_at_a_time() {
+        // A labeled row group of two histograms against the same samples
+        // observed one at a time into two one-label twins: the windows
+        // and run totals agree byte for byte, each label total is the
+        // sketch of exactly its own samples, and the peak counts rows.
+        run_cases("telemetry-rows", 0x6a79_2005, 32, |rng| {
             let window = 1 + rng.below(1000);
             let labels = rng.range_usize_inclusive(1, 5);
             let gamma = rng.bool().then_some(0.01);
-            let mut bulk = Telemetry::new(window);
-            let hb = bulk.hist_labeled("lat", labels, gamma);
+            let mut rows = Telemetry::new(window);
+            let hr = rows.hist_rows(&["a", "b"], labels, gamma);
             let mut single = Telemetry::new(window);
-            let hs = single.hist_labeled("lat", 1, gamma);
+            let hs = ["a", "b"].map(|name| single.hist_rows(&[name], 1, gamma));
             let fresh = gamma.map_or_else(Sketch::exact, Sketch::new);
-            let mut per_label = vec![fresh; labels];
-            for _ in 0..rng.range_usize_inclusive(0, 40) {
+            let mut per_label = vec![vec![fresh; labels]; 2];
+            let n = rng.range_usize_inclusive(0, 40);
+            for _ in 0..n {
                 let cycle = rng.below(1 << 16);
-                let batch: Vec<(usize, u64)> = (0..rng.range_usize_inclusive(1, 200))
-                    .map(|_| (rng.below_usize(labels), rng.below(1 << 20)))
-                    .collect();
-                bulk.file(hb, cycle, batch.iter().copied());
-                for &(label, v) in &batch {
-                    single.observe(hs, cycle, v);
-                    per_label[label].record(v);
+                let mut stamp = rows.at(cycle);
+                let label = rng.below_usize(labels);
+                let values = [rng.below(1 << 20), rng.below(1 << 20)];
+                stamp.observe(hr, label, &values);
+                for (col, &v) in values.iter().enumerate() {
+                    single.observe(hs[col], cycle, v);
+                    per_label[col][label].record(v);
                 }
             }
-            assert_eq!(bulk.all_hist_labels(), [per_label]);
-            let (b, s) = (bulk.series(), single.series());
-            assert_eq!(b.hist_totals, s.hist_totals);
-            assert_eq!(b.to_json().to_doc_string(), s.to_json().to_doc_string());
+            let (r, s) = (rows.series(), single.series());
+            assert_eq!(r.hist_totals, s.hist_totals);
+            assert_eq!(r.to_json().to_doc_string(), s.to_json().to_doc_string());
+            (0..rows.resident_windows()).for_each(|_| drop(rows.evict_next()));
+            rows.assert_conserved();
+            assert_eq!(rows.all_hist_labels(), per_label);
+            assert!(rows.peak_buffered() <= n);
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot take label 2 and 1 values")]
+    fn a_row_outside_its_group_panics() {
+        let mut t = Telemetry::new(10);
+        let h = t.hist_rows(&["a", "b"], 2, None);
+        t.at(5).observe(h, 2, &[7]);
     }
 }

@@ -3,10 +3,10 @@
 //!
 //! An [`SloTarget`] is a latency threshold plus an objective fraction:
 //! "`objective` of this tenant's jobs complete within `latency_cycles`".
-//! The tracker takes per-window tallies — a tenant's completed jobs and
-//! violations in one tumbling window of the metrics registry's length,
-//! or one job at a time through [`SloTracker::record`] — and reports
-//! the standard SRE bookkeeping, all in virtual time:
+//! The tracker stamps every completed job with its virtual finish cycle
+//! and end-to-end latency, buckets violations into the same tumbling
+//! windows the metrics registry uses, and reports the standard SRE
+//! bookkeeping, all in virtual time:
 //!
 //! * **attainment** — the fraction of jobs that met the threshold,
 //!   `1 - violations / events`.
@@ -25,7 +25,6 @@
 //! which is exactly the signal ROADMAP item 4's controller needs.
 
 use gpstream_util::Json;
-use std::collections::BTreeMap;
 
 /// A latency SLO: `objective` of jobs finish within `latency_cycles`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,13 +55,6 @@ impl SloTarget {
         Self { latency_cycles, objective }
     }
 
-    /// Whether a job of latency `latency_cycles` violates the target:
-    /// strictly over the threshold.
-    #[must_use]
-    pub fn violated_by(&self, latency_cycles: u64) -> bool {
-        latency_cycles > self.latency_cycles
-    }
-
     /// The error budget: permitted violation fraction, `1 - objective`.
     #[must_use]
     pub fn budget(&self) -> f64 {
@@ -81,7 +73,9 @@ struct Tenant {
     name: String,
     target: SloTarget,
     total: Tally,
-    windows: BTreeMap<u64, Tally>,
+    /// Per window, dense from window 0 through the last one this tenant
+    /// had an event in — a record is an index, not a map lookup.
+    windows: Vec<Tally>,
 }
 
 /// Tracks SLO attainment per tenant, bucketed into tumbling windows of
@@ -111,33 +105,27 @@ impl SloTracker {
             name: name.to_string(),
             target,
             total: Tally::default(),
-            windows: BTreeMap::new(),
+            windows: Vec::new(),
         });
         self.tenants.len() - 1
     }
 
     /// Record one completed job for `tenant`: it finished at virtual
-    /// cycle `finish` with end-to-end latency `latency_cycles`. The
-    /// one-job case of [`Self::tally`].
+    /// cycle `finish` with end-to-end latency `latency_cycles`.
     pub fn record(&mut self, tenant: usize, finish: u64, latency_cycles: u64) {
-        let violated = self.tenants[tenant].target.violated_by(latency_cycles);
-        self.tally(tenant, finish, 1, u64::from(violated));
-    }
-
-    /// Tally `events` completed jobs of `tenant`, `violations` of them
-    /// over its threshold ([`SloTarget::violated_by`]), into the window
-    /// holding virtual cycle `cycle`. A tally of no events is a no-op.
-    pub fn tally(&mut self, tenant: usize, cycle: u64, events: u64, violations: u64) {
-        debug_assert!(violations <= events, "more violations than jobs");
-        if events == 0 {
-            return;
-        }
         let t = &mut self.tenants[tenant];
-        let tally = t.windows.entry(cycle / self.window_cycles).or_default();
-        tally.events += events;
-        tally.violations += violations;
-        t.total.events += events;
-        t.total.violations += violations;
+        let violation = latency_cycles > t.target.latency_cycles;
+        let w = usize::try_from(finish / self.window_cycles).expect("SLO window index fits usize");
+        if w >= t.windows.len() {
+            t.windows.resize_with(w + 1, Tally::default);
+        }
+        let tally = &mut t.windows[w];
+        tally.events += 1;
+        t.total.events += 1;
+        if violation {
+            tally.violations += 1;
+            t.total.violations += 1;
+        }
     }
 
     /// Materialize the report. Per-tenant window rows are dense from
@@ -150,21 +138,16 @@ impl SloTracker {
     /// totals — the windowed view must be an exact decomposition.
     #[must_use]
     pub fn report(&self) -> SloReport {
-        let n_windows = self
-            .tenants
-            .iter()
-            .filter_map(|t| t.windows.keys().next_back())
-            .max()
-            .map_or(0, |&l| l + 1);
+        let n_windows = self.tenants.iter().map(|t| t.windows.len()).max().unwrap_or(0);
         let tenants = self
             .tenants
             .iter()
             .map(|t| {
                 let windows: Vec<SloWindow> = (0..n_windows)
                     .map(|w| {
-                        let tally = t.windows.get(&w).copied().unwrap_or_default();
+                        let tally = t.windows.get(w).copied().unwrap_or_default();
                         SloWindow {
-                            index: w,
+                            index: w as u64,
                             events: tally.events,
                             violations: tally.violations,
                             burn_rate: burn(tally.events, tally.violations, t.target.budget()),
@@ -469,51 +452,11 @@ mod tests {
         assert_eq!(r.tenants[1].worst_window, Some(0));
     }
 
-    /// One tracker fed job by job, one fed the same jobs as one tally
-    /// per tenant per window.
-    fn fed_both_ways(rng: &mut gpstream_util::Rng64) -> (SloTracker, SloTracker) {
-        let window = 1 + rng.below(500);
-        let tenants = rng.range_usize_inclusive(1, 4);
-        let (mut per_job, mut tallied) = (SloTracker::new(window), SloTracker::new(window));
-        for t in 0..tenants {
-            let target = SloTarget::new(1 + rng.below(1000), 0.9);
-            for tracker in [&mut per_job, &mut tallied] {
-                let _ = tracker.tenant(&format!("t{t}"), target);
-            }
-        }
-        // (tenant, window) -> (events, violations), filed in one go.
-        let mut windows: BTreeMap<(usize, u64), (u64, u64)> = BTreeMap::new();
-        for _ in 0..rng.range_usize_inclusive(0, 400) {
-            let (tenant, finish, latency) =
-                (rng.below_usize(tenants), rng.below(1 << 14), rng.below(2000));
-            per_job.record(tenant, finish, latency);
-            let cell = windows.entry((tenant, finish / window)).or_default();
-            cell.0 += 1;
-            cell.1 += u64::from(per_job.tenants[tenant].target.violated_by(latency));
-        }
-        for (&(tenant, w), &(events, violations)) in &windows {
-            tallied.tally(tenant, w * window + rng.below(window), events, violations);
-        }
-        (per_job, tallied)
-    }
-
-    #[test]
-    fn window_tallies_and_per_job_records_report_alike() {
-        gpstream_util::check::run_cases("slo-tally-vs-record", 0x6a79_2005, 64, |rng| {
-            let (per_job, tallied) = fed_both_ways(rng);
-            let (a, b) = (per_job.report(), tallied.report());
-            assert_eq!(a, b);
-            let doc = |r: &SloReport| r.artifact_json("mix", &[]).to_doc_string();
-            assert_eq!(doc(&a), doc(&b));
-            assert_eq!(a.render(), b.render());
-        });
-    }
-
     #[test]
     #[should_panic(expected = "window events must sum")]
-    fn a_tally_lost_from_its_window_fails_the_report() {
+    fn an_event_lost_from_its_window_fails_the_report() {
         let (mut s, t) = tracker_one(0.99);
-        s.tally(t, 2_500, 4, 1);
+        s.record(t, 2_500, 400);
         s.tenants[t].windows.clear(); // the window's tally goes missing
         let _ = s.report();
     }

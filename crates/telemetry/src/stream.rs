@@ -25,7 +25,7 @@
 
 use crate::registry::{
     csv_header, csv_row, series_header_json, totals_json, window_json, CounterId, GaugeId, HistId,
-    Telemetry, WindowSnapshot,
+    Stamp, Telemetry, WindowSnapshot,
 };
 use gpstream_util::Sketch;
 
@@ -94,19 +94,14 @@ impl StreamingTelemetry {
         self.tel.observe(id, cycle, value);
     }
 
-    /// File a bulk of `(label, value)` samples into a histogram at
-    /// virtual cycle `cycle` (see [`Telemetry::file`]).
+    /// Every update at virtual cycle `cycle`, for one window lookup
+    /// (see [`Telemetry::at`]).
     ///
     /// # Panics
     ///
     /// Panics if `cycle` falls in an already-flushed window.
-    pub fn file(
-        &mut self,
-        id: HistId,
-        cycle: u64,
-        samples: impl IntoIterator<Item = (usize, u64)>,
-    ) {
-        self.tel.file(id, cycle, samples);
+    pub fn at(&mut self, cycle: u64) -> Stamp<'_> {
+        self.tel.at(cycle)
     }
 
     /// Append one finalized window to the exports.
@@ -169,6 +164,7 @@ impl StreamingTelemetry {
             hist_totals,
             hist_labels,
             windows_flushed: self.tel.evicted(),
+            peak_buffered: self.tel.peak_buffered(),
             csv: self.csv,
             json,
         }
@@ -199,6 +195,9 @@ pub struct StreamedSeries {
     pub hist_labels: Vec<Vec<Sketch>>,
     /// Number of windows finalized (dense from index 0).
     pub windows_flushed: u64,
+    /// Most histogram rows the registry held at once, in windows not yet
+    /// flushed (for the serving harness, one row per completed job).
+    pub peak_buffered: usize,
     /// CSV document, byte-identical to [`TimeSeries::to_csv`] on the
     /// same observations.
     ///
@@ -322,6 +321,8 @@ mod tests {
             .collect();
         assert_eq!(indices, (0..100).collect::<Vec<u64>>());
         assert_eq!(streamed.counter_totals, [1000]);
+        // One window's ten samples at a time, never two windows' worth.
+        assert_eq!(streamed.peak_buffered, 10);
     }
 
     #[test]

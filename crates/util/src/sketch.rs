@@ -2,8 +2,9 @@
 //!
 //! The exact [`Histogram`](crate::Histogram) keeps one `BTreeMap` entry
 //! per *distinct* sample, which is perfect at 10⁴ jobs and O(jobs) at
-//! 10⁶: streaming the serving harness needs quantiles in bounded space. [`Sketch`] is
-//! the DDSketch/HDR-style answer, built under this workspace's rules:
+//! 10⁶: streaming the serving harness needs quantiles in bounded space.
+//! [`Sketch`] is the DDSketch/HDR-style answer, built under this
+//! workspace's rules:
 //!
 //! * **Pure integer bucketing** — a value's bucket is derived from its
 //!   bit length and top `s` mantissa bits, no `log`/floating point, so
@@ -37,13 +38,9 @@
 //! covers every bucket index of the default γ = 0.01 geometry for any
 //! `u64` (at most 58 octaves × 64 sub-buckets + 63 = 3 775), so a
 //! promoted sketch records with one shift, one bounds check and one
-//! add. Larger keys —
-//! raw values before promotion, bucket indices of tiny-γ geometries —
-//! sit in a sorted `Vec` while there are at most `FEW_SPARSE_KEYS` of
-//! them (a run's service times take a dozen values, and a binary search
-//! over them is a third of a map lookup) and in a `BTreeMap` past that,
-//! so memory is bounded by the distinct keys seen, never by their
-//! magnitude.
+//! add. Larger keys — raw values before promotion, bucket indices of
+//! tiny-γ geometries — stay in a `BTreeMap`, so memory is bounded by the
+//! distinct keys seen, never by their magnitude.
 
 use crate::hist::{nearest_rank, Summary};
 use crate::Json;
@@ -57,68 +54,19 @@ pub const EXACT_DISTINCT_CAP: usize = 2048;
 /// every bucket index at [`DEFAULT_GAMMA`] for any `u64` sample.
 const FLAT_KEYS: u64 = 1 << 13;
 
-/// Most distinct keys at or above [`FLAT_KEYS`] a store keeps in its
-/// sorted `Vec`; one more moves them to a map for good.
-const FEW_SPARSE_KEYS: usize = 512;
-
 /// The key → occurrences store of a [`Sketch`], iterated in ascending
-/// key order: flat below [`FLAT_KEYS`], sparse above.
+/// key order: flat below [`FLAT_KEYS`], a map above.
 ///
-/// Counts only ever grow, `flat` is grown to exactly the largest small
-/// key seen, so it never ends in a zero, no sparse entry is zero, and
-/// the sparse keys are in a map exactly when there are more than
-/// [`FEW_SPARSE_KEYS`] of them: the representation is a pure function
-/// of the counted multiset, which is what lets `Eq` be derived.
+/// Counts only ever grow and `flat` is grown to exactly the largest
+/// small key seen, so `flat` never ends in a zero and no map entry is
+/// zero: the representation is a pure function of the counted multiset,
+/// which is what lets `Eq` be derived.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Counts {
     flat: Vec<u64>,
-    sparse: Sparse,
+    sparse: BTreeMap<u64, u64>,
     /// Keys with a nonzero count (the promotion test reads it per record).
     distinct: usize,
-}
-
-/// The keys at or above [`FLAT_KEYS`]: few in a sorted `Vec`, many in a
-/// map.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Sparse {
-    Few(Vec<(u64, u64)>),
-    Many(BTreeMap<u64, u64>),
-}
-
-impl Default for Sparse {
-    fn default() -> Self {
-        Self::Few(Vec::new())
-    }
-}
-
-impl Sparse {
-    /// The count of `key`, created at zero.
-    fn slot(&mut self, key: u64) -> &mut u64 {
-        if let Self::Few(few) = self {
-            let full = few.len() == FEW_SPARSE_KEYS;
-            if full && few.binary_search_by_key(&key, |&(k, _)| k).is_err() {
-                *self = Self::Many(std::mem::take(few).into_iter().collect());
-            }
-        }
-        match self {
-            Self::Few(few) => {
-                let i = few.binary_search_by_key(&key, |&(k, _)| k).unwrap_or_else(|i| {
-                    few.insert(i, (key, 0));
-                    i
-                });
-                &mut few[i].1
-            }
-            Self::Many(many) => many.entry(key).or_insert(0),
-        }
-    }
-
-    /// [`Counts::find_map`] over the sparse keys.
-    fn find_map<R>(&self, mut f: impl FnMut(u64, u64) -> Option<R>) -> Option<R> {
-        match self {
-            Self::Few(few) => few.iter().find_map(|&(k, n)| f(k, n)),
-            Self::Many(many) => many.iter().find_map(|(&k, &n)| f(k, n)),
-        }
-    }
 }
 
 impl Counts {
@@ -132,40 +80,16 @@ impl Counts {
             }
             &mut self.flat[k]
         } else {
-            self.sparse.slot(key)
+            self.sparse.entry(key).or_insert(0)
         };
         self.distinct += usize::from(*slot == 0);
         *slot += n;
     }
 
-    /// Walk the `(key, occurrences)` pairs in ascending key order until
-    /// `f` returns `Some`. Two plain walks, not one chained iterator:
-    /// the chain's per-item hand-off made quantile walks several times
-    /// slower.
-    fn find_map<R>(&self, mut f: impl FnMut(u64, u64) -> Option<R>) -> Option<R> {
-        for (k, &n) in self.flat.iter().enumerate() {
-            if n > 0 {
-                if let Some(found) = f(k as u64, n) {
-                    return Some(found);
-                }
-            }
-        }
-        self.sparse.find_map(f)
-    }
-
-    /// Count every pair of `other`, its key mapped through `rekey`. A
-    /// method of the store, so the walk keeps both stores' no-alias
-    /// guarantee (through a closure it ran 1.4x slower).
-    fn add_all(&mut self, other: &Counts, rekey: impl Fn(u64) -> u64) {
-        for (k, &n) in other.flat.iter().enumerate() {
-            if n > 0 {
-                self.add(rekey(k as u64), n);
-            }
-        }
-        let _: Option<()> = other.sparse.find_map(|k, n| {
-            self.add(rekey(k), n);
-            None
-        });
+    /// `(key, occurrences)` pairs in ascending key order.
+    fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let flat = self.flat.iter().enumerate().filter(|&(_, &n)| n > 0);
+        flat.map(|(k, &n)| (k as u64, n)).chain(self.sparse.iter().map(|(&k, &n)| (k, n)))
     }
 }
 
@@ -355,10 +279,9 @@ impl Sketch {
 
     fn promote(&mut self) {
         debug_assert!(!self.promoted);
-        let raw = std::mem::take(&mut self.counts);
-        let mut buckets = Counts::default();
-        buckets.add_all(&raw, |v| self.bucket_of(v));
-        self.counts = buckets;
+        for (v, n) in std::mem::take(&mut self.counts).iter() {
+            self.counts.add(self.bucket_of(v), n);
+        }
         self.promoted = true;
     }
 
@@ -404,10 +327,10 @@ impl Sketch {
         if other.promoted && !self.promoted {
             self.promote();
         }
-        let rebucket = self.promoted && !other.promoted;
-        let mut counts = std::mem::take(&mut self.counts);
-        counts.add_all(&other.counts, |k| if rebucket { self.bucket_of(k) } else { k });
-        self.counts = counts;
+        for (k, n) in other.counts.iter() {
+            let key = if self.promoted && !other.promoted { self.bucket_of(k) } else { k };
+            self.counts.add(key, n);
+        }
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
@@ -432,16 +355,15 @@ impl Sketch {
         }
         let rank = nearest_rank(q, self.count);
         let mut seen = 0u64;
-        let key = self.counts.find_map(|key, n| {
+        for (key, n) in self.counts.iter() {
             seen += n;
-            (seen >= rank).then_some(key)
-        });
-        let key = key.unwrap_or_else(|| {
-            unreachable!("rank {rank} <= count {} must land inside the sketch", self.count)
-        });
-        let v = if self.promoted { self.representative(key) } else { key };
-        let bound = if self.promoted { self.gamma() } else { 0.0 };
-        Some((v.clamp(self.min, self.max), bound))
+            if seen >= rank {
+                let v = if self.promoted { self.representative(key) } else { key };
+                let bound = if self.promoted { self.gamma() } else { 0.0 };
+                return Some((v.clamp(self.min, self.max), bound));
+            }
+        }
+        unreachable!("rank {rank} <= count {} must land inside the sketch", self.count)
     }
 
     /// Nearest-rank quantile (see [`Sketch::quantile_with_bound`]).
@@ -673,25 +595,12 @@ mod tests {
             // The store's own invariants: small keys only in the flat
             // array (a 2^-32 sketch of values near 2^40 has bucket indices
             // near 2^36 — sized by value it would be a 512 GB array),
-            // never a trailing zero, large keys in a map exactly when they
-            // are more than a sorted Vec holds, and a true distinct count.
+            // never a trailing zero, and a true distinct count.
             let store = &merged.counts;
             assert!(store.flat.len() as u64 <= FLAT_KEYS);
             assert_ne!(store.flat.last(), Some(&0));
-            let mut sparse = Vec::new();
-            let _: Option<()> = store.sparse.find_map(|k, n| {
-                sparse.push((k, n));
-                None
-            });
-            assert!(sparse.iter().all(|&(k, n)| k >= FLAT_KEYS && n > 0));
-            assert!(sparse.is_sorted());
-            assert_eq!(matches!(store.sparse, Sparse::Many(_)), sparse.len() > FEW_SPARSE_KEYS);
-            let mut distinct = 0;
-            let _: Option<()> = store.find_map(|_, _| {
-                distinct += 1;
-                None
-            });
-            assert_eq!(store.distinct, distinct);
+            assert!(store.sparse.iter().all(|(&k, &n)| k >= FLAT_KEYS && n > 0));
+            assert_eq!(store.distinct, store.iter().count());
         });
     }
 

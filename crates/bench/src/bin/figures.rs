@@ -67,9 +67,10 @@
 //! differential suite and the `figures all` golden check it against.
 //! `profile` also says how the event engine retired the run's bulk
 //! work in one stderr line (`engine: copy N elems … [replayed a%/b%
-//! in-order c%/d% exact e%/f%]; loop …; exact by reason: …` — share of
-//! items / share of cycles per route); it is never in stdout or an
-//! artifact.
+//! in-order c%/d% exact e%/f%]; loop M iters C cyc; exact by reason: …`
+//! — per copy route its share of elements / of cycles, then the loop
+//! iterations, all stepped exactly, then why the exact copy elements
+//! were stepped); it is never in stdout or an artifact.
 //!
 //! `analyze WORKLOAD` runs one catalog workload with task logging on
 //! and prints the critical-path report: per-segment cycle attribution
@@ -719,9 +720,14 @@ fn main() {
         }
         println!();
     }
+    // The summary folds the Figure 9 and 11 rows computed here (Figure
+    // 11's out of order even under `--in-order`), so none runs twice.
+    let summarize = all || which == "summary";
+    let fig9 =
+        if all || which == "fig9" || summarize { fig::figure9(&cfg, &copts) } else { Vec::new() };
     if all || which == "fig9" {
         println!("== Figure 9: micro-benchmark speedups vs COMP (COMP=1 ~ 50 cycles) ==");
-        for s in fig::figure9(&cfg, &copts) {
+        for s in &fig9 {
             print!("{:<16}", s.name);
             for (c, v) in &s.points {
                 print!("  COMP={c}: {v:.2}x");
@@ -731,6 +737,7 @@ fn main() {
         println!();
     }
     let mode = if in_order { " [in-order queues]" } else { "" };
+    let mut fig11: Vec<Comparison> = Vec::new();
     for (id, title, f) in [
         (
             "fig11a",
@@ -741,8 +748,14 @@ fn main() {
         ("fig11c", "Figure 11(c): neo-hookean", fig::figure11c),
         ("fig11d", "Figure 11(d): streamSPAS (nnz/row ~ 46)", fig::figure11d),
     ] {
-        if all || which == id {
-            let rows = f(&cfg, &copts, in_order);
+        let rows = (all || which == id).then(|| f(&cfg, &copts, in_order));
+        if summarize {
+            match &rows {
+                Some(rows) if !in_order => fig11.extend(rows.iter().cloned()),
+                _ => fig11.extend(f(&cfg, &copts, false)),
+            }
+        }
+        if let Some(rows) = rows {
             print_comparisons(&format!("{title}{mode}"), &rows);
             json_figures.push((id.to_string(), rows));
         }
@@ -798,8 +811,8 @@ fn main() {
         }
         println!();
     }
-    if all || which == "summary" {
-        let s = fig::summary(&cfg, &copts);
+    if summarize {
+        let s = fig::summary(&fig9, &fig11);
         println!("== Headline summary (paper Section I) ==");
         println!("micro-benchmarks: best {:.2}x, worst {:.2}x", s.micro_best, s.micro_worst);
         println!("scientific apps:  best {:.2}x, worst {:.2}x", s.sci_best, s.sci_worst);

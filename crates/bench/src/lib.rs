@@ -264,18 +264,12 @@ pub fn tuned(budget: usize, threads: usize, cache: &EvalCache) -> Vec<TuneOutcom
         .collect()
 }
 
-/// Compute the headline summary over Figures 9 and 11.
+/// Fold the headline summary over Figure 9's series and Figure 11's
+/// (out-of-order) rows.
 #[must_use]
-pub fn summary(cfg: &MachineConfig, copts: &CompilerOptions) -> Summary {
-    let micro: Vec<f64> = figure9(cfg, copts)
-        .into_iter()
-        .flat_map(|s| s.points.into_iter().map(|(_, v)| v))
-        .collect();
-    let mut sci: Vec<f64> = Vec::new();
-    sci.extend(figure11a(cfg, copts, false).iter().map(Comparison::speedup));
-    sci.extend(figure11b(cfg, copts, false).iter().map(Comparison::speedup));
-    sci.extend(figure11c(cfg, copts, false).iter().map(Comparison::speedup));
-    sci.extend(figure11d(cfg, copts, false).iter().map(Comparison::speedup));
+pub fn summary(fig9: &[Fig9Series], fig11: &[Comparison]) -> Summary {
+    let micro: Vec<f64> = fig9.iter().flat_map(|s| s.points.iter().map(|&(_, v)| v)).collect();
+    let sci: Vec<f64> = fig11.iter().map(Comparison::speedup).collect();
     let fold = |v: &[f64], init: f64, f: fn(f64, f64) -> f64| v.iter().copied().fold(init, f);
     Summary {
         micro_best: fold(&micro, f64::MIN, f64::max),

@@ -189,17 +189,23 @@ fn profile_engine_line_is_stderr_only() {
 /// The figures of record, byte for byte: stdout of `figures all`. It is
 /// the only stepped ≡ event oracle for the Figure 5/6/8 machine probes,
 /// the regular-code lowering and the `enhanced` machine, whose golden
-/// was written by the cycle-stepped engine. Ignored because a debug run
-/// takes about a minute; CI runs it in release. Refresh after a
+/// was written by the cycle-stepped engine. The headline summary, which
+/// folds the Figure 9 and 11 rows `figures` computed, must print the
+/// golden's last section on its own and under `all --in-order` (whose
+/// summary still folds out-of-order rows). Ignored because a debug run
+/// takes a few minutes; CI runs it in release. Refresh after a
 /// deliberate model change with
 /// `UPDATE_GOLDEN=1 cargo test --release -p gpstream-bench --test cli -- --ignored figures_all`.
 #[test]
-#[ignore = "a minute unoptimized; run with --release -- --ignored (CI does)"]
+#[ignore = "minutes unoptimized; run with --release -- --ignored (CI does)"]
 fn figures_all_matches_golden() {
+    let stdout = |argv: &[&str]| {
+        let ran = Command::new(env!("CARGO_BIN_EXE_figures")).args(argv).output().expect("spawn");
+        assert!(ran.status.success(), "{}", String::from_utf8_lossy(&ran.stderr));
+        String::from_utf8(ran.stdout).expect("utf-8 stdout")
+    };
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/figures-all.txt");
-    let ran = Command::new(env!("CARGO_BIN_EXE_figures")).arg("all").output().expect("spawn");
-    assert!(ran.status.success(), "{}", String::from_utf8_lossy(&ran.stderr));
-    let current = String::from_utf8(ran.stdout).expect("utf-8 stdout");
+    let current = stdout(&["all"]);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::write(&path, &current).expect("golden written");
         return;
@@ -210,4 +216,8 @@ fn figures_all_matches_golden() {
         want == current,
         "`figures all` left the golden (first differing line {first:?}):\n{current}"
     );
+    let summary = &want[want.rfind("== Headline summary").expect("golden ends in the summary")..];
+    assert_eq!(stdout(&["summary"]), summary, "`figures summary`");
+    let in_order = stdout(&["all", "--in-order"]);
+    assert!(in_order.ends_with(summary), "`figures all --in-order` summary:\n{in_order}");
 }

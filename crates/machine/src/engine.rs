@@ -32,9 +32,10 @@
 //! `copy_fast_run`), `Indexed` patterns retire proven hits one by one
 //! in program order (`copy_hit_run`), and only the element neither can
 //! take — a miss, a walk, a line-straddling record — is stepped exactly.
-//! Both routes leave every cache, TLB and counter in the state stepping
-//! would, so results are byte-identical in either mode; which route
-//! took what, and why the rest was stepped, is tallied host-side in
+//! A [`BulkOp::Loop`] iteration is always stepped exactly. Both routes
+//! leave every cache, TLB and counter in the state stepping would, so
+//! results are byte-identical in either mode; which route took what,
+//! and why the rest was stepped, is tallied host-side in
 //! [`EngineStats`].
 
 use crate::bus::Bus;
@@ -347,11 +348,6 @@ pub const DEQUEUE_CYCLES: u64 = 30;
 /// `TraceBuffer` default in `gpstream-core`.
 pub const MACHINE_TRACE_CAPACITY: usize = 4 << 20;
 
-/// Most patterns a [`BulkOp::Loop`] may have for its iterations to be
-/// batch-replayed (fixed-size scratch buffers keep the fast path
-/// allocation-free); loops with more patterns fall back to exact stepping.
-const LOOP_FAST_MAX_PATTERNS: usize = 8;
-
 /// Resolve `key`'s slot through a one-entry `(key, slot)` memo, calling
 /// `find` only when the key changed. `false` when `find` comes up empty.
 #[inline(always)]
@@ -557,9 +553,10 @@ impl Machine {
     }
 
     /// How the engine retired the work since the last
-    /// [`Machine::reset_time`]: which route each copy element and loop
-    /// iteration took and why the exact ones did. Host-side only — it
-    /// differs between step modes by design and is part of no result.
+    /// [`Machine::reset_time`]: which route each copy element took and
+    /// why the exact ones did, and how many loop iterations it stepped.
+    /// Host-side only — it differs between step modes by design and is
+    /// part of no result.
     #[must_use]
     pub fn engine_stats(&self) -> EngineStats {
         self.engine
@@ -957,8 +954,9 @@ impl Machine {
         let before = self.profile.is_some().then(|| self.stats_now());
         // With no sampler attached, chunk boundaries inside the span are
         // unobservable (profile deltas telescope over the whole op, hits
-        // emit no trace events), so the batched routes may take ops
-        // whole; the exact body keeps its chunks.
+        // emit no trace events), so where copies take their batched
+        // routes (one line index) a chunk takes the rest of its op;
+        // otherwise chunks keep their size.
         let greedy = self.sampler.is_none() && self.lines_equal;
         while cur[c].idx == op0 {
             self.step(cur, c, smt, signals, greedy);
@@ -1103,9 +1101,9 @@ impl Machine {
         }
     }
 
-    /// Why [`Machine::step`] runs a copy or loop chunk's exact body:
-    /// stepped mode always does; event mode only when the geometry gate
-    /// is closed.
+    /// Why [`Machine::step`] runs a copy chunk's exact body: stepped
+    /// mode always does; event mode only when the geometry gate is
+    /// closed.
     fn stepped_reason(&self) -> ExactReason {
         match self.mode {
             StepMode::Stepped => ExactReason::Stepped,
@@ -1115,11 +1113,12 @@ impl Machine {
 
     /// One chunk step of context `c`'s current op — the only chunk
     /// function, in both step modes. A `Copy` or `Loop` chunk is sized
-    /// here once (the rest of the op when `greedy`, else one chunk) and
-    /// then retired by its batched route (`copy_chunk_fast`,
-    /// `loop_chunk_fast`) in [`StepMode::Event`] when one line index
-    /// serves both cache levels, or by the exact body otherwise. The
-    /// stepped oracle never takes a batched route, so it checks them all.
+    /// here once (the rest of the op when `greedy`, else one chunk). A
+    /// copy chunk is retired by its batched route (`copy_chunk_fast`) in
+    /// [`StepMode::Event`] when one line index serves both cache levels,
+    /// or by the exact body otherwise; a loop chunk always steps its
+    /// iterations exactly. The stepped oracle never takes a batched
+    /// route, so it checks them all.
     #[allow(clippy::too_many_lines)]
     fn step(
         &mut self,
@@ -1148,7 +1147,6 @@ impl Machine {
             BulkOp::Signal { .. } | BulkOp::Wait { .. } => 3,
         };
         let t_before = cur[c].t;
-        let batched = self.mode == StepMode::Event && self.lines_equal;
         match op {
             BulkOp::Compute { uops } => {
                 let f = smt.comp;
@@ -1168,7 +1166,7 @@ impl Machine {
                 let take = if greedy { remaining } else { remaining.min(CHUNK_ELEMS) };
                 let issue = self.copy_issue_cycles(dir, nt, smt.mem);
                 let mlp = self.copy_mlp(&mem);
-                if batched {
+                if self.mode == StepMode::Event && self.lines_equal {
                     self.copy_chunk_fast(c, &mut cur[c], &mem, srf_base, dir, nt, take, issue, mlp);
                 } else {
                     let (t0, start) = (cur[c].t, cur[c].progress);
@@ -1209,17 +1207,13 @@ impl Machine {
                 let mlp = reads.clamp(1, self.cfg.mshrs.max(1) as usize);
                 let issue = self.uop_cycles(self.cfg.copy_uops_per_elem, smt.mem);
                 let iter_cycles = self.uop_cycles(uops_per_iter, smt.comp);
-                if batched {
-                    self.loop_chunk_fast(c, &mut cur[c], &patterns, take, issue, iter_cycles, mlp);
-                } else {
-                    let (t0, start) = (cur[c].t, cur[c].progress);
-                    let mut t = t0;
-                    for i in start..start + take {
-                        (t, _) = self.loop_iteration(c, t, &patterns, i, issue, iter_cycles, mlp);
-                    }
-                    self.engine.exact_loop(self.stepped_reason(), take, t - t0);
-                    cur[c].t = t;
+                let (t0, start) = (cur[c].t, cur[c].progress);
+                let mut t = t0;
+                for i in start..start + take {
+                    t = self.loop_iteration(c, t, &patterns, i, issue, iter_cycles, mlp);
                 }
+                self.engine.loops.add(take, t - t0);
+                cur[c].t = t;
                 cur[c].progress += take;
                 if cur[c].progress >= total {
                     self.advance(c, &mut cur[c]);
@@ -1280,9 +1274,7 @@ impl Machine {
     }
 
     /// One exact loop iteration: per pattern its issue cycles and its
-    /// access, then the iteration's computation. Returns the new time and
-    /// the last line each of the first patterns touched. The exact body
-    /// and the batched route's hand-over both run it.
+    /// access, then the iteration's computation. Returns the new time.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn loop_iteration(
@@ -1294,9 +1286,8 @@ impl Machine {
         issue: u64,
         iter_cycles: u64,
         mlp: usize,
-    ) -> (u64, [u64; LOOP_FAST_MAX_PATTERNS]) {
-        let mut lines = [u64::MAX; LOOP_FAST_MAX_PATTERNS];
-        for (k, (p, rw)) in patterns.iter().enumerate() {
+    ) -> u64 {
+        for (p, rw) in patterns {
             let (addr, bytes) = p.element(i);
             t += issue;
             // Misses inside an interleaved loop are limited by the
@@ -1305,13 +1296,10 @@ impl Machine {
             self.loop_window = true;
             self.dependent = !p.is_sequential();
             t = self.mem_access(c, t, addr, bytes, *rw, false, false, mlp);
-            if let Some(line) = lines.get_mut(k) {
-                *line = (addr + bytes.max(1) - 1) >> self.line_shift;
-            }
         }
         self.loop_window = false;
         self.dependent = false;
-        (t + iter_cycles, lines)
+        t + iter_cycles
     }
 
     /// The batched route of a [`BulkOp::Copy`] chunk of `take` elements,
@@ -1716,158 +1704,6 @@ impl Machine {
         self.stats.l2_accesses += l2_refs;
         self.stats.l2_hits += l2_refs;
         (n, stop)
-    }
-
-    /// The batched route of a [`BulkOp::Loop`] chunk of `take`
-    /// iterations, sized by [`Machine::step`]: fully-hitting runs replay
-    /// arithmetically, and the rest hand over to the exact iteration
-    /// ([`Machine::loop_iteration`]). Kept out of line, like
-    /// `copy_hit_run`.
-    #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
-    fn loop_chunk_fast(
-        &mut self,
-        c: usize,
-        cur: &mut Cursor,
-        patterns: &[(AccessPattern, Rw)],
-        take: u64,
-        issue: u64,
-        iter_cycles: u64,
-        mlp: usize,
-    ) {
-        let hit_cycles = patterns.len() as u64 * issue + iter_cycles;
-        let mut t = cur.t;
-        let mut i = cur.progress;
-        let end = cur.progress + take;
-        // Per-pattern lines proven resident by the most recent exact
-        // iteration (see the matching comment in `copy_chunk_fast`).
-        let mut known: Option<[u64; LOOP_FAST_MAX_PATTERNS]> = None;
-        while i < end {
-            let run = self.loop_fast_run(c, patterns, i, end, known.as_ref());
-            if let Ok(run @ 2..) = run {
-                self.engine.loop_replayed.add(run, run * hit_cycles);
-                t += run * hit_cycles;
-                self.loop_fast_flush(c, patterns, i, run);
-                i += run;
-            } else {
-                let (t1, lines) = self.loop_iteration(c, t, patterns, i, issue, iter_cycles, mlp);
-                // A replay of one is an iteration alone before a line
-                // or chunk boundary.
-                self.engine.exact_loop(run.err().unwrap_or(ExactReason::ShortRun), 1, t1 - t);
-                t = t1;
-                i += 1;
-                known = Some(lines);
-            }
-        }
-        cur.t = t;
-    }
-
-    /// Longest run of loop iterations starting at `i` in which every
-    /// pattern provably hits (lines and pages resident, single-line
-    /// elements) and the TLB's same-page-shortcut pattern is stationary,
-    /// or why iteration `i` must take the exact stepped path.
-    fn loop_fast_run(
-        &self,
-        c: usize,
-        patterns: &[(AccessPattern, Rw)],
-        i: u64,
-        end: u64,
-        known: Option<&[u64; LOOP_FAST_MAX_PATTERNS]>,
-    ) -> Result<u64, ExactReason> {
-        let (line_shift, page_shift) = (self.line_shift, self.page_shift);
-        if patterns.len() > LOOP_FAST_MAX_PATTERNS {
-            return Err(ExactReason::TooManyPatterns);
-        }
-        let line = self.cfg.l2.line;
-        let mut cap = end - i;
-        let mut prev_page = self.last_page[c];
-        for (k, (p, rw)) in patterns.iter().enumerate() {
-            let (stride, b) = match p {
-                AccessPattern::Seq { elem, .. } => (*elem, *elem),
-                AccessPattern::Strided { record, field_bytes, .. } => (*record, *field_bytes),
-                AccessPattern::Indexed { .. } => return Err(ExactReason::IndexedInLoop),
-            };
-            let (addr, _) = p.element(i);
-            let off = addr & (line - 1);
-            if b == 0 || off + b > line {
-                return Err(ExactReason::SpansLines);
-            }
-            if let Some(q) = (line - off - b).checked_div(stride) {
-                cap = cap.min(q + 1);
-            }
-            let q = addr >> page_shift;
-            // Lines the most recent exact iteration accessed for this
-            // pattern slot are settled: that iteration installed the line
-            // and translated its page (see `copy_fast_run`).
-            let line_known = known.is_some_and(|kn| kn[k] == addr >> line_shift);
-            // Pages equal to the sticky previous page take the stepped
-            // shortcut and never consult the TLB; only the rest must be
-            // resident.
-            if q != prev_page && !line_known && !self.tlb[c].contains_page(q) {
-                return Err(ExactReason::TlbMiss);
-            }
-            prev_page = q;
-            if !line_known {
-                match rw {
-                    Rw::Read if !self.l1[c].contains(addr) => {
-                        return Err(l1_miss_reason(&self.l2, addr));
-                    }
-                    Rw::Write if !self.l2.contains(addr) => return Err(ExactReason::L2Miss),
-                    _ => {}
-                }
-            }
-        }
-        // Stationarity: the page carry entering each iteration must equal
-        // the carry leaving it, so every batched iteration shares one
-        // shortcut/translate pattern. A single stepped iteration
-        // establishes this, after which runs extend.
-        if self.last_page[c] != prev_page {
-            return Err(ExactReason::PageCarry);
-        }
-        Ok(cap)
-    }
-
-    /// Apply the state updates of `run` fully-hitting loop iterations.
-    fn loop_fast_flush(&mut self, c: usize, patterns: &[(AccessPattern, Rw)], i: u64, run: u64) {
-        let page_shift = self.page_shift;
-        let mut tlb_pages = [0u64; LOOP_FAST_MAX_PATTERNS];
-        let mut n_tlb = 0usize;
-        let mut l1_items = [(0u64, false); LOOP_FAST_MAX_PATTERNS];
-        let mut n_l1 = 0usize;
-        let mut l2_items = [(0u64, false); LOOP_FAST_MAX_PATTERNS];
-        let mut n_l2 = 0usize;
-        let mut prev_page = self.last_page[c];
-        let mut shortcut_hits = 0u64;
-        for (p, rw) in patterns {
-            let (addr, _) = p.element(i);
-            let q = addr >> page_shift;
-            if q == prev_page {
-                shortcut_hits += 1;
-            } else {
-                tlb_pages[n_tlb] = q;
-                n_tlb += 1;
-                prev_page = q;
-            }
-            match rw {
-                Rw::Read => {
-                    l1_items[n_l1] = (addr, false);
-                    n_l1 += 1;
-                }
-                Rw::Write => {
-                    l2_items[n_l2] = (addr, true);
-                    n_l2 += 1;
-                }
-            }
-        }
-        self.tlb[c].touch_cycle(&tlb_pages[..n_tlb], run);
-        self.stats.tlb_hits += (n_tlb as u64 + shortcut_hits) * run;
-        self.l1[c].touch_cycle(&l1_items[..n_l1], run);
-        self.stats.l1_accesses += n_l1 as u64 * run;
-        self.stats.l1_hits += n_l1 as u64 * run;
-        self.l2.touch_cycle(&l2_items[..n_l2], run);
-        self.stats.l2_accesses += n_l2 as u64 * run;
-        self.stats.l2_hits += n_l2 as u64 * run;
-        self.last_page[c] = prev_page;
     }
 
     fn advance(&mut self, ctx: usize, c: &mut Cursor) {
@@ -2351,32 +2187,40 @@ mod tests {
         assert_eq!(last.stats, r.mem, "final sample must equal run totals");
     }
 
-    /// One indexed gather over a small, reused table, in both step
-    /// modes with the sampler attached (so event mode keeps chunk
-    /// boundaries): identical results and samples, and the engine's own
-    /// account adds up — every element on exactly one route, every
-    /// exact element with a reason.
+    /// One indexed gather over a small, reused table, then a loop over
+    /// it, in both step modes with the sampler attached (so event mode
+    /// keeps chunk boundaries): identical results and samples, and the
+    /// engine's own account adds up — every element on exactly one
+    /// route, every exact element with a reason, every loop iteration
+    /// counted once.
     #[test]
     fn engine_stats_account_for_every_indexed_copy_element() {
         let n = 4096u32;
         let indices: Vec<u32> = (0..n).map(|i| i * 7919 % 1024).collect();
+        let table = AccessPattern::Indexed {
+            base: 0x1000_0000,
+            record: 8,
+            field_offset: 0,
+            field_bytes: 8,
+            indices: indices.into(),
+        };
         let copy = |nt| BulkOp::Copy {
-            mem: AccessPattern::Indexed {
-                base: 0x1000_0000,
-                record: 8,
-                field_offset: 0,
-                field_bytes: 8,
-                indices: indices.clone().into(),
-            },
+            mem: table.clone(),
             srf_base: 0x8000_0000,
             dir: CopyDir::GatherToSrf,
             nt,
+        };
+        let out = AccessPattern::Seq { base: 0x2000_0000, elem: 8, count: u64::from(n) };
+        let looped = BulkOp::Loop {
+            patterns: vec![(table.clone(), Rw::Read), (out, Rw::Write)],
+            uops_per_iter: 12,
+            class: OpClass::Compute,
         };
         let run = |mode| {
             let mut m = machine();
             m.set_step_mode(mode);
             m.enable_sampling(512);
-            let r = m.run_single(vec![copy(false), copy(true)]);
+            let r = m.run_single(vec![copy(false), copy(true), looped.clone()]);
             (r, m.take_samples(), m.engine_stats())
         };
         let (stepped, stepped_samples, by_step) = run(StepMode::Stepped);
@@ -2390,10 +2234,15 @@ mod tests {
         assert_eq!(by_event.copy_items(), total, "{by_event}");
         assert_eq!(by_event.copy_replayed.items, 0, "indexed patterns never replay");
         assert!(by_event.copy_in_order.items > total / 2, "a reused 8 KB table hits: {by_event}");
-        assert_eq!(by_event.exact_reasons.iter().sum::<u64>(), by_event.copy_exact.items);
         assert_eq!(by_event.exact_reasons[ExactReason::Stepped as usize], 0);
-        let covered =
-            |e: &EngineStats| e.copy_replayed.cycles + e.copy_in_order.cycles + e.copy_exact.cycles;
+        for e in [&by_step, &by_event] {
+            assert_eq!(e.exact_reasons.iter().sum::<u64>(), e.copy_exact.items, "{e}");
+            assert_eq!(e.loops.items, u64::from(n), "every iteration counted once: {e}");
+        }
+        assert_eq!(by_step.loops, by_event.loops, "both modes step every iteration");
+        let covered = |e: &EngineStats| {
+            e.copy_replayed.cycles + e.copy_in_order.cycles + e.copy_exact.cycles + e.loops.cycles
+        };
         assert_eq!(covered(&by_event), event.ctx_cycles[0], "routes cover the context's cycles");
         assert_eq!(covered(&by_step), covered(&by_event));
 

@@ -176,9 +176,9 @@ pub struct TaskIssue {
     pub end_t: u64,
 }
 
-/// Why the engine sent a copy element or loop iteration down the exact
-/// per-access path instead of a batched route: the first condition that
-/// disqualified it.
+/// Why the engine sent a copy element down the exact per-access path
+/// instead of a batched route: the first condition that disqualified
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExactReason {
     /// `StepMode::Stepped`: every access is stepped.
@@ -200,15 +200,11 @@ pub enum ExactReason {
     PageCarry,
     /// It stands alone before a line or chunk boundary: a replay of one.
     ShortRun,
-    /// Its loop has more patterns than the replay's scratch space.
-    TooManyPatterns,
-    /// Its loop has an indexed pattern.
-    IndexedInLoop,
 }
 
 impl ExactReason {
     /// Every reason, in discriminant order.
-    pub const ALL: [ExactReason; 11] = [
+    pub const ALL: [ExactReason; 9] = [
         ExactReason::Stepped,
         ExactReason::Geometry,
         ExactReason::TlbMiss,
@@ -218,8 +214,6 @@ impl ExactReason {
         ExactReason::WcClosed,
         ExactReason::PageCarry,
         ExactReason::ShortRun,
-        ExactReason::TooManyPatterns,
-        ExactReason::IndexedInLoop,
     ];
 
     /// Stable snake-case name.
@@ -235,8 +229,6 @@ impl ExactReason {
             ExactReason::WcClosed => "wc_closed",
             ExactReason::PageCarry => "page_carry",
             ExactReason::ShortRun => "short_run",
-            ExactReason::TooManyPatterns => "too_many_patterns",
-            ExactReason::IndexedInLoop => "indexed_in_loop",
         }
     }
 }
@@ -272,12 +264,11 @@ pub struct EngineStats {
     pub copy_in_order: Retired,
     /// Copy elements stepped through the exact per-access path.
     pub copy_exact: Retired,
-    /// Loop iterations retired by the arithmetic replay.
-    pub loop_replayed: Retired,
-    /// Loop iterations stepped through the exact per-access path.
-    pub loop_exact: Retired,
-    /// Exact copy elements and loop iterations by [`ExactReason`]
-    /// (indexed by discriminant); sums to the two `*_exact.items`.
+    /// Loop iterations, every one stepped through the exact per-access
+    /// path.
+    pub loops: Retired,
+    /// Exact copy elements by [`ExactReason`] (indexed by
+    /// discriminant); sums to `copy_exact.items`.
     pub exact_reasons: [u64; ExactReason::ALL.len()],
     /// Blocked-partner spans taken (`step_op_span`).
     pub spans: u64,
@@ -291,11 +282,6 @@ impl EngineStats {
         self.exact_reasons[why as usize] += items;
     }
 
-    pub(crate) fn exact_loop(&mut self, why: ExactReason, items: u64, cycles: u64) {
-        self.loop_exact.add(items, cycles);
-        self.exact_reasons[why as usize] += items;
-    }
-
     /// Copy elements retired over all three routes.
     #[must_use]
     pub fn copy_items(&self) -> u64 {
@@ -303,37 +289,25 @@ impl EngineStats {
     }
 }
 
-/// One line: per route its share of items / share of cycles, then the
-/// exact path's reasons, most frequent first.
+/// One line: per copy route its share of items / share of cycles, the
+/// loop iterations, then the exact copy path's reasons, most frequent
+/// first.
 impl std::fmt::Display for EngineStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let group = |f: &mut std::fmt::Formatter<'_>,
-                     what: &str,
-                     unit: &str,
-                     routes: &[(&str, Retired)]| {
-            let items: u64 = routes.iter().map(|(_, r)| r.items).sum();
-            let cycles: u64 = routes.iter().map(|(_, r)| r.cycles).sum();
-            write!(f, "{what} {items} {unit} {cycles} cyc [")?;
-            let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
-            for (k, (name, r)) in routes.iter().enumerate() {
-                let sep = if k == 0 { "" } else { " " };
-                let (pi, pc) = (pct(r.items, items), pct(r.cycles, cycles));
-                write!(f, "{sep}{name} {pi:.1}%/{pc:.1}%")?;
-            }
-            write!(f, "]")
-        };
-        group(
-            f,
-            "copy",
-            "elems",
-            &[
-                ("replayed", self.copy_replayed),
-                ("in-order", self.copy_in_order),
-                ("exact", self.copy_exact),
-            ],
-        )?;
-        write!(f, "; ")?;
-        group(f, "loop", "iters", &[("replayed", self.loop_replayed), ("exact", self.loop_exact)])?;
+        let routes = [
+            ("replayed", self.copy_replayed),
+            ("in-order", self.copy_in_order),
+            ("exact", self.copy_exact),
+        ];
+        let (items, cycles) = (self.copy_items(), routes.iter().map(|(_, r)| r.cycles).sum());
+        write!(f, "copy {items} elems {cycles} cyc [")?;
+        let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
+        for (k, (name, r)) in routes.iter().enumerate() {
+            let sep = if k == 0 { "" } else { " " };
+            let (pi, pc) = (pct(r.items, items), pct(r.cycles, cycles));
+            write!(f, "{sep}{name} {pi:.1}%/{pc:.1}%")?;
+        }
+        write!(f, "]; loop {} iters {} cyc", self.loops.items, self.loops.cycles)?;
         let mut reasons: Vec<(ExactReason, u64)> = ExactReason::ALL
             .into_iter()
             .map(|r| (r, self.exact_reasons[r as usize]))

@@ -80,19 +80,12 @@ impl AppBench {
         let mut rw = self.regular_world;
         let regular_timing = self.regular.simulate_warm(&mut rw, mcfg);
 
-        assert_eq!(self.stream_outputs.len(), self.regular_outputs.len());
-        for (&sa, &ra) in self.stream_outputs.iter().zip(&self.regular_outputs) {
-            let got: &[f32] = sw.array(sa).data.as_slice();
-            let want: &[f32] = rw.array(ra).data.as_slice();
-            assert_eq!(got.len(), want.len(), "{}: output length", self.name);
-            for (i, (g, w)) in got.iter().zip(want).enumerate() {
-                assert!(
-                    (g - w).abs() <= 1e-3 * w.abs().max(1.0),
-                    "{}: output {i} differs: stream={g} regular={w}",
-                    self.name
-                );
-            }
-        }
+        assert_outputs_agree(
+            &self.name,
+            (&sw, &self.stream_outputs),
+            (&rw, &self.regular_outputs),
+            APP_TOLERANCE,
+        );
 
         Comparison {
             name: self.name,
@@ -119,16 +112,43 @@ impl AppBench {
         );
         let mut rw = self.regular_world.clone();
         self.regular.run_functional(&mut rw);
-        for (&sa, &ra) in self.stream_outputs.iter().zip(&self.regular_outputs) {
-            let got: &[f32] = sw.array(sa).data.as_slice();
-            let want: &[f32] = rw.array(ra).data.as_slice();
-            for (i, (g, w)) in got.iter().zip(want).enumerate() {
-                assert!(
-                    (g - w).abs() <= 1e-3 * w.abs().max(1.0),
-                    "{}: output {i} differs: stream={g} regular={w}",
-                    self.name
-                );
-            }
+        assert_outputs_agree(
+            &self.name,
+            (&sw, &self.stream_outputs),
+            (&rw, &self.regular_outputs),
+            APP_TOLERANCE,
+        );
+    }
+}
+
+/// Relative tolerance between an application's stream and regular
+/// outputs: the two versions sum in different orders.
+const APP_TOLERANCE: f32 = 1e-3;
+
+/// Assert that a stream program's output arrays equal its regular twin's,
+/// pairwise and `f32` by `f32` (records may hold several), to relative
+/// tolerance `tol`: the same number of outputs, each of the same length,
+/// every value within `tol * max(|regular|, 1)`.
+///
+/// # Panics
+///
+/// Panics on any disagreement (a correctness bug), naming `name`.
+pub fn assert_outputs_agree(
+    name: &str,
+    (sw, stream): (&World, &[ArrayId]),
+    (rw, regular): (&World, &[ArrayId]),
+    tol: f32,
+) {
+    assert_eq!(stream.len(), regular.len(), "{name}: output count");
+    for (&sa, &ra) in stream.iter().zip(regular) {
+        let got: &[f32] = sw.array(sa).data.as_slice();
+        let want: &[f32] = rw.array(ra).data.as_slice();
+        assert_eq!(got.len(), want.len(), "{name}: output length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (g - w).abs() <= tol * w.abs().max(1.0),
+                "{name}: output {i} differs: stream={g} regular={w}"
+            );
         }
     }
 }

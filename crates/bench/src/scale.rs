@@ -32,9 +32,6 @@ impl ScaleRow {
     }
 }
 
-/// The context counts `figures scale` measures by default.
-pub const DEFAULT_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
 /// Measure one catalog workload at each of `counts` contexts: compile
 /// once with the paper's options, then run the simulated machine with
 /// `contexts = n` and the [`Topology::scaled`] layout (`n == 1` is the

@@ -231,6 +231,13 @@ struct Emitter {
     arr_writes: HashMap<u32, Vec<(TaskId, ArrayAccess)>>,
     arr_reads: HashMap<u32, Vec<(TaskId, ArrayAccess)>>,
     dup: DupFree,
+    /// Strip buffers per stream: strip `s` reuses strip `s - bufs`'s.
+    bufs: u32,
+    nt_gather: bool,
+    nt_scatter: bool,
+    /// Scatters of kernel outputs (binding, strip, producing kernel),
+    /// issued behind the next strip's gathers.
+    pending: Vec<(PortBinding, u32, TaskId)>,
 }
 
 impl Emitter {
@@ -293,6 +300,52 @@ impl Emitter {
         self.phase_start = self.tasks.len() as u32;
         self.arr_writes.clear();
         self.arr_reads.clear();
+    }
+
+    /// Tasks that read stream `sid`'s strip-`s` buffer: its consuming
+    /// kernels and its scatter.
+    fn consumers_in_strip(&self, graph: &StreamGraph, sid: StreamId, s: u32) -> Vec<TaskId> {
+        let mut deps: Vec<TaskId> = graph
+            .consumers_of(sid)
+            .iter()
+            .filter_map(|k| self.kernel_task.get(&(k.0, s)).copied())
+            .collect();
+        deps.extend(self.scatter_task.get(&(sid.0, s)));
+        deps
+    }
+
+    /// Gather strip `s` into binding `b`, whose buffer strip `s - bufs`
+    /// used last: the gather follows that strip's consumers (WAR) and its
+    /// gather (WAW, which covers strips whose consumers emitted no tasks).
+    /// `None` when the strip is empty.
+    fn gather(&mut self, graph: &StreamGraph, b: PortBinding, s: u32) -> Option<TaskId> {
+        if b.is_empty() {
+            return None;
+        }
+        let sid = b.stream;
+        let mut deps = Vec::new();
+        if let Some(prev) = s.checked_sub(self.bufs) {
+            deps = self.consumers_in_strip(graph, sid, prev);
+            deps.extend(self.gather_task.get(&(sid.0, prev)));
+        }
+        let id = self.push(graph, TaskKind::Gather { binding: b, nt: self.nt_gather }, deps, s);
+        self.gather_task.insert((sid.0, s), id);
+        Some(id)
+    }
+
+    /// Scatter strip `s` from binding `b` once task `dep` has filled it.
+    fn scatter(&mut self, graph: &StreamGraph, b: PortBinding, s: u32, dep: TaskId) {
+        let sid = b.stream;
+        let id =
+            self.push(graph, TaskKind::Scatter { binding: b, nt: self.nt_scatter }, vec![dep], s);
+        self.scatter_task.insert((sid.0, s), id);
+    }
+
+    /// Issue the pending kernel-output scatters.
+    fn flush_scatters(&mut self, graph: &StreamGraph) {
+        for (b, s, dep) in std::mem::take(&mut self.pending) {
+            self.scatter(graph, b, s, dep);
+        }
     }
 }
 
@@ -397,6 +450,10 @@ pub fn schedule(
         arr_writes: HashMap::new(),
         arr_reads: HashMap::new(),
         dup: DupFree::default(),
+        bufs: bufs as u32,
+        nt_gather: opts.nt_gather,
+        nt_scatter: opts.nt_scatter,
+        pending: Vec::new(),
     };
     let mut total_strips = 0u32;
 
@@ -412,13 +469,10 @@ pub fn schedule(
         let n_strips = (pace.div_ceil(strip_items).max(1)) as u32;
         total_strips += n_strips;
 
-        // Per-stream strip sizes within this phase (same map the buffers
-        // were sized with).
-        let strip_of: &HashMap<u32, usize> = &wmap;
-
         let item_range = |sid: StreamId, s: u32| -> std::ops::Range<usize> {
             let decl = graph.stream(sid);
-            let w = strip_of[&sid.0];
+            // The same per-stream strip size the buffers were sized with.
+            let w = wmap[&sid.0];
             let lo = (s as usize * w).min(decl.items);
             let hi = ((s as usize + 1) * w).min(decl.items);
             lo..hi
@@ -434,77 +488,19 @@ pub fn schedule(
                 elem_bytes: decl.elem_bytes,
             }
         };
-        let consumers_in_strip = |sid: StreamId,
-                                  s: u32,
-                                  kernel_task: &HashMap<(u32, u32), TaskId>,
-                                  scatter_task: &HashMap<(u32, u32), TaskId>|
-         -> Vec<TaskId> {
-            let mut deps = Vec::new();
-            for k in graph.consumers_of(sid) {
-                if let Some(&t) = kernel_task.get(&(k.0, s)) {
-                    deps.push(t);
-                }
-            }
-            if let Some(&t) = scatter_task.get(&(sid.0, s)) {
-                deps.push(t);
-            }
-            deps
-        };
-
-        let mut pending_scatters: Vec<(StreamId, u32, TaskId)> = Vec::new();
-
         for s in 0..n_strips {
             // Gathers for every array-bound stream consumed this strip.
             for &kid in &phase_kernels {
-                let kdecl = graph.kernel(kid);
-                for &sid in &kdecl.inputs {
-                    let decl = graph.stream(sid);
-                    if decl.src.is_none() || em.gather_task.contains_key(&(sid.0, s)) {
-                        continue;
+                for &sid in &graph.kernel(kid).inputs {
+                    if graph.stream(sid).src.is_some() && !em.gather_task.contains_key(&(sid.0, s))
+                    {
+                        em.gather(graph, binding_for(sid, s), s);
                     }
-                    let b = binding_for(sid, s);
-                    if b.is_empty() {
-                        continue;
-                    }
-                    let mut deps = Vec::new();
-                    if s as usize >= bufs {
-                        deps.extend(consumers_in_strip(
-                            sid,
-                            s - bufs as u32,
-                            &em.kernel_task,
-                            &em.scatter_task,
-                        ));
-                        // Buffer WAW: the previous user of this parity
-                        // buffer (covers strips whose consumers emitted
-                        // no tasks).
-                        if let Some(&g) = em.gather_task.get(&(sid.0, s - bufs as u32)) {
-                            deps.push(g);
-                        }
-                    }
-                    let id = em.push(
-                        graph,
-                        TaskKind::Gather { binding: b, nt: opts.nt_gather },
-                        deps,
-                        s,
-                    );
-                    em.gather_task.insert((sid.0, s), id);
                 }
             }
 
             // Previous strip's scatters follow the gathers in the queue.
-            for (sid, ps, kernel_dep) in pending_scatters.drain(..) {
-                let b = binding_for(sid, ps);
-                if b.is_empty() {
-                    continue;
-                }
-                let sc = em.push(
-                    graph,
-                    TaskKind::Scatter { binding: b, nt: opts.nt_scatter },
-                    vec![kernel_dep],
-                    ps,
-                );
-                em.scatter_task.insert((sid.0, ps), sc);
-            }
+            em.flush_scatters(graph);
 
             // Kernels in dataflow order.
             for &kid in &phase_kernels {
@@ -530,18 +526,13 @@ pub fn schedule(
                         }
                     }
                 }
-                if s as usize >= bufs {
+                if let Some(prev) = s.checked_sub(em.bufs) {
                     for &sid in &kdecl.outputs {
-                        deps.extend(consumers_in_strip(
-                            sid,
-                            s - bufs as u32,
-                            &em.kernel_task,
-                            &em.scatter_task,
-                        ));
+                        deps.extend(em.consumers_in_strip(graph, sid, prev));
                     }
                     // Buffer WAW with this kernel's own earlier write of
                     // the parity buffer.
-                    if let Some(&k) = em.kernel_task.get(&(kid.0, s - bufs as u32)) {
+                    if let Some(&k) = em.kernel_task.get(&(kid.0, prev)) {
                         deps.push(k);
                     }
                 }
@@ -555,8 +546,9 @@ pub fn schedule(
                 em.kernel_task.insert((kid.0, s), id);
 
                 for &sid in &kdecl.outputs {
-                    if graph.stream(sid).dst.is_some() {
-                        pending_scatters.push((sid, s, id));
+                    let b = binding_for(sid, s);
+                    if graph.stream(sid).dst.is_some() && !b.is_empty() {
+                        em.pending.push((b, s, id));
                     }
                 }
             }
@@ -564,53 +556,15 @@ pub fn schedule(
             // Copy-only streams assigned to this phase.
             for &sid in &phase.copy_streams {
                 let b = binding_for(sid, s);
-                if b.is_empty() {
-                    continue;
+                if let Some(g) = em.gather(graph, b.clone(), s) {
+                    em.scatter(graph, b, s, g);
                 }
-                let mut deps = Vec::new();
-                if s as usize >= bufs {
-                    deps.extend(consumers_in_strip(
-                        sid,
-                        s - bufs as u32,
-                        &em.kernel_task,
-                        &em.scatter_task,
-                    ));
-                    if let Some(&g) = em.gather_task.get(&(sid.0, s - bufs as u32)) {
-                        deps.push(g);
-                    }
-                }
-                let g = em.push(
-                    graph,
-                    TaskKind::Gather { binding: b.clone(), nt: opts.nt_gather },
-                    deps,
-                    s,
-                );
-                em.gather_task.insert((sid.0, s), g);
-                let sc = em.push(
-                    graph,
-                    TaskKind::Scatter { binding: b, nt: opts.nt_scatter },
-                    vec![g],
-                    s,
-                );
-                em.scatter_task.insert((sid.0, s), sc);
             }
         }
 
         // Phase epilogue: final strip's scatters (must complete before the
         // next phase's barrier).
-        for (sid, ps, kernel_dep) in pending_scatters.drain(..) {
-            let b = binding_for(sid, ps);
-            if b.is_empty() {
-                continue;
-            }
-            let sc = em.push(
-                graph,
-                TaskKind::Scatter { binding: b, nt: opts.nt_scatter },
-                vec![kernel_dep],
-                ps,
-            );
-            em.scatter_task.insert((sid.0, ps), sc);
-        }
+        em.flush_scatters(graph);
     }
 
     let program = ScheduledProgram {

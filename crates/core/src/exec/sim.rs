@@ -438,8 +438,7 @@ impl SimExecutor {
             machine.enable_trace();
         }
         if self.profile {
-            machine.enable_profile();
-            machine.enable_sampling(self.sample_interval);
+            machine.enable_profile(self.sample_interval);
         }
         let task_log = self.task_log && !self.in_order;
         if task_log {

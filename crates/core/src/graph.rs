@@ -242,38 +242,47 @@ impl StreamGraph {
         kernels: Vec<KernelDecl>,
     ) -> Result<Self, GraphError> {
         let g = StreamGraph { streams, kernels };
-        for (si, s) in g.streams.iter().enumerate() {
+        g.validate(|_| Ok(()))?;
+        Ok(g)
+    }
+
+    /// The structural checks every graph passes: each stream has a source
+    /// and a sink and at most one producer (then `bindings`, which checks
+    /// its array bindings where the arrays are known), each kernel's ports
+    /// agree on item counts, and the kernel dataflow is acyclic. Reports
+    /// the first failure in that order.
+    fn validate(
+        &self,
+        mut bindings: impl FnMut(&StreamDecl) -> Result<(), GraphError>,
+    ) -> Result<(), GraphError> {
+        for (si, s) in self.streams.iter().enumerate() {
             let sid = StreamId(si as u32);
-            let producers = g.kernels.iter().filter(|k| k.outputs.contains(&sid)).count();
+            let producers = self.kernels.iter().filter(|k| k.outputs.contains(&sid)).count();
             if producers > 1 {
                 return Err(GraphError::MultipleProducers(s.name.clone()));
             }
             if s.src.is_none() && producers == 0 {
                 return Err(GraphError::NoSource(s.name.clone()));
             }
-            let consumers = g.kernels.iter().filter(|k| k.inputs.contains(&sid)).count();
+            let consumers = self.kernels.iter().filter(|k| k.inputs.contains(&sid)).count();
             if s.dst.is_none() && consumers == 0 {
                 return Err(GraphError::NoSink(s.name.clone()));
             }
+            bindings(s)?;
         }
-        for k in &g.kernels {
-            let mut items: Option<usize> = None;
-            for &s in k.inputs.iter().chain(k.outputs.iter()) {
-                let si = g.stream(s).items;
-                match items {
-                    None => items = Some(si),
-                    Some(prev) if prev != si => {
-                        return Err(GraphError::ItemCountMismatch {
-                            kernel: k.name.clone(),
-                            counts: (prev, si),
-                        })
-                    }
-                    _ => {}
+        for k in &self.kernels {
+            let mut ports = k.inputs.iter().chain(&k.outputs).map(|&s| self.stream(s).items);
+            if let Some(first) = ports.next() {
+                if let Some(other) = ports.find(|&n| n != first) {
+                    return Err(GraphError::ItemCountMismatch {
+                        kernel: k.name.clone(),
+                        counts: (first, other),
+                    });
                 }
             }
         }
-        g.topo_order()?;
-        Ok(g)
+        self.topo_order()?;
+        Ok(())
     }
 
     /// All stream declarations.
@@ -663,23 +672,10 @@ impl GraphBuilder {
     ///
     /// Returns a [`GraphError`] describing the first validation failure.
     pub fn build(self) -> Result<(StreamGraph, World), GraphError> {
-        let g = &self.graph;
-        // Every stream needs a source and a sink, and at most one producer.
-        for (si, s) in g.streams.iter().enumerate() {
-            let sid = StreamId(si as u32);
-            let producers = g.kernels.iter().filter(|k| k.outputs.contains(&sid)).count();
-            if producers > 1 {
-                return Err(GraphError::MultipleProducers(s.name.clone()));
-            }
-            if s.src.is_none() && producers == 0 {
-                return Err(GraphError::NoSource(s.name.clone()));
-            }
-            let consumers = g.kernels.iter().filter(|k| k.inputs.contains(&sid)).count();
-            if s.dst.is_none() && consumers == 0 {
-                return Err(GraphError::NoSink(s.name.clone()));
-            }
+        let world = &self.world;
+        self.graph.validate(|s| {
             for b in s.src.iter().chain(s.dst.iter()) {
-                let arr = self.world.array(b.array);
+                let arr = world.array(b.array);
                 if b.field_offset + b.field_bytes > arr.record_bytes {
                     return Err(GraphError::FieldOutOfRecord { stream: s.name.clone() });
                 }
@@ -689,25 +685,8 @@ impl GraphBuilder {
                     }
                 }
             }
-        }
-        // Kernel ports must agree on item counts.
-        for k in &g.kernels {
-            let mut items: Option<usize> = None;
-            for &s in k.inputs.iter().chain(k.outputs.iter()) {
-                let si = g.stream(s).items;
-                match items {
-                    None => items = Some(si),
-                    Some(prev) if prev != si => {
-                        return Err(GraphError::ItemCountMismatch {
-                            kernel: k.name.clone(),
-                            counts: (prev, si),
-                        })
-                    }
-                    _ => {}
-                }
-            }
-        }
-        g.topo_order()?;
+            Ok(())
+        })?;
         Ok((self.graph, self.world))
     }
 
@@ -746,38 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_without_source_rejected() {
-        let mut b = GraphBuilder::new();
-        let y = b.array_zeroed::<f32>("y", 3);
-        let s = b.stream::<f32>("orphan", 3);
-        b.scatter_seq(s, y);
-        let err = b.build().unwrap_err();
-        assert!(matches!(err, GraphError::NoSource(_)), "{err}");
-    }
-
-    #[test]
-    fn stream_without_sink_rejected() {
-        let mut b = GraphBuilder::new();
-        let a = b.array("a", &[1.0f32]);
-        let _s = b.gather_seq("as", a);
-        let err = b.build().unwrap_err();
-        assert!(matches!(err, GraphError::NoSink(_)), "{err}");
-    }
-
-    #[test]
-    fn item_count_mismatch_rejected() {
-        let mut b = GraphBuilder::new();
-        let a = b.array("a", &[1.0f32, 2.0]);
-        let y = b.array_zeroed::<f32>("y", 3);
-        let s_in = b.gather_seq("as", a);
-        let s_out = b.stream::<f32>("ys", 3);
-        b.kernel("bad", &[s_in.id()], &[s_out.id()], 1, identity_kernel());
-        b.scatter_seq(s_out, y);
-        let err = b.build().unwrap_err();
-        assert!(matches!(err, GraphError::ItemCountMismatch { .. }), "{err}");
-    }
-
-    #[test]
     fn index_out_of_range_rejected() {
         let mut b = GraphBuilder::new();
         let a = b.array("a", &[1.0f32, 2.0]);
@@ -807,14 +754,66 @@ mod tests {
         assert_eq!(decl.elems_for_items(1, 3), 4..10);
     }
 
+    /// Each malformed graph fails `build` and `from_parts` with the same
+    /// first error.
     #[test]
-    fn cyclic_graph_rejected() {
-        let mut b = GraphBuilder::new();
-        let s1 = b.stream::<f32>("s1", 4);
-        let s2 = b.stream::<f32>("s2", 4);
-        b.kernel("k1", &[s2.id()], &[s1.id()], 1, identity_kernel());
-        b.kernel("k2", &[s1.id()], &[s2.id()], 1, identity_kernel());
-        let err = b.build().unwrap_err();
-        assert_eq!(err, GraphError::Cyclic);
+    fn malformed_graphs_rejected_alike_by_build_and_from_parts() {
+        type Declare = fn(&mut GraphBuilder);
+        let cases: [(Declare, GraphError); 5] = [
+            (
+                |b| {
+                    let y = b.array_zeroed::<f32>("y", 3);
+                    let s = b.stream::<f32>("orphan", 3);
+                    b.scatter_seq(s, y);
+                },
+                GraphError::NoSource("orphan".into()),
+            ),
+            (
+                |b| {
+                    let a = b.array("a", &[1.0f32]);
+                    b.gather_seq("as", a);
+                },
+                GraphError::NoSink("as".into()),
+            ),
+            (
+                |b| {
+                    let a = b.array("a", &[1.0f32; 3]);
+                    let y = b.array_zeroed::<f32>("y", 3);
+                    let s_in = b.gather_seq("as", a);
+                    let s_out = b.stream::<f32>("ys", 3);
+                    b.kernel("k1", &[s_in.id()], &[s_out.id()], 1, identity_kernel());
+                    b.kernel("k2", &[s_in.id()], &[s_out.id()], 1, identity_kernel());
+                    b.scatter_seq(s_out, y);
+                },
+                GraphError::MultipleProducers("ys".into()),
+            ),
+            (
+                |b| {
+                    let a = b.array("a", &[1.0f32, 2.0]);
+                    let y = b.array_zeroed::<f32>("y", 3);
+                    let s_in = b.gather_seq("as", a);
+                    let s_out = b.stream::<f32>("ys", 3);
+                    b.kernel("bad", &[s_in.id()], &[s_out.id()], 1, identity_kernel());
+                    b.scatter_seq(s_out, y);
+                },
+                GraphError::ItemCountMismatch { kernel: "bad".into(), counts: (2, 3) },
+            ),
+            (
+                |b| {
+                    let s1 = b.stream::<f32>("s1", 4);
+                    let s2 = b.stream::<f32>("s2", 4);
+                    b.kernel("k1", &[s2.id()], &[s1.id()], 1, identity_kernel());
+                    b.kernel("k2", &[s1.id()], &[s2.id()], 1, identity_kernel());
+                },
+                GraphError::Cyclic,
+            ),
+        ];
+        for (declare, want) in cases {
+            let mut b = GraphBuilder::new();
+            declare(&mut b);
+            let parts = StreamGraph::from_parts(b.graph.streams.clone(), b.graph.kernels.clone());
+            assert_eq!(parts.unwrap_err(), want, "from_parts");
+            assert_eq!(b.build().unwrap_err(), want, "build");
+        }
     }
 }

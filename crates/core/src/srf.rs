@@ -155,30 +155,6 @@ impl SrfBuffer {
     pub fn bytes_mut(&mut self, offset: usize, len: usize) -> &mut [u8] {
         &mut self.data.as_mut_bytes()[offset..offset + len]
     }
-
-    /// Two disjoint mutable ranges (for kernels reading one strip buffer
-    /// while writing another).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ranges overlap or exceed the capacity.
-    pub fn disjoint_mut(&mut self, a: (usize, usize), b: (usize, usize)) -> (&mut [u8], &mut [u8]) {
-        let (a_off, a_len) = a;
-        let (b_off, b_len) = b;
-        assert!(
-            a_off + a_len <= b_off || b_off + b_len <= a_off,
-            "SRF ranges overlap: {a:?} vs {b:?}"
-        );
-        let bytes = self.data.as_mut_bytes();
-        if a_off < b_off {
-            let (lo, hi) = bytes.split_at_mut(b_off);
-            (&mut lo[a_off..a_off + a_len], &mut hi[..b_len])
-        } else {
-            let (lo, hi) = bytes.split_at_mut(a_off);
-            let (bslice, aslice) = (&mut lo[b_off..b_off + b_len], &mut hi[..a_len]);
-            (aslice, bslice)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -208,27 +184,5 @@ mod tests {
         let mut buf = SrfBuffer::new(SrfConfig { base: SRF_BASE, capacity: 256 });
         buf.bytes_mut(10, 4).copy_from_slice(&[1, 2, 3, 4]);
         assert_eq!(buf.bytes(10, 4), &[1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn disjoint_mut_both_orders() {
-        let mut buf = SrfBuffer::new(SrfConfig { base: SRF_BASE, capacity: 64 });
-        {
-            let (a, b) = buf.disjoint_mut((0, 8), (8, 8));
-            a[0] = 1;
-            b[0] = 2;
-        }
-        {
-            let (a, b) = buf.disjoint_mut((8, 8), (0, 8));
-            assert_eq!(a[0], 2);
-            assert_eq!(b[0], 1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "overlap")]
-    fn overlapping_ranges_panic() {
-        let mut buf = SrfBuffer::new(SrfConfig { base: SRF_BASE, capacity: 64 });
-        let _ = buf.disjoint_mut((0, 10), (5, 10));
     }
 }

@@ -105,12 +105,6 @@ impl Topology {
         self.roles.len()
     }
 
-    /// Per-context roles, indexed by context.
-    #[must_use]
-    pub fn roles(&self) -> &[ContextRole] {
-        &self.roles
-    }
-
     /// Contexts whose queue accepts the given task class, in index order.
     fn accepting(&self, is_memory: bool) -> impl Iterator<Item = usize> + '_ {
         self.roles.iter().enumerate().filter(move |(_, r)| r.accepts(is_memory)).map(|(c, _)| c)
@@ -223,8 +217,8 @@ mod tests {
         assert_eq!(Topology::scaled(2), Topology::two_context());
         let four = Topology::scaled(4);
         assert_eq!(
-            four.roles(),
-            &[ContextRole::Compute, ContextRole::Memory, ContextRole::Compute, ContextRole::Memory]
+            four.roles,
+            [ContextRole::Compute, ContextRole::Memory, ContextRole::Compute, ContextRole::Memory]
         );
     }
 

@@ -25,20 +25,21 @@
 //!
 //! A simulated hit is four stamp updates, and the engine is built so
 //! that it costs about that much. Geometry is power-of-two by
-//! construction, so no per-access path divides (`line_shift`,
-//! `page_shift`, `line_cycles` are fields). In [`StepMode::Event`] a
-//! bulk copy's hits never reach `mem_access` at all: `Seq`/`Strided`
-//! patterns replay same-line runs arithmetically (O(1) per line,
-//! `copy_fast_run`), `Indexed` patterns retire proven hits one by one
-//! in program order (`copy_hit_run`), and only the element neither can
-//! take — a miss, a walk, a line-straddling record — is stepped exactly.
+//! construction, so no per-access path divides (`line_shift` and
+//! `page_shift` are fields, and the bus keeps its line occupancy). In
+//! [`StepMode::Event`] a bulk copy's hits never reach `mem_access` at
+//! all: `Seq`/`Strided` patterns replay same-line runs arithmetically
+//! (O(1) per line, `copy_fast_run`), `Indexed` patterns retire proven
+//! hits one by one in program order (`copy_hit_run`), and only the
+//! element neither can take — a miss, a walk, a line-straddling record
+//! — is stepped exactly.
 //! A [`BulkOp::Loop`] iteration is always stepped exactly. Both routes
 //! leave every cache, TLB and counter in the state stepping would, so
 //! results are byte-identical in either mode; which route took what,
 //! and why the rest was stepped, is tallied host-side in
 //! [`EngineStats`].
 
-use crate::bus::Bus;
+use crate::bus::{Bus, Transfer};
 use crate::cache::{Cache, FillPolicy};
 use crate::config::MachineConfig;
 use crate::ops::{AccessPattern, BulkOp, CopyDir, OpClass, Rw, WaitPolicy};
@@ -293,23 +294,19 @@ pub struct Machine {
     trace_capacity: usize,
     /// Events discarded because the trace sink was at capacity.
     trace_dropped: u64,
-    /// Per-(context, op-index) cycle and counter attribution; `None` (the
-    /// default) skips the around-step snapshots entirely.
-    profile: Option<BTreeMap<(u8, u32), (u64, MemStats)>>,
-    /// Interval counter sampler; `None` (the default) records nothing.
-    sampler: Option<Sampler>,
+    /// Per-op attribution and interval samples; `None` (the default)
+    /// skips the around-step snapshots entirely.
+    profile: Option<Profile>,
     /// Task-issue log for `run_tasks`; `None` (the default) records
     /// nothing.
     task_log: Option<Vec<TaskIssue>>,
     /// Time-advance strategy; see [`StepMode`].
     mode: StepMode,
     /// `log2` of the L2 line size (the granularity `mem_access` splits
-    /// elements at) and of the page size, and the bus occupancy of one
-    /// line: runtime constants of `cfg`, kept so no per-access path
-    /// divides.
+    /// elements at) and of the page size: runtime constants of `cfg`,
+    /// kept so no per-access path divides.
     line_shift: u32,
     page_shift: u32,
-    line_cycles: u64,
     /// L1 and L2 lines are the same size, so one line index serves both
     /// levels — the one geometry condition batching needs beyond those
     /// construction asserts. `false` falls back to stepped inner loops
@@ -319,11 +316,12 @@ pub struct Machine {
     engine: EngineStats,
 }
 
-/// Interval-sampler state: cumulative counter snapshots every `interval`
-/// cycles of the stepped context's local clock, plus one final snapshot
-/// at end of run.
+/// Profiler state: per-`(context, op)` cycle and counter attribution,
+/// and cumulative counter snapshots every `interval` cycles of the
+/// stepped context's local clock plus one final snapshot at end of run.
 #[derive(Debug, Clone)]
-struct Sampler {
+struct Profile {
+    ops: BTreeMap<(u8, u32), (u64, MemStats)>,
     interval: u64,
     next_t: u64,
     samples: Vec<CounterSample>,
@@ -393,11 +391,10 @@ impl Machine {
         let l2 = Cache::new(cfg.l2, cfg.nt_ways);
         let tlb: Vec<Tlb> = (0..n).map(|_| Tlb::new(cfg.dtlb_entries, cfg.page_bytes)).collect();
         let pf = Prefetcher::new(cfg.l2.line, cfg.hw_pf_streams);
-        let bus = Bus::new(cfg.bus_bytes_per_cycle, cfg.mem_lat, cfg.bus_turnaround);
+        let bus = Bus::new(&cfg);
         Machine {
             line_shift: cfg.l2.line.trailing_zeros(),
             page_shift: cfg.page_bytes.trailing_zeros(),
-            line_cycles: cfg.bus_cycles(cfg.l2.line),
             lines_equal: cfg.l1.line == cfg.l2.line,
             engine: EngineStats::default(),
             cfg,
@@ -419,7 +416,6 @@ impl Machine {
             trace_capacity: MACHINE_TRACE_CAPACITY,
             trace_dropped: 0,
             profile: None,
-            sampler: None,
             task_log: None,
             mode: StepMode::default(),
         }
@@ -453,12 +449,6 @@ impl Machine {
         }
     }
 
-    /// Whether event tracing is enabled.
-    #[must_use]
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Events dropped because the trace sink hit
     /// [`MACHINE_TRACE_CAPACITY`]. Persists across
     /// [`Machine::take_trace`] (read it before reusing the sink);
@@ -476,21 +466,28 @@ impl Machine {
         self.trace_capacity = capacity;
     }
 
-    /// Start attributing cycles and counter deltas to each `(context,
-    /// op)` pair. Counters only move inside [`Machine::step`] for the
-    /// stepped context, so snapshotting around each step attributes them
-    /// exactly; timing is unaffected (the snapshots only read counters).
-    pub fn enable_profile(&mut self) {
-        if self.profile.is_none() {
-            self.profile = Some(BTreeMap::new());
-        }
+    /// Start profiling: attribute cycles and counter deltas to each
+    /// `(context, op)` pair, and sample cumulative counters every
+    /// `interval` cycles (of the stepped context's local clock) plus once
+    /// at end of run, so interval deltas always sum to the run totals.
+    /// Counters only move inside [`Machine::step`] for the stepped
+    /// context, so snapshotting around each step attributes them exactly;
+    /// timing is unaffected (the snapshots only read counters).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval` is zero.
+    pub fn enable_profile(&mut self, interval: u64) {
+        assert!(interval > 0, "sampling interval must be positive");
+        self.profile =
+            Some(Profile { ops: BTreeMap::new(), interval, next_t: interval, samples: Vec::new() });
     }
 
     /// Drain the per-op profile, sorted by `(ctx, op)` (empty if
     /// profiling was never enabled). Profiling stays enabled afterwards.
     pub fn take_profile(&mut self) -> Vec<OpProfile> {
         match self.profile.as_mut() {
-            Some(map) => std::mem::take(map)
+            Some(p) => std::mem::take(&mut p.ops)
                 .into_iter()
                 .map(|((ctx, op), (cycles, stats))| OpProfile { ctx, op, cycles, stats })
                 .collect(),
@@ -498,22 +495,10 @@ impl Machine {
         }
     }
 
-    /// Start sampling cumulative counters every `interval` cycles (of the
-    /// stepped context's local clock). A final sample is recorded at end
-    /// of run, so interval deltas always sum to the run totals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn enable_sampling(&mut self, interval: u64) {
-        assert!(interval > 0, "sampling interval must be positive");
-        self.sampler = Some(Sampler { interval, next_t: interval, samples: Vec::new() });
-    }
-
-    /// Drain the recorded counter samples (empty if sampling was never
+    /// Drain the recorded counter samples (empty if profiling was never
     /// enabled). Sampling stays enabled, rewound to the first interval.
     pub fn take_samples(&mut self) -> Vec<CounterSample> {
-        match self.sampler.as_mut() {
+        match self.profile.as_mut() {
             Some(s) => {
                 s.next_t = s.interval;
                 std::mem::take(&mut s.samples)
@@ -599,8 +584,7 @@ impl Machine {
     /// contents. Used to measure a warm steady-state iteration, like the
     /// paper's "several hundred time steps".
     pub fn reset_time(&mut self) {
-        self.bus =
-            Bus::new(self.cfg.bus_bytes_per_cycle, self.cfg.mem_lat, self.cfg.bus_turnaround);
+        self.bus.reset();
         self.walker_free = 0;
         self.bus_contended = false;
         self.loop_window = false;
@@ -615,12 +599,10 @@ impl Machine {
             buf.clear();
         }
         self.trace_dropped = 0;
-        if let Some(map) = self.profile.as_mut() {
-            map.clear();
-        }
-        if let Some(s) = self.sampler.as_mut() {
-            s.samples.clear();
-            s.next_t = s.interval;
+        if let Some(p) = self.profile.as_mut() {
+            p.ops.clear();
+            p.samples.clear();
+            p.next_t = p.interval;
         }
         if let Some(log) = self.task_log.as_mut() {
             log.clear();
@@ -693,17 +675,11 @@ impl Machine {
             acts.clear();
             acts.extend(cur.iter().map(|c| self.activity_of(c)));
             let smt = self.smt_mix(pick, &acts);
-            if self.mode == StepMode::Event
-                && cur.iter().enumerate().all(|(i, c)| i == pick || !runnable(c))
-            {
-                // Every other context is finished or waiting on an event
-                // only this context can signal: nothing they observe can
-                // change until the current op completes, so run the op out
-                // in one span.
-                self.step_op_span(&mut cur, pick, smt, &mut signals);
-            } else {
-                self.step_instrumented(&mut cur, pick, smt, &mut signals);
-            }
+            // Every other context is finished or waiting on an event only
+            // this context can signal: nothing they observe can change
+            // until the current op completes.
+            let alone = cur.iter().enumerate().all(|(i, c)| i == pick || !runnable(c));
+            self.step_profiled(&mut cur, pick, smt, &mut signals, alone);
         }
 
         self.finish_run(cur.iter().map(|c| c.t).collect())
@@ -844,16 +820,10 @@ impl Machine {
                 acts.clear();
                 acts.extend(cur.iter().zip(&st).map(|(cc, ss)| self.task_activity(cc, ss, policy)));
                 let smt = self.smt_mix(c, &acts);
-                if self.mode == StepMode::Event
-                    && (0..n).all(|j| j == c || (st[j].active.is_none() && cand[j].is_none()))
-                {
-                    // No other context has an issueable entry; each can
-                    // only get one when this task completes and signals:
-                    // run the current op out in one span.
-                    self.step_op_span(&mut cur, c, smt, &mut signals);
-                } else {
-                    self.step_instrumented(&mut cur, c, smt, &mut signals);
-                }
+                // No other context has an issueable entry; each can only
+                // get one when this task completes and signals.
+                let alone = (0..n).all(|j| j == c || (st[j].active.is_none() && cand[j].is_none()));
+                self.step_profiled(&mut cur, c, smt, &mut signals, alone);
             }
             if cur[c].idx >= st[c].tasks[i].ops.end {
                 if let Some(id) = st[c].tasks[i].signal {
@@ -876,94 +846,83 @@ impl Machine {
     /// wall clock to the final bus drain (posted stores and writebacks
     /// may outlive the issuing context — the run is not over until the
     /// bus is quiet, which also makes `bus_busy_cycles <= cycles` an
-    /// invariant), and record the sampler's final snapshot.
+    /// invariant), and record the profiler's final sample.
     fn finish_run(&mut self, ctx_cycles: Vec<u64>) -> RunResult {
         self.stats.bus_bytes = self.bus.bytes_moved();
         self.stats.bus_busy_cycles = self.bus.busy_cycles();
         let cycles = ctx_cycles.iter().copied().max().unwrap_or(0).max(self.bus.next_free());
-        if let Some(s) = self.sampler.as_mut() {
+        if let Some(p) = self.profile.as_mut() {
             // Final cumulative sample at end of run: interval deltas then
             // sum to the run totals by construction. Replace a tick that
             // landed exactly on the end cycle (its bus totals predate the
             // publish above).
-            if s.samples.last().is_some_and(|last| last.t >= cycles) {
-                s.samples.pop();
+            if p.samples.last().is_some_and(|last| last.t >= cycles) {
+                p.samples.pop();
             }
-            s.samples.push(CounterSample { t: cycles, stats: self.stats });
+            p.samples.push(CounterSample { t: cycles, stats: self.stats });
         }
         RunResult { ctx_cycles, cycles, mem: self.stats, phases: self.phases.clone() }
     }
 
-    /// Step the chosen context, wrapped in profiling / sampling counter
-    /// snapshots when either is enabled. The snapshots only *read*
-    /// counters, so timing is bit-identical with and without them.
-    fn step_instrumented(&mut self, cur: &mut [Cursor], c: usize, smt: Smt, signals: &mut Signals) {
-        // Not greedy: outside a span the other contexts interleave at
-        // chunk granularity, and shared-structure (bus, L2) access order
-        // across contexts must match the stepped loop exactly.
-        if self.profile.is_none() && self.sampler.is_none() {
-            self.step(cur, c, smt, signals, false);
-            return;
-        }
-        let (op, t0) = (cur[c].idx as u32, cur[c].t);
-        let before = self.stats_now();
-        self.step(cur, c, smt, signals, false);
-        self.sample_tick(cur[c].t);
-        self.profile_op(c, op, t0, cur[c].t, &before);
-    }
-
-    /// Record the interval samples due by `now`, each with the counters
-    /// as they stand.
-    fn sample_tick(&mut self, now: u64) {
-        if self.sampler.as_ref().is_some_and(|s| s.next_t <= now) {
-            let stats = self.stats_now();
-            if let Some(s) = self.sampler.as_mut() {
-                while s.next_t <= now {
-                    s.samples.push(CounterSample { t: s.next_t, stats });
-                    s.next_t += s.interval;
-                }
+    /// Step context `c`, wrapped in the profiler's counter snapshots when
+    /// it is on (they only *read* counters, so timing is bit-identical
+    /// with and without them). In [`StepMode::Event`], when the context is
+    /// `alone` (no other context can act: each is finished, waiting on an
+    /// unsignaled event, or holding no issueable task), its *current op*
+    /// runs to completion in one span without re-picking or re-resolving
+    /// waits: the others' observable state — and hence every SMT factor,
+    /// pick decision and wait resolution the stepped loop would recompute
+    /// per chunk — is frozen until the op retires. Otherwise it steps one
+    /// chunk, not greedy: the other contexts interleave at chunk
+    /// granularity, and shared-structure (bus, L2) access order across
+    /// contexts must match the stepped loop exactly.
+    fn step_profiled(
+        &mut self,
+        cur: &mut [Cursor],
+        c: usize,
+        smt: Smt,
+        signals: &mut Signals,
+        alone: bool,
+    ) {
+        let (op0, t0) = (cur[c].idx, cur[c].t);
+        let before = self.profile.is_some().then(|| self.stats_now());
+        if alone && self.mode == StepMode::Event {
+            self.engine.spans += 1;
+            // Unprofiled, chunk boundaries inside the span are
+            // unobservable (no samples, hits emit no trace events), so
+            // where copies take their batched routes (one line index) a
+            // chunk takes the rest of its op. Profiled, chunks keep their
+            // size so samples land on the stepped loop's ticks.
+            let greedy = before.is_none() && self.lines_equal;
+            while cur[c].idx == op0 {
+                self.step(cur, c, smt, signals, greedy);
+                self.sample_tick(cur[c].t);
             }
+        } else {
+            self.step(cur, c, smt, signals, false);
+            self.sample_tick(cur[c].t);
         }
-    }
-
-    /// Attribute the cycles `t0..now` and the counter delta since
-    /// `before` to op `op` of context `c`, when profiling.
-    fn profile_op(&mut self, c: usize, op: u32, t0: u64, now: u64, before: &MemStats) {
-        if self.profile.is_some() {
-            let delta = self.stats_now().delta(before);
-            if let Some(map) = self.profile.as_mut() {
-                let slot = map.entry((c as u8, op)).or_insert((0, MemStats::default()));
-                slot.0 += now.saturating_sub(t0);
+        if let Some(before) = before {
+            let delta = self.stats_now().delta(&before);
+            if let Some(p) = self.profile.as_mut() {
+                let slot = p.ops.entry((c as u8, op0 as u32)).or_insert((0, MemStats::default()));
+                slot.0 += cur[c].t.saturating_sub(t0);
                 slot.1.accumulate(&delta);
             }
         }
     }
 
-    /// Event-mode span: run the picked context's *current op* to
-    /// completion without re-picking or re-resolving waits in between.
-    /// Legal only while no other context can act (each is finished,
-    /// waiting on an unsignaled event, or holding no issueable task):
-    /// their observable state — and hence every SMT factor, pick decision
-    /// and wait resolution the stepped loop would recompute per chunk —
-    /// is frozen until this op retires. Chunk boundaries are preserved
-    /// inside the span so interval samples land on the same ticks with
-    /// the same counter snapshots as the stepped loop.
-    fn step_op_span(&mut self, cur: &mut [Cursor], c: usize, smt: Smt, signals: &mut Signals) {
-        self.engine.spans += 1;
-        let (op0, t0) = (cur[c].idx, cur[c].t);
-        let before = self.profile.is_some().then(|| self.stats_now());
-        // With no sampler attached, chunk boundaries inside the span are
-        // unobservable (profile deltas telescope over the whole op, hits
-        // emit no trace events), so where copies take their batched
-        // routes (one line index) a chunk takes the rest of its op;
-        // otherwise chunks keep their size.
-        let greedy = self.sampler.is_none() && self.lines_equal;
-        while cur[c].idx == op0 {
-            self.step(cur, c, smt, signals, greedy);
-            self.sample_tick(cur[c].t);
-        }
-        if let Some(before) = before {
-            self.profile_op(c, op0 as u32, t0, cur[c].t, &before);
+    /// Record the interval samples due by `now`, each with the counters
+    /// as they stand.
+    fn sample_tick(&mut self, now: u64) {
+        if self.profile.as_ref().is_some_and(|p| p.next_t <= now) {
+            let stats = self.stats_now();
+            if let Some(p) = self.profile.as_mut() {
+                while p.next_t <= now {
+                    p.samples.push(CounterSample { t: p.next_t, stats });
+                    p.next_t += p.interval;
+                }
+            }
         }
     }
 
@@ -1745,7 +1704,7 @@ impl Machine {
         // flushes.
         if rw == Rw::Write && nt {
             let avail = self.translate(ctx, t, addr);
-            t = t.max(avail.saturating_sub(WC_WINDOW_LINES * self.line_cycles));
+            t = t.max(avail.saturating_sub(WC_WINDOW_LINES * self.bus.line_cycles()));
             let line_addr = addr >> line_shift;
             let wc = &mut self.wc[ctx];
             if wc.len > 0 && wc.start == line_addr {
@@ -1808,8 +1767,6 @@ impl Machine {
         sw_prefetched: bool,
         mlp: usize,
     ) -> u64 {
-        let line = self.cfg.l2.line;
-        let line_cycles = self.line_cycles;
         let avail = self.translate(ctx, t, addr);
 
         // NT loads bypass the L1 and pay extra micro-ops at L2; plain loads
@@ -1842,12 +1799,8 @@ impl Machine {
         }
         if out.writeback.is_some() {
             // Fire-and-forget writeback; occupies the bus.
-            let wb = self.bus.request(t, line, ctx as u8, self.bus_contended);
+            self.bus_line(ctx, t);
             self.stats.writebacks += 1;
-            self.emit(wb.start, ctx, || MachineEventKind::BusGrant {
-                bytes: line,
-                queued: wb.start.saturating_sub(t),
-            });
         }
 
         // Prefetch coverage.
@@ -1863,12 +1816,7 @@ impl Machine {
         };
 
         if covered {
-            let req = t.max(avail);
-            let transfer = self.bus.request(req, line, ctx as u8, self.bus_contended);
-            self.emit(transfer.start, ctx, || MachineEventKind::BusGrant {
-                bytes: line,
-                queued: transfer.start.saturating_sub(req),
-            });
+            let transfer = self.bus_line(ctx, t.max(avail));
             self.emit(transfer.start, ctx, || MachineEventKind::PrefetchCover {
                 sw: sw_prefetched,
             });
@@ -1876,7 +1824,7 @@ impl Machine {
             // line-transfers ahead: the context stalls only if the bus —
             // or, for random patterns, the serialized page walker feeding
             // it — cannot keep up within that window.
-            t = t.max(transfer.data_ready.saturating_sub(depth * line_cycles));
+            t = t.max(transfer.data_ready.saturating_sub(depth * self.bus.line_cycles()));
         } else if rw == Rw::Read {
             // Demand load miss: the out-of-order core keeps up to `mlp`
             // misses in flight. A new miss stalls only when every miss
@@ -1889,12 +1837,7 @@ impl Machine {
                     t = t.max(ready);
                 }
             }
-            let req = t.max(avail);
-            let transfer = self.bus.request(req, line, ctx as u8, self.bus_contended);
-            self.emit(transfer.start, ctx, || MachineEventKind::BusGrant {
-                bytes: line,
-                queued: transfer.start.saturating_sub(req),
-            });
+            let transfer = self.bus_line(ctx, t.max(avail));
             if self.loop_window {
                 // The reorder window hides only `ooo_window_cycles` of the
                 // *fill* latency; the page walk overlaps it (the walker is
@@ -1911,12 +1854,7 @@ impl Machine {
             // Uncovered store miss (read-for-ownership): store-buffer
             // stalls hide part but not all of the fill; inside a loop the
             // translation overlaps like a load's.
-            let req = t.max(avail);
-            let transfer = self.bus.request(req, line, ctx as u8, self.bus_contended);
-            self.emit(transfer.start, ctx, || MachineEventKind::BusGrant {
-                bytes: line,
-                queued: transfer.start.saturating_sub(req),
-            });
+            let transfer = self.bus_line(ctx, t.max(avail));
             if self.loop_window {
                 let w = self.cfg.ooo_window_cycles;
                 t = t.max(avail.saturating_sub(w)) + self.cfg.store_miss_exposed;
@@ -1934,21 +1872,27 @@ impl Machine {
             return t;
         }
         self.wc[ctx] = WriteCombiner::default();
-        let line = self.cfg.l2.line;
-        let line_cycles = self.line_cycles;
         // A write-combining flush occupies the bus for a full line slot
         // whether or not the buffer was full (partial flushes are chunked
         // on the front-side bus).
-        let transfer = self.bus.request(t, line, ctx as u8, self.bus_contended);
+        let transfer = self.bus_line(ctx, t);
         self.stats.wc_flushes += 1;
-        self.emit(transfer.start, ctx, || MachineEventKind::BusGrant {
-            bytes: line,
-            queued: transfer.start.saturating_sub(t),
-        });
         self.emit(transfer.start, ctx, || MachineEventKind::WcFlush);
         // Posted writes: the context only stalls if it runs too far ahead
         // of the store queue.
-        t.max(transfer.bus_free.saturating_sub(WC_WINDOW_LINES * line_cycles))
+        t.max(transfer.bus_free.saturating_sub(WC_WINDOW_LINES * self.bus.line_cycles()))
+    }
+
+    /// Move one line over the bus for context `ctx`, requested at `at`,
+    /// and trace the grant.
+    fn bus_line(&mut self, ctx: usize, at: u64) -> Transfer {
+        let transfer = self.bus.request(at, ctx as u8, self.bus_contended);
+        let bytes = self.cfg.l2.line;
+        self.emit(transfer.start, ctx, || MachineEventKind::BusGrant {
+            bytes,
+            queued: transfer.start.saturating_sub(at),
+        });
+        transfer
     }
 }
 
@@ -2102,7 +2046,6 @@ mod tests {
     fn tracing_emits_events_without_perturbing_timing() {
         let mut plain = machine();
         let untraced = plain.run(traceable_program());
-        assert!(!plain.trace_enabled());
         assert!(plain.take_trace().is_empty(), "no sink when tracing is off");
 
         let mut traced = machine();
@@ -2116,6 +2059,15 @@ mod tests {
         assert!(has(|k| matches!(k, MachineEventKind::OpRetire { .. })));
         assert!(has(|k| matches!(k, MachineEventKind::BusGrant { .. })));
         assert!(has(|k| matches!(k, MachineEventKind::Wakeup { .. })));
+        // Every bus transfer is traced.
+        let granted: u64 = events
+            .iter()
+            .map(|e| match e.kind {
+                MachineEventKind::BusGrant { bytes, .. } => bytes,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(granted, r.mem.bus_bytes);
         // Timestamps never exceed the run length and are per-context
         // monotone for retirements.
         let mut last = [0u64; 2];
@@ -2155,8 +2107,7 @@ mod tests {
         assert!(plain.take_samples().is_empty(), "no samples when off");
 
         let mut instrumented = machine();
-        instrumented.enable_profile();
-        instrumented.enable_sampling(1024);
+        instrumented.enable_profile(1024);
         let r = instrumented.run(traceable_program());
         assert_eq!(r, bare, "profiling must not change the model");
 
@@ -2188,7 +2139,7 @@ mod tests {
     }
 
     /// One indexed gather over a small, reused table, then a loop over
-    /// it, in both step modes with the sampler attached (so event mode
+    /// it, in both step modes with the profiler on (so event mode
     /// keeps chunk boundaries): identical results and samples, and the
     /// engine's own account adds up — every element on exactly one
     /// route, every exact element with a reason, every loop iteration
@@ -2219,7 +2170,7 @@ mod tests {
         let run = |mode| {
             let mut m = machine();
             m.set_step_mode(mode);
-            m.enable_sampling(512);
+            m.enable_profile(512);
             let r = m.run_single(vec![copy(false), copy(true), looped.clone()]);
             (r, m.take_samples(), m.engine_stats())
         };

@@ -13,6 +13,7 @@
 //! stream program and a regular (interleaved) program — and a `COMP` knob
 //! scales the computation per loaded value (`COMP = 1` ≈ 50 cycles).
 
+use gpstream_apps::common::assert_outputs_agree;
 use gpstream_compiler::{compile, CompilerOptions};
 use gpstream_core::exec::sim::SimExecutor;
 use gpstream_core::metrics::Comparison;
@@ -157,16 +158,12 @@ impl Microbench {
         let mut rw = self.regular_world;
         let regular_timing = self.regular.simulate(&mut rw, mcfg);
 
-        let got: &[f32] = sw.slice::<f32>(self.stream_output);
-        let want: &[f32] = rw.slice::<f32>(self.regular_output);
-        assert_eq!(got.len(), want.len());
-        for (i, (g, w)) in got.iter().zip(want).enumerate() {
-            assert!(
-                (g - w).abs() <= 1e-4 * w.abs().max(1.0),
-                "{}: output {i} differs: stream={g} regular={w}",
-                self.name
-            );
-        }
+        assert_outputs_agree(
+            &self.name,
+            (&sw, &[self.stream_output]),
+            (&rw, &[self.regular_output]),
+            1e-4,
+        );
 
         Comparison {
             name: self.name,

@@ -9,6 +9,7 @@
 //! one — so the differ never needs to know which tool produced a file.
 
 use crate::baseline::default_band;
+use crate::counters::CounterSet;
 use gpstream_util::json::JsonParseError;
 use gpstream_util::Json;
 
@@ -93,28 +94,6 @@ pub struct Artifact {
     pub critical_path: Option<Vec<PathTask>>,
 }
 
-/// Derived-metric names — everything else in a profile/analysis
-/// document is an integer counter. Kept in sync with
-/// [`CounterSet::derived`](crate::CounterSet::derived) by a test.
-pub const DERIVED_NAMES: &[&str] = &[
-    "l1_miss_rate",
-    "l2_miss_rate",
-    "dtlb_miss_rate",
-    "walk_cycles_per_miss",
-    "bus_occupancy",
-    "bus_bytes_per_cycle",
-    "hw_prefetch_coverage",
-    "sw_prefetch_coverage",
-    "prefetch_coverage",
-    "srf_eviction_rate",
-    "writeback_rate",
-    "overlap_efficiency",
-];
-
-fn is_derived(name: &str) -> bool {
-    DERIVED_NAMES.contains(&name) || name.ends_with("_share") || name.ends_with("_speedup")
-}
-
 fn bad(msg: &str) -> JsonParseError {
     JsonParseError { message: msg.to_string(), offset: 0 }
 }
@@ -154,6 +133,13 @@ impl Artifact {
 
     fn from_baseline(text: &str) -> Result<Artifact, JsonParseError> {
         let base = crate::Baseline::from_json(text)?;
+        // Everything but a derived metric is an integer counter.
+        let derived = CounterSet::default().derived();
+        let is_derived = |name: &str| {
+            derived.iter().any(|d| d.name == name)
+                || name.ends_with("_share")
+                || name.ends_with("_speedup")
+        };
         let metrics = base
             .entries
             .into_iter()
@@ -267,7 +253,6 @@ impl Artifact {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::CounterSet;
     use gpstream_machine::{MemStats, PhaseCycles};
 
     fn sample_set() -> CounterSet {
@@ -290,13 +275,6 @@ mod tests {
         let prof =
             gpstream_core::exec::sim::SimProfile { interval: 0, tasks: vec![], samples: vec![] };
         crate::report::profile_json("unit", &sample_set(), &tree, &prof).to_doc_string()
-    }
-
-    #[test]
-    fn derived_names_match_counter_set() {
-        let derived = sample_set().derived();
-        let names: Vec<&str> = derived.iter().map(|d| d.name).collect();
-        assert_eq!(names, DERIVED_NAMES, "keep DERIVED_NAMES in sync with CounterSet::derived");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use gpstream_machine::{MemStats, PhaseCycles, RunResult};
 use gpstream_util::Json;
 
 /// One run's complete counter state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CounterSet {
     /// Wall-clock cycles (includes the final bus drain).
     pub cycles: u64,

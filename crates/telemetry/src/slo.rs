@@ -261,12 +261,6 @@ pub struct SloReport {
 }
 
 impl SloReport {
-    /// Whether every tenant met its objective.
-    #[must_use]
-    pub fn all_met(&self) -> bool {
-        self.tenants.iter().all(TenantSlo::met)
-    }
-
     /// The `slo` artifact document: `kind`/`workload`/`config` plus the
     /// flat `counters` (integer-valued) and `derived` (ratio) objects
     /// that `gpstream_profile::Artifact` diffing expects. `config`
@@ -399,7 +393,7 @@ mod tests {
         assert_eq!(t0.attainment, 1.0);
         assert_eq!(t0.burn_rate, 0.0);
         assert_eq!(t0.budget_remaining, 1.0);
-        assert!(t0.met() && r.all_met());
+        assert!(r.tenants.iter().all(TenantSlo::met));
     }
 
     #[test]
@@ -429,7 +423,7 @@ mod tests {
         let r = s.report();
         let t0 = &r.tenants[0];
         assert_eq!((t0.events, t0.violations), (20, 10));
-        assert!(!t0.met() && !r.all_met());
+        assert!(!t0.met());
         assert!(t0.budget_remaining < 0.0);
         assert_eq!(t0.worst_window, Some(2));
         assert_eq!(t0.windows.len(), 3);

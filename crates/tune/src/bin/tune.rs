@@ -26,7 +26,7 @@ fn main() {
     let mut args = Args::new(&argv, &usage);
     args.list(&workloads::CATALOG);
     let workload = args.value("--workload");
-    let budget = args.number("--budget").unwrap_or(64);
+    let budget = args.parsed("--budget", "a positive evaluation count", |&n| n > 0).unwrap_or(64);
     let seed = args.number("--seed").unwrap_or(workloads::SEED);
     let threads = args.number("--threads").unwrap_or_else(fanout::threads);
     let cache_dir = args.value("--cache-dir").map(PathBuf::from);

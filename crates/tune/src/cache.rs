@@ -40,12 +40,6 @@ impl EvalCache {
         EvalCache { dir: Some(dir.into()) }
     }
 
-    /// Whether this cache persists anything.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.dir.is_some()
-    }
-
     fn path_for(&self, key: &str) -> Option<PathBuf> {
         self.dir.as_ref().map(|d| d.join(format!("{key}.json")))
     }
@@ -93,7 +87,7 @@ mod tests {
     #[test]
     fn disabled_cache_is_inert() {
         let c = EvalCache::disabled();
-        assert!(!c.is_enabled());
+        assert!(c.dir.is_none());
         c.put("abc", CachedEval { cycles: Some(1) });
         assert_eq!(c.get("abc"), None);
     }

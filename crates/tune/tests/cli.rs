@@ -5,12 +5,17 @@ use std::process::Command;
 
 #[test]
 fn usage_errors_exit_two_with_a_reason() {
-    let rows: [(&[&str], i32, &str); 7] = [
+    let rows: [(&[&str], i32, &str); 8] = [
         (&["--list"], 0, "spas-32000"),
         (&[], 2, "missing --workload"),
         (&["--workload", "nope"], 2, "unknown workload `nope`"),
         (&["--workload"], 2, "--workload needs a value"),
-        (&["--workload", "gatscat", "--budget", "lots"], 2, "--budget needs a number"),
+        (&["--workload", "gatscat", "--budget", "lots"], 2, "--budget needs a positive"),
+        (
+            &["--workload", "gatscat", "--budget", "0"],
+            2,
+            "--budget needs a positive evaluation count",
+        ),
         (&["--workload", "gatscat", "--bogus"], 2, "unknown argument `--bogus`"),
         (&["gatscat"], 2, "unexpected argument `gatscat`"),
     ];

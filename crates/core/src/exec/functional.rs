@@ -35,13 +35,7 @@ impl FunctionalExecutor {
     /// Panics if the program fails validation or does not fit the SRF.
     pub fn run(&self, program: &ScheduledProgram, graph: &StreamGraph, world: &mut World) -> usize {
         program.validate().expect("scheduled program must be consistent");
-        assert!(
-            program.srf_bytes <= self.srf_cfg.capacity,
-            "program needs {} SRF bytes but only {} are configured",
-            program.srf_bytes,
-            self.srf_cfg.capacity
-        );
-        let mut srf = SrfBuffer::new(self.srf_cfg);
+        let mut srf = SrfBuffer::for_program(self.srf_cfg, program);
         for task in &program.tasks {
             execute_task(task, graph, world, &mut srf);
         }

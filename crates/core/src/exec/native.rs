@@ -47,7 +47,8 @@
 //! exporter in [`crate::trace`].
 
 use crate::exec::{gather_strip, scatter_strip, strip_bytes, KernelStrip};
-use crate::graph::StreamGraph;
+use crate::graph::{ArrayId, StreamGraph};
+use crate::hazard;
 use crate::park::{DeathNotice, ParkingSpot};
 use crate::spsc::SpscRing;
 use crate::srf::{SrfBuffer, SrfConfig};
@@ -248,12 +249,16 @@ impl NativeExecutor {
         program
             .check_with_topology(graph, &self.topology)
             .expect("scheduled program must be consistent and covered by the topology");
-        assert!(
-            program.srf_bytes <= self.srf_cfg.capacity,
-            "program needs {} SRF bytes but only {} are configured",
-            program.srf_bytes,
-            self.srf_cfg.capacity
-        );
+        let srf = SrfBuffer::for_program(self.srf_cfg, program);
+        // Unshare every array a scatter writes here, on the calling
+        // thread. Copied at its first scatter instead, an array would be
+        // allocated from a memory worker's malloc arena, which keeps it
+        // resident after the caller frees it.
+        for acc in program.tasks.iter().filter_map(|t| hazard::array_access(&t.kind, graph)) {
+            if acc.write {
+                world.bytes_mut(ArrayId(acc.array));
+            }
+        }
 
         let mut window = DependencyWindow::new();
         if let Some(buf) = &self.trace {
@@ -263,7 +268,7 @@ impl NativeExecutor {
         let shared = Shared {
             graph,
             world: Mutex::new(std::mem::take(world)),
-            srf: Mutex::new(SrfBuffer::new(self.srf_cfg)),
+            srf: Mutex::new(srf),
             window,
             completed: (0..program.tasks.len()).map(|_| AtomicBool::new(false)).collect(),
             spots: (0..=contexts).map(|_| ParkingSpot::new()).collect(),

@@ -413,15 +413,9 @@ impl SimExecutor {
         program
             .check_with_topology(graph, &self.topology)
             .expect("scheduled program must be consistent and covered by the topology");
-        assert!(
-            program.srf_bytes <= self.srf_cfg.capacity,
-            "program needs {} SRF bytes but only {} are configured",
-            program.srf_bytes,
-            self.srf_cfg.capacity
-        );
 
         // Functional pass (same semantics as the reference executor).
-        let mut srf = SrfBuffer::new(self.srf_cfg);
+        let mut srf = SrfBuffer::for_program(self.srf_cfg, program);
         for task in &program.tasks {
             execute_task(task, graph, world, &mut srf);
         }

@@ -5,9 +5,10 @@
 //! Prescott preset: the 1 MB L2 minus the two ways per set left for
 //! non-temporal data, i.e. 768 KB), [`SrfAllocator`] hands out strip
 //! buffers inside it, and [`SrfBuffer`] is the runtime byte storage the
-//! executors copy stream data through.
+//! executors gather into, compute on and scatter from.
 
 use crate::pod::AlignedBytes;
+use crate::task::ScheduledProgram;
 use std::fmt;
 
 /// Simulated base address of the SRF region. Kept well away from the
@@ -125,10 +126,23 @@ pub struct SrfBuffer {
 }
 
 impl SrfBuffer {
-    /// Allocate zeroed storage for the whole SRF.
+    /// Zeroed storage for `program`'s strip buffers: its `srf_bytes`,
+    /// placed at `cfg`'s base. [`ScheduledProgram::validate`] proves every
+    /// binding ends inside that span, so the rest of the configured SRF
+    /// is never touched and is not allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program needs more SRF bytes than `cfg` configures.
     #[must_use]
-    pub fn new(cfg: SrfConfig) -> Self {
-        SrfBuffer { cfg, data: AlignedBytes::zeroed(cfg.capacity) }
+    pub fn for_program(cfg: SrfConfig, program: &ScheduledProgram) -> Self {
+        assert!(
+            program.srf_bytes <= cfg.capacity,
+            "program needs {} SRF bytes but only {} are configured",
+            program.srf_bytes,
+            cfg.capacity
+        );
+        SrfBuffer { cfg, data: AlignedBytes::zeroed(program.srf_bytes) }
     }
 
     /// The configuration.
@@ -141,7 +155,7 @@ impl SrfBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if the range exceeds the SRF capacity.
+    /// Panics if the range ends past the program's SRF bytes.
     #[must_use]
     pub fn bytes(&self, offset: usize, len: usize) -> &[u8] {
         &self.data.as_bytes()[offset..offset + len]
@@ -151,9 +165,14 @@ impl SrfBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if the range exceeds the SRF capacity.
+    /// Panics if the range ends past the program's SRF bytes.
     pub fn bytes_mut(&mut self, offset: usize, len: usize) -> &mut [u8] {
         &mut self.data.as_mut_bytes()[offset..offset + len]
+    }
+
+    /// Every byte of the buffer, mutably.
+    pub(crate) fn as_mut_bytes(&mut self) -> &mut [u8] {
+        self.data.as_mut_bytes()
     }
 }
 
@@ -181,8 +200,24 @@ mod tests {
 
     #[test]
     fn buffer_round_trip() {
-        let mut buf = SrfBuffer::new(SrfConfig { base: SRF_BASE, capacity: 256 });
+        let program = ScheduledProgram { srf_bytes: 64, ..ScheduledProgram::default() };
+        let mut buf = SrfBuffer::for_program(SrfConfig { base: SRF_BASE, capacity: 256 }, &program);
         buf.bytes_mut(10, 4).copy_from_slice(&[1, 2, 3, 4]);
         assert_eq!(buf.bytes(10, 4), &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn buffer_spans_the_program_not_the_configured_srf() {
+        let program = ScheduledProgram { srf_bytes: 96, ..ScheduledProgram::default() };
+        let mut buf = SrfBuffer::for_program(SrfConfig::prescott(), &program);
+        assert_eq!(buf.as_mut_bytes().len(), 96);
+        assert_eq!(buf.config(), SrfConfig::prescott());
+    }
+
+    #[test]
+    #[should_panic(expected = "program needs 512 SRF bytes but only 256 are configured")]
+    fn buffer_refuses_a_program_larger_than_the_srf() {
+        let program = ScheduledProgram { srf_bytes: 512, ..ScheduledProgram::default() };
+        let _ = SrfBuffer::for_program(SrfConfig { base: SRF_BASE, capacity: 256 }, &program);
     }
 }

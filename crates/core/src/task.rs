@@ -117,8 +117,9 @@ pub struct ScheduledProgram {
 
 /// Hazard checking builds per-task ancestor bitsets, which is
 /// `O(n²/64)` time and space in the number of tasks. Programs larger
-/// than this get only the structural checks: their SRF and array hazards
-/// go unchecked — at compile time as well as at run time, since the
+/// than this get only the per-task checks (structure, SRF bounds,
+/// in-place kernel strips): their SRF and array hazards between tasks go
+/// unchecked — at compile time as well as at run time, since the
 /// compiler's scheduler calls the same [`ScheduledProgram::check`].
 const MAX_HAZARD_TASKS: usize = 8192;
 
@@ -165,9 +166,12 @@ struct SrfRegion {
 
 impl ScheduledProgram {
     /// Check internal consistency: dependency ids precede their
-    /// dependents, all ids are dense, and — for programs small enough to
-    /// analyse — every pair of tasks touching overlapping SRF bytes with
-    /// at least one writer is connected by an explicit dependency path.
+    /// dependents, all ids are dense, every binding ends inside the
+    /// program's `srf_bytes`, no kernel output overlaps another output or
+    /// an input of the same kernel (kernels compute in place on the SRF),
+    /// and — for programs small enough to analyse — every pair of tasks
+    /// touching overlapping SRF bytes with at least one writer is
+    /// connected by an explicit dependency path.
     ///
     /// With out-of-order work queues (Figure 7's `tail_depend`) queue
     /// position orders nothing, so a schedule whose correctness relies on
@@ -219,6 +223,7 @@ impl ScheduledProgram {
                     return Err(format!("task {:?} depends on later or same task {:?}", t.id, d));
                 }
             }
+            self.check_srf_bindings(t)?;
         }
         if self.tasks.len() > MAX_HAZARD_TASKS {
             return Ok(());
@@ -227,6 +232,50 @@ impl ScheduledProgram {
         self.check_srf_hazards(&reach)?;
         if let Some(graph) = graph {
             self.check_array_hazards(graph, &reach)?;
+        }
+        Ok(())
+    }
+
+    /// One task's own SRF bindings: each ends inside `srf_bytes` (the
+    /// executors allocate no more), and a kernel's non-empty outputs are
+    /// disjoint from each other and from its inputs, so the kernel can
+    /// read and write its strips where they sit.
+    fn check_srf_bindings(&self, t: &TaskDesc) -> Result<(), String> {
+        let (inputs, outputs) = match &t.kind {
+            TaskKind::Gather { binding, .. } | TaskKind::Scatter { binding, .. } => {
+                (std::slice::from_ref(binding), &[][..])
+            }
+            TaskKind::Kernel { inputs, outputs, .. } => (inputs.as_slice(), outputs.as_slice()),
+        };
+        for b in inputs.iter().chain(outputs) {
+            let r = b.srf_range();
+            if r.end > self.srf_bytes {
+                return Err(format!(
+                    "SRF bounds: task {} binds SRF bytes {r:?} of stream {}, past the \
+                     program's {} SRF bytes",
+                    t.id.0, b.stream.0, self.srf_bytes
+                ));
+            }
+        }
+        for (k, out) in outputs.iter().enumerate() {
+            let w = out.srf_range();
+            let clash = |other: &PortBinding| {
+                let r = other.srf_range();
+                !r.is_empty() && !w.is_empty() && ranges_overlap(&w, &r)
+            };
+            let port = if let Some(j) = inputs.iter().position(clash) {
+                format!("input {j}")
+            } else if let Some(j) = outputs[k + 1..].iter().position(clash) {
+                format!("output {}", k + 1 + j)
+            } else {
+                continue;
+            };
+            return Err(format!(
+                "kernel strip overlap: task {} output {k} writes SRF bytes {w:?} that its {port} \
+                 also covers — a kernel computes in place, so its outputs must be disjoint from \
+                 each other and from its inputs",
+                t.id.0
+            ));
         }
         Ok(())
     }
@@ -363,7 +412,7 @@ mod tests {
     fn validate_accepts_forward_deps() {
         let p = ScheduledProgram {
             tasks: vec![gather(0, vec![]), gather(1, vec![TaskId(0)])],
-            srf_bytes: 0,
+            srf_bytes: 16,
             n_strips: 1,
             strip_items: 4,
         };
@@ -379,6 +428,78 @@ mod tests {
             strip_items: 4,
         };
         assert!(p.validate().is_err());
+    }
+
+    fn binding(stream: u32, srf_offset: usize, elems: Range<usize>) -> PortBinding {
+        PortBinding { stream: StreamId(stream), srf_offset, elems, elem_bytes: 4 }
+    }
+
+    fn kernel(inputs: Vec<PortBinding>, outputs: Vec<PortBinding>) -> TaskDesc {
+        TaskDesc {
+            id: TaskId(0),
+            kind: TaskKind::Kernel { kernel: KernelId(0), items: 0..4, inputs, outputs },
+            deps: vec![],
+            strip: 0,
+        }
+    }
+
+    /// Per-task SRF rules hold at every program size: each row is one
+    /// task, checked alone and again as the last of more than
+    /// `MAX_HAZARD_TASKS` tasks (where the pairwise hazard check is off).
+    #[test]
+    fn validate_rejects_bad_srf_bindings_at_every_size() {
+        let rows: Vec<(&str, TaskDesc, Option<&str>)> = vec![
+            ("disjoint kernel", kernel(vec![binding(0, 0, 0..4)], vec![binding(1, 16, 0..4)]), None),
+            (
+                "empty output inside an input",
+                kernel(vec![binding(0, 0, 0..8)], vec![binding(1, 16, 0..0)]),
+                None,
+            ),
+            (
+                "output over its own input",
+                kernel(vec![binding(0, 0, 0..4)], vec![binding(1, 8, 0..4)]),
+                Some("kernel strip overlap: task 0 output 0 writes SRF bytes 8..24 that its input 0"),
+            ),
+            (
+                "two outputs over each other",
+                kernel(vec![], vec![binding(1, 0, 0..4), binding(2, 12, 0..4)]),
+                Some("kernel strip overlap: task 0 output 0 writes SRF bytes 0..16 that its output 1"),
+            ),
+            (
+                "gather past srf_bytes",
+                TaskDesc {
+                    kind: TaskKind::Gather { binding: binding(0, 20, 0..4), nt: true },
+                    ..gather(0, vec![])
+                },
+                Some("SRF bounds: task 0 binds SRF bytes 20..36 of stream 0, past the program's 32"),
+            ),
+            (
+                "kernel output past srf_bytes",
+                kernel(vec![binding(0, 0, 0..4)], vec![binding(1, 24, 0..4)]),
+                Some("SRF bounds: task 0 binds SRF bytes 24..40 of stream 1"),
+            ),
+            (
+                "empty binding past srf_bytes",
+                kernel(vec![binding(0, 40, 0..0)], vec![]),
+                Some("SRF bounds: task 0 binds SRF bytes 40..40"),
+            ),
+        ];
+        for (what, task, want) in rows {
+            for filler in [0, MAX_HAZARD_TASKS] {
+                let mut tasks: Vec<TaskDesc> =
+                    (0..filler as u32).map(|i| gather(i, vec![])).collect();
+                tasks.push(TaskDesc { id: TaskId(filler as u32), ..task.clone() });
+                let p = ScheduledProgram { tasks, srf_bytes: 32, n_strips: 1, strip_items: 4 };
+                match (p.validate(), want) {
+                    (Ok(()), None) => {}
+                    (Err(e), Some(want)) => {
+                        let want = want.replace("task 0", &format!("task {filler}"));
+                        assert!(e.starts_with(&want), "{what} ({filler} before): got {e}");
+                    }
+                    (got, _) => panic!("{what} ({filler} before): got {got:?}, want {want:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,14 @@
 //! its regular-code twin) touches, plus a simulated base address for each
 //! array so the timing model sees a realistic layout (page-aligned arrays
 //! spread across memory, far away from the SRF region).
+//!
+//! Array contents are copy-on-write: cloning a world shares every array's
+//! bytes, and the first write to an array through a clone
+//! ([`World::slice_mut`] or a scatter) copies that array alone.
 
 use crate::graph::ArrayId;
 use crate::pod::{AlignedBytes, Pod};
+use std::sync::Arc;
 
 /// Base simulated address of the first allocated array.
 pub const ARRAY_SPACE_BASE: u64 = 0x4000_0000;
@@ -24,8 +29,9 @@ pub struct MemArray {
     pub count: usize,
     /// Simulated base address (page aligned).
     pub base: u64,
-    /// The actual contents.
-    pub data: AlignedBytes,
+    /// The actual contents, shared between clones of the world until one
+    /// of them writes.
+    pub data: Arc<AlignedBytes>,
 }
 
 /// The set of arrays a program reads and writes.
@@ -63,7 +69,7 @@ impl World {
             record_bytes: std::mem::size_of::<T>(),
             count: data.len(),
             base,
-            data: bytes,
+            data: Arc::new(bytes),
         });
         id
     }
@@ -79,7 +85,7 @@ impl World {
             record_bytes: record,
             count,
             base,
-            data: bytes,
+            data: Arc::new(bytes),
         });
         id
     }
@@ -94,13 +100,14 @@ impl World {
         &self.arrays[id.0 as usize]
     }
 
-    /// Mutable access to an array.
+    /// An array's bytes, mutably: copied first if another world still
+    /// shares them.
     ///
     /// # Panics
     ///
     /// Panics if the id does not belong to this world.
-    pub fn array_mut(&mut self, id: ArrayId) -> &mut MemArray {
-        &mut self.arrays[id.0 as usize]
+    pub(crate) fn bytes_mut(&mut self, id: ArrayId) -> &mut [u8] {
+        Arc::make_mut(&mut self.arrays[id.0 as usize].data).as_mut_bytes()
     }
 
     /// Typed view of an array's records.
@@ -121,9 +128,8 @@ impl World {
     ///
     /// Panics if `T` does not match the record size.
     pub fn slice_mut<T: Pod>(&mut self, id: ArrayId) -> &mut [T] {
-        let arr = self.array_mut(id);
-        assert_eq!(std::mem::size_of::<T>(), arr.record_bytes, "record size mismatch");
-        arr.data.as_mut_slice()
+        assert_eq!(std::mem::size_of::<T>(), self.array(id).record_bytes, "record size mismatch");
+        crate::pod::cast_slice_mut(self.bytes_mut(id))
     }
 
     /// Number of arrays.

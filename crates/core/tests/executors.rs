@@ -101,6 +101,134 @@ fn hand_built_schedule_runs_on_all_executors() {
     assert_eq!(w3.slice::<f32>(y), expected.as_slice());
 }
 
+/// Every array's bytes, deep-copied.
+fn world_bytes(w: &gpstream_core::World) -> Vec<Vec<u8>> {
+    w.iter().map(|a| a.data.as_bytes().to_vec()).collect()
+}
+
+/// Which arrays of `a` still share their bytes with `b`.
+fn shared_arrays(a: &gpstream_core::World, b: &gpstream_core::World) -> Vec<bool> {
+    a.iter().zip(b.iter()).map(|(x, y)| Arc::ptr_eq(&x.data, &y.data)).collect()
+}
+
+/// A cloned world shares every array until one side writes; a write —
+/// by any executor's scatter or by `slice_mut` — copies only the array
+/// written and leaves the source world byte-identical.
+#[test]
+fn world_clones_share_arrays_until_written() {
+    let (graph, world, y, program, expected) = two_strip_setup();
+    let before = world_bytes(&world);
+    let run_on_clone = |label: &str, run: &dyn Fn(&mut gpstream_core::World)| {
+        let mut w = world.clone();
+        assert_eq!(shared_arrays(&world, &w), vec![true, true], "{label}: a clone shares all");
+        run(&mut w);
+        assert_eq!(w.slice::<f32>(y), expected.as_slice(), "{label}: wrong output");
+        assert_eq!(world_bytes(&world), before, "{label}: the source world changed");
+        // Array 0 is only gathered; array 1 (`y`) is scattered.
+        assert_eq!(
+            shared_arrays(&world, &w),
+            vec![true, false],
+            "{label}: copied the wrong arrays"
+        );
+    };
+    run_on_clone("functional", &|w| {
+        FunctionalExecutor::new().run(&program, &graph, w);
+    });
+    run_on_clone("sim snapshot", &|w| {
+        let _ = SimExecutor::new().snapshot(&program, &graph, w);
+    });
+    for policy in [NativeWaitPolicy::Spin, NativeWaitPolicy::Park] {
+        run_on_clone(&format!("native {policy:?}"), &|w| {
+            NativeExecutor::new().with_wait_policy(policy).run(&program, &graph, w);
+        });
+    }
+    run_on_clone("slice_mut", &|w| w.slice_mut::<f32>(y).copy_from_slice(&expected));
+}
+
+/// Kernels write their outputs in place, and every executor hands a
+/// kernel zeroed output strips. Two strips, double-buffered so that the
+/// second strip's output buffer is the first strip's input buffer: a
+/// kernel that accumulates (`o[i] += x[i]`) gives `x` only if that
+/// buffer is zeroed before it runs.
+#[test]
+fn kernels_accumulate_into_zeroed_output_strips_on_every_executor() {
+    let data: Vec<f32> = (1..=8).map(|i| i as f32 * 1.5).collect();
+    let mut b = GraphBuilder::new();
+    let a = b.array("a", &data);
+    let y = b.array("y", &[-1.0f32; 8]);
+    let xs = b.gather_seq("xs", a);
+    let ys = b.stream::<f32>("ys", 8);
+    b.kernel("acc", &[xs.id()], &[ys.id()], 1, |args| {
+        let x: Vec<f32> = args.input::<f32>(0).to_vec();
+        for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
+            *o += v;
+        }
+    });
+    b.scatter_seq(ys, y);
+    let (graph, world) = b.build().unwrap();
+
+    // Buffers at 0 and 64: strip 0 gathers into 0 and writes 64, strip 1
+    // gathers into 64 (after strip 0's scatter) and writes 0.
+    let mut tasks: Vec<TaskDesc> = Vec::new();
+    for s in 0..2u32 {
+        let elems = s as usize * 4..(s as usize + 1) * 4;
+        let bind = |stream, buf: u32| PortBinding {
+            stream,
+            srf_offset: 64 * ((s + buf) % 2) as usize,
+            elems: elems.clone(),
+            elem_bytes: 4,
+        };
+        let (in_b, out_b) = (bind(xs.id(), 0), bind(ys.id(), 1));
+        let base = 3 * s;
+        let gather_deps = if s == 0 { vec![] } else { vec![TaskId(base - 1)] };
+        tasks.push(TaskDesc {
+            id: TaskId(base),
+            kind: TaskKind::Gather { binding: in_b.clone(), nt: true },
+            deps: gather_deps,
+            strip: s,
+        });
+        tasks.push(TaskDesc {
+            id: TaskId(base + 1),
+            kind: TaskKind::Kernel {
+                kernel: KernelId(0),
+                items: elems.clone(),
+                inputs: vec![in_b],
+                outputs: vec![out_b.clone()],
+            },
+            deps: vec![TaskId(base)],
+            strip: s,
+        });
+        tasks.push(TaskDesc {
+            id: TaskId(base + 2),
+            kind: TaskKind::Scatter { binding: out_b, nt: true },
+            deps: vec![TaskId(base + 1)],
+            strip: s,
+        });
+    }
+    let program = ScheduledProgram { tasks, srf_bytes: 128, n_strips: 2, strip_items: 4 };
+    program.check(&graph).expect("a consistent double-buffered schedule");
+
+    let mut runs: Vec<(String, Vec<u8>)> = Vec::new();
+    let mut out = |label: String, w: gpstream_core::World| {
+        runs.push((label, w.array(y.id()).data.as_bytes().to_vec()));
+    };
+    let mut w = world.clone();
+    FunctionalExecutor::new().run(&program, &graph, &mut w);
+    out("functional".into(), w);
+    let mut w = world.clone();
+    let _ = SimExecutor::new().run(&program, &graph, &mut w);
+    out("sim".into(), w);
+    for policy in [NativeWaitPolicy::Spin, NativeWaitPolicy::Park] {
+        let mut w = world.clone();
+        NativeExecutor::new().with_wait_policy(policy).run(&program, &graph, &mut w);
+        out(format!("native {policy:?}"), w);
+    }
+    let want: Vec<u8> = data.iter().flat_map(|v| v.to_ne_bytes()).collect();
+    for (label, got) in &runs {
+        assert_eq!(got, &want, "{label}: an output strip was not zeroed before its kernel");
+    }
+}
+
 /// The event engine is the default at both layers; the cycle-stepped
 /// reference runs only when named (`fast_sim(false)`), where the
 /// engine's own tally files every copy element under `stepped`.

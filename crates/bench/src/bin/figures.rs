@@ -609,12 +609,13 @@ fn serve_main(argv: &[String]) -> ! {
         let series = &outcome.telemetry.series;
         eprintln!(
             "host: {} jobs in {secs:.3} s ({:.0} jobs/s), {} windows flushed, {} span events \
-             dropped, peak {} completions buffered",
+             dropped, peak {} completions buffered, peak {} retries waiting",
             cfg.jobs,
             cfg.jobs as f64 / secs,
             series.windows_flushed,
             outcome.telemetry.spans_dropped,
-            series.peak_buffered
+            series.peak_buffered,
+            outcome.stats.peak_retries
         );
     }
     print!("{}", outcome.text);

@@ -165,10 +165,29 @@ fn serve_host_line_is_stderr_only_and_quiet_silences_it() {
     let (stdout, written, stderr) = run(&[]);
     let (quiet_stdout, quiet_written, quiet_stderr) = run(&["--quiet"]);
     assert!(stderr.contains("host: 300 jobs in ") && stderr.contains(" windows flushed, 0 span"));
-    assert!(stderr.contains(" dropped, peak ") && stderr.contains(" completions buffered\n"));
+    assert!(stderr.contains(" dropped, peak ") && stderr.contains(" completions buffered, peak "));
+    assert!(stderr.contains(" retries waiting\n"), "{stderr}");
     assert!(!quiet_stderr.contains("host:"), "{quiet_stderr}");
     assert!(stdout == quiet_stdout && written == quiet_written, "--quiet moved output bytes");
     assert!(written.iter().all(|w| !String::from_utf8_lossy(w).contains("host:")));
+}
+
+/// Past capacity the `host:` line counts the refused offers waiting
+/// out their retry-after (at most one per offered job).
+#[test]
+fn serve_host_line_reports_waiting_retries_under_overload() {
+    let ran = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["serve", "mix", "--jobs", "20000", "--rate", "37000", "--sketch"])
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&ran.stderr);
+    assert!(ran.status.success(), "{stderr}");
+    let peak = stderr
+        .split_once(" completions buffered, peak ")
+        .and_then(|(_, rest)| rest.split_once(" retries waiting\n"))
+        .and_then(|(n, _)| n.parse::<u64>().ok())
+        .unwrap_or_else(|| panic!("no retries count in {stderr}"));
+    assert!((1..=20_000).contains(&peak), "peak {peak} retries waiting");
 }
 
 /// `profile` accounts for the engine's routes on stderr and nowhere

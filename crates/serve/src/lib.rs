@@ -208,6 +208,18 @@ impl ServeConfig {
             trace_cycles.is_some_and(|t| t.checked_mul(CLOCK_HEADROOM).is_some()),
             format!("--jobs {jobs} arriving {gap} cycles apart do not fit the 64-bit cycle clock"),
         )?;
+        // The last arrival's re-offers land past that headroom; they must fit too.
+        let (retry_after, max_retries) = (self.effective_retry_after(), self.max_retries);
+        ensure(
+            u64::from(max_retries)
+                .checked_mul(retry_after)
+                .zip(trace_cycles.and_then(|t| t.checked_mul(CLOCK_HEADROOM)))
+                .is_some_and(|(retrying, headroom)| retrying.checked_add(headroom).is_some()),
+            format!(
+                "retry_after {retry_after} x max_retries {max_retries} re-offers after the last \
+                 arrival overflow the 64-bit cycle clock"
+            ),
+        )?;
         ensure(
             window_cycles == 0 || trace_cycles.unwrap_or(0) / window_cycles <= MAX_SERIES_WINDOWS,
             format!(
@@ -590,6 +602,9 @@ mod tests {
         // 100 arrivals a saturated-u64 gap apart: the clock would wrap.
         let overflow = refused(|c| (c.jobs, c.rate) = (100, 1e-30));
         assert!(overflow.contains("do not fit the 64-bit cycle clock"), "{overflow}");
+        // A library caller's retry-after that would wrap the clock.
+        let wrap = refused(|c| (c.retry_after, c.max_retries) = (u64::MAX / 3, 3));
+        assert!(wrap.contains("retry_after") && wrap.contains("max_retries"), "{wrap}");
         assert!(refused(|c| (c.jobs, c.window_cycles) = (100, 1)).contains("--window"));
         assert!(refused(|c| c.weights = vec![1, 1]).contains("weights"));
         assert!(refused(|c| c.weights = vec![1, 0, 1, 1]).contains("weights"));
@@ -605,6 +620,7 @@ mod tests {
         let mut ok = ServeConfig::new("mix");
         (ok.jobs, ok.sketch, ok.sketch_gamma) = (EXACT_MODE_MAX_JOBS + 1, true, 0.25);
         (ok.slo_latency, ok.weights, ok.rate) = (vec![5], vec![2, 1, 1, 1], 3.4e9);
+        (ok.retry_after, ok.max_retries) = (u64::MAX / 8, 3);
         assert_eq!(ok.validate(), Ok(()));
     }
 

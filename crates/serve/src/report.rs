@@ -313,6 +313,7 @@ mod tests {
             backpressure_events: 0,
             high_water: 96,
             max_pending: 1,
+            peak_retries: 0,
             first_arrival: 0,
             last_finish: 110,
         };

@@ -5,10 +5,23 @@
 //! Determinism is the design constraint everything here obeys: the
 //! latency artifact must be byte-identical for a fixed seed and config,
 //! however many OS threads later execute the admitted jobs. So the
-//! scheduler makes *every* decision in virtual time — a binary heap of
-//! `(cycle, sequence)`-ordered events with no wall-clock, no hashing,
-//! no thread interleaving — and the execution pool merely replays its
-//! decisions functionally (see [`crate::exec`]).
+//! scheduler makes *every* decision in virtual time — no wall-clock, no
+//! hashing, no thread interleaving — and the execution pool merely
+//! replays its decisions functionally (see [`crate::exec`]).
+//!
+//! The timeline is ordered by `(cycle, sequence)` and merges three
+//! sources that are each already in that order, so the next event is
+//! the least of their heads:
+//!
+//! * **Arrivals** — nondecreasing in cycle, one pulled ahead; the i-th
+//!   carries sequence `i`.
+//! * **Retries** — a FIFO: each fires `retry_after` after its refusal,
+//!   and refusals happen in clock order.
+//! * **Worker frees** — one slot per worker, empty while it waits for
+//!   work: a busy worker has exactly one pending free.
+//!
+//! Retries and frees number from the last arrival's sequence upward, in
+//! push order, so an arrival wins every tie.
 //!
 //! The protocol, front to back:
 //!
@@ -32,8 +45,7 @@
 //!   dispatch exactly when the system needs relief.
 
 use crate::load::OfferedJob;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Fixed-point scale for normalized (per-weight) virtual time.
 const VSCALE: u128 = 1 << 20;
@@ -133,6 +145,8 @@ pub struct SchedStats {
     pub high_water: usize,
     /// Deepest the pending queue ever got.
     pub max_pending: usize,
+    /// Most refused offers ever waiting out their retry-after at once.
+    pub peak_retries: usize,
     /// First offered arrival cycle.
     pub first_arrival: u64,
     /// Last service completion cycle.
@@ -263,32 +277,19 @@ struct Pending {
     service: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvKind {
-    Arrival { job: OfferedJob, attempt: u32 },
-    Free { worker: usize },
-}
-
-/// Events order by `(time, seq)`; `seq` is the push order, making the
-/// whole timeline a pure function of the inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// An offer on its way to admission: the look-ahead arrival (`seq` its
+/// index in the stream) or a retry (`seq` from the shared counter).
+#[derive(Debug, Clone, Copy)]
 struct Ev {
     time: u64,
     seq: u64,
-    kind: EvKind,
+    job: OfferedJob,
+    attempt: u32,
 }
 
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// The key of an absent head: after every event, since no `seq` reaches
+/// `u64::MAX`.
+const NO_EVENT: (u64, u64) = (u64::MAX, u64::MAX);
 
 struct Tenant {
     queue: VecDeque<Pending>,
@@ -301,23 +302,20 @@ struct Tenant {
 /// [`JobRecord`] retired through the observer — exactly once, by
 /// [`SchedObserver::on_complete`] or [`SchedObserver::on_rejected`] —
 /// and tally the run. Pure virtual time; deterministic for fixed
-/// inputs. Live state is the pending queues, the in-flight retry/free
-/// events and one look-ahead arrival — O(pending), independent of how
-/// many jobs the iterator will offer.
+/// inputs. Live state is the pending queues, the waiting retries, one
+/// free slot per worker and one look-ahead arrival — O(pending),
+/// independent of how many jobs the iterator will offer.
 ///
 /// The observer cannot change a single decision — hooks fire after
 /// each one is made — so any two observers see the same schedule.
-///
-/// Events order by `(time, seq)`: the i-th pulled arrival carries seq
-/// `i`, and dynamically scheduled events (retries, worker frees)
-/// number from the iterator's total length upward.
 ///
 /// # Panics
 ///
 /// Panics on structurally invalid input: empty worker set or weights, a
 /// zero weight, a job naming a tenant or variant out of range, arrivals
-/// that go backwards in time, or (with `check_invariants`) a violation
-/// of work conservation.
+/// that go backwards in time, a retry or a service finish past the
+/// 64-bit cycle clock, or (with `check_invariants`) a violation of work
+/// conservation.
 #[must_use]
 pub fn schedule_stream<I>(
     offered: I,
@@ -338,22 +336,20 @@ where
 
     let mut arrivals = offered.into_iter();
     let total = arrivals.len();
-    let mut heap: BinaryHeap<Reverse<Ev>> = BinaryHeap::with_capacity(cfg.workers + 64);
-    // Dynamic events continue the sequence after the offered arrivals.
+    // Retries and frees continue the sequence after the offered arrivals.
     let mut seq = total as u64;
-    let mut push = |heap: &mut BinaryHeap<Reverse<Ev>>, time: u64, kind: EvKind| {
-        heap.push(Reverse(Ev { time, seq, kind }));
-        seq += 1;
-    };
 
-    // One-arrival look-ahead, merged against the heap by (time, seq).
+    // One-arrival look-ahead.
     let mut pulled = 0u64;
     let mut last_arrival_time = 0u64;
     let mut next_arrival: Option<Ev> = None;
+    // Refused offers in firing order.
+    let mut retries: VecDeque<Ev> = VecDeque::new();
+    // Each worker's pending free `(cycle, seq)`; `None` while it waits.
+    let mut frees: Vec<Option<(u64, u64)>> = vec![None; cfg.workers];
 
     let mut tenants: Vec<Tenant> =
         (0..tenants_n).map(|_| Tenant { queue: VecDeque::new(), vtime: 0 }).collect();
-    let mut idle: Vec<bool> = vec![true; cfg.workers];
     let mut vfloor: u128 = 0;
     let mut pending = 0usize;
     let high_water =
@@ -374,6 +370,7 @@ where
         backpressure_events: 0,
         high_water,
         max_pending: 0,
+        peak_retries: 0,
         first_arrival: 0,
         last_finish: 0,
     };
@@ -398,86 +395,80 @@ where
                 if pulled == 0 {
                     stats.first_arrival = job.arrival;
                 }
-                next_arrival = Some(Ev {
-                    time: job.arrival,
-                    seq: pulled,
-                    kind: EvKind::Arrival { job, attempt: 1 },
-                });
+                next_arrival = Some(Ev { time: job.arrival, seq: pulled, job, attempt: 1 });
                 pulled += 1;
             }
         }
-        let ev = match (next_arrival, heap.peek()) {
-            (Some(arr), Some(&Reverse(top))) => {
-                if (arr.time, arr.seq) <= (top.time, top.seq) {
-                    next_arrival = None;
-                    arr
-                } else {
-                    heap.pop().expect("peeked event").0
-                }
+        // The next event is the least key of the three heads; keys are
+        // distinct, and an empty head sorts after every event.
+        let key = |ev: Option<&Ev>| ev.map_or(NO_EVENT, |ev| (ev.time, ev.seq));
+        let (arrival, retry) = (key(next_arrival.as_ref()), key(retries.front()));
+        let (free, freed) = (frees.iter().map(|f| f.unwrap_or(NO_EVENT)).zip(0..))
+            .min()
+            .expect("at least one worker");
+        let now = if free < arrival.min(retry) {
+            frees[freed] = None;
+            free.0
+        } else {
+            let head = if arrival < retry { next_arrival.take() } else { retries.pop_front() };
+            let Some(Ev { time: now, job, attempt, .. }) = head else { break };
+            obs.on_arrival(now, &job, attempt);
+            if pending >= high_water {
+                stats.backpressure_events += 1;
             }
-            (Some(arr), None) => {
-                next_arrival = None;
-                arr
-            }
-            (None, Some(_)) => heap.pop().expect("peeked event").0,
-            (None, None) => break,
-        };
-        let now = ev.time;
-        match ev.kind {
-            EvKind::Arrival { job, attempt } => {
-                obs.on_arrival(now, &job, attempt);
-                if pending >= high_water {
-                    stats.backpressure_events += 1;
-                }
-                if cfg.bounded && pending >= cfg.queue_cap {
-                    // Refuse with retry-after; the producer re-offers
-                    // until it runs out of patience.
-                    stats.reject_events += 1;
-                    if attempt <= cfg.max_retries {
-                        obs.on_reject(now, &job, attempt);
-                        stats.retries += 1;
-                        push(
-                            &mut heap,
-                            now + cfg.retry_after,
-                            EvKind::Arrival { job, attempt: attempt + 1 },
-                        );
-                    } else {
-                        stats.rejected += 1;
-                        obs.on_rejected(&JobRecord {
-                            id: job.id,
-                            tenant: job.tenant,
-                            variant: job.variant,
-                            arrival: job.arrival,
-                            attempts: attempt,
-                            outcome: Outcome::Rejected { last_attempt: now },
-                        });
-                    }
+            if cfg.bounded && pending >= cfg.queue_cap {
+                // Refuse with retry-after; the producer re-offers
+                // until it runs out of patience.
+                stats.reject_events += 1;
+                if attempt <= cfg.max_retries {
+                    obs.on_reject(now, &job, attempt);
+                    stats.retries += 1;
+                    let time = now
+                        .checked_add(cfg.retry_after)
+                        .expect("retry cycle overflows the 64-bit clock");
+                    debug_assert!(
+                        retries.back().is_none_or(|last| last.time <= time),
+                        "retry FIFO order"
+                    );
+                    retries.push_back(Ev { time, seq, job, attempt: attempt + 1 });
+                    seq += 1;
+                    stats.peak_retries = stats.peak_retries.max(retries.len());
                 } else {
-                    stats.admitted += 1;
-                    let tn = &mut tenants[job.tenant];
-                    if tn.queue.is_empty() {
-                        // Returning from idle: no retroactive credit.
-                        tn.vtime = tn.vtime.max(vfloor);
-                    }
-                    tn.queue.push_back(Pending {
+                    stats.rejected += 1;
+                    obs.on_rejected(&JobRecord {
                         id: job.id,
+                        tenant: job.tenant,
                         variant: job.variant,
                         arrival: job.arrival,
-                        admit: now,
                         attempts: attempt,
-                        service: service_cycles[job.variant],
+                        outcome: Outcome::Rejected { last_attempt: now },
                     });
-                    pending += 1;
-                    stats.max_pending = stats.max_pending.max(pending);
-                    obs.on_admit(now, &job, attempt, pending);
                 }
+            } else {
+                stats.admitted += 1;
+                let tn = &mut tenants[job.tenant];
+                if tn.queue.is_empty() {
+                    // Returning from idle: no retroactive credit.
+                    tn.vtime = tn.vtime.max(vfloor);
+                }
+                tn.queue.push_back(Pending {
+                    id: job.id,
+                    variant: job.variant,
+                    arrival: job.arrival,
+                    admit: now,
+                    attempts: attempt,
+                    service: service_cycles[job.variant],
+                });
+                pending += 1;
+                stats.max_pending = stats.max_pending.max(pending);
+                obs.on_admit(now, &job, attempt, pending);
             }
-            EvKind::Free { worker } => idle[worker] = true,
-        }
+            now
+        };
 
         // Work-conserving dispatch: while a worker is idle and any
         // tenant is backlogged, hand the fair-share pick a batch.
-        while let Some(w) = idle.iter().position(|&free| free) {
+        while let Some(w) = frees.iter().position(Option::is_none) {
             let Some(t) = tenants
                 .iter()
                 .enumerate()
@@ -489,11 +480,15 @@ where
             };
             let take = cfg.batch_max.min(tenants[t].queue.len());
             let mut service_sum = 0u64;
-            let mut cursor = now + cfg.dispatch_cycles;
+            let mut cursor = now
+                .checked_add(cfg.dispatch_cycles)
+                .expect("dispatch cycle overflows the 64-bit clock");
             for _ in 0..take {
                 let p = tenants[t].queue.pop_front().expect("tenant is backlogged");
                 let start = cursor;
-                let finish = start + p.service;
+                let finish = start
+                    .checked_add(p.service)
+                    .expect("service finish overflows the 64-bit clock");
                 cursor = finish;
                 service_sum += p.service;
                 let rec = JobRecord {
@@ -513,18 +508,18 @@ where
             obs.on_dispatch(now, w, t, take, cfg.dispatch_cycles, pending);
             vfloor = vfloor.max(tenants[t].vtime);
             tenants[t].vtime += u128::from(service_sum) * VSCALE / u128::from(cfg.weights[t]);
-            idle[w] = false;
             stats.batches += 1;
             stats.dispatch_cycles_total += cfg.dispatch_cycles;
             stats.busy_cycles[w] += cfg.dispatch_cycles + service_sum;
             stats.last_finish = stats.last_finish.max(cursor);
-            push(&mut heap, cursor, EvKind::Free { worker: w });
+            frees[w] = Some((cursor, seq));
+            seq += 1;
         }
         if cfg.check_invariants {
-            let idle_worker = idle.iter().any(|&free| free);
+            let waiting = frees.iter().any(Option::is_none);
             let backlogged = tenants.iter().any(|tn| !tn.queue.is_empty());
             assert!(
-                !(idle_worker && backlogged),
+                !(waiting && backlogged),
                 "work conservation violated at cycle {now}: idle worker with a backlogged tenant"
             );
         }
@@ -759,5 +754,251 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(sa, sb);
         assert_eq!(sa.completed, 200);
+    }
+
+    #[test]
+    #[should_panic(expected = "retry cycle overflows the 64-bit clock")]
+    fn a_retry_past_the_clock_panics_by_name() {
+        let mut cfg = base_cfg(1, 1);
+        (cfg.bounded, cfg.queue_cap, cfg.batch_max) = (true, 1, 1);
+        cfg.retry_after = u64::MAX;
+        // The worker is busy and the queue full, so job 2 bounces at
+        // cycle 2 and would retry at 2 + u64::MAX.
+        let _ = run(&offered(&[(0, 0, 0), (1, 0, 0), (2, 0, 0)]), &[1_000_000], &cfg);
+    }
+
+    /// Every hook call, in order, with its arguments.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Hook {
+        Arrival(u64, usize, u32),
+        Reject(u64, usize, u32),
+        Admit(u64, usize, u32, usize),
+        Dispatch(u64, usize, usize, usize, u64, usize),
+        Complete(JobRecord),
+        Rejected(JobRecord),
+    }
+
+    #[derive(Default)]
+    struct Recording(Vec<Hook>);
+
+    impl SchedObserver for Recording {
+        fn on_arrival(&mut self, now: u64, job: &OfferedJob, attempt: u32) {
+            self.0.push(Hook::Arrival(now, job.id, attempt));
+        }
+        fn on_reject(&mut self, now: u64, job: &OfferedJob, attempt: u32) {
+            self.0.push(Hook::Reject(now, job.id, attempt));
+        }
+        fn on_admit(&mut self, now: u64, job: &OfferedJob, attempt: u32, pending: usize) {
+            self.0.push(Hook::Admit(now, job.id, attempt, pending));
+        }
+        fn on_dispatch(&mut self, n: u64, w: usize, t: usize, b: usize, d: u64, p: usize) {
+            self.0.push(Hook::Dispatch(n, w, t, b, d, p));
+        }
+        fn on_complete(&mut self, rec: &JobRecord) {
+            self.0.push(Hook::Complete(*rec));
+        }
+        fn on_rejected(&mut self, rec: &JobRecord) {
+            self.0.push(Hook::Rejected(*rec));
+        }
+    }
+
+    /// The reference timeline: every retry and worker free goes through
+    /// one binary heap ordered by `(cycle, seq)`, merged against the
+    /// arrivals. [`schedule_stream`] must make the same decisions.
+    fn heap_schedule(
+        jobs: &[OfferedJob],
+        service_cycles: &[u64],
+        cfg: &SchedConfig,
+        obs: &mut dyn SchedObserver,
+    ) -> SchedStats {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        enum Kind {
+            Arrival { job: (usize, usize, usize, u64), attempt: u32 },
+            Free { worker: usize },
+        }
+        let (tenants_n, total) = (cfg.weights.len(), jobs.len() as u64);
+        // `(cycle, seq, kind)`: seqs are distinct, so `kind` never decides.
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Kind)>> = jobs
+            .iter()
+            .zip(0..)
+            .map(|(j, seq)| {
+                let job = (j.id, j.tenant, j.variant, j.arrival);
+                Reverse((j.arrival, seq, Kind::Arrival { job, attempt: 1 }))
+            })
+            .collect();
+        let mut seq = total;
+        let mut tenants: Vec<Tenant> =
+            (0..tenants_n).map(|_| Tenant { queue: VecDeque::new(), vtime: 0 }).collect();
+        let mut idle = vec![true; cfg.workers];
+        let (mut vfloor, mut pending, mut waiting) = (0u128, 0usize, 0usize);
+        let high_water = if cfg.bounded {
+            (cfg.queue_cap * 3 / 4).max(1)
+        } else {
+            cfg.workers * cfg.batch_max * 8
+        };
+        let mut stats = SchedStats {
+            offered: total,
+            admitted: 0,
+            completed: 0,
+            rejected: 0,
+            reject_events: 0,
+            retries: 0,
+            batches: 0,
+            dispatch_cycles_total: 0,
+            busy_cycles: vec![0; cfg.workers],
+            served_cycles: vec![0; tenants_n],
+            completed_per_tenant: vec![0; tenants_n],
+            backpressure_events: 0,
+            high_water,
+            max_pending: 0,
+            peak_retries: 0,
+            first_arrival: jobs.first().map_or(0, |j| j.arrival),
+            last_finish: 0,
+        };
+        while let Some(Reverse((now, _, kind))) = heap.pop() {
+            match kind {
+                Kind::Arrival { job: (id, tenant, variant, arrival), attempt } => {
+                    let job = OfferedJob { id, tenant, variant, arrival };
+                    waiting -= usize::from(attempt > 1);
+                    obs.on_arrival(now, &job, attempt);
+                    if pending >= high_water {
+                        stats.backpressure_events += 1;
+                    }
+                    if cfg.bounded && pending >= cfg.queue_cap {
+                        stats.reject_events += 1;
+                        if attempt <= cfg.max_retries {
+                            obs.on_reject(now, &job, attempt);
+                            stats.retries += 1;
+                            let job = (id, tenant, variant, arrival);
+                            let retry = Kind::Arrival { job, attempt: attempt + 1 };
+                            heap.push(Reverse((now + cfg.retry_after, seq, retry)));
+                            seq += 1;
+                            waiting += 1;
+                            stats.peak_retries = stats.peak_retries.max(waiting);
+                        } else {
+                            stats.rejected += 1;
+                            let outcome = Outcome::Rejected { last_attempt: now };
+                            let attempts = attempt;
+                            obs.on_rejected(&JobRecord {
+                                id,
+                                tenant,
+                                variant,
+                                arrival,
+                                attempts,
+                                outcome,
+                            });
+                        }
+                    } else {
+                        stats.admitted += 1;
+                        let tn = &mut tenants[tenant];
+                        if tn.queue.is_empty() {
+                            tn.vtime = tn.vtime.max(vfloor);
+                        }
+                        let service = service_cycles[variant];
+                        let (admit, attempts) = (now, attempt);
+                        tn.queue.push_back(Pending {
+                            id,
+                            variant,
+                            arrival,
+                            admit,
+                            attempts,
+                            service,
+                        });
+                        pending += 1;
+                        stats.max_pending = stats.max_pending.max(pending);
+                        obs.on_admit(now, &job, attempt, pending);
+                    }
+                }
+                Kind::Free { worker } => idle[worker] = true,
+            }
+            while let Some(w) = idle.iter().position(|&free| free) {
+                let Some(t) = (0..tenants_n)
+                    .filter(|&i| !tenants[i].queue.is_empty())
+                    .min_by_key(|&i| (tenants[i].vtime, i))
+                else {
+                    break;
+                };
+                let take = cfg.batch_max.min(tenants[t].queue.len());
+                let (mut service_sum, mut cursor) = (0u64, now + cfg.dispatch_cycles);
+                for _ in 0..take {
+                    let p = tenants[t].queue.pop_front().expect("tenant is backlogged");
+                    let (start, finish) = (cursor, cursor + p.service);
+                    cursor = finish;
+                    service_sum += p.service;
+                    obs.on_complete(&JobRecord {
+                        id: p.id,
+                        tenant: t,
+                        variant: p.variant,
+                        arrival: p.arrival,
+                        attempts: p.attempts,
+                        outcome: Outcome::Completed { admit: p.admit, start, finish, worker: w },
+                    });
+                    stats.completed += 1;
+                    stats.completed_per_tenant[t] += 1;
+                    stats.served_cycles[t] += p.service;
+                }
+                pending -= take;
+                obs.on_dispatch(now, w, t, take, cfg.dispatch_cycles, pending);
+                vfloor = vfloor.max(tenants[t].vtime);
+                tenants[t].vtime += u128::from(service_sum) * VSCALE / u128::from(cfg.weights[t]);
+                idle[w] = false;
+                stats.batches += 1;
+                stats.dispatch_cycles_total += cfg.dispatch_cycles;
+                stats.busy_cycles[w] += cfg.dispatch_cycles + service_sum;
+                stats.last_finish = stats.last_finish.max(cursor);
+                heap.push(Reverse((cursor, seq, Kind::Free { worker: w })));
+                seq += 1;
+            }
+        }
+        stats
+    }
+
+    /// The three ordered heads make exactly the heap's decisions. Every
+    /// time is a multiple of one quantum, so arrivals share cycles and
+    /// finishes land on arrival and retry cycles: the ties are where the
+    /// two timelines could part.
+    #[test]
+    fn three_heads_match_the_heap_oracle() {
+        gpstream_util::check::run_cases("sched-heap-oracle", 0x6a79_2005, 192, |rng| {
+            let q = rng.range_u64(1, 8);
+            let tenants = rng.range_usize_inclusive(1, 3);
+            let variants = rng.range_usize_inclusive(1, 3);
+            let retry_after = match rng.below(3) {
+                0 => 0,
+                1 => 1,
+                _ => q * rng.range_u64(1, 40),
+            };
+            let cfg = SchedConfig {
+                workers: rng.range_usize_inclusive(1, 4),
+                bounded: rng.bool(),
+                queue_cap: rng.range_usize_inclusive(1, 8),
+                batch_max: rng.range_usize_inclusive(1, 8),
+                dispatch_cycles: q * rng.below(3),
+                retry_after,
+                max_retries: rng.below(4) as u32,
+                weights: (0..tenants).map(|_| rng.range_u64(1, 5)).collect(),
+                check_invariants: true,
+            };
+            let service: Vec<u64> = (0..variants).map(|_| q * rng.range_u64(1, 30)).collect();
+            let mut clock = 0;
+            let jobs: Vec<OfferedJob> = (0..rng.range_usize_inclusive(1, 120))
+                .map(|id| {
+                    clock += q * rng.below(4);
+                    let (tenant, variant) = (rng.below_usize(tenants), rng.below_usize(variants));
+                    OfferedJob { id, tenant, variant, arrival: clock }
+                })
+                .collect();
+            let (mut heads, mut heap) = (Recording::default(), Recording::default());
+            let stats = schedule_stream(jobs.iter().copied(), &service, &cfg, &mut heads);
+            let oracle = heap_schedule(&jobs, &service, &cfg, &mut heap);
+            assert_eq!(stats, oracle, "{cfg:?}");
+            assert!(heads.0 == heap.0, "hook sequences differ for {cfg:?}");
+            let (records, _) = run(&jobs, &service, &cfg);
+            let mut keeper = RecordKeeper::new(1);
+            let _ = heap_schedule(&jobs, &service, &cfg, &mut keeper);
+            assert_eq!(records, keeper.into_records(), "{cfg:?}");
+        });
     }
 }

@@ -117,8 +117,8 @@ pub fn cdp_bench(cfg: CdpConfig, seed: u64) -> AppBench {
     let s_phi1 = b.gather_seq("phi1", a_phi);
     let s_coeff = b.stream::<f32>("coeff", n);
     b.kernel("ComputeCell", &[s_cells.id(), s_phi1.id()], &[s_coeff.id()], CELL_UOPS, |args| {
-        let xc: Vec<Cell> = args.input::<Cell>(0).to_vec();
-        let xp: Vec<f32> = args.input::<f32>(1).to_vec();
+        let xc = args.input::<Cell>(0);
+        let xp = args.input::<f32>(1);
         for (i, o) in args.output::<f32>(0).iter_mut().enumerate() {
             *o = cell_coeff(&xc[i], xp[i]);
         }
@@ -128,8 +128,8 @@ pub fn cdp_bench(cfg: CdpConfig, seed: u64) -> AppBench {
     let s_phi2 = b.gather_seq("phi2", a_phi);
     let s_grad = b.stream::<f32>("grad", n);
     b.kernel("ComputePhiGrad", &[s_phi2.id(), s_cells2.id()], &[s_grad.id()], GRAD_UOPS, |args| {
-        let xp: Vec<f32> = args.input::<f32>(0).to_vec();
-        let xc: Vec<Cell> = args.input::<Cell>(1).to_vec();
+        let xp = args.input::<f32>(0);
+        let xc = args.input::<Cell>(1);
         for (i, o) in args.output::<f32>(0).iter_mut().enumerate() {
             *o = grad_of(xp[i], &xc[i]);
         }
@@ -149,11 +149,11 @@ pub fn cdp_bench(cfg: CdpConfig, seed: u64) -> AppBench {
         &[s_fres.id()],
         FACE_UOPS,
         |args| {
-            let pl: Vec<f32> = args.input::<f32>(0).to_vec();
-            let pr: Vec<f32> = args.input::<f32>(1).to_vec();
-            let gl: Vec<f32> = args.input::<f32>(2).to_vec();
-            let gr: Vec<f32> = args.input::<f32>(3).to_vec();
-            let fd: Vec<Face> = args.input::<Face>(4).to_vec();
+            let pl = args.input::<f32>(0);
+            let pr = args.input::<f32>(1);
+            let gl = args.input::<f32>(2);
+            let gr = args.input::<f32>(3);
+            let fd = args.input::<Face>(4);
             for (i, o) in args.output::<f32>(0).iter_mut().enumerate() {
                 *o = face_flux(pl[i], pr[i], gl[i], gr[i], &fd[i]);
             }
@@ -179,9 +179,9 @@ pub fn cdp_bench(cfg: CdpConfig, seed: u64) -> AppBench {
         &[s_phinew.id(), s_resmag.id()],
         fmu_uops(k),
         move |args| {
-            let faces: Vec<Vec<f32>> = (0..kk).map(|s| args.input::<f32>(s).to_vec()).collect();
-            let phi: Vec<f32> = args.input::<f32>(kk).to_vec();
-            let coeff: Vec<f32> = args.input::<f32>(kk + 1).to_vec();
+            let faces: Vec<&[f32]> = (0..kk).map(|s| args.input::<f32>(s)).collect();
+            let phi = args.input::<f32>(kk);
+            let coeff = args.input::<f32>(kk + 1);
             let n_items = phi.len();
             let mut news = vec![0.0f32; n_items];
             let mut mags = vec![0.0f32; n_items];

@@ -125,9 +125,9 @@ fn build<const K: usize>(cfg: FemConfig, n_cells: usize, seed: u64) -> AppBench 
     let ed = b.gather_seq("edata", a_edata);
     let fs = b.stream::<[f32; K]>("flux", n_edges);
     b.kernel("GatherFlux", &[ul.id(), ur.id(), ed.id()], &[fs.id()], flux_uops(cfg), move |args| {
-        let xl: Vec<[f32; K]> = args.input::<[f32; K]>(0).to_vec();
-        let xr: Vec<[f32; K]> = args.input::<[f32; K]>(1).to_vec();
-        let xe: Vec<[f32; 4]> = args.input::<[f32; 4]>(2).to_vec();
+        let xl = args.input::<[f32; K]>(0);
+        let xr = args.input::<[f32; K]>(1);
+        let xe = args.input::<[f32; 4]>(2);
         for (i, o) in args.output::<[f32; K]>(0).iter_mut().enumerate() {
             *o = edge_flux(&xl[i], &xr[i], &xe[i]);
         }
@@ -146,10 +146,10 @@ fn build<const K: usize>(cfg: FemConfig, n_cells: usize, seed: u64) -> AppBench 
         &[rs.id()],
         gather_cell_uops(cfg),
         move |args| {
-            let x0: Vec<[f32; K]> = args.input::<[f32; K]>(0).to_vec();
-            let x1: Vec<[f32; K]> = args.input::<[f32; K]>(1).to_vec();
-            let x2: Vec<[f32; K]> = args.input::<[f32; K]>(2).to_vec();
-            let xu: Vec<[f32; K]> = args.input::<[f32; K]>(3).to_vec();
+            let x0 = args.input::<[f32; K]>(0);
+            let x1 = args.input::<[f32; K]>(1);
+            let x2 = args.input::<[f32; K]>(2);
+            let xu = args.input::<[f32; K]>(3);
             for (i, o) in args.output::<[f32; K]>(0).iter_mut().enumerate() {
                 for c in 0..K {
                     o[c] = x0[i][c] + x1[i][c] + x2[i][c] - 0.1 * xu[i][c];
@@ -160,8 +160,8 @@ fn build<const K: usize>(cfg: FemConfig, n_cells: usize, seed: u64) -> AppBench 
     // AdvanceCell shares the cell-state input stream `us` with GatherCell:
     // the compiler fuses them.
     b.kernel("AdvanceCell", &[rs.id(), us.id()], &[outs.id()], advance_uops(cfg), move |args| {
-        let xr: Vec<[f32; K]> = args.input::<[f32; K]>(0).to_vec();
-        let xu: Vec<[f32; K]> = args.input::<[f32; K]>(1).to_vec();
+        let xr = args.input::<[f32; K]>(0);
+        let xu = args.input::<[f32; K]>(1);
         for (i, o) in args.output::<[f32; K]>(0).iter_mut().enumerate() {
             for c in 0..K {
                 o[c] = xu[i][c] - DT * xr[i][c];

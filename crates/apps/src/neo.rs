@@ -102,7 +102,7 @@ pub fn neo_bench(n: usize, seed: u64) -> AppBench {
     let s_cgt = b.stream::<CgtInv>("cgt_inv", n);
     let s_dg = b.stream::<Dg>("dg", n);
     b.kernel("ComputePK", &[s_e.id()], &[s_pk.id(), s_cgt.id(), s_dg.id()], PK_UOPS, |args| {
-        let xe: Vec<Elem> = args.input::<Elem>(0).to_vec();
+        let xe = args.input::<Elem>(0);
         let n_items = xe.len();
         let mut pks = vec![[0.0f32; 9]; n_items];
         let mut cgts = vec![[0.0f32; 27]; n_items];
@@ -120,8 +120,8 @@ pub fn neo_bench(n: usize, seed: u64) -> AppBench {
     b.scatter_seq(s_pk, a_pk);
     let s_tan = b.stream::<Tangent>("tangent", n);
     b.kernel("ComputeTangent", &[s_cgt.id(), s_dg.id()], &[s_tan.id()], TAN_UOPS, |args| {
-        let xc: Vec<CgtInv> = args.input::<CgtInv>(0).to_vec();
-        let xd: Vec<Dg> = args.input::<Dg>(1).to_vec();
+        let xc = args.input::<CgtInv>(0);
+        let xd = args.input::<Dg>(1);
         for (i, o) in args.output::<Tangent>(0).iter_mut().enumerate() {
             *o = compute_tangent(&xc[i], &xd[i]);
         }

@@ -58,9 +58,9 @@ pub fn spas_bench(rows: usize, nnz_per_row: usize, seed: u64) -> AppBench {
         &[s_y.id()],
         spmv_uops(nnz_per_row),
         |args| {
-            let xs: Vec<f32> = args.input::<f32>(0).to_vec();
-            let vs: Vec<f32> = args.input::<f32>(1).to_vec();
-            let lens: Vec<u32> = args.input::<u32>(2).to_vec();
+            let xs = args.input::<f32>(0);
+            let vs = args.input::<f32>(1);
+            let lens = args.input::<u32>(2);
             let out = args.output::<f32>(0);
             let mut off = 0usize;
             for (r, o) in out.iter_mut().enumerate() {

@@ -26,7 +26,7 @@
 //! let xs = b.gather_seq("xs", a);
 //! let ys = b.stream::<f32>("ys", 1 << 16);
 //! b.kernel("scale", &[xs.id()], &[ys.id()], 8, |args| {
-//!     let x: Vec<f32> = args.input::<f32>(0).to_vec();
+//!     let x = args.input::<f32>(0);
 //!     for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
 //!         *o = 2.0 * v;
 //!     }
@@ -115,17 +115,17 @@ mod tests {
         let s_sum = bld.stream::<f32>("sum", n);
         let s_y = bld.stream::<f32>("ys", n);
         bld.kernel("add", &[s_a.id(), s_b.id()], &[s_sum.id()], 4, |args| {
-            let xa: Vec<f32> = args.input::<f32>(0).to_vec();
-            let xb: Vec<f32> = args.input::<f32>(1).to_vec();
-            for (o, (va, vb)) in args.output::<f32>(0).iter_mut().zip(xa.iter().zip(&xb)) {
+            let xa = args.input::<f32>(0);
+            let xb = args.input::<f32>(1);
+            for (o, (va, vb)) in args.output::<f32>(0).iter_mut().zip(xa.iter().zip(xb)) {
                 *o = va + vb;
             }
         });
         // `mul` shares input `bs` with `add` => fusion candidate.
         bld.kernel("mul", &[s_sum.id(), s_b.id()], &[s_y.id()], 4, |args| {
-            let xs: Vec<f32> = args.input::<f32>(0).to_vec();
-            let xb: Vec<f32> = args.input::<f32>(1).to_vec();
-            for (o, (vs, vb)) in args.output::<f32>(0).iter_mut().zip(xs.iter().zip(&xb)) {
+            let xs = args.input::<f32>(0);
+            let xb = args.input::<f32>(1);
+            for (o, (vs, vb)) in args.output::<f32>(0).iter_mut().zip(xs.iter().zip(xb)) {
                 *o = vs * vb;
             }
         });

@@ -145,13 +145,7 @@ pub fn fuse_shared_input_kernels(
             let mut temps: Vec<Vec<u8>> =
                 temp_elem_bytes.iter().map(|eb| vec![0u8; eb * n]).collect();
             {
-                let ins: Vec<&[u8]> = k1_in_map
-                    .iter()
-                    .map(|&i| {
-                        let s: &[u8] = args.input::<u8>(i);
-                        s
-                    })
-                    .collect();
+                let ins: Vec<&[u8]> = k1_in_map.iter().map(|&i| args.input::<u8>(i)).collect();
                 let outs: Vec<&mut [u8]> = temps.iter_mut().map(Vec::as_mut_slice).collect();
                 let mut sub = KernelArgs::new(ins, outs, items.clone());
                 f1(&mut sub);
@@ -166,10 +160,7 @@ pub fn fuse_shared_input_kernels(
                 let ins: Vec<&[u8]> = k2_in_map
                     .iter()
                     .map(|m| match *m {
-                        K2In::Fused(i) => {
-                            let s: &[u8] = args.input::<u8>(i);
-                            s
-                        }
+                        K2In::Fused(i) => args.input::<u8>(i),
                         K2In::Temp(t) => temps[t].as_slice(),
                     })
                     .collect();

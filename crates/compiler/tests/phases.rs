@@ -24,7 +24,7 @@ fn array_raw_dependency_creates_ordered_phases() {
     let xs = b.gather_seq("xs", a);
     let m1 = b.stream::<f32>("m1", n);
     b.kernel("inc", &[xs.id()], &[m1.id()], 2, |args| {
-        let x: Vec<f32> = args.input::<f32>(0).to_vec();
+        let x = args.input::<f32>(0);
         for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
             *o = v + 1.0;
         }
@@ -34,7 +34,7 @@ fn array_raw_dependency_creates_ordered_phases() {
     let gs = b.gather_indexed("gs", mid_arr, Arc::new(rev));
     let m2 = b.stream::<f32>("m2", n);
     b.kernel("triple", &[gs.id()], &[m2.id()], 2, |args| {
-        let x: Vec<f32> = args.input::<f32>(0).to_vec();
+        let x = args.input::<f32>(0);
         for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
             *o = v * 3.0;
         }
@@ -123,22 +123,22 @@ fn fusion_chains_through_three_kernels() {
     let s2 = b.stream::<f32>("s2", n);
     let s3 = b.stream::<f32>("s3", n);
     b.kernel("k1", &[xs.id()], &[s1.id()], 1, |args| {
-        let x: Vec<f32> = args.input::<f32>(0).to_vec();
+        let x = args.input::<f32>(0);
         for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
             *o = v + 1.0;
         }
     });
     b.kernel("k2", &[s1.id(), xs.id()], &[s2.id()], 1, |args| {
-        let x1: Vec<f32> = args.input::<f32>(0).to_vec();
-        let xx: Vec<f32> = args.input::<f32>(1).to_vec();
-        for (o, (v1, vx)) in args.output::<f32>(0).iter_mut().zip(x1.iter().zip(&xx)) {
+        let x1 = args.input::<f32>(0);
+        let xx = args.input::<f32>(1);
+        for (o, (v1, vx)) in args.output::<f32>(0).iter_mut().zip(x1.iter().zip(xx)) {
             *o = (v1 + vx) * 2.0;
         }
     });
     b.kernel("k3", &[s2.id(), xs.id()], &[s3.id()], 1, |args| {
-        let x2: Vec<f32> = args.input::<f32>(0).to_vec();
-        let xx: Vec<f32> = args.input::<f32>(1).to_vec();
-        for (o, (v2, vx)) in args.output::<f32>(0).iter_mut().zip(x2.iter().zip(&xx)) {
+        let x2 = args.input::<f32>(0);
+        let xx = args.input::<f32>(1);
+        for (o, (v2, vx)) in args.output::<f32>(0).iter_mut().zip(x2.iter().zip(xx)) {
             *o = v2 + vx;
         }
     });
@@ -175,8 +175,8 @@ fn variable_rate_streams_schedule_with_worst_case_buffers() {
     let sl = b.gather_seq("lens", a_len);
     let sy = b.stream::<f32>("ys", rows);
     b.kernel("rowsum", &[sv.id(), sl.id()], &[sy.id()], 8, |args| {
-        let v: Vec<f32> = args.input::<f32>(0).to_vec();
-        let l: Vec<u32> = args.input::<u32>(1).to_vec();
+        let v = args.input::<f32>(0);
+        let l = args.input::<u32>(1);
         let out = args.output::<f32>(0);
         let mut off = 0usize;
         for (r, o) in out.iter_mut().enumerate() {

@@ -9,9 +9,14 @@ use crate::world::World;
 /// Runs a scheduled program in task order on one thread. Used as the
 /// golden reference: every other executor must produce bit-identical
 /// array contents.
+///
+/// The executor owns its SRF and keeps it across runs, as the paper
+/// keeps its one pinned region: the buffer grows to the largest program
+/// run and is never cleared ([`SrfBuffer::fit`]). Keep one executor per
+/// thread to run many programs without allocating or zeroing an SRF.
 #[derive(Debug, Clone, Default)]
 pub struct FunctionalExecutor {
-    srf_cfg: SrfConfig,
+    srf: SrfBuffer,
 }
 
 impl FunctionalExecutor {
@@ -24,7 +29,7 @@ impl FunctionalExecutor {
     /// Use a custom SRF configuration.
     #[must_use]
     pub fn with_srf(srf_cfg: SrfConfig) -> Self {
-        FunctionalExecutor { srf_cfg }
+        FunctionalExecutor { srf: SrfBuffer::new(srf_cfg) }
     }
 
     /// Execute `program` against `world`, mutating scattered arrays in
@@ -33,11 +38,16 @@ impl FunctionalExecutor {
     /// # Panics
     ///
     /// Panics if the program fails validation or does not fit the SRF.
-    pub fn run(&self, program: &ScheduledProgram, graph: &StreamGraph, world: &mut World) -> usize {
+    pub fn run(
+        &mut self,
+        program: &ScheduledProgram,
+        graph: &StreamGraph,
+        world: &mut World,
+    ) -> usize {
         program.validate().expect("scheduled program must be consistent");
-        let mut srf = SrfBuffer::for_program(self.srf_cfg, program);
+        self.srf.fit(program);
         for task in &program.tasks {
-            execute_task(task, graph, world, &mut srf);
+            execute_task(task, graph, world, &mut self.srf);
         }
         program.tasks.len()
     }
@@ -58,7 +68,7 @@ mod tests {
         let s_in = b.gather_seq("as", a);
         let s_out = b.stream::<f32>("ys", 4);
         b.kernel("double", &[s_in.id()], &[s_out.id()], 4, |args| {
-            let x: Vec<f32> = args.input::<f32>(0).to_vec();
+            let x = args.input::<f32>(0);
             for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
                 *o = v * 2.0;
             }

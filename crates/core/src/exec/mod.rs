@@ -17,9 +17,10 @@
 //!
 //! [`execute_task`] copies only what the modelled machine copies: a
 //! gather moves a strip from its array into the SRF, a scatter moves it
-//! back, and a kernel computes in place on its SRF strips. All three
-//! executors size their [`SrfBuffer`] to the program
-//! ([`SrfBuffer::for_program`]).
+//! back, and a kernel computes in place on its SRF strips. The native
+//! and simulating executors size a fresh [`SrfBuffer`] to each program
+//! ([`SrfBuffer::for_program`]); the functional executor keeps one
+//! across runs and never clears it ([`SrfBuffer::fit`]).
 
 pub mod functional;
 pub mod native;

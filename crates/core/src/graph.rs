@@ -154,14 +154,16 @@ impl<'a> KernelArgs<'a> {
         KernelArgs { inputs, outputs, items }
     }
 
-    /// Input port `i` viewed as a `T` slice.
+    /// Input port `i` viewed as a `T` slice. The slice borrows the
+    /// strip, not `self`, so a kernel can hold its inputs while it
+    /// writes [`KernelArgs::output`].
     ///
     /// # Panics
     ///
     /// Panics if the port index is out of range or the bytes do not form
     /// whole `T` values.
     #[must_use]
-    pub fn input<T: Pod>(&self, i: usize) -> &[T] {
+    pub fn input<T: Pod>(&self, i: usize) -> &'a [T] {
         crate::pod::cast_slice(self.inputs[i])
     }
 
@@ -703,8 +705,8 @@ mod tests {
 
     fn identity_kernel() -> impl Fn(&mut KernelArgs<'_>) + Send + Sync + 'static {
         |args: &mut KernelArgs<'_>| {
-            let x: Vec<f32> = args.input::<f32>(0).to_vec();
-            args.output::<f32>(0).copy_from_slice(&x);
+            let x = args.input::<f32>(0);
+            args.output::<f32>(0).copy_from_slice(x);
         }
     }
 

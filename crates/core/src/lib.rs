@@ -22,7 +22,7 @@
 //! let xs = b.gather_seq("xs", a);
 //! let ys = b.stream::<f32>("ys", 4);
 //! b.kernel("double", &[xs.id()], &[ys.id()], 4, |args| {
-//!     let x: Vec<f32> = args.input::<f32>(0).to_vec();
+//!     let x = args.input::<f32>(0);
 //!     for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
 //!         *o = 2.0 * v;
 //!     }

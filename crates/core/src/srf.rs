@@ -6,6 +6,11 @@
 //! non-temporal data, i.e. 768 KB), [`SrfAllocator`] hands out strip
 //! buffers inside it, and [`SrfBuffer`] is the runtime byte storage the
 //! executors gather into, compute on and scatter from.
+//!
+//! SRF contents are undefined until written: [`ScheduledProgram::validate`]
+//! proves every byte a task reads was written by an earlier task, so an
+//! executor may run program after program on one buffer it never clears
+//! ([`SrfBuffer::fit`]), as the paper reuses its one pinned region.
 
 use crate::pod::AlignedBytes;
 use crate::task::ScheduledProgram;
@@ -119,30 +124,59 @@ impl SrfAllocator {
 }
 
 /// Runtime byte storage backing the SRF.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SrfBuffer {
     cfg: SrfConfig,
     data: AlignedBytes,
 }
 
 impl SrfBuffer {
-    /// Zeroed storage for `program`'s strip buffers: its `srf_bytes`,
-    /// placed at `cfg`'s base. [`ScheduledProgram::validate`] proves every
-    /// binding ends inside that span, so the rest of the configured SRF
-    /// is never touched and is not allocated.
+    /// Empty storage placed at `cfg`'s base, grown by [`SrfBuffer::fit`].
+    #[must_use]
+    pub fn new(cfg: SrfConfig) -> Self {
+        SrfBuffer { cfg, data: AlignedBytes::default() }
+    }
+
+    /// Storage for `program`'s strip buffers: its `srf_bytes`, placed at
+    /// `cfg`'s base. [`ScheduledProgram::validate`] proves every binding
+    /// ends inside that span, so the rest of the configured SRF is never
+    /// touched and is not allocated.
     ///
     /// # Panics
     ///
     /// Panics if the program needs more SRF bytes than `cfg` configures.
     #[must_use]
     pub fn for_program(cfg: SrfConfig, program: &ScheduledProgram) -> Self {
+        let mut buf = Self::new(cfg);
+        buf.fit(program);
+        buf
+    }
+
+    /// Make room for `program`'s strip buffers, keeping whatever an
+    /// earlier program left: the buffer grows to the largest `srf_bytes`
+    /// it has seen, never shrinks and is never cleared. Stale bytes are
+    /// never read, because [`ScheduledProgram::validate`] proves every
+    /// SRF byte a task reads is written first by an earlier task.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program needs more SRF bytes than the configuration
+    /// holds.
+    pub fn fit(&mut self, program: &ScheduledProgram) {
         assert!(
-            program.srf_bytes <= cfg.capacity,
+            program.srf_bytes <= self.cfg.capacity,
             "program needs {} SRF bytes but only {} are configured",
             program.srf_bytes,
-            cfg.capacity
+            self.cfg.capacity
         );
-        SrfBuffer { cfg, data: AlignedBytes::zeroed(program.srf_bytes) }
+        if self.data.len() < program.srf_bytes {
+            // Nothing held is defined for the next program, so nothing is
+            // copied, and the old bytes are freed before the new ones are
+            // allocated: the allocator can reuse them instead of leaving
+            // a hole that stays resident.
+            drop(std::mem::take(&mut self.data));
+            self.data = AlignedBytes::zeroed(program.srf_bytes);
+        }
     }
 
     /// The configuration.
@@ -155,7 +189,7 @@ impl SrfBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if the range ends past the program's SRF bytes.
+    /// Panics if the range ends past the buffer.
     #[must_use]
     pub fn bytes(&self, offset: usize, len: usize) -> &[u8] {
         &self.data.as_bytes()[offset..offset + len]
@@ -165,7 +199,7 @@ impl SrfBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if the range ends past the program's SRF bytes.
+    /// Panics if the range ends past the buffer.
     pub fn bytes_mut(&mut self, offset: usize, len: usize) -> &mut [u8] {
         &mut self.data.as_mut_bytes()[offset..offset + len]
     }
@@ -212,6 +246,20 @@ mod tests {
         let mut buf = SrfBuffer::for_program(SrfConfig::prescott(), &program);
         assert_eq!(buf.as_mut_bytes().len(), 96);
         assert_eq!(buf.config(), SrfConfig::prescott());
+    }
+
+    #[test]
+    fn a_fitted_buffer_grows_to_the_largest_program_and_keeps_its_bytes() {
+        let program = |srf_bytes| ScheduledProgram { srf_bytes, ..ScheduledProgram::default() };
+        let mut buf = SrfBuffer::new(SrfConfig { base: SRF_BASE, capacity: 256 });
+        assert_eq!(buf.as_mut_bytes().len(), 0);
+        buf.fit(&program(64));
+        buf.bytes_mut(60, 4).copy_from_slice(&[0xA5; 4]);
+        buf.fit(&program(32));
+        assert_eq!(buf.as_mut_bytes().len(), 64, "never shrinks");
+        assert_eq!(buf.bytes(60, 4), &[0xA5; 4], "never cleared");
+        buf.fit(&program(256));
+        assert_eq!(buf.as_mut_bytes().len(), 256);
     }
 
     #[test]

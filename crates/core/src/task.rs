@@ -87,6 +87,17 @@ impl TaskKind {
     pub fn is_memory(&self) -> bool {
         matches!(self, TaskKind::Gather { .. } | TaskKind::Scatter { .. })
     }
+
+    /// The SRF strips this task reads and the ones it writes: a scatter
+    /// reads its binding, a gather writes it, a kernel reads its inputs
+    /// and writes its outputs.
+    fn srf_ports(&self) -> (&[PortBinding], &[PortBinding]) {
+        match self {
+            TaskKind::Gather { binding, .. } => (&[], std::slice::from_ref(binding)),
+            TaskKind::Scatter { binding, .. } => (std::slice::from_ref(binding), &[]),
+            TaskKind::Kernel { inputs, outputs, .. } => (inputs, outputs),
+        }
+    }
 }
 
 /// One scheduled task.
@@ -118,9 +129,10 @@ pub struct ScheduledProgram {
 /// Hazard checking builds per-task ancestor bitsets, which is
 /// `O(n²/64)` time and space in the number of tasks. Programs larger
 /// than this get only the per-task checks (structure, SRF bounds,
-/// in-place kernel strips): their SRF and array hazards between tasks go
-/// unchecked — at compile time as well as at run time, since the
-/// compiler's scheduler calls the same [`ScheduledProgram::check`].
+/// in-place kernel strips) and the one-pass SRF define-before-use rule:
+/// their SRF and array hazards between tasks go unchecked — at compile
+/// time as well as at run time, since the compiler's scheduler calls the
+/// same [`ScheduledProgram::check`].
 const MAX_HAZARD_TASKS: usize = 8192;
 
 /// Transitive dependency reachability as one bitset row per task.
@@ -164,14 +176,50 @@ struct SrfRegion {
     readers: Vec<usize>,
 }
 
+/// The SRF bytes written so far: disjoint ranges that do not touch, in
+/// ascending order.
+#[derive(Default)]
+struct WrittenRanges(Vec<Range<usize>>);
+
+impl WrittenRanges {
+    /// Mark `w` written, merging it with every range it overlaps or
+    /// touches.
+    fn insert(&mut self, w: Range<usize>) {
+        if w.is_empty() {
+            return;
+        }
+        let lo = self.0.partition_point(|r| r.end < w.start);
+        let hi = self.0.partition_point(|r| r.start <= w.end);
+        let merged =
+            if lo < hi { self.0[lo].start.min(w.start)..self.0[hi - 1].end.max(w.end) } else { w };
+        self.0.splice(lo..hi, [merged]);
+    }
+
+    /// The first bytes of `r` not yet written, if any.
+    fn first_gap(&self, r: Range<usize>) -> Option<Range<usize>> {
+        if r.is_empty() {
+            return None;
+        }
+        let i = self.0.partition_point(|w| w.end <= r.start);
+        match self.0.get(i) {
+            Some(w) if w.start <= r.start => (w.end < r.end)
+                .then(|| w.end..self.0.get(i + 1).map_or(r.end, |next| next.start.min(r.end))),
+            Some(w) => Some(r.start..w.start.min(r.end)),
+            None => Some(r),
+        }
+    }
+}
+
 impl ScheduledProgram {
     /// Check internal consistency: dependency ids precede their
     /// dependents, all ids are dense, every binding ends inside the
     /// program's `srf_bytes`, no kernel output overlaps another output or
     /// an input of the same kernel (kernels compute in place on the SRF),
-    /// and — for programs small enough to analyse — every pair of tasks
-    /// touching overlapping SRF bytes with at least one writer is
-    /// connected by an explicit dependency path.
+    /// every SRF byte a task reads was written by an earlier task (so an
+    /// SRF's contents are undefined until written and no executor needs
+    /// a cleared one), and — for programs small enough to analyse — every
+    /// pair of tasks touching overlapping SRF bytes with at least one
+    /// writer is connected by an explicit dependency path.
     ///
     /// With out-of-order work queues (Figure 7's `tail_depend`) queue
     /// position orders nothing, so a schedule whose correctness relies on
@@ -225,6 +273,7 @@ impl ScheduledProgram {
             }
             self.check_srf_bindings(t)?;
         }
+        self.check_srf_defined()?;
         if self.tasks.len() > MAX_HAZARD_TASKS {
             return Ok(());
         }
@@ -241,12 +290,7 @@ impl ScheduledProgram {
     /// disjoint from each other and from its inputs, so the kernel can
     /// read and write its strips where they sit.
     fn check_srf_bindings(&self, t: &TaskDesc) -> Result<(), String> {
-        let (inputs, outputs) = match &t.kind {
-            TaskKind::Gather { binding, .. } | TaskKind::Scatter { binding, .. } => {
-                (std::slice::from_ref(binding), &[][..])
-            }
-            TaskKind::Kernel { inputs, outputs, .. } => (inputs.as_slice(), outputs.as_slice()),
-        };
+        let (inputs, outputs) = t.kind.srf_ports();
         for b in inputs.iter().chain(outputs) {
             let r = b.srf_range();
             if r.end > self.srf_bytes {
@@ -280,6 +324,29 @@ impl ScheduledProgram {
         Ok(())
     }
 
+    /// Define before use: every SRF byte a scatter or a kernel input
+    /// reads was written by an earlier gather or kernel output. One pass
+    /// in task order over the written bytes, kept as merged ranges.
+    fn check_srf_defined(&self) -> Result<(), String> {
+        let mut written = WrittenRanges::default();
+        for t in &self.tasks {
+            let (reads, writes) = t.kind.srf_ports();
+            for b in reads {
+                if let Some(gap) = written.first_gap(b.srf_range()) {
+                    return Err(format!(
+                        "SRF read before write: task {} reads SRF bytes {gap:?} of stream {} \
+                         that no earlier task writes",
+                        t.id.0, b.stream.0
+                    ));
+                }
+            }
+            for b in writes {
+                written.insert(b.srf_range());
+            }
+        }
+        Ok(())
+    }
+
     /// SRF buffer hazards: a frontier of live regions (last writer plus
     /// readers since) is enough because reachability is transitive — if
     /// every new conflicting access reaches the frontier, it reaches all
@@ -297,27 +364,18 @@ impl ScheduledProgram {
         };
         for t in &self.tasks {
             let i = t.id.0 as usize;
-            let mut reads: Vec<Range<usize>> = Vec::new();
-            let mut writes: Vec<Range<usize>> = Vec::new();
-            match &t.kind {
-                TaskKind::Gather { binding, .. } => writes.push(binding.srf_range()),
-                TaskKind::Scatter { binding, .. } => reads.push(binding.srf_range()),
-                TaskKind::Kernel { inputs, outputs, .. } => {
-                    reads.extend(inputs.iter().map(PortBinding::srf_range));
-                    writes.extend(outputs.iter().map(PortBinding::srf_range));
-                }
-            }
-            for r in reads.iter().filter(|r| !r.is_empty()) {
+            let (reads, writes) = t.kind.srf_ports();
+            for r in reads.iter().map(PortBinding::srf_range).filter(|r| !r.is_empty()) {
                 for region in &mut regions {
-                    if ranges_overlap(&region.range, r) {
+                    if ranges_overlap(&region.range, &r) {
                         ordered(region.writer, i, "read-after-write")?;
                         region.readers.push(i);
                     }
                 }
             }
-            for w in writes.iter().filter(|w| !w.is_empty()) {
+            for w in writes.iter().map(PortBinding::srf_range).filter(|w| !w.is_empty()) {
                 for region in &regions {
-                    if ranges_overlap(&region.range, w) {
+                    if ranges_overlap(&region.range, &w) {
                         ordered(region.writer, i, "write-after-write")?;
                         for &r in &region.readers {
                             ordered(r, i, "write-after-read")?;
@@ -328,7 +386,7 @@ impl ScheduledProgram {
                 // overlaps are kept (still conservative — their writers
                 // genuinely conflict with later accesses).
                 regions.retain(|e| !(w.start <= e.range.start && e.range.end <= w.end));
-                regions.push(SrfRegion { range: w.clone(), writer: i, readers: Vec::new() });
+                regions.push(SrfRegion { range: w, writer: i, readers: Vec::new() });
             }
         }
         Ok(())
@@ -434,72 +492,158 @@ mod tests {
         PortBinding { stream: StreamId(stream), srf_offset, elems, elem_bytes: 4 }
     }
 
-    fn kernel(inputs: Vec<PortBinding>, outputs: Vec<PortBinding>) -> TaskDesc {
+    /// Task `id` of a table row doing `kind` after the row's tasks `deps`.
+    fn task(id: u32, kind: TaskKind, deps: &[u32]) -> TaskDesc {
         TaskDesc {
-            id: TaskId(0),
-            kind: TaskKind::Kernel { kernel: KernelId(0), items: 0..4, inputs, outputs },
-            deps: vec![],
+            id: TaskId(id),
+            kind,
+            deps: deps.iter().copied().map(TaskId).collect(),
             strip: 0,
         }
     }
 
-    /// Per-task SRF rules hold at every program size: each row is one
-    /// task, checked alone and again as the last of more than
-    /// `MAX_HAZARD_TASKS` tasks (where the pairwise hazard check is off).
+    /// A gather into `binding`'s SRF bytes.
+    fn fill(binding: PortBinding) -> TaskKind {
+        TaskKind::Gather { binding, nt: true }
+    }
+
+    /// A scatter out of `binding`'s SRF bytes.
+    fn drain(binding: PortBinding) -> TaskKind {
+        TaskKind::Scatter { binding, nt: true }
+    }
+
+    fn kernel(inputs: Vec<PortBinding>, outputs: Vec<PortBinding>) -> TaskKind {
+        TaskKind::Kernel { kernel: KernelId(0), items: 0..4, inputs, outputs }
+    }
+
+    /// The SRF rules that need no pairwise hazard analysis hold at every
+    /// program size: each row is a few tasks, checked alone and again
+    /// after `MAX_HAZARD_TASKS` filler gathers of SRF bytes 0..16 (where
+    /// the pairwise hazard check is off). A rejected row fails at its
+    /// last task, `task #` in the expected text.
     #[test]
     fn validate_rejects_bad_srf_bindings_at_every_size() {
-        let rows: Vec<(&str, TaskDesc, Option<&str>)> = vec![
-            ("disjoint kernel", kernel(vec![binding(0, 0, 0..4)], vec![binding(1, 16, 0..4)]), None),
+        let rows: Vec<(&str, Vec<TaskDesc>, Option<&str>)> = vec![
+            (
+                "disjoint kernel",
+                vec![
+                    task(0, fill(binding(0, 0, 0..4)), &[]),
+                    task(1, kernel(vec![binding(0, 0, 0..4)], vec![binding(1, 16, 0..4)]), &[0]),
+                ],
+                None,
+            ),
             (
                 "empty output inside an input",
-                kernel(vec![binding(0, 0, 0..8)], vec![binding(1, 16, 0..0)]),
+                vec![
+                    task(0, fill(binding(0, 0, 0..8)), &[]),
+                    task(1, kernel(vec![binding(0, 0, 0..8)], vec![binding(1, 16, 0..0)]), &[0]),
+                ],
+                None,
+            ),
+            (
+                "two adjacent gathers cover one read",
+                vec![
+                    task(0, fill(binding(0, 16, 0..2)), &[]),
+                    task(1, fill(binding(1, 24, 0..2)), &[]),
+                    task(2, drain(binding(2, 16, 0..4)), &[0, 1]),
+                ],
                 None,
             ),
             (
                 "output over its own input",
-                kernel(vec![binding(0, 0, 0..4)], vec![binding(1, 8, 0..4)]),
-                Some("kernel strip overlap: task 0 output 0 writes SRF bytes 8..24 that its input 0"),
+                vec![task(0, kernel(vec![binding(0, 0, 0..4)], vec![binding(1, 8, 0..4)]), &[])],
+                Some("kernel strip overlap: task # output 0 writes SRF bytes 8..24 that its input 0"),
             ),
             (
                 "two outputs over each other",
-                kernel(vec![], vec![binding(1, 0, 0..4), binding(2, 12, 0..4)]),
-                Some("kernel strip overlap: task 0 output 0 writes SRF bytes 0..16 that its output 1"),
+                vec![task(0, kernel(vec![], vec![binding(1, 0, 0..4), binding(2, 12, 0..4)]), &[])],
+                Some("kernel strip overlap: task # output 0 writes SRF bytes 0..16 that its output 1"),
             ),
             (
                 "gather past srf_bytes",
-                TaskDesc {
-                    kind: TaskKind::Gather { binding: binding(0, 20, 0..4), nt: true },
-                    ..gather(0, vec![])
-                },
-                Some("SRF bounds: task 0 binds SRF bytes 20..36 of stream 0, past the program's 32"),
+                vec![task(0, fill(binding(0, 20, 0..4)), &[])],
+                Some("SRF bounds: task # binds SRF bytes 20..36 of stream 0, past the program's 32"),
             ),
             (
                 "kernel output past srf_bytes",
-                kernel(vec![binding(0, 0, 0..4)], vec![binding(1, 24, 0..4)]),
-                Some("SRF bounds: task 0 binds SRF bytes 24..40 of stream 1"),
+                vec![task(0, kernel(vec![binding(0, 0, 0..4)], vec![binding(1, 24, 0..4)]), &[])],
+                Some("SRF bounds: task # binds SRF bytes 24..40 of stream 1"),
             ),
             (
                 "empty binding past srf_bytes",
-                kernel(vec![binding(0, 40, 0..0)], vec![]),
-                Some("SRF bounds: task 0 binds SRF bytes 40..40"),
+                vec![task(0, kernel(vec![binding(0, 40, 0..0)], vec![]), &[])],
+                Some("SRF bounds: task # binds SRF bytes 40..40"),
+            ),
+            (
+                "scatter of a never-gathered strip",
+                vec![task(0, drain(binding(0, 16, 0..4)), &[])],
+                Some("SRF read before write: task # reads SRF bytes 16..32 of stream 0"),
+            ),
+            (
+                "kernel input only partly covered",
+                vec![
+                    task(0, fill(binding(0, 16, 0..2)), &[]),
+                    task(1, kernel(vec![binding(0, 16, 0..4)], vec![]), &[0]),
+                ],
+                Some("SRF read before write: task # reads SRF bytes 24..32 of stream 0"),
+            ),
+            (
+                "a read one byte past a write",
+                vec![
+                    task(0, fill(binding(0, 16, 0..3)), &[]),
+                    task(1, drain(binding(0, 17, 0..3)), &[0]),
+                ],
+                Some("SRF read before write: task # reads SRF bytes 28..29 of stream 0"),
             ),
         ];
-        for (what, task, want) in rows {
-            for filler in [0, MAX_HAZARD_TASKS] {
-                let mut tasks: Vec<TaskDesc> =
-                    (0..filler as u32).map(|i| gather(i, vec![])).collect();
-                tasks.push(TaskDesc { id: TaskId(filler as u32), ..task.clone() });
+        for (what, row, want) in rows {
+            for filler in [0, MAX_HAZARD_TASKS as u32] {
+                let mut tasks: Vec<TaskDesc> = (0..filler).map(|i| gather(i, vec![])).collect();
+                tasks.extend(row.iter().map(|t| TaskDesc {
+                    id: TaskId(t.id.0 + filler),
+                    deps: t.deps.iter().map(|d| TaskId(d.0 + filler)).collect(),
+                    ..t.clone()
+                }));
+                let last = tasks.len() - 1;
                 let p = ScheduledProgram { tasks, srf_bytes: 32, n_strips: 1, strip_items: 4 };
                 match (p.validate(), want) {
                     (Ok(()), None) => {}
                     (Err(e), Some(want)) => {
-                        let want = want.replace("task 0", &format!("task {filler}"));
+                        let want = want.replace("task #", &format!("task {last}"));
                         assert!(e.starts_with(&want), "{what} ({filler} before): got {e}");
                     }
                     (got, _) => panic!("{what} ({filler} before): got {got:?}, want {want:?}"),
                 }
             }
         }
+    }
+
+    /// The merged written ranges answer like a map of every byte: on
+    /// random writes and reads over 64 bytes, `first_gap` names the
+    /// first unwritten run of the read, and the ranges stay sorted,
+    /// disjoint and apart.
+    #[test]
+    fn written_ranges_answer_like_a_byte_map() {
+        gpstream_util::check::run_cases("srf-written-ranges", 0x6a79_2005, 256, |rng| {
+            let mut ranges = WrittenRanges::default();
+            let mut bytes = [false; 64];
+            for _ in 0..rng.range_usize_inclusive(0, 24) {
+                let a = rng.below_usize(65);
+                let b = rng.range_usize_inclusive(a, 64.min(a + 20));
+                if rng.bool() {
+                    ranges.insert(a..b);
+                    bytes[a..b].fill(true);
+                } else {
+                    let start = (a..b).find(|&i| !bytes[i]);
+                    let want = start.map(|s| s..(s..b).find(|&i| bytes[i]).unwrap_or(b));
+                    assert_eq!(ranges.first_gap(a..b), want, "read {a}..{b}");
+                }
+            }
+            for pair in ranges.0.windows(2) {
+                assert!(pair[0].end < pair[1].start, "{:?} not merged", ranges.0);
+            }
+            assert!(ranges.0.iter().all(|r| !r.is_empty()));
+        });
     }
 
     #[test]

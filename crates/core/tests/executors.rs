@@ -30,7 +30,7 @@ fn two_strip_setup() -> (
     let xs = b.gather_seq("xs", a);
     let ys = b.stream::<f32>("ys", n);
     b.kernel("x10", &[xs.id()], &[ys.id()], 2, |args| {
-        let x: Vec<f32> = args.input::<f32>(0).to_vec();
+        let x = args.input::<f32>(0);
         for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
             *o = v * 10.0;
         }
@@ -159,7 +159,7 @@ fn kernels_accumulate_into_zeroed_output_strips_on_every_executor() {
     let xs = b.gather_seq("xs", a);
     let ys = b.stream::<f32>("ys", 8);
     b.kernel("acc", &[xs.id()], &[ys.id()], 1, |args| {
-        let x: Vec<f32> = args.input::<f32>(0).to_vec();
+        let x = args.input::<f32>(0);
         for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
             *o += v;
         }
@@ -289,7 +289,7 @@ fn native_executor_handles_many_small_tasks() {
     let xs = b.gather_seq("xs", a);
     let ys = b.stream::<f32>("ys", n);
     b.kernel("neg", &[xs.id()], &[ys.id()], 1, |args| {
-        let x: Vec<f32> = args.input::<f32>(0).to_vec();
+        let x = args.input::<f32>(0);
         for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
             *o = -v;
         }
@@ -374,8 +374,8 @@ fn independent_kernels_overlap_on_two_compute_workers() {
             if started.load(Ordering::SeqCst) >= 2 {
                 met.fetch_add(1, Ordering::SeqCst);
             }
-            let x: Vec<f32> = args.input::<f32>(0).to_vec();
-            args.output::<f32>(0).copy_from_slice(&x);
+            let x = args.input::<f32>(0);
+            args.output::<f32>(0).copy_from_slice(x);
         });
         b.scatter_seq(ys, y);
         ports.push((xs.id(), ys.id(), y.id()));
@@ -440,7 +440,7 @@ fn tiny_strip_runs_never_lose_a_wake_up() {
     let xs = b.gather_seq("xs", a);
     let ys = b.stream::<f32>("ys", n);
     b.kernel("neg", &[xs.id()], &[ys.id()], 1, |args| {
-        let x: Vec<f32> = args.input::<f32>(0).to_vec();
+        let x = args.input::<f32>(0);
         for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
             *o = -v;
         }

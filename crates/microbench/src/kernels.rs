@@ -193,9 +193,9 @@ pub fn ld_st_comp(n: usize, comp: usize) -> Microbench {
     let ds = bld.stream::<f32>("ds", n);
     let comp_copy = comp;
     bld.kernel("ldstcomp", &[as_.id(), bs.id()], &[ds.id()], uops, move |args| {
-        let xa: Vec<Rec> = args.input::<Rec>(0).to_vec();
-        let xb: Vec<Rec> = args.input::<Rec>(1).to_vec();
-        for (o, (ra, rb)) in args.output::<f32>(0).iter_mut().zip(xa.iter().zip(&xb)) {
+        let xa = args.input::<Rec>(0);
+        let xb = args.input::<Rec>(1);
+        for (o, (ra, rb)) in args.output::<f32>(0).iter_mut().zip(xa.iter().zip(xb)) {
             *o = ldst_math(ra, rb, comp_copy);
         }
     });
@@ -261,9 +261,9 @@ pub fn stream_triad(n: usize) -> Microbench {
     let bs = bld.gather_seq("bs", b);
     let ds = bld.stream::<f32>("ds", n);
     bld.kernel("triad", &[as_.id(), bs.id()], &[ds.id()], uops, move |args| {
-        let xa: Vec<f32> = args.input::<f32>(0).to_vec();
-        let xb: Vec<f32> = args.input::<f32>(1).to_vec();
-        for (o, (va, vb)) in args.output::<f32>(0).iter_mut().zip(xa.iter().zip(&xb)) {
+        let xa = args.input::<f32>(0);
+        let xb = args.input::<f32>(1);
+        for (o, (va, vb)) in args.output::<f32>(0).iter_mut().zip(xa.iter().zip(xb)) {
             *o = va + S * vb;
         }
     });
@@ -326,9 +326,9 @@ pub fn gat_scat_comp(n: usize, comp: usize) -> Microbench {
     let ds = bld.stream::<f32>("ds", n);
     let comp_copy = comp;
     bld.kernel("gatscat", &[as_.id(), bs.id()], &[ds.id()], uops, move |args| {
-        let xa: Vec<Rec> = args.input::<Rec>(0).to_vec();
-        let xb: Vec<Rec> = args.input::<Rec>(1).to_vec();
-        for (o, (ra, rb)) in args.output::<f32>(0).iter_mut().zip(xa.iter().zip(&xb)) {
+        let xa = args.input::<Rec>(0);
+        let xb = args.input::<Rec>(1);
+        for (o, (ra, rb)) in args.output::<f32>(0).iter_mut().zip(xa.iter().zip(xb)) {
             *o = ldst_math(ra, rb, comp_copy);
         }
     });
@@ -399,16 +399,16 @@ pub fn prod_con(n: usize, comp: usize) -> Microbench {
     let ys = bld.stream::<f32>("ys", n);
     let comp_copy = comp;
     bld.kernel("produce", &[as_.id(), bs.id()], &[ts.id()], uops, move |args| {
-        let xa: Vec<Rec> = args.input::<Rec>(0).to_vec();
-        let xb: Vec<Rec> = args.input::<Rec>(1).to_vec();
-        for (o, (ra, rb)) in args.output::<Mid>(0).iter_mut().zip(xa.iter().zip(&xb)) {
+        let xa = args.input::<Rec>(0);
+        let xb = args.input::<Rec>(1);
+        for (o, (ra, rb)) in args.output::<Mid>(0).iter_mut().zip(xa.iter().zip(xb)) {
             *o = prodcon_stage1(ra, rb, comp_copy);
         }
     });
     bld.kernel("consume", &[ts.id(), xs.id()], &[ys.id()], uops, move |args| {
-        let xt: Vec<Mid> = args.input::<Mid>(0).to_vec();
-        let xx: Vec<Rec> = args.input::<Rec>(1).to_vec();
-        for (o, (rt, rx)) in args.output::<f32>(0).iter_mut().zip(xt.iter().zip(&xx)) {
+        let xt = args.input::<Mid>(0);
+        let xx = args.input::<Rec>(1);
+        for (o, (rt, rx)) in args.output::<f32>(0).iter_mut().zip(xt.iter().zip(xx)) {
             *o = prodcon_stage2(rt, rx, comp_copy);
         }
     });

@@ -2,8 +2,8 @@
 //!
 //! The scheduler (virtual time) decides *when* everything happens; this
 //! module makes sure the jobs it admitted actually *run* — each one
-//! pushed through [`FunctionalExecutor`] on a [`WorkerPool`] thread and
-//! bit-compared against its variant's oracle — and that completions
+//! pushed through its [`WorkerPool`] thread's own [`FunctionalExecutor`]
+//! and bit-compared against its variant's oracle — and that completions
 //! land exactly once in per-tenant completion queues. Nothing measured
 //! here feeds the latency artifact: pool threads race freely without
 //! threatening the byte-identical guarantee.
@@ -58,13 +58,21 @@ pub fn execute(
 
     let handler_table = Arc::clone(table);
     let handler_queues = Arc::clone(&queues);
+    // One executor per pool thread, so each thread replays every job on
+    // one SRF it never clears; only its own thread locks it.
+    let executors: Vec<Mutex<FunctionalExecutor>> =
+        (0..pool_threads).map(|_| Mutex::new(FunctionalExecutor::new())).collect();
     let mut pool = WorkerPool::new(
         pool_threads,
         256,
-        move |_thread, (id, tenant, variant): (usize, usize, usize)| {
+        move |thread, (id, tenant, variant): (usize, usize, usize)| {
             let v = &handler_table.variants[variant];
             let mut world = v.world.clone();
-            FunctionalExecutor::new().run(&v.compiled.schedule, &v.compiled.graph, &mut world);
+            executors[thread].lock().expect("replay executor poisoned").run(
+                &v.compiled.schedule,
+                &v.compiled.graph,
+                &mut world,
+            );
             assert_eq!(
                 world.array(v.output).data.as_bytes(),
                 v.oracle.as_slice(),

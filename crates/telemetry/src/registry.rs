@@ -154,6 +154,9 @@ pub struct Telemetry {
     /// Most histogram rows resident at once. Rows leave only by
     /// eviction, so the count just before each eviction is the peak.
     peak_buffered: usize,
+    /// Histogram rows evicted so far: the rows resident are those filed
+    /// less these, a running count instead of a walk of the ring.
+    rows_evicted: u64,
 }
 
 impl Telemetry {
@@ -174,6 +177,7 @@ impl Telemetry {
             evicted: 0,
             ring: VecDeque::new(),
             peak_buffered: 0,
+            rows_evicted: 0,
         }
     }
 
@@ -370,11 +374,7 @@ impl Telemetry {
     /// runs, for a histogram) into the per-instrument sums
     /// [`Self::assert_conserved`] checks against the run totals.
     pub(crate) fn evict_next(&mut self) -> WindowSnapshot {
-        let rows_in = |w: &Window| -> usize {
-            w.rows.iter().zip(&self.rows).map(|(buf, g)| buf.len() / (g.width + 1)).sum()
-        };
-        let buffered = self.ring.iter().map(rows_in).sum();
-        self.peak_buffered = self.peak_buffered.max(buffered);
+        self.peak_buffered = self.peak_buffered.max(self.buffered());
         let w = self.evicted;
         self.evicted += 1;
         let Window { counters, gauges, rows } = self.ring.pop_front().unwrap_or_default();
@@ -399,8 +399,10 @@ impl Telemetry {
         let mut hists = Vec::with_capacity(self.hists.len());
         for g in &self.rows {
             let rows = filed.next().unwrap_or_default();
+            let n = rows.len() / (g.width + 1);
+            self.rows_evicted += n as u64;
             for (col, h) in self.hists[g.first..g.first + g.width].iter_mut().enumerate() {
-                let mut column = Vec::with_capacity(rows.len() / (g.width + 1));
+                let mut column = Vec::with_capacity(n);
                 for row in rows.chunks_exact(g.width + 1) {
                     #[allow(clippy::cast_possible_truncation)] // a label, below `g.labels`
                     h.labels[row[0] as usize].record(row[1 + col]);
@@ -428,6 +430,13 @@ impl Telemetry {
     pub(crate) fn evict_closed(&mut self, now: u64) -> Option<WindowSnapshot> {
         let end = (self.evicted + 1).checked_mul(self.window_cycles)?;
         (end <= now).then(|| self.evict_next())
+    }
+
+    /// Histogram rows resident now: filed less evicted.
+    #[allow(clippy::cast_possible_truncation)] // resident rows are in memory
+    fn buffered(&self) -> usize {
+        let filed: u64 = self.rows.iter().map(|g| g.filed).sum();
+        (filed - self.rows_evicted) as usize
     }
 
     /// Most histogram rows resident at once, over the windows evicted so
@@ -932,6 +941,52 @@ mod tests {
             rows.assert_conserved();
             assert_eq!(rows.all_hist_labels(), per_label);
             assert!(rows.peak_buffered() <= n);
+        });
+    }
+
+    /// The rows resident, counted by walking every window of the ring.
+    fn recount_buffered(t: &Telemetry) -> usize {
+        let rows_in = |w: &Window| -> usize {
+            w.rows.iter().zip(&t.rows).map(|(buf, g)| buf.len() / (g.width + 1)).sum()
+        };
+        t.ring.iter().map(rows_in).sum()
+    }
+
+    #[test]
+    fn the_running_row_count_equals_a_recount_before_every_eviction() {
+        // Random stamps into two row groups of different widths, with
+        // evictions interleaved: before each one the running count the
+        // peak is taken from equals a walk of the resident windows, and
+        // the peak is the largest of those walks.
+        run_cases("telemetry-peak-buffered", 0x6a79_2005, 64, |rng| {
+            let window = 1 + rng.below(100);
+            let mut t = Telemetry::new(window);
+            let (one, three) = (t.hist("one"), t.hist_rows(&["a", "b", "c"], 2, None));
+            let mut peak = 0;
+            for _ in 0..rng.range_usize_inclusive(0, 300) {
+                if rng.bool_with(0.2) && t.resident_windows() > 0 {
+                    let recount = recount_buffered(&t);
+                    assert_eq!(t.buffered(), recount);
+                    peak = peak.max(recount);
+                    drop(t.evict_next());
+                } else {
+                    let cycle = t.evicted() * window + rng.below(8 * window);
+                    if rng.bool() {
+                        t.observe(one, cycle, rng.below(1000));
+                    } else {
+                        t.at(cycle).observe(three, rng.below_usize(2), &[1, 2, 3]);
+                    }
+                }
+            }
+            while t.resident_windows() > 0 {
+                let recount = recount_buffered(&t);
+                assert_eq!(t.buffered(), recount);
+                peak = peak.max(recount);
+                drop(t.evict_next());
+            }
+            assert_eq!(t.buffered(), 0);
+            assert_eq!(t.peak_buffered(), peak);
+            t.assert_conserved();
         });
     }
 

@@ -22,13 +22,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ms = b.stream::<f32>("mid", n);
     let ys = b.stream::<f32>("ys", n);
     b.kernel("square", &[xs.id()], &[ms.id()], 6, |args| {
-        let x: Vec<f32> = args.input::<f32>(0).to_vec();
+        let x = args.input::<f32>(0);
         for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
             *o = v * v;
         }
     });
     b.kernel("offset", &[ms.id()], &[ys.id()], 6, |args| {
-        let x: Vec<f32> = args.input::<f32>(0).to_vec();
+        let x = args.input::<f32>(0);
         for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
             *o = v + 1.0;
         }

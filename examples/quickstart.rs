@@ -25,9 +25,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bs = b.gather_seq("bs", bb);
     let ys = b.stream::<f32>("ys", n);
     b.kernel("madd", &[as_.id(), bs.id()], &[ys.id()], 12, |args| {
-        let xa: Vec<f32> = args.input::<f32>(0).to_vec();
-        let xb: Vec<f32> = args.input::<f32>(1).to_vec();
-        for (o, (va, vb)) in args.output::<f32>(0).iter_mut().zip(xa.iter().zip(&xb)) {
+        let xa = args.input::<f32>(0);
+        let xb = args.input::<f32>(1);
+        for (o, (va, vb)) in args.output::<f32>(0).iter_mut().zip(xa.iter().zip(xb)) {
             *o = va.mul_add(2.0, *vb);
         }
     });

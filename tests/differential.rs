@@ -16,13 +16,21 @@
 //! lowering a figure of record uses × two strip sizes. Per-commit runs
 //! use micro-sized versions of all seven catalog shapes; the full
 //! paper-scale catalog runs under `--ignored` in release CI.
+//!
+//! The last two tests hold the SRF contract that lets an executor keep
+//! one SRF and never clear it: a poisoned, reused SRF replays every
+//! program like a fresh one, and every executor refuses a schedule that
+//! reads an SRF byte before a task writes it.
 
 use gpstream::apps::{cdp, fem, neo, spas};
-use gpstream::compiler::{compile, CompilerOptions};
+use gpstream::compiler::{compile, CompiledProgram, CompilerOptions};
 use gpstream::core::exec::functional::FunctionalExecutor;
 use gpstream::core::exec::native::{NativeExecutor, NativeWaitPolicy};
 use gpstream::core::exec::sim::{SimExecutor, SimReport};
-use gpstream::core::{ScheduledProgram, StreamGraph, Topology, World};
+use gpstream::core::{
+    GraphBuilder, KernelId, PortBinding, ScheduledProgram, SrfConfig, StreamGraph, TaskDesc,
+    TaskId, TaskKind, Topology, World,
+};
 use gpstream::machine::{MachineConfig, WaitPolicy};
 use gpstream_analyze::{render as analyze_render, runner::analyze_run};
 use gpstream_profile::counters::CounterSet;
@@ -330,4 +338,112 @@ fn neo_executors_agree() {
 fn spas_executors_agree() {
     let bench = spas::spas_bench(400, 24, SEED);
     differential_at_strips("spas", &bench.graph, &bench.stream_world);
+}
+
+/// A one-kernel copy graph over `n` words of `fill` and a schedule that
+/// runs `tasks(stream in, stream out)` on it: the poison program and the
+/// planted read-before-write one.
+fn copy_program(
+    n: usize,
+    fill: u32,
+    srf_bytes: usize,
+    tasks: impl FnOnce(PortBinding, PortBinding) -> Vec<TaskDesc>,
+) -> (StreamGraph, World, ScheduledProgram) {
+    let mut b = GraphBuilder::new();
+    let a = b.array("a", &vec![fill; n]);
+    let y = b.array_zeroed::<u32>("y", n);
+    let xs = b.gather_seq("xs", a);
+    let ys = b.stream::<u32>("ys", n);
+    b.kernel("copy", &[xs.id()], &[ys.id()], 1, |args| {
+        let x = args.input::<u32>(0);
+        args.output::<u32>(0).copy_from_slice(x);
+    });
+    b.scatter_seq(ys, y);
+    let (graph, world) = b.build().expect("copy graph builds");
+    let bind = |stream, srf_offset| PortBinding { stream, srf_offset, elems: 0..n, elem_bytes: 4 };
+    let tasks = tasks(bind(xs.id(), 0), bind(ys.id(), 4 * n));
+    (graph, world, ScheduledProgram { tasks, srf_bytes, n_strips: 1, strip_items: n })
+}
+
+fn task(id: u32, kind: TaskKind, deps: &[u32]) -> TaskDesc {
+    TaskDesc { id: TaskId(id), kind, deps: deps.iter().copied().map(TaskId).collect(), strip: 0 }
+}
+
+/// One functional executor keeps its SRF across runs and never clears
+/// it. After a gather fills the whole 768 KiB SRF with `0xA5` bytes,
+/// the seven catalog members and the twelve `mix` serve variants run
+/// through that one executor, largest SRF first and then smallest
+/// first, and each leaves its world byte-identical to a fresh
+/// executor's: no program reads an SRF byte it did not write.
+#[test]
+fn a_warm_srf_replays_like_a_fresh_one() {
+    let srf = SrfConfig::prescott();
+    let n = srf.capacity / 4;
+    let (graph, mut world, poison) = copy_program(n, 0xA5A5_A5A5, srf.capacity, |xs, _| {
+        vec![task(0, TaskKind::Gather { binding: xs, nt: true }, &[])]
+    });
+    let mut warm = FunctionalExecutor::with_srf(srf);
+    warm.run(&poison, &graph, &mut world);
+
+    let mut programs: Vec<(String, CompiledProgram, World)> = workloads::CATALOG
+        .iter()
+        .map(|name| {
+            let wl = workloads::named(name).expect("catalog name resolves");
+            let compiled = compile(&wl.graph, &CompilerOptions::paper()).expect("compiles");
+            ((*name).to_string(), compiled, wl.world)
+        })
+        .collect();
+    let mix = gpstream_serve::build_table("mix", 2).expect("`mix` is a serve workload");
+    assert_eq!(mix.variants.len(), 12);
+    programs.extend(mix.variants.into_iter().map(|v| (v.label, v.compiled, v.world)));
+    programs.sort_by_key(|(_, c, _)| std::cmp::Reverse(c.schedule.srf_bytes));
+    let ascending = programs.iter().rev();
+    for (name, compiled, world) in programs.iter().chain(ascending) {
+        let (program, graph) = (&compiled.schedule, &compiled.graph);
+        let mut fresh = world.clone();
+        FunctionalExecutor::with_srf(srf).run(program, graph, &mut fresh);
+        let mut reused = world.clone();
+        warm.run(program, graph, &mut reused);
+        assert_worlds_identical(name, "fresh SRF", &fresh, "warm SRF", &reused);
+    }
+}
+
+/// A schedule whose kernel reads SRF bytes no task wrote is refused by
+/// all three executors, each through the schedule check.
+#[test]
+fn every_executor_refuses_a_read_before_write() {
+    let (graph, world, planted) = copy_program(16, 7, 128, |xs, ys| {
+        vec![
+            task(
+                0,
+                TaskKind::Kernel {
+                    kernel: KernelId(0),
+                    items: 0..16,
+                    inputs: vec![xs],
+                    outputs: vec![ys.clone()],
+                },
+                &[],
+            ),
+            task(1, TaskKind::Scatter { binding: ys, nt: true }, &[0]),
+        ]
+    });
+    let want = "SRF read before write: task 0 reads SRF bytes 0..64 of stream 0";
+    assert!(planted.validate().unwrap_err().starts_with(want));
+    for name in ["functional", "native", "sim"] {
+        let mut w = world.clone();
+        let run = std::panic::AssertUnwindSafe(|| match name {
+            "functional" => {
+                FunctionalExecutor::new().run(&planted, &graph, &mut w);
+            }
+            "native" => {
+                NativeExecutor::new().run(&planted, &graph, &mut w);
+            }
+            _ => {
+                SimExecutor::new().run(&planted, &graph, &mut w);
+            }
+        });
+        let err = std::panic::catch_unwind(run).expect_err("a read before write must be refused");
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains(want), "{name} executor panicked with {msg:?}");
+    }
 }

@@ -33,21 +33,21 @@ fn diamond(
     let r = b.stream::<f32>("right", n);
     let o = b.stream::<f32>("out", n);
     b.kernel("double", &[xs.id()], &[l.id()], 4, |args| {
-        let x: Vec<f32> = args.input::<f32>(0).to_vec();
+        let x = args.input::<f32>(0);
         for (out, v) in args.output::<f32>(0).iter_mut().zip(x) {
             *out = v * 2.0;
         }
     });
     b.kernel("inc", &[gs.id()], &[r.id()], 4, |args| {
-        let x: Vec<f32> = args.input::<f32>(0).to_vec();
+        let x = args.input::<f32>(0);
         for (out, v) in args.output::<f32>(0).iter_mut().zip(x) {
             *out = v + 1.0;
         }
     });
     b.kernel("combine", &[l.id(), r.id()], &[o.id()], 6, |args| {
-        let xl: Vec<f32> = args.input::<f32>(0).to_vec();
-        let xr: Vec<f32> = args.input::<f32>(1).to_vec();
-        for (out, (vl, vr)) in args.output::<f32>(0).iter_mut().zip(xl.iter().zip(&xr)) {
+        let xl = args.input::<f32>(0);
+        let xr = args.input::<f32>(1);
+        for (out, (vl, vr)) in args.output::<f32>(0).iter_mut().zip(xl.iter().zip(xr)) {
             *out = vl * vr + vl;
         }
     });

@@ -290,15 +290,15 @@ fn native_executor_matches_reference_under_stress() {
         let mid = b.stream::<f32>("mid", n);
         let out = b.stream::<f32>("out", n);
         b.kernel("inc", &[xs.id()], &[mid.id()], 2, |args| {
-            let x: Vec<f32> = args.input::<f32>(0).to_vec();
+            let x = args.input::<f32>(0);
             for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
                 *o = v + 1.0;
             }
         });
         b.kernel("mul", &[mid.id(), gs.id()], &[out.id()], 2, |args| {
-            let xm: Vec<f32> = args.input::<f32>(0).to_vec();
-            let xg: Vec<f32> = args.input::<f32>(1).to_vec();
-            for (o, (vm, vg)) in args.output::<f32>(0).iter_mut().zip(xm.iter().zip(&xg)) {
+            let xm = args.input::<f32>(0);
+            let xg = args.input::<f32>(1);
+            for (o, (vm, vg)) in args.output::<f32>(0).iter_mut().zip(xm.iter().zip(xg)) {
                 *o = vm * vg;
             }
         });
@@ -337,9 +337,9 @@ fn two_strip_program(with_war_dep: bool) -> (gpstream::core::StreamGraph, Schedu
     let xs = b.gather_seq("xs", a);
     let ys = b.stream::<f32>("ys", n);
     b.kernel("copy", &[xs.id()], &[ys.id()], 1, |args| {
-        let x: Vec<f32> = args.input::<f32>(0).to_vec();
+        let x = args.input::<f32>(0);
         for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
-            *o = v;
+            *o = *v;
         }
     });
     b.scatter_seq(ys, y);
@@ -700,15 +700,15 @@ fn compiled_pipeline_always_correct() {
         let mid = b.stream::<f32>("mid", n);
         let out = b.stream::<f32>("out", n);
         b.kernel("inc", &[xs.id()], &[mid.id()], 2, |args| {
-            let x: Vec<f32> = args.input::<f32>(0).to_vec();
+            let x = args.input::<f32>(0);
             for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
                 *o = v + 1.0;
             }
         });
         b.kernel("mul", &[mid.id(), gs.id()], &[out.id()], 2, |args| {
-            let xm: Vec<f32> = args.input::<f32>(0).to_vec();
-            let xg: Vec<f32> = args.input::<f32>(1).to_vec();
-            for (o, (vm, vg)) in args.output::<f32>(0).iter_mut().zip(xm.iter().zip(&xg)) {
+            let xm = args.input::<f32>(0);
+            let xg = args.input::<f32>(1);
+            for (o, (vm, vg)) in args.output::<f32>(0).iter_mut().zip(xm.iter().zip(xg)) {
                 *o = vm * vg;
             }
         });
@@ -804,15 +804,15 @@ fn event_mode_equals_stepped_on_random_machines() {
         let mid = b.stream::<f32>("mid", n);
         let out = b.stream::<f32>("out", n);
         b.kernel("inc", &[xs.id()], &[mid.id()], 2, |args| {
-            let x: Vec<f32> = args.input::<f32>(0).to_vec();
+            let x = args.input::<f32>(0);
             for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
                 *o = v + 1.0;
             }
         });
         b.kernel("mul", &[mid.id(), gs.id()], &[out.id()], 2, |args| {
-            let xm: Vec<f32> = args.input::<f32>(0).to_vec();
-            let xg: Vec<f32> = args.input::<f32>(1).to_vec();
-            for (o, (vm, vg)) in args.output::<f32>(0).iter_mut().zip(xm.iter().zip(&xg)) {
+            let xm = args.input::<f32>(0);
+            let xg = args.input::<f32>(1);
+            for (o, (vm, vg)) in args.output::<f32>(0).iter_mut().zip(xm.iter().zip(xg)) {
                 *o = vm * vg;
             }
         });
@@ -910,7 +910,7 @@ fn event_mode_equals_stepped_on_indexed_traffic() {
         let gs = b.gather_indexed("gs", a, Arc::new(gather_idx));
         let out = b.stream::<Rec>("out", n);
         b.kernel("inc", &[gs.id()], &[out.id()], 2, |args| {
-            let x: Vec<Rec> = args.input::<Rec>(0).to_vec();
+            let x = args.input::<Rec>(0);
             for (o, v) in args.output::<Rec>(0).iter_mut().zip(x) {
                 *o = v.map(|f| f + 1.0);
             }
@@ -1033,15 +1033,15 @@ fn random_two_kernel_pipeline(rng: &mut Rng64, n: usize) -> (StreamGraph, World,
     let mid = b.stream::<f32>("mid", n);
     let out = b.stream::<f32>("out", n);
     b.kernel("inc", &[xs.id()], &[mid.id()], 2, |args| {
-        let x: Vec<f32> = args.input::<f32>(0).to_vec();
+        let x = args.input::<f32>(0);
         for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
             *o = v + 1.0;
         }
     });
     b.kernel("mul", &[mid.id(), gs.id()], &[out.id()], 2, |args| {
-        let xm: Vec<f32> = args.input::<f32>(0).to_vec();
-        let xg: Vec<f32> = args.input::<f32>(1).to_vec();
-        for (o, (vm, vg)) in args.output::<f32>(0).iter_mut().zip(xm.iter().zip(&xg)) {
+        let xm = args.input::<f32>(0);
+        let xg = args.input::<f32>(1);
+        for (o, (vm, vg)) in args.output::<f32>(0).iter_mut().zip(xm.iter().zip(xg)) {
             *o = vm * vg;
         }
     });

@@ -18,7 +18,7 @@ use gpstream_tune::workloads::{self, Workload};
 fn record(
     wl: &Workload,
     cfg: &MachineConfig,
-) -> (gpstream_core::task::ScheduledProgram, gpstream_core::StreamGraph, SimReport) {
+) -> (gpstream_core::CheckedProgram, gpstream_core::StreamGraph, SimReport) {
     let copts = CompilerOptions::paper();
     let compiled = compile(&wl.graph, &copts).expect("workload compiles");
     let mut world = wl.world.clone();

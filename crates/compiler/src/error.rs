@@ -30,8 +30,7 @@ pub enum CompileError {
         capacity: usize,
     },
     /// Kernel fusion requested on a graph with no fusable kernel pair
-    /// (reported by [`CompilerOptions::validate`]
-    /// (crate::CompilerOptions::validate) so knob searches can prune the
+    /// (reported by [`crate::CompilerOptions::validate`] so knob searches can prune the
     /// point; `compile` itself treats fusion as a no-op there).
     NoFusablePair,
 }

@@ -1,9 +1,8 @@
 //! # gpstream-compiler
 //!
-//! The stream compiler: lowers a validated
-//! [`StreamGraph`](gpstream_core::StreamGraph) into a
-//! [`ScheduledProgram`](gpstream_core::ScheduledProgram) through the
-//! passes the paper performed by hand (Section IV-A):
+//! The stream compiler: lowers a validated [`StreamGraph`] into a
+//! [`CheckedProgram`] — a schedule the one schedule check has proven —
+//! through the passes the paper performed by hand (Section IV-A):
 //!
 //! * **strip mining** — streams are broken into strips whose working set
 //!   fits the SRF;
@@ -48,7 +47,7 @@ pub mod passes;
 pub use error::CompileError;
 pub use options::CompilerOptions;
 
-use gpstream_core::{ScheduledProgram, StreamGraph};
+use gpstream_core::{CheckedProgram, StreamGraph};
 
 /// A compiled stream program: the (possibly fused) graph plus its
 /// schedule. Executors need both — the schedule references kernels by id
@@ -57,8 +56,9 @@ use gpstream_core::{ScheduledProgram, StreamGraph};
 pub struct CompiledProgram {
     /// The graph the schedule refers to (kernels may have been fused).
     pub graph: StreamGraph,
-    /// The scheduled task list.
-    pub schedule: ScheduledProgram,
+    /// The scheduled task list, checked against `graph` once here so
+    /// that executors run it without checking it again.
+    pub schedule: CheckedProgram,
     /// Kernel pairs fused by the fusion pass.
     pub fused: Vec<(String, String)>,
 }

@@ -23,9 +23,11 @@ use crate::error::CompileError;
 use crate::options::CompilerOptions;
 use crate::passes::strip::{choose_strip_items, max_strip_elems, SRF_ALIGN};
 use gpstream_core::graph::{KernelId, StreamGraph, StreamId};
-use gpstream_core::hazard::{self, ArrayAccess, DupFree};
+use gpstream_core::hazard::{self, AccessIndex};
 use gpstream_core::srf::SrfAllocator;
-use gpstream_core::task::{PortBinding, ScheduledProgram, TaskDesc, TaskId, TaskKind};
+use gpstream_core::task::{
+    CheckedProgram, PortBinding, ScheduledProgram, TaskDesc, TaskId, TaskKind,
+};
 use std::collections::HashMap;
 
 /// One phase: a set of pipeline-connected kernels plus any copy-only
@@ -228,9 +230,7 @@ struct Emitter {
     /// Whether task `i` has at least one dependent (for sink discovery).
     has_dependent: Vec<bool>,
     /// Array accesses of the current phase, for aliasing dependencies.
-    arr_writes: HashMap<u32, Vec<(TaskId, ArrayAccess)>>,
-    arr_reads: HashMap<u32, Vec<(TaskId, ArrayAccess)>>,
-    dup: DupFree,
+    accesses: AccessIndex,
     /// Strip buffers per stream: strip `s` reuses strip `s - bufs`'s.
     bufs: u32,
     nt_gather: bool,
@@ -254,18 +254,11 @@ impl Emitter {
         // gathers and scatters (WAR/WAW).
         let acc = hazard::array_access(&kind, graph);
         if let Some(acc) = &acc {
-            for (t, prev) in self.arr_writes.get(&acc.array).map_or(&[][..], Vec::as_slice) {
-                if hazard::accesses_conflict(acc, prev, graph, &mut self.dup) {
-                    deps.push(*t);
-                }
-            }
-            if acc.write {
-                for (t, prev) in self.arr_reads.get(&acc.array).map_or(&[][..], Vec::as_slice) {
-                    if hazard::accesses_conflict(acc, prev, graph, &mut self.dup) {
-                        deps.push(*t);
-                    }
-                }
-            }
+            let conflicts = self.accesses.for_each_conflict(acc, graph, |t, _| {
+                deps.push(TaskId(t as u32));
+                Ok::<(), std::convert::Infallible>(())
+            });
+            let Ok(()) = conflicts;
         }
         // Phase barrier: a task with no intra-phase deps inherits the
         // previous phase's sink set, so every task transitively follows
@@ -280,8 +273,7 @@ impl Emitter {
         }
         self.has_dependent.push(false);
         if let Some(acc) = acc {
-            let side = if acc.write { &mut self.arr_writes } else { &mut self.arr_reads };
-            side.entry(acc.array).or_default().push((id, acc));
+            self.accesses.push(id.0 as usize, acc);
         }
         self.tasks.push(TaskDesc { id, kind, deps, strip });
         id
@@ -298,8 +290,7 @@ impl Emitter {
             .map(|i| TaskId(i as u32))
             .collect();
         self.phase_start = self.tasks.len() as u32;
-        self.arr_writes.clear();
-        self.arr_reads.clear();
+        self.accesses.clear();
     }
 
     /// Tasks that read stream `sid`'s strip-`s` buffer: its consuming
@@ -349,7 +340,7 @@ impl Emitter {
     }
 }
 
-/// Lower a validated graph to a scheduled program.
+/// Lower a validated graph to a scheduled program, checked against it.
 ///
 /// # Errors
 ///
@@ -359,7 +350,7 @@ impl Emitter {
 pub fn schedule(
     graph: &StreamGraph,
     opts: &CompilerOptions,
-) -> Result<ScheduledProgram, CompileError> {
+) -> Result<CheckedProgram, CompileError> {
     if graph.streams().is_empty() {
         return Err(CompileError::Empty);
     }
@@ -447,9 +438,7 @@ pub fn schedule(
         phase_start: 0,
         barrier: Vec::new(),
         has_dependent: Vec::new(),
-        arr_writes: HashMap::new(),
-        arr_reads: HashMap::new(),
-        dup: DupFree::default(),
+        accesses: AccessIndex::default(),
         bufs: bufs as u32,
         nt_gather: opts.nt_gather,
         nt_scatter: opts.nt_scatter,
@@ -573,10 +562,9 @@ pub fn schedule(
         n_strips: total_strips,
         strip_items,
     };
-    if let Err(e) = program.check(graph) {
-        // Internal invariant: every ordering an out-of-order queue needs
-        // must have been emitted as an explicit dependency above.
-        unreachable!("scheduler produced inconsistent program: {e}");
-    }
-    Ok(program)
+    // Internal invariant: every ordering an out-of-order queue needs
+    // must have been emitted as an explicit dependency above.
+    Ok(program
+        .check(graph)
+        .unwrap_or_else(|e| unreachable!("scheduler produced inconsistent program: {e}")))
 }

@@ -3,7 +3,7 @@
 use crate::exec::execute_task;
 use crate::graph::StreamGraph;
 use crate::srf::{SrfBuffer, SrfConfig};
-use crate::task::ScheduledProgram;
+use crate::task::CheckedProgram;
 use crate::world::World;
 
 /// Runs a scheduled program in task order on one thread. Used as the
@@ -35,16 +35,42 @@ impl FunctionalExecutor {
     /// Execute `program` against `world`, mutating scattered arrays in
     /// place. Returns the number of tasks run.
     ///
+    /// Only a checked program runs, so nothing about the schedule is
+    /// checked here:
+    ///
+    /// ```
+    /// use gpstream_core::exec::functional::FunctionalExecutor;
+    /// use gpstream_core::{GraphBuilder, ScheduledProgram};
+    ///
+    /// let (graph, mut world) = GraphBuilder::new().build()?;
+    /// let program = ScheduledProgram::default().check(&graph)?;
+    /// assert_eq!(FunctionalExecutor::new().run(&program, &graph, &mut world), 0);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// and a raw [`ScheduledProgram`](crate::task::ScheduledProgram) does
+    /// not type-check:
+    ///
+    /// ```compile_fail
+    /// use gpstream_core::exec::functional::FunctionalExecutor;
+    /// use gpstream_core::{GraphBuilder, ScheduledProgram};
+    ///
+    /// let (graph, mut world) = GraphBuilder::new().build()?;
+    /// let program = ScheduledProgram::default();
+    /// assert_eq!(FunctionalExecutor::new().run(&program, &graph, &mut world), 0);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
     /// # Panics
     ///
-    /// Panics if the program fails validation or does not fit the SRF.
+    /// Panics if the program needs more SRF bytes than the executor's
+    /// SRF configuration holds.
     pub fn run(
         &mut self,
-        program: &ScheduledProgram,
+        program: &CheckedProgram,
         graph: &StreamGraph,
         world: &mut World,
     ) -> usize {
-        program.validate().expect("scheduled program must be consistent");
         self.srf.fit(program);
         for task in &program.tasks {
             execute_task(task, graph, world, &mut self.srf);
@@ -57,7 +83,7 @@ impl FunctionalExecutor {
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
-    use crate::task::{PortBinding, TaskDesc, TaskId, TaskKind};
+    use crate::task::{PortBinding, ScheduledProgram, TaskDesc, TaskId, TaskKind};
 
     /// Hand-build a tiny schedule: gather -> kernel(double) -> scatter.
     #[test]
@@ -109,6 +135,7 @@ mod tests {
             strip_items: 4,
         };
 
+        let program = program.check(&graph).unwrap();
         let n = FunctionalExecutor::new().run(&program, &graph, &mut world);
         assert_eq!(n, 3);
         assert_eq!(world.slice::<f32>(y.id()), &[2.0, 4.0, 6.0, 8.0]);

@@ -1,7 +1,7 @@
 //! Executors for scheduled stream programs.
 //!
 //! Three executors share the same functional semantics
-//! ([`execute_task`]) and differ in what else they do:
+//! (`execute_task`) and differ in what else they do:
 //!
 //! * [`functional::FunctionalExecutor`] — single-threaded reference
 //!   execution, the golden result for tests.
@@ -15,7 +15,10 @@
 //!   into copy-in / compute / copy-out (`KernelStrip`) so kernels
 //!   compute outside its data locks.
 //!
-//! [`execute_task`] copies only what the modelled machine copies: a
+//! Each runs only a [`CheckedProgram`](crate::task::CheckedProgram), so
+//! none checks a schedule or panics on one it cannot run.
+//!
+//! `execute_task` copies only what the modelled machine copies: a
 //! gather moves a strip from its array into the SRF, a scatter moves it
 //! back, and a kernel computes in place on its SRF strips. The native
 //! and simulating executors size a fresh [`SrfBuffer`] to each program
@@ -47,7 +50,8 @@ pub(crate) fn gather_strip(
     dst: &mut [u8],
 ) {
     let decl = graph.stream(binding.stream);
-    let src = decl.src.as_ref().expect("gather task for stream without source binding");
+    // The schedule check refuses a gather whose stream reads no array.
+    let Some(src) = &decl.src else { return };
     let arr = world.array(src.array);
     let elem = decl.elem_bytes;
     debug_assert_eq!(elem, src.field_bytes, "stream/field size mismatch");
@@ -77,7 +81,8 @@ pub(crate) fn scatter_strip(
     src: &[u8],
 ) {
     let decl = graph.stream(binding.stream);
-    let dst = decl.dst.as_ref().expect("scatter task for stream without destination binding");
+    // The schedule check refuses a scatter whose stream writes no array.
+    let Some(dst) = &decl.dst else { return };
     let elem = decl.elem_bytes;
     debug_assert_eq!(elem, dst.field_bytes, "stream/field size mismatch");
     let record = world.array(dst.array).record_bytes;
@@ -98,32 +103,24 @@ pub(crate) fn scatter_strip(
 
 /// Run `decl` over the strip `items`, reading `inputs` and writing
 /// `outputs` (one byte slice per port, outputs zeroed): the one kernel
-/// call both the in-place and the staged path make.
-///
-/// # Panics
-///
-/// Panics if the slices disagree with the kernel's arity.
+/// call both the in-place and the staged path make. The schedule check
+/// proves a kernel task binds as many ports as its kernel declares.
 fn call_kernel(
     decl: &KernelDecl,
     items: &Range<usize>,
     inputs: Vec<&[u8]>,
     outputs: Vec<&mut [u8]>,
 ) {
-    assert_eq!(decl.inputs.len(), inputs.len(), "kernel `{}` input arity", decl.name);
-    assert_eq!(decl.outputs.len(), outputs.len(), "kernel `{}` output arity", decl.name);
     (decl.func)(&mut KernelArgs::new(inputs, outputs, items.clone()));
 }
 
 /// Borrow one kernel strip's buffers where they sit in `srf`: each
 /// output zeroed and mutable, each input shared. The outputs are carved
 /// off in SRF order with `split_at_mut`, and each input is borrowed from
-/// the gap between two outputs that holds it.
-///
-/// # Panics
-///
-/// Panics if two outputs overlap, or an input overlaps an output — the
-/// kernel-strip rule [`crate::task::ScheduledProgram::validate`]
-/// enforces.
+/// the gap between two outputs that holds it. The schedule check proves
+/// the outputs disjoint from each other and from the inputs (the
+/// kernel-strip rule of [`crate::task::ScheduledProgram::check`]); a
+/// port that broke it would come out empty.
 fn strip_views<'s>(
     inputs: &[PortBinding],
     outputs: &[PortBinding],
@@ -137,11 +134,8 @@ fn strip_views<'s>(
     let (mut rest, mut at) = (srf, 0);
     for k in order {
         let (offset, len) = (outputs[k].srf_offset, strip_bytes(&outputs[k], graph));
-        if len == 0 {
-            continue;
-        }
-        assert!(offset >= at, "kernel output strips overlap in the SRF");
-        let (gap, tail) = rest.split_at_mut(offset - at);
+        let Some(gap_len) = offset.checked_sub(at).filter(|_| len > 0) else { continue };
+        let (gap, tail) = rest.split_at_mut(gap_len);
         let (out, tail) = tail.split_at_mut(len);
         out.fill(0);
         gaps.push((at, gap));
@@ -153,14 +147,9 @@ fn strip_views<'s>(
         .iter()
         .map(|b| {
             let (offset, len) = (b.srf_offset, strip_bytes(b, graph));
-            if len == 0 {
-                return &[][..];
-            }
-            let (start, gap) = gaps
-                .iter()
+            gaps.iter()
                 .find(|(start, gap)| *start <= offset && offset + len <= start + gap.len())
-                .expect("kernel input strip overlaps one of its outputs in the SRF");
-            &gap[offset - start..offset - start + len]
+                .map_or(&[][..], |(start, gap)| &gap[offset - start..offset - start + len])
         })
         .collect();
     (ins, outs)
@@ -223,12 +212,14 @@ impl<'a> KernelStrip<'a> {
 }
 
 /// Execute one task's functional semantics against `world` and `srf`.
-///
-/// # Panics
-///
-/// Panics if the task references streams, arrays or kernels inconsistent
-/// with `graph` (a compiler bug rather than a user error).
-pub fn execute_task(task: &TaskDesc, graph: &StreamGraph, world: &mut World, srf: &mut SrfBuffer) {
+/// The task belongs to a program checked against `graph`, so every
+/// stream, array and kernel it names is `graph`'s.
+pub(crate) fn execute_task(
+    task: &TaskDesc,
+    graph: &StreamGraph,
+    world: &mut World,
+    srf: &mut SrfBuffer,
+) {
     match &task.kind {
         TaskKind::Gather { binding, .. } => {
             let dst = srf.bytes_mut(binding.srf_offset, strip_bytes(binding, graph));

@@ -7,7 +7,7 @@
 //! enqueues tasks. Wider topologies ([`NativeExecutor::with_topology`])
 //! farm each task class round-robin across several workers,
 //! FastFlow-style. Tasks flow to workers through per-worker
-//! single-producer/single-consumer rings ([`crate::spsc`], the
+//! single-producer/single-consumer rings (`spsc`, the
 //! in-process analogue of the paper's memory-mapped queues); dependencies
 //! use the lock-free bit-vector window of [`crate::workqueue`]; workers
 //! wait for readiness either by spinning with the PAUSE hint or by
@@ -34,9 +34,11 @@
 //! its copy-in and its copy-out and computes with no lock held. So a
 //! kernel on a compute worker overlaps the gathers and scatters on a
 //! memory worker — the paper's claim 2, on real threads — and each waits
-//! for the other at most one strip copy. [`ScheduledProgram::check`]
-//! proves that tasks with no dependency path between them touch disjoint
-//! SRF bytes and array elements, so no interleaving changes a byte:
+//! for the other at most one strip copy.
+//! [`ScheduledProgram::check`](crate::task::ScheduledProgram::check)
+//! proves, once, for every [`CheckedProgram`] this executor runs, that
+//! tasks with no dependency path between them touch disjoint SRF bytes
+//! and array elements, so no interleaving changes a byte:
 //! functional effects are identical to the reference executor (the
 //! simulator, not this runtime, is the timing vehicle — see DESIGN.md).
 //!
@@ -52,7 +54,7 @@ use crate::hazard;
 use crate::park::{DeathNotice, ParkingSpot};
 use crate::spsc::SpscRing;
 use crate::srf::{SrfBuffer, SrfConfig};
-use crate::task::{ScheduledProgram, TaskDesc, TaskId, TaskKind};
+use crate::task::{CheckedProgram, TaskDesc, TaskId, TaskKind};
 use crate::topology::Topology;
 use crate::trace::{ExecEventKind, TraceBuffer};
 use crate::workqueue::{DependencyWindow, WINDOW};
@@ -147,7 +149,7 @@ struct Shared<'a> {
     /// Set when a worker dies (panics) so the control thread and the
     /// surviving workers stop waiting on completions that will never come.
     dead: AtomicBool,
-    program: &'a ScheduledProgram,
+    program: &'a CheckedProgram,
     trace: Option<TraceBuffer>,
     /// Per-task body wall times, collected when task timing is on.
     times: Option<Mutex<Vec<TaskTime>>>,
@@ -238,17 +240,14 @@ impl NativeExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if the program fails validation or topology coverage, does
-    /// not fit the SRF, or a worker thread panics.
+    /// Panics if the program needs more SRF bytes than the executor's
+    /// SRF configuration holds, or if a kernel panics on a worker.
     pub fn run(
         &self,
-        program: &ScheduledProgram,
+        program: &CheckedProgram,
         graph: &StreamGraph,
         world: &mut World,
     ) -> NativeReport {
-        program
-            .check_with_topology(graph, &self.topology)
-            .expect("scheduled program must be consistent and covered by the topology");
         let srf = SrfBuffer::for_program(self.srf_cfg, program);
         // Unshare every array a scatter writes here, on the calling
         // thread. Copied at its first scatter instead, an array would be

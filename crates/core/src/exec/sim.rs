@@ -23,7 +23,7 @@
 use crate::exec::execute_task;
 use crate::graph::{AccessKind, ArrayBinding, StreamGraph};
 use crate::srf::{SrfBuffer, SrfConfig};
-use crate::task::{PortBinding, ScheduledProgram, TaskId, TaskKind};
+use crate::task::{CheckedProgram, PortBinding, ScheduledProgram, TaskId, TaskKind};
 use crate::topology::Topology;
 use crate::trace::{ExecEvent, ExecEventKind};
 use crate::world::World;
@@ -281,7 +281,8 @@ impl SimExecutor {
     /// software-prefetch depth of the bulk copy loops. Call *after*
     /// [`SimExecutor::with_machine`] — the prefetch-depth override is
     /// applied to the machine configuration in effect at this point.
-    /// (The compiler-side knobs of the same [`TunedConfig`] are consumed
+    /// (The compiler-side knobs of the same
+    /// [`TunedConfig`](crate::tuned::TunedConfig) are consumed
     /// by `CompilerOptions::apply_tuned` in `gpstream-compiler`.)
     #[must_use]
     pub fn with_tuned(mut self, tuned: &crate::tuned::TunedConfig) -> Self {
@@ -385,10 +386,11 @@ impl SimExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if the program fails validation or does not fit the SRF.
+    /// Panics if the program needs more SRF bytes than the executor's
+    /// SRF configuration holds.
     pub fn run(
         &self,
-        program: &ScheduledProgram,
+        program: &CheckedProgram,
         graph: &StreamGraph,
         world: &mut World,
     ) -> SimReport {
@@ -403,17 +405,14 @@ impl SimExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if the program fails validation or does not fit the SRF.
+    /// Panics if the program needs more SRF bytes than the executor's
+    /// SRF configuration holds.
     pub fn snapshot(
         &self,
-        program: &ScheduledProgram,
+        program: &CheckedProgram,
         graph: &StreamGraph,
         world: &mut World,
     ) -> SimSnapshot {
-        program
-            .check_with_topology(graph, &self.topology)
-            .expect("scheduled program must be consistent and covered by the topology");
-
         // Functional pass (same semantics as the reference executor).
         let mut srf = SrfBuffer::for_program(self.srf_cfg, program);
         for task in &program.tasks {
@@ -507,8 +506,17 @@ impl SimExecutor {
         match kind {
             TaskKind::Gather { binding, nt } | TaskKind::Scatter { binding, nt } => {
                 let gather = matches!(kind, TaskKind::Gather { .. });
+                let decl = graph.stream(binding.stream);
+                // The schedule check refuses a gather whose stream reads
+                // no array and a scatter whose stream writes none; such a
+                // copy would move nothing.
+                let side = if gather { &decl.src } else { &decl.dst };
+                let mem =
+                    side.as_ref().map_or(AccessPattern::Seq { base: 0, elem: 0, count: 0 }, |ab| {
+                        self.mem_pattern(binding, ab, world)
+                    });
                 BulkOp::Copy {
-                    mem: self.mem_pattern(binding, graph, world, gather),
+                    mem,
                     srf_base: self.srf_cfg.base + binding.srf_offset as u64,
                     dir: if gather { CopyDir::GatherToSrf } else { CopyDir::ScatterFromSrf },
                     nt: *nt,
@@ -613,21 +621,14 @@ impl SimExecutor {
         Lowered { ops: flat, owners: flat_owners, queues: None }
     }
 
-    /// Build the machine-level access pattern for a gather (`is_src`) or
-    /// scatter binding.
+    /// Build the machine-level access pattern of a gather or scatter
+    /// binding over `ab`, the array side of its stream it copies.
     fn mem_pattern(
         &self,
         binding: &PortBinding,
-        graph: &StreamGraph,
+        ab: &ArrayBinding,
         world: &World,
-        is_src: bool,
     ) -> AccessPattern {
-        let decl = graph.stream(binding.stream);
-        let ab: &ArrayBinding = if is_src {
-            decl.src.as_ref().expect("gather without source")
-        } else {
-            decl.dst.as_ref().expect("scatter without destination")
-        };
         let arr = world.array(ab.array);
         let record = arr.record_bytes as u64;
         let start = binding.elems.start;

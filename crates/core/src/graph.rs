@@ -4,8 +4,9 @@
 //! (the paper's Figure 3): kernel nodes connected by stream edges, with
 //! gathers from and scatters to arrays in global memory at the boundary.
 //! The typed [`GraphBuilder`] is the public authoring API; the compiler
-//! crate lowers a validated graph into a [`ScheduledProgram`]
-//! (see [`crate::task`]) that the executors run.
+//! crate lowers a validated graph into a
+//! [`ScheduledProgram`](crate::task::ScheduledProgram), checks it into
+//! the [`CheckedProgram`](crate::task::CheckedProgram) the executors run.
 
 use crate::pod::Pod;
 use crate::world::World;
@@ -244,7 +245,7 @@ impl StreamGraph {
         kernels: Vec<KernelDecl>,
     ) -> Result<Self, GraphError> {
         let g = StreamGraph { streams, kernels };
-        g.validate(|_| Ok(()))?;
+        g.check_structure(|_| Ok(()))?;
         Ok(g)
     }
 
@@ -253,7 +254,7 @@ impl StreamGraph {
     /// its array bindings where the arrays are known), each kernel's ports
     /// agree on item counts, and the kernel dataflow is acyclic. Reports
     /// the first failure in that order.
-    fn validate(
+    fn check_structure(
         &self,
         mut bindings: impl FnMut(&StreamDecl) -> Result<(), GraphError>,
     ) -> Result<(), GraphError> {
@@ -675,7 +676,7 @@ impl GraphBuilder {
     /// Returns a [`GraphError`] describing the first validation failure.
     pub fn build(self) -> Result<(StreamGraph, World), GraphError> {
         let world = &self.world;
-        self.graph.validate(|s| {
+        self.graph.check_structure(|s| {
             for b in s.src.iter().chain(s.dst.iter()) {
                 let arr = world.array(b.array);
                 if b.field_offset + b.field_bytes > arr.record_bytes {

@@ -13,7 +13,7 @@
 
 use crate::graph::{AccessKind, StreamGraph};
 use crate::task::TaskKind;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 
 /// Summary of one task's access to a global array.
@@ -95,6 +95,40 @@ impl DupFree {
     }
 }
 
+/// Which accesses of one stream side a given access may touch a common
+/// byte with.
+#[derive(Clone, Copy)]
+enum Aliasing {
+    /// None of them: another array, or disjoint fields.
+    None,
+    /// Those whose element ranges overlap its own: both sides sequential
+    /// (element index == record index), or strips of one duplicate-free
+    /// index vector (disjoint element ranges address disjoint records).
+    OverlappingElems,
+    /// All of them: an index vector may send any element anywhere.
+    All,
+}
+
+/// How `a` aliases the accesses of `b`'s stream side. Everything but the
+/// element range is a property of the side: its array, field range and
+/// access kind.
+fn aliasing(a: &ArrayAccess, b: &ArrayAccess, graph: &StreamGraph, dup: &mut DupFree) -> Aliasing {
+    if a.array != b.array || !ranges_overlap(&a.fields, &b.fields) {
+        return Aliasing::None;
+    }
+    let by_elems = (!a.indexed && !b.indexed)
+        || (a.indexed
+            && b.indexed
+            && a.stream == b.stream
+            && a.dst_side == b.dst_side
+            && dup.is_dup_free(graph, a.stream, a.dst_side));
+    if by_elems {
+        Aliasing::OverlappingElems
+    } else {
+        Aliasing::All
+    }
+}
+
 /// Whether two array accesses may touch a common byte. Conservative:
 /// `true` unless the accesses are provably disjoint.
 pub fn accesses_conflict(
@@ -103,22 +137,226 @@ pub fn accesses_conflict(
     graph: &StreamGraph,
     dup: &mut DupFree,
 ) -> bool {
-    if a.array != b.array || !ranges_overlap(&a.fields, &b.fields) {
-        return false;
+    match aliasing(a, b, graph, dup) {
+        Aliasing::None => false,
+        Aliasing::OverlappingElems => ranges_overlap(&a.elems, &b.elems),
+        Aliasing::All => true,
     }
-    if !a.indexed && !b.indexed {
-        // Sequential: element index == record index.
-        return ranges_overlap(&a.elems, &b.elems);
+}
+
+/// The earlier array accesses of a schedule, indexed so that those a new
+/// access conflicts with (by [`accesses_conflict`]) are found without
+/// comparing it with every one. The compiler's dependency synthesis and
+/// the schedule check both walk a schedule through one.
+///
+/// Accesses are grouped by the stream side that makes them, which fixes
+/// everything [`accesses_conflict`] looks at but the element range. So a
+/// new access conflicts with none of a group, with all of it, or with
+/// exactly the accesses whose element ranges overlap its own. While a
+/// group's element ranges arrive ascending and disjoint — as every
+/// strip-mined stream's do — those are found by binary search.
+#[derive(Debug, Default)]
+pub struct AccessIndex {
+    /// Indexed by array id.
+    arrays: Vec<Vec<SideAccesses>>,
+    dup: DupFree,
+}
+
+/// The accesses one stream side has made, in task order.
+#[derive(Debug)]
+struct SideAccesses {
+    /// The side's first access; all share its array, fields and kind.
+    side: ArrayAccess,
+    /// (task, element range)
+    accesses: VecDeque<(usize, Range<usize>)>,
+    /// Whether the element ranges are ascending and disjoint.
+    ascending: bool,
+}
+
+impl AccessIndex {
+    /// Call `f(task, hazard)` for every recorded access `acc` conflicts
+    /// with, `hazard` naming the order the two need (`"read-after-write"`,
+    /// `"write-after-write"` or `"write-after-read"`); two reads never
+    /// conflict. Stops at the first error `f` returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `f` returns.
+    pub fn for_each_conflict<E>(
+        &mut self,
+        acc: &ArrayAccess,
+        graph: &StreamGraph,
+        mut f: impl FnMut(usize, &'static str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let Some(sides) = self.arrays.get(acc.array as usize) else { return Ok(()) };
+        for group in sides {
+            let hazard = match (group.side.write, acc.write) {
+                (false, false) => continue,
+                (true, true) => "write-after-write",
+                (true, false) => "read-after-write",
+                (false, true) => "write-after-read",
+            };
+            let all = match aliasing(acc, &group.side, graph, &mut self.dup) {
+                Aliasing::None => continue,
+                Aliasing::OverlappingElems => false,
+                Aliasing::All => true,
+            };
+            let from = if !all && group.ascending {
+                group.accesses.partition_point(|(_, e)| e.end <= acc.elems.start)
+            } else {
+                0
+            };
+            for (task, elems) in group.accesses.range(from..) {
+                if all || ranges_overlap(elems, &acc.elems) {
+                    f(*task, hazard)?;
+                } else if group.ascending && elems.start >= acc.elems.end {
+                    break;
+                }
+            }
+        }
+        Ok(())
     }
-    // Two strips of the same duplicate-free index vector address disjoint
-    // records whenever their element ranges are disjoint.
-    if a.indexed
-        && b.indexed
-        && a.stream == b.stream
-        && a.dst_side == b.dst_side
-        && dup.is_dup_free(graph, a.stream, a.dst_side)
-    {
-        return ranges_overlap(&a.elems, &b.elems);
+
+    /// Record `acc`, made by task `task`. Tasks are recorded in order.
+    pub fn push(&mut self, task: usize, acc: ArrayAccess) {
+        let a = acc.array as usize;
+        if self.arrays.len() <= a {
+            self.arrays.resize_with(a + 1, Vec::new);
+        }
+        let sides = &mut self.arrays[a];
+        let k = match sides
+            .iter()
+            .position(|g| (g.side.stream, g.side.dst_side) == (acc.stream, acc.dst_side))
+        {
+            Some(k) => k,
+            None => {
+                let side = ArrayAccess { elems: 0..0, ..acc.clone() };
+                sides.push(SideAccesses { side, accesses: VecDeque::new(), ascending: true });
+                sides.len() - 1
+            }
+        };
+        let group = &mut sides[k];
+        if let Some((_, last)) = group.accesses.back() {
+            group.ascending &= last.end <= acc.elems.start;
+        }
+        group.accesses.push_back((task, acc.elems));
     }
-    true
+
+    /// Forget every access of `array` made by a task below `task`.
+    pub fn forget_below(&mut self, array: u32, task: usize) {
+        for group in self.arrays.get_mut(array as usize).into_iter().flatten() {
+            while group.accesses.front().is_some_and(|&(t, _)| t < task) {
+                group.accesses.pop_front();
+            }
+        }
+    }
+
+    /// Forget every access.
+    pub fn clear(&mut self) {
+        self.arrays.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::graph::{GraphBuilder, StreamId};
+    use crate::task::PortBinding;
+    use std::sync::Arc;
+
+    /// Sides over array 0 (16 two-field records) that alias it every way
+    /// `accesses_conflict` tells apart, and one side over array 1:
+    /// (stream, writes).
+    fn sides() -> (StreamGraph, Vec<(u32, bool)>) {
+        let mut b = GraphBuilder::new();
+        let a = b.array_zeroed::<f64>("a", 16);
+        let other = b.array_zeroed::<f64>("b", 16);
+        let perm: Arc<Vec<u32>> = Arc::new((0..16).map(|i| (i * 7) % 16).collect());
+        let dups: Arc<Vec<u32>> = Arc::new((0..16).map(|i| i / 2).collect());
+        let whole = b.gather_seq("whole", a);
+        let low = b.gather_field_seq::<f64, f32>("low", a, 0);
+        let high = b.gather_field_seq::<f64, f32>("high", a, 4);
+        let shuffled = b.gather_indexed("shuffled", a, perm.clone());
+        let elsewhere = b.gather_seq("elsewhere", other);
+        let out = b.stream::<f64>("out", 16);
+        b.scatter_seq(out, a);
+        let spread = b.stream::<f64>("spread", 16);
+        b.scatter_indexed(spread, a, dups);
+        let permuted = b.stream::<f64>("permuted", 16);
+        b.scatter_indexed(permuted, a, perm);
+        let ins = [whole.id(), low.id(), high.id(), shuffled.id(), elsewhere.id()];
+        b.kernel("k", &ins, &[out.id(), spread.id(), permuted.id()], 1, |_| {});
+        let (graph, _) = b.build().expect("the sides' graph builds");
+        let reads = ins.iter().map(|s| (s.0, false));
+        let writes = [out.id(), spread.id(), permuted.id()].into_iter().map(|s| (s.0, true));
+        (graph, reads.chain(writes).collect())
+    }
+
+    /// The index reports exactly the earlier accesses `accesses_conflict`
+    /// finds by comparing every pair, with the right hazard, on random
+    /// access sequences of strip runs (ascending, disjoint, some empty),
+    /// alone or mixed with arbitrary element ranges, and with accesses
+    /// forgotten from the front.
+    #[test]
+    fn access_index_finds_what_a_pairwise_scan_finds() {
+        let (graph, sides) = sides();
+        gpstream_util::check::run_cases("access-index", 0x6a79_2005, 256, |rng| {
+            let mut index = AccessIndex::default();
+            let mut dup = DupFree::default();
+            let mut seen: Vec<(usize, ArrayAccess)> = Vec::new();
+            let mut next = vec![0usize; sides.len()];
+            let mut forgotten = 0;
+            let strip_share = if rng.bool() { 1.0 } else { 0.7 };
+            for task in 0..rng.range_usize_inclusive(1, 60) {
+                let k = rng.below_usize(sides.len());
+                let (stream, write) = sides[k];
+                let elems = if rng.bool_with(strip_share) {
+                    let start = next[k] % 16;
+                    let end = rng.range_usize_inclusive(start, 16.min(start + 4));
+                    next[k] = end;
+                    start..end
+                } else {
+                    let start = rng.below_usize(17);
+                    start..rng.range_usize_inclusive(start, 16)
+                };
+                let binding =
+                    PortBinding { stream: StreamId(stream), srf_offset: 0, elems, elem_bytes: 8 };
+                let kind = if write {
+                    TaskKind::Scatter { binding, nt: false }
+                } else {
+                    TaskKind::Gather { binding, nt: false }
+                };
+                let acc = array_access(&kind, &graph).expect("a copy of an array side");
+                if rng.bool_with(0.1) {
+                    forgotten = rng.range_usize_inclusive(forgotten, task);
+                    index.forget_below(acc.array, forgotten);
+                    seen.retain(|(t, prev)| prev.array != acc.array || *t >= forgotten);
+                }
+                let mut want: Vec<(usize, &str)> = seen
+                    .iter()
+                    .filter(|(_, prev)| acc.write || prev.write)
+                    .filter(|(_, prev)| accesses_conflict(&acc, prev, &graph, &mut dup))
+                    .map(|(t, prev)| {
+                        let hazard = match (prev.write, acc.write) {
+                            (true, true) => "write-after-write",
+                            (true, false) => "read-after-write",
+                            _ => "write-after-read",
+                        };
+                        (*t, hazard)
+                    })
+                    .collect();
+                let mut got = Vec::new();
+                let found = index.for_each_conflict(&acc, &graph, |t, hazard| {
+                    got.push((t, hazard));
+                    Ok::<(), ()>(())
+                });
+                assert!(found.is_ok());
+                want.sort_unstable();
+                got.sort_unstable();
+                assert_eq!(got, want, "task {task}: {acc:?}");
+                index.push(task, acc.clone());
+                seen.push((task, acc));
+            }
+        });
+    }
 }

@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+pub(crate) mod check;
 pub mod exec;
 pub mod graph;
 pub mod hazard;
@@ -62,8 +63,8 @@ pub use pod::{AlignedBytes, Pod};
 pub use pool::{PoolStats, SubmitError, WorkerPool};
 pub use regular::{RegularAccess, RegularPhase, RegularProgram};
 pub use srf::{SrfBuffer, SrfConfig};
-pub use task::{PortBinding, ScheduledProgram, TaskDesc, TaskId, TaskKind};
-pub use topology::{ContextRole, Topology};
+pub use task::{CheckedProgram, PortBinding, ScheduledProgram, TaskDesc, TaskId, TaskKind};
+pub use topology::Topology;
 pub use trace::{chrome_trace, ExecEvent, ExecEventKind, TraceBuffer, TraceRun};
 pub use tuned::TunedConfig;
 pub use world::{MemArray, World};

@@ -7,7 +7,7 @@
 //! buffers inside it, and [`SrfBuffer`] is the runtime byte storage the
 //! executors gather into, compute on and scatter from.
 //!
-//! SRF contents are undefined until written: [`ScheduledProgram::validate`]
+//! SRF contents are undefined until written: [`ScheduledProgram::check`]
 //! proves every byte a task reads was written by an earlier task, so an
 //! executor may run program after program on one buffer it never clears
 //! ([`SrfBuffer::fit`]), as the paper reuses its one pinned region.
@@ -138,7 +138,7 @@ impl SrfBuffer {
     }
 
     /// Storage for `program`'s strip buffers: its `srf_bytes`, placed at
-    /// `cfg`'s base. [`ScheduledProgram::validate`] proves every binding
+    /// `cfg`'s base. [`ScheduledProgram::check`] proves every binding
     /// ends inside that span, so the rest of the configured SRF is never
     /// touched and is not allocated.
     ///
@@ -155,7 +155,7 @@ impl SrfBuffer {
     /// Make room for `program`'s strip buffers, keeping whatever an
     /// earlier program left: the buffer grows to the largest `srf_bytes`
     /// it has seen, never shrinks and is never cleared. Stale bytes are
-    /// never read, because [`ScheduledProgram::validate`] proves every
+    /// never read, because [`ScheduledProgram::check`] proves every
     /// SRF byte a task reads is written first by an earlier task.
     ///
     /// # Panics

@@ -3,8 +3,10 @@
 //! The paper fixes the mapping at two hyper-threading contexts — one
 //! *memory* thread running gathers/scatters and one *compute* thread
 //! running kernels. [`Topology`] generalizes that to N contexts, each
-//! with a [`ContextRole`] saying which task classes its queue accepts:
-//! the default [`Topology::two_context`] reproduces the paper's split,
+//! with a role saying which task classes its queue accepts. Every
+//! topology there is accepts both classes on some context, so any
+//! schedule runs on any topology: the default
+//! [`Topology::two_context`] reproduces the paper's split,
 //! while [`Topology::scaled`] builds pipeline/farm-style layouts in the
 //! spirit of FastFlow (see PAPERS.md) where several contexts share a
 //! class and tasks are dealt round-robin across them.
@@ -15,11 +17,11 @@
 //! context. Determinism matters — [`Topology::assign`] is a pure
 //! function of the schedule, so two runs agree on every queue.
 
-use crate::task::{ScheduledProgram, TaskDesc};
+use crate::task::TaskDesc;
 
 /// Which task classes one context's queue accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContextRole {
+enum ContextRole {
     /// Kernels only (the paper's compute thread).
     Compute,
     /// Gathers and scatters only (the paper's memory thread).
@@ -30,8 +32,7 @@ pub enum ContextRole {
 
 impl ContextRole {
     /// Whether a task of the given class may be queued on this context.
-    #[must_use]
-    pub fn accepts(self, is_memory: bool) -> bool {
+    fn accepts(self, is_memory: bool) -> bool {
         match self {
             ContextRole::Compute => !is_memory,
             ContextRole::Memory => is_memory,
@@ -54,28 +55,17 @@ impl Default for Topology {
 }
 
 impl Topology {
-    /// Build a topology from explicit per-context roles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `roles` is empty.
-    #[must_use]
-    pub fn new(roles: Vec<ContextRole>) -> Self {
-        assert!(!roles.is_empty(), "a topology needs at least one context");
-        Topology { roles }
-    }
-
     /// The paper's two-context split: context 0 runs kernels, context 1
     /// runs gathers and scatters.
     #[must_use]
     pub fn two_context() -> Self {
-        Self::new(vec![ContextRole::Compute, ContextRole::Memory])
+        Topology { roles: vec![ContextRole::Compute, ContextRole::Memory] }
     }
 
     /// One general-purpose context executing every task class in order.
     #[must_use]
     pub fn single() -> Self {
-        Self::new(vec![ContextRole::General])
+        Topology { roles: vec![ContextRole::General] }
     }
 
     /// A pipeline scaled to `n` contexts: `n == 1` is [`Topology::single`];
@@ -92,11 +82,10 @@ impl Topology {
         if n == 1 {
             return Self::single();
         }
-        Self::new(
-            (0..n)
-                .map(|c| if c % 2 == 0 { ContextRole::Compute } else { ContextRole::Memory })
-                .collect(),
-        )
+        let roles = (0..n)
+            .map(|c| if c % 2 == 0 { ContextRole::Compute } else { ContextRole::Memory })
+            .collect();
+        Topology { roles }
     }
 
     /// Number of contexts in the topology.
@@ -115,11 +104,6 @@ impl Topology {
     /// accepting that class. With the default two-context topology this
     /// reproduces the paper's kind-based split exactly — every memory
     /// task on context 1, every kernel on context 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some task's class has no accepting context (run
-    /// [`Topology::validate_for`] first for a `Result`).
     #[must_use]
     pub fn assign(&self, tasks: &[TaskDesc]) -> Vec<usize> {
         let mem_ctxs: Vec<usize> = self.accepting(true).collect();
@@ -129,38 +113,16 @@ impl Topology {
             .iter()
             .map(|t| {
                 if t.kind.is_memory() {
-                    assert!(!mem_ctxs.is_empty(), "no context accepts memory tasks");
                     let c = mem_ctxs[next_mem % mem_ctxs.len()];
                     next_mem += 1;
                     c
                 } else {
-                    assert!(!comp_ctxs.is_empty(), "no context accepts compute tasks");
                     let c = comp_ctxs[next_comp % comp_ctxs.len()];
                     next_comp += 1;
                     c
                 }
             })
             .collect()
-    }
-
-    /// Check that every task class present in `program` has at least one
-    /// accepting context.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first uncovered class.
-    pub fn validate_for(&self, program: &ScheduledProgram) -> Result<(), String> {
-        for t in &program.tasks {
-            let is_mem = t.kind.is_memory();
-            if !self.roles.iter().any(|r| r.accepts(is_mem)) {
-                let class = if is_mem { "memory" } else { "compute" };
-                return Err(format!(
-                    "topology {:?} has no context accepting {class} tasks (task {:?})",
-                    self.roles, t.id
-                ));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -231,17 +193,8 @@ mod tests {
     }
 
     #[test]
-    fn uncovered_class_is_rejected() {
-        let t = Topology::new(vec![ContextRole::Memory]);
-        let prog = ScheduledProgram { tasks: vec![kernel(0)], ..ScheduledProgram::default() };
-        assert!(t.validate_for(&prog).is_err());
-        let covered = ScheduledProgram { tasks: vec![gather(0)], ..ScheduledProgram::default() };
-        assert!(t.validate_for(&covered).is_ok());
-    }
-
-    #[test]
     #[should_panic(expected = "at least one context")]
     fn empty_topology_panics() {
-        let _ = Topology::new(Vec::new());
+        let _ = Topology::scaled(0);
     }
 }

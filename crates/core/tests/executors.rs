@@ -4,7 +4,9 @@
 use gpstream_core::exec::functional::FunctionalExecutor;
 use gpstream_core::exec::native::{NativeExecutor, NativeWaitPolicy};
 use gpstream_core::exec::sim::SimExecutor;
-use gpstream_core::task::{PortBinding, ScheduledProgram, TaskDesc, TaskId, TaskKind};
+use gpstream_core::task::{
+    CheckedProgram, PortBinding, ScheduledProgram, TaskDesc, TaskId, TaskKind,
+};
 use gpstream_core::{GraphBuilder, KernelId, Topology};
 use gpstream_machine::ops::WaitPolicy;
 use gpstream_machine::{ExactReason, StepMode};
@@ -18,7 +20,7 @@ fn two_strip_setup() -> (
     gpstream_core::StreamGraph,
     gpstream_core::World,
     gpstream_core::ArrayId,
-    ScheduledProgram,
+    CheckedProgram,
     Vec<f32>,
 ) {
     let n = 8usize;
@@ -80,7 +82,7 @@ fn two_strip_setup() -> (
         });
     }
     let program = ScheduledProgram { tasks, srf_bytes: 512, n_strips: 2, strip_items: 4 };
-    program.validate().unwrap();
+    let program = program.check(&graph).unwrap();
     (graph, world, y.id(), program, expected)
 }
 
@@ -206,7 +208,7 @@ fn kernels_accumulate_into_zeroed_output_strips_on_every_executor() {
         });
     }
     let program = ScheduledProgram { tasks, srf_bytes: 128, n_strips: 2, strip_items: 4 };
-    program.check(&graph).expect("a consistent double-buffered schedule");
+    let program = program.check(&graph).expect("a consistent double-buffered schedule");
 
     let mut runs: Vec<(String, Vec<u8>)> = Vec::new();
     let mut out = |label: String, w: gpstream_core::World| {
@@ -413,6 +415,7 @@ fn independent_kernels_overlap_on_two_compute_workers() {
         tasks.push(task(4 + k as u32, kind, vec![2 + k as u32]));
     }
     let program = ScheduledProgram { tasks, srf_bytes: 256, n_strips: 1, strip_items: n };
+    let program = program.check(&graph).unwrap();
     assert_eq!(Topology::scaled(4).assign(&program.tasks), vec![1, 3, 0, 2, 1, 3]);
 
     let mut w = world;
@@ -494,7 +497,7 @@ fn tiny_strip_runs_never_lose_a_wake_up() {
 mod gpstream_compiler_shim {
     use super::*;
 
-    pub fn compile_tiny_strips(graph: &gpstream_core::StreamGraph) -> ScheduledProgram {
+    pub fn compile_tiny_strips(graph: &gpstream_core::StreamGraph) -> CheckedProgram {
         let xs = gpstream_core::StreamId(0);
         let ys = gpstream_core::StreamId(1);
         let n = graph.stream(xs).count;
@@ -557,7 +560,6 @@ mod gpstream_compiler_shim {
             n_strips: n.div_ceil(strip) as u32,
             strip_items: strip,
         };
-        program.validate().unwrap();
-        program
+        program.check(graph).unwrap()
     }
 }

@@ -470,7 +470,7 @@ impl Machine {
     /// `(context, op)` pair, and sample cumulative counters every
     /// `interval` cycles (of the stepped context's local clock) plus once
     /// at end of run, so interval deltas always sum to the run totals.
-    /// Counters only move inside [`Machine::step`] for the stepped
+    /// Counters only move inside `Machine::step` for the stepped
     /// context, so snapshotting around each step attributes them exactly;
     /// timing is unaffected (the snapshots only read counters).
     ///

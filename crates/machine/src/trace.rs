@@ -4,8 +4,8 @@
 //! dispatch latency on the SMT contexts, bus occupancy, TLB walks,
 //! prefetch coverage — and the aggregate counters in
 //! [`MemStats`](crate::stats::MemStats) cannot show *why* a run won or
-//! lost. When tracing is enabled ([`Machine::enable_trace`]
-//! (crate::Machine::enable_trace)), the engine records a
+//! lost. When tracing is enabled
+//! ([`Machine::enable_trace`](crate::Machine::enable_trace)), the engine records a
 //! [`MachineEvent`] at each op boundary, bus grant, prefetch cover, TLB
 //! walk and cross-context wakeup, stamped with the local cycle clock of
 //! the context that caused it.

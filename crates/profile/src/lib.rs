@@ -7,7 +7,7 @@
 //! [`PhaseCycles`](gpstream_machine::PhaseCycles) blobs into a real
 //! profiler with four layers:
 //!
-//! - [`counters`]: a typed [`CounterSet`](counters::CounterSet) over the
+//! - [`counters`]: a typed [`CounterSet`] over the
 //!   machine's counter registry plus derived metrics (miss rates, bus
 //!   occupancy, prefetch coverage, SRF eviction rate, overlap
 //!   efficiency).

@@ -1,7 +1,7 @@
 //! Latency summarization and the `latency` artifact.
 //!
 //! Everything here is a pure function of the scheduler's output — the
-//! resolved [`JobRecord`]s and [`SchedStats`] — plus the run's config.
+//! resolved [`JobRecord`](crate::sched::JobRecord)s and [`SchedStats`] — plus the run's config.
 //! The execution pool's results never enter the artifact, which is what
 //! lets the byte-identical guarantee span pool thread counts: threads
 //! race, the schedule does not.

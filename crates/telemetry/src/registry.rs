@@ -324,7 +324,7 @@ impl Telemetry {
 
     /// Materialize the dense time series: one snapshot per window from 0
     /// through the last window any instrument touched. This is the
-    /// evicting walk streaming mode runs ([`Self::evict_next`]), run
+    /// evicting walk streaming mode runs (`evict_next`), run
     /// start to finish over a copy with the snapshots kept, so a
     /// materialized series and a streamed one cannot disagree.
     ///

@@ -3,7 +3,7 @@
 //! A [`Workload`] packages everything one tuning run needs: the graph,
 //! the world backing it, which arrays are outputs, and the expected
 //! output bits. The oracle is computed once by the reference
-//! [`FunctionalExecutor`](gpstream_core::exec::functional::FunctionalExecutor)
+//! [`FunctionalExecutor`]
 //! — kernel bodies are elementwise maps, so strip size, buffering and
 //! fusion cannot change results, and every candidate configuration must
 //! reproduce the oracle *bit-for-bit* or be discarded.

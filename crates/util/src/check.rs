@@ -1,7 +1,7 @@
 //! A small property-test harness.
 //!
 //! Replaces `proptest` for this workspace: a property is a closure over a
-//! seeded [`Rng64`](crate::rng::Rng64); [`run_cases`] runs it for N
+//! seeded [`Rng64`]; [`run_cases`] runs it for N
 //! deterministic seeds and, when a case panics, re-raises with the case
 //! seed so the failure can be replayed with [`replay`]. There is no
 //! shrinking — generators here are simple enough that the seed plus the

@@ -34,7 +34,7 @@
 //! Recording is the serving plane's hottest operation (three per job:
 //! its queue, service and total latency, into the job's tenant's
 //! sketches), so the key → count store is flat where keys are small:
-//! keys below [`FLAT_KEYS`] index a lazily grown `Vec<u64>`, which
+//! keys below `FLAT_KEYS` index a lazily grown `Vec<u64>`, which
 //! covers every bucket index of the default γ = 0.01 geometry for any
 //! `u64` (at most 58 octaves × 64 sub-buckets + 63 = 3 775), so a
 //! promoted sketch records with one shift, one bounds check and one

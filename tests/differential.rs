@@ -19,8 +19,9 @@
 //!
 //! The last two tests hold the SRF contract that lets an executor keep
 //! one SRF and never clear it: a poisoned, reused SRF replays every
-//! program like a fresh one, and every executor refuses a schedule that
-//! reads an SRF byte before a task writes it.
+//! program like a fresh one, and a schedule that reads an SRF byte
+//! before a task writes it fails the check every executor's argument
+//! must pass.
 
 use gpstream::apps::{cdp, fem, neo, spas};
 use gpstream::compiler::{compile, CompiledProgram, CompilerOptions};
@@ -382,6 +383,7 @@ fn a_warm_srf_replays_like_a_fresh_one() {
     let (graph, mut world, poison) = copy_program(n, 0xA5A5_A5A5, srf.capacity, |xs, _| {
         vec![task(0, TaskKind::Gather { binding: xs, nt: true }, &[])]
     });
+    let poison = poison.check(&graph).expect("the poison program is consistent");
     let mut warm = FunctionalExecutor::with_srf(srf);
     warm.run(&poison, &graph, &mut world);
 
@@ -408,11 +410,13 @@ fn a_warm_srf_replays_like_a_fresh_one() {
     }
 }
 
-/// A schedule whose kernel reads SRF bytes no task wrote is refused by
-/// all three executors, each through the schedule check.
+/// A schedule whose kernel reads SRF bytes no task wrote fails the
+/// schedule check, and an unchecked schedule does not type-check as an
+/// executor's argument (the `compile_fail` example on
+/// `FunctionalExecutor::run`), so no executor can run it.
 #[test]
 fn every_executor_refuses_a_read_before_write() {
-    let (graph, world, planted) = copy_program(16, 7, 128, |xs, ys| {
+    let (graph, _world, planted) = copy_program(16, 7, 128, |xs, ys| {
         vec![
             task(
                 0,
@@ -428,22 +432,6 @@ fn every_executor_refuses_a_read_before_write() {
         ]
     });
     let want = "SRF read before write: task 0 reads SRF bytes 0..64 of stream 0";
-    assert!(planted.validate().unwrap_err().starts_with(want));
-    for name in ["functional", "native", "sim"] {
-        let mut w = world.clone();
-        let run = std::panic::AssertUnwindSafe(|| match name {
-            "functional" => {
-                FunctionalExecutor::new().run(&planted, &graph, &mut w);
-            }
-            "native" => {
-                NativeExecutor::new().run(&planted, &graph, &mut w);
-            }
-            _ => {
-                SimExecutor::new().run(&planted, &graph, &mut w);
-            }
-        });
-        let err = std::panic::catch_unwind(run).expect_err("a read before write must be refused");
-        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
-        assert!(msg.contains(want), "{name} executor panicked with {msg:?}");
-    }
+    let err = planted.check(&graph).expect_err("a read before write must be refused");
+    assert!(err.starts_with(want), "got {err}");
 }

@@ -182,17 +182,12 @@ pub fn cdp_bench(cfg: CdpConfig, seed: u64) -> AppBench {
             let faces: Vec<&[f32]> = (0..kk).map(|s| args.input::<f32>(s)).collect();
             let phi = args.input::<f32>(kk);
             let coeff = args.input::<f32>(kk + 1);
-            let n_items = phi.len();
-            let mut news = vec![0.0f32; n_items];
-            let mut mags = vec![0.0f32; n_items];
-            for i in 0..n_items {
+            let news = args.output::<f32>(0);
+            let mags = args.output::<f32>(1);
+            for (i, (new, mag)) in news.iter_mut().zip(mags).enumerate() {
                 let sum: f32 = faces.iter().map(|f| f[i]).sum();
-                let (p, m) = update_phi(phi[i], coeff[i], sum);
-                news[i] = p;
-                mags[i] = m;
+                (*new, *mag) = update_phi(phi[i], coeff[i], sum);
             }
-            args.output::<f32>(0).copy_from_slice(&news);
-            args.output::<f32>(1).copy_from_slice(&mags);
         },
     );
     b.scatter_seq(s_phinew, a_phinew);

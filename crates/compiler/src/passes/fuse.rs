@@ -144,33 +144,20 @@ pub fn fuse_shared_input_kernels(
             // Stage 1: run k1 into temporary buffers.
             let mut temps: Vec<Vec<u8>> =
                 temp_elem_bytes.iter().map(|eb| vec![0u8; eb * n]).collect();
-            {
-                let ins: Vec<&[u8]> = k1_in_map.iter().map(|&i| args.input::<u8>(i)).collect();
-                let outs: Vec<&mut [u8]> = temps.iter_mut().map(Vec::as_mut_slice).collect();
-                let mut sub = KernelArgs::new(ins, outs, items.clone());
-                f1(&mut sub);
-            }
-            // Stage 2: run k2 from fused inputs + temps into scratch
-            // buffers, then copy into the real outputs (avoids aliasing
-            // the `args` borrows).
-            let n_out = args.num_outputs();
-            let mut scratch: Vec<Vec<u8>> =
-                (0..n_out).map(|i| vec![0u8; args.output::<u8>(i).len()]).collect();
-            {
-                let ins: Vec<&[u8]> = k2_in_map
-                    .iter()
-                    .map(|m| match *m {
-                        K2In::Fused(i) => args.input::<u8>(i),
-                        K2In::Temp(t) => temps[t].as_slice(),
-                    })
-                    .collect();
-                let outs: Vec<&mut [u8]> = scratch.iter_mut().map(Vec::as_mut_slice).collect();
-                let mut sub = KernelArgs::new(ins, outs, items.clone());
-                f2(&mut sub);
-            }
-            for (i, buf) in scratch.iter().enumerate() {
-                args.output::<u8>(i).copy_from_slice(buf);
-            }
+            let ins: Vec<&[u8]> = k1_in_map.iter().map(|&i| args.input::<u8>(i)).collect();
+            let outs: Vec<&mut [u8]> = temps.iter_mut().map(Vec::as_mut_slice).collect();
+            f1(&mut KernelArgs::new(ins, outs, items.clone()));
+            // Stage 2: run k2 from the fused inputs and the temps
+            // straight into the real outputs.
+            let ins: Vec<&[u8]> = k2_in_map
+                .iter()
+                .map(|m| match *m {
+                    K2In::Fused(i) => args.input::<u8>(i),
+                    K2In::Temp(t) => temps[t].as_slice(),
+                })
+                .collect();
+            let outs: Vec<&mut [u8]> = (0..args.num_outputs()).map(|i| args.output(i)).collect();
+            f2(&mut KernelArgs::new(ins, outs, items));
         };
 
         // Install: replace k2 with the fused kernel, delete k1.

@@ -20,17 +20,29 @@ use std::ops::{Deref, Range};
 /// so an executor that takes one never re-checks it and never meets a
 /// schedule it cannot run.
 ///
-/// The proof covers the graph the program was checked against: run it
-/// with that graph. `CompiledProgram` in `gpstream-compiler` keeps the
-/// two together.
+/// The proof covers the graph the program was checked against, and the
+/// program records that graph's identity: every executor refuses to run
+/// it with any other graph (a clone of that graph is the same graph).
+/// `CompiledProgram` in `gpstream-compiler` keeps the two together.
 #[derive(Debug, Clone)]
-pub struct CheckedProgram(ScheduledProgram);
+pub struct CheckedProgram {
+    program: ScheduledProgram,
+    /// [`StreamGraph::identity`] of the graph the proof covers.
+    graph: u64,
+}
+
+impl CheckedProgram {
+    /// Whether the proof covers `graph`.
+    pub(crate) fn covers(&self, graph: &StreamGraph) -> bool {
+        self.graph == graph.identity()
+    }
+}
 
 impl Deref for CheckedProgram {
     type Target = ScheduledProgram;
 
     fn deref(&self) -> &ScheduledProgram {
-        &self.0
+        &self.program
     }
 }
 
@@ -67,7 +79,7 @@ impl ScheduledProgram {
         let mut paths = DepPaths::new(&self.tasks);
         self.check_srf_hazards(&mut paths)?;
         self.check_array_hazards(graph, &mut paths)?;
-        Ok(CheckedProgram(self))
+        Ok(CheckedProgram { program: self, graph: graph.identity() })
     }
 
     /// One task on its own: its id and dependencies, what it names in
@@ -293,10 +305,7 @@ fn check_kernel_strips(
 ) -> Result<(), String> {
     for (k, out) in outputs.iter().enumerate() {
         let w = out.srf_range();
-        let clash = |other: &PortBinding| {
-            let r = other.srf_range();
-            !r.is_empty() && !w.is_empty() && ranges_overlap(&w, &r)
-        };
+        let clash = |other: &PortBinding| ranges_overlap(&w, &other.srf_range());
         let port = if let Some(j) = inputs.iter().position(clash) {
             format!("input {j}")
         } else if let Some(j) = outputs[k + 1..].iter().position(clash) {

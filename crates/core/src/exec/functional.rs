@@ -1,6 +1,6 @@
 //! Single-threaded reference executor.
 
-use crate::exec::execute_task;
+use crate::exec::region::Region;
 use crate::graph::StreamGraph;
 use crate::srf::{SrfBuffer, SrfConfig};
 use crate::task::CheckedProgram;
@@ -63,17 +63,20 @@ impl FunctionalExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if the program needs more SRF bytes than the executor's
-    /// SRF configuration holds.
+    /// Panics if `program` was checked against a graph other than
+    /// `graph` (a clone of it is the same graph), if `world` does not
+    /// hold the arrays `graph` binds with room for each binding, or if
+    /// the program needs more SRF bytes than the executor's SRF
+    /// configuration holds.
     pub fn run(
         &mut self,
         program: &CheckedProgram,
         graph: &StreamGraph,
         world: &mut World,
     ) -> usize {
-        self.srf.fit(program);
+        let region = Region::new(program, graph, world, &mut self.srf);
         for task in &program.tasks {
-            execute_task(task, graph, world, &mut self.srf);
+            region.execute_task(task.id);
         }
         program.tasks.len()
     }

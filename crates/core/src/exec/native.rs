@@ -27,20 +27,22 @@
 //! ready — a blocked scatter no longer stalls the gathers queued behind
 //! it. [`NativeExecutor::in_order`] restores head-blocking queues.
 //!
-//! The world and the SRF each sit behind a lock, and both locks cover
-//! copies only. A gather walks its source array under the world lock
-//! into a staging buffer, then copies that into the SRF under the SRF
-//! lock; a scatter is the mirror image; a kernel holds the SRF lock for
-//! its copy-in and its copy-out and computes with no lock held. So a
-//! kernel on a compute worker overlaps the gathers and scatters on a
-//! memory worker — the paper's claim 2, on real threads — and each waits
-//! for the other at most one strip copy.
+//! Tasks run in place, with no lock and no staging copy: each task
+//! borrows exactly the SRF and array bytes it touches, through the
+//! region every executor runs tasks on (private module `region`), and a
+//! gather reads its array records straight into its SRF strip while a
+//! kernel on another worker computes on its own strips. So a kernel on
+//! a compute worker overlaps the gathers and scatters on a memory worker
+//! — the paper's claim 2, on real threads — and neither ever waits for
+//! the other's data. That is sound for the one reason the region states:
 //! [`ScheduledProgram::check`](crate::task::ScheduledProgram::check)
 //! proves, once, for every [`CheckedProgram`] this executor runs, that
 //! tasks with no dependency path between them touch disjoint SRF bytes
-//! and array elements, so no interleaving changes a byte:
-//! functional effects are identical to the reference executor (the
-//! simulator, not this runtime, is the timing vehicle — see DESIGN.md).
+//! and array bytes, and a task's writes reach its dependants through its
+//! completion flag's `Release` store and their readiness check's
+//! `Acquire` load. So no interleaving changes a byte: functional effects
+//! are identical to the reference executor (the simulator, not this
+//! runtime, is the timing vehicle — see DESIGN.md).
 //!
 //! With [`NativeExecutor::with_trace`], the control thread and every
 //! worker stamp nanosecond-resolution [`ExecEventKind`] events
@@ -48,27 +50,25 @@
 //! dependency waits) into a shared [`TraceBuffer`] for the Chrome
 //! exporter in [`crate::trace`].
 
-use crate::exec::{gather_strip, scatter_strip, strip_bytes, KernelStrip};
-use crate::graph::{ArrayId, StreamGraph};
-use crate::hazard;
+use crate::exec::region::Region;
+use crate::graph::StreamGraph;
 use crate::park::{DeathNotice, ParkingSpot};
 use crate::spsc::SpscRing;
 use crate::srf::{SrfBuffer, SrfConfig};
-use crate::task::{CheckedProgram, TaskDesc, TaskId, TaskKind};
+use crate::task::{CheckedProgram, TaskId};
 use crate::topology::Topology;
 use crate::trace::{ExecEventKind, TraceBuffer};
 use crate::workqueue::{DependencyWindow, WINDOW};
 use crate::world::World;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
 // NOTE on readiness: the bit-vector window (DependencyWindow) bounds the
 // number of in-flight tasks to 64 and is what the control thread uses for
-// admission, mirroring the paper. Worker *readiness* checks use per-task
-// completion flags rather than a mask snapshot: a snapshot can go stale
-// when a completed dependency's slot is recycled for a later task (an ABA
-// hazard that would deadlock a queue on itself).
+// admission, mirroring the paper. Worker *readiness* checks use the
+// region's per-task completion flags rather than a mask snapshot: a
+// snapshot can go stale when a completed dependency's slot is recycled
+// for a later task (an ABA hazard that would deadlock a queue on itself).
 
 /// How many ring entries a worker keeps in flight for out-of-order
 /// issue. Any value >= 1 is deadlock-free: queues are filled in task-id
@@ -81,11 +81,6 @@ pub const NATIVE_ISSUE_WINDOW: usize = 16;
 /// completion, and the workers still hold half a window of work while it
 /// does.
 const LOW_WATER: u32 = WINDOW as u32 / 2;
-
-/// `try_lock` attempts a thread makes on a held data lock before it
-/// blocks on it. A lock is held for one strip copy, which is usually
-/// shorter than a futex sleep and wake-up.
-const LOCK_SPINS: u32 = 1 << 12;
 
 /// Trace lane of the control thread. The worker for context `c` stamps
 /// lane `c + 1`.
@@ -121,10 +116,10 @@ pub struct NativeReport {
 }
 
 /// Wall-clock self time of one task body measured by the native
-/// executor: the gather or scatter, or the kernel's copy-in, compute and
-/// copy-out, excluding queueing, dependency waits and data-lock waits.
-/// Unlike everything the simulator reports, these are real nanoseconds
-/// and vary run to run.
+/// executor: the gather, scatter or kernel strip, run in place,
+/// excluding queueing and dependency waits (a task body waits for
+/// nothing else). Unlike everything the simulator reports, these are
+/// real nanoseconds and vary run to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskTime {
     /// The task.
@@ -137,11 +132,10 @@ pub struct TaskTime {
 }
 
 struct Shared<'a> {
-    graph: &'a StreamGraph,
-    world: Mutex<World>,
-    srf: Mutex<SrfBuffer>,
+    /// The SRF and the world, lent task by task; it also holds each
+    /// task's completion flag.
+    region: Region<'a>,
     window: DependencyWindow,
-    completed: Vec<AtomicBool>,
     /// One parking spot per thread, indexed by trace lane: the control
     /// thread's at [`LANE_CONTROL`], context `c`'s worker at `c + 1`.
     spots: Vec<ParkingSpot>,
@@ -151,15 +145,11 @@ struct Shared<'a> {
     dead: AtomicBool,
     program: &'a CheckedProgram,
     trace: Option<TraceBuffer>,
-    /// Per-task body wall times, collected when task timing is on.
-    times: Option<Mutex<Vec<TaskTime>>>,
+    /// Whether to measure each task body's wall time.
+    time_tasks: bool,
 }
 
 impl Shared<'_> {
-    fn is_complete(&self, task: TaskId) -> bool {
-        self.completed[task.0 as usize].load(Ordering::Acquire)
-    }
-
     fn is_dead(&self) -> bool {
         self.dead.load(Ordering::Acquire)
     }
@@ -240,42 +230,34 @@ impl NativeExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if the program needs more SRF bytes than the executor's
-    /// SRF configuration holds, or if a kernel panics on a worker.
+    /// Panics, before any worker starts, if `program` was checked
+    /// against a graph other than `graph` (a clone of it is the same
+    /// graph), if `world` does not hold the arrays `graph` binds with
+    /// room for each binding, or if the program needs more SRF bytes than
+    /// the executor's SRF configuration holds; and if a kernel panics on
+    /// a worker.
     pub fn run(
         &self,
         program: &CheckedProgram,
         graph: &StreamGraph,
         world: &mut World,
     ) -> NativeReport {
-        let srf = SrfBuffer::for_program(self.srf_cfg, program);
-        // Unshare every array a scatter writes here, on the calling
-        // thread. Copied at its first scatter instead, an array would be
-        // allocated from a memory worker's malloc arena, which keeps it
-        // resident after the caller frees it.
-        for acc in program.tasks.iter().filter_map(|t| hazard::array_access(&t.kind, graph)) {
-            if acc.write {
-                world.bytes_mut(ArrayId(acc.array));
-            }
-        }
-
+        let mut srf = SrfBuffer::new(self.srf_cfg);
+        let region = Region::new(program, graph, world, &mut srf);
         let mut window = DependencyWindow::new();
         if let Some(buf) = &self.trace {
             window.set_trace(buf.clone(), LANE_CONTROL);
         }
         let contexts = self.topology.contexts();
         let shared = Shared {
-            graph,
-            world: Mutex::new(std::mem::take(world)),
-            srf: Mutex::new(srf),
+            region,
             window,
-            completed: (0..program.tasks.len()).map(|_| AtomicBool::new(false)).collect(),
             spots: (0..=contexts).map(|_| ParkingSpot::new()).collect(),
             done: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             program,
             trace: self.trace.clone(),
-            times: self.time_tasks.then(|| Mutex::new(Vec::with_capacity(program.tasks.len()))),
+            time_tasks: self.time_tasks,
         };
         let assignment = self.topology.assign(&program.tasks);
         // A ring only ever holds admitted, incomplete tasks, and the
@@ -329,9 +311,7 @@ impl NativeExecutor {
                     Ok(c) => counts.push(c),
                     // Remember the first worker panic and re-raise it with
                     // its original payload rather than a generic "worker
-                    // panicked" (a panic inside a copy poisons a data
-                    // lock, so masking it would surface as an unrelated
-                    // poison error below).
+                    // panicked".
                     Err(p) => panic = panic.or(Some(p)),
                 }
             }
@@ -341,12 +321,12 @@ impl NativeExecutor {
             counts
         });
 
-        let task_times = shared.times.map(|m| {
-            let mut v = m.into_inner().expect("times mutex poisoned");
+        let task_times = self.time_tasks.then(|| {
+            let mut v: Vec<TaskTime> =
+                counts.iter().flat_map(|c| c.times.iter().copied()).collect();
             v.sort_by_key(|t| (t.task.0, t.lane));
             v
         });
-        *world = shared.world.into_inner().expect("world lock poisoned");
         NativeReport {
             tasks: program.tasks.len(),
             memory_tasks: counts.iter().map(|c| c.memory).sum(),
@@ -358,12 +338,14 @@ impl NativeExecutor {
 }
 
 /// Per-worker tally returned by [`worker_loop`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 struct WorkerCount {
     /// Tasks this worker executed.
     executed: usize,
     /// How many of them were memory-class (gathers/scatters).
     memory: usize,
+    /// Its task bodies' wall times, when task timing is on.
+    times: Vec<TaskTime>,
 }
 
 /// Wait per `policy` for `ready`: one PAUSE-and-yield round (the caller
@@ -379,72 +361,6 @@ fn idle(policy: NativeWaitPolicy, spot: &ParkingSpot, ready: impl FnMut() -> boo
     }
 }
 
-/// Run `f`, adding its wall time to `ns` when `on`.
-fn timed<R>(on: bool, ns: &mut u64, f: impl FnOnce() -> R) -> R {
-    if !on {
-        return f();
-    }
-    let t0 = Instant::now();
-    let r = f();
-    *ns += t0.elapsed().as_nanos() as u64;
-    r
-}
-
-/// Lock `m`, spinning on `try_lock` for up to [`LOCK_SPINS`] attempts
-/// before blocking. `None` if a peer panicked while holding it.
-fn lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
-    for _ in 0..LOCK_SPINS {
-        match m.try_lock() {
-            Ok(guard) => return Some(guard),
-            Err(TryLockError::Poisoned(_)) => return None,
-            Err(TryLockError::WouldBlock) => std::hint::spin_loop(),
-        }
-    }
-    m.lock().ok()
-}
-
-/// Run one task body, holding a data lock around each copy only: a
-/// gather or scatter stages its strip in `staging` between the world and
-/// the SRF, and a kernel computes between its copy-in and copy-out.
-/// Returns the body's self time (zero unless task timing is on), or
-/// `None` if a peer died mid-copy and poisoned a lock.
-fn run_body(shared: &Shared<'_>, task: &TaskDesc, staging: &mut Vec<u8>) -> Option<u64> {
-    let graph = shared.graph;
-    let on = shared.times.is_some();
-    let mut ns = 0;
-    match &task.kind {
-        TaskKind::Gather { binding, .. } => {
-            staging.resize(strip_bytes(binding, graph), 0);
-            let world = lock(&shared.world)?;
-            timed(on, &mut ns, || gather_strip(binding, graph, &world, staging));
-            drop(world);
-            let mut srf = lock(&shared.srf)?;
-            let dst = srf.bytes_mut(binding.srf_offset, staging.len());
-            timed(on, &mut ns, || dst.copy_from_slice(staging));
-        }
-        TaskKind::Scatter { binding, .. } => {
-            staging.clear();
-            let srf = lock(&shared.srf)?;
-            let src = srf.bytes(binding.srf_offset, strip_bytes(binding, graph));
-            timed(on, &mut ns, || staging.extend_from_slice(src));
-            drop(srf);
-            let mut world = lock(&shared.world)?;
-            timed(on, &mut ns, || scatter_strip(binding, graph, &mut world, staging));
-        }
-        TaskKind::Kernel { kernel, items, inputs, outputs } => {
-            let srf = lock(&shared.srf)?;
-            let mut strip = timed(on, &mut ns, || {
-                KernelStrip::copy_in(*kernel, items, inputs, outputs, graph, &srf)
-            });
-            drop(srf);
-            timed(on, &mut ns, || strip.compute());
-            let mut srf = lock(&shared.srf)?;
-            timed(on, &mut ns, || strip.copy_out(&mut srf));
-        }
-    }
-    Some(ns)
-}
-
 /// Worker loop with out-of-order issue: keep up to `issue_window` popped
 /// entries in flight, run the oldest one whose dependencies have all
 /// completed, and wait (per `policy`) only when none of them is ready —
@@ -453,7 +369,8 @@ fn run_body(shared: &Shared<'_>, task: &TaskDesc, staging: &mut Vec<u8>) -> Opti
 ///
 /// Returns its execution tally; exits early (without running the
 /// remaining entries) when a peer worker dies, since their dependencies
-/// can never complete.
+/// can never complete. A task body waits for nothing: it runs in place
+/// in the region.
 fn worker_loop(
     shared: &Shared<'_>,
     queue: &SpscRing<TaskId>,
@@ -466,11 +383,10 @@ fn worker_loop(
     let _notice = DeathNotice { dead: &shared.dead, spots: &shared.spots };
     let spot = &shared.spots[lane as usize];
     let mut count = WorkerCount::default();
-    let mut staging = Vec::new();
     // In-flight entries, oldest first (queue order == task-id order).
     let mut local: Vec<TaskId> = Vec::with_capacity(issue_window);
     let ready = |task: &TaskId| {
-        shared.program.tasks[task.0 as usize].deps.iter().all(|&d| shared.is_complete(d))
+        shared.program.tasks[task.0 as usize].deps.iter().all(|&d| shared.region.is_done(d))
     };
     let mut waited = false;
     loop {
@@ -505,7 +421,7 @@ fn worker_loop(
                 if let Some(buf) = &shared.trace {
                     let deps = &shared.program.tasks[local[0].0 as usize].deps;
                     let unmet: Vec<TaskId> =
-                        deps.iter().copied().filter(|&d| !shared.is_complete(d)).collect();
+                        deps.iter().copied().filter(|&d| !shared.region.is_done(d)).collect();
                     let mask = shared.window.mask_for(&unmet);
                     buf.push(lane, Some(local[0]), ExecEventKind::DepWait { mask });
                 }
@@ -525,16 +441,13 @@ fn worker_loop(
             buf.push(lane, Some(id), ExecEventKind::Ready);
             buf.push(lane, Some(id), ExecEventKind::Start);
         }
-        let task = &shared.program.tasks[id.0 as usize];
-        // A poisoned data lock means a peer died mid-copy; exit cleanly
-        // and let the control thread re-raise its panic.
-        let Some(ns) = run_body(shared, task, &mut staging) else {
-            return count;
-        };
-        if let Some(times) = &shared.times {
-            times.lock().expect("times mutex poisoned").push(TaskTime { task: id, lane, ns });
+        if shared.time_tasks {
+            let t0 = Instant::now();
+            shared.region.execute_task(id);
+            count.times.push(TaskTime { task: id, lane, ns: t0.elapsed().as_nanos() as u64 });
+        } else {
+            shared.region.execute_task(id);
         }
-        shared.completed[id.0 as usize].store(true, Ordering::Release);
         shared.window.complete(id);
         // Wake whoever this completion can unblock: parked peers, and the
         // control thread once the window has drained to the low-water
@@ -550,8 +463,122 @@ fn worker_loop(
             buf.push(lane, Some(id), ExecEventKind::Finish);
         }
         count.executed += 1;
-        if task.kind.is_memory() {
+        if shared.program.tasks[id.0 as usize].kind.is_memory() {
             count.memory += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::functional::FunctionalExecutor;
+    use crate::graph::{GraphBuilder, KernelId, StreamId};
+    use crate::task::{PortBinding, ScheduledProgram, TaskDesc, TaskKind};
+
+    /// Items per strip and strips: small enough for Miri, with strips
+    /// enough that gathers, kernels and scatters of different strips
+    /// run at once.
+    const STRIP: usize = 8;
+    const STRIPS: usize = 6;
+
+    /// A kernel with two outputs (`2x` and `x + 1`) over `STRIPS` strips,
+    /// each buffer double-buffered in the SRF, and the world it runs on.
+    fn two_output_program() -> (StreamGraph, World, CheckedProgram) {
+        let n = STRIP * STRIPS;
+        let data: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
+        let mut b = GraphBuilder::new();
+        let a = b.array("a", &data);
+        let (y0, y1) = (b.array_zeroed::<f32>("y0", n), b.array_zeroed::<f32>("y1", n));
+        let xs = b.gather_seq("xs", a);
+        let (d, p) = (b.stream::<f32>("double", n), b.stream::<f32>("plus", n));
+        b.kernel("split", &[xs.id()], &[d.id(), p.id()], 2, |args| {
+            let x = args.input::<f32>(0);
+            let (double, plus) = (args.output::<f32>(0), args.output::<f32>(1));
+            for ((v, d), p) in x.iter().zip(double).zip(plus) {
+                (*d, *p) = (2.0 * v, v + 1.0);
+            }
+        });
+        b.scatter_seq(d, y0);
+        b.scatter_seq(p, y1);
+        let (graph, world) = b.build().unwrap();
+        let bytes = STRIP * 4;
+        let binding = |stream: StreamId, buffer: usize, s: usize| PortBinding {
+            stream,
+            srf_offset: (2 * buffer + s % 2) * bytes,
+            elems: s * STRIP..(s + 1) * STRIP,
+            elem_bytes: 4,
+        };
+        let mut tasks = Vec::new();
+        for s in 0..STRIPS {
+            let id = 4 * s as u32;
+            let two_back = |k: u32| if s >= 2 { vec![TaskId(id - 8 + k)] } else { vec![] };
+            let task = |k: u32, kind, deps| TaskDesc { id: TaskId(id + k), kind, deps, strip: 0 };
+            let (input, outs) =
+                (binding(xs.id(), 0, s), [binding(d.id(), 1, s), binding(p.id(), 2, s)]);
+            // The gather refills the buffer the kernel two strips back
+            // read; the kernel rewrites the buffers that strip's scatters
+            // read.
+            tasks.push(task(
+                0,
+                TaskKind::Gather { binding: input.clone(), nt: false },
+                two_back(1),
+            ));
+            let mut deps = vec![TaskId(id)];
+            deps.extend(two_back(2).into_iter().chain(two_back(3)));
+            let kind = TaskKind::Kernel {
+                kernel: KernelId(0),
+                items: s * STRIP..(s + 1) * STRIP,
+                inputs: vec![input],
+                outputs: outs.to_vec(),
+            };
+            tasks.push(task(1, kind, deps));
+            for (k, out) in outs.into_iter().enumerate() {
+                tasks.push(task(
+                    2 + k as u32,
+                    TaskKind::Scatter { binding: out, nt: false },
+                    vec![TaskId(id + 1)],
+                ));
+            }
+        }
+        let program = ScheduledProgram {
+            tasks,
+            srf_bytes: 6 * bytes,
+            n_strips: STRIPS as u32,
+            strip_items: STRIP,
+        };
+        let program = program.check(&graph).unwrap();
+        (graph, world, program)
+    }
+
+    /// Under both wait policies, on the paper's two workers and on a
+    /// farm of two compute and two memory workers, a kernel writing two
+    /// outputs in place leaves the world byte-identical to the reference
+    /// executor's.
+    #[test]
+    fn native_runs_match_the_reference_on_two_and_four_workers() {
+        let (graph, world, program) = two_output_program();
+        let mut want = world.clone();
+        FunctionalExecutor::new().run(&program, &graph, &mut want);
+        for topology in [Topology::two_context(), Topology::scaled(4)] {
+            for policy in [NativeWaitPolicy::Spin, NativeWaitPolicy::Park] {
+                let mut got = world.clone();
+                let exec =
+                    NativeExecutor::new().with_topology(topology.clone()).with_wait_policy(policy);
+                let report = exec.run(&program, &graph, &mut got);
+                assert_eq!(report.tasks, program.tasks.len());
+                assert_eq!(report.compute_tasks, STRIPS, "{topology:?} {policy:?}");
+                for (g, w) in got.iter().zip(want.iter()) {
+                    assert_eq!(
+                        g.data.as_bytes(),
+                        w.data.as_bytes(),
+                        "`{}` under {topology:?} {policy:?}",
+                        g.name
+                    );
+                }
+            }
+        }
+        let y1 = want.iter().nth(2).unwrap().data.as_slice::<f32>();
+        assert_eq!(y1[5], 3.5, "the reference computes x + 1");
     }
 }

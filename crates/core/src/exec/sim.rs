@@ -20,7 +20,7 @@
 //! gather, kernel and scatter stages software-pipelined on one context,
 //! so no cross-context dispatch is paid but nothing overlaps either.
 
-use crate::exec::execute_task;
+use crate::exec::region::Region;
 use crate::graph::{AccessKind, ArrayBinding, StreamGraph};
 use crate::srf::{SrfBuffer, SrfConfig};
 use crate::task::{CheckedProgram, PortBinding, ScheduledProgram, TaskId, TaskKind};
@@ -386,8 +386,11 @@ impl SimExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if the program needs more SRF bytes than the executor's
-    /// SRF configuration holds.
+    /// Panics if `program` was checked against a graph other than
+    /// `graph` (a clone of it is the same graph), if `world` does not
+    /// hold the arrays `graph` binds with room for each binding, or if
+    /// the program needs more SRF bytes than the executor's SRF
+    /// configuration holds.
     pub fn run(
         &self,
         program: &CheckedProgram,
@@ -405,8 +408,11 @@ impl SimExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if the program needs more SRF bytes than the executor's
-    /// SRF configuration holds.
+    /// Panics if `program` was checked against a graph other than
+    /// `graph` (a clone of it is the same graph), if `world` does not
+    /// hold the arrays `graph` binds with room for each binding, or if
+    /// the program needs more SRF bytes than the executor's SRF
+    /// configuration holds.
     pub fn snapshot(
         &self,
         program: &CheckedProgram,
@@ -414,10 +420,12 @@ impl SimExecutor {
         world: &mut World,
     ) -> SimSnapshot {
         // Functional pass (same semantics as the reference executor).
-        let mut srf = SrfBuffer::for_program(self.srf_cfg, program);
+        let mut srf = SrfBuffer::new(self.srf_cfg);
+        let region = Region::new(program, graph, world, &mut srf);
         for task in &program.tasks {
-            execute_task(task, graph, world, &mut srf);
+            region.execute_task(task.id);
         }
+        drop(region);
 
         // Timing-pass setup. The machine must have a context per topology
         // queue; with the default two-context topology this leaves the

@@ -12,6 +12,7 @@ use crate::pod::Pod;
 use crate::world::World;
 use std::fmt;
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifies an array in global memory.
@@ -138,9 +139,10 @@ impl StreamDecl {
 
 /// Arguments handed to a kernel function for one strip.
 pub struct KernelArgs<'a> {
-    pub(crate) inputs: Vec<&'a [u8]>,
-    pub(crate) outputs: Vec<&'a mut [u8]>,
-    pub(crate) items: std::ops::Range<usize>,
+    inputs: Vec<&'a [u8]>,
+    /// `None` once lent by [`KernelArgs::output`].
+    outputs: Vec<Option<&'a mut [u8]>>,
+    items: std::ops::Range<usize>,
 }
 
 impl<'a> KernelArgs<'a> {
@@ -152,7 +154,7 @@ impl<'a> KernelArgs<'a> {
         outputs: Vec<&'a mut [u8]>,
         items: std::ops::Range<usize>,
     ) -> Self {
-        KernelArgs { inputs, outputs, items }
+        KernelArgs { inputs, outputs: outputs.into_iter().map(Some).collect(), items }
     }
 
     /// Input port `i` viewed as a `T` slice. The slice borrows the
@@ -168,15 +170,20 @@ impl<'a> KernelArgs<'a> {
         crate::pod::cast_slice(self.inputs[i])
     }
 
-    /// Output port `i` viewed as a mutable `T` slice.
+    /// Output port `i` viewed as a mutable `T` slice. The slice is lent
+    /// for the whole strip, not borrowed from `self`, so a kernel can
+    /// hold every output at once; each port is lent once.
     ///
     /// # Panics
     ///
-    /// Panics if the port index is out of range or the bytes do not form
-    /// whole `T` values.
+    /// Panics if the port index is out of range, the port was already
+    /// lent, or the bytes do not form whole `T` values.
     #[must_use]
-    pub fn output<T: Pod>(&mut self, i: usize) -> &mut [T] {
-        crate::pod::cast_slice_mut(self.outputs[i])
+    pub fn output<T: Pod>(&mut self, i: usize) -> &'a mut [T] {
+        let strip = self.outputs[i].take();
+        crate::pod::cast_slice_mut(
+            strip.unwrap_or_else(|| panic!("kernel output {i} is already lent")),
+        )
     }
 
     /// The logical item range this invocation covers (useful for kernels
@@ -224,10 +231,30 @@ impl fmt::Debug for KernelDecl {
 }
 
 /// A validated stream program graph.
-#[derive(Debug, Clone, Default)]
+///
+/// A graph never changes once built, and each one built
+/// ([`GraphBuilder::build`], [`StreamGraph::from_parts`] or `default`)
+/// gets an identity of its own that its clones share. A
+/// [`CheckedProgram`](crate::task::CheckedProgram) records the identity
+/// of the graph it was checked against, and executors run it with no
+/// other.
+#[derive(Debug, Clone)]
 pub struct StreamGraph {
     streams: Vec<StreamDecl>,
     kernels: Vec<KernelDecl>,
+    identity: u64,
+}
+
+/// A graph identity no graph has had yet.
+fn fresh_identity() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Default for StreamGraph {
+    fn default() -> Self {
+        StreamGraph { streams: Vec::new(), kernels: Vec::new(), identity: fresh_identity() }
+    }
 }
 
 impl StreamGraph {
@@ -244,7 +271,7 @@ impl StreamGraph {
         streams: Vec<StreamDecl>,
         kernels: Vec<KernelDecl>,
     ) -> Result<Self, GraphError> {
-        let g = StreamGraph { streams, kernels };
+        let g = StreamGraph { streams, kernels, identity: fresh_identity() };
         g.check_structure(|_| Ok(()))?;
         Ok(g)
     }
@@ -286,6 +313,11 @@ impl StreamGraph {
         }
         self.topo_order()?;
         Ok(())
+    }
+
+    /// The identity this graph was built with, shared by its clones.
+    pub(crate) fn identity(&self) -> u64 {
+        self.identity
     }
 
     /// All stream declarations.
@@ -674,7 +706,7 @@ impl GraphBuilder {
     /// # Errors
     ///
     /// Returns a [`GraphError`] describing the first validation failure.
-    pub fn build(self) -> Result<(StreamGraph, World), GraphError> {
+    pub fn build(mut self) -> Result<(StreamGraph, World), GraphError> {
         let world = &self.world;
         self.graph.check_structure(|s| {
             for b in s.src.iter().chain(s.dst.iter()) {
@@ -690,6 +722,7 @@ impl GraphBuilder {
             }
             Ok(())
         })?;
+        self.graph.identity = fresh_identity();
         Ok((self.graph, self.world))
     }
 

@@ -57,8 +57,11 @@ pub fn array_access(kind: &TaskKind, graph: &StreamGraph) -> Option<ArrayAccess>
     })
 }
 
+/// Whether two ranges share an element: their intersection is not
+/// empty. So an empty range overlaps nothing, not even a range that
+/// spans it.
 pub(crate) fn ranges_overlap(a: &Range<usize>, b: &Range<usize>) -> bool {
-    a.start < b.end && b.start < a.end
+    a.start.max(b.start) < a.end.min(b.end)
 }
 
 /// Memoized "does this binding's index vector contain duplicates?"
@@ -290,6 +293,44 @@ mod tests {
         let reads = ins.iter().map(|s| (s.0, false));
         let writes = [out.id(), spread.id(), permuted.id()].into_iter().map(|s| (s.0, true));
         (graph, reads.chain(writes).collect())
+    }
+
+    /// An empty range overlaps nothing, not even a range that spans it,
+    /// so an empty strip of a sequential side conflicts with no earlier
+    /// access of its array.
+    #[test]
+    fn empty_ranges_overlap_nothing() {
+        for (a, b, want) in
+            [(2..2, 1..4, false), (0..0, 0..0, false), (1..3, 3..5, false), (1..4, 3..5, true)]
+        {
+            assert_eq!(ranges_overlap(&a, &b), want, "{a:?} against {b:?}");
+            assert_eq!(ranges_overlap(&b, &a), want, "{b:?} against {a:?}");
+        }
+        let (graph, sides) = sides();
+        let access = |(stream, write): (u32, bool), elems| {
+            let binding =
+                PortBinding { stream: StreamId(stream), srf_offset: 0, elems, elem_bytes: 8 };
+            let kind = if write {
+                TaskKind::Scatter { binding, nt: false }
+            } else {
+                TaskKind::Gather { binding, nt: false }
+            };
+            array_access(&kind, &graph).expect("a copy of an array side")
+        };
+        let (whole, out) = (sides[0], sides[5]);
+        let mut index = AccessIndex::default();
+        index.push(0, access(whole, 1..4));
+        for (elems, want) in [(2..2, vec![]), (3..3, vec![]), (3..4, vec![(0, "write-after-read")])]
+        {
+            let mut got = Vec::new();
+            let found =
+                index.for_each_conflict(&access(out, elems.clone()), &graph, |t, hazard| {
+                    got.push((t, hazard));
+                    Ok::<(), ()>(())
+                });
+            assert!(found.is_ok());
+            assert_eq!(got, want, "a scatter of elements {elems:?}");
+        }
     }
 
     /// The index reports exactly the earlier accesses `accesses_conflict`

@@ -137,21 +137,6 @@ impl SrfBuffer {
         SrfBuffer { cfg, data: AlignedBytes::default() }
     }
 
-    /// Storage for `program`'s strip buffers: its `srf_bytes`, placed at
-    /// `cfg`'s base. [`ScheduledProgram::check`] proves every binding
-    /// ends inside that span, so the rest of the configured SRF is never
-    /// touched and is not allocated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program needs more SRF bytes than `cfg` configures.
-    #[must_use]
-    pub fn for_program(cfg: SrfConfig, program: &ScheduledProgram) -> Self {
-        let mut buf = Self::new(cfg);
-        buf.fit(program);
-        buf
-    }
-
     /// Make room for `program`'s strip buffers, keeping whatever an
     /// earlier program left: the buffer grows to the largest `srf_bytes`
     /// it has seen, never shrinks and is never cleared. Stale bytes are
@@ -185,25 +170,6 @@ impl SrfBuffer {
         self.cfg
     }
 
-    /// Bytes `[offset, offset + len)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range ends past the buffer.
-    #[must_use]
-    pub fn bytes(&self, offset: usize, len: usize) -> &[u8] {
-        &self.data.as_bytes()[offset..offset + len]
-    }
-
-    /// Mutable bytes `[offset, offset + len)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range ends past the buffer.
-    pub fn bytes_mut(&mut self, offset: usize, len: usize) -> &mut [u8] {
-        &mut self.data.as_mut_bytes()[offset..offset + len]
-    }
-
     /// Every byte of the buffer, mutably.
     pub(crate) fn as_mut_bytes(&mut self) -> &mut [u8] {
         self.data.as_mut_bytes()
@@ -233,17 +199,10 @@ mod tests {
     }
 
     #[test]
-    fn buffer_round_trip() {
-        let program = ScheduledProgram { srf_bytes: 64, ..ScheduledProgram::default() };
-        let mut buf = SrfBuffer::for_program(SrfConfig { base: SRF_BASE, capacity: 256 }, &program);
-        buf.bytes_mut(10, 4).copy_from_slice(&[1, 2, 3, 4]);
-        assert_eq!(buf.bytes(10, 4), &[1, 2, 3, 4]);
-    }
-
-    #[test]
     fn buffer_spans_the_program_not_the_configured_srf() {
         let program = ScheduledProgram { srf_bytes: 96, ..ScheduledProgram::default() };
-        let mut buf = SrfBuffer::for_program(SrfConfig::prescott(), &program);
+        let mut buf = SrfBuffer::new(SrfConfig::prescott());
+        buf.fit(&program);
         assert_eq!(buf.as_mut_bytes().len(), 96);
         assert_eq!(buf.config(), SrfConfig::prescott());
     }
@@ -254,10 +213,10 @@ mod tests {
         let mut buf = SrfBuffer::new(SrfConfig { base: SRF_BASE, capacity: 256 });
         assert_eq!(buf.as_mut_bytes().len(), 0);
         buf.fit(&program(64));
-        buf.bytes_mut(60, 4).copy_from_slice(&[0xA5; 4]);
+        buf.as_mut_bytes()[60..64].copy_from_slice(&[0xA5; 4]);
         buf.fit(&program(32));
         assert_eq!(buf.as_mut_bytes().len(), 64, "never shrinks");
-        assert_eq!(buf.bytes(60, 4), &[0xA5; 4], "never cleared");
+        assert_eq!(&buf.as_mut_bytes()[60..64], &[0xA5; 4], "never cleared");
         buf.fit(&program(256));
         assert_eq!(buf.as_mut_bytes().len(), 256);
     }
@@ -266,6 +225,6 @@ mod tests {
     #[should_panic(expected = "program needs 512 SRF bytes but only 256 are configured")]
     fn buffer_refuses_a_program_larger_than_the_srf() {
         let program = ScheduledProgram { srf_bytes: 512, ..ScheduledProgram::default() };
-        let _ = SrfBuffer::for_program(SrfConfig { base: SRF_BASE, capacity: 256 }, &program);
+        SrfBuffer::new(SrfConfig { base: SRF_BASE, capacity: 256 }).fit(&program);
     }
 }

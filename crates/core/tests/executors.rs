@@ -7,7 +7,7 @@ use gpstream_core::exec::sim::SimExecutor;
 use gpstream_core::task::{
     CheckedProgram, PortBinding, ScheduledProgram, TaskDesc, TaskId, TaskKind,
 };
-use gpstream_core::{GraphBuilder, KernelId, Topology};
+use gpstream_core::{GraphBuilder, KernelId, Topology, TraceBuffer, World};
 use gpstream_machine::ops::WaitPolicy;
 use gpstream_machine::{ExactReason, StepMode};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -101,6 +101,77 @@ fn hand_built_schedule_runs_on_all_executors() {
     let mut w3 = world.clone();
     NativeExecutor::new().with_wait_policy(NativeWaitPolicy::Spin).run(&program, &graph, &mut w3);
     assert_eq!(w3.slice::<f32>(y), expected.as_slice());
+}
+
+/// An executor's run on a world, by name.
+type Run<'a> = (&'a str, &'a dyn Fn(&mut World));
+
+/// The text of a caught panic.
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default()
+}
+
+/// Tasks borrow array bytes through raw pointers, so a world that does
+/// not fit the graph is refused whole, before any task runs: an array
+/// shorter than a sequential stream, and records narrower than the
+/// field a stream copies. The native executor refuses it before its
+/// control thread admits a task or a worker starts one (its trace stays
+/// empty).
+#[test]
+fn a_world_that_does_not_fit_the_graph_is_refused_before_any_task_runs() {
+    let n = 1024usize;
+    let ran = Arc::new(AtomicUsize::new(0));
+    let mut b = GraphBuilder::new();
+    let a = b.array("a", &vec![1.0f32; n]);
+    let y = b.array_zeroed::<f32>("y", n);
+    let xs = b.gather_seq("xs", a);
+    let ys = b.stream::<f32>("ys", n);
+    let counter = Arc::clone(&ran);
+    b.kernel("copy", &[xs.id()], &[ys.id()], 1, move |args| {
+        counter.fetch_add(1, Ordering::SeqCst);
+        let x = args.input::<f32>(0);
+        args.output::<f32>(0).copy_from_slice(x);
+    });
+    b.scatter_seq(ys, y);
+    let (graph, _) = b.build().unwrap();
+    let program = gpstream_compiler_shim::compile_tiny_strips(&graph);
+    let mut shorter = World::new();
+    shorter.add_array("a", &vec![1.0f32; n / 2]);
+    shorter.add_array_zeroed::<f32>("y", n);
+    let mut narrower = World::new();
+    narrower.add_array("a", &vec![1u16; n]);
+    narrower.add_array_zeroed::<f32>("y", n);
+    let cases = [
+        (shorter, "world mismatch: stream `xs` spans 1024 records of array `a`, which holds 512"),
+        (
+            narrower,
+            "world mismatch: stream `xs` copies 4-byte elements from bytes 0.. of each 2-byte \
+             record of array `a`",
+        ),
+    ];
+    for (world, want) in cases {
+        let trace = TraceBuffer::new();
+        let native = NativeExecutor::new().with_trace(trace.clone());
+        let runs: [Run<'_>; 3] = [
+            ("functional", &|w| {
+                FunctionalExecutor::new().run(&program, &graph, w);
+            }),
+            ("sim", &|w| drop(SimExecutor::new().run(&program, &graph, w))),
+            ("native", &|w| drop(native.run(&program, &graph, w))),
+        ];
+        for (label, run) in runs {
+            let mut w = world.clone();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut w)));
+            let text = panic_text(&*caught.expect_err("a world that does not fit is refused"));
+            assert_eq!(text, want, "{label}");
+        }
+        assert!(trace.is_empty(), "the native executor admitted or ran a task");
+    }
+    assert_eq!(ran.load(Ordering::SeqCst), 0, "a kernel ran on a world that does not fit");
 }
 
 /// Every array's bytes, deep-copied.
@@ -308,7 +379,7 @@ fn native_executor_handles_many_small_tasks() {
 /// A panicking kernel must terminate the run and surface its *original*
 /// panic payload — not hang the control thread on a full window waiting
 /// for completions the dead worker will never post, and not mask the
-/// payload behind a poisoned-mutex error.
+/// payload behind a generic "worker panicked".
 #[test]
 fn worker_panic_propagates_original_payload() {
     let n = 4096usize; // hundreds of strips: the 64-entry window WILL fill
@@ -333,11 +404,7 @@ fn worker_panic_propagates_original_payload() {
                 exec.run(&compiled, &graph, &mut w)
             }));
             let payload = result.expect_err("run must propagate the worker panic");
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
+            let msg = panic_text(&*payload);
             assert!(
                 msg.contains("kernel exploded deliberately"),
                 "original panic payload must survive propagation ({topology:?}, {policy:?}), \
@@ -347,9 +414,9 @@ fn worker_panic_propagates_original_payload() {
     }
 }
 
-/// Kernels compute outside the data locks, so two independent kernels on
-/// the two compute workers of `Topology::scaled(4)` run at the same
-/// time: each body announces itself and then waits (at most 10 s) for
+/// Kernels hold no lock — each borrows only its own SRF strips — so two
+/// independent kernels on the two compute workers of
+/// `Topology::scaled(4)` run at the same time: each body announces itself and then waits (at most 10 s) for
 /// the other to start. A runtime that serializes task bodies lets only
 /// one in at a time, so the first one gives up alone.
 #[test]

@@ -1,8 +1,10 @@
 //! The native two-thread runtime: a real memory thread and compute thread
 //! coordinated through the distributed work queue (bounded 64-entry
 //! window with bit-vector dependency masks), with both of the paper's
-//! wait policies. Kernels compute outside the data locks, so the compute
-//! thread's kernels overlap the memory thread's gathers and scatters.
+//! wait policies. Tasks run in place with no data lock and no staging
+//! copy — each borrows only the SRF and array bytes it touches — so the
+//! compute thread's kernels overlap the memory thread's gathers and
+//! scatters.
 //!
 //! Run with: `cargo run --release --example native_pipeline`
 

@@ -17,11 +17,15 @@
 //! use micro-sized versions of all seven catalog shapes; the full
 //! paper-scale catalog runs under `--ignored` in release CI.
 //!
-//! The last two tests hold the SRF contract that lets an executor keep
-//! one SRF and never clear it: a poisoned, reused SRF replays every
-//! program like a fresh one, and a schedule that reads an SRF byte
-//! before a task writes it fails the check every executor's argument
-//! must pass.
+//! The native runtime runs tasks in place with no lock, so it is also
+//! run under stress: every catalog member, on two topologies, under both
+//! wait policies and both issue orders, repeatedly.
+//!
+//! The last tests hold the contracts the executors' in-place borrows
+//! rest on: a poisoned, reused SRF replays every program like a fresh
+//! one, a schedule that reads an SRF byte before a task writes it fails
+//! the check every executor's argument must pass, and a checked program
+//! runs with no graph but the one it was checked against.
 
 use gpstream::apps::{cdp, fem, neo, spas};
 use gpstream::compiler::{compile, CompiledProgram, CompilerOptions};
@@ -339,6 +343,85 @@ fn neo_executors_agree() {
 fn spas_executors_agree() {
     let bench = spas::spas_bench(400, 24, SEED);
     differential_at_strips("spas", &bench.graph, &bench.stream_world);
+}
+
+/// An executor's run on a world, by name.
+type Run<'a> = (&'a str, &'a dyn Fn(&mut World));
+
+/// The native runtime borrows the SRF and the arrays with no lock, so
+/// any missing order between two tasks shows up as a divergent byte.
+/// Every catalog member runs on the paper's two workers and on a farm
+/// of four, under both wait policies, with out-of-order and in-order
+/// issue, three times each, and every run leaves its world
+/// byte-identical to the reference executor's.
+#[test]
+fn native_runs_match_the_reference_under_stress() {
+    const REPEATS: usize = 3;
+    let copts = CompilerOptions::paper();
+    for name in workloads::CATALOG {
+        let wl = workloads::named(name).expect("catalog name resolves");
+        let compiled = compile(&wl.graph, &copts).expect("compiles");
+        let (program, graph) = (&compiled.schedule, &compiled.graph);
+        let mut want = wl.world.clone();
+        FunctionalExecutor::with_srf(copts.srf).run(program, graph, &mut want);
+        for topology in [Topology::two_context(), Topology::scaled(4)] {
+            for policy in [NativeWaitPolicy::Spin, NativeWaitPolicy::Park] {
+                for in_order in [false, true] {
+                    let exec = NativeExecutor::new()
+                        .with_srf(copts.srf)
+                        .with_topology(topology.clone())
+                        .with_wait_policy(policy)
+                        .in_order(in_order);
+                    for run in 0..REPEATS {
+                        let mut got = wl.world.clone();
+                        exec.run(program, graph, &mut got);
+                        let label =
+                            format!("native {topology:?} {policy:?} in_order={in_order} run {run}");
+                        assert_worlds_identical(name, "functional", &want, &label, &got);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A checked program's proof covers the graph it was checked against
+/// and no other: fem-mhd-quad's compiled schedule run with ldstcomp's
+/// graph is refused, by name, by all three executors, where it once
+/// indexed past ldstcomp's streams. A clone of the right graph is the
+/// same graph.
+#[test]
+fn every_executor_refuses_a_program_checked_against_another_graph() {
+    let copts = CompilerOptions::paper();
+    let fem = workloads::named("fem-mhd-quad").expect("catalog name resolves");
+    let ldst = workloads::named("ldstcomp").expect("catalog name resolves");
+    let fem_c = compile(&fem.graph, &copts).expect("compiles");
+    let ldst_c = compile(&ldst.graph, &copts).expect("compiles");
+    let (program, graph) = (&fem_c.schedule, &ldst_c.graph);
+    let runs: [Run<'_>; 3] = [
+        ("functional", &|w| {
+            FunctionalExecutor::with_srf(copts.srf).run(program, graph, w);
+        }),
+        ("native", &|w| drop(NativeExecutor::new().with_srf(copts.srf).run(program, graph, w))),
+        ("sim", &|w| drop(SimExecutor::new().with_srf(copts.srf).run(program, graph, w))),
+    ];
+    for (label, run) in runs {
+        let mut world = ldst.world.clone();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut world)));
+        let payload = caught.expect_err("another graph must be refused");
+        let text = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(
+            text.starts_with("graph mismatch: the program was checked against another graph"),
+            "{label}: {text}"
+        );
+    }
+    let mut world = fem.world.clone();
+    FunctionalExecutor::with_srf(copts.srf).run(program, &fem_c.graph.clone(), &mut world);
+    assert!(fem.matches_oracle(&world), "a clone of the checked graph runs the program");
 }
 
 /// A one-kernel copy graph over `n` words of `fill` and a schedule that

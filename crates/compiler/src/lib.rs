@@ -10,8 +10,9 @@
 //!   loads of strip `s+1` overlap computation on strip `s`;
 //! * **kernel fusion** — adjacent kernels sharing input streams are fused;
 //! * **dependency generation** — a data-flow pass over the SDF graph
-//!   emits the bit-vector-ready dependency lists, including buffer-reuse
-//!   (write-after-read) hazards;
+//!   emits the bit-vector-ready dependency lists, each dependency but
+//!   the phase barrier derived from `gpstream_core::hazard`, the rules
+//!   the schedule check proves;
 //! * field alignment/selection is expressed at graph-authoring time via
 //!   the typed `gather_field_seq` API, as the paper's programmers did.
 //!
@@ -79,10 +80,6 @@ pub fn compile(
     } else {
         (graph.clone(), Vec::new())
     };
-    // Reject degenerate forced strip sizes up front with a typed error
-    // (checked against the fused graph, whose working set is what the
-    // scheduler actually allocates).
-    opts.validate_strip(&graph)?;
     let schedule = passes::schedule::schedule(&graph, opts)?;
     Ok(CompiledProgram { graph, schedule, fused })
 }

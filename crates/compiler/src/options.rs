@@ -1,7 +1,7 @@
 //! Compiler options.
 
 use crate::error::CompileError;
-use crate::passes::{fuse, strip};
+use crate::passes::{fuse, schedule};
 use gpstream_core::{SrfConfig, StreamGraph, TunedConfig};
 
 /// Options controlling the stream-compilation passes. The defaults enable
@@ -77,9 +77,11 @@ impl CompilerOptions {
     /// error instead of clamping silently or panicking deep inside a
     /// pass: a forced strip of zero items ([`CompileError::StripZero`])
     /// or one whose buffer working set exceeds the SRF
-    /// ([`CompileError::StripTooLarge`]). Called by
-    /// [`compile`](crate::compile); heuristic strip selection
-    /// (`strip_items: None`) is always valid here.
+    /// ([`CompileError::StripTooLarge`]). The working set is the one the
+    /// scheduler allocates, phase by phase, so a forced size accepted
+    /// here is compiled at exactly that size, and one refused here is
+    /// refused by [`compile`](crate::compile) too. Heuristic strip
+    /// selection (`strip_items: None`) is always valid here.
     ///
     /// # Errors
     ///
@@ -87,43 +89,34 @@ impl CompilerOptions {
     pub fn validate_strip(&self, graph: &StreamGraph) -> Result<(), CompileError> {
         match self.strip_items {
             None => Ok(()),
-            Some(0) => Err(CompileError::StripZero),
-            Some(s) => {
-                let needed = strip::srf_bytes_for(graph, s, self);
-                if needed > self.srf.capacity {
-                    Err(CompileError::StripTooLarge {
-                        strip_items: s,
-                        needed,
-                        capacity: self.srf.capacity,
-                    })
-                } else {
-                    Ok(())
-                }
-            }
+            Some(_) => schedule::check_strip(graph, self),
         }
     }
 
     /// Strict knob validation for `graph`: everything
-    /// [`CompilerOptions::validate_strip`] rejects, plus
-    /// [`CompileError::NoFusablePair`] when `fuse_kernels` is set but the
-    /// graph has no legal fusion candidate. The autotuner uses this to
-    /// prune degenerate points (a fusion knob on a fusion-free graph is a
-    /// duplicate of the point with it off); `compile` itself only
-    /// enforces the strip checks, because fusion is harmlessly a no-op.
-    ///
-    /// The strip check is computed on `graph` as given; when fusion will
-    /// run, the fused graph's working set can only be smaller, so a
-    /// configuration accepted here never overflows later.
+    /// [`CompilerOptions::validate_strip`] rejects on the graph
+    /// [`compile`](crate::compile) would schedule (fused, when
+    /// `fuse_kernels` is set), plus [`CompileError::NoFusablePair`] when
+    /// `fuse_kernels` is set but the graph has no legal fusion candidate.
+    /// The autotuner uses this to prune degenerate points (a fusion knob
+    /// on a fusion-free graph is a duplicate of the point with it off);
+    /// `compile` itself only enforces the strip checks, because fusion is
+    /// harmlessly a no-op. So a point accepted here compiles at its
+    /// forced strip size, and a point refused for its strip size does not
+    /// compile.
     ///
     /// # Errors
     ///
     /// Returns the typed [`CompileError`] describing the degenerate knob.
     pub fn validate(&self, graph: &StreamGraph) -> Result<(), CompileError> {
-        self.validate_strip(graph)?;
-        if self.fuse_kernels && !fuse::has_fusable_pair(graph) {
+        if !self.fuse_kernels {
+            return self.validate_strip(graph);
+        }
+        let fused = fuse::fuse_shared_input_kernels(graph)?;
+        if fused.fused.is_empty() {
             return Err(CompileError::NoFusablePair);
         }
-        Ok(())
+        self.validate_strip(&fused.graph)
     }
 }
 

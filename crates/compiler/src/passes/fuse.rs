@@ -28,15 +28,6 @@ pub struct FusionOutcome {
     pub fused: Vec<(String, String)>,
 }
 
-/// Whether `graph` contains at least one legal fusion candidate, without
-/// committing the transformation. `CompilerOptions::validate` uses this
-/// to flag a fusion knob that would be a no-op (so knob searches don't
-/// waste evaluations on duplicate points).
-#[must_use]
-pub fn has_fusable_pair(graph: &StreamGraph) -> bool {
-    fuse_shared_input_kernels(graph).map(|o| !o.fused.is_empty()).unwrap_or(false)
-}
-
 /// Run the fusion pass over `graph`.
 ///
 /// # Errors

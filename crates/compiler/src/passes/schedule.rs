@@ -6,9 +6,11 @@
 //! kernels that consume them and the previous strip's scatters (the
 //! paper's memory queue executes out of order past a blocked scatter —
 //! Figure 7's `tail_depend`; with in-order queues the same pipelining is
-//! obtained by this enqueue order). Buffer-reuse (write-after-read)
-//! dependencies tie strip `s` to strip `s - B` where `B` is the buffer
-//! count.
+//! obtained by this enqueue order). Strip `s` of a stream uses buffer
+//! `s mod B`, `B` the buffer count, so the SRF frontier of
+//! [`gpstream_core::hazard`] ties strip `s` to strip `s - B`'s readers
+//! and writer (buffer reuse) as it ties each reader to its writer
+//! (dataflow).
 //!
 //! Components that *gather from an array another component scatters to*
 //! (e.g. streamFEM's per-cell kernels reading the flux array the per-edge
@@ -21,14 +23,15 @@
 
 use crate::error::CompileError;
 use crate::options::CompilerOptions;
-use crate::passes::strip::{choose_strip_items, max_strip_elems, SRF_ALIGN};
+use crate::passes::strip::{choose_strip_items, max_strip_elems, srf_bytes_for, SRF_ALIGN};
 use gpstream_core::graph::{KernelId, StreamGraph, StreamId};
-use gpstream_core::hazard::{self, AccessIndex};
+use gpstream_core::hazard::{self, AccessIndex, SrfFrontier};
 use gpstream_core::srf::SrfAllocator;
 use gpstream_core::task::{
     CheckedProgram, PortBinding, ScheduledProgram, TaskDesc, TaskId, TaskKind,
 };
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 /// One phase: a set of pipeline-connected kernels plus any copy-only
 /// streams at the same level.
@@ -64,16 +67,13 @@ fn union(parent: &mut [usize], a: usize, b: usize) {
 
 /// Streams touched by a phase (kernel ports plus copy-only streams).
 fn streams_of_phase(graph: &StreamGraph, phase: &Phase) -> Vec<StreamId> {
+    let ports = phase
+        .kernels
+        .iter()
+        .map(|&k| graph.kernel(k))
+        .flat_map(|kd| kd.inputs.iter().chain(&kd.outputs));
     let mut out: Vec<StreamId> = Vec::new();
-    for &k in &phase.kernels {
-        let kd = graph.kernel(k);
-        for &sid in kd.inputs.iter().chain(kd.outputs.iter()) {
-            if !out.contains(&sid) {
-                out.push(sid);
-            }
-        }
-    }
-    for &sid in &phase.copy_streams {
+    for &sid in ports.chain(&phase.copy_streams) {
         if !out.contains(&sid) {
             out.push(sid);
         }
@@ -87,18 +87,14 @@ fn partition_phases(graph: &StreamGraph) -> Vec<Phase> {
     // Components: kernels 0..nk, copy-only streams nk..nk+ns.
     let ns = graph.streams().len();
     let mut parent: Vec<usize> = (0..nk + ns).collect();
-    for (si, _) in graph.streams().iter().enumerate() {
+    for si in 0..ns {
         let sid = StreamId(si as u32);
-        let producer = graph.producer_of(sid);
-        let consumers = graph.consumers_of(sid);
-        let mut members: Vec<usize> = Vec::new();
-        if let Some(p) = producer {
-            members.push(p.0 as usize);
-        }
-        members.extend(consumers.iter().map(|k| k.0 as usize));
-        if members.is_empty() {
-            members.push(nk + si); // copy-only stream is its own node
-        }
+        let members: Vec<usize> = graph
+            .producer_of(sid)
+            .iter()
+            .chain(&graph.consumers_of(sid))
+            .map(|k| k.0 as usize)
+            .collect();
         for w in members.windows(2) {
             union(&mut parent, w[0], w[1]);
         }
@@ -118,10 +114,7 @@ fn partition_phases(graph: &StreamGraph) -> Vec<Phase> {
     }
 
     // Array-RAW edges between components.
-    let mut comp_ids: Vec<usize> = Vec::new();
-    for k in 0..nk {
-        comp_ids.push(find(&mut parent, k));
-    }
+    let mut comp_ids: Vec<usize> = (0..nk).map(|k| find(&mut parent, k)).collect();
     for (si, decl) in graph.streams().iter().enumerate() {
         if decl.src.is_some()
             && graph.producer_of(StreamId(si as u32)).is_none()
@@ -172,21 +165,9 @@ fn partition_phases(graph: &StreamGraph) -> Vec<Phase> {
         }
     }
     // A cycle through memory (component writes an array another reads and
-    // vice versa) collapses to one phase: fall back to a single phase.
+    // vice versa) collapses to one phase.
     if seen != nc {
-        let mut phase =
-            Phase { kernels: (0..nk as u32).map(KernelId).collect(), copy_streams: Vec::new() };
-        for (si, decl) in graph.streams().iter().enumerate() {
-            let sid = StreamId(si as u32);
-            if decl.src.is_some()
-                && decl.dst.is_some()
-                && graph.producer_of(sid).is_none()
-                && graph.consumers_of(sid).is_empty()
-            {
-                phase.copy_streams.push(sid);
-            }
-        }
-        return vec![phase];
+        level.fill(0);
     }
 
     let n_levels = level.iter().copied().max().unwrap_or(0) + 1;
@@ -214,14 +195,17 @@ fn partition_phases(graph: &StreamGraph) -> Vec<Phase> {
 ///
 /// Out-of-order queues execute any task whose dependencies have cleared,
 /// so nothing may rely on queue position: every ordering the program
-/// needs — phase barriers, buffer reuse, array aliasing — is emitted as
-/// an explicit dependency here and proven by the schedule checker
-/// afterwards.
+/// needs is emitted as an explicit dependency here and proven by the
+/// schedule checker afterwards. The hazards come from [`hazard`], the
+/// rules the checker proves: SRF dataflow and buffer reuse from an
+/// [`SrfFrontier`] walked over whole strip buffers, array aliasing from
+/// an [`AccessIndex`]. Only the phase barrier is a policy of its own.
 struct Emitter {
     tasks: Vec<TaskDesc>,
-    gather_task: HashMap<(u32, u32), TaskId>,
-    kernel_task: HashMap<(u32, u32), TaskId>,
-    scatter_task: HashMap<(u32, u32), TaskId>,
+    /// SRF bytes of each stream's strip buffers, indexed by stream.
+    buffer_bytes: Vec<usize>,
+    /// Every SRF access so far, each widened to its whole buffer.
+    srf: SrfFrontier,
     /// First task id of the current phase.
     phase_start: u32,
     /// Sink tasks (no dependents) of the previous phase; inherited as
@@ -231,34 +215,37 @@ struct Emitter {
     has_dependent: Vec<bool>,
     /// Array accesses of the current phase, for aliasing dependencies.
     accesses: AccessIndex,
-    /// Strip buffers per stream: strip `s` reuses strip `s - bufs`'s.
-    bufs: u32,
     nt_gather: bool,
     nt_scatter: bool,
-    /// Scatters of kernel outputs (binding, strip, producing kernel),
-    /// issued behind the next strip's gathers.
-    pending: Vec<(PortBinding, u32, TaskId)>,
+    /// Scatters of kernel outputs (binding, strip), issued behind the
+    /// next strip's gathers.
+    pending: Vec<(PortBinding, u32)>,
 }
 
 impl Emitter {
-    fn push(
-        &mut self,
-        graph: &StreamGraph,
-        kind: TaskKind,
-        mut deps: Vec<TaskId>,
-        strip: u32,
-    ) -> TaskId {
+    /// Emit `kind` with a dependency on every earlier task it conflicts
+    /// with. Each SRF binding is widened to the buffer the allocator
+    /// gave its stream: a byte-precise binding would add dependencies
+    /// the buffer's own order already implies, and in-order lowering
+    /// emits a wait for each.
+    fn push(&mut self, graph: &StreamGraph, kind: TaskKind, strip: u32) {
         let id = TaskId(self.tasks.len() as u32);
-        // Array-aliasing hazards within the phase: a gather must follow
-        // conflicting scatters (RAW), a scatter must follow conflicting
-        // gathers and scatters (WAR/WAW).
+        let mut deps = Vec::new();
+        let mut dep = |t: usize, _: &'static str| {
+            deps.push(TaskId(t as u32));
+            Ok::<(), Infallible>(())
+        };
+        let buffer =
+            |b: &PortBinding| b.srf_offset..b.srf_offset + self.buffer_bytes[b.stream.0 as usize];
+        let (reads, writes) = kind.srf_ports();
+        for (bindings, write) in [(reads, false), (writes, true)] {
+            for b in bindings {
+                let Ok(_) = self.srf.access(id.0 as usize, buffer(b), write, &mut dep);
+            }
+        }
         let acc = hazard::array_access(&kind, graph);
         if let Some(acc) = &acc {
-            let conflicts = self.accesses.for_each_conflict(acc, graph, |t, _| {
-                deps.push(TaskId(t as u32));
-                Ok::<(), std::convert::Infallible>(())
-            });
-            let Ok(()) = conflicts;
+            let Ok(()) = self.accesses.for_each_conflict(acc, graph, &mut dep);
         }
         // Phase barrier: a task with no intra-phase deps inherits the
         // previous phase's sink set, so every task transitively follows
@@ -276,7 +263,6 @@ impl Emitter {
             self.accesses.push(id.0 as usize, acc);
         }
         self.tasks.push(TaskDesc { id, kind, deps, strip });
-        id
     }
 
     /// Install a barrier: collect the finished phase's sinks (every other
@@ -293,51 +279,111 @@ impl Emitter {
         self.accesses.clear();
     }
 
-    /// Tasks that read stream `sid`'s strip-`s` buffer: its consuming
-    /// kernels and its scatter.
-    fn consumers_in_strip(&self, graph: &StreamGraph, sid: StreamId, s: u32) -> Vec<TaskId> {
-        let mut deps: Vec<TaskId> = graph
-            .consumers_of(sid)
-            .iter()
-            .filter_map(|k| self.kernel_task.get(&(k.0, s)).copied())
-            .collect();
-        deps.extend(self.scatter_task.get(&(sid.0, s)));
-        deps
+    /// Gather strip `s` into binding `b`, unless the strip is empty.
+    fn gather(&mut self, graph: &StreamGraph, b: PortBinding, s: u32) {
+        if !b.is_empty() {
+            self.push(graph, TaskKind::Gather { binding: b, nt: self.nt_gather }, s);
+        }
     }
 
-    /// Gather strip `s` into binding `b`, whose buffer strip `s - bufs`
-    /// used last: the gather follows that strip's consumers (WAR) and its
-    /// gather (WAW, which covers strips whose consumers emitted no tasks).
-    /// `None` when the strip is empty.
-    fn gather(&mut self, graph: &StreamGraph, b: PortBinding, s: u32) -> Option<TaskId> {
-        if b.is_empty() {
-            return None;
-        }
-        let sid = b.stream;
-        let mut deps = Vec::new();
-        if let Some(prev) = s.checked_sub(self.bufs) {
-            deps = self.consumers_in_strip(graph, sid, prev);
-            deps.extend(self.gather_task.get(&(sid.0, prev)));
-        }
-        let id = self.push(graph, TaskKind::Gather { binding: b, nt: self.nt_gather }, deps, s);
-        self.gather_task.insert((sid.0, s), id);
-        Some(id)
-    }
-
-    /// Scatter strip `s` from binding `b` once task `dep` has filled it.
-    fn scatter(&mut self, graph: &StreamGraph, b: PortBinding, s: u32, dep: TaskId) {
-        let sid = b.stream;
-        let id =
-            self.push(graph, TaskKind::Scatter { binding: b, nt: self.nt_scatter }, vec![dep], s);
-        self.scatter_task.insert((sid.0, s), id);
+    /// Scatter strip `s` from binding `b`.
+    fn scatter(&mut self, graph: &StreamGraph, b: PortBinding, s: u32) {
+        self.push(graph, TaskKind::Scatter { binding: b, nt: self.nt_scatter }, s);
     }
 
     /// Issue the pending kernel-output scatters.
     fn flush_scatters(&mut self, graph: &StreamGraph) {
-        for (b, s, dep) in std::mem::take(&mut self.pending) {
-            self.scatter(graph, b, s, dep);
+        for (b, s) in std::mem::take(&mut self.pending) {
+            self.scatter(graph, b, s);
         }
     }
+}
+
+/// The strip sizes of a schedule at pacing strip `strip_items`: every
+/// stream of a phase completes in the number of strips the phase's
+/// longest stream needs (a stream in no phase gets one-item strips).
+struct StripPlan {
+    strip_items: usize,
+    /// Strips of each phase.
+    phase_strips: Vec<u32>,
+    /// Items per strip of each stream, indexed by stream.
+    stream_items: Vec<usize>,
+    /// SRF bytes of one strip buffer of each stream, indexed by stream.
+    buffer_bytes: Vec<usize>,
+}
+
+impl StripPlan {
+    fn new(graph: &StreamGraph, phases: &[Phase], strip_items: usize) -> Self {
+        let mut stream_items = vec![1; graph.streams().len()];
+        let phase_strips = phases
+            .iter()
+            .map(|phase| {
+                let streams = streams_of_phase(graph, phase);
+                let pace = streams.iter().map(|&s| graph.stream(s).items).max().unwrap_or(1);
+                let n_strips = pace.max(1).div_ceil(strip_items).max(1);
+                for sid in streams {
+                    stream_items[sid.0 as usize] =
+                        graph.stream(sid).items.div_ceil(n_strips).max(1);
+                }
+                n_strips as u32
+            })
+            .collect();
+        let buffer_bytes = graph
+            .streams()
+            .iter()
+            .zip(&stream_items)
+            .map(|(s, &w)| (max_strip_elems(s, w) * s.elem_bytes).max(1))
+            .collect();
+        StripPlan { strip_items, phase_strips, stream_items, buffer_bytes }
+    }
+
+    /// The strip plan `opts` asks for: a forced strip size is kept or
+    /// refused, never shrunk. The heuristic size, which the strip chooser
+    /// estimates with one global pace that a multi-phase graph can
+    /// exceed, is halved until the phased working set fits.
+    fn choose(
+        graph: &StreamGraph,
+        phases: &[Phase],
+        opts: &CompilerOptions,
+    ) -> Result<Self, CompileError> {
+        let capacity = opts.srf.capacity;
+        let mut strip_items = match opts.strip_items {
+            Some(0) => return Err(CompileError::StripZero),
+            Some(forced) => forced,
+            None => choose_strip_items(graph, opts).ok_or_else(|| CompileError::SrfTooSmall {
+                needed: srf_bytes_for(graph, 1, opts),
+                capacity,
+            })?,
+        };
+        loop {
+            let plan = Self::new(graph, phases, strip_items);
+            let needed: usize = plan
+                .buffer_bytes
+                .iter()
+                .map(|b| opts.buffers_per_stream() * b.div_ceil(SRF_ALIGN) * SRF_ALIGN)
+                .sum();
+            match opts.strip_items {
+                _ if needed <= capacity => return Ok(plan),
+                Some(forced) => {
+                    return Err(CompileError::StripTooLarge {
+                        strip_items: forced,
+                        needed,
+                        capacity,
+                    })
+                }
+                None if strip_items <= 1 => {
+                    return Err(CompileError::SrfTooSmall { needed, capacity })
+                }
+                None => strip_items = (strip_items / 2).max(1),
+            }
+        }
+    }
+}
+
+/// Whether [`schedule`] keeps the strip size `opts` forces on `graph`
+/// (the typed error when it refuses it).
+pub(crate) fn check_strip(graph: &StreamGraph, opts: &CompilerOptions) -> Result<(), CompileError> {
+    StripPlan::choose(graph, &partition_phases(graph), opts).map(drop)
 }
 
 /// Lower a validated graph to a scheduled program, checked against it.
@@ -345,8 +391,9 @@ impl Emitter {
 /// # Errors
 ///
 /// Returns [`CompileError::SrfTooSmall`] if no strip size fits the SRF,
-/// or [`CompileError::Empty`] for a graph with no streams.
-#[allow(clippy::too_many_lines)]
+/// [`CompileError::StripZero`] or [`CompileError::StripTooLarge`] for a
+/// forced strip size it cannot keep, or [`CompileError::Empty`] for a
+/// graph with no streams.
 pub fn schedule(
     graph: &StreamGraph,
     opts: &CompilerOptions,
@@ -354,75 +401,18 @@ pub fn schedule(
     if graph.streams().is_empty() {
         return Err(CompileError::Empty);
     }
-    let strip_items = choose_strip_items(graph, opts).ok_or_else(|| {
-        let needed: usize = graph
-            .streams()
-            .iter()
-            .map(|s| {
-                opts.buffers_per_stream()
-                    * (max_strip_elems(s, 1) * s.elem_bytes).div_ceil(SRF_ALIGN)
-                    * SRF_ALIGN
-            })
-            .sum();
-        CompileError::SrfTooSmall { needed, capacity: opts.srf.capacity }
-    })?;
     let bufs = opts.buffers_per_stream();
     let phases = partition_phases(graph);
-
-    // Per-stream strip sizes in items, derived from each stream's own
-    // phase (all streams of a phase complete in the same number of strips).
-    let strips_for = |strip_items: usize| -> HashMap<u32, usize> {
-        let mut m = HashMap::new();
-        for phase in &phases {
-            let streams = streams_of_phase(graph, phase);
-            let pace = streams.iter().map(|&s| graph.stream(s).items).max().unwrap_or(1).max(1);
-            let n_strips = pace.div_ceil(strip_items).max(1);
-            for &sid in &streams {
-                let items = graph.stream(sid).items;
-                m.insert(sid.0, items.div_ceil(n_strips).max(1));
-            }
-        }
-        m
-    };
-    let needed_bytes = |wmap: &HashMap<u32, usize>| -> usize {
-        graph
-            .streams()
-            .iter()
-            .enumerate()
-            .map(|(si, s)| {
-                let w = wmap.get(&(si as u32)).copied().unwrap_or(1);
-                let bytes = max_strip_elems(s, w) * s.elem_bytes;
-                bufs * bytes.max(1).div_ceil(SRF_ALIGN) * SRF_ALIGN
-            })
-            .sum()
-    };
-    // Shrink the strip size until the phased working set fits (the strip
-    // chooser's estimate uses a global pace and can be slightly off for
-    // multi-phase graphs).
-    let mut strip_items = strip_items;
-    let mut wmap = strips_for(strip_items);
-    while needed_bytes(&wmap) > opts.srf.capacity {
-        if strip_items <= 1 {
-            return Err(CompileError::SrfTooSmall {
-                needed: needed_bytes(&wmap),
-                capacity: opts.srf.capacity,
-            });
-        }
-        strip_items = (strip_items / 2).max(1);
-        wmap = strips_for(strip_items);
-    }
-    let strip_items = strip_items;
-    let wmap = wmap;
+    let plan = StripPlan::choose(graph, &phases, opts)?;
 
     let mut alloc = SrfAllocator::new(opts.srf);
     let mut offsets: Vec<Vec<usize>> = Vec::with_capacity(graph.streams().len());
-    for (si, s) in graph.streams().iter().enumerate() {
-        let w = wmap.get(&(si as u32)).copied().unwrap_or(1);
-        let bytes = max_strip_elems(s, w) * s.elem_bytes;
+    for &bytes in &plan.buffer_bytes {
         let mut per_parity = Vec::with_capacity(bufs);
         for _ in 0..bufs {
-            let off = alloc.alloc(bytes.max(1), SRF_ALIGN).map_err(|e| {
-                CompileError::SrfTooSmall { needed: e.requested, capacity: opts.srf.capacity }
+            let off = alloc.alloc(bytes, SRF_ALIGN).map_err(|e| CompileError::SrfTooSmall {
+                needed: e.requested,
+                capacity: opts.srf.capacity,
             })?;
             per_parity.push(off);
         }
@@ -432,36 +422,39 @@ pub fn schedule(
     let topo = graph.topo_order().map_err(CompileError::Graph)?;
     let mut em = Emitter {
         tasks: Vec::new(),
-        gather_task: HashMap::new(),
-        kernel_task: HashMap::new(),
-        scatter_task: HashMap::new(),
+        buffer_bytes: plan.buffer_bytes,
+        srf: SrfFrontier::default(),
         phase_start: 0,
         barrier: Vec::new(),
         has_dependent: Vec::new(),
         accesses: AccessIndex::default(),
-        bufs: bufs as u32,
         nt_gather: opts.nt_gather,
         nt_scatter: opts.nt_scatter,
         pending: Vec::new(),
     };
-    let mut total_strips = 0u32;
+    let stream_items = &plan.stream_items;
 
-    for (pi, phase) in phases.iter().enumerate() {
+    for (pi, (phase, &n_strips)) in phases.iter().zip(&plan.phase_strips).enumerate() {
         if pi > 0 {
             em.barrier();
         }
-        // Streams and pace local to this phase.
         let phase_kernels: Vec<KernelId> =
             topo.iter().copied().filter(|k| phase.kernels.contains(k)).collect();
-        let phase_streams = streams_of_phase(graph, phase);
-        let pace = phase_streams.iter().map(|&s| graph.stream(s).items).max().unwrap_or(1).max(1);
-        let n_strips = (pace.div_ceil(strip_items).max(1)) as u32;
-        total_strips += n_strips;
+        // Array-bound streams the phase's kernels consume, each gathered
+        // once per strip.
+        let mut gathered: Vec<StreamId> = Vec::new();
+        for &kid in &phase_kernels {
+            for &sid in &graph.kernel(kid).inputs {
+                if graph.stream(sid).src.is_some() && !gathered.contains(&sid) {
+                    gathered.push(sid);
+                }
+            }
+        }
 
         let item_range = |sid: StreamId, s: u32| -> std::ops::Range<usize> {
             let decl = graph.stream(sid);
             // The same per-stream strip size the buffers were sized with.
-            let w = wmap[&sid.0];
+            let w = stream_items[sid.0 as usize];
             let lo = (s as usize * w).min(decl.items);
             let hi = ((s as usize + 1) * w).min(decl.items);
             lo..hi
@@ -478,14 +471,8 @@ pub fn schedule(
             }
         };
         for s in 0..n_strips {
-            // Gathers for every array-bound stream consumed this strip.
-            for &kid in &phase_kernels {
-                for &sid in &graph.kernel(kid).inputs {
-                    if graph.stream(sid).src.is_some() && !em.gather_task.contains_key(&(sid.0, s))
-                    {
-                        em.gather(graph, binding_for(sid, s), s);
-                    }
-                }
+            for &sid in &gathered {
+                em.gather(graph, binding_for(sid, s), s);
             }
 
             // Previous strip's scatters follow the gathers in the queue.
@@ -504,40 +491,18 @@ pub fn schedule(
                 if items.is_empty() {
                     continue;
                 }
-                let mut deps: Vec<TaskId> = Vec::new();
-                for &sid in &kdecl.inputs {
-                    if let Some(&g) = em.gather_task.get(&(sid.0, s)) {
-                        deps.push(g);
-                    }
-                    if let Some(p) = graph.producer_of(sid) {
-                        if let Some(&t) = em.kernel_task.get(&(p.0, s)) {
-                            deps.push(t);
-                        }
-                    }
-                }
-                if let Some(prev) = s.checked_sub(em.bufs) {
-                    for &sid in &kdecl.outputs {
-                        deps.extend(em.consumers_in_strip(graph, sid, prev));
-                    }
-                    // Buffer WAW with this kernel's own earlier write of
-                    // the parity buffer.
-                    if let Some(&k) = em.kernel_task.get(&(kid.0, prev)) {
-                        deps.push(k);
-                    }
-                }
                 let kind = TaskKind::Kernel {
                     kernel: kid,
-                    items: items.clone(),
+                    items,
                     inputs: kdecl.inputs.iter().map(|&sid| binding_for(sid, s)).collect(),
                     outputs: kdecl.outputs.iter().map(|&sid| binding_for(sid, s)).collect(),
                 };
-                let id = em.push(graph, kind, deps, s);
-                em.kernel_task.insert((kid.0, s), id);
+                em.push(graph, kind, s);
 
                 for &sid in &kdecl.outputs {
                     let b = binding_for(sid, s);
                     if graph.stream(sid).dst.is_some() && !b.is_empty() {
-                        em.pending.push((b, s, id));
+                        em.pending.push((b, s));
                     }
                 }
             }
@@ -545,8 +510,9 @@ pub fn schedule(
             // Copy-only streams assigned to this phase.
             for &sid in &phase.copy_streams {
                 let b = binding_for(sid, s);
-                if let Some(g) = em.gather(graph, b.clone(), s) {
-                    em.scatter(graph, b, s, g);
+                if !b.is_empty() {
+                    em.gather(graph, b.clone(), s);
+                    em.scatter(graph, b, s);
                 }
             }
         }
@@ -559,8 +525,8 @@ pub fn schedule(
     let program = ScheduledProgram {
         tasks: em.tasks,
         srf_bytes: alloc.used(),
-        n_strips: total_strips,
-        strip_items,
+        n_strips: plan.phase_strips.iter().sum(),
+        strip_items: plan.strip_items,
     };
     // Internal invariant: every ordering an out-of-order queue needs
     // must have been emitted as an explicit dependency above.

@@ -69,10 +69,9 @@ pub fn per_stream_strip(graph: &StreamGraph, decl: &StreamDecl, strip_items: usi
 
 /// Choose the largest strip size (in items of the pacing stream) whose
 /// working set fits the SRF. Returns `None` if even one item per strip
-/// overflows. A forced size is returned as-is: degenerate forced values
-/// (zero, or a working set beyond the SRF) are rejected up front by
-/// [`CompilerOptions::validate_strip`], which `compile` runs before this
-/// pass — no silent clamping here.
+/// overflows. A forced size is returned as-is: the scheduler keeps it or
+/// refuses it (zero, or a working set beyond the SRF), as
+/// [`CompilerOptions::validate_strip`] does — no silent clamping.
 #[must_use]
 pub fn choose_strip_items(graph: &StreamGraph, opts: &CompilerOptions) -> Option<usize> {
     if let Some(forced) = opts.strip_items {

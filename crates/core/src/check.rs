@@ -10,10 +10,10 @@
 //! compiler checks each schedule once; no executor checks again.
 
 use crate::graph::StreamGraph;
-use crate::hazard::{self, ranges_overlap, AccessIndex};
+use crate::hazard::{self, ranges_overlap, AccessIndex, SrfFrontier};
 use crate::task::{PortBinding, ScheduledProgram, TaskDesc, TaskKind};
 use std::fmt;
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 
 /// A [`ScheduledProgram`] that passed [`ScheduledProgram::check`]. It
 /// derefs to the program and cannot be built or changed any other way,
@@ -75,9 +75,8 @@ impl ScheduledProgram {
         for (i, t) in self.tasks.iter().enumerate() {
             self.check_task(i, t, graph)?;
         }
-        self.check_srf_defined()?;
         let mut paths = DepPaths::new(&self.tasks);
-        self.check_srf_hazards(&mut paths)?;
+        self.check_srf(&mut paths)?;
         self.check_array_hazards(graph, &mut paths)?;
         Ok(CheckedProgram { program: self, graph: graph.identity() })
     }
@@ -176,95 +175,30 @@ impl ScheduledProgram {
         Ok(())
     }
 
-    /// Define before use: every SRF byte a scatter or a kernel input
-    /// reads was written by an earlier gather or kernel output. One pass
-    /// in task order over the written bytes, kept as merged ranges.
-    fn check_srf_defined(&self) -> Result<(), String> {
-        let mut written = WrittenRanges::default();
+    /// SRF define-before-use and hazards, over one [`SrfFrontier`] walked
+    /// across every binding's bytes: a read must not reach bytes no
+    /// earlier task wrote, and each access must reach every earlier task
+    /// the frontier names. The `schedule_check` integration test finds
+    /// this agreeing with full ancestor bitsets and a frontier of whole
+    /// regions on every catalog schedule and on mutants that drop one
+    /// dependency.
+    fn check_srf(&self, paths: &mut DepPaths<'_>) -> Result<(), String> {
+        let mut srf = SrfFrontier::default();
         for t in &self.tasks {
+            let i = t.id.0 as usize;
+            let mut require = |e, what| paths.require(e, i, what, "in the SRF");
             let (reads, writes) = t.kind.srf_ports();
             for b in reads {
-                if let Some(gap) = written.first_gap(b.srf_range()) {
+                if let Some(gap) = srf.access(i, b.srf_range(), false, &mut require)? {
                     return Err(format!(
-                        "SRF read before write: task {} reads SRF bytes {gap:?} of stream {} \
+                        "SRF read before write: task {i} reads SRF bytes {gap:?} of stream {} \
                          that no earlier task writes",
-                        t.id.0, b.stream.0
+                        b.stream.0
                     ));
                 }
             }
             for b in writes {
-                written.insert(b.srf_range());
-            }
-        }
-        Ok(())
-    }
-
-    /// SRF hazards over a frontier of live regions, each the bytes one
-    /// task wrote last plus the tasks that have read them since. The
-    /// regions are disjoint: a write that covers part of a region splits
-    /// it, keeping the uncovered part, instead of leaving the old region
-    /// whole beside the new one.
-    ///
-    /// A frontier is enough because reachability is transitive. Each
-    /// write is checked against the writer and the readers of every
-    /// region it touches, and each of those was checked in turn against
-    /// the region it replaced, so a later access that reaches the
-    /// frontier reaches every older access to the same bytes. The split
-    /// drops only questions that follow from ones still asked (the
-    /// overwritten part now answers to its new writer, which reaches the
-    /// old writer and readers) or that ask about two tasks sharing no
-    /// SRF byte (a reader of the overwritten part against a later writer
-    /// of the rest). It therefore accepts every schedule the whole-region
-    /// frontier accepted, every compiled one among them, so no artifact
-    /// changes; the `schedule_check` integration test finds the two
-    /// agreeing, against full ancestor bitsets, on every catalog schedule
-    /// and on mutants of each that drop one dependency.
-    fn check_srf_hazards(&self, paths: &mut DepPaths<'_>) -> Result<(), String> {
-        struct Region {
-            range: Range<usize>,
-            writer: usize,
-            readers: Vec<usize>,
-        }
-        // Disjoint, in SRF order.
-        let mut regions: Vec<Region> = Vec::new();
-        for t in &self.tasks {
-            let i = t.id.0 as usize;
-            let (reads, writes) = t.kind.srf_ports();
-            for r in reads.iter().map(PortBinding::srf_range).filter(|r| !r.is_empty()) {
-                let lo = regions.partition_point(|g| g.range.end <= r.start);
-                for g in regions[lo..].iter_mut().take_while(|g| g.range.start < r.end) {
-                    paths.require(g.writer, i, "read-after-write", "in the SRF")?;
-                    g.readers.push(i);
-                }
-            }
-            for w in writes.iter().map(PortBinding::srf_range).filter(|w| !w.is_empty()) {
-                let lo = regions.partition_point(|g| g.range.end <= w.start);
-                let hi = regions.partition_point(|g| g.range.start < w.end);
-                for g in &regions[lo..hi] {
-                    paths.require(g.writer, i, "write-after-write", "in the SRF")?;
-                    for &r in &g.readers {
-                        paths.require(r, i, "write-after-read", "in the SRF")?;
-                    }
-                }
-                if let [g] = &mut regions[lo..hi] {
-                    if g.range == w {
-                        // A strip buffer rewritten whole: the common case.
-                        g.writer = i;
-                        g.readers.clear();
-                        continue;
-                    }
-                }
-                let part = |g: &Region, range: Range<usize>| {
-                    (!range.is_empty()).then(|| Region {
-                        range,
-                        writer: g.writer,
-                        readers: g.readers.clone(),
-                    })
-                };
-                let left = regions[lo..hi].first().and_then(|g| part(g, g.range.start..w.start));
-                let right = regions[lo..hi].last().and_then(|g| part(g, w.end..g.range.end));
-                let own = Region { range: w, writer: i, readers: Vec::new() };
-                regions.splice(lo..hi, left.into_iter().chain([own]).chain(right));
+                srf.access(i, b.srf_range(), true, &mut require)?;
             }
         }
         Ok(())
@@ -462,45 +396,12 @@ impl<'p> DepPaths<'p> {
     }
 }
 
-/// The SRF bytes written so far: disjoint ranges that do not touch, in
-/// ascending order.
-#[derive(Default)]
-struct WrittenRanges(Vec<Range<usize>>);
-
-impl WrittenRanges {
-    /// Mark `w` written, merging it with every range it overlaps or
-    /// touches.
-    fn insert(&mut self, w: Range<usize>) {
-        if w.is_empty() {
-            return;
-        }
-        let lo = self.0.partition_point(|r| r.end < w.start);
-        let hi = self.0.partition_point(|r| r.start <= w.end);
-        let merged =
-            if lo < hi { self.0[lo].start.min(w.start)..self.0[hi - 1].end.max(w.end) } else { w };
-        self.0.splice(lo..hi, [merged]);
-    }
-
-    /// The first bytes of `r` not yet written, if any.
-    fn first_gap(&self, r: Range<usize>) -> Option<Range<usize>> {
-        if r.is_empty() {
-            return None;
-        }
-        let i = self.0.partition_point(|w| w.end <= r.start);
-        match self.0.get(i) {
-            Some(w) if w.start <= r.start => (w.end < r.end)
-                .then(|| w.end..self.0.get(i + 1).map_or(r.end, |next| next.start.min(r.end))),
-            Some(w) => Some(r.start..w.start.min(r.end)),
-            None => Some(r),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::{GraphBuilder, KernelId, StreamId};
     use crate::task::TaskId;
+    use std::ops::Range;
 
     /// The graph every table row is checked against. Its five streams
     /// hold 16 four-byte elements each: 0 gathers array 0 and scatters
@@ -617,6 +518,15 @@ mod tests {
                     task(1, fill(binding(0, 24, 2..4)), &[0]),
                     task(2, drain(binding(0, 24, 2..4)), &[1]),
                     task(3, fill(binding(0, 16, 0..2)), &[0]),
+                ],
+                None,
+            ),
+            (
+                "a reader of one part of a strip does not order a writer of the other part",
+                vec![
+                    task(0, fill(binding(0, 16, 0..4)), &[]),
+                    task(1, drain(binding(0, 16, 0..2)), &[0]),
+                    task(2, fill(binding(0, 24, 2..4)), &[0]),
                 ],
                 None,
             ),
@@ -879,34 +789,6 @@ mod tests {
                     "settled floor of {later} claims a missing path"
                 );
             }
-        });
-    }
-
-    /// The merged written ranges answer like a map of every byte: on
-    /// random writes and reads over 64 bytes, `first_gap` names the
-    /// first unwritten run of the read, and the ranges stay sorted,
-    /// disjoint and apart.
-    #[test]
-    fn written_ranges_answer_like_a_byte_map() {
-        gpstream_util::check::run_cases("srf-written-ranges", 0x6a79_2005, 256, |rng| {
-            let mut ranges = WrittenRanges::default();
-            let mut bytes = [false; 64];
-            for _ in 0..rng.range_usize_inclusive(0, 24) {
-                let a = rng.below_usize(65);
-                let b = rng.range_usize_inclusive(a, 64.min(a + 20));
-                if rng.bool() {
-                    ranges.insert(a..b);
-                    bytes[a..b].fill(true);
-                } else {
-                    let start = (a..b).find(|&i| !bytes[i]);
-                    let want = start.map(|s| s..(s..b).find(|&i| bytes[i]).unwrap_or(b));
-                    assert_eq!(ranges.first_gap(a..b), want, "read {a}..{b}");
-                }
-            }
-            for pair in ranges.0.windows(2) {
-                assert!(pair[0].end < pair[1].start, "{:?} not merged", ranges.0);
-            }
-            assert!(ranges.0.iter().all(|r| !r.is_empty()));
         });
     }
 }

@@ -1,15 +1,17 @@
 //! Memory-hazard analysis shared by the schedule checker and the
-//! compiler's dependency synthesis.
+//! compiler's dependency synthesis: which earlier tasks an access must
+//! follow, said once. The checker proves a dependency path to each, and
+//! the compiler emits a dependency on each.
 //!
 //! With out-of-order work queues (Figure 7's `tail_depend`) nothing
 //! orders two tasks except an explicit dependency, so every pair of
-//! tasks that touch overlapping bytes — in the SRF or in a global
-//! array — with at least one writer must be connected by a dependency
-//! path. This module answers the *may these two accesses conflict?*
-//! question conservatively: it never says "no" when the byte ranges can
-//! overlap, and it uses the one piece of global knowledge that makes
-//! indexed scatters tractable (an index vector without duplicates maps
-//! disjoint element ranges to disjoint records).
+//! tasks that touch overlapping bytes — in the SRF ([`SrfFrontier`]) or
+//! in a global array ([`AccessIndex`]) — with at least one writer must
+//! be connected by a dependency path. Array accesses are compared
+//! conservatively: never "no" when the byte ranges can overlap, using
+//! the one piece of global knowledge that makes indexed scatters
+//! tractable (an index vector without duplicates maps disjoint element
+//! ranges to disjoint records).
 
 use crate::graph::{AccessKind, StreamGraph};
 use crate::task::TaskKind;
@@ -33,6 +35,104 @@ pub struct ArrayAccess {
     pub fields: Range<usize>,
     /// Whether records are visited through an index vector.
     pub indexed: bool,
+}
+
+/// The SRF's live regions, walked in task order: each region is a run
+/// of bytes that share the task that wrote them last and the tasks that
+/// have read them since. The regions are disjoint, their union is the
+/// bytes written so far, and an access splits each region it covers in
+/// part, so what an access is told is exact per byte.
+///
+/// That orders every two SRF accesses that share a byte, because
+/// reachability is transitive: an access follows each touched byte's
+/// last writer (a write, its readers since too), which followed the
+/// accesses to that byte before it.
+#[derive(Debug, Default)]
+pub struct SrfFrontier {
+    /// Disjoint, in SRF order.
+    regions: Vec<SrfRegion>,
+}
+
+#[derive(Debug)]
+struct SrfRegion {
+    range: Range<usize>,
+    writer: usize,
+    readers: Vec<usize>,
+}
+
+impl SrfFrontier {
+    /// Record task `task` reading or writing SRF bytes `bytes`, and call
+    /// `f(earlier, hazard)` for each earlier task it conflicts with: the
+    /// last writer of every byte it touches (`"read-after-write"` or
+    /// `"write-after-write"`) and, for a write, each task that has read
+    /// one of those bytes since (`"write-after-read"`). Returns the first
+    /// run of `bytes` no task has written, if any. Tasks are recorded in
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `f` returns.
+    pub fn access<E>(
+        &mut self,
+        task: usize,
+        bytes: Range<usize>,
+        write: bool,
+        mut f: impl FnMut(usize, &'static str) -> Result<(), E>,
+    ) -> Result<Option<Range<usize>>, E> {
+        if bytes.is_empty() {
+            return Ok(None);
+        }
+        let (lo, hi) = self.cut(&bytes);
+        let (mut gap, mut covered) = (None, bytes.start);
+        for g in &mut self.regions[lo..hi] {
+            if gap.is_none() && g.range.start > covered {
+                gap = Some(covered..g.range.start);
+            }
+            covered = g.range.end;
+            if write {
+                f(g.writer, "write-after-write")?;
+                g.readers.iter().try_for_each(|&r| f(r, "write-after-read"))?;
+            } else {
+                f(g.writer, "read-after-write")?;
+                g.readers.push(task);
+            }
+        }
+        let gap = gap.or_else(|| (covered < bytes.end).then_some(covered..bytes.end));
+        if write {
+            if let [g] = &mut self.regions[lo..hi] {
+                // A strip buffer rewritten whole: the common case.
+                g.range = bytes;
+                g.writer = task;
+                g.readers.clear();
+            } else {
+                let own = SrfRegion { range: bytes, writer: task, readers: Vec::new() };
+                self.regions.splice(lo..hi, [own]);
+            }
+        }
+        Ok(gap)
+    }
+
+    /// Split the regions `r` covers only in part at its ends, and return
+    /// the index range of the regions inside `r`.
+    fn cut(&mut self, r: &Range<usize>) -> (usize, usize) {
+        for at in [r.start, r.end] {
+            let i = self.regions.partition_point(|g| g.range.end <= at);
+            if let Some(g) = self.regions.get_mut(i) {
+                if g.range.start < at {
+                    let right = SrfRegion {
+                        range: at..g.range.end,
+                        writer: g.writer,
+                        readers: g.readers.clone(),
+                    };
+                    g.range.end = at;
+                    self.regions.insert(i + 1, right);
+                }
+            }
+        }
+        let lo = self.regions.partition_point(|g| g.range.end <= r.start);
+        let hi = self.regions.partition_point(|g| g.range.start < r.end);
+        (lo, hi)
+    }
 }
 
 /// Extract the array access performed by a task, if any (kernels only
@@ -246,7 +346,7 @@ impl AccessIndex {
     }
 
     /// Forget every access of `array` made by a task below `task`.
-    pub fn forget_below(&mut self, array: u32, task: usize) {
+    pub(crate) fn forget_below(&mut self, array: u32, task: usize) {
         for group in self.arrays.get_mut(array as usize).into_iter().flatten() {
             while group.accesses.front().is_some_and(|&(t, _)| t < task) {
                 group.accesses.pop_front();
@@ -293,6 +393,66 @@ mod tests {
         let reads = ins.iter().map(|s| (s.0, false));
         let writes = [out.id(), spread.id(), permuted.id()].into_iter().map(|s| (s.0, true));
         (graph, reads.chain(writes).collect())
+    }
+
+    /// The SRF frontier answers like a map of every byte, on random
+    /// reads and writes over 64 bytes: the gap an access reports is the
+    /// first run of its bytes no task has written, and its conflicts are
+    /// exactly the last writer of each byte it touches plus, for a write,
+    /// the tasks that have read one of those bytes since it was written.
+    /// The regions stay sorted, disjoint and non-empty, and cover exactly
+    /// the written bytes.
+    #[test]
+    fn srf_frontier_answers_like_a_byte_map() {
+        gpstream_util::check::run_cases("srf-frontier", 0x6a79_2005, 256, |rng| {
+            let mut frontier = SrfFrontier::default();
+            // Per byte: the last writer, and the readers since.
+            let mut bytes: Vec<(Option<usize>, Vec<usize>)> = vec![(None, Vec::new()); 64];
+            for task in 0..rng.range_usize_inclusive(0, 40) {
+                let a = rng.below_usize(65);
+                let b = rng.range_usize_inclusive(a, 64.min(a + 20));
+                let write = rng.bool();
+                let mut want: Vec<(usize, &str)> = Vec::new();
+                for (writer, readers) in &bytes[a..b] {
+                    if write {
+                        want.extend(writer.map(|w| (w, "write-after-write")));
+                        want.extend(readers.iter().map(|&r| (r, "write-after-read")));
+                    } else {
+                        want.extend(writer.map(|w| (w, "read-after-write")));
+                    }
+                }
+                let mut got = Vec::new();
+                let record = |t, hazard| {
+                    got.push((t, hazard));
+                    Ok::<(), ()>(())
+                };
+                let gap = frontier.access(task, a..b, write, record).expect("no error");
+                let start = (a..b).find(|&i| bytes[i].0.is_none());
+                let first_gap =
+                    start.map(|s| s..(s..b).find(|&i| bytes[i].0.is_some()).unwrap_or(b));
+                assert_eq!(gap, first_gap, "task {task} touches {a}..{b}");
+                if write {
+                    bytes[a..b].fill((Some(task), Vec::new()));
+                } else {
+                    for (writer, readers) in &mut bytes[a..b] {
+                        if writer.is_some() {
+                            readers.push(task);
+                        }
+                    }
+                }
+                for list in [&mut want, &mut got] {
+                    list.sort_unstable();
+                    list.dedup();
+                }
+                let op = if write { "writes" } else { "reads" };
+                assert_eq!(got, want, "task {task} {op} {a}..{b}");
+                let regions = &frontier.regions;
+                assert!(regions.iter().all(|g| !g.range.is_empty()));
+                assert!(regions.windows(2).all(|p| p[0].range.end <= p[1].range.start));
+                let covered = |i: usize| regions.iter().any(|g| g.range.contains(&i));
+                assert!((0..64).all(|i| covered(i) == bytes[i].0.is_some()), "{regions:?}");
+            }
+        });
     }
 
     /// An empty range overlaps nothing, not even a range that spans it,

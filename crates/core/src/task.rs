@@ -91,7 +91,8 @@ impl TaskKind {
     /// The SRF strips this task reads and the ones it writes: a scatter
     /// reads its binding, a gather writes it, a kernel reads its inputs
     /// and writes its outputs.
-    pub(crate) fn srf_ports(&self) -> (&[PortBinding], &[PortBinding]) {
+    #[must_use]
+    pub fn srf_ports(&self) -> (&[PortBinding], &[PortBinding]) {
         match self {
             TaskKind::Gather { binding, .. } => (&[], std::slice::from_ref(binding)),
             TaskKind::Scatter { binding, .. } => (std::slice::from_ref(binding), &[]),

@@ -253,12 +253,22 @@ impl Tuner {
         for &strip_items in &ax.strips {
             for &double_buffer in &BOOLS {
                 for &fuse_kernels in &BOOLS {
+                    // Only these three knobs can make a point degenerate.
+                    let copts = CompilerOptions {
+                        strip_items,
+                        double_buffer,
+                        fuse_kernels,
+                        ..self.base_copts.clone()
+                    };
+                    if copts.validate(&wl.graph).is_err() {
+                        continue;
+                    }
                     for &nt_gather in &BOOLS {
                         for &nt_scatter in &BOOLS {
                             for &wait_policy in &WAITS {
                                 for &in_order in &BOOLS {
                                     for &sw_pf_depth in &ax.depths {
-                                        let p = TunedConfig {
+                                        pts.push(TunedConfig {
                                             strip_items,
                                             double_buffer,
                                             fuse_kernels,
@@ -267,11 +277,7 @@ impl Tuner {
                                             wait_policy,
                                             in_order,
                                             sw_pf_depth,
-                                        };
-                                        let copts = self.base_copts.apply_tuned(&p);
-                                        if copts.validate(&wl.graph).is_ok() {
-                                            pts.push(p);
-                                        }
+                                        });
                                     }
                                 }
                             }

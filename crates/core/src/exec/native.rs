@@ -44,11 +44,11 @@
 //! are identical to the reference executor (the simulator, not this
 //! runtime, is the timing vehicle — see DESIGN.md).
 //!
-//! With [`NativeExecutor::with_trace`], the control thread and every
-//! worker stamp nanosecond-resolution [`ExecEventKind`] events
-//! (enqueue / ready / start / finish, window slot admit / clear,
-//! dependency waits) into a shared [`TraceBuffer`] for the Chrome
-//! exporter in [`crate::trace`].
+//! The runtime observes itself one way: with
+//! [`NativeExecutor::with_task_timing`], each worker keeps its own list
+//! of task-body wall times, taking no lock and sharing nothing, and the
+//! report merges the lists after the run. It is off by default, when it
+//! costs one branch per task.
 
 use crate::exec::region::Region;
 use crate::graph::StreamGraph;
@@ -57,7 +57,6 @@ use crate::spsc::SpscRing;
 use crate::srf::{SrfBuffer, SrfConfig};
 use crate::task::{CheckedProgram, TaskId};
 use crate::topology::Topology;
-use crate::trace::{ExecEventKind, TraceBuffer};
 use crate::workqueue::{DependencyWindow, WINDOW};
 use crate::world::World;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -82,8 +81,8 @@ pub const NATIVE_ISSUE_WINDOW: usize = 16;
 /// does.
 const LOW_WATER: u32 = WINDOW as u32 / 2;
 
-/// Trace lane of the control thread. The worker for context `c` stamps
-/// lane `c + 1`.
+/// Lane of the control thread. The worker for context `c` runs on lane
+/// `c + 1`.
 pub const LANE_CONTROL: u8 = 0;
 
 /// How a worker thread waits for its dependencies to clear.
@@ -124,7 +123,7 @@ pub struct NativeReport {
 pub struct TaskTime {
     /// The task.
     pub task: TaskId,
-    /// Trace lane of the worker that ran it (topology context + 1; under
+    /// Lane of the worker that ran it (topology context + 1; under
     /// the default topology 1 computes and 2 moves memory).
     pub lane: u8,
     /// Task-body wall time in nanoseconds.
@@ -136,7 +135,7 @@ struct Shared<'a> {
     /// task's completion flag.
     region: Region<'a>,
     window: DependencyWindow,
-    /// One parking spot per thread, indexed by trace lane: the control
+    /// One parking spot per thread, indexed by lane: the control
     /// thread's at [`LANE_CONTROL`], context `c`'s worker at `c + 1`.
     spots: Vec<ParkingSpot>,
     done: AtomicBool,
@@ -144,7 +143,6 @@ struct Shared<'a> {
     /// surviving workers stop waiting on completions that will never come.
     dead: AtomicBool,
     program: &'a CheckedProgram,
-    trace: Option<TraceBuffer>,
     /// Whether to measure each task body's wall time.
     time_tasks: bool,
 }
@@ -163,7 +161,6 @@ pub struct NativeExecutor {
     topology: Topology,
     policy: NativeWaitPolicy,
     in_order: bool,
-    trace: Option<TraceBuffer>,
     time_tasks: bool,
 }
 
@@ -209,13 +206,6 @@ impl NativeExecutor {
         self
     }
 
-    /// Record executor events (nanosecond timestamps) into `buf`.
-    #[must_use]
-    pub fn with_trace(mut self, buf: TraceBuffer) -> Self {
-        self.trace = Some(buf);
-        self
-    }
-
     /// Measure each task body's wall-clock self time; the report's
     /// `task_times` field carries them. These are real nanoseconds —
     /// profile several repeats and aggregate, they are not deterministic.
@@ -244,19 +234,14 @@ impl NativeExecutor {
     ) -> NativeReport {
         let mut srf = SrfBuffer::new(self.srf_cfg);
         let region = Region::new(program, graph, world, &mut srf);
-        let mut window = DependencyWindow::new();
-        if let Some(buf) = &self.trace {
-            window.set_trace(buf.clone(), LANE_CONTROL);
-        }
         let contexts = self.topology.contexts();
         let shared = Shared {
             region,
-            window,
+            window: DependencyWindow::new(),
             spots: (0..=contexts).map(|_| ParkingSpot::new()).collect(),
             done: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             program,
-            trace: self.trace.clone(),
             time_tasks: self.time_tasks,
         };
         let assignment = self.topology.assign(&program.tasks);
@@ -296,9 +281,6 @@ impl NativeExecutor {
                 let c = assignment[task.id.0 as usize];
                 assert!(queues[c].push(task.id).is_ok(), "a ring outgrew the window");
                 shared.spots[c + 1].wake();
-                if let Some(buf) = &shared.trace {
-                    buf.push(LANE_CONTROL, Some(task.id), ExecEventKind::Enqueue);
-                }
             }
             shared.done.store(true, Ordering::Release);
             for spot in &shared.spots[1..] {
@@ -388,7 +370,6 @@ fn worker_loop(
     let ready = |task: &TaskId| {
         shared.program.tasks[task.0 as usize].deps.iter().all(|&d| shared.region.is_done(d))
     };
-    let mut waited = false;
     loop {
         if shared.is_dead() {
             return count;
@@ -412,22 +393,9 @@ fn worker_loop(
         }
         let Some(pos) = local.iter().position(ready) else {
             // Nothing in the window is ready: this is the only place a
-            // worker blocks on dependencies. The oldest entry records the
-            // wait with its *live* unmet-dependency mask — the window
-            // slots of the dependencies whose completion flags are still
-            // clear, the same flags `ready` reads.
-            if !waited {
-                waited = true;
-                if let Some(buf) = &shared.trace {
-                    let deps = &shared.program.tasks[local[0].0 as usize].deps;
-                    let unmet: Vec<TaskId> =
-                        deps.iter().copied().filter(|&d| !shared.region.is_done(d)).collect();
-                    let mask = shared.window.mask_for(&unmet);
-                    buf.push(lane, Some(local[0]), ExecEventKind::DepWait { mask });
-                }
-            }
-            // Until a peer's completion readies an entry, a push lands
-            // while the window has room, or a peer dies.
+            // worker blocks on dependencies. It waits until a peer's
+            // completion readies an entry, a push lands while the window
+            // has room, or a peer dies.
             idle(policy, spot, || {
                 local.iter().any(ready)
                     || (local.len() < issue_window && !queue.is_empty())
@@ -436,11 +404,6 @@ fn worker_loop(
             continue;
         };
         let id = local.remove(pos);
-        waited = false;
-        if let Some(buf) = &shared.trace {
-            buf.push(lane, Some(id), ExecEventKind::Ready);
-            buf.push(lane, Some(id), ExecEventKind::Start);
-        }
         if shared.time_tasks {
             let t0 = Instant::now();
             shared.region.execute_task(id);
@@ -458,9 +421,6 @@ fn worker_loop(
             } else if i != usize::from(lane) {
                 peer.wake();
             }
-        }
-        if let Some(buf) = &shared.trace {
-            buf.push(lane, Some(id), ExecEventKind::Finish);
         }
         count.executed += 1;
         if shared.program.tasks[id.0 as usize].kind.is_memory() {
@@ -554,20 +514,37 @@ mod tests {
     /// Under both wait policies, on the paper's two workers and on a
     /// farm of two compute and two memory workers, a kernel writing two
     /// outputs in place leaves the world byte-identical to the reference
-    /// executor's.
+    /// executor's. Task timing lists every task once, in task-id order,
+    /// on the lane of the worker that ran it.
     #[test]
     fn native_runs_match_the_reference_on_two_and_four_workers() {
         let (graph, world, program) = two_output_program();
         let mut want = world.clone();
         FunctionalExecutor::new().run(&program, &graph, &mut want);
         for topology in [Topology::two_context(), Topology::scaled(4)] {
+            let paper_split = topology == Topology::two_context();
             for policy in [NativeWaitPolicy::Spin, NativeWaitPolicy::Park] {
                 let mut got = world.clone();
-                let exec =
-                    NativeExecutor::new().with_topology(topology.clone()).with_wait_policy(policy);
+                let exec = NativeExecutor::new()
+                    .with_topology(topology.clone())
+                    .with_wait_policy(policy)
+                    .with_task_timing(true);
                 let report = exec.run(&program, &graph, &mut got);
                 assert_eq!(report.tasks, program.tasks.len());
                 assert_eq!(report.compute_tasks, STRIPS, "{topology:?} {policy:?}");
+                let times = report.task_times.expect("task timing was enabled");
+                let ids: Vec<TaskId> = times.iter().map(|t| t.task).collect();
+                let want_ids: Vec<TaskId> = program.tasks.iter().map(|t| t.id).collect();
+                assert_eq!(ids, want_ids, "each task once, in task-id order");
+                let mut per_lane = vec![0; report.worker_tasks.len()];
+                for t in &times {
+                    per_lane[usize::from(t.lane) - 1] += 1;
+                    if paper_split {
+                        let memory = program.tasks[t.task.0 as usize].kind.is_memory();
+                        assert_eq!(t.lane, if memory { 2 } else { 1 }, "{t:?} under {policy:?}");
+                    }
+                }
+                assert_eq!(per_lane, report.worker_tasks, "{topology:?} {policy:?}");
                 for (g, w) in got.iter().zip(want.iter()) {
                     assert_eq!(
                         g.data.as_bytes(),

@@ -20,9 +20,9 @@
 //! gather, kernel and scatter stages software-pipelined on one context,
 //! so no cross-context dispatch is paid but nothing overlaps either.
 
-use crate::exec::region::Region;
+use crate::exec::functional::FunctionalExecutor;
 use crate::graph::{AccessKind, ArrayBinding, StreamGraph};
-use crate::srf::{SrfBuffer, SrfConfig};
+use crate::srf::SrfConfig;
 use crate::task::{CheckedProgram, PortBinding, ScheduledProgram, TaskId, TaskKind};
 use crate::topology::Topology;
 use crate::trace::{ExecEvent, ExecEventKind};
@@ -419,13 +419,8 @@ impl SimExecutor {
         graph: &StreamGraph,
         world: &mut World,
     ) -> SimSnapshot {
-        // Functional pass (same semantics as the reference executor).
-        let mut srf = SrfBuffer::new(self.srf_cfg);
-        let region = Region::new(program, graph, world, &mut srf);
-        for task in &program.tasks {
-            region.execute_task(task.id);
-        }
-        drop(region);
+        // Functional pass: the reference executor's run.
+        FunctionalExecutor::with_srf(self.srf_cfg).run(program, graph, world);
 
         // Timing-pass setup. The machine must have a context per topology
         // queue; with the default two-context topology this leaves the

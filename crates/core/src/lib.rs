@@ -65,6 +65,6 @@ pub use regular::{RegularAccess, RegularPhase, RegularProgram};
 pub use srf::{SrfBuffer, SrfConfig};
 pub use task::{CheckedProgram, PortBinding, ScheduledProgram, TaskDesc, TaskId, TaskKind};
 pub use topology::Topology;
-pub use trace::{chrome_trace, ExecEvent, ExecEventKind, TraceBuffer, TraceRun};
+pub use trace::{chrome_trace, ExecEvent, ExecEventKind, TraceRun};
 pub use tuned::TunedConfig;
 pub use world::{MemArray, World};

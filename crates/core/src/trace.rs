@@ -3,26 +3,21 @@
 //! The runtime's observability layer has two halves. The timing engine
 //! (`gpstream-machine`) records cycle-stamped
 //! [`MachineEvent`](gpstream_machine::MachineEvent)s; this module holds
-//! the task-attributed [`ExecEvent`] the executors and the work queue
-//! emit, the shared [`TraceBuffer`] sink they write into, and
-//! [`chrome_trace`], which renders one or more traced runs as Chrome
-//! `trace_event` JSON that loads directly into `chrome://tracing` or
+//! the task-attributed [`ExecEvent`] the simulating executor derives
+//! from them (and the serve span trace reuses), and [`chrome_trace`],
+//! which renders one or more traced runs as Chrome `trace_event` JSON
+//! that loads directly into `chrome://tracing` or
 //! [Perfetto](https://ui.perfetto.dev).
 //!
-//! Timestamps are raw `u64` ticks whose unit is chosen by the producer:
-//! the simulating executor stamps machine cycles, the native executor
-//! stamps wall-clock nanoseconds. A [`TraceRun`] carries the
-//! ticks-per-microsecond factor so mixed runs coexist in one export on a
-//! common microsecond axis.
-//!
-//! Tracing is opt-in per executor and free when off: the executors hold
-//! an `Option<TraceBuffer>` and every emission site is a single
-//! `is_none` branch.
+//! Timestamps are raw `u64` ticks whose unit is chosen by the producer;
+//! both producers stamp simulated machine cycles. A [`TraceRun`] carries
+//! the ticks-per-microsecond factor so runs coexist in one export on a
+//! common microsecond axis. The native executor keeps no event trace:
+//! its one instrumentation is the per-task wall time of
+//! [`NativeExecutor::with_task_timing`](crate::exec::native::NativeExecutor::with_task_timing).
 
 use crate::task::{ScheduledProgram, TaskId, TaskKind};
 use gpstream_util::Json;
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// What an executor-level event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,44 +30,34 @@ pub enum ExecEventKind {
     Start,
     /// The task body finished and its window slot was released.
     Finish,
-    /// The task was admitted into the dependency window.
-    SlotAdmit {
-        /// Window slot assigned (0..63).
-        slot: u8,
-    },
-    /// The task's window slot was cleared on completion.
-    SlotClear {
-        /// Window slot released.
-        slot: u8,
-    },
     /// A worker found the task's dependency mask non-zero and waited.
     DepWait {
         /// The blocking dependency mask at wait entry.
         mask: u64,
     },
-    /// The front-side bus granted a transfer (simulated runs only).
+    /// The front-side bus granted a transfer.
     Bus {
         /// Bytes moved.
         bytes: u64,
         /// Cycles the request queued for the bus.
         queued: u64,
     },
-    /// A waiting context resumed after its signal (simulated runs only).
+    /// A waiting context resumed after its signal.
     Wakeup {
         /// Dispatch cycles paid to resume.
         dispatch: u64,
     },
-    /// A miss was covered by a prefetcher (simulated runs only).
+    /// A miss was covered by a prefetcher.
     PrefetchCover {
         /// Software prefetch (`true`) or the hardware stream prefetcher.
         sw: bool,
     },
-    /// A DTLB miss walked the page tables (simulated runs only).
+    /// A DTLB miss walked the page tables.
     TlbWalk {
         /// Walk cycles.
         cycles: u64,
     },
-    /// A write-combining buffer flushed (simulated runs only).
+    /// A write-combining buffer flushed.
     WcFlush,
 }
 
@@ -88,122 +73,6 @@ pub struct ExecEvent {
     pub task: Option<TaskId>,
     /// What happened.
     pub kind: ExecEventKind,
-}
-
-struct BufferState {
-    events: Vec<ExecEvent>,
-    /// Events discarded because the buffer was at capacity.
-    dropped: u64,
-}
-
-struct BufferInner {
-    start: Instant,
-    capacity: usize,
-    state: Mutex<BufferState>,
-}
-
-/// A shared, thread-safe event sink with a bounded capacity.
-///
-/// Clones share the same underlying buffer, so the control thread and
-/// both workers of the native executor can stamp into one timeline.
-/// Once `capacity` events are held, further pushes are counted in
-/// [`TraceBuffer::dropped`] instead of growing the buffer without bound
-/// on long runs; the exporter surfaces the count in the trace footer.
-#[derive(Clone)]
-pub struct TraceBuffer {
-    inner: Arc<BufferInner>,
-}
-
-impl Default for TraceBuffer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for TraceBuffer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceBuffer")
-            .field("events", &self.len())
-            .field("dropped", &self.dropped())
-            .finish()
-    }
-}
-
-/// Default [`TraceBuffer`] capacity: a few million events (~100 MB)
-/// before dropping — far above any catalog run, low enough that a
-/// runaway loop cannot exhaust memory.
-pub const DEFAULT_TRACE_CAPACITY: usize = 4 << 20;
-
-impl TraceBuffer {
-    /// An empty buffer with the default capacity whose wall clock starts
-    /// now.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// An empty buffer holding at most `capacity` events; further events
-    /// are dropped and counted.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        TraceBuffer {
-            inner: Arc::new(BufferInner {
-                start: Instant::now(),
-                capacity,
-                state: Mutex::new(BufferState { events: Vec::new(), dropped: 0 }),
-            }),
-        }
-    }
-
-    /// Record an event stamped with nanoseconds since the buffer was
-    /// created (the native executor's clock).
-    pub fn push(&self, who: u8, task: Option<TaskId>, kind: ExecEventKind) {
-        let ts = self.inner.start.elapsed().as_nanos() as u64;
-        self.push_at(ts, who, task, kind);
-    }
-
-    /// Record an event with an explicit timestamp (the simulating
-    /// executor stamps machine cycles). Dropped (and counted) if the
-    /// buffer is at capacity.
-    pub fn push_at(&self, ts: u64, who: u8, task: Option<TaskId>, kind: ExecEventKind) {
-        let mut st = self.inner.state.lock().expect("trace buffer poisoned");
-        if st.events.len() >= self.inner.capacity {
-            st.dropped += 1;
-            return;
-        }
-        st.events.push(ExecEvent { ts, who, task, kind });
-    }
-
-    /// Number of events recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.state.lock().expect("trace buffer poisoned").events.len()
-    }
-
-    /// Whether no events have been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of events dropped because the buffer was at capacity.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.inner.state.lock().expect("trace buffer poisoned").dropped
-    }
-
-    /// Drain all recorded events, sorted by timestamp. The dropped-event
-    /// count is left in place; read it with [`TraceBuffer::dropped`]
-    /// before reusing the buffer.
-    #[must_use]
-    pub fn take(&self) -> Vec<ExecEvent> {
-        let mut v = {
-            let mut st = self.inner.state.lock().expect("trace buffer poisoned");
-            std::mem::take(&mut st.events)
-        };
-        v.sort_by_key(|e| e.ts);
-        v
-    }
 }
 
 /// One traced run, ready for export: the events plus the naming context
@@ -223,7 +92,7 @@ pub struct TraceRun {
     pub task_cats: Vec<&'static str>,
     /// The events.
     pub events: Vec<ExecEvent>,
-    /// Events the producer's [`TraceBuffer`] dropped at capacity (the
+    /// Events the producer's bounded buffer dropped at capacity (the
     /// exporter surfaces the count in the trace footer).
     pub dropped: u64,
 }
@@ -278,8 +147,6 @@ fn instant_name(kind: &ExecEventKind) -> (&'static str, &'static str) {
     match kind {
         ExecEventKind::Enqueue => ("enqueue", "queue"),
         ExecEventKind::Ready => ("ready", "queue"),
-        ExecEventKind::SlotAdmit { .. } => ("slot_admit", "queue"),
-        ExecEventKind::SlotClear { .. } => ("slot_clear", "queue"),
         ExecEventKind::DepWait { .. } => ("dep_wait", "queue"),
         ExecEventKind::Bus { .. } => ("bus_grant", "bus"),
         ExecEventKind::WcFlush => ("wc_flush", "bus"),
@@ -296,9 +163,6 @@ fn instant_args(kind: &ExecEventKind, task: Option<TaskId>) -> Json {
         pairs.push(("task".into(), Json::U64(u64::from(t.0))));
     }
     match kind {
-        ExecEventKind::SlotAdmit { slot } | ExecEventKind::SlotClear { slot } => {
-            pairs.push(("slot".into(), Json::U64(u64::from(*slot))));
-        }
         ExecEventKind::DepWait { mask } => {
             pairs.push(("mask".into(), Json::Str(format!("{mask:#018x}"))));
         }
@@ -433,18 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn buffer_collects_and_sorts() {
-        let buf = TraceBuffer::new();
-        buf.push_at(20, 0, Some(TaskId(0)), ExecEventKind::Finish);
-        buf.push_at(10, 0, Some(TaskId(0)), ExecEventKind::Start);
-        assert_eq!(buf.len(), 2);
-        let ev = buf.take();
-        assert!(buf.is_empty());
-        assert_eq!(ev[0].kind, ExecEventKind::Start);
-        assert_eq!(ev[1].kind, ExecEventKind::Finish);
-    }
-
-    #[test]
     fn chrome_export_pairs_slices() {
         let prog = program_with_one_gather();
         let events = vec![
@@ -468,18 +320,11 @@ mod tests {
 
     #[test]
     fn bounded_buffer_drops_and_counts() {
-        let buf = TraceBuffer::with_capacity(2);
-        for ts in 0..5 {
-            buf.push_at(ts, 0, None, ExecEventKind::WcFlush);
-        }
-        assert_eq!(buf.len(), 2);
-        assert_eq!(buf.dropped(), 3);
-        let ev = buf.take();
-        assert_eq!(ev.len(), 2, "only the first `capacity` events survive");
-        assert_eq!(buf.dropped(), 3, "drop count persists across take()");
-
+        let ev: Vec<ExecEvent> = (0..2)
+            .map(|ts| ExecEvent { ts, who: 0, task: None, kind: ExecEventKind::WcFlush })
+            .collect();
         let prog = program_with_one_gather();
-        let run = TraceRun::new("unit", 1000.0, &["t"], &prog, ev).with_dropped(buf.dropped());
+        let run = TraceRun::new("unit", 1000.0, &["t"], &prog, ev).with_dropped(3);
         let json = chrome_trace(&[run]);
         assert!(json.contains("\"droppedEvents\":3"), "footer must surface drops: {json}");
     }

@@ -19,7 +19,6 @@
 //! `tests/properties.rs`).
 
 use crate::task::TaskId;
-use crate::trace::{ExecEventKind, TraceBuffer};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -49,8 +48,6 @@ pub struct DependencyWindow {
     pending: AtomicU64,
     /// Id of the task in each slot; meaningful only while its bit is set.
     occupant: [AtomicU32; WINDOW],
-    /// Optional event sink recording slot admissions and clears.
-    trace: Option<(TraceBuffer, u8)>,
 }
 
 impl Default for DependencyWindow {
@@ -58,7 +55,6 @@ impl Default for DependencyWindow {
         DependencyWindow {
             pending: AtomicU64::new(0),
             occupant: std::array::from_fn(|_| AtomicU32::new(0)),
-            trace: None,
         }
     }
 }
@@ -68,12 +64,6 @@ impl DependencyWindow {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Record slot admit/clear events into `buf`, attributed to lane
-    /// `who` (the control thread, in the native executor).
-    pub fn set_trace(&mut self, buf: TraceBuffer, who: u8) {
-        self.trace = Some((buf, who));
     }
 
     /// Bitmask of in-flight (incomplete) slots.
@@ -132,9 +122,6 @@ impl DependencyWindow {
         self.occupant[free as usize].store(task.0, Ordering::Relaxed);
         let before = self.pending.fetch_or(1u64 << slot, Ordering::Release);
         debug_assert_eq!(before & (1u64 << slot), 0, "two threads admitted at once");
-        if let Some((buf, who)) = &self.trace {
-            buf.push(*who, Some(task), ExecEventKind::SlotAdmit { slot });
-        }
         Ok(slot)
     }
 
@@ -155,9 +142,6 @@ impl DependencyWindow {
     pub fn complete(&self, task: TaskId) -> u8 {
         let slot = self.find(self.pending_mask(), task).expect("completing unknown task");
         self.pending.fetch_and(!(1u64 << slot), Ordering::AcqRel);
-        if let Some((buf, who)) = &self.trace {
-            buf.push(*who, Some(task), ExecEventKind::SlotClear { slot });
-        }
         slot
     }
 

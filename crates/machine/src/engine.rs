@@ -290,7 +290,8 @@ pub struct Machine {
     /// [`MACHINE_TRACE_CAPACITY`]; overflow is counted in
     /// `trace_dropped` instead of growing without limit on long runs.
     trace: Option<Vec<MachineEvent>>,
-    /// Trace sink capacity; [`MACHINE_TRACE_CAPACITY`] unless lowered.
+    /// Trace sink capacity; [`MACHINE_TRACE_CAPACITY`] unless a test
+    /// lowers it to reach the overflow path.
     trace_capacity: usize,
     /// Events discarded because the trace sink was at capacity.
     trace_dropped: u64,
@@ -342,8 +343,8 @@ pub const DEQUEUE_CYCLES: u64 = 30;
 
 /// Event-trace sink capacity: a few million events before dropping —
 /// far above any catalog run, low enough that a runaway traced loop
-/// cannot exhaust memory. Mirrors the executor-level
-/// `TraceBuffer` default in `gpstream-core`.
+/// cannot exhaust memory. Events past it are counted, and the Chrome
+/// trace footer reports the count.
 pub const MACHINE_TRACE_CAPACITY: usize = 4 << 20;
 
 /// Resolve `key`'s slot through a one-entry `(key, slot)` memo, calling
@@ -457,13 +458,6 @@ impl Machine {
     #[must_use]
     pub fn trace_dropped(&self) -> u64 {
         self.trace_dropped
-    }
-
-    /// Lower (or raise) the trace sink's capacity. Exposed so tests and
-    /// tools can exercise the overflow path without recording millions
-    /// of events; the default is [`MACHINE_TRACE_CAPACITY`].
-    pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.trace_capacity = capacity;
     }
 
     /// Start profiling: attribute cycles and counter deltas to each
@@ -2088,7 +2082,7 @@ mod tests {
 
         let mut capped = machine();
         capped.enable_trace();
-        capped.set_trace_capacity(4);
+        capped.trace_capacity = 4;
         let r = capped.run(traceable_program());
         assert_eq!(r, bare, "dropping trace events must not change the model");
         assert_eq!(capped.take_trace().len(), 4, "only the first `capacity` events survive");

@@ -45,10 +45,10 @@
 //!   length, in exact and sketch mode alike.
 //! * **Bounded span buffer.** The span trace keeps at most a
 //!   configurable number of events; once full, new spans are dropped
-//!   and counted (`spans_dropped`), mirroring the machine-level
-//!   `TraceBuffer`. Task ids are assigned compactly as spans are
-//!   actually kept, so the name table scales with the buffer, not with
-//!   the offered job count.
+//!   and counted (`spans_dropped`), mirroring the machine's bounded
+//!   event sink (`MACHINE_TRACE_CAPACITY`). Task ids are assigned
+//!   compactly as spans are actually kept, so the name table scales
+//!   with the buffer, not with the offered job count.
 //!
 //! The span model reuses the executor-level Chrome-trace vocabulary
 //! ([`ExecEventKind`]) rather than inventing a new one:
@@ -83,8 +83,8 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 18;
 
 /// A capacity-bounded span-event buffer with compact task-id
 /// assignment. Once the buffer is full new events are dropped and
-/// counted, never silently lost — the same contract as the machine
-/// trace's `TraceBuffer`.
+/// counted, never silently lost — the same contract as the machine's
+/// event sink, whose drop count the trace footer also reports.
 struct SpanBuffer {
     events: Vec<ExecEvent>,
     capacity: usize,

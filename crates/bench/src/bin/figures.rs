@@ -100,7 +100,7 @@
 //! of small stream jobs — catalog kernels at service-sized chunks —
 //! admitted under backpressure, scheduled with weighted fair sharing
 //! across tenants, batched onto simulated workers, and functionally
-//! executed (oracle-checked) on a real draining worker pool. Prints the
+//! executed (oracle-checked) on real replay threads. Prints the
 //! throughput and p50/p99/p999 queue/service/total latency report;
 //! `--out FILE` writes the `latency` artifact (canonical one-line JSON,
 //! byte-identical for a fixed seed and config — `figures diff` reads

@@ -1,5 +1,11 @@
 //! A persistent worker pool with a graceful, draining shutdown.
 //!
+//! Nothing in the workspace runs on this pool any more: the serve
+//! replay, which was its one user, knows all its jobs up front and fans
+//! them out with `gpstream_util::fanout::map` instead. It is kept only
+//! because the `benchmark/` package times it (`core.pool.job_ns`), and
+//! it goes when that probe does.
+//!
 //! [`NativeExecutor`](crate::exec::native::NativeExecutor) spawns scoped
 //! workers for the lifetime of one batch run; a long-lived *service*
 //! needs workers that outlive any single job and can be stopped without

@@ -1,136 +1,91 @@
-//! Functional execution of the scheduled jobs on a real worker pool.
+//! Functional replay of the scheduled jobs on real threads.
 //!
 //! The scheduler (virtual time) decides *when* everything happens; this
-//! module makes sure the jobs it admitted actually *run* — each one
-//! pushed through its [`WorkerPool`] thread's own [`FunctionalExecutor`]
-//! and bit-compared against its variant's oracle — and that completions
-//! land exactly once in per-tenant completion queues. Nothing measured
-//! here feeds the latency artifact: pool threads race freely without
-//! threatening the byte-identical guarantee.
+//! module makes sure the jobs it completed actually *run* — each one
+//! pushed through a [`FunctionalExecutor`] and bit-compared against its
+//! variant's oracle — and that every completed id is replayed exactly
+//! once. No job depends on another and all of them are known before the
+//! first one runs, so the replay is one [`fanout::map`] over fixed
+//! partitions of the records. Nothing measured here feeds the latency
+//! artifact: the threads race freely without threatening the
+//! byte-identical guarantee.
 
 use crate::job::VariantTable;
 use crate::sched::{JobRecord, Outcome};
 use gpstream_core::exec::functional::FunctionalExecutor;
-use gpstream_core::{SubmitError, WorkerPool};
-use std::sync::{Arc, Mutex};
+use gpstream_util::fanout;
 
-/// What the execution pool did, cross-checked against the schedule.
+/// What the replay did, cross-checked against the schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecSummary {
-    /// OS threads the pool ran.
-    pub pool_threads: usize,
     /// Jobs executed (each oracle-checked).
     pub executed: u64,
-    /// Completion-queue depth per tenant.
+    /// Jobs replayed per tenant.
     pub completed_per_tenant: Vec<u64>,
-    /// Jobs each pool thread accepted. Deterministic despite the racing
-    /// threads: the submission thread is `worker % pool_threads` and
-    /// each thread runs its own ring — but it never enters the artifact.
-    pub accepted_per_thread: Vec<u64>,
-    /// Jobs each pool thread executed (equals accepted after drain).
-    pub executed_per_thread: Vec<u64>,
 }
 
-/// Execute every completed record on a `pool_threads`-thread
-/// [`WorkerPool`], verify each output against the variant oracle, and
-/// retire job ids to per-tenant completion queues.
+/// Execute every completed record on `threads` threads, verify each
+/// output against the variant oracle, and check that each tenant's
+/// replayed ids are exactly the ids the schedule completed for it.
 ///
-/// The scheduler's worker assignment is folded onto the pool
-/// (`worker % pool_threads`), so any pool size replays the same
-/// schedule — the determinism gate runs this with several sizes and
-/// asserts the artifact bytes never move.
+/// The scheduler's worker assignment is folded onto the threads: a
+/// record goes to partition `worker % threads`, in id order, and each
+/// partition replays its jobs on one [`FunctionalExecutor`] whose SRF it
+/// never clears. Any thread count replays the same schedule — the
+/// determinism gate runs this with several counts and asserts the
+/// artifact bytes never move. At 1 it runs inline and spawns nothing.
 ///
 /// # Panics
 ///
-/// Panics if a job's functional output diverges from its oracle, if the
-/// pool drops or duplicates a job, or if a completion queue disagrees
-/// with the schedule — all exactly-once contract violations.
+/// Panics if a job's functional output diverges from its oracle (with
+/// that job's own message, whichever thread ran it), or if the replayed
+/// ids disagree with the schedule — an exactly-once contract violation.
 #[must_use]
-pub fn execute(
-    table: &Arc<VariantTable>,
-    records: &[JobRecord],
-    pool_threads: usize,
-) -> ExecSummary {
-    assert!(pool_threads > 0, "need at least one pool thread");
-    let tenants = table_tenants(records);
-    let queues: Arc<Vec<Mutex<Vec<usize>>>> =
-        Arc::new((0..tenants).map(|_| Mutex::new(Vec::new())).collect());
-
-    let handler_table = Arc::clone(table);
-    let handler_queues = Arc::clone(&queues);
-    // One executor per pool thread, so each thread replays every job on
-    // one SRF it never clears; only its own thread locks it.
-    let executors: Vec<Mutex<FunctionalExecutor>> =
-        (0..pool_threads).map(|_| Mutex::new(FunctionalExecutor::new())).collect();
-    let mut pool = WorkerPool::new(
-        pool_threads,
-        256,
-        move |thread, (id, tenant, variant): (usize, usize, usize)| {
-            let v = &handler_table.variants[variant];
+pub fn execute(table: &VariantTable, records: &[JobRecord], threads: usize) -> ExecSummary {
+    assert!(threads > 0, "need at least one replay thread");
+    let mut partitions: Vec<Vec<&JobRecord>> = vec![Vec::new(); threads];
+    for r in records {
+        if let Outcome::Completed { worker, .. } = r.outcome {
+            partitions[worker % threads].push(r);
+        }
+    }
+    let replayed = fanout::map(&partitions, threads, |partition| {
+        let mut executor = FunctionalExecutor::new();
+        let replay = |r: &JobRecord| {
+            let v = &table.variants[r.variant];
             let mut world = v.world.clone();
-            executors[thread].lock().expect("replay executor poisoned").run(
-                &v.compiled.schedule,
-                &v.compiled.graph,
-                &mut world,
-            );
+            executor.run(&v.compiled.schedule, &v.compiled.graph, &mut world);
             assert_eq!(
                 world.array(v.output).data.as_bytes(),
                 v.oracle.as_slice(),
-                "job {id} ({}) diverged from its oracle",
+                "job {} ({}) diverged from its oracle",
+                r.id,
                 v.label,
             );
-            handler_queues[tenant].lock().expect("completion queue poisoned").push(id);
-        },
-    );
+            (r.tenant, r.id)
+        };
+        partition.iter().copied().map(replay).collect::<Vec<_>>()
+    });
 
-    let mut submitted = 0u64;
-    for r in records {
-        let Outcome::Completed { worker, .. } = r.outcome else { continue };
-        let mut job = (r.id, r.tenant, r.variant);
-        let thread = worker % pool_threads;
-        loop {
-            match pool.submit(thread, job) {
-                Ok(()) => break,
-                Err((SubmitError::Full, back)) => {
-                    job = back;
-                    std::thread::yield_now();
-                }
-                Err((SubmitError::Draining, _)) => {
-                    unreachable!("pool drains only after every submit")
-                }
-            }
-        }
-        submitted += 1;
-    }
-    let stats = pool.drain();
-    assert_eq!(stats.accepted.iter().sum::<u64>(), submitted, "pool accepted every submitted job");
-    assert_eq!(stats.executed.iter().sum::<u64>(), submitted, "pool executed every accepted job");
-
-    // Exactly-once retirement: each tenant's completion queue must hold
+    // Exactly-once retirement: each tenant's replayed ids must be
     // precisely the ids the schedule completed for that tenant.
+    let tenants = records.iter().map(|r| r.tenant + 1).max().unwrap_or(1);
+    let mut got = vec![Vec::new(); tenants];
+    for (tenant, id) in replayed.into_iter().flatten() {
+        got[tenant].push(id);
+    }
     let mut completed_per_tenant = vec![0u64; tenants];
-    for (tenant, queue) in queues.iter().enumerate() {
-        let mut got = queue.lock().expect("completion queue poisoned").clone();
-        got.sort_unstable();
+    for (tenant, ids) in got.iter_mut().enumerate() {
+        ids.sort_unstable();
         let want: Vec<usize> = records
             .iter()
             .filter(|r| r.tenant == tenant && matches!(r.outcome, Outcome::Completed { .. }))
             .map(|r| r.id)
             .collect();
-        assert_eq!(got, want, "tenant {tenant} completion queue diverged from the schedule");
-        completed_per_tenant[tenant] = got.len() as u64;
+        assert_eq!(*ids, want, "tenant {tenant} replayed ids diverged from the schedule");
+        completed_per_tenant[tenant] = ids.len() as u64;
     }
-    ExecSummary {
-        pool_threads,
-        executed: submitted,
-        completed_per_tenant,
-        accepted_per_thread: stats.accepted,
-        executed_per_thread: stats.executed,
-    }
-}
-
-fn table_tenants(records: &[JobRecord]) -> usize {
-    records.iter().map(|r| r.tenant + 1).max().unwrap_or(1)
+    ExecSummary { executed: completed_per_tenant.iter().sum(), completed_per_tenant }
 }
 
 #[cfg(test)]
@@ -138,11 +93,12 @@ mod tests {
     use super::*;
     use crate::job::build_table;
     use crate::load::{Arrivals, LoadConfig};
-    use crate::sched::{schedule_stream, RecordKeeper, SchedConfig};
+    use crate::sched::{schedule_stream, RecordKeeper, SchedConfig, SchedStats};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    #[test]
-    fn executes_a_small_schedule_exactly_once_on_any_pool_size() {
-        let table = Arc::new(build_table("ldstcomp", 1).expect("known workload"));
+    /// A 120-job, three-tenant `ldstcomp` schedule on two workers.
+    fn small_schedule() -> (VariantTable, Vec<JobRecord>, SchedStats) {
+        let table = build_table("ldstcomp", 1).expect("known workload");
         let offered = Arrivals::new(&LoadConfig {
             jobs: 120,
             mean_interarrival: 50_000,
@@ -164,17 +120,38 @@ mod tests {
         };
         let mut keeper = RecordKeeper::new(1);
         let stats = schedule_stream(offered, &table.service_cycles(), &cfg, &mut keeper);
-        let records = keeper.into_records();
-        for pool_threads in [1, 3] {
-            let exec = execute(&table, &records, pool_threads);
-            assert_eq!(exec.executed, stats.completed);
-            assert_eq!(
-                exec.completed_per_tenant, stats.completed_per_tenant,
-                "pool_threads={pool_threads}"
-            );
-            assert_eq!(exec.accepted_per_thread.len(), pool_threads);
-            assert_eq!(exec.accepted_per_thread, exec.executed_per_thread);
-            assert_eq!(exec.executed_per_thread.iter().sum::<u64>(), exec.executed);
+        (table, keeper.into_records(), stats)
+    }
+
+    #[test]
+    fn executes_a_small_schedule_exactly_once_on_any_thread_count() {
+        let (table, records, stats) = small_schedule();
+        for threads in [1, 3] {
+            let exec = execute(&table, &records, threads);
+            assert_eq!(exec.executed, stats.completed, "threads={threads}");
+            assert_eq!(exec.completed_per_tenant, stats.completed_per_tenant, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_job_that_misses_its_oracle_panics_with_its_own_message() {
+        let (mut table, records, _) = small_schedule();
+        let bad = 2;
+        table.variants[bad].oracle[0] ^= 1;
+        let label = table.variants[bad].label.clone();
+        for threads in [1, 3] {
+            let payload = catch_unwind(AssertUnwindSafe(|| execute(&table, &records, threads)))
+                .expect_err("a corrupted oracle must fail the replay");
+            let msg = payload.downcast_ref::<String>().expect("the job's formatted message");
+            assert!(msg.contains(&format!("({label}) diverged from its oracle")), "{msg}");
+            let id: usize = msg
+                .split_once("job ")
+                .and_then(|(_, rest)| rest.split(' ').next())
+                .and_then(|id| id.parse().ok())
+                .unwrap_or_else(|| panic!("no job id in {msg:?}"));
+            let job = records.iter().find(|r| r.id == id).expect("the named job exists");
+            assert_eq!(job.variant, bad, "threads={threads}: {msg}");
+            assert!(matches!(job.outcome, Outcome::Completed { .. }), "{msg}");
         }
     }
 }

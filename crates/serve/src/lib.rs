@@ -9,9 +9,10 @@
 //! The pipeline, one stage per module:
 //!
 //! 1. [`job`] builds the workload's *variant table*: each `(kernel
-//!    class, chunk size)` pair compiled once, oracle'd once, and priced
-//!    once on the simulated machine (the event-driven fast path, which
-//!    the differential suite holds byte-identical to cycle stepping).
+//!    class, chunk size)` pair compiled once, then priced and oracle'd
+//!    by one run on the simulated machine (the event-driven fast path,
+//!    which the differential suite holds byte-identical to cycle
+//!    stepping).
 //! 2. [`load`] generates a deterministic open-loop Poisson arrival
 //!    trace — seeded [`gpstream_util::Rng64`], a bit-exact `ln` — that
 //!    never slows down because the service is busy.
@@ -19,10 +20,10 @@
 //!    with explicit retry-after, weighted fair sharing across tenants,
 //!    batching of small jobs under backpressure, work-conserving
 //!    dispatch to the least-loaded free worker.
-//! 4. [`exec`] replays every admitted job *functionally* on a real
-//!    [`gpstream_core::WorkerPool`] (SPSC rings, per-worker parking,
-//!    draining shutdown), oracle-checks each output, and retires ids to
-//!    per-tenant completion queues — exactly once.
+//! 4. [`exec`] replays every completed job *functionally* on real
+//!    threads — one [`gpstream_util::fanout::map`] over fixed partitions
+//!    of the records — oracle-checks each output, and checks that every
+//!    tenant's completed ids were replayed exactly once.
 //! 5. [`telemetry`] is the run's one observer
 //!    ([`sched::SchedObserver`]): riding the scheduler's event loop, it
 //!    folds each resolved job once into windowed metric time series,
@@ -34,7 +35,7 @@
 //!
 //! The split between 3 and 4 is the determinism story: every *timing*
 //! decision is virtual and seeded, so the artifact is byte-identical
-//! across runs and across execution-pool thread counts; the threads
+//! across runs and across replay thread counts; the threads
 //! only prove the jobs really execute. The telemetry plane hangs off
 //! the virtual side of that split, so it inherits the same guarantee.
 
@@ -59,7 +60,6 @@ use gpstream_util::Sketch;
 
 use gpstream_machine::WaitPolicy;
 use gpstream_microbench::spinwait;
-use std::sync::Arc;
 
 /// Default RNG seed (the paper's venue, MICRO 2005).
 pub const DEFAULT_SEED: u64 = 0x6a79_2005;
@@ -113,8 +113,8 @@ pub struct ServeConfig {
     pub arrival_shares: Vec<u64>,
     /// RNG seed for the arrival trace.
     pub seed: u64,
-    /// OS threads for the functional execution pool. Never affects the
-    /// artifact.
+    /// Threads the functional replay runs on (1 runs it inline on the
+    /// caller). Never affects the artifact.
     pub exec_pool_threads: usize,
     /// Per-tenant SLO latency thresholds in cycles (total latency, each
     /// positive); empty derives `4 x (max service + dispatch)` for
@@ -478,8 +478,6 @@ pub fn schedule_service(cfg: &ServeConfig, table: &VariantTable) -> ScheduledSer
 pub struct ServiceOutcome {
     /// The config the run used (defaults resolved where applicable).
     pub cfg: ServeConfig,
-    /// The variant table jobs were drawn from.
-    pub table: Arc<VariantTable>,
     /// Dispatch overhead charged per batch (measured MWAIT wake-up).
     pub dispatch_cycles: u64,
     /// Kept records, sorted by id — every offered job in exact mode, a
@@ -489,8 +487,8 @@ pub struct ServiceOutcome {
     pub stats: SchedStats,
     /// The three latency distributions (exact or sketched per config).
     pub summary: LatencySummary,
-    /// What the execution pool did (oracle-checked, exactly-once) with
-    /// the kept records.
+    /// What the functional replay did (oracle-checked, exactly-once)
+    /// with the kept records.
     pub exec: ExecSummary,
     /// The `latency` artifact document (single line + newline).
     pub artifact: String,
@@ -505,7 +503,7 @@ pub struct ServiceOutcome {
 /// workload name.
 ///
 /// The artifact depends only on `(cfg minus exec_pool_threads)` — it is
-/// byte-identical across runs and across pool thread counts.
+/// byte-identical across runs and across replay thread counts.
 ///
 /// # Panics
 ///
@@ -513,7 +511,7 @@ pub struct ServiceOutcome {
 /// `cfg.sketch` (see [`schedule_service`]).
 #[must_use]
 pub fn run_service(cfg: &ServeConfig) -> Option<ServiceOutcome> {
-    let table = Arc::new(build_table(&cfg.workload, cfg.ctx)?);
+    let table = build_table(&cfg.workload, cfg.ctx)?;
     let scheduled = schedule_service(cfg, &table);
     let ScheduledService { dispatch_cycles, records, stats, summary, telemetry } = scheduled;
     let exec = exec::execute(&table, &records, cfg.exec_pool_threads.max(1));
@@ -522,7 +520,6 @@ pub fn run_service(cfg: &ServeConfig) -> Option<ServiceOutcome> {
     text.push_str(&telemetry.slo.render());
     Some(ServiceOutcome {
         cfg: cfg.clone(),
-        table,
         dispatch_cycles,
         records,
         stats,
@@ -739,10 +736,10 @@ mod tests {
         let a = run_service(&cfg).expect("known workload");
         cfg.exec_pool_threads = 4;
         let b = run_service(&cfg).expect("known workload");
-        assert_eq!(a.artifact, b.artifact, "pool threads must not leak into the artifact");
+        assert_eq!(a.artifact, b.artifact, "replay threads must not leak into the artifact");
         assert_eq!(
             a.telemetry.series.json, b.telemetry.series.json,
-            "pool threads must not leak into the time series"
+            "replay threads must not leak into the time series"
         );
         assert_eq!(a.telemetry.slo_artifact, b.telemetry.slo_artifact);
         assert_eq!(a.telemetry.series.csv, b.telemetry.series.csv);

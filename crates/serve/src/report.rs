@@ -2,9 +2,9 @@
 //!
 //! Everything here is a pure function of the scheduler's output — the
 //! resolved [`JobRecord`](crate::sched::JobRecord)s and [`SchedStats`] — plus the run's config.
-//! The execution pool's results never enter the artifact, which is what
-//! lets the byte-identical guarantee span pool thread counts: threads
-//! race, the schedule does not.
+//! The functional replay's results never enter the artifact, which is
+//! what lets the byte-identical guarantee span replay thread counts:
+//! threads race, the schedule does not.
 //!
 //! The artifact is the workspace's fourth kind (after `baseline`,
 //! `profile` and `analysis`): a single-line canonical JSON document via

@@ -6,8 +6,8 @@
 //! latency artifact must be byte-identical for a fixed seed and config,
 //! however many OS threads later execute the admitted jobs. So the
 //! scheduler makes *every* decision in virtual time — no wall-clock, no
-//! hashing, no thread interleaving — and the execution pool merely
-//! replays its decisions functionally (see [`crate::exec`]).
+//! hashing, no thread interleaving — and the replay threads merely
+//! execute its decisions functionally (see [`crate::exec`]).
 //!
 //! The timeline is ordered by `(cycle, sequence)` and merges three
 //! sources that are each already in that order, so the next event is

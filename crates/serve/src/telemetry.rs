@@ -8,7 +8,7 @@
 //! Everything is stamped in the scheduler's virtual time, so the whole
 //! plane inherits the byte-identical determinism guarantee: time
 //! series, SLO artifact, latency summary and span trace depend only on
-//! the schedule, never on pool thread counts or wall clocks. The
+//! the schedule, never on replay thread counts or wall clocks. The
 //! observer is write-only during the run (the scheduler cannot see it),
 //! and [`ServeTelemetry::finish`] folds it into a [`TelemetryOutcome`],
 //! a [`LatencySummary`] and the kept records.

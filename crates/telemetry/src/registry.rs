@@ -46,7 +46,7 @@
 //!
 //! Nothing here reads a clock: determinism is inherited from the
 //! producer's virtual time, which is what lets the serving harness emit
-//! byte-identical CSV/JSON series across runs and exec-pool thread
+//! byte-identical CSV/JSON series across runs and replay thread
 //! counts.
 
 use gpstream_util::{Json, Sketch, Summary};

@@ -13,7 +13,8 @@
 //! reference ([`SimExecutor::fast_sim`] names each side explicitly) —
 //! same `RunResult`, trace, task log, profile counters, interval
 //! samples, and analyze artifacts — across the workload catalog × every
-//! lowering a figure of record uses × two strip sizes. Per-commit runs
+//! lowering a figure of record uses × two strip sizes, and no run may
+//! evict an SRF line (the paper's first claim). Per-commit runs
 //! use micro-sized versions of all seven catalog shapes; the full
 //! paper-scale catalog runs under `--ignored` in release CI.
 //!
@@ -166,7 +167,7 @@ fn lowerings() -> [(&'static str, SimExecutor); 5] {
 /// assert every observable is byte-identical: the final world,
 /// `RunResult`, the trace event stream, the task log, the profile
 /// artifact, the interval-sample CSV, and (for the paper's two-context
-/// run) the analyzer artifact.
+/// run) the analyzer artifact. No run may evict an SRF line.
 fn sim_equivalence(wl: &Workload) {
     for strip in [Some(64usize), None] {
         let copts = CompilerOptions { strip_items: strip, ..CompilerOptions::paper() };
@@ -189,6 +190,9 @@ fn sim_equivalence(wl: &Workload) {
             let event = exec(true).run(&compiled.schedule, &compiled.graph, &mut w_event);
 
             assert!(wl.matches_oracle(&w_stepped), "{ctx}: stepped run broke the oracle");
+            // Paper claim 1: the SRF stays cache-resident, so no SRF line
+            // is ever evicted (the baselines only band this counter).
+            assert_eq!(stepped.timing.mem.srf_evictions, 0, "{ctx}: SRF lines were evicted");
             assert_worlds_identical(&ctx, "stepped", &w_stepped, "event", &w_event);
             assert_eq!(
                 format!("{:?}", stepped.timing),

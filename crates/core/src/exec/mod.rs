@@ -9,9 +9,10 @@
 //!   the simulated machine: gathers/scatters become bulk ops on the memory
 //!   context, kernels run on the compute context, cross-queue dependencies
 //!   become signal/wait pairs paying the configured dispatch latency.
-//! * [`native::NativeExecutor`] — a real multi-thread runtime using the
-//!   distributed work queue, for running stream programs on the host. Its
-//!   workers run the same task body at the same time, with no lock.
+//! * [`native::NativeExecutor`] — a real multi-thread runtime for running
+//!   stream programs on the host: one worker per topology context, each
+//!   walking its own queue of the program's tasks. Its workers run the
+//!   same task body at the same time, with no lock.
 //!
 //! Each runs only a [`CheckedProgram`](crate::task::CheckedProgram), with
 //! the graph it was checked against, so none checks a schedule or panics

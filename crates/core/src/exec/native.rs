@@ -1,31 +1,31 @@
-//! Real multi-worker executor using the distributed work queue.
+//! Real multi-worker executor: each worker walks its own share of the
+//! checked program.
 //!
-//! One OS worker thread runs per topology context — under the default
+//! One worker runs per topology context — under the default
 //! [`Topology::two_context`] layout that is the paper's division of
-//! labour exactly: a *memory thread* (gathers and scatters), a *compute
-//! thread* (kernels), and the caller's thread as the control thread that
-//! enqueues tasks. Wider topologies ([`NativeExecutor::with_topology`])
-//! farm each task class round-robin across several workers,
-//! FastFlow-style. Tasks flow to workers through per-worker
-//! single-producer/single-consumer rings (`spsc`, the
-//! in-process analogue of the paper's memory-mapped queues); dependencies
-//! use the lock-free bit-vector window of [`crate::workqueue`]; workers
-//! wait for readiness either by spinning with the PAUSE hint or by
-//! parking, the two policies whose trade-off Figure 8 measures.
+//! labour exactly: a *compute thread* (kernels) and a *memory thread*
+//! (gathers and scatters). The calling thread is context 0's worker (the
+//! compute worker under the default layout) and `contexts − 1` scoped
+//! threads run the others. Wider topologies
+//! ([`NativeExecutor::with_topology`]) farm each task class round-robin
+//! across several workers, FastFlow-style.
 //!
-//! Dispatch takes no lock, and a thread is woken only when it can
-//! proceed (FastFlow's rule, see PAPERS.md). Every thread has one parking
-//! spot: a push wakes only the worker whose ring received the task, a
-//! completion wakes parked peers, and the control thread, once the
-//! window is full, sleeps until the workers have drained it to half
-//! (`LOW_WATER`) and then refills it in one batch.
-//!
-//! By default each worker issues *out of order* within a small in-flight
-//! window (Figure 7's `tail_depend`): it pops up to
-//! [`NATIVE_ISSUE_WINDOW`] entries from its ring, runs any whose
-//! dependencies have cleared, and waits only when none of them are
-//! ready — a blocked scatter no longer stalls the gathers queued behind
-//! it. [`NativeExecutor::in_order`] restores head-blocking queues.
+//! A [`CheckedProgram`] holds every task before the first one runs, so
+//! each worker's queue is fixed before any worker starts: its share of
+//! [`Topology::assign`], in task-id order, a plain list no other thread
+//! touches. Nothing is pushed or handed over at run time. Each worker
+//! issues *out of order* within a small in-flight window (Figure 7's
+//! `tail_depend`): it keeps its oldest [`NATIVE_ISSUE_WINDOW`]
+//! unexecuted entries in flight, runs the oldest one whose dependencies
+//! have completed, and waits only when none of them is ready — a blocked
+//! scatter does not stall the gathers queued behind it. It waits either
+//! by spinning with the PAUSE hint or by parking on its own spot, the two
+//! policies whose trade-off Figure 8 measures; each completion wakes the
+//! other workers' spots, and a waker whose target is busy pays one fence
+//! and one load. The window needs no admission bound to stay
+//! deadlock-free: every queue is in task-id order and every dependency
+//! names an earlier task, so the smallest incomplete task heads its
+//! queue and is ready.
 //!
 //! Tasks run in place, with no lock and no staging copy: each task
 //! borrows exactly the SRF and array bytes it touches, through the
@@ -53,37 +53,19 @@
 use crate::exec::region::Region;
 use crate::graph::StreamGraph;
 use crate::park::{DeathNotice, ParkingSpot};
-use crate::spsc::SpscRing;
 use crate::srf::{SrfBuffer, SrfConfig};
 use crate::task::{CheckedProgram, TaskId};
 use crate::topology::Topology;
-use crate::workqueue::{DependencyWindow, WINDOW};
 use crate::world::World;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-// NOTE on readiness: the bit-vector window (DependencyWindow) bounds the
-// number of in-flight tasks to 64 and is what the control thread uses for
-// admission, mirroring the paper. Worker *readiness* checks use the
-// region's per-task completion flags rather than a mask snapshot: a
-// snapshot can go stale when a completed dependency's slot is recycled
-// for a later task (an ABA hazard that would deadlock a queue on itself).
-
-/// How many ring entries a worker keeps in flight for out-of-order
-/// issue. Any value >= 1 is deadlock-free: queues are filled in task-id
-/// order, so the globally smallest incomplete task is always the oldest
-/// unexecuted entry of its queue — inside every window.
+/// How many of its oldest unexecuted queue entries a worker keeps in
+/// flight for out-of-order issue. Any value >= 1 is deadlock-free:
+/// queues are in task-id order, so the globally smallest incomplete task
+/// is always the oldest unexecuted entry of its queue — inside every
+/// window.
 pub const NATIVE_ISSUE_WINDOW: usize = 16;
-
-/// In-flight tasks at which a control thread waiting on a full window is
-/// woken: half the window, so it refills in batches rather than once per
-/// completion, and the workers still hold half a window of work while it
-/// does.
-const LOW_WATER: u32 = WINDOW as u32 / 2;
-
-/// Lane of the control thread. The worker for context `c` runs on lane
-/// `c + 1`.
-pub const LANE_CONTROL: u8 = 0;
 
 /// How a worker thread waits for its dependencies to clear.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -134,13 +116,10 @@ struct Shared<'a> {
     /// The SRF and the world, lent task by task; it also holds each
     /// task's completion flag.
     region: Region<'a>,
-    window: DependencyWindow,
-    /// One parking spot per thread, indexed by lane: the control
-    /// thread's at [`LANE_CONTROL`], context `c`'s worker at `c + 1`.
+    /// One parking spot per worker, indexed by topology context.
     spots: Vec<ParkingSpot>,
-    done: AtomicBool,
-    /// Set when a worker dies (panics) so the control thread and the
-    /// surviving workers stop waiting on completions that will never come.
+    /// Set when a worker dies (panics) so the surviving workers stop
+    /// waiting on completions that will never come.
     dead: AtomicBool,
     program: &'a CheckedProgram,
     /// Whether to measure each task body's wall time.
@@ -153,14 +132,13 @@ impl Shared<'_> {
     }
 }
 
-/// Multi-worker work-queue executor (one worker thread per topology
-/// context; two by default).
+/// Multi-worker work-queue executor (one worker per topology context,
+/// the calling thread among them; two by default).
 #[derive(Debug, Clone, Default)]
 pub struct NativeExecutor {
     srf_cfg: SrfConfig,
     topology: Topology,
     policy: NativeWaitPolicy,
-    in_order: bool,
     time_tasks: bool,
 }
 
@@ -185,24 +163,13 @@ impl NativeExecutor {
         self
     }
 
-    /// Choose the queue topology: one worker thread runs per context,
-    /// consuming its own ring, and tasks of each class are dealt
-    /// round-robin across the workers accepting that class. The default
-    /// is the paper's two-worker compute/memory split.
+    /// Choose the queue topology: one worker runs per context, walking
+    /// its own queue, and tasks of each class are dealt round-robin
+    /// across the workers accepting that class. The default is the
+    /// paper's two-worker compute/memory split.
     #[must_use]
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
-        self
-    }
-
-    /// Force head-blocking queues: each worker executes its ring
-    /// strictly in order, waiting at the head until the head's
-    /// dependencies clear (the pre-`tail_depend` baseline). Default is
-    /// `false`: out-of-order issue within [`NATIVE_ISSUE_WINDOW`]
-    /// entries.
-    #[must_use]
-    pub fn in_order(mut self, in_order: bool) -> Self {
-        self.in_order = in_order;
         self
     }
 
@@ -215,8 +182,9 @@ impl NativeExecutor {
         self
     }
 
-    /// Execute `program` against `world` using one worker thread per
-    /// topology context.
+    /// Execute `program` against `world` using one worker per topology
+    /// context: the calling thread runs context 0's, and one scoped
+    /// thread runs each other context's.
     ///
     /// # Panics
     ///
@@ -224,8 +192,8 @@ impl NativeExecutor {
     /// against a graph other than `graph` (a clone of it is the same
     /// graph), if `world` does not hold the arrays `graph` binds with
     /// room for each binding, or if the program needs more SRF bytes than
-    /// the executor's SRF configuration holds; and if a kernel panics on
-    /// a worker.
+    /// the executor's SRF configuration holds; and, with its own payload,
+    /// if a kernel panics on a worker.
     pub fn run(
         &self,
         program: &CheckedProgram,
@@ -237,56 +205,28 @@ impl NativeExecutor {
         let contexts = self.topology.contexts();
         let shared = Shared {
             region,
-            window: DependencyWindow::new(),
-            spots: (0..=contexts).map(|_| ParkingSpot::new()).collect(),
-            done: AtomicBool::new(false),
+            spots: (0..contexts).map(|_| ParkingSpot::new()).collect(),
             dead: AtomicBool::new(false),
             program,
             time_tasks: self.time_tasks,
         };
-        let assignment = self.topology.assign(&program.tasks);
-        // A ring only ever holds admitted, incomplete tasks, and the
-        // window admits at most WINDOW of them: a push cannot fail.
-        let queues: Vec<SpscRing<TaskId>> = (0..contexts).map(|_| SpscRing::new(WINDOW)).collect();
+        let mut queues: Vec<Vec<TaskId>> = vec![Vec::new(); contexts];
+        for (task, c) in program.tasks.iter().zip(self.topology.assign(&program.tasks)) {
+            queues[c].push(task.id);
+        }
         let policy = self.policy;
-        let issue_window = if self.in_order { 1 } else { NATIVE_ISSUE_WINDOW };
 
         let counts: Vec<WorkerCount> = std::thread::scope(|s| {
             let shared = &shared;
-            let workers: Vec<_> = queues
+            let workers: Vec<_> = queues[1..]
                 .iter()
                 .enumerate()
-                .map(|(c, queue)| {
-                    let lane = (c + 1) as u8;
-                    s.spawn(move || worker_loop(shared, queue, lane, policy, issue_window))
-                })
+                .map(|(i, queue)| s.spawn(move || worker_loop(shared, queue, i + 1, policy)))
                 .collect();
-
-            // Control thread: admit tasks into the window in order and
-            // push them to their assigned queue. Each queue has a single
-            // producer (this thread) and a single consumer (its worker).
-            let control = &shared.spots[LANE_CONTROL as usize];
-            'enqueue: for task in &program.tasks {
-                while shared.window.admit(task.id).is_err() {
-                    // Window full: sleep until the workers have drained
-                    // it to the low-water mark (or one died — a dead
-                    // worker frees no slots, so its notice wakes us).
-                    control.wait_until(|| {
-                        shared.window.pending_mask().count_ones() <= LOW_WATER || shared.is_dead()
-                    });
-                    if shared.is_dead() {
-                        break 'enqueue;
-                    }
-                }
-                let c = assignment[task.id.0 as usize];
-                assert!(queues[c].push(task.id).is_ok(), "a ring outgrew the window");
-                shared.spots[c + 1].wake();
-            }
-            shared.done.store(true, Ordering::Release);
-            for spot in &shared.spots[1..] {
-                spot.wake();
-            }
-            let mut counts = Vec::with_capacity(workers.len());
+            // Context 0 runs here. If it panics, the scope joins the
+            // other workers (its death notice stops them) and re-raises
+            // its payload.
+            let mut counts = vec![worker_loop(shared, &queues[0], 0, policy)];
             let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
             for w in workers {
                 match w.join() {
@@ -330,43 +270,31 @@ struct WorkerCount {
     times: Vec<TaskTime>,
 }
 
-/// Wait per `policy` for `ready`: one PAUSE-and-yield round (the caller
-/// loops), or park on `spot` until it holds.
-fn idle(policy: NativeWaitPolicy, spot: &ParkingSpot, ready: impl FnMut() -> bool) {
-    match policy {
-        NativeWaitPolicy::Spin => {
-            // Yield so single-core hosts make progress.
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-        NativeWaitPolicy::Park => spot.wait_until(ready),
-    }
-}
-
-/// Worker loop with out-of-order issue: keep up to `issue_window` popped
-/// entries in flight, run the oldest one whose dependencies have all
-/// completed, and wait (per `policy`) only when none of them is ready —
-/// the paper's `tail_depend` consumer. `issue_window == 1` degenerates
-/// to the head-blocking in-order consumer.
+/// Worker loop of context `context` with out-of-order issue: keep the
+/// oldest [`NATIVE_ISSUE_WINDOW`] unexecuted entries of `queue` in
+/// flight, run the oldest one whose dependencies have all completed, and
+/// wait (per `policy`) only when none of them is ready — the paper's
+/// `tail_depend` consumer.
 ///
-/// Returns its execution tally; exits early (without running the
-/// remaining entries) when a peer worker dies, since their dependencies
-/// can never complete. A task body waits for nothing: it runs in place
-/// in the region.
+/// Returns its execution tally once its queue is done; exits early
+/// (without running the remaining entries) when a peer worker dies,
+/// since their dependencies may never complete. A task body waits for
+/// nothing: it runs in place in the region.
 fn worker_loop(
     shared: &Shared<'_>,
-    queue: &SpscRing<TaskId>,
-    lane: u8,
+    queue: &[TaskId],
+    context: usize,
     policy: NativeWaitPolicy,
-    issue_window: usize,
 ) -> WorkerCount {
-    // A dying worker wakes every thread, which could otherwise sleep
-    // forever waiting for a slot or a completion it will never post.
+    // A dying worker wakes every other, which could otherwise sleep
+    // forever waiting for a completion it will never post.
     let _notice = DeathNotice { dead: &shared.dead, spots: &shared.spots };
-    let spot = &shared.spots[lane as usize];
+    let spot = &shared.spots[context];
+    let lane = (context + 1) as u8;
     let mut count = WorkerCount::default();
+    let mut queue = queue.iter().copied();
     // In-flight entries, oldest first (queue order == task-id order).
-    let mut local: Vec<TaskId> = Vec::with_capacity(issue_window);
+    let mut local: Vec<TaskId> = Vec::with_capacity(NATIVE_ISSUE_WINDOW);
     let ready = |task: &TaskId| {
         shared.program.tasks[task.0 as usize].deps.iter().all(|&d| shared.region.is_done(d))
     };
@@ -374,33 +302,24 @@ fn worker_loop(
         if shared.is_dead() {
             return count;
         }
-        while local.len() < issue_window {
-            match queue.pop() {
-                Some(task) => local.push(task),
-                None => break,
-            }
-        }
+        local.extend(queue.by_ref().take(NATIVE_ISSUE_WINDOW - local.len()));
         if local.is_empty() {
-            if shared.done.load(Ordering::Acquire) && queue.is_empty() {
-                return count;
-            }
-            // Until the control thread pushes here, finishes, or a peer
-            // dies.
-            idle(policy, spot, || {
-                !queue.is_empty() || shared.done.load(Ordering::Acquire) || shared.is_dead()
-            });
-            continue;
+            return count;
         }
         let Some(pos) = local.iter().position(ready) else {
             // Nothing in the window is ready: this is the only place a
-            // worker blocks on dependencies. It waits until a peer's
-            // completion readies an entry, a push lands while the window
-            // has room, or a peer dies.
-            idle(policy, spot, || {
-                local.iter().any(ready)
-                    || (local.len() < issue_window && !queue.is_empty())
-                    || shared.is_dead()
-            });
+            // worker waits. It waits until a peer's completion readies an
+            // entry, or a peer dies.
+            match policy {
+                NativeWaitPolicy::Spin => {
+                    // Yield so single-core hosts make progress.
+                    std::hint::spin_loop();
+                    std::thread::yield_now();
+                }
+                NativeWaitPolicy::Park => {
+                    spot.wait_until(|| local.iter().any(ready) || shared.is_dead());
+                }
+            }
             continue;
         };
         let id = local.remove(pos);
@@ -411,14 +330,9 @@ fn worker_loop(
         } else {
             shared.region.execute_task(id);
         }
-        shared.window.complete(id);
-        // Wake whoever this completion can unblock: parked peers, and the
-        // control thread once the window has drained to the low-water
-        // mark.
-        for (i, peer) in shared.spots.iter().enumerate() {
-            if i == usize::from(LANE_CONTROL) {
-                peer.wake_if(|| shared.window.pending_mask().count_ones() <= LOW_WATER);
-            } else if i != usize::from(lane) {
+        // Wake whoever this completion can unblock: the other workers.
+        for (c, peer) in shared.spots.iter().enumerate() {
+            if c != context {
                 peer.wake();
             }
         }

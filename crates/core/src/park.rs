@@ -8,9 +8,10 @@
 //!
 //! * the owner raises `parked`, fences, re-checks its condition and only
 //!   then calls [`std::thread::park`];
-//! * a waker makes its state change (ring push, completion flag, window
-//!   clear), fences, and unparks only if it sees `parked` raised — and
-//!   lowers it, so that one waker, not every one, makes the system call.
+//! * a waker makes its state change (a task's completion flag, a ring
+//!   push, a pool's drain), fences, and unparks only if it sees `parked`
+//!   raised — and lowers it, so that one waker, not every one, makes the
+//!   system call.
 //!
 //! Either the owner's re-check sees the waker's change, or the waker sees
 //! `parked` — so a wake-up cannot be lost, and a waker whose target is

@@ -23,7 +23,7 @@
 //! caller — nothing is lost and nothing runs twice, which the
 //! shutdown-under-load test asserts.
 //!
-//! Like the native executor's control thread, the submitting side is
+//! Like the paper's control thread, the submitting side is
 //! single-threaded: one producer owns all rings. This is enforced by
 //! requiring `&mut self` on [`WorkerPool::submit`].
 

@@ -1,10 +1,13 @@
 //! A bounded single-producer / single-consumer ring buffer.
 //!
-//! This is the in-process stand-in for the paper's memory-mapped work
-//! queues: the control thread is the only producer and each worker owns
-//! its queue as the only consumer, so a wait-free ring with one atomic
-//! head and one atomic tail is enough — exactly the "simple loads and
-//! stores" the paper relies on instead of locked queue operations.
+//! An in-process stand-in for the paper's memory-mapped work queues: one
+//! thread is the only producer and one worker owns the queue as the only
+//! consumer, so a wait-free ring with one atomic head and one atomic
+//! tail is enough — exactly the "simple loads and stores" the paper
+//! relies on instead of locked queue operations. No executor uses it
+//! now (the native executor's queues are fixed lists); its one user is
+//! [`crate::pool::WorkerPool`], kept only for the `benchmark/` package's
+//! `core.pool.job_ns` probe, and it goes with the pool.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;

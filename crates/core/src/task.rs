@@ -4,8 +4,8 @@
 //! software-pipelined sequence of gather / kernel / scatter tasks over
 //! strips, each carrying its SRF buffer assignment and its dependencies.
 //! It corresponds to the output of the paper's hand-compilation step
-//! (Section IV-A) and is what the control thread feeds into the
-//! distributed work queue.
+//! (Section IV-A): once checked, it is what every executor runs, the
+//! paper's control thread and distributed work queue included.
 
 use crate::graph::{KernelId, StreamId};
 use std::ops::Range;

@@ -13,9 +13,10 @@
 //!
 //! Both executors consume the same assignment: the simulator lowers each
 //! task onto the op stream of its assigned machine context, and the
-//! native executor spawns one worker (with its own SPSC ring) per
-//! context. Determinism matters — [`Topology::assign`] is a pure
-//! function of the schedule, so two runs agree on every queue.
+//! native executor runs one worker per context, each walking its share
+//! of the tasks in task-id order (the calling thread is context 0's).
+//! Determinism matters — [`Topology::assign`] is a pure function of the
+//! schedule, so two runs agree on every queue.
 
 use crate::task::TaskDesc;
 

@@ -1,22 +1,25 @@
-//! The distributed work queue of Section III-B and Figure 7.
+//! The dependency bit-vector of Section III-B and Figure 7.
 //!
-//! Two bounded queues — one for memory tasks (gathers/scatters), one for
-//! compute tasks (kernels) — are fed by the control thread. Dependencies
-//! between in-flight tasks are encoded as *bit-vectors* over a window of
-//! at most [`WINDOW`] concurrently-enqueued tasks: each enqueued task holds
-//! a mask of the window slots it depends on, and finishing a task clears
-//! its slot bit everywhere ("setting and clearing dependence information
-//! could be performed rapidly using simple or/and instructions").
+//! In the paper a control thread feeds two bounded queues — one for
+//! memory tasks (gathers/scatters), one for compute tasks (kernels) —
+//! and encodes dependencies between in-flight tasks as *bit-vectors*
+//! over a window of at most [`WINDOW`] concurrently-enqueued tasks: each
+//! enqueued task holds a mask of the window slots it depends on, and
+//! finishing a task clears its slot bit everywhere ("setting and
+//! clearing dependence information could be performed rapidly using
+//! simple or/and instructions").
 //!
-//! [`DependencyWindow`] is that shared bit-vector: one atomic pending
-//! mask plus the task occupying each slot. The control thread is the only
-//! thread that sets bits ([`DependencyWindow::admit`]); the worker that
-//! finishes a task clears its slot ([`DependencyWindow::complete`]); both
-//! take `&self`, so the native executor shares one window with no lock.
-//! Workers test readiness on per-task completion flags, not on mask
-//! snapshots: a snapshot goes stale when a completed dependency's slot is
-//! reused (see the slot-reuse ABA property test in the workspace-level
-//! `tests/properties.rs`).
+//! No executor runs on that window now. The simulator takes only
+//! [`WINDOW`], as the depth of its out-of-order issue window, and the
+//! native executor walks per-context task lists fixed before it starts,
+//! testing readiness on per-task completion flags. [`DependencyWindow`]
+//! — one atomic pending mask plus the task occupying each slot, admitted
+//! by one thread ([`DependencyWindow::admit`]) and cleared by any
+//! ([`DependencyWindow::complete`]) — stays only because the `benchmark/`
+//! package times it (`core.window.admit_complete_ns`); its property tests
+//! in the workspace-level `tests/properties.rs` also show why a mask
+//! snapshot cannot serve as a readiness test (it goes stale when a
+//! completed dependency's slot is reused).
 
 use crate::task::TaskId;
 use std::fmt;
@@ -92,11 +95,11 @@ impl DependencyWindow {
     }
 
     /// Admit `task` into the window, returning its slot. Only one thread
-    /// may admit (the control thread); any thread may complete.
+    /// may admit (the paper's control thread); any thread may complete.
     ///
     /// # Errors
     ///
-    /// Returns [`WindowFull`] if the window is full (the control thread
+    /// Returns [`WindowFull`] if the window is full (the admitting thread
     /// must wait for a completion first).
     ///
     /// # Panics

@@ -11,7 +11,8 @@ use gpstream_core::{GraphBuilder, KernelId, Topology, World};
 use gpstream_machine::ops::WaitPolicy;
 use gpstream_machine::{ExactReason, StepMode};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// Hand-build a two-strip schedule exercising double buffering and
@@ -351,7 +352,8 @@ fn wait_policies_change_sim_timing_not_results() {
 
 #[test]
 fn native_executor_handles_many_small_tasks() {
-    // Stress the 64-entry window: more than 64 in-flight admissions.
+    // Hundreds of tiny tasks: hundreds of completions per run, each
+    // waking the other worker.
     let n = 4096usize;
     let data: Vec<f32> = (0..n).map(|i| (i % 7) as f32).collect();
     let mut b = GraphBuilder::new();
@@ -369,18 +371,21 @@ fn native_executor_handles_many_small_tasks() {
     let (graph, mut world) = b.build().unwrap();
     let compiled = gpstream_compiler_shim::compile_tiny_strips(&graph);
     let report = NativeExecutor::new().run(&compiled, &graph, &mut world);
-    assert!(report.tasks > 128, "want >128 tasks to stress the window, got {}", report.tasks);
+    assert!(report.tasks > 128, "want >128 tasks to stress the workers, got {}", report.tasks);
     let got = world.slice::<f32>(y.id());
     assert!(got.iter().zip(&data).all(|(g, d)| *g == -d));
 }
 
 /// A panicking kernel must terminate the run and surface its *original*
-/// panic payload — not hang the control thread on a full window waiting
-/// for completions the dead worker will never post, and not mask the
-/// payload behind a generic "worker panicked".
+/// panic payload — not hang a worker waiting on completions the dead
+/// worker will never post (hundreds of strips leave the memory workers
+/// plenty to wait for), and not mask the payload behind a generic
+/// "worker panicked". The kernels run on context 0, the calling thread,
+/// under every topology here, and on a spawned worker too under
+/// `scaled(4)`.
 #[test]
 fn worker_panic_propagates_original_payload() {
-    let n = 4096usize; // hundreds of strips: the 64-entry window WILL fill
+    let n = 4096usize; // hundreds of strips: hundreds of gathers wait on the kernels
     let data: Vec<f32> = (0..n).map(|i| i as f32).collect();
     let mut b = GraphBuilder::new();
     let a = b.array("a", &data);
@@ -407,6 +412,51 @@ fn worker_panic_propagates_original_payload() {
                 msg.contains("kernel exploded deliberately"),
                 "original panic payload must survive propagation ({topology:?}, {policy:?}), \
                  got: {msg}"
+            );
+        }
+    }
+}
+
+/// The native runtime has no control thread: the caller runs context 0's
+/// worker itself, so context 0's share — every task under `single`,
+/// every kernel under `two_context` — runs on the calling thread.
+#[test]
+fn the_calling_thread_runs_context_zero() {
+    let n = 64usize;
+    let data: Vec<f32> = (0..n).map(|i| i as f32).collect();
+    let ran_on = Arc::new(Mutex::new(Vec::<ThreadId>::new()));
+    let mut b = GraphBuilder::new();
+    let a = b.array("a", &data);
+    let y = b.array_zeroed::<f32>("y", n);
+    let xs = b.gather_seq("xs", a);
+    let ys = b.stream::<f32>("ys", n);
+    let log = Arc::clone(&ran_on);
+    b.kernel("neg", &[xs.id()], &[ys.id()], 1, move |args| {
+        log.lock().unwrap().push(std::thread::current().id());
+        let x = args.input::<f32>(0);
+        for (o, v) in args.output::<f32>(0).iter_mut().zip(x) {
+            *o = -v;
+        }
+    });
+    b.scatter_seq(ys, y);
+    let (graph, world) = b.build().unwrap();
+    let program = gpstream_compiler_shim::compile_tiny_strips(&graph);
+    let kernels = program.tasks.iter().filter(|t| !t.kind.is_memory()).count();
+    let want: Vec<f32> = data.iter().map(|v| -v).collect();
+    let caller = std::thread::current().id();
+    for topology in [Topology::single(), Topology::two_context()] {
+        for policy in [NativeWaitPolicy::Spin, NativeWaitPolicy::Park] {
+            ran_on.lock().unwrap().clear();
+            let mut w = world.clone();
+            let exec =
+                NativeExecutor::new().with_topology(topology.clone()).with_wait_policy(policy);
+            exec.run(&program, &graph, &mut w);
+            assert_eq!(w.slice::<f32>(y.id()), want.as_slice(), "{topology:?} {policy:?}");
+            let ran_on = ran_on.lock().unwrap();
+            assert_eq!(ran_on.len(), kernels, "{topology:?} {policy:?}");
+            assert!(
+                ran_on.iter().all(|&t| t == caller),
+                "every kernel must run on the calling thread ({topology:?} {policy:?})"
             );
         }
     }
@@ -492,11 +542,11 @@ fn independent_kernels_overlap_on_two_compute_workers() {
     }
 }
 
-/// Many short runs over tiny strips (hundreds of tasks, the window filling
-/// and draining again and again) under every wait policy, topology shape
-/// and issue order. Each run happens on its own thread and must report
-/// back within 10 s, so a lost wake-up fails here in seconds instead of
-/// hanging the suite.
+/// Many short runs over tiny strips (hundreds of tasks, so hundreds of
+/// completions and park/wake round-trips per run) under every wait
+/// policy and topology shape. Each run happens on its own thread and
+/// must report back within 10 s, so a lost wake-up fails here in seconds
+/// instead of hanging the suite.
 #[test]
 fn tiny_strip_runs_never_lose_a_wake_up() {
     const RUNS: usize = 100;
@@ -516,7 +566,7 @@ fn tiny_strip_runs_never_lose_a_wake_up() {
     b.scatter_seq(ys, y);
     let (graph, world) = b.build().unwrap();
     let program = gpstream_compiler_shim::compile_tiny_strips(&graph);
-    assert!(program.tasks.len() > 2 * 64, "the window must fill and drain repeatedly");
+    assert!(program.tasks.len() > 2 * 64, "workers must park and wake repeatedly");
     let want: Vec<f32> = data.iter().map(|v| -v).collect();
     let setup = Arc::new((graph, world, program, want));
 
@@ -527,31 +577,27 @@ fn tiny_strip_runs_never_lose_a_wake_up() {
     ];
     for policy in [NativeWaitPolicy::Spin, NativeWaitPolicy::Park] {
         for (name, topology) in &topologies {
-            for in_order in [true, false] {
-                let exec = NativeExecutor::new()
-                    .with_wait_policy(policy)
-                    .with_topology(topology.clone())
-                    .in_order(in_order);
-                let (tx, rx) = mpsc::channel();
-                let setup = Arc::clone(&setup);
-                std::thread::spawn(move || {
-                    let (graph, world, program, want) = &*setup;
-                    for _ in 0..RUNS {
-                        let mut w = world.clone();
-                        exec.run(program, graph, &mut w);
-                        let ok = w.slice::<f32>(y.id()) == want.as_slice();
-                        if tx.send(ok).is_err() {
-                            return;
-                        }
+            let exec =
+                NativeExecutor::new().with_wait_policy(policy).with_topology(topology.clone());
+            let (tx, rx) = mpsc::channel();
+            let setup = Arc::clone(&setup);
+            std::thread::spawn(move || {
+                let (graph, world, program, want) = &*setup;
+                for _ in 0..RUNS {
+                    let mut w = world.clone();
+                    exec.run(program, graph, &mut w);
+                    let ok = w.slice::<f32>(y.id()) == want.as_slice();
+                    if tx.send(ok).is_err() {
+                        return;
                     }
-                });
-                for run in 0..RUNS {
-                    let label = format!("{policy:?} {name} in_order={in_order} run {run}");
-                    let ok = rx
-                        .recv_timeout(Duration::from_secs(10))
-                        .unwrap_or_else(|_| panic!("{label}: no result in 10 s (lost wake-up?)"));
-                    assert!(ok, "{label}: wrong result");
                 }
+            });
+            for run in 0..RUNS {
+                let label = format!("{policy:?} {name} run {run}");
+                let ok = rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("{label}: no result in 10 s (lost wake-up?)"));
+                assert!(ok, "{label}: wrong result");
             }
         }
     }

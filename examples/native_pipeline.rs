@@ -1,10 +1,10 @@
-//! The native two-thread runtime: a real memory thread and compute thread
-//! coordinated through the distributed work queue (bounded 64-entry
-//! window with bit-vector dependency masks), with both of the paper's
-//! wait policies. Tasks run in place with no data lock and no staging
-//! copy — each borrows only the SRF and array bytes it touches — so the
-//! compute thread's kernels overlap the memory thread's gathers and
-//! scatters.
+//! The native two-thread runtime: a real compute thread (the caller's)
+//! and memory thread, each walking its own queue of the compiled
+//! program's tasks and running any whose dependencies have completed,
+//! with both of the paper's wait policies. Tasks run in place with no
+//! data lock and no staging copy — each borrows only the SRF and array
+//! bytes it touches — so the compute thread's kernels overlap the memory
+//! thread's gathers and scatters.
 //!
 //! Run with: `cargo run --release --example native_pipeline`
 

@@ -87,18 +87,14 @@ fn differential(name: &str, graph: &StreamGraph, world: &World, copts: &Compiler
         assert_worlds_identical(name, "functional", &functional, &label, &simulated);
     }
 
-    for (in_order, policy) in [
-        (true, NativeWaitPolicy::Park),
-        (false, NativeWaitPolicy::Spin),
-        (false, NativeWaitPolicy::Park),
-    ] {
+    for policy in [NativeWaitPolicy::Spin, NativeWaitPolicy::Park] {
         let mut native = world.clone();
-        let _ = NativeExecutor::new()
-            .with_srf(copts.srf)
-            .with_wait_policy(policy)
-            .in_order(in_order)
-            .run(&compiled.schedule, &compiled.graph, &mut native);
-        let label = format!("native in_order={in_order} policy={policy:?}");
+        let _ = NativeExecutor::new().with_srf(copts.srf).with_wait_policy(policy).run(
+            &compiled.schedule,
+            &compiled.graph,
+            &mut native,
+        );
+        let label = format!("native policy={policy:?}");
         assert_worlds_identical(name, "functional", &functional, &label, &native);
     }
 }
@@ -355,9 +351,8 @@ type Run<'a> = (&'a str, &'a dyn Fn(&mut World));
 /// The native runtime borrows the SRF and the arrays with no lock, so
 /// any missing order between two tasks shows up as a divergent byte.
 /// Every catalog member runs on the paper's two workers and on a farm
-/// of four, under both wait policies, with out-of-order and in-order
-/// issue, three times each, and every run leaves its world
-/// byte-identical to the reference executor's.
+/// of four, under both wait policies, three times each, and every run
+/// leaves its world byte-identical to the reference executor's.
 #[test]
 fn native_runs_match_the_reference_under_stress() {
     const REPEATS: usize = 3;
@@ -370,19 +365,15 @@ fn native_runs_match_the_reference_under_stress() {
         FunctionalExecutor::with_srf(copts.srf).run(program, graph, &mut want);
         for topology in [Topology::two_context(), Topology::scaled(4)] {
             for policy in [NativeWaitPolicy::Spin, NativeWaitPolicy::Park] {
-                for in_order in [false, true] {
-                    let exec = NativeExecutor::new()
-                        .with_srf(copts.srf)
-                        .with_topology(topology.clone())
-                        .with_wait_policy(policy)
-                        .in_order(in_order);
-                    for run in 0..REPEATS {
-                        let mut got = wl.world.clone();
-                        exec.run(program, graph, &mut got);
-                        let label =
-                            format!("native {topology:?} {policy:?} in_order={in_order} run {run}");
-                        assert_worlds_identical(name, "functional", &want, &label, &got);
-                    }
+                let exec = NativeExecutor::new()
+                    .with_srf(copts.srf)
+                    .with_topology(topology.clone())
+                    .with_wait_policy(policy);
+                for run in 0..REPEATS {
+                    let mut got = wl.world.clone();
+                    exec.run(program, graph, &mut got);
+                    let label = format!("native {topology:?} {policy:?} run {run}");
+                    assert_worlds_identical(name, "functional", &want, &label, &got);
                 }
             }
         }

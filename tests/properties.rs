@@ -268,15 +268,14 @@ fn stale_mask_snapshot_suffers_slot_reuse_aba() {
 }
 
 /// Multi-threaded stress of the native executor: random pipelines,
-/// strip sizes, wait policies and issue modes (head-blocking and
-/// out-of-order `tail_depend`) always produce the reference result
-/// (exercising the completion-flag readiness path).
+/// strip sizes and wait policies always produce the reference result
+/// (exercising the out-of-order `tail_depend` issue window and the
+/// completion-flag readiness path).
 #[test]
 fn native_executor_matches_reference_under_stress() {
     run_cases("native_executor_stress", 0x57e55, DEFAULT_CASES, |rng| {
         let n = rng.range_usize_inclusive(64, 768);
         let strip = rng.range_usize_inclusive(16, 256);
-        let in_order = rng.bool();
         let policy = if rng.bool() { NativeWaitPolicy::Spin } else { NativeWaitPolicy::Park };
         let data: Vec<f32> = (0..n).map(|_| rng.f32_range(-8.0, 8.0)).collect();
         let mut idx: Vec<u32> = (0..n as u32).collect();
@@ -310,7 +309,7 @@ fn native_executor_matches_reference_under_stress() {
         let mut reference = world.clone();
         FunctionalExecutor::new().run(&compiled.schedule, &compiled.graph, &mut reference);
         let mut native = world.clone();
-        NativeExecutor::new().with_wait_policy(policy).in_order(in_order).run(
+        NativeExecutor::new().with_wait_policy(policy).run(
             &compiled.schedule,
             &compiled.graph,
             &mut native,
@@ -320,7 +319,7 @@ fn native_executor_matches_reference_under_stress() {
         assert_eq!(
             got.iter().map(|v| v.to_bits()).collect::<Vec<u32>>(),
             want.iter().map(|v| v.to_bits()).collect::<Vec<u32>>(),
-            "native result diverged (n={n} strip={strip} policy={policy:?} in_order={in_order})"
+            "native result diverged (n={n} strip={strip} policy={policy:?})"
         );
     });
 }
